@@ -6,8 +6,9 @@ polynomial packet family whose Schwartz norms are computable analytically.
 """
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
@@ -203,7 +204,10 @@ class WavePacket:
 
     def __call__(self, k):
         k = np.asarray(k, dtype=float)
-        gauss = np.exp(-np.sum((k - self.center) ** 2, axis=-1) / (2 * self.width**2))
+        sq = (k - self.center) ** 2
+        # added in order, as np.sum(sq, axis=-1) does for d < 8, minus its per-row cost
+        r2 = functools.reduce(np.add, (sq[..., i] for i in range(self.dim)))
+        gauss = np.exp(-r2 / (2 * self.width**2))
         val = self.poly(k) * gauss
         if self.phase is not None:
             val = val * np.exp(-1j * minkowski_dot(self.phase, k))
@@ -381,8 +385,17 @@ def fourier_1d(f, t: float, support=(-30.0, 30.0), tol: float = 1e-10) -> comple
     return (re + 1j * im) / math.sqrt(2 * math.pi)
 
 
-def gauss_legendre(a: float, b: float, nodes: int):
-    """Gauss-Legendre nodes/weights on [a, b]."""
+@functools.lru_cache
+def gauss_rule(nodes: int):
+    """Gauss-Legendre nodes/weights on [-1, 1], built once and shared read-only."""
     x, w = np.polynomial.legendre.leggauss(nodes)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
+def gauss_legendre(a: float, b: float, nodes: int):
+    """Gauss-Legendre nodes/weights on [a, b], as fresh arrays."""
+    x, w = gauss_rule(nodes)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     return mid + half * x, half * w

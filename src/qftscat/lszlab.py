@@ -14,15 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate, special
 
-from .kinematics import CutoffSpec, ModelParams, chi_plus_minus, gauss_legendre, omega
+from .formfactor import IN, LOC, OUT
+from .kinematics import CutoffSpec, ModelParams, chi_plus_minus, gauss_legendre, gauss_rule, omega
 from .structure import (
     SpectralDensity,
     StructureEvaluator,
     pair_with_leg_multipliers,
     pv_leg_term,
 )
-
-IN, LOC, OUT = "in", "loc", "out"
 
 
 def chi_t(label: str, k, t: float, params: ModelParams, cutoff: CutoffSpec):
@@ -219,6 +218,19 @@ def convergence_study(labels, packets, ev: StructureEvaluator, t_grid,
     )
 
 
+def _single_report(t_grid, vals, target) -> ConvergenceReport:
+    """Report of one ordering whose raw values are their own window average."""
+    err = np.abs(vals - target)
+    key = (0,)
+    return ConvergenceReport(
+        t_grid=t_grid, values={key: vals}, window_averaged={key: vals},
+        abs_err={key: err}, extrapolated={key: complex(vals[-1]) if len(vals) else 0j},
+        fitted_rate=_fit_rate(t_grid, err), target=target,
+        envelope_nonincreasing=_decade_envelope_nonincreasing(t_grid, err),
+        ordering_spread=0.0,
+    )
+
+
 def _quad_osc(g, t, kind, upper, **kw):
     """int_0^upper g(s) * cos/sin(s t) ds for complex-valued g."""
     re, _ = integrate.quad(lambda s: float(np.real(g(s))), 0, upper,
@@ -253,15 +265,7 @@ def pv_limit_demo(f, t_grid) -> ConvergenceReport:
     t_grid = np.asarray(t_grid, dtype=float)
     target = 1j * math.pi * complex(f(0.0))
     vals = np.array([pv_oscillatory_integral(f, t) for t in t_grid])
-    err = np.abs(vals - target)
-    key = (0,)
-    return ConvergenceReport(
-        t_grid=t_grid, values={key: vals}, window_averaged={key: vals},
-        abs_err={key: err}, extrapolated={key: complex(vals[-1])},
-        fitted_rate=_fit_rate(t_grid, err), target=target,
-        envelope_nonincreasing=_decade_envelope_nonincreasing(t_grid, err),
-        ordering_spread=0.0,
-    )
+    return _single_report(t_grid, vals, target)
 
 
 def sokhotsky_check(f, eps: float, upper: float = 40.0):
@@ -312,14 +316,7 @@ def riemann_lebesgue_decay(rho: SpectralDensity, packets, t_grid,
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if rho.trivial:
-        zeros = np.zeros(len(t_grid), dtype=complex)
-        key = (0,)
-        return ConvergenceReport(
-            t_grid=t_grid, values={key: zeros}, window_averaged={key: zeros},
-            abs_err={key: np.zeros(len(t_grid))}, extrapolated={key: 0.0 + 0.0j},
-            fitted_rate=(0.0, 0.0), target=0.0 + 0.0j,
-            envelope_nonincreasing=True, ordering_spread=0.0,
-        )
+        return _single_report(t_grid, np.zeros(len(t_grid), dtype=complex), 0.0 + 0.0j)
     p1, p2 = packets
     m = ev.params.m
     lo1, hi1 = p1.support_interval(1)
@@ -339,7 +336,7 @@ def riemann_lebesgue_decay(rho: SpectralDensity, packets, t_grid,
         ))
         panels = max(1, n_mu // ev.quad.mu_nodes)
         edges = np.linspace(mu_lo, mu_hi, panels + 1)
-        x, w = np.polynomial.legendre.leggauss(ev.quad.mu_nodes)
+        x, w = gauss_rule(ev.quad.mu_nodes)
         mun = (0.5 * (edges[:-1] + edges[1:])[:, None]
                + 0.5 * np.diff(edges)[:, None] * x).ravel()
         muw = (0.5 * np.diff(edges)[:, None] * w).ravel()
@@ -350,15 +347,7 @@ def riemann_lebesgue_decay(rho: SpectralDensity, packets, t_grid,
         rvals = rho(mun)[:, None]
         phase = np.exp(-1j * (wm[None, :] - wmu) * t)
         vals[i] = np.sum(muw[:, None] * kw[None, :] * rvals * static * phase)
-    err = np.abs(vals)
-    key = (0,)
-    return ConvergenceReport(
-        t_grid=t_grid, values={key: vals}, window_averaged={key: vals},
-        abs_err={key: err}, extrapolated={key: complex(vals[-1])},
-        fitted_rate=_fit_rate(t_grid, err), target=0.0 + 0.0j,
-        envelope_nonincreasing=_decade_envelope_nonincreasing(t_grid, err),
-        ordering_spread=0.0,
-    )
+    return _single_report(t_grid, vals, 0.0 + 0.0j)
 
 
 def l1_fourier_bound(packet, xi_nodes: int = 400, t_points: int = 40001):

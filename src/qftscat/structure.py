@@ -15,9 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .kinematics import CutoffSpec, ModelParams, gauss_legendre, omega
-
-_TINY = 1e-300
+from .kinematics import CutoffSpec, ModelParams, gauss_legendre, gauss_rule, omega
 
 
 @dataclass(frozen=True)
@@ -66,7 +64,6 @@ class QuadratureSettings:
     mu_nodes: int = 48  # continuum mass integral
     mu_span: float = 20.0  # continuum window in units of m above onset
     singular_scan: int = 512  # grid for locating two-body threshold points
-    root_tol: float = 1e-12
 
     def doubled(self) -> "QuadratureSettings":
         return replace(
@@ -159,57 +156,70 @@ def _leg_sign(l: int, j: int) -> int:
     return -1 if l < j else 1
 
 
-def _full_config(shape, n, d=2):
-    return np.zeros(shape + (n, d))
+def root_possible(E, P, sa, sb, mass):
+    """Points (E, P) where sa*omega(p_a) + sb*omega(P - p_a) = E can have a
+    root: a same-sign pair needs sa*E > 0 and Q >= 4 m^2, an opposite-sign
+    pair Q <= 0, with Q = E^2 - P^2 computed as in two_body_solutions."""
+    Q = E * E - P * P
+    if sa == sb:
+        return (sa * E > 0) & (Q >= 4.0 * (mass * mass))
+    return Q <= 0
 
 
-def reduced_integrand(j: int, packets, ev: StructureEvaluator, weight=None,
-                      leg_factors=None):
-    """The leg-j reduction g_j: integrate the packet product over the shells
-    of legs l != j with total momentum conservation solved exactly.
+def _solved_pair_terms(j, pair, packets, ev, weight, leg_factors, E, P, k0, k1,
+                       free=None):
+    """Per-root terms of the on-shell pair solved at total (E, P), with a
+    trailing root axis; zero wherever no root exists.
 
-    j is 0-based. Returns a callable g(k0, k1[, ugrid]) vectorized over
-    broadcastable arrays; for n=4 an optional (nodes, weights) pair replaces
-    the default free-leg grid. No kinematic solution means g = 0.
+    Only the points where root_possible holds are solved and evaluated.
+    free is None (order 3) or (leg, momenta, 2 omega) of the free leg on the
+    u-grid, which is the last axis of E and P.
     """
-    n = len(packets)
-    if n == 3:
-        return _reduced_integrand_3(j, packets, ev, weight, leg_factors)
-    if n == 4:
-        return _reduced_integrand_4(j, packets, ev, weight, leg_factors)
-    raise NotImplementedError("phase-space reduction implemented for n = 3, 4")
-
-
-def _reduced_integrand_3(j, packets, ev, weight, leg_factors):
-    a, b = [l for l in range(3) if l != j]
-    sa, sb = _leg_sign(a, j), _leg_sign(b, j)
+    b, c = pair
+    sb, sc = _leg_sign(b, j), _leg_sign(c, j)
     m = ev.params.m
+    shape = np.shape(E)
+    idx = np.flatnonzero(root_possible(E, P, sb, sc, m))
+    pb, pc, wb, wc, jac, valid = two_body_solutions(
+        np.ravel(E)[idx], np.ravel(P)[idx], sb, sc, m)
+    kb = np.stack([sb * wb, pb], axis=-1)
+    kc = np.stack([sc * wc, pc], axis=-1)
+    # numpy evaluates `x * f(...)` in place as `f(...) * x` once the fresh
+    # array f(...) holds 256 KiB, and its complex product (fused multiply-add)
+    # is not bitwise commutative. Each product below takes the order it had
+    # on the full grid (shape x 2 roots, complex), so masking changes no bit.
+    swap = math.prod(shape) * 2 * 16 >= 256 * 1024
 
-    def g(k0, k1, ugrid=None):
-        k0 = np.asarray(k0, dtype=float)
-        k1 = np.asarray(k1, dtype=float)
-        k0, k1 = np.broadcast_arrays(k0, k1)
-        pa, pb, wa, wb, jac, valid = two_body_solutions(-k0, -k1, sa, sb, m)
-        ka = np.stack([sa * wa, pa], axis=-1)
-        kb = np.stack([sb * wb, pb], axis=-1)
-        vals = packets[a](ka) * packets[b](kb)
-        if leg_factors is not None:
-            if leg_factors[a] is not None:
-                vals = vals * leg_factors[a](ka)
-            if leg_factors[b] is not None:
-                vals = vals * leg_factors[b](kb)
-        if weight is not None:
-            ks = _full_config(ka.shape[:-1], 3)
-            ks[..., a, :] = ka
-            ks[..., b, :] = kb
-            ks[..., j, 0] = k0[..., None]
-            ks[..., j, 1] = k1[..., None]
-            vals = vals * weight(ks)
-        dens = 4.0 * wa * wb * np.abs(jac)
-        out = np.where(valid, vals / np.where(valid, dens, 1.0), 0.0)
-        return out.sum(axis=-1)
+    def times(vals, factor):
+        return np.multiply(factor, vals) if swap else np.multiply(vals, factor)
 
-    return g
+    vals = packets[b](kb)
+    lead = 4.0
+    if free is not None:
+        fleg, kf, two_w = free
+        iu = (idx % len(kf))[:, None]
+        vals = times(packets[fleg](kf)[iu], vals)
+        lead = two_w[iu] * 4.0
+    vals = np.multiply(vals, packets[c](kc))
+    if leg_factors is not None:
+        if free is not None and leg_factors[fleg] is not None:
+            vals = np.multiply(vals, leg_factors[fleg](kf)[iu])
+        for leg, kk in ((b, kb), (c, kc)):
+            if leg_factors[leg] is not None:
+                vals = times(vals, leg_factors[leg](kk))
+    if weight is not None:
+        ks = np.zeros(kb.shape[:-1] + (len(packets), 2))
+        ks[..., b, :] = kb
+        ks[..., c, :] = kc
+        if free is not None:
+            ks[..., fleg, :] = kf[iu]
+        ks[..., j, 0] = np.broadcast_to(k0, shape).ravel()[idx][:, None]
+        ks[..., j, 1] = np.broadcast_to(k1, shape).ravel()[idx][:, None]
+        vals = times(vals, weight(ks))
+    dens = lead * wb * wc * np.abs(jac)
+    out = np.zeros((math.prod(shape), 2), dtype=vals.dtype)
+    out[idx] = np.where(valid, vals / np.where(valid, dens, 1.0), 0.0)
+    return out.reshape(shape + (2,))
 
 
 def default_u_grid(packet, quad: QuadratureSettings, panels: int = 4):
@@ -226,7 +236,7 @@ def _panel_grid(edges, nodes):
     inverse-square-root endpoint singularities (two-body thresholds) exactly
     in the transformed variable.
     """
-    x, w = np.polynomial.legendre.leggauss(nodes)
+    x, w = gauss_rule(nodes)
     us, ws = [], []
     for a, b in zip(edges[:-1], edges[1:]):
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
@@ -268,54 +278,47 @@ def u_singular_points(j, packets, ev, free_leg, solved, k0_ref, k1_ref):
     return sorted(points)
 
 
-def _reduced_integrand_4(j, packets, ev, weight, leg_factors):
-    others = [l for l in range(4) if l != j]
-    free = others[0]
-    b, c = others[1], others[2]
+def reduced_integrand(j: int, packets, ev: StructureEvaluator, weight=None,
+                      leg_factors=None):
+    """The leg-j reduction g_j: integrate the packet product over the shells
+    of legs l != j with total momentum conservation solved exactly.
+
+    j is 0-based. Returns a callable g(k0, k1[, ugrid]) vectorized over
+    broadcastable arrays; for n=4 an optional (nodes, weights) pair replaces
+    the default free-leg grid. No kinematic solution means g = 0.
+    """
+    n = len(packets)
+    if n not in (3, 4):
+        raise NotImplementedError("phase-space reduction implemented for n = 3, 4")
+    others = [l for l in range(n) if l != j]
+    b, c = others[-2:]  # the on-shell pair solved in closed form
+    free = others[0]  # order 4: the leg integrated over the u-grid
     sa = _leg_sign(free, j)
-    sb, sc = _leg_sign(b, j), _leg_sign(c, j)
     m = ev.params.m
 
-    def g(k0, k1, ugrid=None):
-        k0 = np.asarray(k0, dtype=float)
-        k1 = np.asarray(k1, dtype=float)
-        k0, k1 = np.broadcast_arrays(k0, k1)
-        if ugrid is None:
-            un, uw = default_u_grid(packets[free], ev.quad)
-        else:
-            un, uw = ugrid
+    def g3(k0, k1, ugrid=None):
+        k0, k1 = np.broadcast_arrays(np.asarray(k0, dtype=float), np.asarray(k1, dtype=float))
+        return _solved_pair_terms(j, (b, c), packets, ev, weight, leg_factors,
+                                  -k0, -k1, k0, k1).sum(axis=-1)
+
+    def g4(k0, k1, ugrid=None):
+        k0, k1 = np.broadcast_arrays(np.asarray(k0, dtype=float), np.asarray(k1, dtype=float))
+        un, uw = default_u_grid(packets[free], ev.quad) if ugrid is None else ugrid
         # broadcast: leading axes from (k0, k1), then u, then the root axis
         k0e = k0[..., None]
         k1e = k1[..., None]
         wu = np.sqrt(un * un + m * m)
-        E = -k0e - sa * wu
-        P = -k1e - un
-        pb, pc, wb, wc, jac, valid = two_body_solutions(E, P, sb, sc, m)
-        kfree = np.broadcast_to(
-            np.stack([sa * wu, un], axis=-1), E.shape + (2,)
-        )[..., None, :]
-        kb = np.stack([sb * wb, pb], axis=-1)
-        kc = np.stack([sc * wc, pc], axis=-1)
-        vals = packets[free](kfree) * packets[b](kb) * packets[c](kc)
-        if leg_factors is not None:
-            for leg, kk in ((free, kfree), (b, kb), (c, kc)):
-                if leg_factors[leg] is not None:
-                    vals = vals * leg_factors[leg](kk)
-        if weight is not None:
-            ks = _full_config(kb.shape[:-1], 4)
-            ks[..., free, :] = kfree
-            ks[..., b, :] = kb
-            ks[..., c, :] = kc
-            ks[..., j, 0] = k0e[..., None]
-            ks[..., j, 1] = k1e[..., None]
-            vals = vals * weight(ks)
-        dens = (2.0 * wu)[..., None] * 4.0 * wb * wc * np.abs(jac)
-        out = np.where(valid, vals / np.where(valid, dens, 1.0), 0.0)
+        kfree = np.stack([sa * wu, un], axis=-1)
+        out = _solved_pair_terms(j, (b, c), packets, ev, weight, leg_factors,
+                                 -k0e - sa * wu, -k1e - un, k0e, k1e,
+                                 free=(free, kfree, 2.0 * wu))
         return (out.sum(axis=-1) * uw).sum(axis=-1)
 
-    g.free_leg = free
-    g.solved_legs = (b, c)
-    return g
+    if n == 3:
+        return g3
+    g4.free_leg = free
+    g4.solved_legs = (b, c)
+    return g4
 
 
 def pv_fold(numer, pole, span, quad: QuadratureSettings, t_hint: float = 0.0,
@@ -352,10 +355,7 @@ def pv_fold(numer, pole, span, quad: QuadratureSettings, t_hint: float = 0.0,
                         math.ceil(quad.nodes_per_period * abs(t_hint) * (bnd - a) / (2 * math.pi))))
         touches = any(abs(a - s) < 1e-12 or abs(bnd - s) < 1e-12 for s in sing)
         if touches:
-            x, w = np.polynomial.legendre.leggauss(int(1.6 * nodes))
-            mid, half = 0.5 * (a + bnd), 0.5 * (bnd - a)
-            xs = mid + half * np.sin(0.5 * np.pi * x)
-            ws = w * half * 0.5 * np.pi * np.cos(0.5 * np.pi * x)
+            xs, ws = _panel_grid([a, bnd], int(1.6 * nodes))
         else:
             xs, ws = gauss_legendre(a, bnd, nodes)
         svals.append(xs)

@@ -14,6 +14,7 @@ from qftscat.kinematics import (
     chi_plus_minus,
     fourier_1d,
     gauss_legendre,
+    gauss_rule,
     invariant_index,
     invariant_map,
     invariant_names,
@@ -189,3 +190,21 @@ def test_gauss_legendre_exactness():
     val = float(np.sum(w * x**15))
     exact = (2.0**16 - (-1.5) ** 16) / 16.0
     assert abs(val - exact) < 1e-10 * abs(exact)
+
+
+def test_gauss_rule_cached_read_only():
+    x, w = gauss_rule(11)
+    again = gauss_rule(11)
+    assert again[0] is x and again[1] is w
+    ref_x, ref_w = np.polynomial.legendre.leggauss(11)
+    assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
+    with pytest.raises(ValueError):
+        x[0] = 0.0
+    with pytest.raises(ValueError):
+        w[0] = 0.0
+    # the mapped rule is a fresh, writable pair on every call
+    a, b = gauss_legendre(-1.0, 1.0, 11), gauss_legendre(-1.0, 1.0, 11)
+    assert a[0] is not b[0] and a[1] is not b[1]
+    assert a[0] is not x and a[1] is not w
+    a[0][0] = 5.0
+    assert gauss_legendre(-1.0, 1.0, 11)[0][0] == ref_x[0]

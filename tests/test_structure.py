@@ -2,6 +2,8 @@
 import numpy as np
 import pytest
 import scipy.optimize as so
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from qftscat.kinematics import ModelParams, WavePacket, omega
@@ -15,6 +17,7 @@ from qftscat.structure import (
     pair_with_leg_multipliers,
     pv_fold,
     reduced_integrand,
+    root_possible,
     two_body_solutions,
     u_singular_points,
 )
@@ -36,7 +39,6 @@ def test_quadrature_doubling():
     assert d.outer_nodes == 2 * q.outer_nodes
     assert d.fold_nodes == 2 * q.fold_nodes
     assert d.mu_nodes == 2 * q.mu_nodes
-    assert d.root_tol == q.root_tol
 
 
 def test_two_body_solutions_vs_brentq():
@@ -197,3 +199,142 @@ def test_weight_enters_linearly(trio, ev, params):
                           3: TransferPolynomial.constant(3, 2.0)}, l_max=0)
     weighted = eval_Ghat_n(list(trio), ev, weight=fam.eval)
     assert abs(weighted - 2.0 * val) < 1e-12 * abs(val)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@example(sa=1, sb=1, mass=1.0, E=2.0, P=0.0, near=None, offset=0.0)  # Q = 4 m^2
+@example(sa=-1, sb=-1, mass=1.0, E=-2.5, P=1.5, near=None, offset=0.0)  # Q = 4 m^2
+@example(sa=1, sb=-1, mass=1.0, E=0.75, P=0.75, near=None, offset=0.0)  # Q = 0
+@given(
+    sa=st.sampled_from([1, -1]),
+    sb=st.sampled_from([1, -1]),
+    mass=st.floats(0.1, 10.0),
+    E=st.floats(-1e3, 1e3),
+    P=st.floats(-1e3, 1e3),
+    near=st.sampled_from([None, 0.0, 4.0]),
+    offset=st.floats(-1e-9, 1e-9),
+)
+def test_root_possible_covers_every_valid_root(sa, sb, mass, E, P, near, offset):
+    if near is not None:
+        # move E onto Q = E^2 - P^2 = near * m^2, then off it by at most 1e-9
+        E = np.copysign(np.sqrt(max(P * P + near * mass * mass + offset, 0.0)), E)
+    E, P = np.float64(E), np.float64(P)
+    valid = two_body_solutions(E, P, sa, sb, mass)[-1]
+    if valid.any():
+        assert root_possible(E, P, sa, sb, mass)
+
+
+def _dense_reduced_integrand(j, packets, ev, weight=None, leg_factors=None):
+    """g_j solved and evaluated at every point, without the root_possible
+    mask, in exactly the expressions of the unmasked implementation."""
+    n = len(packets)
+    m = ev.params.m
+    others = [l for l in range(n) if l != j]
+
+    def sign(l):
+        return -1 if l < j else 1
+
+    def g3(k0, k1, ugrid=None):
+        a, b = others
+        k0, k1 = np.broadcast_arrays(np.asarray(k0, dtype=float), np.asarray(k1, dtype=float))
+        pa, pb, wa, wb, jac, valid = two_body_solutions(-k0, -k1, sign(a), sign(b), m)
+        ka = np.stack([sign(a) * wa, pa], axis=-1)
+        kb = np.stack([sign(b) * wb, pb], axis=-1)
+        vals = packets[a](ka) * packets[b](kb)
+        if leg_factors is not None:
+            if leg_factors[a] is not None:
+                vals = vals * leg_factors[a](ka)
+            if leg_factors[b] is not None:
+                vals = vals * leg_factors[b](kb)
+        if weight is not None:
+            ks = np.zeros(ka.shape[:-1] + (3, 2))
+            ks[..., a, :] = ka
+            ks[..., b, :] = kb
+            ks[..., j, 0] = k0[..., None]
+            ks[..., j, 1] = k1[..., None]
+            vals = vals * weight(ks)
+        dens = 4.0 * wa * wb * np.abs(jac)
+        out = np.where(valid, vals / np.where(valid, dens, 1.0), 0.0)
+        return out.sum(axis=-1)
+
+    def g4(k0, k1, ugrid=None):
+        free, b, c = others
+        sa, sb, sc = sign(free), sign(b), sign(c)
+        k0, k1 = np.broadcast_arrays(np.asarray(k0, dtype=float), np.asarray(k1, dtype=float))
+        un, uw = default_u_grid(packets[free], ev.quad) if ugrid is None else ugrid
+        k0e = k0[..., None]
+        k1e = k1[..., None]
+        wu = np.sqrt(un * un + m * m)
+        E = -k0e - sa * wu
+        P = -k1e - un
+        pb, pc, wb, wc, jac, valid = two_body_solutions(E, P, sb, sc, m)
+        kfree = np.broadcast_to(np.stack([sa * wu, un], axis=-1), E.shape + (2,))[..., None, :]
+        kb = np.stack([sb * wb, pb], axis=-1)
+        kc = np.stack([sc * wc, pc], axis=-1)
+        vals = packets[free](kfree) * packets[b](kb) * packets[c](kc)
+        if leg_factors is not None:
+            for leg, kk in ((free, kfree), (b, kb), (c, kc)):
+                if leg_factors[leg] is not None:
+                    vals = vals * leg_factors[leg](kk)
+        if weight is not None:
+            ks = np.zeros(kb.shape[:-1] + (4, 2))
+            ks[..., free, :] = kfree
+            ks[..., b, :] = kb
+            ks[..., c, :] = kc
+            ks[..., j, 0] = k0e[..., None]
+            ks[..., j, 1] = k1e[..., None]
+            vals = vals * weight(ks)
+        dens = (2.0 * wu)[..., None] * 4.0 * wb * wc * np.abs(jac)
+        out = np.where(valid, vals / np.where(valid, dens, 1.0), 0.0)
+        return (out.sum(axis=-1) * uw).sum(axis=-1)
+
+    return g3 if n == 3 else g4
+
+
+def _every_leg_weight(ks):
+    """A weight reading both components of every leg, each differently."""
+    n = ks.shape[-2]
+    return 1.0 + sum((l + 1) * ks[..., l, 0] + 0.5j * (l + 2) * ks[..., l, 1] ** 3
+                     for l in range(n))
+
+
+def _leg_factors(n):
+    facs = [lambda k, l=l: np.exp(0.3j * (l + 1) * k[..., 0]) * (1.0 + 0.2 * k[..., 1] ** 3)
+            for l in range(n)]
+    facs[1] = None
+    return facs
+
+
+@pytest.mark.parametrize("order", [3, 4])
+@pytest.mark.parametrize("extras", ["plain", "weight", "leg_factors", "both"])
+def test_masked_integrand_equals_dense(order, extras, trio, packets4, ev, fam_quad):
+    packets = list(trio if order == 3 else packets4)
+    weight = leg_factors = None
+    if extras in ("weight", "both"):
+        weight = _every_leg_weight if order == 3 else fam_quad.eval
+    if extras in ("leg_factors", "both"):
+        leg_factors = _leg_factors(order)
+    # grids on both sides of numpy's 256 KiB in-place threshold, and 0-d points
+    sizes = [(129, 65), (7, 5)] if order == 3 else [(37, 23), (3, 2)]
+    for j in range(order):
+        g = reduced_integrand(j, packets, ev, weight=weight, leg_factors=leg_factors)
+        dense = _dense_reduced_integrand(j, packets, ev, weight=weight,
+                                         leg_factors=leg_factors)
+        lo0, hi0 = packets[j].support_interval(0)
+        lo1, hi1 = packets[j].support_interval(1)
+        grids = [None]
+        if order == 4:
+            grids.append(default_u_grid(packets[g.free_leg], ev.quad, panels=3))
+        for n0, n1 in sizes:
+            k0 = np.linspace(lo0 - 1.0, hi0 + 1.0, n0)[:, None]
+            k1 = np.linspace(lo1, hi1, n1)[None, :]
+            for ugrid in grids:
+                got, want = g(k0, k1, ugrid), dense(k0, k1, ugrid)
+                assert got.shape == want.shape == (n0, n1)
+                assert np.array_equal(got, want)
+        for ugrid in grids:
+            for a, b in ((k0[1, 0], k1[0, 1]), (k0[2, 0], k1[0, 0])):
+                got = g(np.array(a), np.array(b), ugrid)
+                assert np.shape(got) == ()
+                assert got == dense(np.array(a), np.array(b), ugrid)
+        assert np.count_nonzero(dense(k0, k1)) > 0
