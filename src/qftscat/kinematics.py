@@ -153,21 +153,25 @@ class CutoffSpec:
     def phi(self, x):
         x = np.abs(np.asarray(x, dtype=float))
         half = 0.5 * self.eps
-        s = np.clip((x - half) / half, 0.0, 1.0)
-        # C^infty step e(s)=exp(-1/s): bridge e(1-s)/(e(s)+e(1-s)) falls 1 -> 0
-        with np.errstate(divide="ignore", over="ignore"):
-            ea = np.where(s > 0, np.exp(-1.0 / np.where(s > 0, s, 1.0)), 0.0)
-            eb = np.where(s < 1, np.exp(-1.0 / np.where(s < 1, 1.0 - s, 1.0)), 0.0)
-        out = eb / (ea + eb + (ea + eb == 0))
-        return np.where(s <= 0, 1.0, np.where(s >= 1, 0.0, out))
+        s = (x - half) / half
+        out = np.where(s <= 0, 1.0, 0.0)
+        # C^infty step e(s)=exp(-1/s): on 0 < s < 1 the bridge
+        # e(1-s)/(e(s)+e(1-s)) falls 1 -> 0, and e(s)+e(1-s) > 0 there
+        band = (s > 0) & (s < 1)
+        sb = s[band]
+        ea = np.exp(-1.0 / sb)
+        eb = np.exp(-1.0 / (1.0 - sb))
+        out[band] = eb / (ea + eb)
+        return out
 
     @classmethod
     def for_params(cls, params: ModelParams) -> "CutoffSpec":
         return cls(eps=params.eps_phi)
 
 
-def chi_plus_minus(k, sign: int, params: ModelParams, cutoff: CutoffSpec):
-    """chi^+/-(k) = theta(+/- k^0) phi(k.k - m^2)."""
+def chi_plus_minus(k, sign, params: ModelParams, cutoff: CutoffSpec):
+    """chi^+/-(k) = theta(+/- k^0) phi(k.k - m^2); sign may be an array
+    broadcasting against k's leading axes."""
     k = np.asarray(k, dtype=float)
     step = (sign * k[..., 0] > 0).astype(float)
     return step * cutoff.phi(minkowski_sq(k) - params.m**2)
@@ -189,14 +193,18 @@ class WavePacket:
 
     def __post_init__(self):
         object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
-        if self.width <= 0:
-            raise ValueError("width must be positive")
+        if not np.all(np.isfinite(self.center)):
+            raise ValueError("center must be finite")
+        if not (math.isfinite(self.width) and self.width > 0):
+            raise ValueError("width must be positive and finite")
         if self.poly is None:
             object.__setattr__(self, "poly", Poly.constant(self.dim, 1.0))
         if self.poly.nvars != self.dim:
             raise ValueError("poly nvars != packet dimension")
         if self.phase is not None:
             object.__setattr__(self, "phase", np.asarray(self.phase, dtype=float))
+            if not np.all(np.isfinite(self.phase)):
+                raise ValueError("phase must be finite")
 
     @property
     def dim(self) -> int:
@@ -210,7 +218,8 @@ class WavePacket:
         gauss = np.exp(-r2 / (2 * self.width**2))
         val = self.poly(k) * gauss
         if self.phase is not None:
-            val = val * np.exp(-1j * minkowski_dot(self.phase, k))
+            # np.multiply keeps the operand order for every array size (see pv_leg_term)
+            val = np.multiply(val, np.exp(-1j * minkowski_dot(self.phase, k)))
         return val
 
     def with_poly_factor(self, p: Poly) -> "WavePacket":

@@ -24,29 +24,34 @@ from .structure import (
 )
 
 
-def chi_t(label: str, k, t: float, params: ModelParams, cutoff: CutoffSpec):
+def chi_t(label: str, k, t, params: ModelParams, cutoff: CutoffSpec):
     """Finite-time leg multiplier: 1 for loc; for in/out a cutoff-windowed
-    phase that is exactly 1 on both mass shells."""
+    phase that is exactly 1 on both mass shells. An array of times gives
+    one leading row per time."""
+    t = np.asarray(t, dtype=float)
+    k = np.asarray(k, dtype=float)
     if label == LOC:
-        return np.ones(np.asarray(k, dtype=float).shape[:-1], dtype=complex)
+        return np.ones(t.shape + k.shape[:-1], dtype=complex)
     if label not in (IN, OUT):
         raise ValueError(f"unknown leg label {label!r}")
-    k = np.asarray(k, dtype=float)
+    t = t.reshape(t.shape + (1,) * (k.ndim - 1))
     w = omega(k[..., 1:], params.m)
     sdir = -1.0 if label == IN else 1.0
-    out = np.zeros(k.shape[:-1], dtype=complex)
-    for sigma in (1.0, -1.0):
-        chi = chi_plus_minus(k, int(sigma), params, cutoff)
-        out = out + chi * np.exp(1j * sdir * (k[..., 0] - sigma * w) * t)
-    return out
+    # the sign of k^0 picks the one shell window that can hold k, so each
+    # point needs one phase; adding to +0 keeps the signed zeros of the sum
+    # over both shells
+    sigma = np.where(k[..., 0] > 0, 1.0, -1.0)
+    chi = chi_plus_minus(k, sigma, params, cutoff)
+    return 0.0 + chi * np.exp(1j * sdir * (k[..., 0] - sigma * w) * t)
 
 
 @dataclass(frozen=True)
 class TimeMultiplier:
-    """Callable chi_t(label, . , t) bound to model constants."""
+    """Callable chi_t(label, . , t) bound to model constants; t may be a
+    tuple of times, one row each."""
 
     label: str
-    t: float
+    t: float | tuple
     params: ModelParams
     cutoff: CutoffSpec
 
@@ -90,21 +95,36 @@ def _chi_intervals(sigma, w_sh, lo0, hi0, eps):
     return merged or None
 
 
-def _leg_term(j, label, t, packets, ev, weight=None):
-    if label == LOC:
-        return pv_leg_term(j, packets, ev, weight=weight)
-    mult = TimeMultiplier(label, t, ev.params, ev.cutoff)
-    eps = ev.params.eps_phi
+def _leg_terms(j, label, times, packets, ev, weight=None) -> np.ndarray:
+    """Leg j's term at each of the given times. Each (k1, sigma) fold grid
+    is built once, sized by the largest time, and every time is applied to
+    the static numerator as a chi_t row."""
+    kw = {}
+    if label != LOC:
+        eps = ev.params.eps_phi
 
-    def interval_fn(sigma, w_sh, lo0, hi0):
-        return _chi_intervals(sigma, w_sh, lo0, hi0, eps)
+        def interval_fn(sigma, w_sh, lo0, hi0):
+            return _chi_intervals(sigma, w_sh, lo0, hi0, eps)
 
-    return pv_leg_term(j, packets, ev, weight=weight, pv_multiplier=mult,
-                       t_hint=t, interval_fn=interval_fn)
+        kw = dict(pv_multiplier=TimeMultiplier(label, tuple(times), ev.params, ev.cutoff),
+                  t_hint=max(times), interval_fn=interval_fn)
+    return np.broadcast_to(pv_leg_term(j, packets, ev, weight=weight, **kw), (len(times),))
 
 
-def finite_time_pairing(labels, packets, times, ev: StructureEvaluator,
-                        fam=None, cache: dict | None = None) -> complex:
+def _pairings(labels, packets, schedules, ev, fam=None) -> np.ndarray:
+    """Finite-time pairings of order n >= 3, one per schedule (one time per
+    leg). Each leg term is computed once over the union of that leg's
+    times; each schedule then sums its legs in index order."""
+    weight = fam.eval if fam is not None else None
+    totals = np.zeros(len(schedules), dtype=complex)
+    for j in range(len(packets)):
+        times = sorted({float(s[j]) for s in schedules})
+        terms = dict(zip(times, _leg_terms(j, labels[j], times, packets, ev, weight=weight)))
+        totals += [terms[float(s[j])] for s in schedules]
+    return totals
+
+
+def finite_time_pairing(labels, packets, times, ev: StructureEvaluator, fam=None) -> complex:
     """Pairing of the order-n kernel with the finite-time wave operator:
     each leg's test function is multiplied by chi_t of its label. On-shell
     legs see multiplier 1 exactly; only the off-shell leg of each term
@@ -112,22 +132,11 @@ def finite_time_pairing(labels, packets, times, ev: StructureEvaluator,
     n = len(packets)
     if len(labels) != n or len(times) != n:
         raise ValueError("labels, packets and times must align")
-    weight = fam.eval if fam is not None else None
     if n == 2:
         mults = [TimeMultiplier(a, t, ev.params, ev.cutoff)
                  for a, t in zip(labels, times)]
         return pair_with_leg_multipliers(packets, mults, ev)
-    total = 0.0 + 0.0j
-    for j in range(n):
-        key = (j, labels[j], float(times[j]))
-        if cache is not None and key in cache:
-            total += cache[key]
-            continue
-        term = _leg_term(j, labels[j], float(times[j]), packets, ev, weight=weight)
-        if cache is not None:
-            cache[key] = term
-        total += term
-    return total
+    return complex(_pairings(labels, packets, [times], ev, fam=fam)[0])
 
 
 @dataclass
@@ -176,28 +185,25 @@ def convergence_study(labels, packets, ev: StructureEvaluator, t_grid,
     oscillation period, for several growth orderings of the per-leg times."""
     n = len(packets)
     t_grid = np.asarray(t_grid, dtype=float)
+    if t_grid.ndim != 1 or not t_grid.size or not np.all(np.isfinite(t_grid)):
+        raise ValueError("t_grid must be a non-empty list of finite times")
     if orderings is None:
         orderings = [tuple(range(n)), tuple(reversed(range(n)))]
     if omega_ref is None:
         omega_ref = float(np.mean([omega(p.center[1:], ev.params.m) for p in packets]))
     period = 2.0 * math.pi / (2.0 * omega_ref)
-    cache: dict = {}
-    values, window_avg = {}, {}
-    for ranks in orderings:
-        raw = np.zeros(len(t_grid), dtype=complex)
-        avg = np.zeros(len(t_grid), dtype=complex)
-        for i, t in enumerate(t_grid):
-            sched = MultiTimeSchedule.from_base(t, ranks)
-            raw[i] = finite_time_pairing(labels, packets, sched.times, ev,
-                                         fam=fam, cache=cache)
-            subs = [raw[i]]
-            for w in np.linspace(0, period, window_points + 1)[1:-1]:
-                sub = MultiTimeSchedule.from_base(t + w, ranks)
-                subs.append(finite_time_pairing(labels, packets, sub.times, ev,
-                                                fam=fam, cache=cache))
-            avg[i] = np.mean(subs)
-        values[ranks] = raw
-        window_avg[ranks] = avg
+    offsets = [0.0, *np.linspace(0, period, window_points + 1)[1:-1]]
+    # per-leg times of one pairing per (ordering, time, window offset)
+    schedules = [MultiTimeSchedule.from_base(t + w, ranks).times
+                 for ranks in orderings for t in t_grid for w in offsets]
+    if n == 2:
+        vals = np.array([finite_time_pairing(labels, packets, s, ev, fam=fam)
+                         for s in schedules])
+    else:
+        vals = _pairings(labels, packets, schedules, ev, fam=fam)
+    vals = vals.reshape(len(orderings), len(t_grid), len(offsets))
+    values = {r: vals[i, :, 0] for i, r in enumerate(orderings)}
+    window_avg = {r: np.mean(vals[i], axis=-1) for i, r in enumerate(orderings)}
     extrapolated = {r: complex(window_avg[r][-1]) for r in values}
     ref = target if target is not None else extrapolated[orderings[0]]
     abs_err = {r: np.abs(window_avg[r] - ref) for r in values}

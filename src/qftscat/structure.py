@@ -331,7 +331,9 @@ def pv_fold(numer, pole, span, quad: QuadratureSettings, t_hint: float = 0.0,
     with t_hint to resolve oscillatory numerators. singular lists fold
     values where the numerator has an integrable inverse-square-root
     singularity (two-body thresholds); panels touching one get the sine
-    substitution that removes it.
+    substitution that removes it. numer may return a leading row axis
+    (one row per time of a multi-time multiplier); the fold then sums along
+    the last axis and returns one value per row.
     """
     if span <= 0:
         return 0.0 + 0.0j
@@ -363,7 +365,7 @@ def pv_fold(numer, pole, span, quad: QuadratureSettings, t_hint: float = 0.0,
     s = np.concatenate(svals)
     w = np.concatenate(swts)
     diff = numer(pole + s) - numer(pole - s)
-    return complex(np.sum(w * diff / s))
+    return np.sum(w * diff / s, axis=-1)
 
 
 def _adapted_u_grid(j, packets, ev, g, pole, k1):
@@ -396,8 +398,14 @@ def _threshold_k0(j: int, n: int, k1: float, m: float):
 
 def pv_leg_term(j: int, packets, ev: StructureEvaluator, weight=None,
                 leg_factors=None, pv_multiplier=None, t_hint: float = 0.0,
-                interval_fn=None) -> complex:
-    """One term of the PV pairing: leg j off shell, others reduced by g_j."""
+                interval_fn=None):
+    """One term of the PV pairing: leg j off shell, others reduced by g_j.
+
+    pv_multiplier may return one row per time, shape (T, N) for N fold
+    nodes; the term is then T values. The fold grid of each (k1, sigma) is
+    built once, sized by t_hint (the largest time), and the t-independent
+    numerator g_j * f_j is evaluated once and multiplied by every row.
+    """
     n = len(packets)
     pk = packets[j]
     g = reduced_integrand(j, packets, ev, weight=weight, leg_factors=leg_factors)
@@ -421,7 +429,9 @@ def pv_leg_term(j: int, packets, ev: StructureEvaluator, weight=None,
                 kj = np.stack([k0, np.full_like(k0, _k1)], axis=-1)
                 v = g(k0, np.full_like(k0, _k1), _ugrid) * pk(kj)
                 if pv_multiplier is not None:
-                    v = v * pv_multiplier(kj)
+                    # a fixed operand order: numpy may evaluate `v * x` as
+                    # `x * v` in place, and complex products do not commute bitwise
+                    v = np.multiply(v, pv_multiplier(kj))
                 return v
 
             intervals = None

@@ -108,10 +108,6 @@ class TransferPolynomial:
         return cls.from_json_dict(json.loads(s))
 
 
-def eval_M(p: TransferPolynomial, momenta):
-    return p(momenta)
-
-
 def _permute_exponents(exps, sigma, n):
     """Induced action of a leg permutation on invariant-coordinate exponents."""
     out = [0] * len(exps)

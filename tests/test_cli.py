@@ -92,6 +92,29 @@ def test_converge_two_point_exact(tmp_path):
     assert header == "t,value_re,value_im,window_avg_re,window_avg_im,abs_err"
 
 
+def test_converge_rejects_bad_time_grid(tmp_path):
+    for grid in ([], {"points": 0}, [1.0, math.nan]):
+        cfg = {"model": {"d": 2, "m": 1.0},
+               "converge": {"labels": ["in", "out"],
+                            "packets": [{"center": [-1.3, 0.4], "width": 0.3},
+                                        {"center": [1.3, -0.4], "width": 0.3}],
+                            "t_grid": grid}}
+        code, out = _run(tmp_path, "converge", cfg)
+        assert code == 1
+        assert not (out / "converge_summary.json").exists()
+
+
+def test_amplitude_rejects_non_finite_packet(tmp_path):
+    for bad in ({"center": [-E08, 0.8], "width": math.nan},
+                {"center": [math.nan, 0.8], "width": 0.25}):
+        cfg = {"model": {"d": 2, "m": 1.0},
+               "amplitude": {"packets_in": [bad, EIN[1]], "packets_out": EOUT,
+                             "transfer": None}}
+        code, out = _run(tmp_path, "amplitude", cfg)
+        assert code == 1
+        assert not (out / "amplitude_summary.json").exists()
+
+
 def test_fit_planted_and_reproducibility(tmp_path):
     planted = {"n": 4, "terms": [{"degrees": {}, "coeff": 0.4},
                                  {"degrees": {"q12": 1}, "coeff": -0.3},

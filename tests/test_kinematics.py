@@ -142,6 +142,30 @@ def test_packet_translation_phase():
     assert np.allclose(pk.translated(a)(k), expected, atol=1e-14)
 
 
+def test_packet_rejects_non_finite_parameters():
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            WavePacket(center=np.array([bad, 0.4]), width=0.3)
+        with pytest.raises(ValueError):
+            WavePacket(center=np.array([1.2, 0.4]), width=bad)
+        with pytest.raises(ValueError):
+            WavePacket(center=np.array([1.2, 0.4]), width=0.3, phase=np.array([0.0, bad]))
+        with pytest.raises(ValueError):
+            WavePacket(center=np.array([1.2, 0.4]), width=0.3).translated([bad, 0.0])
+
+
+def test_phased_packet_independent_of_batch_size():
+    # a complex polynomial times the phase; 40,000 points pass numpy's
+    # 256 KiB temporary-elision threshold, chunks of 1,000 do not
+    pk = WavePacket(center=np.array([-1.2, 0.4]), width=0.3,
+                    poly=Poly.variable(2, 0, 1.0 + 0.5j) + Poly.constant(2, 0.2j),
+                    phase=np.array([0.3, -0.2]))
+    k = RNG.normal(size=(40000, 2))
+    whole = pk(k)
+    chunked = np.concatenate([pk(c) for c in np.split(k, 40)])
+    assert np.array_equal(whole, chunked)
+
+
 def test_packet_product():
     p1 = WavePacket(center=np.array([0.3, 0.1]), width=0.5)
     p2 = WavePacket(center=np.array([-0.4, 0.2]), width=0.3)

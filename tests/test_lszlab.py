@@ -9,6 +9,7 @@ from qftscat.formfactor import eval_FG_n
 from qftscat.kinematics import CutoffSpec, WavePacket, omega
 from qftscat.lszlab import (
     MultiTimeSchedule,
+    _leg_terms,
     TimeMultiplier,
     chi_t,
     convergence_study,
@@ -47,6 +48,29 @@ def test_chi_t_vanishes_off_window(params):
     k = np.array([3.0, 0.0])  # k^2 - m^2 = 8, far outside the cutoff window
     assert chi_t("in", k, 2.0, params, cutoff) == 0.0
     assert abs(chi_t("out", k, 2.0, params, cutoff)) == 0.0
+
+
+def test_chi_t_time_rows(params):
+    cutoff = CutoffSpec.for_params(params)
+    k = np.stack([np.linspace(-3.0, 3.0, 401), np.linspace(-2.0, 2.0, 401)], axis=-1)
+    times = np.array([0.0, 1.0, 17.3, 31.6, 1000.0])
+    for label in ("in", "out", "loc"):
+        rows = chi_t(label, k, times, params, cutoff)
+        assert rows.shape == (5, 401)
+        for i, t in enumerate(times):
+            assert np.array_equal(rows[i], chi_t(label, k, t, params, cutoff))
+    assert chi_t("in", k[7], times, params, cutoff).shape == (5,)
+
+
+def test_leg_term_time_rows_match_single_time(packets4, ev):
+    # On trio every finite-time leg term is exactly zero: chi_t keeps k_j^2
+    # within eps of m^2, where the order-3 phase space is empty. The 2 -> 2
+    # set has nonzero terms; the phase makes the static numerator complex.
+    packets = [packets4[0].translated([0.3, 0.2]), *packets4[1:]]
+    single = _leg_terms(1, "in", [5.0], packets, ev)
+    rows = _leg_terms(1, "in", [5.0] * 300, packets, ev)
+    assert abs(single[0]) > 0
+    assert rows.shape == (300,) and np.all(rows == single[0])
 
 
 def test_time_multiplier_and_schedule(params):
@@ -90,6 +114,40 @@ def test_convergence_study_exact_case(pair, ev):
     assert np.max(report.abs_err[first]) < 1e-12 * abs(target)
     assert report.envelope_nonincreasing
     assert report.ordering_spread < 1e-12 * abs(target)
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_convergence_study_values_are_schedule_pairings(packets4, ev, fam_quad, weighted):
+    # every leg time is at most 20, where each fold panel needs only
+    # fold_nodes, so sharing the grid of a leg's largest time moves no bit
+    labels = ["in", "in", "out", "out"]
+    fam = fam_quad if weighted else None
+    ranks = (0, 0, 0, 1)
+    report = convergence_study(labels, list(packets4), ev, [1.0, 10.0], fam=fam,
+                               orderings=[ranks], window_points=1)
+    for i, t in enumerate(report.t_grid):
+        times = MultiTimeSchedule.from_base(t, ranks).times
+        assert report.values[ranks][i] == finite_time_pairing(labels, list(packets4), times,
+                                                               ev, fam=fam)
+
+
+def test_convergence_study_small_times_on_the_largest_grid(packets4, ev):
+    # t = 1 is integrated on the finer grid of t = 100; t = 100 keeps its own
+    labels = ["in", "in", "out", "out"]
+    ranks = (0, 0, 0, 1)
+    report = convergence_study(labels, list(packets4), ev, [1.0, 100.0],
+                               orderings=[ranks], window_points=1)
+    direct = [finite_time_pairing(labels, list(packets4),
+                                  MultiTimeSchedule.from_base(t, ranks).times, ev)
+              for t in report.t_grid]
+    assert report.values[ranks][1] == direct[1]
+    assert abs(report.values[ranks][0] - direct[0]) <= 5e-4 * abs(direct[0])
+
+
+def test_convergence_study_rejects_bad_time_grid(pair, ev):
+    for grid in ([], [1.0, math.nan], [math.inf]):
+        with pytest.raises(ValueError):
+            convergence_study(["in", "out"], list(pair), ev, grid)
 
 
 def test_pv_oscillatory_integral_analytic():

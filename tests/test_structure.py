@@ -95,6 +95,21 @@ def test_pv_fold_vs_cauchy_weight_oracle():
     assert abs(val - oracle) < 1e-9 * max(abs(oracle), 1.0)
 
 
+def test_pv_fold_sums_rows_along_last_axis():
+    quad = QuadratureSettings()
+    scales = np.array([1.0, -0.5j, 2.0 + 1.0j])
+
+    def numer(x, row=None):
+        x = np.asarray(x)
+        vals = np.exp(-0.5 * (x - 1.1) ** 2) * np.exp(1j * scales[:, None] * x)
+        return vals if row is None else vals[row]
+
+    rows = pv_fold(numer, 0.4, 3.0, quad, t_hint=7.0)
+    assert rows.shape == (3,)
+    for i in range(3):
+        assert rows[i] == pv_fold(lambda x: numer(x, i), 0.4, 3.0, quad, t_hint=7.0)
+
+
 def test_reduced_integrand_order3_oracle(trio, ev):
     g = reduced_integrand(0, list(trio), ev)
     k0v, k1v = -2.35, -0.25

@@ -6,7 +6,6 @@ from qftscat.kinematics import boost_matrix, minkowski_dot
 from qftscat.transfer import (
     TransferFamily,
     TransferPolynomial,
-    eval_M,
     hermiticity_identity_check,
     is_permutation_symmetric,
     permute_legs,
@@ -23,7 +22,7 @@ def test_constant_and_q12_evaluation():
     assert np.allclose(c(ks), 2.5)
     p = TransferPolynomial.from_terms(3, [({"q12": 1}, 1.0)])
     expected = minkowski_dot(ks[:, 0, :], ks[:, 1, :])
-    assert np.allclose(eval_M(p, ks), expected, atol=1e-12)
+    assert np.allclose(p(ks), expected, atol=1e-12)
     k1 = np.array([1.0, 0.0])
     assert np.isclose(complex(p(np.stack([k1, k1, k1]))), 1.0)
 
