@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import logging
@@ -72,14 +73,13 @@ def load_rho(cfg: dict, params: ModelParams) -> SpectralDensity:
 
 def load_quadrature(cfg: dict) -> QuadratureSettings:
     block = cfg.get("quadrature", {})
-    base = QuadratureSettings()
-    fields = {k: v for k, v in block.items() if hasattr(base, k)}
-    unknown = set(block) - set(fields)
+    unknown = set(block) - {f.name for f in dataclasses.fields(QuadratureSettings)}
     if unknown:
         raise ConfigError(f"unknown quadrature fields: {sorted(unknown)}")
-    from dataclasses import replace
-
-    return replace(base, **fields)
+    try:
+        return QuadratureSettings(**block)
+    except ValueError as exc:
+        raise ConfigError(f"quadrature: {exc}") from exc
 
 
 def load_packet(block: dict, ctx: str) -> WavePacket:

@@ -16,8 +16,8 @@ from .kinematics import gauss_legendre
 from .structure import (
     SpectralDensity,
     StructureEvaluator,
-    _adapted_u_grid,
     eval_Ghat_2,
+    leg_term_u_grid,
     pv_leg_term,
     reduced_integrand,
     two_body_solutions,
@@ -69,36 +69,25 @@ def delta_hat_atoms(a: str):
 
 def _onshell_leg_term(j, sign, packets, ev, weight=None, leg_factors=None) -> complex:
     """Leg j pinned to the sign-shell, other legs reduced by g_j."""
-    n = len(packets)
     pk = packets[j]
     g = reduced_integrand(j, packets, ev, weight=weight, leg_factors=leg_factors)
+    ugrid = leg_term_u_grid(packets[g.free_leg], ev.quad) if len(packets) == 4 else None
     lo1, hi1 = pk.support_interval(1)
     k1n, k1w = gauss_legendre(lo1, hi1, ev.quad.outer_nodes)
     m = ev.params.m
     w = np.sqrt(k1n * k1n + m * m)
     k0 = sign * w
-    if n == 3:
-        vals = g(k0, k1n)
-        kj = np.stack([k0, k1n], axis=-1)
-        fj = pk(kj)
-        if leg_factors is not None and leg_factors[j] is not None:
-            fj = fj * leg_factors[j](kj)
-        return complex(np.sum(k1w * vals * fj / (2.0 * w)))
-    total = 0.0 + 0.0j
-    for i in range(len(k1n)):
-        ugrid = _adapted_u_grid(j, packets, ev, g, float(k0[i]), float(k1n[i]))
-        v = g(np.array(k0[i]), np.array(k1n[i]), ugrid)
-        kj = np.array([k0[i], k1n[i]])
-        fj = pk(kj)
-        if leg_factors is not None and leg_factors[j] is not None:
-            fj = fj * leg_factors[j](kj)
-        total += k1w[i] * complex(v) * complex(fj) / (2.0 * w[i])
-    return total
+    vals = g(k0, k1n, ugrid)
+    kj = np.stack([k0, k1n], axis=-1)
+    fj = pk(kj)
+    if leg_factors is not None and leg_factors[j] is not None:
+        fj = fj * leg_factors[j](kj)
+    return complex(np.sum(k1w * vals * fj / (2.0 * w)))
 
 
 def _discrete_two_point(packets, ev, leg_factors=None) -> complex:
     """Backward-shell two-point pairing without the continuum."""
-    ev0 = StructureEvaluator(ev.params, SpectralDensity.zero(ev.params), ev.quad, ev.cutoff)
+    ev0 = StructureEvaluator(ev.params, SpectralDensity.zero(ev.params), ev.quad)
     return eval_Ghat_2(packets, ev0, leg_factors=leg_factors)
 
 

@@ -100,6 +100,11 @@ def _leg_terms(j, label, times, packets, ev, weight=None) -> np.ndarray:
     is built once, sized by the largest time, and every time is applied to
     the static numerator as a chi_t row."""
     kw = {}
+    if label != LOC and len(packets) == 3:
+        # exactly zero: chi_t confines k_j^2 to (m^2 - eps, m^2 + eps), which
+        # 0 < eps < m^2 keeps inside (0, 4 m^2), while the on-shell pair needs
+        # k_j^2 >= 4 m^2 or k_j^2 <= 0 (root_possible)
+        return np.zeros(len(times), dtype=complex)
     if label != LOC:
         eps = ev.params.eps_phi
 

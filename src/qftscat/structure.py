@@ -11,7 +11,8 @@ fold for the principal value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+import numbers
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -63,7 +64,13 @@ class QuadratureSettings:
     space_nodes: int = 96  # two-point spatial integral
     mu_nodes: int = 48  # continuum mass integral
     mu_span: float = 20.0  # continuum window in units of m above onset
-    singular_scan: int = 512  # grid for locating two-body threshold points
+
+    def __post_init__(self):
+        for f in fields(self):
+            v = getattr(self, f.name)
+            kind = numbers.Integral if f.type == "int" else numbers.Real
+            if isinstance(v, bool) or not isinstance(v, kind) or not math.isfinite(v) or v <= 0:
+                raise ValueError(f"{f.name} must be a finite {f.type} > 0, got {v!r}")
 
     def doubled(self) -> "QuadratureSettings":
         return replace(
@@ -74,7 +81,6 @@ class QuadratureSettings:
             nodes_per_period=2 * self.nodes_per_period,
             space_nodes=2 * self.space_nodes,
             mu_nodes=2 * self.mu_nodes,
-            singular_scan=2 * self.singular_scan,
         )
 
 
@@ -82,12 +88,11 @@ class StructureEvaluator:
     """Bundles model constants, continuum density and quadrature settings."""
 
     def __init__(self, params: ModelParams, rho: SpectralDensity | None = None,
-                 quad: QuadratureSettings | None = None,
-                 cutoff: CutoffSpec | None = None):
+                 quad: QuadratureSettings | None = None):
         self.params = params
         self.rho = rho if rho is not None else SpectralDensity.zero(params)
         self.quad = quad or QuadratureSettings()
-        self.cutoff = cutoff or CutoffSpec.for_params(params)
+        self.cutoff = CutoffSpec.for_params(params)
         if params.d != 2:
             raise NotImplementedError("phase-space quadrature implemented for d=2")
         m = params.m
@@ -100,7 +105,7 @@ class StructureEvaluator:
             )
 
     def refined(self) -> "StructureEvaluator":
-        return StructureEvaluator(self.params, self.rho, self.quad.doubled(), self.cutoff)
+        return StructureEvaluator(self.params, self.rho, self.quad.doubled())
 
 
 def two_body_solutions(E, P, sa, sb, mass, polish: int = 2):
@@ -229,6 +234,19 @@ def default_u_grid(packet, quad: QuadratureSettings, panels: int = 4):
     return _panel_grid(edges, quad.inner_nodes)
 
 
+def leg_term_u_grid(packet, quad: QuadratureSettings):
+    """Free-leg grid of the order-4 leg terms, shared by all their (k1, sigma)
+    nodes: two sine-substituted panels split at the support's exact midpoint.
+
+    At the on-shell point k0 = sigma*omega(k1), Q = (k_j + s_a k_u)^2 sums two
+    on-shell vectors, so Q >= 4 m^2 or Q <= 0 and touches a threshold only at
+    u = +/-k1, needing no break. Off the shell (inside a PV fold) thresholds
+    can fall inside the support; the grid does not resolve them.
+    """
+    lo, hi = packet.support_interval(1)
+    return _panel_grid([lo, 0.5 * (lo + hi), hi], quad.inner_nodes)
+
+
 def _panel_grid(edges, nodes):
     """Composite quadrature with a sine substitution on every panel.
 
@@ -243,39 +261,6 @@ def _panel_grid(edges, nodes):
         us.append(mid + half * np.sin(0.5 * np.pi * x))
         ws.append(w * half * 0.5 * np.pi * np.cos(0.5 * np.pi * x))
     return np.concatenate(us), np.concatenate(ws)
-
-
-def u_singular_points(j, packets, ev, free_leg, solved, k0_ref, k1_ref):
-    """Threshold locations of the solved two-body pair as the free spatial
-    momentum u scans the free leg's support, at a reference PV-leg momentum."""
-    sa = _leg_sign(free_leg, j)
-    sb, sc = (_leg_sign(l, j) for l in solved)
-    m = ev.params.m
-    lo, hi = packets[free_leg].support_interval(1)
-    u = np.linspace(lo, hi, ev.quad.singular_scan)
-
-    def disc(uu):
-        E = -k0_ref - sa * np.sqrt(uu * uu + m * m)
-        P = -k1_ref - uu
-        Q = E * E - P * P
-        return Q * (Q - 4.0 * m * m)
-
-    d = disc(u)
-    sgn = np.sign(d)
-    idx = np.nonzero(sgn[:-1] * sgn[1:] < 0)[0]
-    points = []
-    for i in idx:
-        a, b = u[i], u[i + 1]
-        fa = d[i]
-        for _ in range(60):
-            c = 0.5 * (a + b)
-            fc = disc(c)
-            if fa * fc <= 0:
-                b = c
-            else:
-                a, fa = c, fc
-        points.append(0.5 * (a + b))
-    return sorted(points)
 
 
 def reduced_integrand(j: int, packets, ev: StructureEvaluator, weight=None,
@@ -317,7 +302,6 @@ def reduced_integrand(j: int, packets, ev: StructureEvaluator, weight=None,
     if n == 3:
         return g3
     g4.free_leg = free
-    g4.solved_legs = (b, c)
     return g4
 
 
@@ -368,22 +352,6 @@ def pv_fold(numer, pole, span, quad: QuadratureSettings, t_hint: float = 0.0,
     return np.sum(w * diff / s, axis=-1)
 
 
-def _adapted_u_grid(j, packets, ev, g, pole, k1):
-    """Free-leg grid for order 4 with panel breaks at two-body thresholds."""
-    free = g.free_leg
-    lo, hi = packets[free].support_interval(1)
-    breaks = u_singular_points(j, packets, ev, free, g.solved_legs, pole, k1)
-    edges = [lo] + [p for p in breaks if lo < p < hi] + [hi]
-    # keep panel count bounded; split long panels once
-    refined = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        refined.append(a)
-        if b - a > 0.5 * (hi - lo):
-            refined.append(0.5 * (a + b))
-    refined.append(edges[-1])
-    return _panel_grid(np.asarray(refined), ev.quad.inner_nodes)
-
-
 def _threshold_k0(j: int, n: int, k1: float, m: float):
     """Off-shell-leg energies where the reduced integrand hits a two-body
     threshold (vanishing constraint Jacobian), order 3 only: a same-sign
@@ -413,6 +381,7 @@ def pv_leg_term(j: int, packets, ev: StructureEvaluator, weight=None,
     k1n, k1w = gauss_legendre(lo1, hi1, ev.quad.outer_nodes)
     lo0, hi0 = pk.support_interval(0)
     m = ev.params.m
+    ugrid = leg_term_u_grid(packets[g.free_leg], ev.quad) if n == 4 else None
     total = 0.0 + 0.0j
     for k1, wk in zip(k1n, k1w):
         w_sh = float(omega(k1, m))
@@ -421,13 +390,10 @@ def pv_leg_term(j: int, packets, ev: StructureEvaluator, weight=None,
             span = max(hi0 - pole, pole - lo0)
             if span <= 0:
                 continue
-            ugrid = None
-            if n == 4:
-                ugrid = _adapted_u_grid(j, packets, ev, g, pole, k1)
 
-            def numer(k0, _k1=k1, _ugrid=ugrid):
+            def numer(k0, _k1=k1):
                 kj = np.stack([k0, np.full_like(k0, _k1)], axis=-1)
-                v = g(k0, np.full_like(k0, _k1), _ugrid) * pk(kj)
+                v = g(k0, np.full_like(k0, _k1), ugrid) * pk(kj)
                 if pv_multiplier is not None:
                     # a fixed operand order: numpy may evaluate `v * x` as
                     # `x * v` in place, and complex products do not commute bitwise

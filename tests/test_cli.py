@@ -192,11 +192,17 @@ def test_exit_1_on_config_errors(tmp_path):
                  "--out", str(tmp_path)]) == 1
 
 
-def test_unknown_quadrature_field(tmp_path):
-    cfg = {"model": {"d": 2}, "quadrature": {"bogus": 3},
-           "amplitude": {"packets_in": EIN, "packets_out": EOUT}}
-    code, _ = _run(tmp_path, "amplitude", cfg)
-    assert code == 1
+def test_unknown_quadrature_field(tmp_path, capsys):
+    for block in ({"bogus": 3}, {"singular_scan": 512}, {"doubled": 3},
+                  {"outer_nodes": "40"}, {"outer_nodes": 12.5}, {"fold_nodes": -3},
+                  {"nodes_per_period": math.nan}):
+        cfg = {"model": {"d": 2}, "quadrature": block,
+               "amplitude": {"packets_in": EIN, "packets_out": EOUT}}
+        code, out = _run(tmp_path, "amplitude", cfg)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "config error" in err and "Traceback" not in err
+        assert not (out / "amplitude_summary.json").exists()
 
 
 def test_bad_transfer_block(tmp_path):

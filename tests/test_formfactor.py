@@ -4,14 +4,22 @@ import pytest
 
 from qftscat.formfactor import (
     AmplitudeRequest,
+    _onshell_leg_term,
     delta_hat_atoms,
     eval_F_n,
     eval_FG_n,
     smatrix_amplitude,
     smatrix_density,
 )
-from qftscat.kinematics import ShellPoint, WavePacket, omega
-from qftscat.structure import SpectralDensity, StructureEvaluator, eval_Ghat_2, eval_Ghat_n
+from qftscat.kinematics import ShellPoint, WavePacket, gauss_legendre, omega
+from qftscat.structure import (
+    SpectralDensity,
+    StructureEvaluator,
+    _panel_grid,
+    eval_Ghat_2,
+    eval_Ghat_n,
+    reduced_integrand,
+)
 from qftscat.transfer import TransferFamily, TransferPolynomial
 
 # independent adaptive-quadrature oracle for the packets4 2->2 overlap
@@ -151,3 +159,41 @@ def test_eval_F_n_requires_valid_family(packets4, ev):
         eval_F_n(["in", "in", "out", "out"], list(packets4), ev, bad)
     with pytest.raises(ValueError):
         eval_F_n(["in", "out"], list(packets4[:2]), ev, None)
+
+
+def _onshell_leg_term_per_node(j, sign, packets, ev, weight=None, leg_factors=None):
+    """The order-4 on-shell leg term one outer node at a time, on the
+    two-panel free-leg grid split at the exact midpoint of its support."""
+    pk = packets[j]
+    g = reduced_integrand(j, packets, ev, weight=weight, leg_factors=leg_factors)
+    lo, hi = packets[g.free_leg].support_interval(1)
+    ugrid = _panel_grid([lo, 0.5 * (lo + hi), hi], ev.quad.inner_nodes)
+    k1n, k1w = gauss_legendre(*pk.support_interval(1), ev.quad.outer_nodes)
+    total = 0.0 + 0.0j
+    for k1, wk in zip(k1n, k1w):
+        w = float(omega(k1, ev.params.m))
+        kj = np.array([sign * w, k1])
+        v = g(np.array(sign * w), np.array(k1), ugrid)
+        fj = pk(kj)
+        if leg_factors is not None and leg_factors[j] is not None:
+            fj = fj * leg_factors[j](kj)
+        total += wk * complex(v) * complex(fj) / (2.0 * w)
+    return total
+
+
+@pytest.mark.parametrize("extras", ["plain", "weight", "leg_factors", "both"])
+def test_batched_onshell_leg_term_equals_per_node(extras, packets4, ev, fam_quad):
+    weight = fam_quad.eval if extras in ("weight", "both") else None
+    leg_factors = None
+    if extras in ("leg_factors", "both"):
+        leg_factors = [lambda k, l=l: np.exp(0.3j * (l + 1) * k[..., 0]) * (1.0 + 0.2 * k[..., 1])
+                       for l in range(4)]
+        leg_factors[1] = None
+    nonzero = 0
+    for j in range(4):
+        for sign in (1, -1):
+            got = _onshell_leg_term(j, sign, list(packets4), ev, weight, leg_factors)
+            want = _onshell_leg_term_per_node(j, sign, list(packets4), ev, weight, leg_factors)
+            assert abs(got - want) <= 1e-14 * abs(want)
+            nonzero += want != 0
+    assert nonzero >= 2

@@ -9,6 +9,7 @@ from qftscat.formfactor import eval_FG_n
 from qftscat.kinematics import CutoffSpec, WavePacket, omega
 from qftscat.lszlab import (
     MultiTimeSchedule,
+    _chi_intervals,
     _leg_terms,
     TimeMultiplier,
     chi_t,
@@ -20,7 +21,7 @@ from qftscat.lszlab import (
     riemann_lebesgue_decay,
     sokhotsky_check,
 )
-from qftscat.structure import SpectralDensity
+from qftscat.structure import QuadratureSettings, SpectralDensity, StructureEvaluator, pv_leg_term
 
 
 def _gauss(x):
@@ -71,6 +72,37 @@ def test_leg_term_time_rows_match_single_time(packets4, ev):
     rows = _leg_terms(1, "in", [5.0] * 300, packets, ev)
     assert abs(single[0]) > 0
     assert rows.shape == (300,) and np.all(rows == single[0])
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_order3_leg_terms_equal_their_quadrature(trio, trio_scatter, params, weighted):
+    # a coarse k^1 rule: the terms are compared for equality, not accuracy
+    ev = StructureEvaluator(params, quad=QuadratureSettings(outer_nodes=8))
+    rng = np.random.default_rng(5)
+    sets = [list(trio), list(trio_scatter)]
+    sets += [[p.translated(rng.uniform(-0.2, 0.2, 2)) for p in trio] for _ in range(3)]
+    weight = None
+    if weighted:
+        def weight(ks):
+            return 1.0 + ks[..., 0, 0] - 0.5j * ks[..., 2, 1] ** 2
+    times = [1.0, 7.0]
+    eps = ev.params.eps_phi
+    static_nonzero = 0
+    for packets in sets:
+        for j in range(3):
+            static = pv_leg_term(j, packets, ev, weight=weight)
+            static_nonzero += static != 0
+            assert np.all(_leg_terms(j, "loc", times, packets, ev, weight=weight) == static)
+            for label in ("in", "out"):
+                got = _leg_terms(j, label, times, packets, ev, weight=weight)
+                want = pv_leg_term(
+                    j, packets, ev, weight=weight,
+                    pv_multiplier=TimeMultiplier(label, tuple(times), ev.params, ev.cutoff),
+                    t_hint=max(times),
+                    interval_fn=lambda s, w, lo, hi: _chi_intervals(s, w, lo, hi, eps))
+                assert got.shape == (2,) and np.all(got == want)
+    # the zeros come from chi_t, not from an integrand that vanishes anyway
+    assert static_nonzero >= 4
 
 
 def test_time_multiplier_and_schedule(params):

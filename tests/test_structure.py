@@ -11,15 +11,16 @@ from qftscat.structure import (
     QuadratureSettings,
     SpectralDensity,
     StructureEvaluator,
+    _panel_grid,
     default_u_grid,
     eval_Ghat_2,
     eval_Ghat_n,
+    leg_term_u_grid,
     pair_with_leg_multipliers,
     pv_fold,
     reduced_integrand,
     root_possible,
     two_body_solutions,
-    u_singular_points,
 )
 
 
@@ -150,15 +151,85 @@ def test_reduced_integrand_no_solution_is_zero(packets4, ev):
     assert g(np.array(0.01), np.array(0.0)) == 0.0
 
 
-def test_u_singular_points_are_thresholds(packets4, ev):
-    g = reduced_integrand(2, list(packets4), ev)
-    pts = u_singular_points(2, list(packets4), ev, g.free_leg, g.solved_legs, 1.3, 0.75)
+def _threshold_scan(j, packets, m, k0_ref, k1_ref, scan):
+    """The sign-change scan that once placed the order-4 free-leg panel
+    breaks: zeros of Q (Q - 4 m^2) as u runs over the free leg's support,
+    located on `scan` points and refined by 60 bisection steps."""
+    others = [l for l in range(4) if l != j]
+    free = others[0]
+    sa = -1 if free < j else 1
+    lo, hi = packets[free].support_interval(1)
+    u = np.linspace(lo, hi, scan)
+
+    def disc(uu):
+        E = -k0_ref - sa * np.sqrt(uu * uu + m * m)
+        P = -k1_ref - uu
+        Q = E * E - P * P
+        return Q * (Q - 4.0 * m * m)
+
+    d = disc(u)
+    sgn = np.sign(d)
+    points = []
+    for i in np.nonzero(sgn[:-1] * sgn[1:] < 0)[0]:
+        a, b = u[i], u[i + 1]
+        fa = d[i]
+        for _ in range(60):
+            c = 0.5 * (a + b)
+            fc = disc(c)
+            if fa * fc <= 0:
+                b = c
+            else:
+                a, fa = c, fc
+        points.append(0.5 * (a + b))
+    return sorted(points)
+
+
+_packet = st.builds(
+    lambda e, p, w: WavePacket(center=np.array([e, p]), width=w),
+    st.floats(-4.0, 4.0), st.floats(-3.0, 3.0), st.floats(0.05, 1.0))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    packets=st.lists(_packet, min_size=4, max_size=4),
+    j=st.integers(0, 3),
+    sigma=st.sampled_from([1, -1]),
+    k1=st.floats(-5.0, 5.0),
+    mass=st.floats(0.2, 3.0),
+    at_tangent=st.sampled_from([None, 1.0, -1.0]),
+    scan=st.sampled_from([512, 1024]),
+)
+def test_threshold_scan_finds_nothing_on_shell(packets, j, sigma, k1, mass, at_tangent, scan):
+    if at_tangent is not None:
+        # centre the free leg's support on the tangent point u = +/-k1
+        free = 1 if j == 0 else 0
+        packets[free] = WavePacket(center=np.array([0.0, at_tangent * k1]),
+                                   width=packets[free].width)
+    k0 = sigma * float(omega(k1, mass))
+    assert _threshold_scan(j, packets, mass, k0, k1, scan) == []
+
+
+def test_threshold_scan_finds_off_shell_thresholds(packets4, ev):
+    # off the shell the scan does find thresholds, which the on-shell
+    # property test above relies on being able to see
+    pts = _threshold_scan(2, list(packets4), ev.params.m, 1.3, 0.75, 512)
+    assert pts
     m = ev.params.m
     for u in pts:
         E = -1.3 + np.sqrt(u * u + m * m)
         P = -0.75 - u
         Q = E * E - P * P
         assert abs(Q * (Q - 4 * m * m)) < 1e-8
+
+
+def test_leg_term_u_grid_splits_at_exact_midpoint(ev):
+    # np.linspace's midpoint differs from 0.5 * (lo + hi) in the last bit here
+    pk = WavePacket(center=np.array([0.0, 1.3]), width=0.25)
+    lo, hi = pk.support_interval(1)
+    assert np.linspace(lo, hi, 3)[1] != 0.5 * (lo + hi)
+    got = leg_term_u_grid(pk, ev.quad)
+    want = _panel_grid([lo, 0.5 * (lo + hi), hi], ev.quad.inner_nodes)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 def test_default_u_grid_integrates_gaussian(ev):
