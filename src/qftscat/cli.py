@@ -28,12 +28,12 @@ from .gns import (
     structure_pairing,
     BorchersVector,
 )
-from .kinematics import CutoffSpec, ModelParams, WavePacket
+from .kinematics import ModelParams, WavePacket
 from .lszlab import convergence_study, pv_limit_demo
 from .polymath import Poly
 from .structure import QuadratureSettings, SpectralDensity, StructureEvaluator
 from .transfer import TransferFamily, TransferPolynomial, validate_condition41
-from .truncation import KernelFunctional, enumerate_partitions, truncate, untruncate
+from .truncation import KernelFunctional, bell_number, truncate, untruncate
 
 log = logging.getLogger("qftscat")
 
@@ -42,14 +42,21 @@ class ConfigError(Exception):
     pass
 
 
-def _require(block: dict, key: str, ctx: str):
+def _typed(value, kind, ctx: str):
+    """value, which the config must give as a JSON object (kind dict) or array (list)."""
+    if not isinstance(value, kind):
+        raise ConfigError(f"{ctx} must be a JSON {'object' if kind is dict else 'array'}")
+    return value
+
+
+def _require(block: dict, key: str, ctx: str, kind=None):
     if key not in block:
         raise ConfigError(f"missing field {ctx}.{key}")
-    return block[key]
+    return block[key] if kind is None else _typed(block[key], kind, f"{ctx}.{key}")
 
 
 def load_model(cfg: dict) -> ModelParams:
-    block = cfg.get("model", {})
+    block = _typed(cfg.get("model", {}), dict, "model")
     try:
         return ModelParams(
             d=int(block.get("d", 2)),
@@ -62,7 +69,7 @@ def load_model(cfg: dict) -> ModelParams:
 
 
 def load_rho(cfg: dict, params: ModelParams) -> SpectralDensity:
-    block = cfg.get("rho", {"kind": "zero"})
+    block = _typed(cfg.get("rho", {"kind": "zero"}), dict, "rho")
     kind = block.get("kind", "zero")
     if kind == "zero":
         return SpectralDensity.zero(params)
@@ -72,7 +79,7 @@ def load_rho(cfg: dict, params: ModelParams) -> SpectralDensity:
 
 
 def load_quadrature(cfg: dict) -> QuadratureSettings:
-    block = cfg.get("quadrature", {})
+    block = _typed(cfg.get("quadrature", {}), dict, "quadrature")
     unknown = set(block) - {f.name for f in dataclasses.fields(QuadratureSettings)}
     if unknown:
         raise ConfigError(f"unknown quadrature fields: {sorted(unknown)}")
@@ -83,14 +90,17 @@ def load_quadrature(cfg: dict) -> QuadratureSettings:
 
 
 def load_packet(block: dict, ctx: str) -> WavePacket:
+    _typed(block, dict, ctx)
     center = np.asarray(_require(block, "center", ctx), dtype=float)
     width = float(_require(block, "width", ctx))
     poly = None
     if "poly_terms" in block:
         d = len(center)
         poly = Poly(d)
-        for t in block["poly_terms"]:
-            poly = poly + Poly.monomial(d, t["exps"], t["coeff"])
+        tctx = f"{ctx}.poly_terms[]"
+        for t in _require(block, "poly_terms", ctx, list):
+            t = _typed(t, dict, tctx)
+            poly = poly + Poly.monomial(d, _require(t, "exps", tctx), _require(t, "coeff", tctx))
     try:
         return WavePacket(center=center, width=width, poly=poly)
     except ValueError as exc:
@@ -140,9 +150,11 @@ def cmd_amplitude(cfg, outdir) -> int:
     rho = load_rho(cfg, params)
     quad = load_quadrature(cfg)
     ev = StructureEvaluator(params, rho, quad)
-    block = _require(cfg, "amplitude", "config")
-    pin = [load_packet(b, "amplitude.packets_in") for b in _require(block, "packets_in", "amplitude")]
-    pout = [load_packet(b, "amplitude.packets_out") for b in _require(block, "packets_out", "amplitude")]
+    block = _require(cfg, "amplitude", "config", dict)
+    pin = [load_packet(b, "amplitude.packets_in")
+           for b in _require(block, "packets_in", "amplitude", list)]
+    pout = [load_packet(b, "amplitude.packets_out")
+            for b in _require(block, "packets_out", "amplitude", list)]
     fam = load_transfer(block.get("transfer"))
     try:
         req = AmplitudeRequest(r=len(pin), in_packets=pin, out_packets=pout)
@@ -158,9 +170,10 @@ def cmd_amplitude(cfg, outdir) -> int:
     return 0
 
 
-def _t_grid(block) -> np.ndarray:
+def _t_grid(block, ctx: str) -> np.ndarray:
     if isinstance(block, list):
         return np.asarray(block, dtype=float)
+    _typed(block, dict, ctx)
     return np.geomspace(float(block.get("start", 1.0)), float(block.get("stop", 1000.0)),
                         int(block.get("points", 16)))
 
@@ -168,12 +181,16 @@ def _t_grid(block) -> np.ndarray:
 def cmd_converge(cfg, outdir) -> int:
     params = load_model(cfg)
     ev = StructureEvaluator(params, load_rho(cfg, params), load_quadrature(cfg))
-    block = _require(cfg, "converge", "config")
-    labels = _require(block, "labels", "converge")
-    packets = [load_packet(b, "converge.packets") for b in _require(block, "packets", "converge")]
+    block = _require(cfg, "converge", "config", dict)
+    labels = _require(block, "labels", "converge", list)
+    packets = [load_packet(b, "converge.packets")
+               for b in _require(block, "packets", "converge", list)]
     fam = load_transfer(block.get("transfer"))
-    grid = _t_grid(block.get("t_grid", {}))
-    orderings = [tuple(o) for o in block["orderings"]] if "orderings" in block else None
+    grid = _t_grid(block.get("t_grid", {}), "converge.t_grid")
+    orderings = None
+    if "orderings" in block:
+        orderings = [tuple(_typed(o, list, "converge.orderings[]"))
+                     for o in _require(block, "orderings", "converge", list)]
     target = None
     if block.get("target", "formfactor") == "formfactor":
         if fam is not None:
@@ -212,7 +229,7 @@ def cmd_converge(cfg, outdir) -> int:
 
 def cmd_fit(cfg, outdir, seed_override=None) -> int:
     params = load_model(cfg)
-    block = _require(cfg, "fit", "config")
+    block = _require(cfg, "fit", "config", dict)
     n = int(_require(block, "n", "fit"))
     r = int(_require(block, "r", "fit"))
     fit_cfg = FitConfig(
@@ -261,9 +278,9 @@ def cmd_fit(cfg, outdir, seed_override=None) -> int:
 def cmd_gram(cfg, outdir) -> int:
     params = load_model(cfg)
     ev = StructureEvaluator(params, load_rho(cfg, params), load_quadrature(cfg))
-    block = _require(cfg, "gram", "config")
+    block = _require(cfg, "gram", "config", dict)
     label = block.get("label", "loc")
-    packets = [load_packet(b, "gram.packets") for b in _require(block, "packets", "gram")]
+    packets = [load_packet(b, "gram.packets") for b in _require(block, "packets", "gram", list)]
     family = [BorchersVector.one_particle(p) for p in packets]
     K, L = int(block.get("K", 2)), int(block.get("L", 2))
     fam = load_transfer(block.get("transfer"))
@@ -312,7 +329,7 @@ def _random_kernel_family(max_order: int, seed: int) -> KernelFunctional:
 
 
 def cmd_truncate_demo(cfg, outdir, seed_override=None) -> int:
-    block = cfg.get("truncate-demo", {})
+    block = _typed(cfg.get("truncate-demo", {}), dict, "truncate-demo")
     max_order = int(block.get("max_order", 4))
     tuples = int(block.get("tuples", 100))
     seed = int(seed_override if seed_override is not None else block.get("seed", 0))
@@ -328,7 +345,7 @@ def cmd_truncate_demo(cfg, outdir, seed_override=None) -> int:
             pts = tuple(rng.normal(size=nn))
             a, b = w.eval(pts), back.eval(pts)
             err = max(err, abs(a - b) / max(abs(a), 1e-30))
-        rows.append((nn, len(enumerate_partitions(nn)), err))
+        rows.append((nn, bell_number(nn), err))
         worst = max(worst, err)
     _write_csv(os.path.join(outdir, "truncate_demo.csv"),
                ["order", "partitions", "max_rel_roundtrip_error"], rows)
@@ -340,9 +357,10 @@ def cmd_truncate_demo(cfg, outdir, seed_override=None) -> int:
 
 
 def cmd_pvdemo(cfg, outdir) -> int:
-    block = cfg.get("pvdemo", {})
+    block = _typed(cfg.get("pvdemo", {}), dict, "pvdemo")
     width = float(block.get("width", 1.0))
-    grid = _t_grid(block.get("t_grid", {"start": 1.0, "stop": 1000.0, "points": 13}))
+    grid = _t_grid(block.get("t_grid", {"start": 1.0, "stop": 1000.0, "points": 13}),
+                   "pvdemo.t_grid")
 
     def f(x):
         return np.exp(-0.5 * (x / width) ** 2)
@@ -384,8 +402,8 @@ def main(argv=None) -> int:
 
     try:
         with open(args.config) as fh:
-            cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            cfg = _typed(json.load(fh), dict, "config")
+    except (OSError, json.JSONDecodeError, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     os.makedirs(args.out, exist_ok=True)

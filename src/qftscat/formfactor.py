@@ -67,10 +67,10 @@ def delta_hat_atoms(a: str):
     ]
 
 
-def _onshell_leg_term(j, sign, packets, ev, weight=None, leg_factors=None) -> complex:
+def _onshell_leg_term(j, sign, packets, ev, weight=None) -> complex:
     """Leg j pinned to the sign-shell, other legs reduced by g_j."""
     pk = packets[j]
-    g = reduced_integrand(j, packets, ev, weight=weight, leg_factors=leg_factors)
+    g = reduced_integrand(j, packets, ev, weight=weight)
     ugrid = leg_term_u_grid(packets[g.free_leg], ev.quad) if len(packets) == 4 else None
     lo1, hi1 = pk.support_interval(1)
     k1n, k1w = gauss_legendre(lo1, hi1, ev.quad.outer_nodes)
@@ -79,20 +79,16 @@ def _onshell_leg_term(j, sign, packets, ev, weight=None, leg_factors=None) -> co
     k0 = sign * w
     vals = g(k0, k1n, ugrid)
     kj = np.stack([k0, k1n], axis=-1)
-    fj = pk(kj)
-    if leg_factors is not None and leg_factors[j] is not None:
-        fj = fj * leg_factors[j](kj)
-    return complex(np.sum(k1w * vals * fj / (2.0 * w)))
+    return complex(np.sum(k1w * vals * pk(kj) / (2.0 * w)))
 
 
-def _discrete_two_point(packets, ev, leg_factors=None) -> complex:
+def _discrete_two_point(packets, ev) -> complex:
     """Backward-shell two-point pairing without the continuum."""
     ev0 = StructureEvaluator(ev.params, SpectralDensity.zero(ev.params), ev.quad)
-    return eval_Ghat_2(packets, ev0, leg_factors=leg_factors)
+    return eval_Ghat_2(packets, ev0)
 
 
-def eval_FG_n(labels, packets, ev: StructureEvaluator, weight=None,
-              leg_factors=None) -> complex:
+def eval_FG_n(labels, packets, ev: StructureEvaluator, weight=None) -> complex:
     """Form-factor pairing: like the structure pairing, but the PV leg's
     kernel is replaced per its label by the atom decomposition."""
     labels = [_check_label(a) for a in labels]
@@ -103,26 +99,20 @@ def eval_FG_n(labels, packets, ev: StructureEvaluator, weight=None,
         raise ValueError("need at least two legs")
     if n == 2:
         if labels == [LOC, LOC]:
-            return eval_Ghat_2(packets, ev, leg_factors=leg_factors)
-        return _discrete_two_point(packets, ev, leg_factors=leg_factors)
+            return eval_Ghat_2(packets, ev)
+        return _discrete_two_point(packets, ev)
     total = 0.0 + 0.0j
     for j in range(n):
         for atom in delta_hat_atoms(labels[j]):
             if atom.kind == "pv":
-                pv_mult = leg_factors[j] if leg_factors is not None else None
-                total += atom.coefficient * pv_leg_term(
-                    j, packets, ev, weight=weight, leg_factors=leg_factors,
-                    pv_multiplier=pv_mult,
-                )
+                term = pv_leg_term(j, packets, ev, weight=weight)
             else:
-                total += atom.coefficient * _onshell_leg_term(
-                    j, atom.sign, packets, ev, weight=weight, leg_factors=leg_factors
-                )
+                term = _onshell_leg_term(j, atom.sign, packets, ev, weight=weight)
+            total += atom.coefficient * term
     return total
 
 
-def eval_F_n(labels, packets, ev: StructureEvaluator, fam: TransferFamily,
-             leg_factors=None) -> complex:
+def eval_F_n(labels, packets, ev: StructureEvaluator, fam: TransferFamily) -> complex:
     """Transfer-weighted form factor: the order-n integrand multiplied by M_n."""
     if fam is None:
         raise ValueError("transfer family required")
@@ -132,8 +122,8 @@ def eval_F_n(labels, packets, ev: StructureEvaluator, fam: TransferFamily,
     n = len(packets)
     if n == 2:
         # M_2 = 1: the weight drops out
-        return eval_FG_n(labels, packets, ev, leg_factors=leg_factors)
-    return eval_FG_n(labels, packets, ev, weight=fam.eval, leg_factors=leg_factors)
+        return eval_FG_n(labels, packets, ev)
+    return eval_FG_n(labels, packets, ev, weight=fam.eval)
 
 
 @dataclass(frozen=True)
@@ -176,10 +166,7 @@ def smatrix_density(r: int, momenta, ev: StructureEvaluator,
                     cons_tol: float = 1e-8) -> complex:
     """Density of the truncated S-matrix component relative to the product
     of shell measures and the conservation delta: 2 pi i M_n."""
-    ks = np.asarray(
-        [m.four_vector() if hasattr(m, "four_vector") else np.asarray(m, float)
-         for m in momenta]
-    )
+    ks = np.asarray(momenta, dtype=float)
     n = ks.shape[0]
     if not 1 <= r <= n - 1:
         raise ValueError("invalid leg split")

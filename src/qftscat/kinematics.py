@@ -169,12 +169,12 @@ class CutoffSpec:
         return cls(eps=params.eps_phi)
 
 
-def chi_plus_minus(k, sign, params: ModelParams, cutoff: CutoffSpec):
-    """chi^+/-(k) = theta(+/- k^0) phi(k.k - m^2); sign may be an array
-    broadcasting against k's leading axes."""
+def chi_plus_minus(k, sign, params: ModelParams):
+    """chi^+/-(k) = theta(+/- k^0) phi(k.k - m^2), phi of width params.eps_phi;
+    sign may be an array broadcasting against k's leading axes."""
     k = np.asarray(k, dtype=float)
     step = (sign * k[..., 0] > 0).astype(float)
-    return step * cutoff.phi(minkowski_sq(k) - params.m**2)
+    return step * CutoffSpec.for_params(params).phi(minkowski_sq(k) - params.m**2)
 
 
 @dataclass(frozen=True)
@@ -221,9 +221,6 @@ class WavePacket:
             # np.multiply keeps the operand order for every array size (see pv_leg_term)
             val = np.multiply(val, np.exp(-1j * minkowski_dot(self.phase, k)))
         return val
-
-    def with_poly_factor(self, p: Poly) -> "WavePacket":
-        return WavePacket(self.center, self.width, self.poly * p, self.phase)
 
     def translated(self, a) -> "WavePacket":
         a = np.asarray(a, dtype=float)

@@ -14,17 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate, special
 
-from .formfactor import IN, LOC, OUT
-from .kinematics import CutoffSpec, ModelParams, chi_plus_minus, gauss_legendre, gauss_rule, omega
-from .structure import (
-    SpectralDensity,
-    StructureEvaluator,
-    pair_with_leg_multipliers,
-    pv_leg_term,
-)
+from .formfactor import IN, LOC, OUT, eval_FG_n
+from .kinematics import ModelParams, chi_plus_minus, gauss_legendre, gauss_rule, omega
+from .structure import SpectralDensity, StructureEvaluator, pv_leg_term
 
 
-def chi_t(label: str, k, t, params: ModelParams, cutoff: CutoffSpec):
+def chi_t(label: str, k, t, params: ModelParams):
     """Finite-time leg multiplier: 1 for loc; for in/out a cutoff-windowed
     phase that is exactly 1 on both mass shells. An array of times gives
     one leading row per time."""
@@ -41,22 +36,8 @@ def chi_t(label: str, k, t, params: ModelParams, cutoff: CutoffSpec):
     # point needs one phase; adding to +0 keeps the signed zeros of the sum
     # over both shells
     sigma = np.where(k[..., 0] > 0, 1.0, -1.0)
-    chi = chi_plus_minus(k, sigma, params, cutoff)
+    chi = chi_plus_minus(k, sigma, params)
     return 0.0 + chi * np.exp(1j * sdir * (k[..., 0] - sigma * w) * t)
-
-
-@dataclass(frozen=True)
-class TimeMultiplier:
-    """Callable chi_t(label, . , t) bound to model constants; t may be a
-    tuple of times, one row each."""
-
-    label: str
-    t: float | tuple
-    params: ModelParams
-    cutoff: CutoffSpec
-
-    def __call__(self, k):
-        return chi_t(self.label, k, self.t, self.params, self.cutoff)
 
 
 @dataclass(frozen=True)
@@ -111,15 +92,21 @@ def _leg_terms(j, label, times, packets, ev, weight=None) -> np.ndarray:
         def interval_fn(sigma, w_sh, lo0, hi0):
             return _chi_intervals(sigma, w_sh, lo0, hi0, eps)
 
-        kw = dict(pv_multiplier=TimeMultiplier(label, tuple(times), ev.params, ev.cutoff),
+        kw = dict(pv_multiplier=lambda k: chi_t(label, k, times, ev.params),
                   t_hint=max(times), interval_fn=interval_fn)
     return np.broadcast_to(pv_leg_term(j, packets, ev, weight=weight, **kw), (len(times),))
 
 
 def _pairings(labels, packets, schedules, ev, fam=None) -> np.ndarray:
-    """Finite-time pairings of order n >= 3, one per schedule (one time per
-    leg). Each leg term is computed once over the union of that leg's
-    times; each schedule then sums its legs in index order."""
+    """Finite-time pairings, one per schedule (one time per leg). Each leg
+    term is computed once over the union of that leg's times; each schedule
+    then sums its legs in index order."""
+    if len(packets) == 2:
+        # both legs sit on shells: on the m shell k^0 - sigma*omega is 0.0 and
+        # phi(~1e-16) is 1, so in/out chi_t is exactly 1; on the continuum
+        # k^2 - m^2 >= eps_phi (StructureEvaluator checks support_low), so it
+        # is exactly 0 and only loc-loc keeps the continuum, as eval_FG_n does
+        return np.full(len(schedules), eval_FG_n(labels, packets, ev))
     weight = fam.eval if fam is not None else None
     totals = np.zeros(len(schedules), dtype=complex)
     for j in range(len(packets)):
@@ -137,10 +124,6 @@ def finite_time_pairing(labels, packets, times, ev: StructureEvaluator, fam=None
     n = len(packets)
     if len(labels) != n or len(times) != n:
         raise ValueError("labels, packets and times must align")
-    if n == 2:
-        mults = [TimeMultiplier(a, t, ev.params, ev.cutoff)
-                 for a, t in zip(labels, times)]
-        return pair_with_leg_multipliers(packets, mults, ev)
     return complex(_pairings(labels, packets, [times], ev, fam=fam)[0])
 
 
@@ -201,11 +184,7 @@ def convergence_study(labels, packets, ev: StructureEvaluator, t_grid,
     # per-leg times of one pairing per (ordering, time, window offset)
     schedules = [MultiTimeSchedule.from_base(t + w, ranks).times
                  for ranks in orderings for t in t_grid for w in offsets]
-    if n == 2:
-        vals = np.array([finite_time_pairing(labels, packets, s, ev, fam=fam)
-                         for s in schedules])
-    else:
-        vals = _pairings(labels, packets, schedules, ev, fam=fam)
+    vals = _pairings(labels, packets, schedules, ev, fam=fam)
     vals = vals.reshape(len(orderings), len(t_grid), len(offsets))
     values = {r: vals[i, :, 0] for i, r in enumerate(orderings)}
     window_avg = {r: np.mean(vals[i], axis=-1) for i, r in enumerate(orderings)}

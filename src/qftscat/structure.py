@@ -16,20 +16,18 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .kinematics import CutoffSpec, ModelParams, gauss_legendre, gauss_rule, omega
+from .kinematics import ModelParams, gauss_legendre, gauss_rule, omega
 
 
 @dataclass(frozen=True)
 class SpectralDensity:
     """Continuum density rho(mu) entering the two-point function.
 
-    rho vanishes below support_low; poly_bound_degree documents the
-    polynomial bound (not enforced pointwise).
+    rho vanishes below support_low.
     """
 
     support_low: float
     density: object  # callable mu -> nonnegative real, vectorized
-    poly_bound_degree: int = 2
 
     def __call__(self, mu):
         mu = np.asarray(mu, dtype=float)
@@ -92,7 +90,6 @@ class StructureEvaluator:
         self.params = params
         self.rho = rho if rho is not None else SpectralDensity.zero(params)
         self.quad = quad or QuadratureSettings()
-        self.cutoff = CutoffSpec.for_params(params)
         if params.d != 2:
             raise NotImplementedError("phase-space quadrature implemented for d=2")
         m = params.m
@@ -171,8 +168,7 @@ def root_possible(E, P, sa, sb, mass):
     return Q <= 0
 
 
-def _solved_pair_terms(j, pair, packets, ev, weight, leg_factors, E, P, k0, k1,
-                       free=None):
+def _solved_pair_terms(j, pair, packets, ev, weight, E, P, k0, k1, free=None):
     """Per-root terms of the on-shell pair solved at total (E, P), with a
     trailing root axis; zero wherever no root exists.
 
@@ -206,12 +202,6 @@ def _solved_pair_terms(j, pair, packets, ev, weight, leg_factors, E, P, k0, k1,
         vals = times(packets[fleg](kf)[iu], vals)
         lead = two_w[iu] * 4.0
     vals = np.multiply(vals, packets[c](kc))
-    if leg_factors is not None:
-        if free is not None and leg_factors[fleg] is not None:
-            vals = np.multiply(vals, leg_factors[fleg](kf)[iu])
-        for leg, kk in ((b, kb), (c, kc)):
-            if leg_factors[leg] is not None:
-                vals = times(vals, leg_factors[leg](kk))
     if weight is not None:
         ks = np.zeros(kb.shape[:-1] + (len(packets), 2))
         ks[..., b, :] = kb
@@ -263,8 +253,7 @@ def _panel_grid(edges, nodes):
     return np.concatenate(us), np.concatenate(ws)
 
 
-def reduced_integrand(j: int, packets, ev: StructureEvaluator, weight=None,
-                      leg_factors=None):
+def reduced_integrand(j: int, packets, ev: StructureEvaluator, weight=None):
     """The leg-j reduction g_j: integrate the packet product over the shells
     of legs l != j with total momentum conservation solved exactly.
 
@@ -283,7 +272,7 @@ def reduced_integrand(j: int, packets, ev: StructureEvaluator, weight=None,
 
     def g3(k0, k1, ugrid=None):
         k0, k1 = np.broadcast_arrays(np.asarray(k0, dtype=float), np.asarray(k1, dtype=float))
-        return _solved_pair_terms(j, (b, c), packets, ev, weight, leg_factors,
+        return _solved_pair_terms(j, (b, c), packets, ev, weight,
                                   -k0, -k1, k0, k1).sum(axis=-1)
 
     def g4(k0, k1, ugrid=None):
@@ -294,7 +283,7 @@ def reduced_integrand(j: int, packets, ev: StructureEvaluator, weight=None,
         k1e = k1[..., None]
         wu = np.sqrt(un * un + m * m)
         kfree = np.stack([sa * wu, un], axis=-1)
-        out = _solved_pair_terms(j, (b, c), packets, ev, weight, leg_factors,
+        out = _solved_pair_terms(j, (b, c), packets, ev, weight,
                                  -k0e - sa * wu, -k1e - un, k0e, k1e,
                                  free=(free, kfree, 2.0 * wu))
         return (out.sum(axis=-1) * uw).sum(axis=-1)
@@ -365,8 +354,7 @@ def _threshold_k0(j: int, n: int, k1: float, m: float):
 
 
 def pv_leg_term(j: int, packets, ev: StructureEvaluator, weight=None,
-                leg_factors=None, pv_multiplier=None, t_hint: float = 0.0,
-                interval_fn=None):
+                pv_multiplier=None, t_hint: float = 0.0, interval_fn=None):
     """One term of the PV pairing: leg j off shell, others reduced by g_j.
 
     pv_multiplier may return one row per time, shape (T, N) for N fold
@@ -376,7 +364,7 @@ def pv_leg_term(j: int, packets, ev: StructureEvaluator, weight=None,
     """
     n = len(packets)
     pk = packets[j]
-    g = reduced_integrand(j, packets, ev, weight=weight, leg_factors=leg_factors)
+    g = reduced_integrand(j, packets, ev, weight=weight)
     lo1, hi1 = pk.support_interval(1)
     k1n, k1w = gauss_legendre(lo1, hi1, ev.quad.outer_nodes)
     lo0, hi0 = pk.support_interval(0)
@@ -411,7 +399,7 @@ def pv_leg_term(j: int, packets, ev: StructureEvaluator, weight=None,
     return total
 
 
-def eval_Ghat_n(packets, ev: StructureEvaluator, weight=None, leg_factors=None) -> complex:
+def eval_Ghat_n(packets, ev: StructureEvaluator, weight=None) -> complex:
     """Pairing of the order-n structure kernel with a packet product:
     sum over leg positions j of the PV term with legs before j backward
     on shell and legs after j forward on shell."""
@@ -420,15 +408,11 @@ def eval_Ghat_n(packets, ev: StructureEvaluator, weight=None, leg_factors=None) 
         raise ValueError("use eval_Ghat_2 for the two-point pairing")
     total = 0.0 + 0.0j
     for j in range(n):
-        pv_mult = None
-        if leg_factors is not None:
-            pv_mult = leg_factors[j]
-        total += pv_leg_term(j, packets, ev, weight=weight,
-                             leg_factors=leg_factors, pv_multiplier=pv_mult)
+        total += pv_leg_term(j, packets, ev, weight=weight)
     return total
 
 
-def eval_Ghat_2(packets, ev: StructureEvaluator, leg_factors=None) -> complex:
+def eval_Ghat_2(packets, ev: StructureEvaluator) -> complex:
     """Two-point pairing: backward m-shell term plus the rho continuum."""
     p1, p2 = packets
     lo1, hi1 = p1.support_interval(1)
@@ -443,11 +427,6 @@ def eval_Ghat_2(packets, ev: StructureEvaluator, leg_factors=None) -> complex:
         ka = np.stack([-w, kn], axis=-1)
         kb = np.stack([w, -kn], axis=-1)
         vals = p1(ka) * p2(kb)
-        if leg_factors is not None:
-            if leg_factors[0] is not None:
-                vals = vals * leg_factors[0](ka)
-            if leg_factors[1] is not None:
-                vals = vals * leg_factors[1](kb)
         return np.sum(kw * vals / (2.0 * w))
 
     total = shell_term(m)
@@ -458,15 +437,3 @@ def eval_Ghat_2(packets, ev: StructureEvaluator, leg_factors=None) -> complex:
         cont = sum(wmu * ev.rho(mu) * shell_term(mu) for mu, wmu in zip(mun, muw))
         total = total + cont
     return complex(total)
-
-
-def pair_with_leg_multipliers(packets, multipliers, ev: StructureEvaluator,
-                              weight=None) -> complex:
-    """Pairing with each leg's test function multiplied pointwise; on-shell
-    legs pick up the multiplier at their shell points, the PV leg keeps the
-    full off-shell dependence."""
-    if len(multipliers) != len(packets):
-        raise ValueError("one multiplier per leg required")
-    if len(packets) == 2:
-        return eval_Ghat_2(packets, ev, leg_factors=list(multipliers))
-    return eval_Ghat_n(packets, ev, weight=weight, leg_factors=list(multipliers))

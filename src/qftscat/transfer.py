@@ -18,13 +18,12 @@ from .polymath import Poly
 class TransferPolynomial:
     """Polynomial in the n(n+1)/2 invariant coordinates of an n-point configuration."""
 
-    def __init__(self, n: int, poly: Poly, per_argument_degree_bound: int | None = None):
+    def __init__(self, n: int, poly: Poly):
         self.n = int(n)
         self.ncoords = self.n * (self.n + 1) // 2
         if poly.nvars != self.ncoords:
             raise ValueError("poly nvars != n(n+1)/2")
         self.poly = poly
-        self.per_argument_degree_bound = per_argument_degree_bound
 
     @classmethod
     def constant(cls, n: int, c: float = 1.0) -> "TransferPolynomial":
@@ -54,9 +53,6 @@ class TransferPolynomial:
             raise ValueError(f"expected {self.n} momenta, got {ks.shape[-2]}")
         q = invariant_map([ks[..., l, :] for l in range(self.n)])
         return self.poly(q)
-
-    def eval_invariants(self, q):
-        return self.poly(np.asarray(q))
 
     def per_argument_degrees(self) -> list:
         """Degree in each k_l: q_{i,j} counts 1 for k_i and k_j, 2 when i=j."""
@@ -127,7 +123,7 @@ def permute_legs(p: TransferPolynomial, sigma) -> TransferPolynomial:
     for exps, c in p.poly.terms.items():
         e2 = _permute_exponents(exps, sigma, p.n)
         terms[e2] = terms.get(e2, 0) + c
-    return TransferPolynomial(p.n, Poly(p.ncoords, terms), p.per_argument_degree_bound)
+    return TransferPolynomial(p.n, Poly(p.ncoords, terms))
 
 
 def symmetrize_realify(p: TransferPolynomial) -> TransferPolynomial:
@@ -140,7 +136,7 @@ def symmetrize_realify(p: TransferPolynomial) -> TransferPolynomial:
             acc[e2] = acc.get(e2, 0) + c
     scale = 1.0 / len(perms)
     terms = {e: float(np.real(c)) * scale for e, c in acc.items()}
-    return TransferPolynomial(p.n, Poly(p.ncoords, terms), p.per_argument_degree_bound)
+    return TransferPolynomial(p.n, Poly(p.ncoords, terms))
 
 
 def is_permutation_symmetric(p: TransferPolynomial, tol: float = 0.0) -> tuple:

@@ -29,10 +29,6 @@ class Partition:
         if sorted(seen) != list(range(1, self.n + 1)):
             raise ValueError("blocks must partition 1..n")
 
-    @property
-    def block_count(self) -> int:
-        return len(self.blocks)
-
 
 @lru_cache(maxsize=None)
 def _partitions_tuple(n: int):

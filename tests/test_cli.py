@@ -178,7 +178,7 @@ def test_gram_in_sector(tmp_path):
     assert len(rows) == 1 + 16
 
 
-def test_exit_1_on_config_errors(tmp_path):
+def test_exit_1_on_config_errors(tmp_path, capsys):
     code, _ = _run(tmp_path, "amplitude", {"model": {"d": 3}})
     assert code == 1
     code, _ = _run(tmp_path, "amplitude", {"model": {"d": 2}})  # missing block
@@ -190,6 +190,37 @@ def test_exit_1_on_config_errors(tmp_path):
     assert main(["pvdemo", "--config", str(bad_path), "--out", str(tmp_path)]) == 1
     assert main(["pvdemo", "--config", str(tmp_path / "missing.json"),
                  "--out", str(tmp_path)]) == 1
+    # blocks of the wrong JSON type, and a top-level array
+    amp = {"amplitude": {"packets_in": EIN, "packets_out": EOUT}}
+    conv = {"converge": {"labels": ["in", "out"],
+                         "packets": [{"center": [-1.3, 0.4], "width": 0.3},
+                                     {"center": [1.3, -0.4], "width": 0.3}],
+                         "t_grid": [1.0]}}
+    packs = [{"center": [float(np.sqrt(k * k + 1)), k], "width": 0.3} for k in (-0.3, 0.3)]
+    cases = [("amplitude", {**amp, "quadrature": 5}),
+             ("amplitude", {**amp, "quadrature": ["outer_nodes"]}),
+             ("amplitude", {**amp, "model": 5}),
+             ("amplitude", {**amp, "model": []}),
+             ("amplitude", {**amp, "rho": 5}),
+             ("amplitude", {**amp, "rho": "default"}),
+             ("amplitude", {"amplitude": 5}),
+             ("converge", {"converge": {**conv["converge"], "t_grid": 5}}),
+             ("converge", {"converge": {**conv["converge"], "orderings": 5}}),
+             ("converge", {"converge": {**conv["converge"], "packets": 5}}),
+             ("converge", {"converge": {**conv["converge"], "packets": [5, 6, 7, 8]}}),
+             ("gram", {"gram": {"label": "in", "packets": [5]}}),
+             ("gram", {"gram": {"label": "in", "packets": packs}, "quadrature": []}),
+             ("fit", {"fit": 5}),
+             ("truncate-demo", {"truncate-demo": 5}),
+             ("pvdemo", {"pvdemo": {"t_grid": 5}})]
+    cases += [(command, [cfg]) for command, cfg in
+              (("amplitude", amp), ("converge", conv), ("pvdemo", {}))]
+    for command, cfg in cases:
+        code, out = _run(tmp_path, command, cfg)
+        err = capsys.readouterr().err
+        assert code == 1, (command, cfg)
+        assert "config error" in err and "Traceback" not in err
+        assert not list(out.glob("*_summary.json"))
 
 
 def test_unknown_quadrature_field(tmp_path, capsys):

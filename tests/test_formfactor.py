@@ -139,13 +139,12 @@ def test_amplitude_request_validation(packets4):
 def test_smatrix_density(fam_quad):
     k = 0.6
     w = float(omega(k, 1.0))
-    ks = [ShellPoint((k,), 1.0, -1), ShellPoint((-k,), 1.0, -1),
-          ShellPoint((k,), 1.0, 1), ShellPoint((-k,), 1.0, 1)]
+    ks = [p.four_vector() for p in (ShellPoint((k,), 1.0, -1), ShellPoint((-k,), 1.0, -1),
+                                    ShellPoint((k,), 1.0, 1), ShellPoint((-k,), 1.0, 1))]
     val = smatrix_density(2, ks, None)
     assert val == 2j * np.pi
     vm = smatrix_density(2, ks, None, fam=fam_quad)
-    arr = np.array([p.four_vector() for p in ks])
-    assert abs(vm - 2j * np.pi * complex(fam_quad.eval(arr))) < 1e-12 * abs(vm)
+    assert abs(vm - 2j * np.pi * complex(fam_quad.eval(np.array(ks)))) < 1e-12 * abs(vm)
     with pytest.raises(ValueError):
         smatrix_density(2, [ks[2], ks[1], ks[0], ks[3]], None)  # sign pattern
     bad = [np.array([-w, k]), np.array([-w, -k]), np.array([w, k]), np.array([w, 0.5])]
@@ -161,11 +160,11 @@ def test_eval_F_n_requires_valid_family(packets4, ev):
         eval_F_n(["in", "out"], list(packets4[:2]), ev, None)
 
 
-def _onshell_leg_term_per_node(j, sign, packets, ev, weight=None, leg_factors=None):
+def _onshell_leg_term_per_node(j, sign, packets, ev, weight=None):
     """The order-4 on-shell leg term one outer node at a time, on the
     two-panel free-leg grid split at the exact midpoint of its support."""
     pk = packets[j]
-    g = reduced_integrand(j, packets, ev, weight=weight, leg_factors=leg_factors)
+    g = reduced_integrand(j, packets, ev, weight=weight)
     lo, hi = packets[g.free_leg].support_interval(1)
     ugrid = _panel_grid([lo, 0.5 * (lo + hi), hi], ev.quad.inner_nodes)
     k1n, k1w = gauss_legendre(*pk.support_interval(1), ev.quad.outer_nodes)
@@ -174,26 +173,18 @@ def _onshell_leg_term_per_node(j, sign, packets, ev, weight=None, leg_factors=No
         w = float(omega(k1, ev.params.m))
         kj = np.array([sign * w, k1])
         v = g(np.array(sign * w), np.array(k1), ugrid)
-        fj = pk(kj)
-        if leg_factors is not None and leg_factors[j] is not None:
-            fj = fj * leg_factors[j](kj)
-        total += wk * complex(v) * complex(fj) / (2.0 * w)
+        total += wk * complex(v) * complex(pk(kj)) / (2.0 * w)
     return total
 
 
-@pytest.mark.parametrize("extras", ["plain", "weight", "leg_factors", "both"])
+@pytest.mark.parametrize("extras", ["plain", "weight"])
 def test_batched_onshell_leg_term_equals_per_node(extras, packets4, ev, fam_quad):
-    weight = fam_quad.eval if extras in ("weight", "both") else None
-    leg_factors = None
-    if extras in ("leg_factors", "both"):
-        leg_factors = [lambda k, l=l: np.exp(0.3j * (l + 1) * k[..., 0]) * (1.0 + 0.2 * k[..., 1])
-                       for l in range(4)]
-        leg_factors[1] = None
+    weight = fam_quad.eval if extras == "weight" else None
     nonzero = 0
     for j in range(4):
         for sign in (1, -1):
-            got = _onshell_leg_term(j, sign, list(packets4), ev, weight, leg_factors)
-            want = _onshell_leg_term_per_node(j, sign, list(packets4), ev, weight, leg_factors)
+            got = _onshell_leg_term(j, sign, list(packets4), ev, weight)
+            want = _onshell_leg_term_per_node(j, sign, list(packets4), ev, weight)
             assert abs(got - want) <= 1e-14 * abs(want)
             nonzero += want != 0
     assert nonzero >= 2

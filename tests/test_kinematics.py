@@ -104,13 +104,12 @@ def test_cutoff_plateau():
 
 def test_chi_plus_minus_support():
     p = ModelParams()
-    c = CutoffSpec.for_params(p)
     on_shell = np.array([float(omega(0.3, 1.0)), 0.3])
-    assert chi_plus_minus(on_shell, 1, p, c) == 1.0
-    assert chi_plus_minus(on_shell, -1, p, c) == 0.0
-    assert chi_plus_minus(-on_shell, -1, p, c) == 1.0
+    assert chi_plus_minus(on_shell, 1, p) == 1.0
+    assert chi_plus_minus(on_shell, -1, p) == 0.0
+    assert chi_plus_minus(-on_shell, -1, p) == 1.0
     far = np.array([3.0, 0.0])  # k^2 - m^2 = 8 outside the window
-    assert chi_plus_minus(far, 1, p, c) == 0.0
+    assert chi_plus_minus(far, 1, p) == 0.0
 
 
 def test_packet_evaluation_and_derivative():

@@ -1,4 +1,5 @@
 """Finite-time multipliers, PV limits, decay bounds."""
+import itertools
 import math
 
 import numpy as np
@@ -6,12 +7,11 @@ import pytest
 from scipy import special
 
 from qftscat.formfactor import eval_FG_n
-from qftscat.kinematics import CutoffSpec, WavePacket, omega
+from qftscat.kinematics import WavePacket, gauss_legendre, omega
 from qftscat.lszlab import (
     MultiTimeSchedule,
     _chi_intervals,
     _leg_terms,
-    TimeMultiplier,
     chi_t,
     convergence_study,
     finite_time_pairing,
@@ -29,38 +29,35 @@ def _gauss(x):
 
 
 def test_chi_t_is_one_on_shells(params):
-    cutoff = CutoffSpec.for_params(params)
     for k1 in (-0.8, 0.0, 1.3):
         w = float(omega(k1, params.m))
         for sign in (1.0, -1.0):
             k = np.array([sign * w, k1])
             for label in ("in", "out"):
                 for t in (0.0, 17.3, 1000.0):
-                    assert abs(chi_t(label, k, t, params, cutoff) - 1.0) < 1e-14
+                    assert abs(chi_t(label, k, t, params) - 1.0) < 1e-14
     # loc is identically one
     k = np.array([[0.3, 0.1], [5.0, -2.0]])
-    assert np.all(chi_t("loc", k, 5.0, params, cutoff) == 1.0)
+    assert np.all(chi_t("loc", k, 5.0, params) == 1.0)
     with pytest.raises(ValueError):
-        chi_t("bad", k, 0.0, params, cutoff)
+        chi_t("bad", k, 0.0, params)
 
 
 def test_chi_t_vanishes_off_window(params):
-    cutoff = CutoffSpec.for_params(params)
     k = np.array([3.0, 0.0])  # k^2 - m^2 = 8, far outside the cutoff window
-    assert chi_t("in", k, 2.0, params, cutoff) == 0.0
-    assert abs(chi_t("out", k, 2.0, params, cutoff)) == 0.0
+    assert chi_t("in", k, 2.0, params) == 0.0
+    assert abs(chi_t("out", k, 2.0, params)) == 0.0
 
 
 def test_chi_t_time_rows(params):
-    cutoff = CutoffSpec.for_params(params)
     k = np.stack([np.linspace(-3.0, 3.0, 401), np.linspace(-2.0, 2.0, 401)], axis=-1)
     times = np.array([0.0, 1.0, 17.3, 31.6, 1000.0])
     for label in ("in", "out", "loc"):
-        rows = chi_t(label, k, times, params, cutoff)
+        rows = chi_t(label, k, times, params)
         assert rows.shape == (5, 401)
         for i, t in enumerate(times):
-            assert np.array_equal(rows[i], chi_t(label, k, t, params, cutoff))
-    assert chi_t("in", k[7], times, params, cutoff).shape == (5,)
+            assert np.array_equal(rows[i], chi_t(label, k, t, params))
+    assert chi_t("in", k[7], times, params).shape == (5,)
 
 
 def test_leg_term_time_rows_match_single_time(packets4, ev):
@@ -97,7 +94,7 @@ def test_order3_leg_terms_equal_their_quadrature(trio, trio_scatter, params, wei
                 got = _leg_terms(j, label, times, packets, ev, weight=weight)
                 want = pv_leg_term(
                     j, packets, ev, weight=weight,
-                    pv_multiplier=TimeMultiplier(label, tuple(times), ev.params, ev.cutoff),
+                    pv_multiplier=lambda k: chi_t(label, k, times, ev.params),
                     t_hint=max(times),
                     interval_fn=lambda s, w, lo, hi: _chi_intervals(s, w, lo, hi, eps))
                 assert got.shape == (2,) and np.all(got == want)
@@ -106,21 +103,58 @@ def test_order3_leg_terms_equal_their_quadrature(trio, trio_scatter, params, wei
 
 
 def test_time_multiplier_and_schedule(params):
-    cutoff = CutoffSpec.for_params(params)
-    mult = TimeMultiplier("in", 3.0, params, cutoff)
     k = np.array([float(omega(0.4, params.m)), 0.4])
-    assert abs(mult(k) - 1.0) < 1e-14
+    assert abs(chi_t("in", k, 3.0, params) - 1.0) < 1e-14
     sched = MultiTimeSchedule.from_base(10.0, (0, 2, 1))
     assert sched.times == (10.0, 40.0, 20.0)
 
 
-def test_finite_time_two_point_is_static(pair, ev_rho):
-    # on both shells chi_t = 1 exactly, and the cutoff kills the continuum
-    a, b = pair
-    static = eval_FG_n(["in", "out"], [a, b], ev_rho)
-    for t in (1.0, 25.0):
-        v = finite_time_pairing(["in", "out"], [a, b], [t, t], ev_rho)
-        assert abs(v - static) < 1e-12 * abs(static)
+def _two_point_with_chi_t(labels, times, packets, ev):
+    """The two-point pairing with each leg's packet multiplied by chi_t of
+    its label and time at its shell points: the backward m shell plus the
+    rho continuum, integrated as eval_Ghat_2 integrates them."""
+    p1, p2 = packets
+    lo1, hi1 = p1.support_interval(1)
+    lo2, hi2 = p2.support_interval(1)
+    kn, kw = gauss_legendre(min(lo1, -hi2), max(hi1, -lo2), ev.quad.space_nodes)
+    m = ev.params.m
+
+    def shell_term(mass):
+        w = np.sqrt(kn * kn + mass * mass)
+        ka = np.stack([-w, kn], axis=-1)
+        kb = np.stack([w, -kn], axis=-1)
+        vals = p1(ka) * p2(kb)
+        vals = vals * chi_t(labels[0], ka, times[0], ev.params)
+        vals = vals * chi_t(labels[1], kb, times[1], ev.params)
+        return np.sum(kw * vals / (2.0 * w))
+
+    total = shell_term(m)
+    if not ev.rho.trivial:
+        mu_lo = ev.rho.support_low
+        mun, muw = gauss_legendre(mu_lo, mu_lo + ev.quad.mu_span * m, ev.quad.mu_nodes)
+        total = total + sum(wmu * ev.rho(mu) * shell_term(mu) for mu, wmu in zip(mun, muw))
+    return complex(total)
+
+
+def test_finite_time_two_point_is_static(pair, ev, ev_rho):
+    # on the m shell chi_t is exactly 1 and on the continuum exactly 0, so the
+    # finite-time two-point pairing is the static form factor at every time
+    rng = np.random.default_rng(11)
+    pairs = [list(pair)]
+    pairs += [[p.translated(rng.uniform(-0.5, 0.5, 2)) for p in pair] for _ in range(2)]
+    pairs += [[WavePacket(p.center + rng.uniform(-0.2, 0.2, 2), p.width * rng.uniform(0.8, 1.2),
+                          phase=rng.uniform(-1.0, 1.0, 2)) for p in pair] for _ in range(2)]
+    times = (0.0, 1.0, 25.0, 1e3, 1e5)
+    for evaluator in (ev, ev_rho):
+        for packets in pairs:
+            for labels in itertools.product(("in", "loc", "out"), repeat=2):
+                static = eval_FG_n(list(labels), packets, evaluator)
+                for t1, t2 in [(t, t) for t in times] + list(zip(times, times[::-1])):
+                    v = finite_time_pairing(list(labels), packets, [t1, t2], evaluator)
+                    assert v == _two_point_with_chi_t(labels, (t1, t2), packets, evaluator)
+                    assert v == static
+    # the continuum term is not zero, so loc-loc does see it
+    assert eval_FG_n(["loc", "loc"], pairs[0], ev_rho) != eval_FG_n(["loc", "loc"], pairs[0], ev)
 
 
 def test_finite_time_vanishes_on_empty_phase_space(trio_scatter, ev):

@@ -16,7 +16,6 @@ from qftscat.structure import (
     eval_Ghat_2,
     eval_Ghat_n,
     leg_term_u_grid,
-    pair_with_leg_multipliers,
     pv_fold,
     reduced_integrand,
     root_possible,
@@ -261,20 +260,11 @@ def test_ghat2_vs_quadrature_oracle(pair, ev, ev_rho):
 def test_ghat3_value_and_leg_multiplier_consistency(trio, ev):
     val = eval_Ghat_n(list(trio), ev)
     assert abs(val - 0.01069128338057303) < 1e-10
-    # trivial multipliers reproduce the plain pairing
-    same = pair_with_leg_multipliers(list(trio), [None, None, None], ev)
-    assert abs(same - val) < 1e-14
-    # constant multipliers scale each leg
-    two = pair_with_leg_multipliers(
-        list(trio), [lambda k: 2.0 * np.ones(np.asarray(k).shape[:-1])] * 3, ev)
-    assert abs(two - 8.0 * val) < 1e-10 * abs(8.0 * val)
 
 
 def test_ghat_n_rejects_low_order(pair, ev):
     with pytest.raises(ValueError):
         eval_Ghat_n(list(pair), ev)
-    with pytest.raises(ValueError):
-        pair_with_leg_multipliers(list(pair), [None], ev)
 
 
 def test_weight_enters_linearly(trio, ev, params):
@@ -310,7 +300,7 @@ def test_root_possible_covers_every_valid_root(sa, sb, mass, E, P, near, offset)
         assert root_possible(E, P, sa, sb, mass)
 
 
-def _dense_reduced_integrand(j, packets, ev, weight=None, leg_factors=None):
+def _dense_reduced_integrand(j, packets, ev, weight=None):
     """g_j solved and evaluated at every point, without the root_possible
     mask, in exactly the expressions of the unmasked implementation."""
     n = len(packets)
@@ -327,11 +317,6 @@ def _dense_reduced_integrand(j, packets, ev, weight=None, leg_factors=None):
         ka = np.stack([sign(a) * wa, pa], axis=-1)
         kb = np.stack([sign(b) * wb, pb], axis=-1)
         vals = packets[a](ka) * packets[b](kb)
-        if leg_factors is not None:
-            if leg_factors[a] is not None:
-                vals = vals * leg_factors[a](ka)
-            if leg_factors[b] is not None:
-                vals = vals * leg_factors[b](kb)
         if weight is not None:
             ks = np.zeros(ka.shape[:-1] + (3, 2))
             ks[..., a, :] = ka
@@ -358,10 +343,6 @@ def _dense_reduced_integrand(j, packets, ev, weight=None, leg_factors=None):
         kb = np.stack([sb * wb, pb], axis=-1)
         kc = np.stack([sc * wc, pc], axis=-1)
         vals = packets[free](kfree) * packets[b](kb) * packets[c](kc)
-        if leg_factors is not None:
-            for leg, kk in ((free, kfree), (b, kb), (c, kc)):
-                if leg_factors[leg] is not None:
-                    vals = vals * leg_factors[leg](kk)
         if weight is not None:
             ks = np.zeros(kb.shape[:-1] + (4, 2))
             ks[..., free, :] = kfree
@@ -384,28 +365,18 @@ def _every_leg_weight(ks):
                      for l in range(n))
 
 
-def _leg_factors(n):
-    facs = [lambda k, l=l: np.exp(0.3j * (l + 1) * k[..., 0]) * (1.0 + 0.2 * k[..., 1] ** 3)
-            for l in range(n)]
-    facs[1] = None
-    return facs
-
-
 @pytest.mark.parametrize("order", [3, 4])
-@pytest.mark.parametrize("extras", ["plain", "weight", "leg_factors", "both"])
+@pytest.mark.parametrize("extras", ["plain", "weight"])
 def test_masked_integrand_equals_dense(order, extras, trio, packets4, ev, fam_quad):
     packets = list(trio if order == 3 else packets4)
-    weight = leg_factors = None
-    if extras in ("weight", "both"):
+    weight = None
+    if extras == "weight":
         weight = _every_leg_weight if order == 3 else fam_quad.eval
-    if extras in ("leg_factors", "both"):
-        leg_factors = _leg_factors(order)
     # grids on both sides of numpy's 256 KiB in-place threshold, and 0-d points
     sizes = [(129, 65), (7, 5)] if order == 3 else [(37, 23), (3, 2)]
     for j in range(order):
-        g = reduced_integrand(j, packets, ev, weight=weight, leg_factors=leg_factors)
-        dense = _dense_reduced_integrand(j, packets, ev, weight=weight,
-                                         leg_factors=leg_factors)
+        g = reduced_integrand(j, packets, ev, weight=weight)
+        dense = _dense_reduced_integrand(j, packets, ev, weight=weight)
         lo0, hi0 = packets[j].support_interval(0)
         lo1, hi1 = packets[j].support_interval(1)
         grids = [None]
