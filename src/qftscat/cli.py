@@ -89,20 +89,34 @@ def load_quadrature(cfg: dict) -> QuadratureSettings:
         raise ConfigError(f"quadrature: {exc}") from exc
 
 
-def load_packet(block: dict, ctx: str) -> WavePacket:
+def _finite_number(value) -> bool:
+    """value is a JSON number (not true/false) that converts to a finite float."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
+def load_packet(block: dict, ctx: str, d: int) -> WavePacket:
     _typed(block, dict, ctx)
-    center = np.asarray(_require(block, "center", ctx), dtype=float)
-    width = float(_require(block, "width", ctx))
+    center = _require(block, "center", ctx)
+    if not (isinstance(center, list) and len(center) == d
+            and all(_finite_number(c) for c in center)):
+        raise ConfigError(f"{ctx}.center must be a list of {d} finite numbers")
+    width = _require(block, "width", ctx)
+    if not _finite_number(width):
+        raise ConfigError(f"{ctx}.width must be a finite number")
     poly = None
     if "poly_terms" in block:
-        d = len(center)
-        poly = Poly(d)
+        terms = {}
         tctx = f"{ctx}.poly_terms[]"
         for t in _require(block, "poly_terms", ctx, list):
             t = _typed(t, dict, tctx)
-            poly = poly + Poly.monomial(d, _require(t, "exps", tctx), _require(t, "coeff", tctx))
+            exps, coeff = tuple(_require(t, "exps", tctx, list)), _require(t, "coeff", tctx)
+            if not (_finite_number(coeff) and all(isinstance(e, int) and e >= 0 for e in exps)):
+                raise ConfigError(f"{tctx} needs non-negative integer exps and a finite coeff")
+            terms[exps] = terms.get(exps, 0) + coeff
+        poly = Poly(d, terms)
     try:
-        return WavePacket(center=center, width=width, poly=poly)
+        return WavePacket(center=np.asarray(center, dtype=float), width=float(width), poly=poly)
     except ValueError as exc:
         raise ConfigError(f"{ctx}: {exc}") from exc
 
@@ -151,9 +165,9 @@ def cmd_amplitude(cfg, outdir) -> int:
     quad = load_quadrature(cfg)
     ev = StructureEvaluator(params, rho, quad)
     block = _require(cfg, "amplitude", "config", dict)
-    pin = [load_packet(b, "amplitude.packets_in")
+    pin = [load_packet(b, "amplitude.packets_in", params.d)
            for b in _require(block, "packets_in", "amplitude", list)]
-    pout = [load_packet(b, "amplitude.packets_out")
+    pout = [load_packet(b, "amplitude.packets_out", params.d)
             for b in _require(block, "packets_out", "amplitude", list)]
     fam = load_transfer(block.get("transfer"))
     try:
@@ -183,7 +197,7 @@ def cmd_converge(cfg, outdir) -> int:
     ev = StructureEvaluator(params, load_rho(cfg, params), load_quadrature(cfg))
     block = _require(cfg, "converge", "config", dict)
     labels = _require(block, "labels", "converge", list)
-    packets = [load_packet(b, "converge.packets")
+    packets = [load_packet(b, "converge.packets", params.d)
                for b in _require(block, "packets", "converge", list)]
     fam = load_transfer(block.get("transfer"))
     grid = _t_grid(block.get("t_grid", {}), "converge.t_grid")
@@ -280,7 +294,8 @@ def cmd_gram(cfg, outdir) -> int:
     ev = StructureEvaluator(params, load_rho(cfg, params), load_quadrature(cfg))
     block = _require(cfg, "gram", "config", dict)
     label = block.get("label", "loc")
-    packets = [load_packet(b, "gram.packets") for b in _require(block, "packets", "gram", list)]
+    packets = [load_packet(b, "gram.packets", params.d)
+               for b in _require(block, "packets", "gram", list)]
     family = [BorchersVector.one_particle(p) for p in packets]
     K, L = int(block.get("K", 2)), int(block.get("L", 2))
     fam = load_transfer(block.get("transfer"))

@@ -151,23 +151,31 @@ def _basis_matrix(qs, exps_list):
 
 def _assemble_polynomial(n, coeffs, exps_list, vary_idx, centers, scales):
     """Expand the fitted coefficients over centered-scaled coordinates into
-    a polynomial in the raw invariant coordinates."""
-    ncoords = n * (n + 1) // 2
-    shifted = []
-    for i, ci, si in zip(vary_idx, centers, scales):
-        shifted.append(
-            Poly.variable(ncoords, i, 1.0 / si) + Poly.constant(ncoords, -ci / si)
-        )
-    total = Poly(ncoords)
-    for coeff, exps in zip(coeffs, exps_list):
-        if coeff == 0:
-            continue
-        term = Poly.constant(ncoords, coeff)
-        for p, e in zip(shifted, exps):
-            for _ in range(e):
-                term = term * p
-        total = total + term
-    return TransferPolynomial(n, total)
+    a polynomial in the raw invariant coordinates.
+
+    One pass per varying coordinate v rewrites ((q_v - c_v)/s_v)^e in powers
+    of q_v: lowering e by j carries C(e, j) (-c_v)^j s_v^-e. The multi-index
+    set (total degree <= D) is downward closed, so every pass maps the terms
+    onto themselves."""
+    exps = np.zeros((len(exps_list), n * (n + 1) // 2), dtype=int)
+    exps[:, vary_idx] = np.array(exps_list, dtype=int).reshape(len(exps_list), len(vary_idx))
+    vals = np.asarray(coeffs, dtype=float)
+    term_of = {e: t for t, e in enumerate(map(tuple, exps.tolist()))}
+    top = int(exps.max(initial=0))
+    binom = np.array([[math.comb(e, j) for j in range(top + 1)] for e in range(top + 1)])
+    for v, cv, sv in zip(vary_idx, centers, scales):
+        ev = exps[:, v]
+        scale = sv ** -ev.astype(float)
+        out = vals * scale
+        for j in range(1, top + 1):
+            src = np.flatnonzero(ev >= j)
+            lowered = exps[src]
+            lowered[:, v] -= j
+            dst = [term_of[e] for e in map(tuple, lowered.tolist())]
+            out[dst] += vals[src] * (binom[ev[src], j] * (-cv) ** j * scale[src])
+        vals = out
+    terms = dict(zip(map(tuple, exps.tolist()), vals.tolist()))
+    return TransferPolynomial(n, Poly(exps.shape[1], terms))
 
 
 def fit_polynomial(R, sample: PhaseSpaceSample, cfg: FitConfig) -> FitReport:

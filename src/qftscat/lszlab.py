@@ -355,8 +355,11 @@ def l1_fourier_bound(packet, xi_nodes: int = 400, t_points: int = 40001):
     width = packet.width
     T = 15.0 / width + 2.0 * abs(packet.center[0])
     ts = np.linspace(-T, T, t_points)
-    # F(t) = (2 pi)^{-1/2} sum_x w f(x) e^{-i x t}, evaluated as a matrix product
-    F = (np.exp(-1j * np.outer(ts, xs)) @ (ws * fx)) / math.sqrt(2.0 * math.pi)
+    # F(t) = (2 pi)^{-1/2} sum_x w f(x) e^{-i x t}, in blocks t = t0 + tau of xi_nodes
+    # times: e^{-i x t0} per block times one e^{-i x tau} matrix shared by all blocks
+    tau = ts[:xi_nodes] - ts[0]
+    starts = np.exp(-1j * np.outer(ts[::xi_nodes], xs)) * (ws * fx)
+    F = (starts @ np.exp(-1j * np.outer(xs, tau))).ravel()[:t_points] / math.sqrt(2.0 * math.pi)
     lhs = float(integrate.simpson(np.abs(F), x=ts))
     f2 = packet.derivative(0).derivative(0)
     dense = np.linspace(lo, hi, 200001)

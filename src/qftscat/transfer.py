@@ -36,15 +36,15 @@ class TransferPolynomial:
         ncoords = n * (n + 1) // 2
         names = invariant_names(n)
         name_to_idx = {nm: i for i, nm in enumerate(names)}
-        p = Poly(ncoords)
+        acc = {}
         for degrees, coeff in terms:
             exps = [0] * ncoords
             for nm, deg in degrees.items():
                 if nm not in name_to_idx:
                     raise ValueError(f"unknown invariant coordinate {nm!r} at order {n}")
                 exps[name_to_idx[nm]] = int(deg)
-            p = p + Poly.monomial(ncoords, exps, coeff)
-        return cls(n, p)
+            acc[tuple(exps)] = acc.get(tuple(exps), 0) + coeff
+        return cls(n, Poly(ncoords, acc))
 
     def __call__(self, momenta):
         """Evaluate at n four-vectors (array (..., n, d) or a list of vectors)."""
@@ -56,20 +56,9 @@ class TransferPolynomial:
 
     def per_argument_degrees(self) -> list:
         """Degree in each k_l: q_{i,j} counts 1 for k_i and k_j, 2 when i=j."""
-        degs = [0] * self.n
-        for exps in self.poly.terms:
-            cur = [0] * self.n
-            idx = 0
-            for j in range(self.n):
-                for i in range(j + 1):
-                    e = exps[idx]
-                    if e:
-                        cur[i] += e
-                        cur[j] += e
-                    idx += 1
-            for l in range(self.n):
-                degs[l] = max(degs[l], cur[l])
-        return degs
+        pairs = np.array([(i, j) for j in range(self.n) for i in range(j + 1)])
+        legs = (pairs[:, :, None] == np.arange(self.n)).sum(axis=1)  # (coordinates, legs)
+        return (_term_arrays(self)[0] @ legs).max(axis=0, initial=0).tolist()
 
     def is_real(self, tol: float = 0.0) -> bool:
         return self.poly.is_real(tol)
@@ -104,49 +93,64 @@ class TransferPolynomial:
         return cls.from_json_dict(json.loads(s))
 
 
-def _permute_exponents(exps, sigma, n):
-    """Induced action of a leg permutation on invariant-coordinate exponents."""
-    out = [0] * len(exps)
-    idx = 0
+def _term_arrays(p: TransferPolynomial) -> tuple:
+    """(exponents (terms x coordinates), coefficients) of p, in term order."""
+    exps = np.array(list(p.poly.terms), dtype=int).reshape(len(p.poly.terms), p.ncoords)
+    return exps, np.array(list(p.poly.terms.values()))
+
+
+def _leg_columns(sigma, n: int) -> np.ndarray:
+    """Columns with exps[:, cols] the exponents after relabelling leg l as sigma(l)."""
+    cols = np.empty(n * (n + 1) // 2, dtype=int)
     for j in range(n):
         for i in range(j + 1):
-            e = exps[idx]
-            if e:
-                out[invariant_index(sigma[i], sigma[j])] += e
-            idx += 1
-    return tuple(out)
+            cols[invariant_index(sigma[i], sigma[j])] = invariant_index(i, j)
+    return cols
+
+
+def _orbit_rows(p: TransferPolynomial, perms) -> tuple:
+    """Every leg-permuted copy of p's exponent rows, numbered once across copies:
+    (coefficients, distinct rows, first occurrence of each, (len(perms), terms) ids)."""
+    exps, coeffs = _term_arrays(p)
+    rows = np.concatenate([exps[:, _leg_columns(s, p.n)] for s in perms])
+    low = int(rows.min(initial=0))
+    radix = int(rows.max(initial=0)) - low + 1
+    # one integer per row where it fits in int64: sorting rows as records is slow
+    keys = (rows - low) @ radix ** np.arange(p.ncoords) if radix ** p.ncoords < 2**63 else rows
+    _, first, ids = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    return coeffs, rows[first], first, ids.reshape(len(perms), len(coeffs))
 
 
 def permute_legs(p: TransferPolynomial, sigma) -> TransferPolynomial:
     """p with leg l relabeled sigma(l); sigma is a 0-based permutation tuple."""
-    terms = {}
-    for exps, c in p.poly.terms.items():
-        e2 = _permute_exponents(exps, sigma, p.n)
-        terms[e2] = terms.get(e2, 0) + c
-    return TransferPolynomial(p.n, Poly(p.ncoords, terms))
+    exps = _term_arrays(p)[0][:, _leg_columns(sigma, p.n)]
+    return TransferPolynomial(p.n, Poly(p.ncoords, dict(zip(map(tuple, exps.tolist()),
+                                                            p.poly.terms.values()))))
 
 
 def symmetrize_realify(p: TransferPolynomial) -> TransferPolynomial:
     """Average over leg permutations and drop imaginary parts of coefficients."""
     perms = list(itertools.permutations(range(p.n)))
-    acc = {}
-    for sigma in perms:
-        for exps, c in p.poly.terms.items():
-            e2 = _permute_exponents(exps, sigma, p.n)
-            acc[e2] = acc.get(e2, 0) + c
-    scale = 1.0 / len(perms)
-    terms = {e: float(np.real(c)) * scale for e, c in acc.items()}
-    return TransferPolynomial(p.n, Poly(p.ncoords, terms))
+    coeffs, uniq, first, ids = _orbit_rows(p, perms)
+    # sums and orders terms as adding the copies one by one would, bit for bit
+    acc = np.bincount(ids.ravel(), np.tile(np.real(coeffs), len(perms)), len(uniq))
+    order = np.argsort(first)
+    terms = zip(map(tuple, uniq[order].tolist()), (acc[order] * (1.0 / len(perms))).tolist())
+    return TransferPolynomial(p.n, Poly(p.ncoords, dict(terms)))
 
 
 def is_permutation_symmetric(p: TransferPolynomial, tol: float = 0.0) -> tuple:
     """(flag, witness permutation or None): coefficient-level symmetry check."""
-    for sigma in itertools.permutations(range(p.n)):
-        q = permute_legs(p, sigma)
-        keys = set(p.poly.terms) | set(q.poly.terms)
-        for k in keys:
-            if abs(p.poly.terms.get(k, 0) - q.poly.terms.get(k, 0)) > tol:
-                return False, sigma
+    perms = list(itertools.permutations(range(p.n)))
+    coeffs, uniq, _, ids = _orbit_rows(p, perms)
+    base, moved = np.zeros((2, len(uniq)), dtype=coeffs.dtype)
+    base[ids[0]] = coeffs  # perms[0] is the identity
+    for sigma, row in zip(perms, ids):
+        moved[row] = coeffs
+        keys = np.concatenate([ids[0], row])
+        if np.any(np.abs(base[keys] - moved[keys]) > tol):
+            return False, sigma
+        moved[row] = 0
     return True, None
 
 
@@ -206,15 +210,15 @@ def validate_condition41(fam: TransferFamily, rng=None, samples: int = 32) -> di
         # randomized evaluation check of the symmetry (guards the coefficient action)
         if ok and n <= 5:
             ks = rng.normal(size=(samples, n, 2))
-            base = p(ks)
-            for sigma in itertools.permutations(range(n)):
-                v = p(ks[:, list(sigma), :])
-                if np.max(np.abs(v - base)) > 1e-9 * max(1.0, np.max(np.abs(base))):
-                    violations.append(
-                        {"clause": "I1", "detail": "evaluation asymmetry", "n": n,
-                         "witness_permutation": [s + 1 for s in sigma]}
-                    )
-                    break
+            perms = list(itertools.permutations(range(n)))
+            vals = p(ks[:, perms, :])  # (samples, n!); perms[0] is the identity
+            bound = 1e-9 * max(1.0, np.max(np.abs(vals[:, 0])))
+            bad = np.max(np.abs(vals - vals[:, :1]), axis=0) > bound
+            if bad.any():
+                violations.append(
+                    {"clause": "I1", "detail": "evaluation asymmetry", "n": n,
+                     "witness_permutation": [s + 1 for s in perms[int(np.argmax(bad))]]}
+                )
     return {"passed": not violations, "violations": violations}
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qftscat import __version__
-from qftscat.cli import main
+from qftscat.cli import load_packet, main
 
 E08 = float(np.sqrt(0.8**2 + 1.0))
 EIN = [{"center": [-E08, 0.8], "width": 0.25}, {"center": [-E08, -0.8], "width": 0.25}]
@@ -213,6 +213,16 @@ def test_exit_1_on_config_errors(tmp_path, capsys):
              ("fit", {"fit": 5}),
              ("truncate-demo", {"truncate-demo": 5}),
              ("pvdemo", {"pvdemo": {"t_grid": 5}})]
+    # packet fields of the wrong type, sign or length (d = 2 here)
+    cases += [("amplitude", {"amplitude": {"packets_in": [{**EIN[0], **field}, EIN[1]],
+                                           "packets_out": EOUT}})
+              for field in ({"center": 5}, {"center": {"a": 1}}, {"center": [-E08]},
+                            {"center": [0.5, "x"]}, {"center": [0.5, 10**400]},
+                            {"width": [1]}, {"width": True},
+                            {"poly_terms": [{"exps": [1, 0], "coeff": "a"}]},
+                            {"poly_terms": [{"exps": [[1], 0], "coeff": 1.0}]},
+                            {"poly_terms": [{"exps": [-1, 0], "coeff": 1.0}]},
+                            {"poly_terms": [{"exps": [1, 0, 0], "coeff": 1.0}]})]
     cases += [(command, [cfg]) for command, cfg in
               (("amplitude", amp), ("converge", conv), ("pvdemo", {}))]
     for command, cfg in cases:
@@ -221,6 +231,15 @@ def test_exit_1_on_config_errors(tmp_path, capsys):
         assert code == 1, (command, cfg)
         assert "config error" in err and "Traceback" not in err
         assert not list(out.glob("*_summary.json"))
+
+
+def test_packet_poly_terms_are_summed():
+    block = {"center": [1.3, -0.4], "width": 0.3,
+             "poly_terms": [{"exps": [1, 0], "coeff": 0.5}, {"exps": [0, 0], "coeff": 1.0},
+                            {"exps": [1, 0], "coeff": 0.25}, {"exps": [0, 2], "coeff": 0.0}]}
+    pk = load_packet(block, "gram.packets", 2)
+    assert pk.poly.terms == {(1, 0): 0.75, (0, 0): 1.0}
+    assert list(pk.center) == [1.3, -0.4] and pk.width == 0.3
 
 
 def test_unknown_quadrature_field(tmp_path, capsys):

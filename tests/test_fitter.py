@@ -2,14 +2,18 @@
 import numpy as np
 import pytest
 
+from qftscat import fitter
 from qftscat.fitter import (
     FitConfig,
+    _assemble_polynomial,
     build_family,
     fit_polynomial,
     recheck_constraints,
     reference_registry,
     sample_Qn,
 )
+from qftscat.kinematics import _multi_indices
+from qftscat.polymath import Poly
 from qftscat.transfer import (
     TransferPolynomial,
     hermiticity_identity_check,
@@ -138,3 +142,60 @@ def test_sampler_argument_validation(params):
         sample_Qn(2, 1, cfg, params)
     with pytest.raises(ValueError):
         sample_Qn(4, 4, cfg, params)
+
+
+def _oracle_assemble_polynomial(n, coeffs, exps_list, vary_idx, centers, scales):
+    """The term-by-term assembly from Poly products that the array expansion replaced."""
+    ncoords = n * (n + 1) // 2
+    shifted = []
+    for i, ci, si in zip(vary_idx, centers, scales):
+        shifted.append(
+            Poly.variable(ncoords, i, 1.0 / si) + Poly.constant(ncoords, -ci / si)
+        )
+    total = Poly(ncoords)
+    for coeff, exps in zip(coeffs, exps_list):
+        if coeff == 0:
+            continue
+        term = Poly.constant(ncoords, coeff)
+        for p, e in zip(shifted, exps):
+            for _ in range(e):
+                term = term * p
+        total = total + term
+    return TransferPolynomial(n, total)
+
+
+def _assert_assembly_matches_oracle(args):
+    got = _assemble_polynomial(*args).poly.terms
+    want = _oracle_assemble_polynomial(*args).poly.terms
+    assert set(got) == set(want)
+    scale = max(abs(c) for c in want.values())
+    assert max(abs(got[k] - c) for k, c in want.items()) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("seed, degree", [(3, 6), (7, 8)])
+def test_assembly_matches_oracle_on_cli_fits(params, monkeypatch, seed, degree):
+    # the README/CLI fit of exp(-q12) at 400 + 100 points; seed 7 needs degree 8
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return _assemble_polynomial(*args)
+
+    monkeypatch.setattr(fitter, "_assemble_polynomial", spy)
+    cfg = FitConfig(e_max=4.0, epsilon=1e-3, train_count=400, validate_count=100, seed=seed)
+    report = fit_polynomial(reference_registry(params)["exp_q12"], sample_Qn(4, 2, cfg, params),
+                            cfg)
+    assert report.degree_used == degree and len(calls) == 1
+    _assert_assembly_matches_oracle(calls[0])
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_assembly_matches_oracle_on_random_centres(n):
+    rng = np.random.default_rng(40 + n)
+    vary_idx = [j * (j + 1) // 2 + i for j in range(n) for i in range(j)]  # the q_ij, i < j
+    for degree in range(6):
+        exps_list = list(_multi_indices(len(vary_idx), degree))
+        coeffs = rng.normal(size=len(exps_list))
+        centers = rng.normal(scale=2.0, size=len(vary_idx))
+        scales = rng.uniform(0.3, 3.0, size=len(vary_idx))
+        _assert_assembly_matches_oracle((n, coeffs, exps_list, vary_idx, centers, scales))

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import special
+from scipy import integrate, special
 
 from qftscat.formfactor import eval_FG_n
 from qftscat.kinematics import WavePacket, gauss_legendre, omega
@@ -280,6 +280,27 @@ def test_l1_fourier_bound_polynomial_packet():
                     poly=Poly.variable(1, 0, 1.0) + Poly.constant(1, 0.3))
     lhs, rhs, ok = l1_fourier_bound(pk)
     assert ok and lhs <= rhs
+
+
+def _dense_l1_lhs(packet, xi_nodes=400, t_points=40001):
+    """The lhs from one (t, x) exponential matrix, as before the blocked form."""
+    lo, hi = packet.support_interval(0)
+    xs, ws = gauss_legendre(lo, hi, xi_nodes)
+    T = 15.0 / packet.width + 2.0 * abs(packet.center[0])
+    ts = np.linspace(-T, T, t_points)
+    F = (np.exp(-1j * np.outer(ts, xs)) @ (ws * packet(xs[:, None]))) / math.sqrt(2.0 * math.pi)
+    return float(integrate.simpson(np.abs(F), x=ts))
+
+
+def test_l1_fourier_lhs_matches_dense_matrix():
+    from qftscat.polymath import Poly
+
+    for i, w in enumerate(np.geomspace(0.1, 10.0, 5)):
+        poly = Poly.variable(1, 0, 1.0) + Poly.constant(1, 0.3) if i % 2 else None
+        pk = WavePacket(center=np.array([0.4 * (i - 2)]), width=float(w), poly=poly)
+        lhs, _, _ = l1_fourier_bound(pk)
+        dense = _dense_l1_lhs(pk)
+        assert abs(lhs - dense) <= 1e-12 * dense, (w, lhs, dense)
 
 
 def test_l1_fourier_bound_requires_1d(pair):

@@ -1,8 +1,11 @@
 """Invariant transfer polynomials: symmetry, validation, serialization."""
+import itertools
+
 import numpy as np
 import pytest
 
-from qftscat.kinematics import boost_matrix, minkowski_dot
+from qftscat.kinematics import boost_matrix, invariant_index, invariant_names, minkowski_dot
+from qftscat.polymath import Poly
 from qftscat.transfer import (
     TransferFamily,
     TransferPolynomial,
@@ -125,6 +128,225 @@ def test_hermiticity_identity_check():
     assert not hermiticity_identity_check(asym)
 
 
+def test_from_terms_sums_repeated_terms_as_poly_addition_did():
+    terms = [({"q12": 1}, 0.1), ({}, 2.0), ({"q12": 1}, 0.2), ({"q13": 2}, 1.5),
+             ({"q13": 2}, -1.5), ({"q23": 1}, 0.0), ({"q12": 1}, 1j), ({"q13": 2}, 0.25)]
+    want = Poly(6)
+    for degrees, coeff in terms:  # one Poly addition per term
+        exps = [0] * 6
+        for nm, deg in degrees.items():
+            exps[invariant_names(3).index(nm)] = deg
+        want = want + Poly.monomial(6, exps, coeff)
+    got = TransferPolynomial.from_terms(3, terms).poly.terms
+    assert got == want.terms
+
+
 def test_from_terms_unknown_coordinate():
     with pytest.raises(ValueError):
         TransferPolynomial.from_terms(2, [({"q13": 1}, 1.0)])
+
+
+# The array implementations against the term-by-term ones they replaced, kept
+# here as oracles.
+
+def _oracle_permute_exponents(exps, sigma, n):
+    out = [0] * len(exps)
+    idx = 0
+    for j in range(n):
+        for i in range(j + 1):
+            e = exps[idx]
+            if e:
+                out[invariant_index(sigma[i], sigma[j])] += e
+            idx += 1
+    return tuple(out)
+
+
+def _oracle_permute_legs(p, sigma):
+    terms = {}
+    for exps, c in p.poly.terms.items():
+        e2 = _oracle_permute_exponents(exps, sigma, p.n)
+        terms[e2] = terms.get(e2, 0) + c
+    return TransferPolynomial(p.n, Poly(p.ncoords, terms))
+
+
+def _oracle_symmetrize_realify(p):
+    perms = list(itertools.permutations(range(p.n)))
+    acc = {}
+    for sigma in perms:
+        for exps, c in p.poly.terms.items():
+            e2 = _oracle_permute_exponents(exps, sigma, p.n)
+            acc[e2] = acc.get(e2, 0) + c
+    scale = 1.0 / len(perms)
+    terms = {e: float(np.real(c)) * scale for e, c in acc.items()}
+    return TransferPolynomial(p.n, Poly(p.ncoords, terms))
+
+
+def _oracle_is_permutation_symmetric(p, tol=0.0):
+    for sigma in itertools.permutations(range(p.n)):
+        q = _oracle_permute_legs(p, sigma)
+        keys = set(p.poly.terms) | set(q.poly.terms)
+        for k in keys:
+            if abs(p.poly.terms.get(k, 0) - q.poly.terms.get(k, 0)) > tol:
+                return False, sigma
+    return True, None
+
+
+def _oracle_per_argument_degrees(p):
+    degs = [0] * p.n
+    for exps in p.poly.terms:
+        cur = [0] * p.n
+        idx = 0
+        for j in range(p.n):
+            for i in range(j + 1):
+                e = exps[idx]
+                if e:
+                    cur[i] += e
+                    cur[j] += e
+                idx += 1
+        for l in range(p.n):
+            degs[l] = max(degs[l], cur[l])
+    return degs
+
+
+def _oracle_validate_condition41(fam, rng=None, samples=32):
+    rng = rng or np.random.default_rng(0)
+    violations = []
+    m2 = fam.member(2)
+    if not (m2.poly.is_constant() and abs(m2.poly.constant_value() - 1.0) < 1e-15):
+        violations.append({"clause": "I2", "detail": "M_2 != 1", "n": 2})
+    for n, p in sorted(fam.members.items()):
+        if p.n != n:
+            violations.append({"clause": "structure", "detail": "order mismatch", "n": n})
+            continue
+        ok, witness = _oracle_is_permutation_symmetric(p, tol=1e-12)
+        if not ok:
+            violations.append(
+                {"clause": "I1", "detail": "not permutation symmetric", "n": n,
+                 "witness_permutation": [s + 1 for s in witness]}
+            )
+        if not p.is_real(tol=0.0):
+            bad = next(c for c in p.poly.terms.values() if np.imag(c) != 0)
+            violations.append(
+                {"clause": "I2", "detail": "complex coefficient", "n": n,
+                 "witness_coeff": [float(np.real(bad)), float(np.imag(bad))]}
+            )
+        degs = _oracle_per_argument_degrees(p)
+        if max(degs, default=0) > fam.l_max:
+            violations.append(
+                {"clause": "I4", "detail": "per-argument degree exceeds bound", "n": n,
+                 "witness_degrees": degs, "l_max": fam.l_max}
+            )
+        if ok and n <= 5:
+            ks = rng.normal(size=(samples, n, 2))
+            base = p(ks)
+            for sigma in itertools.permutations(range(n)):
+                v = p(ks[:, list(sigma), :])
+                if np.max(np.abs(v - base)) > 1e-9 * max(1.0, np.max(np.abs(base))):
+                    violations.append(
+                        {"clause": "I1", "detail": "evaluation asymmetry", "n": n,
+                         "witness_permutation": [s + 1 for s in sigma]}
+                    )
+                    break
+    return {"passed": not violations, "violations": violations}
+
+
+def _random_poly(n, terms, max_exp, rng, complex_coeffs=False):
+    ncoords = n * (n + 1) // 2
+    exps = rng.integers(0, max_exp + 1, size=(terms, ncoords))
+    coeffs = rng.normal(size=terms)
+    if complex_coeffs:
+        coeffs = coeffs + 1j * rng.normal(size=terms)
+    return TransferPolynomial(n, Poly(ncoords, dict(zip(map(tuple, exps.tolist()), coeffs))))
+
+
+def _assert_same_terms(a, b, rel):
+    assert set(a.poly.terms) == set(b.poly.terms)
+    scale = max((abs(c) for c in b.poly.terms.values()), default=0.0)
+    for k, c in b.poly.terms.items():
+        assert abs(a.poly.terms[k] - c) <= rel * scale, (k, a.poly.terms[k], c)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_column_permutations_match_term_by_term_action(n):
+    rng = np.random.default_rng(100 + n)
+    for complex_coeffs in (False, True):
+        p = _random_poly(n, 40 if n < 5 else 3, 3, rng, complex_coeffs)
+        for sigma in itertools.permutations(range(n)):
+            q = permute_legs(p, sigma)
+            _assert_same_terms(q, _oracle_permute_legs(p, sigma), 0.0)
+            assert list(q.poly.terms.values()) == list(p.poly.terms.values())
+        s = symmetrize_realify(p)
+        _assert_same_terms(s, _oracle_symmetrize_realify(p), 1e-15)
+        assert s.per_argument_degrees() == _oracle_per_argument_degrees(s)
+        assert p.per_argument_degrees() == _oracle_per_argument_degrees(p)
+        for tol in (0.0, 1e-12):
+            assert is_permutation_symmetric(p, tol) == _oracle_is_permutation_symmetric(p, tol)
+            assert is_permutation_symmetric(s, tol) == _oracle_is_permutation_symmetric(s, tol)
+
+
+def test_orbit_numbering_beyond_int64_codes_and_with_negative_exponents():
+    rng = np.random.default_rng(3)
+    big = _random_poly(5, 4, 40, rng)  # 41**15 distinct rows do not fit int64 codes
+    neg = _random_poly(3, 20, 2, rng)
+    neg = TransferPolynomial(3, Poly(6, {tuple(e - 1 for e in k): c
+                                         for k, c in neg.poly.terms.items()}))
+    for p in (big, neg, symmetrize_realify(neg)):
+        _assert_same_terms(symmetrize_realify(p), _oracle_symmetrize_realify(p), 1e-15)
+        assert is_permutation_symmetric(p) == _oracle_is_permutation_symmetric(p)
+
+
+def test_symmetry_check_matches_on_near_symmetric_coefficients():
+    # a symmetric polynomial with one coefficient nudged, or one small extra
+    # term, by amounts either side of the tolerance: the witness (first failing
+    # permutation in itertools order) must be the oracle's
+    rng = np.random.default_rng(7)
+    sym = symmetrize_realify(_random_poly(4, 12, 2, rng))
+    key = sorted(sym.poly.terms)[3]
+    lone = (0, 2, 0, 0, 1, 0, 0, 0, 0, 0)
+    for delta in (5e-13, 1e-12, 2e-12, 1e-9):
+        for extra in ({key: sym.poly.terms[key] + delta}, {lone: delta}):
+            p = TransferPolynomial(4, Poly(10, {**sym.poly.terms, **extra}))
+            for tol in (0.0, 1e-12):
+                assert is_permutation_symmetric(p, tol) == \
+                    _oracle_is_permutation_symmetric(p, tol)
+    # sub-tolerance steps along a leg cycle that end at an absent term: only the
+    # terms of p missing from the permuted copy show the asymmetry
+    chain = TransferPolynomial.from_terms(3, [({"q13": 1}, 0.9e-12), ({"q23": 1}, 1.8e-12)])
+    assert is_permutation_symmetric(chain, 1e-12) == (False, (1, 2, 0))
+    assert _oracle_is_permutation_symmetric(chain, 1e-12) == (False, (1, 2, 0))
+    empty = TransferPolynomial(3, Poly(6))
+    assert is_permutation_symmetric(empty) == (True, None)
+    assert empty.per_argument_degrees() == [0, 0, 0]
+    assert symmetrize_realify(empty).poly.terms == {}
+
+
+def _validation_families():
+    one = TransferPolynomial.constant(2, 1.0)
+    sym3 = TransferPolynomial.from_terms(
+        3, [({"q12": 1}, 1.0), ({"q13": 1}, 1.0), ({"q23": 1}, 1.0)])
+    q12 = TransferPolynomial.from_terms(3, [({"q12": 1}, 1.0)])
+    # coefficients symmetric to 1e-12 but values not, through a degree-8 term
+    tiny = TransferPolynomial.from_terms(3, [({}, 1.0), ({"q12": 8}, 1e-12)])
+    sym5 = symmetrize_realify(TransferPolynomial.from_terms(5, [({"q12": 1, "q35": 1}, 1.0)]))
+    return [
+        TransferFamily.identity(),
+        TransferFamily({2: one, 3: sym3}, l_max=2),
+        TransferFamily({2: TransferPolynomial.constant(2, 2.0)}, l_max=2),
+        TransferFamily({2: one, 3: q12}, l_max=2),
+        TransferFamily({2: one, 3: q12}, l_max=1),  # criterion 3a's M_3 = q12
+        TransferFamily({2: one, 3: TransferPolynomial.from_terms(3, [({}, 1.0 + 2.0j)])},
+                       l_max=2),
+        TransferFamily({2: one, 3: symmetrize_realify(
+            TransferPolynomial.from_terms(3, [({"q12": 3}, 1.0)]))}, l_max=2),
+        TransferFamily({2: one, 3: tiny}, l_max=16),
+        TransferFamily({2: one, 5: sym5, 4: sym3}, l_max=2),
+    ]
+
+
+@pytest.mark.parametrize("index", range(len(_validation_families())))
+def test_validate_condition41_matches_term_by_term_oracle(index):
+    fam = _validation_families()[index]
+    got = validate_condition41(fam)
+    assert got == _oracle_validate_condition41(fam)
+    if fam.l_max == 16:
+        assert [v["detail"] for v in got["violations"]] == ["evaluation asymmetry"]
