@@ -121,12 +121,29 @@ def load_packet(block: dict, ctx: str, d: int) -> WavePacket:
         raise ConfigError(f"{ctx}: {exc}") from exc
 
 
-def load_transfer(block, n_hint: int | None = None) -> TransferFamily | None:
+def load_polynomial(block, ctx: str) -> TransferPolynomial:
+    """A transfer polynomial from its JSON form, every field type-checked;
+    from_terms rejects unknown coordinates and non-integer or negative degrees."""
+    n = _require(_typed(block, dict, ctx), "n", ctx)
+    if isinstance(n, bool) or not isinstance(n, int) or n < 2:
+        raise ConfigError(f"{ctx}.n must be an integer >= 2")
+    tctx = f"{ctx}.terms[]"
+    for t in _require(block, "terms", ctx, list):
+        _typed(_typed(t, dict, tctx).get("degrees", {}), dict, f"{tctx}.degrees")
+        if not (_finite_number(_require(t, "coeff", tctx))
+                and _finite_number(t.get("coeff_im", 0.0))):
+            raise ConfigError(f"{tctx} needs a finite coeff and coeff_im")
+    return TransferPolynomial.from_json_dict(block)
+
+
+def load_transfer(block) -> TransferFamily | None:
     if block in (None, "identity"):
         return None
     if isinstance(block, dict) and "terms" in block:
-        p = TransferPolynomial.from_json_dict(block)
-        l_max = int(block.get("l_max", max(p.per_argument_degrees(), default=2)))
+        p = load_polynomial(block, "transfer")
+        l_max = block.get("l_max", max(p.per_argument_degrees(), default=2))
+        if isinstance(l_max, bool) or not isinstance(l_max, int) or l_max < 0:
+            raise ConfigError("transfer.l_max must be a non-negative integer")
         fam = TransferFamily({2: TransferPolynomial.constant(2, 1.0), p.n: p}, l_max=l_max)
         report = validate_condition41(fam)
         if not report["passed"]:
@@ -256,7 +273,7 @@ def cmd_fit(cfg, outdir, seed_override=None) -> int:
     )
     ref_key = block.get("reference", "exp_q12")
     if isinstance(ref_key, dict):
-        planted = TransferPolynomial.from_json_dict(ref_key)
+        planted = load_polynomial(ref_key, "fit.reference")
 
         def R(points):
             return np.real(planted(points))

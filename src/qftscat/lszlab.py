@@ -51,35 +51,17 @@ class MultiTimeSchedule:
         return cls(times=tuple(t * 2.0**r for r in ranks))
 
 
-def _chi_intervals(sigma, w_sh, lo0, hi0, eps):
-    """Fold-variable subintervals carrying the chi_t support, for the pole
-    at sigma*omega: the cutoff confines k^0 to +/-[sqrt(w^2-eps), sqrt(w^2+eps)]."""
-    if w_sh * w_sh <= eps:
-        return None
-    wl = math.sqrt(w_sh * w_sh - eps)
-    wh = math.sqrt(w_sh * w_sh + eps)
-    pole = sigma * w_sh
-    span = max(hi0 - pole, pole - lo0)
-    raw = []
-    for a, b in ((wl, wh), (-wh, -wl)):
-        # branch k0 = pole + s
-        raw.append((max(a - pole, 0.0), b - pole))
-        # branch k0 = pole - s
-        raw.append((max(pole - b, 0.0), pole - a))
-    ivs = sorted((a, min(b, span)) for a, b in raw if min(b, span) > a >= 0)
-    merged = []
-    for a, b in ivs:
-        if merged and a <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], b))
-        else:
-            merged.append((a, b))
-    return merged or None
+def _chi_windows(w_sh, eps):
+    """k^0 windows of the chi_t support at shell energy w_sh (eps < m^2 <= w^2):
+    +/-[sqrt(w^2-eps), sqrt(w^2+eps)], broken where the cutoff's plateau ends."""
+    edges = [math.sqrt(w_sh * w_sh + c * eps) for c in (-1.0, -0.5, 0.5, 1.0)]
+    return [[-e for e in reversed(edges)], edges]
 
 
 def _leg_terms(j, label, times, packets, ev, weight=None) -> np.ndarray:
-    """Leg j's term at each of the given times. Each (k1, sigma) fold grid
-    is built once, sized by the largest time, and every time is applied to
-    the static numerator as a chi_t row."""
+    """Leg j's term at each of the given times. Each k1 node's k0 table is
+    built once, sized by the largest time, and every time is applied to the
+    static numerator as a chi_t row."""
     kw = {}
     if label != LOC and len(packets) == 3:
         # exactly zero: chi_t confines k_j^2 to (m^2 - eps, m^2 + eps), which
@@ -88,12 +70,8 @@ def _leg_terms(j, label, times, packets, ev, weight=None) -> np.ndarray:
         return np.zeros(len(times), dtype=complex)
     if label != LOC:
         eps = ev.params.eps_phi
-
-        def interval_fn(sigma, w_sh, lo0, hi0):
-            return _chi_intervals(sigma, w_sh, lo0, hi0, eps)
-
         kw = dict(pv_multiplier=lambda k: chi_t(label, k, times, ev.params),
-                  t_hint=max(times), interval_fn=interval_fn)
+                  t_hint=max(times), window_fn=lambda w_sh: _chi_windows(w_sh, eps))
     return np.broadcast_to(pv_leg_term(j, packets, ev, weight=weight, **kw), (len(times),))
 
 

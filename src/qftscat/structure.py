@@ -5,8 +5,8 @@ The order-n kernel carries, for each leg position j, the off-shell factor
 shell and legs after j on the forward shell, times total momentum
 conservation. Pairing against packet products reduces, in d=2, to
 closed-form two-body kinematics (the conservation constraints solved
-exactly) plus low-dimensional Gauss-Legendre quadrature and a symmetric
-fold for the principal value.
+exactly) plus low-dimensional Gauss-Legendre quadrature; the principal
+value subtracts the numerator at each pole from one shared k0 table.
 """
 from __future__ import annotations
 
@@ -294,51 +294,63 @@ def reduced_integrand(j: int, packets, ev: StructureEvaluator, weight=None):
     return g4
 
 
-def pv_fold(numer, pole, span, quad: QuadratureSettings, t_hint: float = 0.0,
-            intervals=None, singular=()):
-    """PV integral of numer(k0)/(k0 - pole) as the symmetric fold
-    int_0^span (numer(pole+s) - numer(pole-s))/s ds.
+# Widest panel of a leg term's k0 table, in packet widths (wider panels
+# under-resolve the packet's Gaussian at the default fold_nodes); panels also
+# break half that far from each pole, near which the order-4 numerator can
+# fall by orders of magnitude and 1/(k0 - p) weighs errors most.
+PANEL_WIDTHS = 8.0
 
-    intervals optionally restricts the fold variable to subintervals of
-    [0, span] known to carry the numerator's support; node counts scale
-    with t_hint to resolve oscillatory numerators. singular lists fold
-    values where the numerator has an integrable inverse-square-root
-    singularity (two-body thresholds); panels touching one get the sine
-    substitution that removes it. numer may return a leading row axis
-    (one row per time of a multi-time multiplier); the fold then sums along
-    the last axis and returns one value per row.
+
+def pv_fold(numer, poles, windows, quad: QuadratureSettings, t_hint: float = 0.0,
+            singular=(), max_panel: float = math.inf):
+    """PV integrals of numer(k0)/(k0 - p) over the windows (sorted break
+    points [a, ..., b] each), one per pole p, from one table of numer.
+
+    Panels break at the poles, at p +/- max_panel / 2 (unless within
+    max_panel / 8 of a singular point) and at the singular points, where
+    numer has an integrable inverse-square-root singularity (two-body
+    thresholds; touching panels get the sine substitution). A panel of
+    length L is split into equal sub-panels of the one fold_nodes rule, at
+    least L / max_panel of them and enough for
+    nodes_per_period * t_hint * L / 2 pi nodes. numer is evaluated once, on
+    all nodes and the poles. The window [a, b] holding p (or the nearest)
+    gives the sum of (numer(k0) - numer(p)) / (k0 - p) plus
+    numer(p) ln|(b - p)/(a - p)|; other windows are summed plainly. A leading
+    row axis of numer (one row per time) is kept; the last axis is the pole.
     """
-    if span <= 0:
-        return 0.0 + 0.0j
-    if intervals is None:
-        fracs = [0.0] + [2.0**-k for k in range(6, -1, -1)]
-        intervals = [(span * fracs[i], span * fracs[i + 1]) for i in range(len(fracs) - 1)]
-    sing = sorted(s for s in singular if 0.0 < s < span)
+    windows = [e for e in windows if e[-1] > e[0]]
+    gx, gw = gauss_rule(quad.fold_nodes)
+    sing = set(singular)
+    graded = [c for p in poles for c in (p - max_panel / 2, p + max_panel / 2)
+              if all(abs(c - s) > max_panel / 8 for s in sing)]
     panels = []
-    for a, bnd in intervals:
-        a = max(a, 0.0)
-        bnd = min(bnd, span)
-        if bnd <= a:
-            continue
-        edges = [a] + [s for s in sing if a < s < bnd] + [bnd]
-        panels.extend(zip(edges[:-1], edges[1:]))
+    for i, edges in enumerate(windows):
+        a, b = edges[0], edges[-1]
+        breaks = sorted({a, b, *(c for c in (*edges, *poles, *graded, *sing) if a < c < b)})
+        for lo, hi in zip(breaks[:-1], breaks[1:]):
+            n = quad.nodes_per_period * abs(t_hint) * (hi - lo) / (2 * math.pi)
+            sub = np.linspace(lo, hi, max(1, math.ceil(n / quad.fold_nodes),
+                                          math.ceil((hi - lo) / max_panel)) + 1)
+            if lo in sing or hi in sing:
+                xs, ws = _panel_grid(sub, int(1.6 * quad.fold_nodes))
+            else:
+                mid, half = 0.5 * (sub[:-1] + sub[1:]), 0.5 * np.diff(sub)
+                xs, ws = (mid[:, None] + half[:, None] * gx).ravel(), (half[:, None] * gw).ravel()
+            panels.append((xs, ws, np.full(len(xs), i)))
     if not panels:
-        return 0.0 + 0.0j
-    svals, swts = [], []
-    for a, bnd in panels:
-        nodes = int(max(quad.fold_nodes,
-                        math.ceil(quad.nodes_per_period * abs(t_hint) * (bnd - a) / (2 * math.pi))))
-        touches = any(abs(a - s) < 1e-12 or abs(bnd - s) < 1e-12 for s in sing)
-        if touches:
-            xs, ws = _panel_grid([a, bnd], int(1.6 * nodes))
-        else:
-            xs, ws = gauss_legendre(a, bnd, nodes)
-        svals.append(xs)
-        swts.append(ws)
-    s = np.concatenate(svals)
-    w = np.concatenate(swts)
-    diff = numer(pole + s) - numer(pole - s)
-    return np.sum(w * diff / s, axis=-1)
+        return np.zeros(len(poles), dtype=complex)
+    k0, w, owner = map(np.concatenate, zip(*panels))
+    vals = numer(np.concatenate([k0, poles]))
+    table, at_poles = vals[..., :len(k0)], vals[..., len(k0):]
+    starts, ends = np.array([(e[0], e[-1]) for e in windows]).T
+    out = []
+    for i, p in enumerate(poles):
+        near = int(np.argmin(np.maximum(starts - p, p - ends)))
+        fp = at_poles[..., i]
+        diff = table - fp[..., None] * (owner == near)
+        out.append(np.sum(w * diff / (k0 - p), axis=-1)
+                   + fp * math.log(abs((ends[near] - p) / (starts[near] - p))))
+    return np.stack(out, axis=-1)
 
 
 def _threshold_k0(j: int, n: int, k1: float, m: float):
@@ -354,13 +366,15 @@ def _threshold_k0(j: int, n: int, k1: float, m: float):
 
 
 def pv_leg_term(j: int, packets, ev: StructureEvaluator, weight=None,
-                pv_multiplier=None, t_hint: float = 0.0, interval_fn=None):
+                pv_multiplier=None, t_hint: float = 0.0, window_fn=None):
     """One term of the PV pairing: leg j off shell, others reduced by g_j.
 
-    pv_multiplier may return one row per time, shape (T, N) for N fold
-    nodes; the term is then T values. The fold grid of each (k1, sigma) is
-    built once, sized by t_hint (the largest time), and the t-independent
-    numerator g_j * f_j is evaluated once and multiplied by every row.
+    Per k1 node, pv_fold tabulates the numerator g_j * f_j once over the
+    packet's k0 support, or over the windows window_fn(omega) returns (such
+    as the support of pv_multiplier), and takes both poles +/-omega from that
+    table: sum_sigma sigma / (2 omega (k0 - sigma omega)) = 1/(k0^2 - omega^2).
+    pv_multiplier may return one row per time, shape (T, N) for N k0 points;
+    the term is then T values, on a grid sized by t_hint (the largest time).
     """
     n = len(packets)
     pk = packets[j]
@@ -373,29 +387,22 @@ def pv_leg_term(j: int, packets, ev: StructureEvaluator, weight=None,
     total = 0.0 + 0.0j
     for k1, wk in zip(k1n, k1w):
         w_sh = float(omega(k1, m))
-        for sigma in (1, -1):
-            pole = sigma * w_sh
-            span = max(hi0 - pole, pole - lo0)
-            if span <= 0:
-                continue
 
-            def numer(k0, _k1=k1):
-                kj = np.stack([k0, np.full_like(k0, _k1)], axis=-1)
-                v = g(k0, np.full_like(k0, _k1), ugrid) * pk(kj)
-                if pv_multiplier is not None:
-                    # a fixed operand order: numpy may evaluate `v * x` as
-                    # `x * v` in place, and complex products do not commute bitwise
-                    v = np.multiply(v, pv_multiplier(kj))
-                return v
+        def numer(k0, _k1=k1):
+            kj = np.stack([k0, np.full_like(k0, _k1)], axis=-1)
+            v = g(k0, np.full_like(k0, _k1), ugrid) * pk(kj)
+            if pv_multiplier is not None:
+                # a fixed operand order: numpy may evaluate `v * x` as
+                # `x * v` in place, and complex products do not commute bitwise
+                v = np.multiply(v, pv_multiplier(kj))
+            return v
 
-            intervals = None
-            if interval_fn is not None:
-                intervals = interval_fn(sigma, w_sh, lo0, hi0)
-            singular = [abs(k0s - pole) for k0s in _threshold_k0(j, n, k1, m)]
-            total += wk * (sigma / (2.0 * w_sh)) * pv_fold(
-                numer, pole, span, ev.quad, t_hint=t_hint, intervals=intervals,
-                singular=singular,
-            )
+        windows = [[lo0, hi0]] if window_fn is None else window_fn(w_sh)
+        vals = pv_fold(numer, (w_sh, -w_sh),
+                       [[max(e[0], lo0), *e[1:-1], min(e[-1], hi0)] for e in windows],
+                       ev.quad, t_hint=t_hint, singular=_threshold_k0(j, n, k1, m),
+                       max_panel=PANEL_WIDTHS * pk.width)
+        total += wk * (vals[..., 0] - vals[..., 1]) / (2.0 * w_sh)
     return total
 
 

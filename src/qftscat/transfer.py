@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import numbers
 
 import numpy as np
 
@@ -32,7 +33,8 @@ class TransferPolynomial:
 
     @classmethod
     def from_terms(cls, n: int, terms) -> "TransferPolynomial":
-        """terms: iterable of (degrees dict like {"q12": 1}, coeff)."""
+        """terms: iterable of (degrees dict like {"q12": 1}, coeff); each degree
+        must be a non-negative integer."""
         ncoords = n * (n + 1) // 2
         names = invariant_names(n)
         name_to_idx = {nm: i for i, nm in enumerate(names)}
@@ -42,6 +44,8 @@ class TransferPolynomial:
             for nm, deg in degrees.items():
                 if nm not in name_to_idx:
                     raise ValueError(f"unknown invariant coordinate {nm!r} at order {n}")
+                if isinstance(deg, bool) or not isinstance(deg, numbers.Integral) or deg < 0:
+                    raise ValueError(f"degree of {nm} must be a non-negative integer, got {deg!r}")
                 exps[name_to_idx[nm]] = int(deg)
             acc[tuple(exps)] = acc.get(tuple(exps), 0) + coeff
         return cls(n, Poly(ncoords, acc))
@@ -119,13 +123,6 @@ def _orbit_rows(p: TransferPolynomial, perms) -> tuple:
     keys = (rows - low) @ radix ** np.arange(p.ncoords) if radix ** p.ncoords < 2**63 else rows
     _, first, ids = np.unique(keys, axis=0, return_index=True, return_inverse=True)
     return coeffs, rows[first], first, ids.reshape(len(perms), len(coeffs))
-
-
-def permute_legs(p: TransferPolynomial, sigma) -> TransferPolynomial:
-    """p with leg l relabeled sigma(l); sigma is a 0-based permutation tuple."""
-    exps = _term_arrays(p)[0][:, _leg_columns(sigma, p.n)]
-    return TransferPolynomial(p.n, Poly(p.ncoords, dict(zip(map(tuple, exps.tolist()),
-                                                            p.poly.terms.values()))))
 
 
 def symmetrize_realify(p: TransferPolynomial) -> TransferPolynomial:

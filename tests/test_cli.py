@@ -223,6 +223,20 @@ def test_exit_1_on_config_errors(tmp_path, capsys):
                             {"poly_terms": [{"exps": [[1], 0], "coeff": 1.0}]},
                             {"poly_terms": [{"exps": [-1, 0], "coeff": 1.0}]},
                             {"poly_terms": [{"exps": [1, 0, 0], "coeff": 1.0}]})]
+    # transfer polynomials with a missing or mistyped field, a Laurent term
+    # or a fractional degree; the fit's planted reference reads the same form
+    one = {"degrees": {}, "coeff": 1.0}
+    cases += [("amplitude", {"amplitude": {**amp["amplitude"], "transfer": block}})
+              for block in ({"terms": [one]}, {"n": 4, "terms": 7}, {"n": 4, "terms": [5]},
+                            {"n": 4, "terms": [{"degrees": {"q12": 1}}]},
+                            {"n": "4", "terms": [one]}, {"n": 4, "terms": [one], "l_max": [1]},
+                            {"n": 4, "terms": [{"degrees": [1], "coeff": 1.0}]},
+                            {"n": 4, "terms": [{"degrees": {}, "coeff": "1"}]},
+                            {"n": 3, "terms": [{"degrees": {"q12": -1, "q13": -1, "q23": -1},
+                                                "coeff": 1.0}]},
+                            {"n": 3, "terms": [{"degrees": {"q12": 1.5, "q13": 1.5, "q23": 1.5},
+                                                "coeff": 1.0}]})]
+    cases += [("fit", {"fit": {"n": 4, "r": 2, "e_max": 4.0, "reference": {"terms": [one]}}})]
     cases += [(command, [cfg]) for command, cfg in
               (("amplitude", amp), ("converge", conv), ("pvdemo", {}))]
     for command, cfg in cases:

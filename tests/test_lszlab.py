@@ -10,7 +10,7 @@ from qftscat.formfactor import eval_FG_n
 from qftscat.kinematics import WavePacket, gauss_legendre, omega
 from qftscat.lszlab import (
     MultiTimeSchedule,
-    _chi_intervals,
+    _chi_windows,
     _leg_terms,
     chi_t,
     convergence_study,
@@ -95,8 +95,7 @@ def test_order3_leg_terms_equal_their_quadrature(trio, trio_scatter, params, wei
                 want = pv_leg_term(
                     j, packets, ev, weight=weight,
                     pv_multiplier=lambda k: chi_t(label, k, times, ev.params),
-                    t_hint=max(times),
-                    interval_fn=lambda s, w, lo, hi: _chi_intervals(s, w, lo, hi, eps))
+                    t_hint=max(times), window_fn=lambda w: _chi_windows(w, eps))
                 assert got.shape == (2,) and np.all(got == want)
     # the zeros come from chi_t, not from an integrand that vanishes anyway
     assert static_nonzero >= 4

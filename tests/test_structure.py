@@ -6,17 +6,21 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from qftscat.kinematics import ModelParams, WavePacket, omega
+from qftscat import kinematics, structure
+from qftscat.kinematics import ModelParams, WavePacket, gauss_legendre, omega
+from qftscat.lszlab import _chi_windows, chi_t, finite_time_pairing
 from qftscat.structure import (
     QuadratureSettings,
     SpectralDensity,
     StructureEvaluator,
     _panel_grid,
+    _threshold_k0,
     default_u_grid,
     eval_Ghat_2,
     eval_Ghat_n,
     leg_term_u_grid,
     pv_fold,
+    pv_leg_term,
     reduced_integrand,
     root_possible,
     two_body_solutions,
@@ -76,23 +80,58 @@ def test_two_body_below_threshold_empty():
 
 def test_pv_fold_analytic():
     quad = QuadratureSettings()
-    assert abs(pv_fold(lambda x: np.ones_like(x), 0.3, 2.0, quad)) < 1e-14
-    assert abs(pv_fold(lambda x: x, 0.3, 2.0, quad) - 4.0) < 1e-12
-    assert abs(pv_fold(lambda x: np.exp(-0.5 * x**2), 0.0, 8.0, quad)) < 1e-14
-    assert pv_fold(lambda x: x, 0.3, -1.0, quad) == 0.0
+    win = [[-1.7, 2.3]]
+    assert abs(pv_fold(lambda x: np.ones_like(x), (0.3,), win, quad)[0]) < 1e-14
+    assert abs(pv_fold(lambda x: x, (0.3,), win, quad)[0] - 4.0) < 1e-12
+    assert abs(pv_fold(lambda x: np.exp(-0.5 * x**2), (0.0,), [[-8.0, 8.0]], quad)[0]) < 1e-14
+    assert np.array_equal(pv_fold(lambda x: x, (0.3, -0.3), [], quad), [0.0, 0.0])
+    # both poles from one table; a pole outside the window needs no break
+    both = pv_fold(lambda x: np.ones_like(x), (0.3, 5.0), win, quad)
+    assert abs(both[0]) < 1e-14
+    assert abs(both[1] - np.log(2.7 / 6.7)) < 1e-14
 
 
 def test_pv_fold_vs_cauchy_weight_oracle():
     quad = QuadratureSettings()
-    pole, span = 0.4, 3.0
+    a, b = -2.6, 3.4
 
     def numer(x):
         return np.exp(-0.5 * (np.asarray(x) - 1.1) ** 2)
 
-    val = pv_fold(numer, pole, span, quad)
-    oracle, _ = integrate.quad(lambda x: float(numer(x)), pole - span, pole + span,
-                               weight="cauchy", wvar=pole, limit=400)
-    assert abs(val - oracle) < 1e-9 * max(abs(oracle), 1.0)
+    # poles inside the window, within 1e-3 of its edges, and outside it
+    for pole in (0.4, b - 5e-4, a + 1e-4, b + 0.1, -4.0):
+        val = pv_fold(numer, (pole,), [[a, 0.5, b]], quad)[0]
+        if a < pole < b:
+            oracle, _ = integrate.quad(lambda x: float(numer(x)), a, b,
+                                       weight="cauchy", wvar=pole, limit=400)
+        else:
+            oracle, _ = integrate.quad(lambda x: float(numer(x)) / (x - pole), a, b,
+                                       limit=400, epsabs=1e-14)
+        assert abs(val - oracle) < 1e-9 * max(abs(oracle), 1.0), pole
+
+
+def test_pv_fold_two_windows_vs_cauchy_weight_oracle():
+    # the pole's own window is subtracted, the other one summed plainly
+    quad = QuadratureSettings()
+
+    def numer(x):
+        return np.exp(-0.5 * (np.asarray(x) - 1.1) ** 2) * (1.0 + 0.3j * np.asarray(x))
+
+    wins = [[-3.0, -1.0], [0.2, 0.9, 2.5]]
+    vals = pv_fold(numer, (0.7, -1.5), wins, quad)
+    for p, val in zip((0.7, -1.5), vals):
+        oracle = 0.0
+        for part in (np.real, np.imag):
+            for edges in wins:
+                a, b = edges[0], edges[-1]
+                if a < p < b:
+                    v, _ = integrate.quad(lambda x: float(part(numer(x))), a, b,
+                                          weight="cauchy", wvar=p, limit=400)
+                else:
+                    v, _ = integrate.quad(lambda x: float(part(numer(x))) / (x - p), a, b,
+                                          limit=400, epsabs=1e-14)
+                oracle += v * (1.0 if part is np.real else 1j)
+        assert abs(val - oracle) < 1e-9 * max(abs(oracle), 1.0)
 
 
 def test_pv_fold_sums_rows_along_last_axis():
@@ -104,10 +143,12 @@ def test_pv_fold_sums_rows_along_last_axis():
         vals = np.exp(-0.5 * (x - 1.1) ** 2) * np.exp(1j * scales[:, None] * x)
         return vals if row is None else vals[row]
 
-    rows = pv_fold(numer, 0.4, 3.0, quad, t_hint=7.0)
-    assert rows.shape == (3,)
+    poles, wins = (0.4, -0.4), [[-2.6, 3.4]]
+    rows = pv_fold(numer, poles, wins, quad, t_hint=7.0)
+    assert rows.shape == (3, 2)
     for i in range(3):
-        assert rows[i] == pv_fold(lambda x: numer(x, i), 0.4, 3.0, quad, t_hint=7.0)
+        assert np.array_equal(rows[i], pv_fold(lambda x: numer(x, i), poles, wins, quad,
+                                               t_hint=7.0))
 
 
 def test_reduced_integrand_order3_oracle(trio, ev):
@@ -395,3 +436,191 @@ def test_masked_integrand_equals_dense(order, extras, trio, packets4, ev, fam_qu
                 assert np.shape(got) == ()
                 assert got == dense(np.array(a), np.array(b), ugrid)
         assert np.count_nonzero(dense(k0, k1)) > 0
+
+
+def _fold_oracle(numer, pole, span, quad, t_hint=0.0, intervals=None, singular=()):
+    """The symmetric fold int_0^span (numer(pole+s) - numer(pole-s))/s ds that
+    computed each pole's PV integral on its own grid, kept as an oracle."""
+    if span <= 0:
+        return 0.0 + 0.0j
+    if intervals is None:
+        fracs = [0.0] + [2.0**-k for k in range(6, -1, -1)]
+        intervals = [(span * fracs[i], span * fracs[i + 1]) for i in range(len(fracs) - 1)]
+    sing = sorted(s for s in singular if 0.0 < s < span)
+    panels = []
+    for a, bnd in intervals:
+        a = max(a, 0.0)
+        bnd = min(bnd, span)
+        if bnd <= a:
+            continue
+        edges = [a] + [s for s in sing if a < s < bnd] + [bnd]
+        panels.extend(zip(edges[:-1], edges[1:]))
+    if not panels:
+        return 0.0 + 0.0j
+    svals, swts = [], []
+    for a, bnd in panels:
+        nodes = int(max(quad.fold_nodes,
+                        np.ceil(quad.nodes_per_period * abs(t_hint) * (bnd - a) / (2 * np.pi))))
+        touches = any(abs(a - s) < 1e-12 or abs(bnd - s) < 1e-12 for s in sing)
+        if touches:
+            xs, ws = _panel_grid([a, bnd], int(1.6 * nodes))
+        else:
+            xs, ws = gauss_legendre(a, bnd, nodes)
+        svals.append(xs)
+        swts.append(ws)
+    s = np.concatenate(svals)
+    w = np.concatenate(swts)
+    diff = numer(pole + s) - numer(pole - s)
+    return np.sum(w * diff / s, axis=-1)
+
+
+def _chi_intervals_oracle(sigma, w_sh, lo0, hi0, eps):
+    """Fold-variable subintervals of the chi_t support for the pole sigma*omega."""
+    wl = np.sqrt(w_sh * w_sh - eps)
+    wh = np.sqrt(w_sh * w_sh + eps)
+    pole = sigma * w_sh
+    span = max(hi0 - pole, pole - lo0)
+    raw = []
+    for a, b in ((wl, wh), (-wh, -wl)):
+        raw.append((max(a - pole, 0.0), b - pole))
+        raw.append((max(pole - b, 0.0), pole - a))
+    ivs = sorted((a, min(b, span)) for a, b in raw if min(b, span) > a >= 0)
+    merged = []
+    for a, b in ivs:
+        if merged and a <= merged[-1][1]:
+            merged[-1] = (merged[-1][0], max(merged[-1][1], b))
+        else:
+            merged.append((a, b))
+    return merged or None
+
+
+def _leg_term_oracle(j, packets, ev, pv_multiplier=None, t_hint=0.0, interval_fn=None):
+    """The leg term as one symmetric fold per (k1, sigma), kept as an oracle."""
+    n = len(packets)
+    pk = packets[j]
+    g = reduced_integrand(j, packets, ev)
+    lo1, hi1 = pk.support_interval(1)
+    k1n, k1w = gauss_legendre(lo1, hi1, ev.quad.outer_nodes)
+    lo0, hi0 = pk.support_interval(0)
+    m = ev.params.m
+    ugrid = leg_term_u_grid(packets[g.free_leg], ev.quad) if n == 4 else None
+    total = 0.0 + 0.0j
+    for k1, wk in zip(k1n, k1w):
+        w_sh = float(omega(k1, m))
+        for sigma in (1, -1):
+            pole = sigma * w_sh
+            span = max(hi0 - pole, pole - lo0)
+
+            def numer(k0, _k1=k1):
+                kj = np.stack([k0, np.full_like(k0, _k1)], axis=-1)
+                v = g(k0, np.full_like(k0, _k1), ugrid) * pk(kj)
+                return v if pv_multiplier is None else v * pv_multiplier(kj)
+
+            intervals = None if interval_fn is None else interval_fn(sigma, w_sh, lo0, hi0)
+            singular = [abs(k0s - pole) for k0s in _threshold_k0(j, n, k1, m)]
+            total += wk * (sigma / (2.0 * w_sh)) * _fold_oracle(
+                numer, pole, span, ev.quad, t_hint=t_hint, intervals=intervals,
+                singular=singular)
+    return total
+
+
+def test_ghat3_matches_symmetric_fold_oracle(trio, ev):
+    want = sum(_leg_term_oracle(j, list(trio), ev) for j in range(3))
+    got = eval_Ghat_n(list(trio), ev)
+    assert abs(got - want) < 1e-9 * abs(want)
+
+
+def test_order4_leg_terms_match_symmetric_fold_oracle(packets4, ev):
+    packets = list(packets4)
+    want = sum(_leg_term_oracle(j, packets, ev) for j in range(4))
+    got = eval_Ghat_n(packets, ev)
+    assert abs(got - want) < 2e-5 * abs(want)
+    labels, t = ("in", "in", "out", "out"), 31.6
+    eps = ev.params.eps_phi
+    want = sum(_leg_term_oracle(
+        j, packets, ev, pv_multiplier=lambda k, a=labels[j]: chi_t(a, k, t, ev.params),
+        t_hint=t, interval_fn=lambda s, w, lo, hi: _chi_intervals_oracle(s, w, lo, hi, eps))
+        for j in range(4))
+    got = finite_time_pairing(labels, packets, (t,) * 4, ev)
+    assert abs(got - want) < 2e-5 * abs(want)
+
+
+def test_order4_leg_term_resolved_near_the_poles(ev):
+    # jittered 2 -> 2 packets whose leg-1 numerator falls from 2e-3 to 1e-7
+    # within 0.45 of the pole -omega(k1), with kinks where free-leg nodes
+    # cross two-body thresholds: without the breaks half a panel from each
+    # pole the table misses the oracle by 1.3e-3
+    packets = [WavePacket(center=np.array(c), width=w) for c, w in (
+        ([-1.2880594449572822, 0.8118479745270428], 0.2457363441817511),
+        ([-1.2826893934902868, -0.80330074080165], 0.25555068165840356),
+        ([1.284955575029407, 0.8069143881473141], 0.25830760240981016),
+        ([1.2878606895260496, -0.8115325967738523], 0.25836475258097524))]
+    want = _leg_term_oracle(1, packets, ev)
+    assert abs(pv_leg_term(1, packets, ev) - want) < 2e-5 * abs(eval_Ghat_n(packets, ev))
+
+
+def test_graded_break_keeps_clear_of_threshold(params):
+    # k1 node where the break half a panel below the pole -omega falls 5e-5
+    # beyond the order-3 threshold: a plain panel ending there would meet
+    # the inverse-square-root singularity just past its end
+    w0 = 0.2
+    a = (3.0 - (4 * w0) ** 2) / (8 * w0)  # sqrt(3 + a^2) = a + 4 w0, a = omega
+    x, _ = kinematics.gauss_rule(40)
+    c1 = np.sqrt(a * a - 1.0) - 12 * w0 * x[25] + 2e-4
+    w1, w2 = float(omega(0.8, 1.0)), float(omega(-0.5, 1.0))
+    packets = [WavePacket(center=np.array([-(w1 + w2), c1]), width=w0),
+               WavePacket(center=np.array([w1, 0.8]), width=0.3),
+               WavePacket(center=np.array([w2, -0.5]), width=0.3)]
+    fine = StructureEvaluator(params, quad=QuadratureSettings(fold_nodes=192))
+    want = pv_leg_term(0, packets, fine)
+    assert abs(pv_leg_term(0, packets, StructureEvaluator(params)) - want) < 1e-13 * abs(want)
+
+
+@pytest.mark.parametrize("finite_time", [False, True])
+def test_numer_evaluated_once_per_k1(finite_time, packets4, params, monkeypatch):
+    ev = StructureEvaluator(params, quad=QuadratureSettings(outer_nodes=6))
+    calls = []
+
+    def spy(numer, *args, **kwargs):
+        calls.append(0)
+
+        def counted(k0):
+            calls[-1] += 1
+            return numer(k0)
+        return fold(counted, *args, **kwargs)
+
+    fold = structure.pv_fold
+    monkeypatch.setattr(structure, "pv_fold", spy)
+    kw = {}
+    if finite_time:
+        kw = dict(pv_multiplier=lambda k: chi_t("in", k, [3.0, 30.0], params), t_hint=30.0,
+                  window_fn=lambda w: _chi_windows(w, params.eps_phi))
+    val = pv_leg_term(1, list(packets4), ev, **kw)
+    assert calls == [1] * 6
+    assert np.all(val != 0)
+
+
+def test_t_scaled_panels_reuse_one_rule(trio, params, monkeypatch):
+    # t_hint = 1000 needs ~40 times the nodes of t_hint = 10, built from copies
+    # of the same Gauss rules: the threshold panels' sine rule and fold_nodes
+    ev = StructureEvaluator(params, quad=QuadratureSettings(outer_nodes=4))
+    built, sizes = [], []
+    leggauss = np.polynomial.legendre.leggauss
+    fold = structure.pv_fold
+
+    def record(n):
+        built[-1].add(n)
+        return leggauss(n)
+
+    def spy(numer, *args, **kwargs):
+        return fold(lambda k0: sizes.append(len(k0)) or numer(k0), *args, **kwargs)
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", record)
+    monkeypatch.setattr(structure, "pv_fold", spy)
+    for t in (10.0, 1000.0):
+        kinematics.gauss_rule.cache_clear()
+        built.append(set())
+        pv_leg_term(0, list(trio), ev, t_hint=t)
+    kinematics.gauss_rule.cache_clear()
+    assert built[0] == built[1] == {4, 24, int(1.6 * 24)}
+    assert sum(sizes[4:]) > 30 * sum(sizes[:4])

@@ -10,8 +10,9 @@ from qftscat.transfer import (
     TransferFamily,
     TransferPolynomial,
     hermiticity_identity_check,
+    _leg_columns,
+    _term_arrays,
     is_permutation_symmetric,
-    permute_legs,
     symmetrize_realify,
     validate_condition41,
 )
@@ -41,7 +42,7 @@ def test_lorentz_invariance_is_structural():
 
 def test_permute_legs_action():
     p = TransferPolynomial.from_terms(3, [({"q12": 1}, 1.0)])
-    q = permute_legs(p, (2, 0, 1))  # leg 0 -> 2, leg 1 -> 0: q12 -> q13
+    q = _oracle_permute_legs(p, (2, 0, 1))  # leg 0 -> 2, leg 1 -> 0: q12 -> q13
     ks = RNG.normal(size=(6, 3, 2))
     expected = minkowski_dot(ks[:, 2, :], ks[:, 0, :])
     assert np.allclose(q(ks), expected, atol=1e-12)
@@ -144,6 +145,15 @@ def test_from_terms_sums_repeated_terms_as_poly_addition_did():
 def test_from_terms_unknown_coordinate():
     with pytest.raises(ValueError):
         TransferPolynomial.from_terms(2, [({"q13": 1}, 1.0)])
+
+
+@pytest.mark.parametrize("deg", [-1, 1.5, 2.0, "2", True, None])
+def test_from_terms_rejects_degrees_that_are_not_non_negative_integers(deg):
+    # a Laurent term such as q12^-1 q13^-1 q23^-1 is no polynomial (condition 4.1)
+    with pytest.raises(ValueError):
+        TransferPolynomial.from_terms(3, [({}, 1.0), ({"q12": deg, "q13": 1}, 1.0)])
+    assert TransferPolynomial.from_terms(
+        3, [({"q12": np.int64(2), "q13": 0}, 1.0)]).poly.terms == {(0, 2, 0, 0, 0, 0): 1.0}
 
 
 # The array implementations against the term-by-term ones they replaced, kept
@@ -271,8 +281,10 @@ def test_column_permutations_match_term_by_term_action(n):
     rng = np.random.default_rng(100 + n)
     for complex_coeffs in (False, True):
         p = _random_poly(n, 40 if n < 5 else 3, 3, rng, complex_coeffs)
+        exps, coeffs = _term_arrays(p)
         for sigma in itertools.permutations(range(n)):
-            q = permute_legs(p, sigma)
+            rows = map(tuple, exps[:, _leg_columns(sigma, n)].tolist())
+            q = TransferPolynomial(n, Poly(p.ncoords, dict(zip(rows, coeffs))))
             _assert_same_terms(q, _oracle_permute_legs(p, sigma), 0.0)
             assert list(q.poly.terms.values()) == list(p.poly.terms.values())
         s = symmetrize_realify(p)
