@@ -89,6 +89,11 @@ def load_quadrature(cfg: dict) -> QuadratureSettings:
         raise ConfigError(f"quadrature: {exc}") from exc
 
 
+def _is_int(value) -> bool:
+    """value is a JSON integer (not true/false)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _finite_number(value) -> bool:
     """value is a JSON number (not true/false) that converts to a finite float."""
     return (isinstance(value, (int, float)) and not isinstance(value, bool)
@@ -111,7 +116,7 @@ def load_packet(block: dict, ctx: str, d: int) -> WavePacket:
         for t in _require(block, "poly_terms", ctx, list):
             t = _typed(t, dict, tctx)
             exps, coeff = tuple(_require(t, "exps", tctx, list)), _require(t, "coeff", tctx)
-            if not (_finite_number(coeff) and all(isinstance(e, int) and e >= 0 for e in exps)):
+            if not (_finite_number(coeff) and all(_is_int(e) and e >= 0 for e in exps)):
                 raise ConfigError(f"{tctx} needs non-negative integer exps and a finite coeff")
             terms[exps] = terms.get(exps, 0) + coeff
         poly = Poly(d, terms)
@@ -125,7 +130,7 @@ def load_polynomial(block, ctx: str) -> TransferPolynomial:
     """A transfer polynomial from its JSON form, every field type-checked;
     from_terms rejects unknown coordinates and non-integer or negative degrees."""
     n = _require(_typed(block, dict, ctx), "n", ctx)
-    if isinstance(n, bool) or not isinstance(n, int) or n < 2:
+    if not _is_int(n) or n < 2:
         raise ConfigError(f"{ctx}.n must be an integer >= 2")
     tctx = f"{ctx}.terms[]"
     for t in _require(block, "terms", ctx, list):
@@ -142,7 +147,7 @@ def load_transfer(block) -> TransferFamily | None:
     if isinstance(block, dict) and "terms" in block:
         p = load_polynomial(block, "transfer")
         l_max = block.get("l_max", max(p.per_argument_degrees(), default=2))
-        if isinstance(l_max, bool) or not isinstance(l_max, int) or l_max < 0:
+        if not _is_int(l_max) or l_max < 0:
             raise ConfigError("transfer.l_max must be a non-negative integer")
         fam = TransferFamily({2: TransferPolynomial.constant(2, 1.0), p.n: p}, l_max=l_max)
         report = validate_condition41(fam)
@@ -261,15 +266,18 @@ def cmd_converge(cfg, outdir) -> int:
 def cmd_fit(cfg, outdir, seed_override=None) -> int:
     params = load_model(cfg)
     block = _require(cfg, "fit", "config", dict)
-    n = int(_require(block, "n", "fit"))
-    r = int(_require(block, "r", "fit"))
+    n, r, e_max = (_require(block, key, "fit") for key in ("n", "r", "e_max"))
+    for key in ("n", "r", "max_degree", "train", "validate", "seed", "l_max", "e_max", "epsilon"):
+        number = key in ("e_max", "epsilon")
+        if key in block and not (_finite_number if number else _is_int)(block[key]):
+            raise ConfigError(f"fit.{key} must be {'a finite number' if number else 'an integer'}")
     fit_cfg = FitConfig(
-        e_max=float(_require(block, "e_max", "fit")),
+        e_max=float(e_max),
         epsilon=float(block.get("epsilon", 1e-3)),
-        max_degree=int(block.get("max_degree", 10)),
-        train_count=int(block.get("train", 2000)),
-        validate_count=int(block.get("validate", 500)),
-        seed=int(seed_override if seed_override is not None else block.get("seed", 0)),
+        max_degree=block.get("max_degree", 10),
+        train_count=block.get("train", 2000),
+        validate_count=block.get("validate", 500),
+        seed=seed_override if seed_override is not None else block.get("seed", 0),
     )
     ref_key = block.get("reference", "exp_q12")
     if isinstance(ref_key, dict):
@@ -279,8 +287,8 @@ def cmd_fit(cfg, outdir, seed_override=None) -> int:
             return np.real(planted(points))
     else:
         registry = reference_registry(params)
-        if ref_key not in registry:
-            raise ConfigError(f"fit.reference: unknown key {ref_key!r}")
+        if not isinstance(ref_key, str) or ref_key not in registry:
+            raise ConfigError(f"fit.reference must be an object or one of {sorted(registry)}")
         R = registry[ref_key]
     sample = sample_Qn(n, r, fit_cfg, params)
     if sample.empty:
@@ -291,12 +299,15 @@ def cmd_fit(cfg, outdir, seed_override=None) -> int:
     report = fit_polynomial(R, sample, fit_cfg)
     fam = None
     if report.passed:
-        fam = build_family({n: report}, l_max=int(block.get("l_max", 2 * report.degree_used + 2)))
+        fam = build_family({n: report}, l_max=block.get("l_max", 2 * report.degree_used + 2))
     _write_json(os.path.join(outdir, "fit_polynomial.json"), report.polynomial.to_json_dict())
     _write_json(os.path.join(outdir, "fit_summary.json"), _summary(cfg, {
         "achieved_sup_error": report.achieved_sup_error,
         "symmetrized_sup_error": report.symmetrized_sup_error,
         "degree_used": report.degree_used,
+        "coordinates": report.coordinates,
+        "symmetric_input": report.symmetric_input,
+        "history": report.history,
         "train_count": report.train_count,
         "validate_count": report.validate_count,
         "acceptance_rate": sample.acceptance_rate,

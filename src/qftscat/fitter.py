@@ -2,8 +2,9 @@
 
 Samples on-shell, momentum-conserving n-point configurations with the
 outgoing energy capped, maps them to pairwise Minkowski invariants, and
-fits real polynomials by least squares with degree escalation against a
-held-out validation sample.
+fits real polynomials by least squares, in a maximal affinely independent
+subset of the invariants, with degree escalation against a held-out
+validation sample.
 """
 from __future__ import annotations
 
@@ -12,8 +13,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import linalg
 
-from .kinematics import _multi_indices, invariant_map
+from .kinematics import _multi_indices, invariant_map, invariant_names
 from .polymath import Poly
 from .structure import two_body_solutions
 from .transfer import TransferFamily, TransferPolynomial, symmetrize_realify, validate_condition41
@@ -31,6 +33,8 @@ class FitConfig:
     def __post_init__(self):
         if self.epsilon <= 0 or self.train_count <= 0 or self.validate_count <= 0:
             raise ValueError("epsilon and sample counts must be positive")
+        if self.max_degree < 0:
+            raise ValueError("max_degree must be non-negative")
 
 
 @dataclass
@@ -136,6 +140,19 @@ class FitReport:
     passed: bool
     symmetric_input: bool = True  # whether R passed the permutation probe
     history: list = field(default_factory=list)
+    coordinates: list = field(default_factory=list)  # names of the fitted invariants
+
+
+def _affine_coordinates(q) -> list:
+    """Indices of a maximal affinely independent subset of the columns of q.
+
+    Column-pivoted QR of the centred columns, each scaled by 1 + max|q|; the
+    pivots whose |R_kk| exceeds 1e-9 |R_00| are kept, sorted. Every other
+    column, a constant one included, is affine in them on the sample."""
+    R, piv = linalg.qr((q - q.mean(axis=0)) / (1.0 + np.abs(q).max(axis=0)),
+                       mode="r", pivoting=True)
+    diag = np.abs(np.diag(R))
+    return sorted(piv[: np.count_nonzero(diag > 1e-9 * diag[0])].tolist())
 
 
 def _basis_matrix(qs, exps_list):
@@ -182,6 +199,11 @@ def fit_polynomial(R, sample: PhaseSpaceSample, cfg: FitConfig) -> FitReport:
     """Least-squares fit of R in the invariant-monomial basis, escalating
     the total degree until the validation sup error beats epsilon.
 
+    The monomials are in a maximal affinely independent subset of the
+    invariants (`_affine_coordinates`); on the conserving shell the others
+    are affine in it. Escalation stops before the basis has more columns
+    than half of cfg.train_count.
+
     R must be real-valued, Lorentz invariant and permutation symmetric,
     callable on (N, n, 2) momentum arrays. The sample covers one sign-pattern
     chamber of the permutation-invariant region, so training data is
@@ -219,10 +241,7 @@ def fit_polynomial(R, sample: PhaseSpaceSample, cfg: FitConfig) -> FitReport:
     y_tr = np.asarray(R(pts_tr), dtype=float)
     y_va = np.asarray(R(pts_va), dtype=float)
 
-    # coordinates constant on the shell surface carry no information
-    spread = q_tr.max(axis=0) - q_tr.min(axis=0)
-    vary_idx = [i for i in range(q_tr.shape[1])
-                if spread[i] > 1e-9 * (1.0 + np.abs(q_tr[:, i]).max())]
+    vary_idx = _affine_coordinates(q_tr)
     centers = q_tr[:, vary_idx].mean(axis=0)
     scales = np.maximum(np.abs(q_tr[:, vary_idx] - centers).max(axis=0), 1e-30)
     x_tr = (q_tr[:, vary_idx] - centers) / scales
@@ -232,13 +251,18 @@ def fit_polynomial(R, sample: PhaseSpaceSample, cfg: FitConfig) -> FitReport:
     best = None
     for deg in range(cfg.max_degree + 1):
         exps_list = list(_multi_indices(len(vary_idx), deg))
+        if deg and 2 * len(exps_list) > cfg.train_count:
+            history.append({"degree": deg, "basis_size": len(exps_list),
+                            "stopped": "more basis columns than half the training points"})
+            break
         A = _basis_matrix(x_tr, exps_list)
         col_scale = np.maximum(np.abs(A).max(axis=0), 1e-30)
-        coeffs, *_ = np.linalg.lstsq(A / col_scale, y_tr, rcond=None)
+        coeffs, _, rank, _ = np.linalg.lstsq(A / col_scale, y_tr, rcond=None)
         coeffs = coeffs / col_scale
         val_pred = _basis_matrix(x_va, exps_list) @ coeffs
         sup_err = float(np.max(np.abs(val_pred - y_va)))
-        history.append({"degree": deg, "sup_error": sup_err, "basis_size": len(exps_list)})
+        history.append({"degree": deg, "sup_error": sup_err, "basis_size": len(exps_list),
+                        "rank": int(rank)})
         if best is None or sup_err < best[0]:
             best = (sup_err, deg, coeffs, exps_list)
         if sup_err < cfg.epsilon:
@@ -254,6 +278,7 @@ def fit_polynomial(R, sample: PhaseSpaceSample, cfg: FitConfig) -> FitReport:
         train_count=cfg.train_count, validate_count=cfg.validate_count,
         epsilon=cfg.epsilon, passed=sup_err < cfg.epsilon,
         symmetric_input=symmetric_input, history=history,
+        coordinates=[invariant_names(n)[i] for i in vary_idx],
     )
 
 

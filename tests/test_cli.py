@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qftscat import __version__
-from qftscat.cli import load_packet, main
+from qftscat.cli import ConfigError, load_packet, main
 
 E08 = float(np.sqrt(0.8**2 + 1.0))
 EIN = [{"center": [-E08, 0.8], "width": 0.25}, {"center": [-E08, -0.8], "width": 0.25}]
@@ -274,3 +274,77 @@ def test_bad_transfer_block(tmp_path):
            "amplitude": {"packets_in": EIN, "packets_out": EOUT, "transfer": 42}}
     code, _ = _run(tmp_path, "amplitude", cfg)
     assert code == 1
+
+
+README_FIT = {"model": {"d": 2, "m": 1.0},
+              "fit": {"n": 4, "r": 2, "e_max": 4.0, "epsilon": 0.001,
+                      "train": 1500, "validate": 400, "seed": 3, "reference": "exp_q12"}}
+
+
+def test_fit_summary_reports_what_the_fit_did(tmp_path):
+    code, out = _run(tmp_path, "fit", README_FIT)
+    assert code == 0
+    summary = _load(out, "fit_summary.json")
+    assert summary["coordinates"] == ["q12", "q23"]
+    assert summary["symmetric_input"] is False
+    history = summary["history"]
+    assert [h["degree"] for h in history] == list(range(summary["degree_used"] + 1))
+    assert [h["basis_size"] for h in history] == [1, 3, 6, 10, 15, 21, 28]
+    # the sample lies on two lines of the conservation plane: 2 * degree + 1
+    assert [h["rank"] for h in history] == [1, 3, 5, 7, 9, 11, 13]
+    assert history[-1]["sup_error"] == summary["achieved_sup_error"]
+    first = (out / "fit_summary.json").read_bytes()
+    assert _run(tmp_path, "fit", README_FIT)[0] == 0
+    assert (out / "fit_summary.json").read_bytes() == first
+
+
+def test_fit_with_more_unknowns_than_half_the_rows_exits_2(tmp_path):
+    cfg = {**README_FIT, "fit": {**README_FIT["fit"], "train": 10, "validate": 10}}
+    code, out = _run(tmp_path, "fit", cfg)
+    assert code == 2
+    summary = _load(out, "fit_summary.json")
+    assert not summary["passed"] and not summary["family_valid"]
+    assert summary["history"][-1] == {
+        "degree": 2, "basis_size": 6,
+        "stopped": "more basis columns than half the training points"}
+
+
+def _assert_fit_config_errors(tmp_path, capsys, fields):
+    for field in fields:
+        cfg = {**README_FIT, "fit": {**README_FIT["fit"], **field}}
+        code, out = _run(tmp_path, "fit", cfg)
+        err = capsys.readouterr().err
+        assert code == 1, field
+        assert "config error" in err and "Traceback" not in err
+        assert not list(out.glob("*_summary.json"))
+
+
+def test_packet_boolean_exponents_rejected(tmp_path, capsys):
+    for exps in ([True, 0], [0, False]):
+        block = {**EIN[0], "poly_terms": [{"exps": exps, "coeff": 1.0}]}
+        with pytest.raises(ConfigError):
+            load_packet(block, "amplitude.packets_in", 2)
+        cfg = {"amplitude": {"packets_in": [block, EIN[1]], "packets_out": EOUT}}
+        code, _ = _run(tmp_path, "amplitude", cfg)
+        assert code == 1 and "config error" in capsys.readouterr().err
+
+
+def test_fit_integer_fields_type_checked(tmp_path, capsys):
+    _assert_fit_config_errors(tmp_path, capsys, [
+        {key: value} for key in ("n", "r", "max_degree", "train", "validate", "seed", "l_max")
+        for value in ([4], True, 4.5, "4", None)])
+
+
+def test_fit_number_fields_type_checked(tmp_path, capsys):
+    _assert_fit_config_errors(tmp_path, capsys, [
+        {key: value} for key in ("e_max", "epsilon")
+        for value in (None, True, "4", [4.0], math.inf)])
+
+
+def test_fit_reference_type_checked(tmp_path, capsys):
+    _assert_fit_config_errors(tmp_path, capsys, [
+        {"reference": value} for value in (["exp_q12"], None, 5, True, "exp_q13")])
+
+
+def test_fit_negative_max_degree_is_a_config_error(tmp_path, capsys):
+    _assert_fit_config_errors(tmp_path, capsys, [{"max_degree": -1}])

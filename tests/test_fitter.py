@@ -12,7 +12,7 @@ from qftscat.fitter import (
     reference_registry,
     sample_Qn,
 )
-from qftscat.kinematics import _multi_indices
+from qftscat.kinematics import _multi_indices, invariant_map
 from qftscat.polymath import Poly
 from qftscat.transfer import (
     TransferPolynomial,
@@ -199,3 +199,87 @@ def test_assembly_matches_oracle_on_random_centres(n):
         centers = rng.normal(scale=2.0, size=len(vary_idx))
         scales = rng.uniform(0.3, 3.0, size=len(vary_idx))
         _assert_assembly_matches_oracle((n, coeffs, exps_list, vary_idx, centers, scales))
+
+
+def _spread_test_predictions(R, sample, cfg, degree):
+    """The fit before the rank test, as an oracle: every invariant that is not
+    constant on the training points (the per-coordinate spread test), centred
+    and scaled, and the minimum-norm least-squares fit in all its monomials of
+    total degree <= degree. R must fail the symmetry probe (no permuted
+    copies). Returns the predictions on the validation points."""
+    pts_tr = sample.points[: cfg.train_count]
+    pts_va = sample.points[cfg.train_count : cfg.train_count + cfg.validate_count]
+    q_tr = invariant_map([pts_tr[:, l, :] for l in range(sample.n)])
+    q_va = invariant_map([pts_va[:, l, :] for l in range(sample.n)])
+    spread = q_tr.max(axis=0) - q_tr.min(axis=0)
+    vary = [i for i in range(q_tr.shape[1])
+            if spread[i] > 1e-9 * (1.0 + np.abs(q_tr[:, i]).max())]
+    centers = q_tr[:, vary].mean(axis=0)
+    scales = np.abs(q_tr[:, vary] - centers).max(axis=0)
+    exps_list = list(_multi_indices(len(vary), degree))
+    A = fitter._basis_matrix((q_tr[:, vary] - centers) / scales, exps_list)
+    col_scale = np.abs(A).max(axis=0)
+    coeffs = np.linalg.lstsq(A / col_scale, R(pts_tr), rcond=None)[0] / col_scale
+    return fitter._basis_matrix((q_va[:, vary] - centers) / scales, exps_list) @ coeffs
+
+
+@pytest.mark.parametrize("seed", [3, 7])
+def test_rank_test_fit_matches_spread_test_oracle(params, seed):
+    # the CLI fit of exp(-q12) at 400 + 100 points; seed 7 needs degree 8,
+    # where the spread test's basis has 3,003 columns and the rank test's 45
+    cfg = FitConfig(e_max=4.0, epsilon=1e-3, train_count=400, validate_count=100, seed=seed)
+    s = sample_Qn(4, 2, cfg, params)
+    R = reference_registry(params)["exp_q12"]
+    report = fit_polynomial(R, s, cfg)
+    assert report.passed and len(report.coordinates) == 2
+    pts_va = s.points[cfg.train_count :]
+    for h in report.history:
+        pred = _spread_test_predictions(R, s, cfg, h["degree"])
+        oracle_err = np.max(np.abs(pred - R(pts_va)))
+        assert abs(h["sup_error"] - oracle_err) <= 1e-9 * oracle_err
+        assert h["rank"] <= h["basis_size"] == len(list(_multi_indices(2, h["degree"])))
+    raw = np.real(report.raw_polynomial(pts_va))
+    assert np.max(np.abs(raw - pred)) <= 1e-8
+
+
+def test_dropped_invariants_are_affine_in_kept(sample4):
+    cfg, s = sample4
+    q = invariant_map([s.points[:, l, :] for l in range(4)])
+    kept = fitter._affine_coordinates(q)
+    assert len(kept) == 2
+    basis = np.column_stack([np.ones(q.shape[0]), q[:, kept]])
+    assert np.linalg.matrix_rank(basis) == 3
+    for i in sorted(set(range(q.shape[1])) - set(kept)):
+        coeffs, *_ = np.linalg.lstsq(basis, q[:, i], rcond=None)
+        residual = np.max(np.abs(basis @ coeffs - q[:, i]))
+        assert residual <= 1e-9 * (1.0 + np.abs(q[:, i]).max())
+    # the permuted copies a symmetric fit trains on keep the same two dimensions
+    report = fit_polynomial(lambda pts: np.real(_planted_sym4()(pts)), s, cfg)
+    assert report.symmetric_input and report.coordinates == ["q12", "q23"]
+
+
+def test_planted_in_dropped_invariants_recovered(sample4):
+    cfg, s = sample4
+    planted = TransferPolynomial.from_terms(4, [({"q34": 2}, 1.0), ({"q24": 1}, 1.0)])
+    report = fit_polynomial(lambda pts: np.real(planted(pts)), s, cfg)
+    assert not {"q34", "q24"} & set(report.coordinates)
+    assert report.passed and report.degree_used == 2
+    pts_va = s.points[cfg.train_count :]
+    assert np.max(np.abs(np.real(report.raw_polynomial(pts_va)) - planted(pts_va).real)) <= 1e-10
+
+
+def test_escalation_stops_before_basis_exceeds_half_the_training_points(params):
+    cfg = FitConfig(e_max=4.0, epsilon=1e-3, train_count=10, validate_count=10, seed=3)
+    report = fit_polynomial(reference_registry(params)["exp_q12"], sample_Qn(4, 2, cfg, params),
+                            cfg)
+    assert not report.passed and report.degree_used == 1
+    assert [h["degree"] for h in report.history] == [0, 1, 2]
+    assert all(2 * h["basis_size"] <= cfg.train_count for h in report.history[:-1])
+    stop = report.history[-1]
+    assert stop["basis_size"] == 6 and "sup_error" not in stop
+    assert stop["stopped"] == "more basis columns than half the training points"
+
+
+def test_negative_max_degree_rejected():
+    with pytest.raises(ValueError):
+        FitConfig(e_max=4.0, max_degree=-1)
