@@ -1,8 +1,9 @@
 """Command-line front end: configuration loading, pipelines, JSON/CSV output.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 numerical
-acceptance failure. Every JSON summary embeds the config hash and the
-library version so identical config+seed reruns are byte-identical.
+acceptance failure or a failed numerical self-check (NumericalError).
+Every JSON summary embeds the config hash and the library version so
+identical config+seed reruns are byte-identical.
 """
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ from .gns import (
     structure_pairing,
     BorchersVector,
 )
-from .kinematics import ModelParams, WavePacket
+from .kinematics import ModelParams, NumericalError, WavePacket
 from .lszlab import convergence_study, pv_limit_demo
 from .polymath import Poly
 from .structure import QuadratureSettings, SpectralDensity, StructureEvaluator
@@ -325,7 +326,9 @@ def cmd_gram(cfg, outdir) -> int:
     packets = [load_packet(b, "gram.packets", params.d)
                for b in _require(block, "packets", "gram", list)]
     family = [BorchersVector.one_particle(p) for p in packets]
-    K, L = int(block.get("K", 2)), int(block.get("L", 2))
+    K, L = block.get("K", 2), block.get("L", 2)
+    if not (_is_int(K) and _is_int(L) and K >= 0 and L >= 0):
+        raise ConfigError("gram.K and gram.L must be non-negative integers")
     fam = load_transfer(block.get("transfer"))
     if label in ("in", "out"):
         min_eig, gram, psd_ok = inout_positivity_check(ev, family, label, fam=fam)
@@ -461,6 +464,9 @@ def main(argv=None) -> int:
     except (ValueError, NotImplementedError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
+    except NumericalError as exc:
+        print(f"numerical error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

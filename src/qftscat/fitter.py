@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import linalg
 
-from .kinematics import _multi_indices, invariant_map, invariant_names
+from .kinematics import NumericalError, _multi_indices, invariant_map, invariant_names
 from .polymath import Poly
 from .structure import two_body_solutions
 from .transfer import TransferFamily, TransferPolynomial, symmetrize_realify, validate_condition41
@@ -123,7 +123,7 @@ def sample_Qn(n: int, r: int, cfg: FitConfig, params, count: int | None = None,
     if points.shape[0]:
         mask = recheck_constraints(points, n, r, cfg.e_max, m)
         if not mask.all():
-            raise RuntimeError("sampled point failed independent constraint recheck")
+            raise NumericalError("sampled point failed independent constraint recheck")
     return PhaseSpaceSample(n, r, points, cfg.e_max, rate, diagnostics)
 
 
@@ -257,12 +257,12 @@ def fit_polynomial(R, sample: PhaseSpaceSample, cfg: FitConfig) -> FitReport:
             break
         A = _basis_matrix(x_tr, exps_list)
         col_scale = np.maximum(np.abs(A).max(axis=0), 1e-30)
-        coeffs, _, rank, _ = np.linalg.lstsq(A / col_scale, y_tr, rcond=None)
+        coeffs, _, rank, sv = np.linalg.lstsq(A / col_scale, y_tr, rcond=None)
         coeffs = coeffs / col_scale
         val_pred = _basis_matrix(x_va, exps_list) @ coeffs
         sup_err = float(np.max(np.abs(val_pred - y_va)))
         history.append({"degree": deg, "sup_error": sup_err, "basis_size": len(exps_list),
-                        "rank": int(rank)})
+                        "rank": int(rank), "cond": float(sv[0] / sv[rank - 1])})
         if best is None or sup_err < best[0]:
             best = (sup_err, deg, coeffs, exps_list)
         if sup_err < cfg.epsilon:

@@ -1,4 +1,4 @@
-"""Minkowski geometry, mass shells, cutoffs, wave packets and Fourier convention.
+"""Minkowski geometry, mass shells, cutoffs, wave packets and Schwartz norms.
 
 Shared substrate: metric signature (+,-,...,-), forward/backward shells
 k^0 = +/- omega(k_vec), the smooth plateau cutoff phi, and the Gaussian x
@@ -11,11 +11,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .polymath import Poly
 
 TAIL_WIDTHS = 12.0  # truncation of Gaussian packets, exp(-72) tails
+
+
+class NumericalError(RuntimeError):
+    """A numerical self-check failed: a grid too small, a sample off its constraints."""
 
 
 @dataclass(frozen=True)
@@ -309,7 +312,10 @@ def schwartz_norm_1leg(
     grid_points: int = 241,
     boundary_tol: float = 1e-3,
 ) -> float:
-    """sup over k, |beta|<=K of (1+|k|^2)^{L/2} |D^beta f(k)| on a grid."""
+    """sup over k, |beta|<=K of (1+|k|^2)^{L/2} |D^beta f(k)| on a grid.
+
+    D^beta f = P_beta G exp(-i a.k) with a real phase a, so the weighted
+    modulus is E |P_beta| with one envelope E = (1+|k|^2)^{L/2} G for all beta."""
     if K < 0 or L < 0:
         raise ValueError("K, L must be nonnegative")
     d = packet.dim
@@ -317,8 +323,16 @@ def schwartz_norm_1leg(
     # weight grows polynomially, Gaussian wins; extend for large L
     reach += packet.width * math.sqrt(max(L, 1))
     axes = [np.linspace(-reach, reach, grid_points)] * d
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    weight = (1.0 + np.sum(mesh**2, axis=-1)) ** (L / 2.0)
+
+    def envelope(grid):
+        cols = [x.reshape((-1,) + (1,) * (d - 1 - i)) for i, x in enumerate(grid)]
+        k2 = functools.reduce(np.add, (x**2 for x in cols))
+        r2 = functools.reduce(np.add, ((x - c) ** 2 for x, c in zip(cols, packet.center)))
+        return (1.0 + k2) ** (L / 2.0) * np.exp(-r2 / (2 * packet.width**2))
+
+    env = envelope(axes)
+    edge = np.ones(env.shape, dtype=bool)
+    edge[(slice(1, -1),) * d] = False
 
     best = 0.0
     boundary_max = 0.0
@@ -327,36 +341,22 @@ def schwartz_norm_1leg(
         for axis, order in enumerate(beta):
             for _ in range(order):
                 g = g.derivative(axis)
-
-        def expr(pts):
-            w = (1.0 + np.sum(pts**2, axis=-1)) ** (L / 2.0)
-            return w * np.abs(g(pts))
-
-        vals = expr(mesh)
+        vals = env * np.abs(g.poly.on_grid(axes))
         local = float(vals.max())
         # zoom around the grid argmax so the sup is not limited by the mesh pitch
-        idx = np.unravel_index(np.argmax(vals), vals.shape)
-        center = mesh[idx]
+        center = [x[i] for x, i in zip(axes, np.unravel_index(np.argmax(vals), vals.shape))]
         h = 2.0 * reach / (grid_points - 1)
         for _ in range(6):
             zoom_axes = [np.linspace(c - 2 * h, c + 2 * h, 17) for c in center]
-            zm = np.stack(np.meshgrid(*zoom_axes, indexing="ij"), axis=-1)
-            zv = expr(zm)
+            zv = envelope(zoom_axes) * np.abs(g.poly.on_grid(zoom_axes))
             zi = np.unravel_index(np.argmax(zv), zv.shape)
-            center = zm[zi]
+            center = [x[i] for x, i in zip(zoom_axes, zi)]
             local = max(local, float(zv.max()))
             h /= 4.0
         best = max(best, local)
-        edge = np.zeros(vals.shape, dtype=bool)
-        for axis in range(d):
-            sl = [slice(None)] * d
-            sl[axis] = 0
-            edge[tuple(sl)] = True
-            sl[axis] = -1
-            edge[tuple(sl)] = True
         boundary_max = max(boundary_max, float(vals[edge].max()))
     if best > 0 and boundary_max > boundary_tol * best:
-        raise RuntimeError(
+        raise NumericalError(
             f"schwartz_norm grid too small: boundary {boundary_max:.3e} vs max {best:.3e}"
         )
     return best
@@ -375,20 +375,6 @@ def schwartz_norm(packets, K: int, L: int, grid_points: int = 241) -> float:
     for p in packets:
         out *= schwartz_norm_1leg(p, K, L, grid_points=grid_points)
     return out
-
-
-def fourier_1d(f, t: float, support=(-30.0, 30.0), tol: float = 1e-10) -> complex:
-    """(2 pi)^{-1/2} int exp(-i xi t) f(xi) d xi with error control."""
-    a, b = support
-    re, re_err = integrate.quad(
-        lambda x: float(np.real(f(x) * np.exp(-1j * x * t))), a, b, limit=400
-    )
-    im, im_err = integrate.quad(
-        lambda x: float(np.imag(f(x) * np.exp(-1j * x * t))), a, b, limit=400
-    )
-    if max(re_err, im_err) > max(tol, 1e-8 * (abs(re) + abs(im))):
-        raise RuntimeError(f"fourier_1d quadrature error {max(re_err, im_err):.2e}")
-    return (re + 1j * im) / math.sqrt(2 * math.pi)
 
 
 @functools.lru_cache

@@ -50,6 +50,19 @@ class Poly:
             out += term
         return out
 
+    def on_grid(self, axes):
+        """Values on the tensor grid of the 1-D arrays axes, shape (len(axes[0]), ...):
+        the coefficient array contracted with one power table per axis."""
+        if len(axes) != self.nvars:
+            raise ValueError("need one axis per variable")
+        exps = np.array(list(self.terms) or [(0,) * self.nvars], dtype=int)
+        out = np.zeros(tuple(exps.max(axis=0) + 1), dtype=complex)
+        for e, c in self.terms.items():
+            out[e] = c
+        for x, top in zip(axes, out.shape):
+            out = np.tensordot(out, np.asarray(x)[:, None] ** np.arange(top), axes=([0], [1]))
+        return out
+
     def __add__(self, other: "Poly") -> "Poly":
         if other.nvars != self.nvars:
             raise ValueError("nvars mismatch")

@@ -292,6 +292,8 @@ def test_fit_summary_reports_what_the_fit_did(tmp_path):
     assert [h["basis_size"] for h in history] == [1, 3, 6, 10, 15, 21, 28]
     # the sample lies on two lines of the conservation plane: 2 * degree + 1
     assert [h["rank"] for h in history] == [1, 3, 5, 7, 9, 11, 13]
+    # condition number s[0]/s[rank-1] of the scaled basis over its numerical rank
+    assert all(math.isfinite(h["cond"]) and h["cond"] >= 1.0 for h in history)
     assert history[-1]["sup_error"] == summary["achieved_sup_error"]
     first = (out / "fit_summary.json").read_bytes()
     assert _run(tmp_path, "fit", README_FIT)[0] == 0
@@ -348,3 +350,34 @@ def test_fit_reference_type_checked(tmp_path, capsys):
 
 def test_fit_negative_max_degree_is_a_config_error(tmp_path, capsys):
     _assert_fit_config_errors(tmp_path, capsys, [{"max_degree": -1}])
+
+
+def test_gram_orders_type_checked(tmp_path, capsys):
+    packs = [{"center": [float(np.sqrt(k * k + 1)), k], "width": 0.3} for k in (-0.3, 0.3)]
+    for key in ("K", "L"):
+        for value in (None, [1], 2.7, True, -1, "2"):
+            cfg = {"gram": {"label": "in", "packets": packs, key: value}}
+            code, out = _run(tmp_path, "gram", cfg)
+            err = capsys.readouterr().err
+            assert code == 1, (key, value)
+            assert "config error" in err and "Traceback" not in err
+            assert not list(out.glob("*_summary.json"))
+
+
+def test_gram_grid_check_is_a_numerical_error(tmp_path, capsys):
+    pk = {"center": [0, 0], "width": 0.3, "poly_terms": [{"exps": [120, 0], "coeff": 1}]}
+    code, out = _run(tmp_path, "gram", {"gram": {"packets": [pk]}})
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "numerical error: schwartz_norm grid too small" in err and "Traceback" not in err
+    assert not list(out.glob("*_summary.json"))
+
+
+def test_fit_recheck_failure_is_a_numerical_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("qftscat.fitter.recheck_constraints",
+                        lambda points, *args: np.zeros(len(points), dtype=bool))
+    code, out = _run(tmp_path, "fit", README_FIT)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "numerical error: sampled point failed" in err and "Traceback" not in err
+    assert not list(out.glob("*_summary.json"))

@@ -1,4 +1,4 @@
-"""Geometry, cutoffs, packets, norms and the Fourier convention."""
+"""Geometry, cutoffs, packets and Schwartz norms."""
 import math
 
 import numpy as np
@@ -7,12 +7,12 @@ import pytest
 from qftscat.kinematics import (
     CutoffSpec,
     ModelParams,
+    NumericalError,
     PacketProduct,
     ShellPoint,
     WavePacket,
     boost_matrix,
     chi_plus_minus,
-    fourier_1d,
     gauss_legendre,
     gauss_rule,
     invariant_index,
@@ -21,7 +21,9 @@ from qftscat.kinematics import (
     minkowski_dot,
     minkowski_sq,
     omega,
+    _multi_indices,
     schwartz_norm,
+    schwartz_norm_1leg,
     space_reflection,
     time_reflection,
 )
@@ -195,16 +197,78 @@ def test_schwartz_norm_monotone():
     assert schwartz_norm(pk, 2, 2) >= max(vals[:4])
 
 
-def test_fourier_gaussian_and_linearity():
-    g = lambda x: np.exp(-0.5 * np.asarray(x) ** 2)
-    for t in (0.0, 0.7, 2.5):
-        assert abs(fourier_1d(g, t) - math.exp(-0.5 * t * t)) < 1e-10
-    h = lambda x: np.exp(-0.5 * (np.asarray(x) - 1.0) ** 2)
-    combo = lambda x: 2.0 * g(x) + 0.5j * h(x)
-    t = 1.3
-    lhs = fourier_1d(combo, t)
-    rhs = 2.0 * fourier_1d(g, t) + 0.5j * fourier_1d(h, t)
-    assert abs(lhs - rhs) < 1e-12
+def _mesh_norm_1leg(packet, K, L, grid_points=241):
+    """The seminorm evaluated pointwise on stacked meshgrids, as an oracle:
+    (1+|k|^2)^{L/2} |D^beta f| from WavePacket.__call__ on the same grid and
+    zoom rule as schwartz_norm_1leg (boundary check left out)."""
+    d = packet.dim
+    reach = abs(packet.center).max() + 12.0 * packet.width
+    reach += packet.width * math.sqrt(max(L, 1))
+    axes = [np.linspace(-reach, reach, grid_points)] * d
+    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    best = 0.0
+    for beta in _multi_indices(d, K):
+        g = packet
+        for axis, order in enumerate(beta):
+            for _ in range(order):
+                g = g.derivative(axis)
+
+        def expr(pts):
+            return (1.0 + np.sum(pts**2, axis=-1)) ** (L / 2.0) * np.abs(g(pts))
+
+        vals = expr(mesh)
+        local = float(vals.max())
+        center = mesh[np.unravel_index(np.argmax(vals), vals.shape)]
+        h = 2.0 * reach / (grid_points - 1)
+        for _ in range(6):
+            zoom_axes = [np.linspace(c - 2 * h, c + 2 * h, 17) for c in center]
+            zm = np.stack(np.meshgrid(*zoom_axes, indexing="ij"), axis=-1)
+            zv = expr(zm)
+            center = zm[np.unravel_index(np.argmax(zv), zv.shape)]
+            local = max(local, float(zv.max()))
+            h /= 4.0
+        best = max(best, local)
+    return best
+
+
+def _random_packet(rng, d, phase):
+    terms = {tuple(int(e) for e in rng.integers(0, 3, size=d)): complex(*rng.normal(size=2))
+             for _ in range(3)}
+    return WavePacket(center=rng.normal(scale=0.8, size=d), width=float(rng.uniform(0.3, 1.0)),
+                      poly=Poly(d, terms), phase=rng.normal(size=d) if phase else None)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("phase", [False, True])
+def test_schwartz_norm_matches_mesh_oracle(d, phase):
+    rng = np.random.default_rng(10 * d + phase)
+    for K, L in [(K, L) for K in range(3) for L in range(4)]:
+        pk = _random_packet(rng, d, phase)
+        oracle = _mesh_norm_1leg(pk, K, L)
+        assert abs(schwartz_norm_1leg(pk, K, L) - oracle) <= 1e-12 * oracle, (K, L)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_poly_on_grid_matches_pointwise_call(d):
+    rng = np.random.default_rng(d)
+    terms = {tuple(int(e) for e in rng.integers(0, 4, size=d)): complex(*rng.normal(size=2))
+             for _ in range(6)}
+    p = Poly(d, terms)
+    axes = [rng.normal(scale=2.0, size=5 + i) for i in range(d)]
+    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    grid = p.on_grid(axes)
+    assert grid.shape == tuple(len(x) for x in axes)
+    assert np.allclose(grid, p(mesh), rtol=1e-12, atol=1e-12 * np.abs(p(mesh)).max())
+    assert np.array_equal(Poly(d).on_grid(axes), np.zeros(grid.shape))
+    with pytest.raises(ValueError):
+        p.on_grid(axes[:-1] + [axes[0], axes[0]])
+
+
+def test_schwartz_norm_grid_check_raises():
+    # x^120 peaks at |x| = sqrt(120) * 0.3, past the grid's 12 widths
+    pk = WavePacket(center=np.array([0.0]), width=0.3, poly=Poly.monomial(1, (120,)))
+    with pytest.raises(NumericalError, match="grid too small"):
+        schwartz_norm_1leg(pk, 2, 2)
 
 
 def test_gauss_legendre_exactness():
