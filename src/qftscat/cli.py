@@ -34,7 +34,7 @@ from .lszlab import convergence_study, pv_limit_demo
 from .polymath import Poly
 from .structure import QuadratureSettings, SpectralDensity, StructureEvaluator
 from .transfer import TransferFamily, TransferPolynomial, validate_condition41
-from .truncation import KernelFunctional, bell_number, truncate, untruncate
+from .truncation import DEFAULT_MAX_ORDER, KernelFunctional, bell_number, truncate, untruncate
 
 log = logging.getLogger("qftscat")
 
@@ -376,9 +376,13 @@ def _random_kernel_family(max_order: int, seed: int) -> KernelFunctional:
 
 def cmd_truncate_demo(cfg, outdir, seed_override=None) -> int:
     block = _typed(cfg.get("truncate-demo", {}), dict, "truncate-demo")
-    max_order = int(block.get("max_order", 4))
-    tuples = int(block.get("tuples", 100))
-    seed = int(seed_override if seed_override is not None else block.get("seed", 0))
+    max_order = block.get("max_order", 4)
+    tuples = block.get("tuples", 100)
+    seed = seed_override if seed_override is not None else block.get("seed", 0)
+    for key, value, lo, hi in (("max_order", max_order, 1, DEFAULT_MAX_ORDER),
+                               ("tuples", tuples, 1, 1000), ("seed", seed, 0, None)):
+        if not (_is_int(value) and value >= lo and (hi is None or value <= hi)):
+            raise ConfigError(f"truncate-demo.{key} must be an integer in {lo}..{hi or ''}")
     rng = np.random.default_rng(seed + 1)
     w = _random_kernel_family(max_order, seed)
     wt = truncate(w)

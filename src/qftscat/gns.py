@@ -105,14 +105,8 @@ def full_pairing(connected, max_order: int = 4):
     """Assemble the full functional from a connected pairing: the sum over
     set partitions of products of connected block pairings (each block keeps
     its internal leg order). Orders above max_order raise."""
-    kf = KernelFunctional(max_order,
-                          {n: (lambda pts: connected(pts)) for n in range(1, max_order + 1)})
-    full = untruncate(kf)
-
-    def pairing(packets) -> complex:
-        return full.eval(tuple(packets))
-
-    return pairing
+    kf = KernelFunctional(max_order, dict.fromkeys(range(1, max_order + 1), connected))
+    return untruncate(kf).eval
 
 
 def structure_pairing(ev: StructureEvaluator, labels_for=None, fam=None):

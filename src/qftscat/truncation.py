@@ -1,59 +1,68 @@
-"""Set-partition combinatorics and moment/cumulant transforms on kernel families.
+"""Moment/cumulant transforms on kernel families, over the subsets of one point tuple.
 
 A kernel functional is a finite family of point-evaluable n-point kernels.
-The connected (truncated) family is obtained by Mobius-style recursion over
-set partitions; untruncation is the forward sum over partitions.
+For one point tuple, a functional's values on all its sub-tuples form a table
+keyed by subset bitmask. The connected (truncated) table is obtained from the
+full one by Mobius recursion over set partitions, and untruncation is the
+forward sum over partitions; both fill each entry once, on first read, with a
+compensated sum.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 from functools import lru_cache
+from itertools import islice
 
-MAX_PARTITION_N = 12
 DEFAULT_MAX_ORDER = 6
 
 
-@dataclass(frozen=True)
-class Partition:
-    """Partition of (1,...,n) into disjoint blocks, natural order inside blocks."""
-
-    blocks: tuple
-    n: int
-
-    def __post_init__(self):
-        seen = []
-        for b in self.blocks:
-            if list(b) != sorted(b):
-                raise ValueError("block not in natural order")
-            seen.extend(b)
-        if sorted(seen) != list(range(1, self.n + 1)):
-            raise ValueError("blocks must partition 1..n")
-
-
 @lru_cache(maxsize=None)
-def _partitions_tuple(n: int):
-    """All partitions of (1..n) as tuples of tuples (restricted growth strings)."""
-    if n == 0:
+def _partitions(mask: int) -> tuple:
+    """Every set partition of the bits of mask, as tuples of block masks ordered
+    by their lowest bit; the single block (mask,) comes first."""
+    if mask == 0:
         return ((),)
-    out = []
-    for prev in _partitions_tuple(n - 1):
-        for i in range(len(prev)):
-            out.append(prev[:i] + (prev[i] + (n,),) + prev[i + 1 :])
-        out.append(prev + ((n,),))
-    return tuple(out)
-
-
-def enumerate_partitions(n: int):
-    """Every partition of (1,...,n) exactly once; count = Bell(n)."""
-    if not 1 <= n <= MAX_PARTITION_N:
-        raise ValueError(f"n must be in 1..{MAX_PARTITION_N}")
-    return [Partition(blocks=b, n=n) for b in _partitions_tuple(n)]
+    low = mask & -mask
+    rest = mask ^ low
+    out, sub = [], rest
+    while True:
+        out.extend(((low | sub),) + part for part in _partitions(rest ^ sub))
+        if sub == 0:
+            return tuple(out)
+        sub = (sub - 1) & rest
 
 
 def bell_number(n: int) -> int:
-    if n == 0:
-        return 1
-    return len(_partitions_tuple(n))
+    return len(_partitions((1 << n) - 1))
+
+
+def _mobius(mask: int, blocks, head: complex, sign: float) -> complex:
+    """head + sign * (sum over partitions of mask into two or more blocks of the
+    product of blocks[block]), summed with math.fsum per real and imaginary part.
+    A product stops at its first zero block, so later blocks are not read."""
+    re, im = [head.real], [head.imag]
+    for part in islice(_partitions(mask), 1, None):
+        prod = 1.0 + 0.0j
+        for block in part:
+            prod *= blocks[block]
+            if prod == 0:
+                break
+        re.append(sign * prod.real)
+        im.append(sign * prod.imag)
+    return complex(math.fsum(re), math.fsum(im))
+
+
+class _SubsetTable(dict):
+    """Values on the sub-tuples of one point tuple, keyed by bitmask, each
+    computed by entry(mask) on first read."""
+
+    def __init__(self, entry):
+        super().__init__()
+        self.entry = entry
+
+    def __missing__(self, mask):
+        val = self[mask] = self.entry(mask)
+        return val
 
 
 class KernelFunctional:
@@ -81,59 +90,39 @@ class KernelFunctional:
     def __call__(self, points) -> complex:
         return self.eval(points)
 
+    def table(self, points) -> _SubsetTable:
+        """This functional on every sub-tuple of points (order kept), by bitmask."""
+        return _SubsetTable(lambda mask: self.eval(
+            p for i, p in enumerate(points) if mask >> i & 1))
 
-def untruncate(wt: KernelFunctional) -> KernelFunctional:
-    """Assemble W(1..n) = sum over partitions of products of W^T(blocks)."""
-    if wt.w0 != 0:
-        raise ValueError("truncated functional must have vanishing scalar part")
 
-    def make(n):
-        def W_n(points):
-            total = 0.0j
-            for part in _partitions_tuple(n):
-                prod = 1.0 + 0.0j
-                for block in part:
-                    prod *= wt.eval(tuple(points[i - 1] for i in block))
-                    if prod == 0:
-                        break
-                total += prod
-            return total
+class _Transform(KernelFunctional):
+    """Functional whose table is built from inner's table on the same points:
+    entry(mask, inner table, own table) gives one entry."""
 
-        return W_n
+    def __init__(self, inner: KernelFunctional, entry):
+        def whole(points):
+            return self.table(points)[(1 << len(points)) - 1]
 
-    kernels = {n: make(n) for n in range(1, wt.max_order + 1)}
-    return KernelFunctional(wt.max_order, kernels, w0=0.0)
+        super().__init__(inner.max_order, dict.fromkeys(range(1, inner.max_order + 1), whole))
+        self.inner, self.entry = inner, entry
+
+    def table(self, points) -> _SubsetTable:
+        src = self.inner.table(points)
+        own = _SubsetTable(lambda mask: self.entry(mask, src, own))
+        return own
 
 
 def truncate(w: KernelFunctional) -> KernelFunctional:
-    """Invert untruncate: W^T(1..n) = W(1..n) - sum over proper partitions."""
+    """W^T(S) = W(S) - sum over partitions of S into two or more blocks of prod W^T."""
+    return _Transform(w, lambda mask, full, wt: _mobius(mask, wt, full[mask], -1.0))
 
-    def wt_eval(points, idx, _cache):
-        # memoize on the index subset; argument points may be unhashable
-        if idx in _cache:
-            return _cache[idx]
-        val = w.eval(tuple(points[i] for i in idx))
-        for part in _partitions_tuple(len(idx)):
-            if len(part) == 1:
-                continue
-            prod = 1.0 + 0.0j
-            for block in part:
-                prod *= wt_eval(points, tuple(idx[i - 1] for i in block), _cache)
-                if prod == 0:
-                    break
-            val -= prod
-        _cache[idx] = val
-        return val
 
-    def make(n):
-        def WT_n(points):
-            points = tuple(points)
-            return wt_eval(points, tuple(range(n)), {})
-
-        return WT_n
-
-    kernels = {n: make(n) for n in range(1, w.max_order + 1)}
-    return KernelFunctional(w.max_order, kernels, w0=0.0)
+def untruncate(wt: KernelFunctional) -> KernelFunctional:
+    """Assemble W(S) = sum over partitions of S of products of W^T(blocks)."""
+    if wt.w0 != 0:
+        raise ValueError("truncated functional must have vanishing scalar part")
+    return _Transform(wt, lambda mask, conn, _own: _mobius(mask, conn, conn[mask], 1.0))
 
 
 def apply_leg_multiplier(w: KernelFunctional, a) -> KernelFunctional:
@@ -174,88 +163,41 @@ class BilinearKernel:
         return complex(k(left, right)) if k is not None else 0.0j
 
 
-def untruncate_bilinear(st: BilinearKernel) -> BilinearKernel:
-    """S(1..n; n+1..n+m) = sum over partitions of (1..n+m) of prod S^T(block splits)."""
-    if st.s00 != 0:
-        raise ValueError("truncated bilinear must have vanishing scalar part")
+def _bilinear(max_order: int, component, s00) -> BilinearKernel:
+    """One component callable for every (r, q) with 1 <= r + q <= max_order."""
+    comps = {(r, q): component
+             for r in range(max_order + 1) for q in range(max_order + 1 - r) if r + q >= 1}
+    return BilinearKernel(max_order, comps, s00=s00)
 
-    def make(r, q):
-        def S_rq(left, right):
-            pts = tuple(left) + tuple(right)
-            total = 0.0j
-            for part in _partitions_tuple(r + q):
-                prod = 1.0 + 0.0j
-                for block in part:
-                    lo = tuple(pts[i - 1] for i in block if i <= r)
-                    hi = tuple(pts[i - 1] for i in block if i > r)
-                    prod *= st.eval(lo, hi)
-                    if prod == 0:
-                        break
-                total += prod
-            return total
 
-        return S_rq
+def _on_tagged_points(s: BilinearKernel) -> KernelFunctional:
+    """s as a functional of (side, point) pairs, side 0 left and 1 right; every
+    sub-tuple of tagged left + right points keeps the left legs first."""
 
-    comps = {
-        (r, q): make(r, q)
-        for r in range(st.max_order + 1)
-        for q in range(st.max_order + 1 - r)
-        if r + q >= 1
-    }
-    return BilinearKernel(st.max_order, comps, s00=0.0)
+    def kernel(tagged):
+        return s.eval([p for side, p in tagged if side == 0],
+                      [p for side, p in tagged if side == 1])
+
+    return KernelFunctional(s.max_order, dict.fromkeys(range(1, s.max_order + 1), kernel),
+                            w0=s.s00)
+
+
+def _bilinear_view(w: KernelFunctional) -> BilinearKernel:
+    """Inverse of _on_tagged_points."""
+    return _bilinear(w.max_order, lambda left, right: w.eval(
+        tuple((0, p) for p in left) + tuple((1, p) for p in right)), w.w0)
 
 
 def truncate_bilinear(s: BilinearKernel) -> BilinearKernel:
-    """Invert untruncate_bilinear by recursion over proper partitions."""
+    """S^T by the truncation core applied to (side, point)-tagged points."""
+    return _bilinear_view(truncate(_on_tagged_points(s)))
 
-    def st_eval(pts, r_full, idx, _cache):
-        # idx: indices (0-based) into pts; positions < r_full are left legs
-        if idx in _cache:
-            return _cache[idx]
-        lo = tuple(pts[i] for i in idx if i < r_full)
-        hi = tuple(pts[i] for i in idx if i >= r_full)
-        val = s.eval(lo, hi)
-        for part in _partitions_tuple(len(idx)):
-            if len(part) == 1:
-                continue
-            prod = 1.0 + 0.0j
-            for block in part:
-                prod *= st_eval(pts, r_full, tuple(idx[i - 1] for i in block), _cache)
-                if prod == 0:
-                    break
-            val -= prod
-        _cache[idx] = val
-        return val
 
-    def make(r, q):
-        def ST_rq(left, right):
-            pts = tuple(left) + tuple(right)
-            return st_eval(pts, r, tuple(range(r + q)), {})
-
-        return ST_rq
-
-    comps = {
-        (r, q): make(r, q)
-        for r in range(s.max_order + 1)
-        for q in range(s.max_order + 1 - r)
-        if r + q >= 1
-    }
-    return BilinearKernel(s.max_order, comps, s00=0.0)
+def untruncate_bilinear(st: BilinearKernel) -> BilinearKernel:
+    """S(1..n; n+1..n+m) = sum over partitions of (1..n+m) of prod S^T(block splits)."""
+    return _bilinear_view(untruncate(_on_tagged_points(st)))
 
 
 def bilinear_from_functional(w: KernelFunctional) -> BilinearKernel:
     """Concatenation embedding: S(left; right) = W(left + right)."""
-
-    def make(r, q):
-        def S_rq(left, right):
-            return w.eval(tuple(left) + tuple(right))
-
-        return S_rq
-
-    comps = {
-        (r, q): make(r, q)
-        for r in range(w.max_order + 1)
-        for q in range(w.max_order + 1 - r)
-        if r + q >= 1
-    }
-    return BilinearKernel(w.max_order, comps, s00=w.w0)
+    return _bilinear(w.max_order, lambda left, right: w.eval(tuple(left) + tuple(right)), w.w0)

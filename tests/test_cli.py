@@ -42,6 +42,9 @@ def test_truncate_demo(tmp_path):
     rows = (out / "truncate_demo.csv").read_text().strip().splitlines()
     assert rows[0] == "order,partitions,max_rel_roundtrip_error"
     assert [int(r.split(",")[1]) for r in rows[1:]] == [1, 2, 5, 15, 52]
+    code, out = _run(tmp_path, "truncate-demo", {"truncate-demo": {"max_order": 6}})
+    assert code == 0
+    assert _load(out, "truncate_demo_summary.json")["max_rel_roundtrip_error"] < 1e-12
 
 
 def test_pvdemo(tmp_path):
@@ -212,6 +215,11 @@ def test_exit_1_on_config_errors(tmp_path, capsys):
              ("gram", {"gram": {"label": "in", "packets": packs}, "quadrature": []}),
              ("fit", {"fit": 5}),
              ("truncate-demo", {"truncate-demo": 5}),
+             *(("truncate-demo", {"truncate-demo": {key: value}}) for key, value in (
+                 ("max_order", None), ("max_order", 2.7), ("max_order", 0),
+                 ("max_order", 7), ("max_order", 11), ("max_order", True),
+                 ("tuples", 0), ("tuples", -3), ("tuples", 1001), ("tuples", 1e308),
+                 ("tuples", "5"), ("seed", -1), ("seed", 1.5), ("seed", False))),
              ("pvdemo", {"pvdemo": {"t_grid": 5}})]
     # packet fields of the wrong type, sign or length (d = 2 here)
     cases += [("amplitude", {"amplitude": {"packets_in": [{**EIN[0], **field}, EIN[1]],

@@ -1,22 +1,17 @@
-"""Set partitions and the moment/cumulant transforms."""
+"""The moment/cumulant transforms over the subsets of a point tuple."""
 import numpy as np
 import pytest
 
 from qftscat.truncation import (
     BilinearKernel,
     KernelFunctional,
-    Partition,
     apply_leg_multiplier,
-    bell_number,
     bilinear_from_functional,
-    enumerate_partitions,
     truncate,
     truncate_bilinear,
     untruncate,
     untruncate_bilinear,
 )
-
-BELL = (1, 1, 2, 5, 15, 52)
 
 
 def _random_functional(max_order, seed):
@@ -38,27 +33,6 @@ def _random_functional(max_order, seed):
     return KernelFunctional(max_order, {n: make(n) for n in range(1, max_order + 1)})
 
 
-def test_bell_numbers_and_partition_counts():
-    assert bell_number(0) == 1
-    for n in range(1, 6):
-        parts = enumerate_partitions(n)
-        assert len(parts) == BELL[n]
-        # no duplicates
-        assert len({p.blocks for p in parts}) == BELL[n]
-        for p in parts:
-            assert sorted(i for b in p.blocks for i in b) == list(range(1, n + 1))
-
-
-def test_partition_validation():
-    Partition(blocks=((1, 3), (2,)), n=3)
-    with pytest.raises(ValueError):
-        Partition(blocks=((3, 1), (2,)), n=3)
-    with pytest.raises(ValueError):
-        Partition(blocks=((1, 2),), n=3)
-    with pytest.raises(ValueError):
-        enumerate_partitions(0)
-
-
 def test_round_trip_identity():
     w = _random_functional(5, seed=0)
     back = untruncate(truncate(w))
@@ -68,6 +42,53 @@ def test_round_trip_identity():
             pts = tuple(rng.normal(size=n))
             a, b = w.eval(pts), back.eval(pts)
             assert abs(a - b) <= 1e-12 * max(abs(a), 1e-30)
+
+
+def test_round_trip_calls_each_raw_kernel_once_per_subset():
+    calls = []
+
+    def kernel(points):
+        calls.append(points)
+        return 1.0 + 0.25 * sum(points)
+
+    w = KernelFunctional(5, dict.fromkeys(range(1, 6), kernel))
+    back = untruncate(truncate(w))
+    for n in range(1, 6):
+        calls.clear()
+        back.eval(tuple(0.1 * (i + 1) for i in range(n)))
+        assert len(calls) <= 2**n - 1
+        assert len(set(calls)) == len(calls)
+
+
+def _benchmark_family(seed):
+    """sin(0.7x + 0.3n) kernels; coefficients and 200 points per order from seed + 1."""
+    rng = np.random.default_rng(seed + 1)
+    coeffs = rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3))
+
+    def make(n):
+        a, b, c = coeffs[n]
+
+        def W_n(points):
+            p = 1.0
+            for x in points:
+                p *= np.sin(0.7 * x + 0.3 * n)
+            return a + b * np.cos(sum(points)) + c * p
+
+        return W_n
+
+    points = [tuple(float(x) for x in rng.normal(size=n))
+              for n in range(1, 5) for _ in range(200)]
+    return KernelFunctional(4, {n: make(n) for n in range(1, 5)}), points
+
+
+@pytest.mark.parametrize("seed", [6, 55])
+def test_round_trip_is_compensated(seed):
+    # plain partition sums miss 1e-12 here by cancellation (1.3e-12, 5.2e-12)
+    w, points = _benchmark_family(seed)
+    back = untruncate(truncate(w))
+    for pts in points:
+        a, b = w.eval(pts), back.eval(pts)
+        assert abs(a - b) <= 1e-12 * max(abs(a), 1e-30), pts
 
 
 def test_product_functional_has_vanishing_cumulants():
