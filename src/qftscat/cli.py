@@ -1,9 +1,9 @@
 """Command-line front end: configuration loading, pipelines, JSON/CSV output.
 
-Exit codes: 0 success, 1 usage or configuration error, 2 numerical
-acceptance failure or a failed numerical self-check (NumericalError).
-Every JSON summary embeds the config hash and the library version so
-identical config+seed reruns are byte-identical.
+Exit codes: 0 success, 1 a usage error or a config rejected while loading
+(by its field tables or the library objects built from it), 2 any failure
+after loading. Every JSON summary embeds the config hash and the library
+version so identical config+seed reruns are byte-identical.
 """
 from __future__ import annotations
 
@@ -15,12 +15,13 @@ import json
 import logging
 import os
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__
 from .fitter import FitConfig, build_family, fit_polynomial, reference_registry, sample_Qn
-from .formfactor import AmplitudeRequest, eval_F_n, eval_FG_n, smatrix_amplitude
+from .formfactor import IN, LABELS, OUT, AmplitudeRequest, eval_F_n, eval_FG_n, smatrix_amplitude
 from .gns import (
     gram_matrix,
     hssc_estimate,
@@ -29,7 +30,7 @@ from .gns import (
     structure_pairing,
     BorchersVector,
 )
-from .kinematics import ModelParams, NumericalError, WavePacket
+from .kinematics import ModelParams, WavePacket
 from .lszlab import convergence_study, pv_limit_demo
 from .polymath import Poly
 from .structure import QuadratureSettings, SpectralDensity, StructureEvaluator
@@ -43,123 +44,139 @@ class ConfigError(Exception):
     pass
 
 
-def _typed(value, kind, ctx: str):
-    """value, which the config must give as a JSON object (kind dict) or array (list)."""
-    if not isinstance(value, kind):
-        raise ConfigError(f"{ctx} must be a JSON {'object' if kind is dict else 'array'}")
-    return value
+REQUIRED = object()  # the default of a field the config must give
+BIG = sys.float_info.max
+KIND_NAMES = {int: "an integer", float: "a finite number", str: "a string",
+              list: "an array", dict: "an object", None: "null"}
 
 
-def _require(block: dict, key: str, ctx: str, kind=None):
-    if key not in block:
-        raise ConfigError(f"missing field {ctx}.{key}")
-    return block[key] if kind is None else _typed(block[key], kind, f"{ctx}.{key}")
+class F(NamedTuple):
+    """One config field. kind is a JSON kind (int, float, str, list, dict or
+    None) or a tuple of them; a float field takes integers too, and a string
+    field is one of choices. lo and hi bound a number's value or an array's
+    length. fields is an object's field table, item the field of each entry
+    of an array (or of an object without a table), and build turns the
+    checked value into its library object."""
+
+    kind: object
+    default: object = REQUIRED
+    lo: float = -BIG
+    hi: float = BIG
+    choices: tuple = ()
+    fields: dict | None = None
+    item: F | None = None
+    build: object = None
 
 
-def load_model(cfg: dict) -> ModelParams:
-    block = _typed(cfg.get("model", {}), dict, "model")
+def check(value, field: F, ctx: str):
+    """value checked against field and built into its library object; a
+    ValueError of the library's becomes a ConfigError naming ctx."""
+    kinds = field.kind if isinstance(field.kind, tuple) else (field.kind,)
+    kind = None if value is None else type(value)
+    if kind is int and float in kinds:
+        kind = float
+    ok = kind in kinds
+    if ok and kind in (int, float, list):
+        ok = field.lo <= (len(value) if kind is list else value) <= field.hi
+    if ok and kind is str:
+        ok = value in field.choices
+    if not ok:
+        what = " or ".join(f"one of {list(field.choices)}" if k is str else KIND_NAMES[k]
+                           for k in kinds)
+        unit = " items" if list in kinds else ""
+        if field.lo > -BIG:
+            what += f", at least {field.lo:g}{unit}"
+        if field.hi < BIG:
+            what += f", at most {field.hi:g}{unit}"
+        raise ConfigError(f"{ctx} must be {what}")
+    if kind is float:
+        value = float(value)
+    if kind is dict and field.fields is not None:
+        value = _block(value, field.fields, ctx)
+    elif kind is dict and field.item is not None:
+        value = {key: check(v, field.item, f"{ctx}.{key}") for key, v in value.items()}
+    if kind is list and field.item is not None:
+        value = [check(v, field.item, f"{ctx}[{i}]") for i, v in enumerate(value)]
+    if field.build is None or value is None:
+        return value
     try:
-        return ModelParams(
-            d=int(block.get("d", 2)),
-            m=float(block.get("m", 1.0)),
-            m0=block.get("m0"),
-            eps_phi=block.get("eps_phi"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"model: {exc}") from exc
-
-
-def load_rho(cfg: dict, params: ModelParams) -> SpectralDensity:
-    block = _typed(cfg.get("rho", {"kind": "zero"}), dict, "rho")
-    kind = block.get("kind", "zero")
-    if kind == "zero":
-        return SpectralDensity.zero(params)
-    if kind == "default":
-        return SpectralDensity.default_model(params, c=float(block.get("c", 0.1)))
-    raise ConfigError(f"rho.kind must be 'zero' or 'default', got {kind!r}")
-
-
-def load_quadrature(cfg: dict) -> QuadratureSettings:
-    block = _typed(cfg.get("quadrature", {}), dict, "quadrature")
-    unknown = set(block) - {f.name for f in dataclasses.fields(QuadratureSettings)}
-    if unknown:
-        raise ConfigError(f"unknown quadrature fields: {sorted(unknown)}")
-    try:
-        return QuadratureSettings(**block)
-    except ValueError as exc:
-        raise ConfigError(f"quadrature: {exc}") from exc
-
-
-def _is_int(value) -> bool:
-    """value is a JSON integer (not true/false)."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _finite_number(value) -> bool:
-    """value is a JSON number (not true/false) that converts to a finite float."""
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and abs(value) <= sys.float_info.max)
-
-
-def load_packet(block: dict, ctx: str, d: int) -> WavePacket:
-    _typed(block, dict, ctx)
-    center = _require(block, "center", ctx)
-    if not (isinstance(center, list) and len(center) == d
-            and all(_finite_number(c) for c in center)):
-        raise ConfigError(f"{ctx}.center must be a list of {d} finite numbers")
-    width = _require(block, "width", ctx)
-    if not _finite_number(width):
-        raise ConfigError(f"{ctx}.width must be a finite number")
-    poly = None
-    if "poly_terms" in block:
-        terms = {}
-        tctx = f"{ctx}.poly_terms[]"
-        for t in _require(block, "poly_terms", ctx, list):
-            t = _typed(t, dict, tctx)
-            exps, coeff = tuple(_require(t, "exps", tctx, list)), _require(t, "coeff", tctx)
-            if not (_finite_number(coeff) and all(_is_int(e) and e >= 0 for e in exps)):
-                raise ConfigError(f"{tctx} needs non-negative integer exps and a finite coeff")
-            terms[exps] = terms.get(exps, 0) + coeff
-        poly = Poly(d, terms)
-    try:
-        return WavePacket(center=np.asarray(center, dtype=float), width=float(width), poly=poly)
-    except ValueError as exc:
+        return field.build(value)
+    except (ValueError, NotImplementedError) as exc:
         raise ConfigError(f"{ctx}: {exc}") from exc
 
 
-def load_polynomial(block, ctx: str) -> TransferPolynomial:
-    """A transfer polynomial from its JSON form, every field type-checked;
-    from_terms rejects unknown coordinates and non-integer or negative degrees."""
-    n = _require(_typed(block, dict, ctx), "n", ctx)
-    if not _is_int(n) or n < 2:
-        raise ConfigError(f"{ctx}.n must be an integer >= 2")
-    tctx = f"{ctx}.terms[]"
-    for t in _require(block, "terms", ctx, list):
-        _typed(_typed(t, dict, tctx).get("degrees", {}), dict, f"{tctx}.degrees")
-        if not (_finite_number(_require(t, "coeff", tctx))
-                and _finite_number(t.get("coeff_im", 0.0))):
-            raise ConfigError(f"{tctx} needs a finite coeff and coeff_im")
-    return TransferPolynomial.from_json_dict(block)
+def _block(block: dict, fields: dict, ctx: str) -> dict:
+    """block with every field of its table checked; an absent field takes its
+    default, checked too unless it is None (the library or command decides)."""
+    unknown = sorted(set(block) - set(fields))
+    if unknown:
+        raise ConfigError(f"unknown fields in {ctx or 'config'}: {unknown}")
+    out = {}
+    for key, field in fields.items():
+        name = f"{ctx}.{key}" if ctx else key
+        if key in block:
+            out[key] = check(block[key], field, name)
+        elif field.default is REQUIRED:
+            raise ConfigError(f"missing field {name}")
+        else:
+            out[key] = None if field.default is None else check(field.default, field, name)
+    return out
 
 
-def load_transfer(block) -> TransferFamily | None:
-    if block in (None, "identity"):
-        return None
-    if isinstance(block, dict) and "terms" in block:
-        p = load_polynomial(block, "transfer")
-        l_max = block.get("l_max", max(p.per_argument_degrees(), default=2))
-        if not _is_int(l_max) or l_max < 0:
-            raise ConfigError("transfer.l_max must be a non-negative integer")
-        fam = TransferFamily({2: TransferPolynomial.constant(2, 1.0), p.n: p}, l_max=l_max)
-        report = validate_condition41(fam)
-        if not report["passed"]:
-            raise ConfigError(f"transfer family invalid: {report['violations']}")
-        return fam
-    raise ConfigError("transfer must be null, 'identity' or a polynomial object")
+def _packet(block: dict) -> WavePacket:
+    """A wave packet; its poly_terms entries with equal exps are summed."""
+    terms = {}
+    for t in block["poly_terms"] or []:
+        terms[tuple(t["exps"])] = terms.get(tuple(t["exps"]), 0) + t["coeff"]
+    poly = None if block["poly_terms"] is None else Poly(2, terms)
+    return WavePacket(center=np.asarray(block["center"]), width=block["width"], poly=poly)
 
 
-def _config_hash(cfg: dict) -> str:
-    return hashlib.sha256(json.dumps(cfg, sort_keys=True).encode()).hexdigest()
+def _family(block: dict) -> TransferFamily:
+    """The transfer family of M_2 = 1 and the block's polynomial; it must pass condition 4.1."""
+    p = TransferPolynomial.from_json_dict(block)
+    l_max = block["l_max"]
+    if l_max is None:
+        l_max = max(p.per_argument_degrees(), default=2)
+    fam = TransferFamily({2: TransferPolynomial.constant(2, 1.0), p.n: p}, l_max=l_max)
+    report = validate_condition41(fam)
+    if not report["passed"]:
+        raise ValueError(f"transfer family invalid: {report['violations']}")
+    return fam
+
+
+def _times(grid) -> np.ndarray:
+    """A time grid given as a list, or geometrically from start to stop."""
+    if isinstance(grid, list):
+        return np.asarray(grid, dtype=float)
+    return np.geomspace(grid["start"], grid["stop"], grid["points"])
+
+
+# Field tables, one per config block. Bounds keep every count and scale where
+# a run finishes with finite numbers; the library checks the rest (positive
+# masses and widths, 0 < m0 <= m, 0 < eps_phi < m^2, positive epsilon).
+MODEL = {"d": F(int, 2, 2), "m": F(float, 1.0, 0, 1e3), "m0": F(float, None, 0, 1e3),
+         "eps_phi": F(float, None, 0, 1e6)}
+RHO = {"kind": F(str, "zero", choices=("zero", "default")), "c": F(float, 0.1, 0, 1e3)}
+QUADRATURE = {f.name: F(int, f.default, 1, 1000) if f.type == "int"
+              else F(float, f.default, 0, 100) for f in dataclasses.fields(QuadratureSettings)}
+DEGREE = F(int, lo=0, hi=1000)
+PACKET = F(dict, fields={
+    "center": F(list, lo=2, hi=2, item=F(float, lo=-1e3, hi=1e3)),
+    "width": F(float, lo=0, hi=1e3),
+    "poly_terms": F(list, None, item=F(dict, fields={
+        "exps": F(list, lo=2, hi=2, item=DEGREE), "coeff": F(float)}))}, build=_packet)
+POLYNOMIAL = {"n": F(int, lo=2, hi=6), "terms": F(list, item=F(dict, fields={
+    "degrees": F(dict, {}, item=DEGREE), "coeff": F(float), "coeff_im": F(float, 0.0)}))}
+TRANSFER = F((dict, None), None, fields={**POLYNOMIAL, "l_max": F(int, None, 0)}, build=_family)
+TIMES = F((list, dict), {}, 1, 1000, item=F(float, lo=0, hi=1e4), build=_times, fields={
+    "start": F(float, 1.0, 0, 1e4), "stop": F(float, 1000.0, 0, 1e4),
+    "points": F(int, 16, 1, 1000)})
+SEED = F(int, 0, 0)
+REFERENCES = tuple(sorted(reference_registry(ModelParams())))
+EVALUATOR = {"model": F(dict, {}, fields=MODEL, build=lambda b: ModelParams(**b)),
+             "rho": F(dict, {}, fields=RHO),
+             "quadrature": F(dict, {}, fields=QUADRATURE, build=lambda b: QuadratureSettings(**b))}
 
 
 def _write_json(path: str, payload: dict):
@@ -177,26 +194,12 @@ def _write_csv(path: str, header, rows):
 
 
 def _summary(cfg: dict, extra: dict) -> dict:
-    out = {"config_sha256": _config_hash(cfg), "version": __version__}
-    out.update(extra)
-    return out
+    digest = hashlib.sha256(json.dumps(cfg, sort_keys=True).encode()).hexdigest()
+    return {"config_sha256": digest, "version": __version__, **extra}
 
 
-def cmd_amplitude(cfg, outdir) -> int:
-    params = load_model(cfg)
-    rho = load_rho(cfg, params)
-    quad = load_quadrature(cfg)
-    ev = StructureEvaluator(params, rho, quad)
-    block = _require(cfg, "amplitude", "config", dict)
-    pin = [load_packet(b, "amplitude.packets_in", params.d)
-           for b in _require(block, "packets_in", "amplitude", list)]
-    pout = [load_packet(b, "amplitude.packets_out", params.d)
-            for b in _require(block, "packets_out", "amplitude", list)]
-    fam = load_transfer(block.get("transfer"))
-    try:
-        req = AmplitudeRequest(r=len(pin), in_packets=pin, out_packets=pout)
-    except ValueError as exc:
-        raise ConfigError(f"amplitude: {exc}") from exc
+def cmd_amplitude(cfg, c, outdir) -> int:
+    req, ev, fam = c["request"], c["ev"], c["amplitude"]["transfer"]
     value = smatrix_amplitude(req, ev, fam)
     refined = smatrix_amplitude(req, ev.refined(), fam)
     est_error = abs(value - refined)
@@ -207,35 +210,15 @@ def cmd_amplitude(cfg, outdir) -> int:
     return 0
 
 
-def _t_grid(block, ctx: str) -> np.ndarray:
-    if isinstance(block, list):
-        return np.asarray(block, dtype=float)
-    _typed(block, dict, ctx)
-    return np.geomspace(float(block.get("start", 1.0)), float(block.get("stop", 1000.0)),
-                        int(block.get("points", 16)))
-
-
-def cmd_converge(cfg, outdir) -> int:
-    params = load_model(cfg)
-    ev = StructureEvaluator(params, load_rho(cfg, params), load_quadrature(cfg))
-    block = _require(cfg, "converge", "config", dict)
-    labels = _require(block, "labels", "converge", list)
-    packets = [load_packet(b, "converge.packets", params.d)
-               for b in _require(block, "packets", "converge", list)]
-    fam = load_transfer(block.get("transfer"))
-    grid = _t_grid(block.get("t_grid", {}), "converge.t_grid")
-    orderings = None
-    if "orderings" in block:
-        orderings = [tuple(_typed(o, list, "converge.orderings[]"))
-                     for o in _require(block, "orderings", "converge", list)]
-    target = None
-    if block.get("target", "formfactor") == "formfactor":
-        if fam is not None:
-            target = eval_F_n(labels, packets, ev, fam)
-        else:
-            target = eval_FG_n(labels, packets, ev)
-    report = convergence_study(labels, packets, ev, grid, fam=fam,
-                               orderings=orderings, target=target)
+def cmd_converge(cfg, c, outdir) -> int:
+    block, ev = c["converge"], c["ev"]
+    labels, packets, fam = block["labels"], block["packets"], block["transfer"]
+    if fam is not None:
+        target = eval_F_n(labels, packets, ev, fam)
+    else:
+        target = eval_FG_n(labels, packets, ev)
+    report = convergence_study(labels, packets, ev, block["t_grid"], fam=fam,
+                               orderings=block["orderings"], target=target)
     first = list(report.values)[0]
     rows = []
     for i, t in enumerate(report.t_grid):
@@ -246,15 +229,14 @@ def cmd_converge(cfg, outdir) -> int:
     _write_csv(os.path.join(outdir, "converge.csv"),
                ["t", "value_re", "value_im", "window_avg_re", "window_avg_im", "abs_err"],
                rows)
-    tol = float(block.get("tolerance", 0.01))
     final_err = float(report.abs_err[first][-1])
     ref_mag = abs(target) if target else max(abs(report.extrapolated[first]), 1e-300)
-    passed = report.envelope_nonincreasing and (target is None or final_err <= tol * ref_mag)
+    passed = report.envelope_nonincreasing and final_err <= block["tolerance"] * ref_mag
     _write_json(os.path.join(outdir, "converge_summary.json"), _summary(cfg, {
         "extrapolated_re": report.extrapolated[first].real,
         "extrapolated_im": report.extrapolated[first].imag,
-        "target_re": None if target is None else target.real,
-        "target_im": None if target is None else target.imag,
+        "target_re": target.real,
+        "target_im": target.imag,
         "final_abs_err": final_err,
         "rate_C": report.fitted_rate[0], "rate_alpha": report.fitted_rate[1],
         "ordering_spread": report.ordering_spread,
@@ -264,34 +246,15 @@ def cmd_converge(cfg, outdir) -> int:
     return 0 if passed else 2
 
 
-def cmd_fit(cfg, outdir, seed_override=None) -> int:
-    params = load_model(cfg)
-    block = _require(cfg, "fit", "config", dict)
-    n, r, e_max = (_require(block, key, "fit") for key in ("n", "r", "e_max"))
-    for key in ("n", "r", "max_degree", "train", "validate", "seed", "l_max", "e_max", "epsilon"):
-        number = key in ("e_max", "epsilon")
-        if key in block and not (_finite_number if number else _is_int)(block[key]):
-            raise ConfigError(f"fit.{key} must be {'a finite number' if number else 'an integer'}")
-    fit_cfg = FitConfig(
-        e_max=float(e_max),
-        epsilon=float(block.get("epsilon", 1e-3)),
-        max_degree=block.get("max_degree", 10),
-        train_count=block.get("train", 2000),
-        validate_count=block.get("validate", 500),
-        seed=seed_override if seed_override is not None else block.get("seed", 0),
-    )
-    ref_key = block.get("reference", "exp_q12")
-    if isinstance(ref_key, dict):
-        planted = load_polynomial(ref_key, "fit.reference")
-
-        def R(points):
-            return np.real(planted(points))
+def cmd_fit(cfg, c, outdir) -> int:
+    block, fit_cfg = c["fit"], c["fit_config"]
+    n, reference = block["n"], block["reference"]
+    if isinstance(reference, str):
+        R = reference_registry(c["model"])[reference]
     else:
-        registry = reference_registry(params)
-        if not isinstance(ref_key, str) or ref_key not in registry:
-            raise ConfigError(f"fit.reference must be an object or one of {sorted(registry)}")
-        R = registry[ref_key]
-    sample = sample_Qn(n, r, fit_cfg, params)
+        def R(points):
+            return np.real(reference(points))
+    sample = sample_Qn(n, block["r"], fit_cfg, c["model"])
     if sample.empty:
         _write_json(os.path.join(outdir, "fit_summary.json"), _summary(cfg, {
             "empty_sample": True, "diagnostics": sample.diagnostics, "passed": False,
@@ -300,7 +263,8 @@ def cmd_fit(cfg, outdir, seed_override=None) -> int:
     report = fit_polynomial(R, sample, fit_cfg)
     fam = None
     if report.passed:
-        fam = build_family({n: report}, l_max=block.get("l_max", 2 * report.degree_used + 2))
+        l_max = block["l_max"] if block["l_max"] is not None else 2 * report.degree_used + 2
+        fam = build_family({n: report}, l_max=l_max)
     _write_json(os.path.join(outdir, "fit_polynomial.json"), report.polynomial.to_json_dict())
     _write_json(os.path.join(outdir, "fit_summary.json"), _summary(cfg, {
         "achieved_sup_error": report.achieved_sup_error,
@@ -318,19 +282,11 @@ def cmd_fit(cfg, outdir, seed_override=None) -> int:
     return 0 if report.passed else 2
 
 
-def cmd_gram(cfg, outdir) -> int:
-    params = load_model(cfg)
-    ev = StructureEvaluator(params, load_rho(cfg, params), load_quadrature(cfg))
-    block = _require(cfg, "gram", "config", dict)
-    label = block.get("label", "loc")
-    packets = [load_packet(b, "gram.packets", params.d)
-               for b in _require(block, "packets", "gram", list)]
-    family = [BorchersVector.one_particle(p) for p in packets]
-    K, L = block.get("K", 2), block.get("L", 2)
-    if not (_is_int(K) and _is_int(L) and K >= 0 and L >= 0):
-        raise ConfigError("gram.K and gram.L must be non-negative integers")
-    fam = load_transfer(block.get("transfer"))
-    if label in ("in", "out"):
+def cmd_gram(cfg, c, outdir) -> int:
+    block, ev = c["gram"], c["ev"]
+    label, fam = block["label"], block["transfer"]
+    family = [BorchersVector.one_particle(p) for p in block["packets"]]
+    if label in (IN, OUT):
         min_eig, gram, psd_ok = inout_positivity_check(ev, family, label, fam=fam)
         pairing = structure_pairing(ev, labels_for=lambda nn: [label] * nn, fam=fam)
     else:
@@ -340,7 +296,7 @@ def cmd_gram(cfg, outdir) -> int:
         psd_ok = True
     dec = metric_decomposition(gram)
     eta_check = float(np.max(np.abs(dec.eta @ dec.eta - np.eye(gram.size))))
-    hssc = hssc_estimate(pairing, family, K, L)
+    hssc = hssc_estimate(pairing, family, block["K"], block["L"])
     rows = [(i, j, gram.matrix[i, j].real, gram.matrix[i, j].imag)
             for i in range(gram.size) for j in range(gram.size)]
     _write_csv(os.path.join(outdir, "gram.csv"), ["i", "j", "re", "im"], rows)
@@ -374,15 +330,9 @@ def _random_kernel_family(max_order: int, seed: int) -> KernelFunctional:
     return KernelFunctional(max_order, {nn: make(nn) for nn in range(1, max_order + 1)})
 
 
-def cmd_truncate_demo(cfg, outdir, seed_override=None) -> int:
-    block = _typed(cfg.get("truncate-demo", {}), dict, "truncate-demo")
-    max_order = block.get("max_order", 4)
-    tuples = block.get("tuples", 100)
-    seed = seed_override if seed_override is not None else block.get("seed", 0)
-    for key, value, lo, hi in (("max_order", max_order, 1, DEFAULT_MAX_ORDER),
-                               ("tuples", tuples, 1, 1000), ("seed", seed, 0, None)):
-        if not (_is_int(value) and value >= lo and (hi is None or value <= hi)):
-            raise ConfigError(f"truncate-demo.{key} must be an integer in {lo}..{hi or ''}")
+def cmd_truncate_demo(cfg, c, outdir) -> int:
+    block = c["truncate-demo"]
+    max_order, tuples, seed = block["max_order"], block["tuples"], block["seed"]
     rng = np.random.default_rng(seed + 1)
     w = _random_kernel_family(max_order, seed)
     wt = truncate(w)
@@ -406,16 +356,13 @@ def cmd_truncate_demo(cfg, outdir, seed_override=None) -> int:
     return 0 if passed else 2
 
 
-def cmd_pvdemo(cfg, outdir) -> int:
-    block = _typed(cfg.get("pvdemo", {}), dict, "pvdemo")
-    width = float(block.get("width", 1.0))
-    grid = _t_grid(block.get("t_grid", {"start": 1.0, "stop": 1000.0, "points": 13}),
-                   "pvdemo.t_grid")
+def cmd_pvdemo(cfg, c, outdir) -> int:
+    width = c["pvdemo"]["width"]
 
     def f(x):
         return np.exp(-0.5 * (x / width) ** 2)
 
-    report = pv_limit_demo(f, grid)
+    report = pv_limit_demo(f, c["pvdemo"]["t_grid"])
     key = list(report.values)[0]
     rows = [(float(t), report.values[key][i].real, report.values[key][i].imag,
              float(report.abs_err[key][i])) for i, t in enumerate(report.t_grid)]
@@ -430,14 +377,68 @@ def cmd_pvdemo(cfg, outdir) -> int:
     return 0 if passed else 2
 
 
-COMMANDS = {
-    "amplitude": cmd_amplitude,
-    "converge": cmd_converge,
-    "fit": cmd_fit,
-    "gram": cmd_gram,
-    "truncate-demo": cmd_truncate_demo,
-    "pvdemo": cmd_pvdemo,
+COMMANDS = {  # command -> (run, the field table of its config)
+    "amplitude": (cmd_amplitude, {**EVALUATOR, "amplitude": F(dict, fields={
+        "packets_in": F(list, lo=1, hi=3, item=PACKET),
+        "packets_out": F(list, lo=1, hi=3, item=PACKET), "transfer": TRANSFER})}),
+    "converge": (cmd_converge, {**EVALUATOR, "converge": F(dict, fields={
+        "labels": F(list, item=F(str, choices=LABELS)),
+        "packets": F(list, lo=2, hi=4, item=PACKET), "transfer": TRANSFER, "t_grid": TIMES,
+        "tolerance": F(float, 0.01, 0),
+        "orderings": F(list, None, 1, item=F(list, item=F(int, lo=0, hi=3), build=tuple))})}),
+    "fit": (cmd_fit, {"model": EVALUATOR["model"], "fit": F(dict, fields={
+        "n": F(int, lo=3, hi=6), "r": F(int, lo=1), "e_max": F(float, lo=0, hi=1e3),
+        "epsilon": F(float, 1e-3), "max_degree": F(int, 10, 0, 20),
+        "train": F(int, 2000, 1, 10000), "validate": F(int, 500, 1, 10000), "seed": SEED,
+        "l_max": F(int, None, 0),
+        "reference": F((str, dict), "exp_q12", choices=REFERENCES, fields=POLYNOMIAL, build=(
+            lambda r: r if isinstance(r, str) else TransferPolynomial.from_json_dict(r)))})}),
+    "gram": (cmd_gram, {**EVALUATOR, "gram": F(dict, fields={
+        "label": F(str, "loc", choices=LABELS), "packets": F(list, lo=1, item=PACKET),
+        "K": F(int, 2, 0, 10), "L": F(int, 2, 0, 10), "transfer": TRANSFER})}),
+    "truncate-demo": (cmd_truncate_demo, {"truncate-demo": F(dict, {}, fields={
+        "max_order": F(int, 4, 1, DEFAULT_MAX_ORDER), "tuples": F(int, 100, 1, 1000),
+        "seed": SEED})}),
+    "pvdemo": (cmd_pvdemo, {"pvdemo": F(dict, {}, fields={
+        "width": F(float, 1.0, 1e-3, 1e3),
+        "t_grid": TIMES._replace(default={"points": 13})})}),
 }
+
+
+def load(command: str, cfg, seed=None) -> dict:
+    """cfg checked against the command's field tables, with the library objects
+    its run needs built; every rejection, the library's too, is a ConfigError."""
+    c = check(cfg, F(dict, fields=COMMANDS[command][1]), "")
+    block = c[command]
+    if seed is not None and "seed" in block:
+        block["seed"] = check(seed, SEED, "--seed")
+    try:
+        if "rho" in c:
+            params, rho = c["model"], c["rho"]
+            density = (SpectralDensity.zero(params) if rho["kind"] == "zero"
+                       else SpectralDensity.default_model(params, c=rho["c"]))
+            c["ev"] = StructureEvaluator(params, density, c["quadrature"])
+        if command == "amplitude":
+            pin, pout = block["packets_in"], block["packets_out"]
+            if len(pin) + len(pout) > 4:
+                raise ConfigError("amplitude: orders above 4 are not implemented")
+            c["request"] = AmplitudeRequest(r=len(pin), in_packets=pin, out_packets=pout)
+        if command == "converge":
+            n = len(block["packets"])
+            if any(len(x) != n for x in [block["labels"], *(block["orderings"] or [])]):
+                raise ConfigError("converge.labels and each ordering need one entry per packet")
+        if command == "fit":
+            n, reference = block["n"], block["reference"]
+            if block["r"] >= n:
+                raise ConfigError("fit.r must be below fit.n")
+            if isinstance(reference, TransferPolynomial) and reference.n != n:
+                raise ConfigError("fit.reference.n must equal fit.n")
+            c["fit_config"] = FitConfig(
+                e_max=block["e_max"], epsilon=block["epsilon"], max_degree=block["max_degree"],
+                train_count=block["train"], validate_count=block["validate"], seed=block["seed"])
+    except (ValueError, NotImplementedError) as exc:
+        raise ConfigError(f"{command}: {exc}") from exc
+    return c
 
 
 def main(argv=None) -> int:
@@ -446,29 +447,24 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True)
     parser.add_argument("--out", default=".")
     parser.add_argument("--seed", type=int, default=None)
-    args = parser.parse_args(argv)
-
-    logging.basicConfig(level=os.environ.get("QFTSCAT_LOG", "WARNING").upper())
-
     try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse has printed its usage line
+        return 1 if exc.code else 0
+    try:
+        log.setLevel(os.environ.get("QFTSCAT_LOG", "WARNING").upper())
+        logging.basicConfig()
         with open(args.config) as fh:
-            cfg = _typed(json.load(fh), dict, "config")
-    except (OSError, json.JSONDecodeError, ConfigError) as exc:
+            cfg = json.load(fh)
+        loaded = load(args.command, cfg, args.seed)
+        os.makedirs(args.out, exist_ok=True)
+    except (OSError, ValueError, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    os.makedirs(args.out, exist_ok=True)
-    handler = COMMANDS[args.command]
     try:
-        if args.command in ("fit", "truncate-demo"):
-            return handler(cfg, args.out, seed_override=args.seed)
-        return handler(cfg, args.out)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, NotImplementedError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except NumericalError as exc:
+        return COMMANDS[args.command][0](cfg, loaded, args.out)
+    except Exception as exc:  # whatever fails after loading is a failed run
+        log.debug("run failed", exc_info=True)
         print(f"numerical error: {exc}", file=sys.stderr)
         return 2
 

@@ -163,39 +163,29 @@ def convergence_study(labels, packets, ev: StructureEvaluator, t_grid,
     schedules = [MultiTimeSchedule.from_base(t + w, ranks).times
                  for ranks in orderings for t in t_grid for w in offsets]
     vals = _pairings(labels, packets, schedules, ev, fam=fam)
-    vals = vals.reshape(len(orderings), len(t_grid), len(offsets))
+    return _report(t_grid, vals.reshape(len(orderings), len(t_grid), len(offsets)),
+                   orderings, target)
+
+
+def _report(t_grid, vals, orderings, target) -> ConvergenceReport:
+    """Report of pairing values shaped (ordering, time, window offset). Offset 0
+    gives the raw values; without a target, the first ordering's final window
+    average is the reference, and the rate fit leaves that point out."""
     values = {r: vals[i, :, 0] for i, r in enumerate(orderings)}
     window_avg = {r: np.mean(vals[i], axis=-1) for i, r in enumerate(orderings)}
     extrapolated = {r: complex(window_avg[r][-1]) for r in values}
-    ref = target if target is not None else extrapolated[orderings[0]]
-    abs_err = {r: np.abs(window_avg[r] - ref) for r in values}
     first = orderings[0]
-    envelope_ok = _decade_envelope_nonincreasing(t_grid, abs_err[first])
-    # exclude the final point when it defines the reference
-    fit_err = abs_err[first] if target is not None else abs_err[first][:-1]
-    fit_t = t_grid if target is not None else t_grid[:-1]
-    rate = _fit_rate(fit_t, fit_err)
+    ref = target if target is not None else extrapolated[first]
+    abs_err = {r: np.abs(window_avg[r] - ref) for r in values}
+    fit = slice(None) if target is not None else slice(-1)
     lims = list(extrapolated.values())
-    spread = max(abs(a - b) for a in lims for b in lims) if len(lims) > 1 else 0.0
-    osc = float(np.max(np.abs(values[first] - window_avg[first])))
     return ConvergenceReport(
         t_grid=t_grid, values=values, window_averaged=window_avg,
-        abs_err=abs_err, extrapolated=extrapolated, fitted_rate=rate,
-        target=target, envelope_nonincreasing=envelope_ok,
-        ordering_spread=spread, oscillation_amplitude=osc,
-    )
-
-
-def _single_report(t_grid, vals, target) -> ConvergenceReport:
-    """Report of one ordering whose raw values are their own window average."""
-    err = np.abs(vals - target)
-    key = (0,)
-    return ConvergenceReport(
-        t_grid=t_grid, values={key: vals}, window_averaged={key: vals},
-        abs_err={key: err}, extrapolated={key: complex(vals[-1]) if len(vals) else 0j},
-        fitted_rate=_fit_rate(t_grid, err), target=target,
-        envelope_nonincreasing=_decade_envelope_nonincreasing(t_grid, err),
-        ordering_spread=0.0,
+        abs_err=abs_err, extrapolated=extrapolated,
+        fitted_rate=_fit_rate(t_grid[fit], abs_err[first][fit]), target=target,
+        envelope_nonincreasing=_decade_envelope_nonincreasing(t_grid, abs_err[first]),
+        ordering_spread=max(abs(a - b) for a in lims for b in lims),
+        oscillation_amplitude=float(np.max(np.abs(values[first] - window_avg[first]))),
     )
 
 
@@ -233,7 +223,7 @@ def pv_limit_demo(f, t_grid) -> ConvergenceReport:
     t_grid = np.asarray(t_grid, dtype=float)
     target = 1j * math.pi * complex(f(0.0))
     vals = np.array([pv_oscillatory_integral(f, t) for t in t_grid])
-    return _single_report(t_grid, vals, target)
+    return _report(t_grid, vals[None, :, None], [(0,)], target)
 
 
 def sokhotsky_check(f, eps: float, upper: float = 40.0):
@@ -284,7 +274,7 @@ def riemann_lebesgue_decay(rho: SpectralDensity, packets, t_grid,
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if rho.trivial:
-        return _single_report(t_grid, np.zeros(len(t_grid), dtype=complex), 0.0 + 0.0j)
+        return _report(t_grid, np.zeros((1, len(t_grid), 1), dtype=complex), [(0,)], 0.0 + 0.0j)
     p1, p2 = packets
     m = ev.params.m
     lo1, hi1 = p1.support_interval(1)
@@ -315,7 +305,7 @@ def riemann_lebesgue_decay(rho: SpectralDensity, packets, t_grid,
         rvals = rho(mun)[:, None]
         phase = np.exp(-1j * (wm[None, :] - wmu) * t)
         vals[i] = np.sum(muw[:, None] * kw[None, :] * rvals * static * phase)
-    return _single_report(t_grid, vals, 0.0 + 0.0j)
+    return _report(t_grid, vals[None, :, None], [(0,)], 0.0 + 0.0j)
 
 
 def l1_fourier_bound(packet, xi_nodes: int = 400, t_points: int = 40001):

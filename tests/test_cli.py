@@ -1,12 +1,16 @@
 """Command-line front end: pipelines, exit codes, reproducibility."""
+import copy
 import json
 import math
+import re
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qftscat import __version__
-from qftscat.cli import ConfigError, load_packet, main
+from qftscat.cli import COMMANDS, PACKET, ConfigError, F, check, main
 
 E08 = float(np.sqrt(0.8**2 + 1.0))
 EIN = [{"center": [-E08, 0.8], "width": 0.25}, {"center": [-E08, -0.8], "width": 0.25}]
@@ -181,7 +185,7 @@ def test_gram_in_sector(tmp_path):
     assert len(rows) == 1 + 16
 
 
-def test_exit_1_on_config_errors(tmp_path, capsys):
+def test_exit_1_on_config_errors(tmp_path, capsys, monkeypatch):
     code, _ = _run(tmp_path, "amplitude", {"model": {"d": 3}})
     assert code == 1
     code, _ = _run(tmp_path, "amplitude", {"model": {"d": 2}})  # missing block
@@ -220,12 +224,20 @@ def test_exit_1_on_config_errors(tmp_path, capsys):
                  ("max_order", 7), ("max_order", 11), ("max_order", True),
                  ("tuples", 0), ("tuples", -3), ("tuples", 1001), ("tuples", 1e308),
                  ("tuples", "5"), ("seed", -1), ("seed", 1.5), ("seed", False))),
-             ("pvdemo", {"pvdemo": {"t_grid": 5}})]
+             ("pvdemo", {"pvdemo": {"t_grid": 5}}),
+             ("pvdemo", {"pvdemo": {"t_grid": {"points": 2.7}}}),
+             ("gram", {"gram": {"label": "x", "packets": packs}}),
+             ("gram", {"gram": {"label": None, "packets": packs}}),
+             ("amplitude", {**amp, "model": {"d": 2.7}}),
+             ("amplitude", {**amp, "model": {"m": True}}),
+             ("amplitude", {**amp, "model": {"d": 2, "mass": 1.0}}),
+             ("fit", {"fit": {"n": 4, "r": 4, "e_max": 4.0}})]
     # packet fields of the wrong type, sign or length (d = 2 here)
     cases += [("amplitude", {"amplitude": {"packets_in": [{**EIN[0], **field}, EIN[1]],
                                            "packets_out": EOUT}})
               for field in ({"center": 5}, {"center": {"a": 1}}, {"center": [-E08]},
                             {"center": [0.5, "x"]}, {"center": [0.5, 10**400]},
+                            {"center": [-E08, 1e308]},
                             {"width": [1]}, {"width": True},
                             {"poly_terms": [{"exps": [1, 0], "coeff": "a"}]},
                             {"poly_terms": [{"exps": [[1], 0], "coeff": 1.0}]},
@@ -253,13 +265,24 @@ def test_exit_1_on_config_errors(tmp_path, capsys):
         assert code == 1, (command, cfg)
         assert "config error" in err and "Traceback" not in err
         assert not list(out.glob("*_summary.json"))
+    # a bad --seed, an output path that names a file, and an unknown log level
+    fit = {"fit": {"n": 4, "r": 2, "e_max": 4.0, "train": 400, "validate": 100}}
+    code, out = _run(tmp_path, "fit", fit, ["--seed", "-1"])
+    assert code == 1 and not out.exists()
+    a_file = tmp_path / "a_file"
+    a_file.write_text("")
+    assert main(["pvdemo", "--config", _write(tmp_path, "pv.json", {}), "--out", str(a_file)]) == 1
+    monkeypatch.setenv("QFTSCAT_LOG", "bogus")
+    assert _run(tmp_path, "pvdemo", {})[0] == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 3 and all(line.startswith("config error: ") for line in lines)
 
 
 def test_packet_poly_terms_are_summed():
     block = {"center": [1.3, -0.4], "width": 0.3,
              "poly_terms": [{"exps": [1, 0], "coeff": 0.5}, {"exps": [0, 0], "coeff": 1.0},
                             {"exps": [1, 0], "coeff": 0.25}, {"exps": [0, 2], "coeff": 0.0}]}
-    pk = load_packet(block, "gram.packets", 2)
+    pk = check(block, PACKET, "gram.packets[0]")
     assert pk.poly.terms == {(1, 0): 0.75, (0, 0): 1.0}
     assert list(pk.center) == [1.3, -0.4] and pk.width == 0.3
 
@@ -333,7 +356,7 @@ def test_packet_boolean_exponents_rejected(tmp_path, capsys):
     for exps in ([True, 0], [0, False]):
         block = {**EIN[0], "poly_terms": [{"exps": exps, "coeff": 1.0}]}
         with pytest.raises(ConfigError):
-            load_packet(block, "amplitude.packets_in", 2)
+            check(block, PACKET, "amplitude.packets_in[0]")
         cfg = {"amplitude": {"packets_in": [block, EIN[1]], "packets_out": EOUT}}
         code, _ = _run(tmp_path, "amplitude", cfg)
         assert code == 1 and "config error" in capsys.readouterr().err
@@ -389,3 +412,93 @@ def test_fit_recheck_failure_is_a_numerical_error(tmp_path, capsys, monkeypatch)
     assert code == 2
     assert "numerical error: sampled point failed" in err and "Traceback" not in err
     assert not list(out.glob("*_summary.json"))
+
+
+def test_fit_family_rejected_after_load_is_a_numerical_error(tmp_path, capsys):
+    # the fit reaches epsilon at degree 6, which build_family's l_max of 1 rejects
+    cfg = {**README_FIT, "fit": {**README_FIT["fit"], "l_max": 1}}
+    code, out = _run(tmp_path, "fit", cfg)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "numerical error: order-4 member exceeds the degree bound 1" in err
+    assert "config error" not in err and not list(out.glob("*_summary.json"))
+
+
+SWEEP_CONFIGS = {
+    "amplitude": {"model": {"d": 2, "m": 1.0},
+                  "amplitude": {"packets_in": EIN, "packets_out": EOUT, "transfer": None}},
+    "gram": {"model": {"d": 2, "m": 1.0}, "gram": {"label": "in", "packets": [
+        {"center": [float(np.sqrt(k * k + 1)), k], "width": 0.3} for k in (-0.3, 0.3)]}},
+    "fit": {**README_FIT, "fit": {**README_FIT["fit"], "train": 400, "validate": 100}},
+    "converge": {"model": {"d": 2, "m": 1.0},
+                 "converge": {"labels": ["in", "out"],
+                              "packets": [{"center": [-1.3, 0.4], "width": 0.3},
+                                          {"center": [1.3, -0.4], "width": 0.3}],
+                              "t_grid": [1.0, 10.0], "orderings": [[0, 1]], "tolerance": 0.01}},
+    "pvdemo": {"pvdemo": {"width": 1.0, "t_grid": {"start": 1.0, "stop": 100.0, "points": 3}}},
+    "truncate-demo": {"truncate-demo": {"max_order": 4, "tuples": 20, "seed": 0}},
+}
+SWEEP_VALUES = (None, "x", [1], True, -1, 2.7, 1e308, {}, 0)
+
+
+def _mutations(node):
+    """(description, mutate) pairs: each leaf set to each sweep value, each key
+    deleted, and one unknown key added to each object; mutate edits a copy."""
+    if isinstance(node, dict):
+        yield "unknown key", lambda n: n.__setitem__("bogus", 1)
+        for key in node:
+            yield f"del {key}", lambda n, key=key: n.pop(key)
+    children = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in children:
+        if isinstance(child, (dict, list)):
+            for what, mutate in _mutations(child):
+                yield f"{key}.{what}", lambda n, key=key, mutate=mutate: mutate(n[key])
+        else:
+            for value in SWEEP_VALUES:
+                yield f"{key}={value!r}", (lambda n, key=key, value=value:
+                                           n.__setitem__(key, copy.deepcopy(value)))
+
+
+def test_config_sweep_never_tracebacks(tmp_path, capsys):
+    runs = 0
+    for command, base in SWEEP_CONFIGS.items():
+        for what, mutate in _mutations(base):
+            cfg = copy.deepcopy(base)
+            mutate(cfg)
+            out = tmp_path / f"sweep_{runs}"
+            start = time.perf_counter()
+            # an exception escaping main fails the test
+            code = main([command, "--config", _write(tmp_path, "sweep.json", cfg),
+                         "--out", str(out)])
+            err = capsys.readouterr().err
+            assert time.perf_counter() - start < 20, (command, what)
+            assert code in (0, 1, 2), (command, what)
+            assert (code == 1) == ("config error" in err), (command, what, err)
+            if code == 2 and "numerical error" not in err:
+                summaries = [_load(out, p.name) for p in out.glob("*_summary.json")]
+                assert any(s["passed"] is False for s in summaries), (command, what)
+            runs += 1
+    assert runs > 500
+
+
+def _field_names(field, names):
+    for key, sub in (field.fields or {}).items():
+        names.add(key)
+        _field_names(sub, names)
+    if field.item is not None:
+        _field_names(field.item, names)
+    return names
+
+
+def test_readme_documents_every_config_field():
+    names = set()
+    for _, table in COMMANDS.values():
+        _field_names(F(dict, fields=table), names)
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    section = readme.split("## Command line")[1].split("\n## ")[0]
+    documented = set()
+    for row in section.splitlines():
+        cells = row.split("|")
+        if row.startswith("|") and "`" in cells[2]:
+            documented.update(re.findall(r"`([^`]+)`", cells[2]))
+    assert documented == names
