@@ -34,7 +34,7 @@ from .kinematics import ModelParams, WavePacket
 from .lszlab import convergence_study, pv_limit_demo
 from .polymath import Poly
 from .structure import QuadratureSettings, SpectralDensity, StructureEvaluator
-from .transfer import TransferFamily, TransferPolynomial, validate_condition41
+from .transfer import TransferFamily, TransferPolynomial, require_valid
 from .truncation import DEFAULT_MAX_ORDER, KernelFunctional, bell_number, truncate, untruncate
 
 log = logging.getLogger("qftscat")
@@ -139,10 +139,7 @@ def _family(block: dict) -> TransferFamily:
     if l_max is None:
         l_max = max(p.per_argument_degrees(), default=2)
     fam = TransferFamily({2: TransferPolynomial.constant(2, 1.0), p.n: p}, l_max=l_max)
-    report = validate_condition41(fam)
-    if not report["passed"]:
-        raise ValueError(f"transfer family invalid: {report['violations']}")
-    return fam
+    return require_valid(fam)
 
 
 def _times(grid) -> np.ndarray:
@@ -288,15 +285,13 @@ def cmd_gram(cfg, c, outdir) -> int:
     family = [BorchersVector.one_particle(p) for p in block["packets"]]
     if label in (IN, OUT):
         min_eig, gram, psd_ok = inout_positivity_check(ev, family, label, fam=fam)
-        pairing = structure_pairing(ev, labels_for=lambda nn: [label] * nn, fam=fam)
     else:
-        pairing = structure_pairing(ev, fam=fam)
-        gram = gram_matrix(pairing, family)
+        gram = gram_matrix(structure_pairing(ev, label, fam), family)
         min_eig = float(np.linalg.eigvalsh(gram.matrix).min())
         psd_ok = True
     dec = metric_decomposition(gram)
     eta_check = float(np.max(np.abs(dec.eta @ dec.eta - np.eye(gram.size))))
-    hssc = hssc_estimate(pairing, family, block["K"], block["L"])
+    hssc = hssc_estimate(gram, family, block["K"], block["L"])
     rows = [(i, j, gram.matrix[i, j].real, gram.matrix[i, j].imag)
             for i in range(gram.size) for j in range(gram.size)]
     _write_csv(os.path.join(outdir, "gram.csv"), ["i", "j", "re", "im"], rows)

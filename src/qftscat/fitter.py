@@ -18,7 +18,7 @@ from scipy import linalg
 from .kinematics import NumericalError, _multi_indices, invariant_map, invariant_names
 from .polymath import Poly
 from .structure import two_body_solutions
-from .transfer import TransferFamily, TransferPolynomial, symmetrize_realify, validate_condition41
+from .transfer import TransferFamily, TransferPolynomial, require_valid, symmetrize_realify
 
 
 @dataclass(frozen=True)
@@ -295,11 +295,7 @@ def build_family(fits: dict, l_max: int) -> TransferFamily:
         if max(p.per_argument_degrees(), default=0) > l_max:
             raise ValueError(f"order-{n} member exceeds the degree bound {l_max}")
         members[n] = p
-    fam = TransferFamily(members, l_max)
-    check = validate_condition41(fam)
-    if not check["passed"]:
-        raise ValueError(f"assembled family fails validation: {check['violations']}")
-    return fam
+    return require_valid(TransferFamily(members, l_max))
 
 
 def reference_registry(params):

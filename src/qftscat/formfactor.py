@@ -13,16 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kinematics import gauss_legendre
-from .structure import (
-    SpectralDensity,
-    StructureEvaluator,
-    eval_Ghat_2,
-    leg_term_u_grid,
-    pv_leg_term,
-    reduced_integrand,
-    two_body_solutions,
-)
-from .transfer import TransferFamily, validate_condition41
+from .structure import SpectralDensity, StructureEvaluator, eval_Ghat_2, leg_term, two_body_solutions
+from .transfer import TransferFamily, require_valid
 
 IN, LOC, OUT = "in", "loc", "out"
 LABELS = (IN, LOC, OUT)
@@ -36,21 +28,16 @@ def _check_label(a: str) -> str:
 
 @dataclass(frozen=True)
 class PropagatorAtom:
-    """One additive piece of the leg propagator.
+    """One additive piece of the leg propagator: coefficient times the
+    forward (sign +1) or backward (sign -1) shell measure, or times the
+    principal-value kernel (sign 0)."""
 
-    kind 'onshell' with sign +/-1 means coefficient times the forward or
-    backward shell measure; kind 'pv' means the principal-value kernel.
-    """
-
-    kind: str  # "onshell" or "pv"
     coefficient: complex
     sign: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("onshell", "pv"):
-            raise ValueError("kind must be 'onshell' or 'pv'")
-        if self.kind == "onshell" and self.sign not in (1, -1):
-            raise ValueError("onshell atom needs sign +/-1")
+        if self.sign not in (1, 0, -1):
+            raise ValueError("atom sign must be +1, 0 or -1")
         if self.coefficient == 0:
             raise ValueError("atom coefficient must be nonzero")
 
@@ -59,27 +46,9 @@ def delta_hat_atoms(a: str):
     """Atom decomposition of the leg-label propagator."""
     _check_label(a)
     if a == LOC:
-        return [PropagatorAtom("pv", 1.0)]
+        return [PropagatorAtom(1.0)]
     s = -1.0 if a == IN else 1.0
-    return [
-        PropagatorAtom("onshell", s * 1j * np.pi, sign=1),
-        PropagatorAtom("onshell", -s * 1j * np.pi, sign=-1),
-    ]
-
-
-def _onshell_leg_term(j, sign, packets, ev, weight=None) -> complex:
-    """Leg j pinned to the sign-shell, other legs reduced by g_j."""
-    pk = packets[j]
-    g = reduced_integrand(j, packets, ev, weight=weight)
-    ugrid = leg_term_u_grid(packets[g.free_leg], ev.quad) if len(packets) == 4 else None
-    lo1, hi1 = pk.support_interval(1)
-    k1n, k1w = gauss_legendre(lo1, hi1, ev.quad.outer_nodes)
-    m = ev.params.m
-    w = np.sqrt(k1n * k1n + m * m)
-    k0 = sign * w
-    vals = g(k0, k1n, ugrid)
-    kj = np.stack([k0, k1n], axis=-1)
-    return complex(np.sum(k1w * vals * pk(kj) / (2.0 * w)))
+    return [PropagatorAtom(s * 1j * np.pi, sign=1), PropagatorAtom(-s * 1j * np.pi, sign=-1)]
 
 
 def _discrete_two_point(packets, ev) -> complex:
@@ -104,25 +73,16 @@ def eval_FG_n(labels, packets, ev: StructureEvaluator, weight=None) -> complex:
     total = 0.0 + 0.0j
     for j in range(n):
         for atom in delta_hat_atoms(labels[j]):
-            if atom.kind == "pv":
-                term = pv_leg_term(j, packets, ev, weight=weight)
-            else:
-                term = _onshell_leg_term(j, atom.sign, packets, ev, weight=weight)
-            total += atom.coefficient * term
+            total += atom.coefficient * leg_term(j, packets, ev, atom.sign, weight=weight)
     return total
 
 
 def eval_F_n(labels, packets, ev: StructureEvaluator, fam: TransferFamily) -> complex:
-    """Transfer-weighted form factor: the order-n integrand multiplied by M_n."""
+    """Transfer-weighted form factor: the order-n integrand multiplied by M_n
+    (M_2 = 1, and eval_FG_n's two-point pairing reads no weight)."""
     if fam is None:
         raise ValueError("transfer family required")
-    report = validate_condition41(fam)
-    if not report["passed"]:
-        raise ValueError(f"invalid transfer family: {report['violations']}")
-    n = len(packets)
-    if n == 2:
-        # M_2 = 1: the weight drops out
-        return eval_FG_n(labels, packets, ev)
+    require_valid(fam)
     return eval_FG_n(labels, packets, ev, weight=fam.eval)
 
 
@@ -227,9 +187,7 @@ def smatrix_amplitude(req: AmplitudeRequest, ev: StructureEvaluator,
     kb = np.stack([sb * wb, pb], axis=-1)
     fvals = vals[..., None] * packets[la](ka) * packets[lb](kb)
     if fam is not None:
-        report = validate_condition41(fam)
-        if not report["passed"]:
-            raise ValueError(f"invalid transfer family: {report['violations']}")
+        require_valid(fam)
         ks = np.zeros(ka.shape[:-1] + (n, 2))
         for i, l in enumerate(free):
             ks[..., l, :] = kfree[i][..., None, :]

@@ -12,9 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .formfactor import eval_FG_n
+from .formfactor import IN, LOC, OUT, eval_FG_n
 from .kinematics import schwartz_norm_1leg
-from .structure import StructureEvaluator, eval_Ghat_2, eval_Ghat_n
+from .structure import StructureEvaluator
+from .transfer import require_valid
 from .truncation import KernelFunctional, untruncate
 
 
@@ -109,27 +110,18 @@ def full_pairing(connected, max_order: int = 4):
     return untruncate(kf).eval
 
 
-def structure_pairing(ev: StructureEvaluator, labels_for=None, fam=None):
-    """Pairing of packet tuples under the connected kernels: the two-point
-    kernel at order 2 and the off-shell-leg kernels at orders 3 and 4;
-    order 1 and order > 4 pair to zero. labels_for(n) optionally supplies
-    leg labels routing through the form-factor atoms."""
+def structure_pairing(ev: StructureEvaluator, label: str = LOC, fam=None):
+    """Pairing of packet tuples under the connected kernels with every leg
+    labeled label (loc: the two-point kernel at order 2 and the off-shell-leg
+    kernels at orders 3 and 4), weighted by the transfer family fam if given;
+    order 1 and order > 4 pair to zero. fam is validated here, once."""
+    weight = None if fam is None else require_valid(fam).eval
 
     def pairing(packets) -> complex:
         n = len(packets)
         if n <= 1 or n > 4:
             return 0.0 + 0.0j
-        if labels_for is not None:
-            labels = labels_for(n)
-            if fam is not None:
-                from .formfactor import eval_F_n
-
-                return eval_F_n(labels, list(packets), ev, fam)
-            return eval_FG_n(labels, list(packets), ev)
-        if n == 2:
-            return eval_Ghat_2(list(packets), ev)
-        weight = fam.eval if fam is not None else None
-        return eval_Ghat_n(list(packets), ev, weight=weight)
+        return eval_FG_n([label] * n, list(packets), ev, weight=weight)
 
     return pairing
 
@@ -203,9 +195,9 @@ def vector_schwartz_norm(f: BorchersVector, K: int, L: int) -> float:
     return total
 
 
-def hssc_estimate(pairing, family, K: int, L: int) -> HsscEstimate:
-    """Empirical continuity constant max |H_ij| / (|f_i| |f_j|) at (K, L)."""
-    gram = gram_matrix(pairing, family)
+def hssc_estimate(gram: GramMatrix, family, K: int, L: int) -> HsscEstimate:
+    """Empirical continuity constant max |H_ij| / (|f_i| |f_j|) at (K, L) of
+    the family's Gram."""
     norms = np.array([vector_schwartz_norm(f, K, L) for f in family])
     if np.any(norms == 0):
         raise ValueError("zero Schwartz norm in the family")
@@ -218,9 +210,9 @@ def inout_positivity_check(ev: StructureEvaluator, family, label: str,
                            fam=None, tol: float = 1e-8):
     """Gram of a uniformly in- or out-labeled family must be positive
     semidefinite; returns (min eigenvalue, Gram, pass flag)."""
-    if label not in ("in", "out"):
+    if label not in (IN, OUT):
         raise ValueError("label must be 'in' or 'out'")
-    connected = structure_pairing(ev, labels_for=lambda n: [label] * n, fam=fam)
+    connected = structure_pairing(ev, label, fam)
     gram = gram_matrix(full_pairing(connected), family, w0=1.0)
     lam = np.linalg.eigvalsh(gram.matrix)
     scale = float(np.max(np.abs(lam))) if lam.size else 0.0

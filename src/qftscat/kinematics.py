@@ -221,7 +221,7 @@ class WavePacket:
         gauss = np.exp(-r2 / (2 * self.width**2))
         val = self.poly(k) * gauss
         if self.phase is not None:
-            # np.multiply keeps the operand order for every array size (see pv_leg_term)
+            # np.multiply keeps the operand order for every array size (see structure.leg_term)
             val = np.multiply(val, np.exp(-1j * minkowski_dot(self.phase, k)))
         return val
 

@@ -15,8 +15,8 @@ import numpy as np
 from scipy import integrate, special
 
 from .formfactor import IN, LOC, OUT, eval_FG_n
-from .kinematics import ModelParams, chi_plus_minus, gauss_legendre, gauss_rule, omega
-from .structure import SpectralDensity, StructureEvaluator, pv_leg_term
+from .kinematics import ModelParams, chi_plus_minus, gauss_legendre, omega
+from .structure import SpectralDensity, StructureEvaluator, _panel_grid, leg_term
 
 
 def chi_t(label: str, k, t, params: ModelParams):
@@ -72,7 +72,7 @@ def _leg_terms(j, label, times, packets, ev, weight=None) -> np.ndarray:
         eps = ev.params.eps_phi
         kw = dict(pv_multiplier=lambda k: chi_t(label, k, times, ev.params),
                   t_hint=max(times), window_fn=lambda w_sh: _chi_windows(w_sh, eps))
-    return np.broadcast_to(pv_leg_term(j, packets, ev, weight=weight, **kw), (len(times),))
+    return np.broadcast_to(leg_term(j, packets, ev, weight=weight, **kw), (len(times),))
 
 
 def _pairings(labels, packets, schedules, ev, fam=None) -> np.ndarray:
@@ -116,20 +116,22 @@ class ConvergenceReport:
     target: complex | None
     envelope_nonincreasing: bool
     ordering_spread: float
-    oscillation_amplitude: float = 0.0
-
-    @property
-    def passed(self) -> bool:
-        return self.envelope_nonincreasing
 
 
-def _decade_envelope_nonincreasing(t, err):
+# quad's default tolerance: errors below sqrt(eps) of the reference are not
+# resolved, so the envelope of a study converged to round-off is flat there
+ENVELOPE_FLOOR = math.sqrt(np.finfo(float).eps)
+
+
+def _decade_envelope_nonincreasing(t, err, floor=0.0):
+    """Whether the per-decade maxima of err, each raised to at least floor,
+    never increase along t."""
     decades = np.floor(np.log10(np.maximum(t, 1e-300)))
     maxes = []
     for dec in np.unique(decades):
         sel = decades == dec
         if sel.any():
-            maxes.append(float(np.max(err[sel])))
+            maxes.append(max(float(np.max(err[sel])), floor))
     return all(b <= a * 1.0000001 for a, b in zip(maxes[:-1], maxes[1:]))
 
 
@@ -183,9 +185,9 @@ def _report(t_grid, vals, orderings, target) -> ConvergenceReport:
         t_grid=t_grid, values=values, window_averaged=window_avg,
         abs_err=abs_err, extrapolated=extrapolated,
         fitted_rate=_fit_rate(t_grid[fit], abs_err[first][fit]), target=target,
-        envelope_nonincreasing=_decade_envelope_nonincreasing(t_grid, abs_err[first]),
+        envelope_nonincreasing=_decade_envelope_nonincreasing(
+            t_grid, abs_err[first], ENVELOPE_FLOOR * abs(ref)),
         ordering_spread=max(abs(a - b) for a in lims for b in lims),
-        oscillation_amplitude=float(np.max(np.abs(values[first] - window_avg[first]))),
     )
 
 
@@ -293,11 +295,7 @@ def riemann_lebesgue_decay(rho: SpectralDensity, packets, t_grid,
             math.ceil(ev.quad.nodes_per_period * abs(t) * (mu_hi - mu_lo) / (2 * math.pi)),
         ))
         panels = max(1, n_mu // ev.quad.mu_nodes)
-        edges = np.linspace(mu_lo, mu_hi, panels + 1)
-        x, w = gauss_rule(ev.quad.mu_nodes)
-        mun = (0.5 * (edges[:-1] + edges[1:])[:, None]
-               + 0.5 * np.diff(edges)[:, None] * x).ravel()
-        muw = (0.5 * np.diff(edges)[:, None] * w).ravel()
+        mun, muw = _panel_grid(np.linspace(mu_lo, mu_hi, panels + 1), ev.quad.mu_nodes, sine=False)
         wmu = np.sqrt(kn[None, :] ** 2 + mun[:, None] ** 2)  # (Nmu, Nk)
         ka = np.stack([-wmu, np.broadcast_to(kn, wmu.shape)], axis=-1)
         kb = np.stack([wmu, np.broadcast_to(-kn, wmu.shape)], axis=-1)

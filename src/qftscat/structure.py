@@ -217,13 +217,6 @@ def _solved_pair_terms(j, pair, packets, ev, weight, E, P, k0, k1, free=None):
     return out.reshape(shape + (2,))
 
 
-def default_u_grid(packet, quad: QuadratureSettings, panels: int = 4):
-    """Composite Gauss-Legendre grid over a packet's spatial support."""
-    lo, hi = packet.support_interval(1)
-    edges = np.linspace(lo, hi, panels + 1)
-    return _panel_grid(edges, quad.inner_nodes)
-
-
 def leg_term_u_grid(packet, quad: QuadratureSettings):
     """Free-leg grid of the order-4 leg terms, shared by all their (k1, sigma)
     nodes: two sine-substituted panels split at the support's exact midpoint.
@@ -237,29 +230,31 @@ def leg_term_u_grid(packet, quad: QuadratureSettings):
     return _panel_grid([lo, 0.5 * (lo + hi), hi], quad.inner_nodes)
 
 
-def _panel_grid(edges, nodes):
-    """Composite quadrature with a sine substitution on every panel.
+def _panel_grid(edges, nodes, sine=True):
+    """Composite Gauss-Legendre rule of the given nodes on every panel between
+    consecutive edges, with a sine substitution unless sine is False.
 
     The substitution's derivative vanishes at panel ends, which integrates
     inverse-square-root endpoint singularities (two-body thresholds) exactly
     in the transformed variable.
     """
     x, w = gauss_rule(nodes)
-    us, ws = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        us.append(mid + half * np.sin(0.5 * np.pi * x))
-        ws.append(w * half * 0.5 * np.pi * np.cos(0.5 * np.pi * x))
-    return np.concatenate(us), np.concatenate(ws)
+    edges = np.asarray(edges, dtype=float)
+    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
+    half = 0.5 * np.diff(edges)[:, None]
+    if not sine:
+        return (mid + half * x).ravel(), (half * w).ravel()
+    us = mid + half * np.sin(0.5 * np.pi * x)
+    return us.ravel(), (w * half * 0.5 * np.pi * np.cos(0.5 * np.pi * x)).ravel()
 
 
 def reduced_integrand(j: int, packets, ev: StructureEvaluator, weight=None):
     """The leg-j reduction g_j: integrate the packet product over the shells
     of legs l != j with total momentum conservation solved exactly.
 
-    j is 0-based. Returns a callable g(k0, k1[, ugrid]) vectorized over
-    broadcastable arrays; for n=4 an optional (nodes, weights) pair replaces
-    the default free-leg grid. No kinematic solution means g = 0.
+    j is 0-based. Returns a callable g(k0, k1, ugrid) vectorized over
+    broadcastable arrays; for n=4 ugrid is the free leg's (nodes, weights)
+    grid, for n=3 it is ignored. No kinematic solution means g = 0.
     """
     n = len(packets)
     if n not in (3, 4):
@@ -275,9 +270,9 @@ def reduced_integrand(j: int, packets, ev: StructureEvaluator, weight=None):
         return _solved_pair_terms(j, (b, c), packets, ev, weight,
                                   -k0, -k1, k0, k1).sum(axis=-1)
 
-    def g4(k0, k1, ugrid=None):
+    def g4(k0, k1, ugrid):
         k0, k1 = np.broadcast_arrays(np.asarray(k0, dtype=float), np.asarray(k1, dtype=float))
-        un, uw = default_u_grid(packets[free], ev.quad) if ugrid is None else ugrid
+        un, uw = ugrid
         # broadcast: leading axes from (k0, k1), then u, then the root axis
         k0e = k0[..., None]
         k1e = k1[..., None]
@@ -319,7 +314,6 @@ def pv_fold(numer, poles, windows, quad: QuadratureSettings, t_hint: float = 0.0
     row axis of numer (one row per time) is kept; the last axis is the pole.
     """
     windows = [e for e in windows if e[-1] > e[0]]
-    gx, gw = gauss_rule(quad.fold_nodes)
     sing = set(singular)
     graded = [c for p in poles for c in (p - max_panel / 2, p + max_panel / 2)
               if all(abs(c - s) > max_panel / 8 for s in sing)]
@@ -334,8 +328,7 @@ def pv_fold(numer, poles, windows, quad: QuadratureSettings, t_hint: float = 0.0
             if lo in sing or hi in sing:
                 xs, ws = _panel_grid(sub, int(1.6 * quad.fold_nodes))
             else:
-                mid, half = 0.5 * (sub[:-1] + sub[1:]), 0.5 * np.diff(sub)
-                xs, ws = (mid[:, None] + half[:, None] * gx).ravel(), (half[:, None] * gw).ravel()
+                xs, ws = _panel_grid(sub, quad.fold_nodes, sine=False)
             panels.append((xs, ws, np.full(len(xs), i)))
     if not panels:
         return np.zeros(len(poles), dtype=complex)
@@ -365,25 +358,34 @@ def _threshold_k0(j: int, n: int, k1: float, m: float):
     return [-signs[0] * math.sqrt(4.0 * m * m + k1 * k1)]
 
 
-def pv_leg_term(j: int, packets, ev: StructureEvaluator, weight=None,
-                pv_multiplier=None, t_hint: float = 0.0, window_fn=None):
-    """One term of the PV pairing: leg j off shell, others reduced by g_j.
+def leg_term(j: int, packets, ev: StructureEvaluator, sign: int = 0, weight=None,
+             pv_multiplier=None, t_hint: float = 0.0, window_fn=None):
+    """One leg term of a pairing: leg j carries one propagator atom, the other
+    legs are reduced by g_j, and k1 runs over the packet's outer Gauss rule.
 
-    Per k1 node, pv_fold tabulates the numerator g_j * f_j once over the
-    packet's k0 support, or over the windows window_fn(omega) returns (such
-    as the support of pv_multiplier), and takes both poles +/-omega from that
-    table: sum_sigma sigma / (2 omega (k0 - sigma omega)) = 1/(k0^2 - omega^2).
+    sign +/-1 pins k_j to that shell, k0 = sign * omega(k1), with measure
+    1/(2 omega). sign 0 is the principal-value atom: per k1 node, pv_fold
+    tabulates the numerator g_j * f_j once over the packet's k0 support, or
+    over the windows window_fn(omega) returns (such as the support of
+    pv_multiplier), and takes both poles +/-omega from that table:
+    sum_sigma sigma / (2 omega (k0 - sigma omega)) = 1/(k0^2 - omega^2).
     pv_multiplier may return one row per time, shape (T, N) for N k0 points;
     the term is then T values, on a grid sized by t_hint (the largest time).
     """
     n = len(packets)
     pk = packets[j]
     g = reduced_integrand(j, packets, ev, weight=weight)
+    ugrid = leg_term_u_grid(packets[g.free_leg], ev.quad) if n == 4 else None
     lo1, hi1 = pk.support_interval(1)
     k1n, k1w = gauss_legendre(lo1, hi1, ev.quad.outer_nodes)
-    lo0, hi0 = pk.support_interval(0)
     m = ev.params.m
-    ugrid = leg_term_u_grid(packets[g.free_leg], ev.quad) if n == 4 else None
+    if sign:
+        w = np.sqrt(k1n * k1n + m * m)
+        k0 = sign * w
+        vals = g(k0, k1n, ugrid)
+        kj = np.stack([k0, k1n], axis=-1)
+        return complex(np.sum(k1w * vals * pk(kj) / (2.0 * w)))
+    lo0, hi0 = pk.support_interval(0)
     total = 0.0 + 0.0j
     for k1, wk in zip(k1n, k1w):
         w_sh = float(omega(k1, m))
@@ -415,7 +417,7 @@ def eval_Ghat_n(packets, ev: StructureEvaluator, weight=None) -> complex:
         raise ValueError("use eval_Ghat_2 for the two-point pairing")
     total = 0.0 + 0.0j
     for j in range(n):
-        total += pv_leg_term(j, packets, ev, weight=weight)
+        total += leg_term(j, packets, ev, weight=weight)
     return total
 
 

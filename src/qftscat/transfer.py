@@ -219,6 +219,14 @@ def validate_condition41(fam: TransferFamily, rng=None, samples: int = 32) -> di
     return {"passed": not violations, "violations": violations}
 
 
+def require_valid(fam: TransferFamily) -> TransferFamily:
+    """fam itself if it passes condition 4.1, else a ValueError listing the violations."""
+    report = validate_condition41(fam)
+    if not report["passed"]:
+        raise ValueError(f"invalid transfer family: {report['violations']}")
+    return fam
+
+
 def hermiticity_identity_check(p: TransferPolynomial, rng=None, samples: int = 100,
                                d: int = 2, tol: float = 1e-12) -> bool:
     """conj(M(-k_n,...,-k_1)) == M(k_1,...,k_n) at random real momenta."""

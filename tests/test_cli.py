@@ -60,6 +60,16 @@ def test_pvdemo(tmp_path):
     assert abs(summary["limit_im"] - math.pi) < 1e-12
 
 
+@pytest.mark.parametrize("width", [0.1, 2.0])
+def test_pvdemo_converged_to_round_off_passes(tmp_path, width):
+    # the error settles at round-off, where the decade maxima wander (up to
+    # 5e-11 of the limit for width 2.0) below quad's resolution
+    code, out = _run(tmp_path, "pvdemo", {"pvdemo": {"width": width}})
+    assert code == 0
+    summary = _load(out, "pvdemo_summary.json")
+    assert summary["passed"] and summary["final_rel_err"] < 1e-12
+
+
 def test_amplitude_empty_phase_space(tmp_path):
     cfg = {"model": {"d": 2, "m": 1.0},
            "amplitude": {"packets_in": EIN,

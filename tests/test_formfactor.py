@@ -2,22 +2,25 @@
 import numpy as np
 import pytest
 
+from qftscat import formfactor
 from qftscat.formfactor import (
     AmplitudeRequest,
-    _onshell_leg_term,
     delta_hat_atoms,
     eval_F_n,
     eval_FG_n,
     smatrix_amplitude,
     smatrix_density,
 )
+from qftscat.gns import structure_pairing
 from qftscat.kinematics import ShellPoint, WavePacket, gauss_legendre, omega
 from qftscat.structure import (
+    QuadratureSettings,
     SpectralDensity,
     StructureEvaluator,
     _panel_grid,
     eval_Ghat_2,
     eval_Ghat_n,
+    leg_term,
     reduced_integrand,
 )
 from qftscat.transfer import TransferFamily, TransferPolynomial
@@ -28,7 +31,7 @@ AMP4_ORACLE = 0.017911981248022433j
 
 def test_atom_decomposition():
     (pv,) = delta_hat_atoms("loc")
-    assert pv.kind == "pv" and pv.coefficient == 1.0
+    assert pv.sign == 0 and pv.coefficient == 1.0
     a_in = delta_hat_atoms("in")
     assert [(a.sign, a.coefficient) for a in a_in] == [(1, -1j * np.pi), (-1, 1j * np.pi)]
     a_out = delta_hat_atoms("out")
@@ -37,8 +40,33 @@ def test_atom_decomposition():
         delta_hat_atoms("bad")
 
 
-def test_all_loc_reduces_to_structure_kernel(trio, ev):
+def test_all_loc_reduces_to_structure_kernel(pair, trio, packets4, params, ev, fam_quad):
     assert eval_FG_n(["loc"] * 3, list(trio), ev) == eval_Ghat_n(list(trio), ev)
+    # the Gram pairing equals, bitwise, the per-order routes it replaced; a
+    # coarse k1 rule, since values are compared for equality, not accuracy
+    coarse = StructureEvaluator(params, SpectralDensity.default_model(params),
+                                QuadratureSettings(outer_nodes=8))
+    for fam in (None, fam_quad):
+        weight = None if fam is None else fam.eval
+        loc = structure_pairing(coarse, fam=fam)
+        assert loc(pair) == eval_Ghat_2(list(pair), coarse)
+        for packets in (trio, packets4):
+            assert loc(packets) == eval_Ghat_n(list(packets), coarse, weight=weight)
+        for label in ("in", "out"):
+            pairing = structure_pairing(coarse, label, fam)
+            for packets in (pair, trio, packets4):
+                labels = [label] * len(packets)
+                if fam is None:
+                    want = eval_FG_n(labels, list(packets), coarse)
+                else:
+                    want = eval_F_n(labels, list(packets), coarse, fam)
+                assert pairing(packets) == want
+
+
+def test_formfactor_binds_no_quadrature_helper():
+    # leg terms, free-leg grids and panel rules all live in structure
+    for name in ("reduced_integrand", "leg_term_u_grid", "_panel_grid"):
+        assert not hasattr(formfactor, name)
 
 
 def test_two_point_labels(pair, ev, ev_rho):
@@ -183,7 +211,7 @@ def test_batched_onshell_leg_term_equals_per_node(extras, packets4, ev, fam_quad
     nonzero = 0
     for j in range(4):
         for sign in (1, -1):
-            got = _onshell_leg_term(j, sign, list(packets4), ev, weight)
+            got = leg_term(j, list(packets4), ev, sign, weight=weight)
             want = _onshell_leg_term_per_node(j, sign, list(packets4), ev, weight)
             assert abs(got - want) <= 1e-14 * abs(want)
             nonzero += want != 0

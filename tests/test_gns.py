@@ -16,7 +16,9 @@ from qftscat.gns import (
     structure_pairing,
     vector_schwartz_norm,
 )
+from qftscat import transfer
 from qftscat.kinematics import WavePacket, omega
+from qftscat.transfer import TransferFamily, TransferPolynomial
 
 RNG = np.random.default_rng(31)
 
@@ -164,8 +166,23 @@ def test_vector_schwartz_norm():
 
 def test_hssc_estimate_scale_invariant(ev):
     fam = [_one(-0.6), _one(0.6)]
+    scaled = [f.scaled(5.0) for f in fam]
     pairing = structure_pairing(ev)
-    h1 = hssc_estimate(pairing, fam, 2, 2)
-    h2 = hssc_estimate(pairing, [f.scaled(5.0) for f in fam], 2, 2)
+    h1 = hssc_estimate(gram_matrix(pairing, fam), fam, 2, 2)
+    h2 = hssc_estimate(gram_matrix(pairing, scaled), scaled, 2, 2)
     assert abs(h1.constant - h2.constant) < 1e-10 * h1.constant
     assert h1.K == 2 and h1.sample_size == 2
+
+
+def test_structure_pairing_validates_its_family_once(ev, fam_quad, monkeypatch):
+    bad = TransferFamily({2: TransferPolynomial.constant(2, 2.0)}, l_max=2)
+    for label in ("loc", "in", "out"):
+        with pytest.raises(ValueError, match="invalid transfer family"):
+            structure_pairing(ev, label, bad)
+    calls = []
+    validate = transfer.validate_condition41
+    monkeypatch.setattr(transfer, "validate_condition41",
+                        lambda fam: calls.append(fam) or validate(fam))
+    pairing = structure_pairing(ev, "in", fam_quad)
+    gram_matrix(full_pairing(pairing), [_one(-0.6), _one(0.1), _one(0.8)], w0=1.0)
+    assert calls == [fam_quad]

@@ -9,8 +9,10 @@ from scipy import integrate, special
 from qftscat.formfactor import eval_FG_n
 from qftscat.kinematics import WavePacket, gauss_legendre, omega
 from qftscat.lszlab import (
+    ENVELOPE_FLOOR,
     MultiTimeSchedule,
     _chi_windows,
+    _decade_envelope_nonincreasing,
     _leg_terms,
     chi_t,
     convergence_study,
@@ -21,7 +23,7 @@ from qftscat.lszlab import (
     riemann_lebesgue_decay,
     sokhotsky_check,
 )
-from qftscat.structure import QuadratureSettings, SpectralDensity, StructureEvaluator, pv_leg_term
+from qftscat.structure import QuadratureSettings, SpectralDensity, StructureEvaluator, leg_term
 
 
 def _gauss(x):
@@ -87,18 +89,30 @@ def test_order3_leg_terms_equal_their_quadrature(trio, trio_scatter, params, wei
     static_nonzero = 0
     for packets in sets:
         for j in range(3):
-            static = pv_leg_term(j, packets, ev, weight=weight)
+            static = leg_term(j, packets, ev, weight=weight)
             static_nonzero += static != 0
             assert np.all(_leg_terms(j, "loc", times, packets, ev, weight=weight) == static)
             for label in ("in", "out"):
                 got = _leg_terms(j, label, times, packets, ev, weight=weight)
-                want = pv_leg_term(
+                want = leg_term(
                     j, packets, ev, weight=weight,
                     pv_multiplier=lambda k: chi_t(label, k, times, ev.params),
                     t_hint=max(times), window_fn=lambda w: _chi_windows(w, eps))
                 assert got.shape == (2,) and np.all(got == want)
     # the zeros come from chi_t, not from an integrand that vanishes anyway
     assert static_nonzero >= 4
+
+
+def test_decade_envelope_floor():
+    t = np.array([1.0, 3.0, 10.0, 30.0, 100.0, 300.0])
+    # converged to round-off after t = 10: the last decade's maximum is the
+    # larger, but both lie below the floor
+    settled = np.array([1e-3, 1e-6, 1e-14, 4e-16, 1e-16, 5e-11])
+    assert not _decade_envelope_nonincreasing(t, settled)
+    assert _decade_envelope_nonincreasing(t, settled, ENVELOPE_FLOOR)
+    rising = settled.copy()
+    rising[-1] = 2 * ENVELOPE_FLOOR
+    assert not _decade_envelope_nonincreasing(t, rising, ENVELOPE_FLOOR)
 
 
 def test_time_multiplier_and_schedule(params):

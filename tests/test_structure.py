@@ -15,12 +15,11 @@ from qftscat.structure import (
     StructureEvaluator,
     _panel_grid,
     _threshold_k0,
-    default_u_grid,
     eval_Ghat_2,
     eval_Ghat_n,
+    leg_term,
     leg_term_u_grid,
     pv_fold,
-    pv_leg_term,
     reduced_integrand,
     root_possible,
     two_body_solutions,
@@ -176,10 +175,17 @@ def test_reduced_integrand_order3_oracle(trio, ev):
     assert abs(val - oracle) < 1e-12 * abs(oracle)
 
 
+def _u_grid(packet, quad, panels=4):
+    """Equal sine-substituted panels over a packet's spatial support: the
+    free-leg grid the order-4 oracle constant below was checked on."""
+    lo, hi = packet.support_interval(1)
+    return _panel_grid(np.linspace(lo, hi, panels + 1), quad.inner_nodes)
+
+
 def test_reduced_integrand_order4_oracle(packets4, ev):
     g = reduced_integrand(2, list(packets4), ev)
     k0v, k1v = 1.30, 0.75
-    val = complex(g(np.array(k0v), np.array(k1v)))
+    val = complex(g(np.array(k0v), np.array(k1v), _u_grid(packets4[g.free_leg], ev.quad)))
     # brute-force oracle computed once by adaptive quadrature over the free
     # leg with root solving inside (legs 0, 1 backward, leg 3 forward)
     assert abs(val - 0.018591935616353153) < 3e-7 * 0.0186
@@ -272,12 +278,33 @@ def test_leg_term_u_grid_splits_at_exact_midpoint(ev):
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
-def test_default_u_grid_integrates_gaussian(ev):
+def _panel_grid_loop(edges, nodes, sine=True):
+    """The composite panel rule built one panel at a time, kept as the reference."""
+    x, w = kinematics.gauss_rule(nodes)
+    us, ws = [], []
+    for a, b in zip(edges[:-1], edges[1:]):
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        if sine:
+            us.append(mid + half * np.sin(0.5 * np.pi * x))
+            ws.append(w * half * 0.5 * np.pi * np.cos(0.5 * np.pi * x))
+        else:
+            us.append(mid + half * x)
+            ws.append(half * w)
+    return np.concatenate(us), np.concatenate(ws)
+
+
+@pytest.mark.parametrize("sine", [True, False], ids=["sine", "plain"])
+def test_panel_grid_integrates_gaussian(sine, ev):
     pk = WavePacket(center=np.array([0.2, -0.4]), width=0.5)
-    un, uw = default_u_grid(pk, ev.quad)
+    lo, hi = pk.support_interval(1)
+    un, uw = _panel_grid(np.linspace(lo, hi, 5), ev.quad.inner_nodes, sine=sine)
     val = float(np.sum(uw * np.exp(-0.5 * ((un + 0.4) / 0.5) ** 2)))
     exact = 0.5 * np.sqrt(2 * np.pi)
     assert abs(val - exact) < 1e-10
+    # the vectorized rule equals the per-panel loop bitwise
+    for edges in ([lo, 0.5 * (lo + hi), hi], np.linspace(lo, hi, 7)):
+        got, want = _panel_grid(edges, 19, sine=sine), _panel_grid_loop(edges, 19, sine=sine)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 def test_ghat2_vs_quadrature_oracle(pair, ev, ev_rho):
@@ -369,11 +396,11 @@ def _dense_reduced_integrand(j, packets, ev, weight=None):
         out = np.where(valid, vals / np.where(valid, dens, 1.0), 0.0)
         return out.sum(axis=-1)
 
-    def g4(k0, k1, ugrid=None):
+    def g4(k0, k1, ugrid):
         free, b, c = others
         sa, sb, sc = sign(free), sign(b), sign(c)
         k0, k1 = np.broadcast_arrays(np.asarray(k0, dtype=float), np.asarray(k1, dtype=float))
-        un, uw = default_u_grid(packets[free], ev.quad) if ugrid is None else ugrid
+        un, uw = ugrid
         k0e = k0[..., None]
         k1e = k1[..., None]
         wu = np.sqrt(un * un + m * m)
@@ -422,7 +449,7 @@ def test_masked_integrand_equals_dense(order, extras, trio, packets4, ev, fam_qu
         lo1, hi1 = packets[j].support_interval(1)
         grids = [None]
         if order == 4:
-            grids.append(default_u_grid(packets[g.free_leg], ev.quad, panels=3))
+            grids = [_u_grid(packets[g.free_leg], ev.quad, panels) for panels in (4, 3)]
         for n0, n1 in sizes:
             k0 = np.linspace(lo0 - 1.0, hi0 + 1.0, n0)[:, None]
             k1 = np.linspace(lo1, hi1, n1)[None, :]
@@ -435,7 +462,7 @@ def test_masked_integrand_equals_dense(order, extras, trio, packets4, ev, fam_qu
                 got = g(np.array(a), np.array(b), ugrid)
                 assert np.shape(got) == ()
                 assert got == dense(np.array(a), np.array(b), ugrid)
-        assert np.count_nonzero(dense(k0, k1)) > 0
+        assert np.count_nonzero(dense(k0, k1, grids[0])) > 0
 
 
 def _fold_oracle(numer, pole, span, quad, t_hint=0.0, intervals=None, singular=()):
@@ -556,7 +583,7 @@ def test_order4_leg_term_resolved_near_the_poles(ev):
         ([1.284955575029407, 0.8069143881473141], 0.25830760240981016),
         ([1.2878606895260496, -0.8115325967738523], 0.25836475258097524))]
     want = _leg_term_oracle(1, packets, ev)
-    assert abs(pv_leg_term(1, packets, ev) - want) < 2e-5 * abs(eval_Ghat_n(packets, ev))
+    assert abs(leg_term(1, packets, ev) - want) < 2e-5 * abs(eval_Ghat_n(packets, ev))
 
 
 def test_graded_break_keeps_clear_of_threshold(params):
@@ -572,8 +599,8 @@ def test_graded_break_keeps_clear_of_threshold(params):
                WavePacket(center=np.array([w1, 0.8]), width=0.3),
                WavePacket(center=np.array([w2, -0.5]), width=0.3)]
     fine = StructureEvaluator(params, quad=QuadratureSettings(fold_nodes=192))
-    want = pv_leg_term(0, packets, fine)
-    assert abs(pv_leg_term(0, packets, StructureEvaluator(params)) - want) < 1e-13 * abs(want)
+    want = leg_term(0, packets, fine)
+    assert abs(leg_term(0, packets, StructureEvaluator(params)) - want) < 1e-13 * abs(want)
 
 
 @pytest.mark.parametrize("finite_time", [False, True])
@@ -595,7 +622,7 @@ def test_numer_evaluated_once_per_k1(finite_time, packets4, params, monkeypatch)
     if finite_time:
         kw = dict(pv_multiplier=lambda k: chi_t("in", k, [3.0, 30.0], params), t_hint=30.0,
                   window_fn=lambda w: _chi_windows(w, params.eps_phi))
-    val = pv_leg_term(1, list(packets4), ev, **kw)
+    val = leg_term(1, list(packets4), ev, **kw)
     assert calls == [1] * 6
     assert np.all(val != 0)
 
@@ -620,7 +647,7 @@ def test_t_scaled_panels_reuse_one_rule(trio, params, monkeypatch):
     for t in (10.0, 1000.0):
         kinematics.gauss_rule.cache_clear()
         built.append(set())
-        pv_leg_term(0, list(trio), ev, t_hint=t)
+        leg_term(0, list(trio), ev, t_hint=t)
     kinematics.gauss_rule.cache_clear()
     assert built[0] == built[1] == {4, 24, int(1.6 * 24)}
     assert sum(sizes[4:]) > 30 * sum(sizes[:4])
