@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import linalg
 
 from .kinematics import NumericalError, _multi_indices, invariant_map, invariant_names
 from .polymath import Poly
@@ -146,13 +145,23 @@ class FitReport:
 def _affine_coordinates(q) -> list:
     """Indices of a maximal affinely independent subset of the columns of q.
 
-    Column-pivoted QR of the centred columns, each scaled by 1 + max|q|; the
-    pivots whose |R_kk| exceeds 1e-9 |R_00| are kept, sorted. Every other
-    column, a constant one included, is affine in them on the sample."""
-    R, piv = linalg.qr((q - q.mean(axis=0)) / (1.0 + np.abs(q).max(axis=0)),
-                       mode="r", pivoting=True)
-    diag = np.abs(np.diag(R))
-    return sorted(piv[: np.count_nonzero(diag > 1e-9 * diag[0])].tolist())
+    Greedy column pivoting on the centred columns, each scaled by
+    1 + max|q|: each step keeps the column of largest remaining norm, the
+    lowest index among norms within 1e-9 relative of it (exact ties such as
+    q34 = q12 on the 2->2 shell resolve the same on every build), and
+    projects it out of the others, until that norm is at most 1e-9 of the
+    first pick's. Every other column, a constant one included, is affine in
+    the sorted result on the sample."""
+    a = (q - q.mean(axis=0)) / (1.0 + np.abs(q).max(axis=0))
+    kept, norms = [], np.linalg.norm(a, axis=0)
+    first = norms.max(initial=0.0)
+    while len(kept) < a.shape[1] and (top := norms.max()) > 1e-9 * first:
+        i = int(np.flatnonzero(norms >= top * (1.0 - 1e-9))[0])
+        kept.append(i)
+        u = a[:, i] / norms[i]
+        a -= np.outer(u, u @ a)
+        norms = np.linalg.norm(a, axis=0)
+    return sorted(kept)
 
 
 def _basis_matrix(qs, exps_list):

@@ -12,11 +12,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
 
 from .formfactor import IN, LOC, OUT, eval_FG_n
 from .kinematics import ModelParams, chi_plus_minus, gauss_legendre, omega
-from .structure import SpectralDensity, StructureEvaluator, _panel_grid, leg_term
+from .structure import SpectralDensity, StructureEvaluator, _panel_grid, leg_term, shell_table
 
 
 def chi_t(label: str, k, t, params: ModelParams):
@@ -193,6 +192,7 @@ def _report(t_grid, vals, orderings, target) -> ConvergenceReport:
 
 def _quad_osc(g, t, kind, upper, **kw):
     """int_0^upper g(s) * cos/sin(s t) ds for complex-valued g."""
+    from scipy import integrate  # here, not at module level: scipy's import costs ~0.8 s
     re, _ = integrate.quad(lambda s: float(np.real(g(s))), 0, upper,
                            weight=kind, wvar=t, limit=400, **kw)
     im, _ = integrate.quad(lambda s: float(np.imag(g(s))), 0, upper,
@@ -216,7 +216,7 @@ def pv_oscillatory_integral(f, t: float, upper: float = 40.0) -> complex:
     val = _quad_osc(odd_part, t, "cos", upper)
     val += 1j * _quad_osc(even_rest, t, "sin", upper)
     # int_0^inf sin(st) e^{-s^2/2}/s ds = (pi/2) erf(t/sqrt(2))
-    val += 1j * 2.0 * f0 * 0.5 * math.pi * special.erf(t / math.sqrt(2.0))
+    val += 1j * 2.0 * f0 * 0.5 * math.pi * math.erf(t / math.sqrt(2.0))
     return val
 
 
@@ -234,6 +234,7 @@ def sokhotsky_check(f, eps: float, upper: float = 40.0):
     Returns (lhs, rhs, abs difference). The boundary-value side smears f
     over a scale eps, so the difference carries an O(eps) floor.
     """
+    from scipy import integrate  # here, not at module level: scipy's import costs ~0.8 s
     f0 = complex(f(0.0))
 
     def odd_part(s):
@@ -260,7 +261,8 @@ def sokhotsky_check(f, eps: float, upper: float = 40.0):
     re2, _ = integrate.quad(lambda s: float(np.imag(re_part(s))), 0, upper, limit=400)
     im1, _ = integrate.quad(lambda s: float(np.real(lor_rest(s))), 0, upper, limit=400)
     im2, _ = integrate.quad(lambda s: float(np.imag(lor_rest(s))), 0, upper, limit=400)
-    gauss_lor = math.pi * special.erfcx(eps / math.sqrt(2.0))
+    x = eps / math.sqrt(2.0)
+    gauss_lor = math.pi * math.exp(x * x) * math.erfc(x)  # pi erfcx(x)
     rhs = (re1 + 1j * re2) - 1j * (im1 + 1j * im2 + f0 * gauss_lor)
     return lhs, rhs, abs(lhs - rhs)
 
@@ -277,15 +279,9 @@ def riemann_lebesgue_decay(rho: SpectralDensity, packets, t_grid,
     t_grid = np.asarray(t_grid, dtype=float)
     if rho.trivial:
         return _report(t_grid, np.zeros((1, len(t_grid), 1), dtype=complex), [(0,)], 0.0 + 0.0j)
-    p1, p2 = packets
     m = ev.params.m
-    lo1, hi1 = p1.support_interval(1)
-    lo2, hi2 = p2.support_interval(1)
-    lo, hi = min(lo1, -hi2), max(hi1, -lo2)
-    kn, kw = gauss_legendre(lo, hi, ev.quad.space_nodes)
     mu_lo = rho.support_low
     mu_hi = mu_lo + ev.quad.mu_span * m
-    wm = np.sqrt(kn * kn + m * m)  # (Nk,)
     vals = np.zeros(len(t_grid), dtype=complex)
     for i, t in enumerate(t_grid):
         # the mass integral oscillates ~ t (mu_hi - mu_lo) / (2 pi) times;
@@ -296,13 +292,10 @@ def riemann_lebesgue_decay(rho: SpectralDensity, packets, t_grid,
         ))
         panels = max(1, n_mu // ev.quad.mu_nodes)
         mun, muw = _panel_grid(np.linspace(mu_lo, mu_hi, panels + 1), ev.quad.mu_nodes, sine=False)
-        wmu = np.sqrt(kn[None, :] ** 2 + mun[:, None] ** 2)  # (Nmu, Nk)
-        ka = np.stack([-wmu, np.broadcast_to(kn, wmu.shape)], axis=-1)
-        kb = np.stack([wmu, np.broadcast_to(-kn, wmu.shape)], axis=-1)
-        static = p1(ka) * p2(kb) / (2.0 * wmu)
-        rvals = rho(mun)[:, None]
-        phase = np.exp(-1j * (wm[None, :] - wmu) * t)
-        vals[i] = np.sum(muw[:, None] * kw[None, :] * rvals * static * phase)
+        # row 0 is the m shell, the rest the continuum masses
+        w, table = shell_table(packets, ev, [m, *mun])
+        phase = np.exp(-1j * (w[0] - w[1:]) * t)
+        vals[i] = np.sum(muw[:, None] * rho(mun)[:, None] * table[1:] * phase)
     return _report(t_grid, vals[None, :, None], [(0,)], 0.0 + 0.0j)
 
 
@@ -313,6 +306,7 @@ def l1_fourier_bound(packet, xi_nodes: int = 400, t_points: int = 40001):
     packet is a one-dimensional wave packet with analytic derivatives.
     Returns (lhs, rhs, passed).
     """
+    from scipy import integrate  # here, not at module level: scipy's import costs ~0.8 s
     if packet.dim != 1:
         raise ValueError("one-dimensional packet required")
     lo, hi = packet.support_interval(0)

@@ -421,28 +421,28 @@ def eval_Ghat_n(packets, ev: StructureEvaluator, weight=None) -> complex:
     return total
 
 
-def eval_Ghat_2(packets, ev: StructureEvaluator) -> complex:
-    """Two-point pairing: backward m-shell term plus the rho continuum."""
+def shell_table(packets, ev: StructureEvaluator, masses):
+    """Two-point shell integrand on the k rule over both packets' spatial
+    support: omega_mu(k) and kw p1(ka) p2(kb) / (2 omega_mu), one row per mass
+    mu, with ka = (-omega_mu, k) on the backward and kb = -ka on the forward
+    mu shell."""
     p1, p2 = packets
     lo1, hi1 = p1.support_interval(1)
     lo2, hi2 = p2.support_interval(1)
-    lo = min(lo1, -hi2)
-    hi = max(hi1, -lo2)
-    kn, kw = gauss_legendre(lo, hi, ev.quad.space_nodes)
-    m = ev.params.m
+    kn, kw = gauss_legendre(min(lo1, -hi2), max(hi1, -lo2), ev.quad.space_nodes)
+    masses = np.asarray(masses, dtype=float)[:, None]
+    w = np.sqrt(kn * kn + masses * masses)
+    ka = np.stack([-w, np.broadcast_to(kn, w.shape)], axis=-1)
+    return w, kw * (p1(ka) * p2(-ka)) / (2.0 * w)
 
-    def shell_term(mass):
-        w = np.sqrt(kn * kn + mass * mass)
-        ka = np.stack([-w, kn], axis=-1)
-        kb = np.stack([w, -kn], axis=-1)
-        vals = p1(ka) * p2(kb)
-        return np.sum(kw * vals / (2.0 * w))
 
-    total = shell_term(m)
-    if not ev.rho.trivial:
-        mu_lo = ev.rho.support_low
-        mu_hi = mu_lo + ev.quad.mu_span * m
-        mun, muw = gauss_legendre(mu_lo, mu_hi, ev.quad.mu_nodes)
-        cont = sum(wmu * ev.rho(mu) * shell_term(mu) for mu, wmu in zip(mun, muw))
-        total = total + cont
-    return complex(total)
+def eval_Ghat_2(packets, ev: StructureEvaluator) -> complex:
+    """Two-point pairing: backward m-shell term plus the rho continuum."""
+    m, rho = ev.params.m, ev.rho
+    if rho.trivial:
+        return complex(shell_table(packets, ev, [m])[1].sum(axis=1)[0])
+    mun, muw = gauss_legendre(rho.support_low, rho.support_low + ev.quad.mu_span * m,
+                              ev.quad.mu_nodes)
+    terms = shell_table(packets, ev, [m, *mun])[1].sum(axis=1)
+    cont = sum(wmu * rho(mu) * term for mu, wmu, term in zip(mun, muw, terms[1:]))
+    return complex(terms[0] + cont)

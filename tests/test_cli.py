@@ -2,7 +2,10 @@
 import copy
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -58,6 +61,32 @@ def test_pvdemo(tmp_path):
     summary = _load(out, "pvdemo_summary.json")
     assert summary["passed"] and summary["final_rel_err"] < 1e-2
     assert abs(summary["limit_im"] - math.pi) < 1e-12
+
+
+_IMPORT_PROBE = """
+import importlib, json, pkgutil, sys
+import qftscat, qftscat.cli
+for mod in pkgutil.iter_modules(qftscat.__path__):
+    importlib.import_module("qftscat." + mod.name)
+loaded = sorted(k for k in sys.modules if k == "scipy" or k.startswith("scipy."))
+code = qftscat.cli.main(["pvdemo", "--config", sys.argv[1], "--out", sys.argv[2]])
+print(json.dumps({"loaded": loaded, "pvdemo": code}))
+"""
+
+
+def test_importing_the_package_loads_no_scipy(tmp_path):
+    # scipy's import is most of a CLI command's start-up; only the adaptive
+    # quadrature of pvdemo and the criterion 4 and 6 helpers import it, at call time
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, _write(tmp_path, "cfg.json", {}),
+                           str(tmp_path / "out")], env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result == {"loaded": [], "pvdemo": 0}
+    assert _load(tmp_path / "out", "pvdemo_summary.json")["passed"]
 
 
 @pytest.mark.parametrize("width", [0.1, 2.0])

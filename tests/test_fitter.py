@@ -1,6 +1,9 @@
 """Bounded-energy phase-space sampling and invariant polynomial recovery."""
+import itertools
+
 import numpy as np
 import pytest
+from scipy import linalg
 
 from qftscat import fitter
 from qftscat.fitter import (
@@ -12,7 +15,7 @@ from qftscat.fitter import (
     reference_registry,
     sample_Qn,
 )
-from qftscat.kinematics import _multi_indices, invariant_map
+from qftscat.kinematics import _multi_indices, invariant_map, invariant_names
 from qftscat.polymath import Poly
 from qftscat.transfer import (
     TransferPolynomial,
@@ -256,6 +259,59 @@ def test_dropped_invariants_are_affine_in_kept(sample4):
     # the permuted copies a symmetric fit trains on keep the same two dimensions
     report = fit_polynomial(lambda pts: np.real(_planted_sym4()(pts)), s, cfg)
     assert report.symmetric_input and report.coordinates == ["q12", "q23"]
+
+
+def _qr_oracle(q):
+    """Columns kept by LAPACK's column-pivoted QR (geqp3) of the same centred,
+    scaled columns, with the same 1e-9 cut on |R_kk|."""
+    R, piv = linalg.qr((q - q.mean(axis=0)) / (1.0 + np.abs(q).max(axis=0)),
+                       mode="r", pivoting=True)
+    diag = np.abs(np.diag(R))
+    return sorted(piv[: np.count_nonzero(diag > 1e-9 * diag[0])].tolist())
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_affine_coordinates_match_pivoted_qr_on_distinct_norms(seed):
+    # 8 columns affine in 3 random directions, plus a constant one
+    rng = np.random.default_rng(seed)
+    q = 2.0 + rng.normal(size=(300, 3)) @ rng.normal(size=(3, 8)) * rng.uniform(0.1, 10.0, 8)
+    q = np.column_stack([q, np.full(300, 1.5)])[:, rng.permutation(9)]
+    kept = fitter._affine_coordinates(q)
+    assert len(kept) == 3 and kept == _qr_oracle(q)
+
+
+def _shell_invariants(params, seed, augmented):
+    """Invariants of the 1500 training points of the README fit's 2->2 sample,
+    or of their leg-permuted copies, as fit_polynomial builds them."""
+    cfg = FitConfig(e_max=4.0, epsilon=1e-3, train_count=1500, validate_count=400, seed=seed)
+    pts = sample_Qn(4, 2, cfg, params).points[: cfg.train_count]
+    if augmented:
+        perms = [list(S) + [l for l in range(4) if l not in S]
+                 for S in itertools.combinations(range(4), 2)]
+        pts = np.concatenate([pts[:, np.argsort(p), :] for p in perms])
+    return invariant_map([pts[:, l, :] for l in range(4)])
+
+
+@pytest.mark.parametrize("augmented", [False, True])
+def test_affine_coordinates_on_the_shell_break_ties_by_lowest_index(params, augmented):
+    names = invariant_names(4)
+    # conservation makes q34 = q12, q24 = q13 and q14 = q23 on the 2->2 shell
+    swap = list(range(len(names)))
+    for a, b in (("q12", "q34"), ("q13", "q24"), ("q14", "q23")):
+        i, j = names.index(a), names.index(b)
+        swap[i], swap[j] = j, i
+    for seed in range(3, 35):
+        q = _shell_invariants(params, seed, augmented)
+        kept, oracle = fitter._affine_coordinates(q), _qr_oracle(q)
+        assert len(kept) == 2, seed
+        basis = np.column_stack([np.ones(q.shape[0]), q[:, kept]])
+        for i in oracle:
+            coeffs, *_ = np.linalg.lstsq(basis, q[:, i], rcond=None)
+            assert np.max(np.abs(basis @ coeffs - q[:, i])) <= 1e-9 * (1.0 + np.abs(q[:, i]).max())
+        assert fitter._affine_coordinates(q[:, swap]) == kept, seed
+        if seed in (3, 7):
+            # the seeds of the README fit, the benchmark and the tests above
+            assert kept == oracle, seed
 
 
 def test_planted_in_dropped_invariants_recovered(sample4):
