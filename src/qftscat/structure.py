@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .kinematics import ModelParams, gauss_legendre, gauss_rule, omega
+from .kinematics import TAIL_WIDTHS, ModelParams, gauss_legendre, gauss_rule, omega
 
 
 @dataclass(frozen=True)
@@ -105,7 +105,7 @@ class StructureEvaluator:
         return StructureEvaluator(self.params, self.rho, self.quad.doubled())
 
 
-def two_body_solutions(E, P, sa, sb, mass, polish: int = 2):
+def two_body_solutions(E, P, sa, sb, mass):
     """Roots p_a of sa*omega(p_a) + sb*omega(P - p_a) = E, vectorized.
 
     Returns (pa, pb, wa, wb, jac, valid), each with a trailing root axis of
@@ -134,7 +134,7 @@ def two_body_solutions(E, P, sa, sb, mass, polish: int = 2):
     wb = np.sqrt(pb * pb + m2)
     res = sa * wa + sb * wb - Eb
     root_ok = root_ok & (np.abs(res) < 1e-6 * scale[..., None])
-    for _ in range(max(polish, 0)):
+    for _ in range(2):
         pb = Pb - pa
         wa = np.sqrt(pa * pa + m2)
         wb = np.sqrt(pb * pb + m2)
@@ -168,11 +168,25 @@ def root_possible(E, P, sa, sb, mass):
     return Q <= 0
 
 
+def _tail_exponent(j, pair, packets, E, P, k0, k1, free=None):
+    """Lower bound D on sum_l |k_l - c_l|^2 / w_l^2 at k_j = (k0, k1), the free
+    leg (free = (leg, momenta, ...) or None) and any split of the pair's total
+    k_b + k_c = (E, P), whose share is at least |(E, P) - c_b - c_c|^2 / (w_b^2 +
+    w_c^2); the packets' Gaussian product is at most exp(-D / 2) there."""
+    pb, pc = (packets[l] for l in pair)
+    terms = [(k0, k1, packets[j].center, packets[j].width ** 2),
+             (E, P, pb.center + pc.center, pb.width ** 2 + pc.width ** 2)]
+    if free is not None:
+        terms.append((*free[1].T, packets[free[0]].center, packets[free[0]].width ** 2))
+    return sum(((x - cen[0]) ** 2 + (y - cen[1]) ** 2) / w2 for x, y, cen, w2 in terms)
+
+
 def _solved_pair_terms(j, pair, packets, ev, weight, E, P, k0, k1, free=None):
     """Per-root terms of the on-shell pair solved at total (E, P), with a
     trailing root axis; zero wherever no root exists.
 
-    Only the points where root_possible holds are solved and evaluated.
+    Only points where root_possible holds inside the packets' joint tail
+    (_tail_exponent) are solved and evaluated.
     free is None (order 3) or (leg, momenta, 2 omega) of the free leg on the
     u-grid, which is the last axis of E and P.
     """
@@ -180,7 +194,8 @@ def _solved_pair_terms(j, pair, packets, ev, weight, E, P, k0, k1, free=None):
     sb, sc = _leg_sign(b, j), _leg_sign(c, j)
     m = ev.params.m
     shape = np.shape(E)
-    idx = np.flatnonzero(root_possible(E, P, sb, sc, m))
+    inside = _tail_exponent(j, pair, packets, E, P, k0, k1, free) <= TAIL_WIDTHS ** 2
+    idx = np.flatnonzero(root_possible(E, P, sb, sc, m) & inside)
     pb, pc, wb, wc, jac, valid = two_body_solutions(
         np.ravel(E)[idx], np.ravel(P)[idx], sb, sc, m)
     kb = np.stack([sb * wb, pb], axis=-1)
@@ -254,7 +269,8 @@ def reduced_integrand(j: int, packets, ev: StructureEvaluator, weight=None):
 
     j is 0-based. Returns a callable g(k0, k1, ugrid) vectorized over
     broadcastable arrays; for n=4 ugrid is the free leg's (nodes, weights)
-    grid, for n=3 it is ignored. No kinematic solution means g = 0.
+    grid, for n=3 it is ignored. No kinematic solution means g = 0, and so
+    does a packet product (f_j's included) past its joint tail.
     """
     n = len(packets)
     if n not in (3, 4):
@@ -283,10 +299,23 @@ def reduced_integrand(j: int, packets, ev: StructureEvaluator, weight=None):
                                  free=(free, kfree, 2.0 * wu))
         return (out.sum(axis=-1) * uw).sum(axis=-1)
 
-    if n == 3:
-        return g3
+    def row_exponent(k1, ugrid=None):
+        """Least _tail_exponent over all k0 at each k1 and free-leg node: D is
+        a convex quadratic in k0, smallest at k0 = kmin."""
+        k1, s, u, kf = np.asarray(k1, dtype=float)[:, None], 0.0, 0.0, None
+        if ugrid is not None:
+            u = ugrid[0]
+            s = sa * np.sqrt(u * u + m * m)
+            kf = (free, np.stack([s, u], axis=-1))
+        pj, pb, pc = packets[j], packets[b], packets[c]
+        wj2, W2 = pj.width ** 2, pb.width ** 2 + pc.width ** 2
+        kmin = (pj.center[0] * W2 - (s + pb.center[0] + pc.center[0]) * wj2) / (wj2 + W2)
+        return _tail_exponent(j, (b, c), packets, -kmin - s, -k1 - u, kmin, k1, kf).min(axis=-1)
+
     g4.free_leg = free
-    return g4
+    g = g3 if n == 3 else g4
+    g.row_exponent = row_exponent
+    return g
 
 
 # Widest panel of a leg term's k0 table, in packet widths (wider panels
@@ -387,7 +416,8 @@ def leg_term(j: int, packets, ev: StructureEvaluator, sign: int = 0, weight=None
         return complex(np.sum(k1w * vals * pk(kj) / (2.0 * w)))
     lo0, hi0 = pk.support_interval(0)
     total = 0.0 + 0.0j
-    for k1, wk in zip(k1n, k1w):
+    live = g.row_exponent(k1n, ugrid) <= TAIL_WIDTHS ** 2  # other rows have g f_j = 0
+    for k1, wk in zip(k1n[live], k1w[live]):
         w_sh = float(omega(k1, m))
 
         def numer(k0, _k1=k1):

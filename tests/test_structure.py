@@ -1,4 +1,6 @@
 """Phase-space reduction, PV quadrature and structure-kernel pairings."""
+import math
+
 import numpy as np
 import pytest
 import scipy.optimize as so
@@ -368,12 +370,90 @@ def test_root_possible_covers_every_valid_root(sa, sb, mass, E, P, near, offset)
         assert root_possible(E, P, sa, sb, mass)
 
 
-def _dense_reduced_integrand(j, packets, ev, weight=None):
+_coord = st.floats(-3.0, 3.0)
+_width = st.floats(0.1, 1.5)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(sb=st.sampled_from([1, -1]), sc=st.sampled_from([1, -1]), mass=st.floats(0.5, 2.0),
+       cb=st.tuples(_coord, _coord), cc=st.tuples(_coord, _coord), wb=_width, wc=_width,
+       E=st.floats(-6.0, 6.0), P=st.floats(-6.0, 6.0))
+def test_tail_exponent_bounds_every_two_body_root(sb, sc, mass, cb, cc, wb, wc, E, P):
+    # with k_j on its packet's center only the pair's closed-form share is left
+    packets = [WavePacket(center=np.zeros(2), width=1.0),
+               WavePacket(center=np.array(cb), width=wb), WavePacket(center=np.array(cc), width=wc)]
+    bound = structure._tail_exponent(0, (1, 2), packets, E, P, 0.0, 0.0)
+    pb, pc, wbs, wcs, _, valid = two_body_solutions(E, P, sb, sc, mass)
+    for r in np.flatnonzero(valid):
+        kb, kc = np.array([sb * wbs[r], pb[r]]), np.array([sc * wcs[r], pc[r]])
+        d = np.sum((kb - cb) ** 2) / wb**2 + np.sum((kc - cc) ** 2) / wc**2
+        assert d >= bound * (1 - 1e-9) - 1e-9
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(order=st.sampled_from([3, 4]), j=st.integers(0, 3),
+       centers=st.lists(st.tuples(_coord, _coord), min_size=4, max_size=4),
+       widths=st.lists(_width, min_size=4, max_size=4),
+       k0=st.floats(-8.0, 8.0), k1=st.floats(-4.0, 4.0), u=st.floats(-4.0, 4.0))
+def test_row_exponent_is_least_over_k0(order, j, centers, widths, k0, k1, u, params):
+    packets = [WavePacket(center=np.array(c), width=w) for c, w in zip(centers, widths)][:order]
+    j %= order
+    others = [l for l in range(order) if l != j]
+    g = reduced_integrand(j, packets, StructureEvaluator(params))
+    if order == 3:
+        least = g.row_exponent(np.array([k1]))
+        d = structure._tail_exponent(j, others, packets, -k0, -k1, k0, k1)
+    else:
+        sa = -1 if others[0] < j else 1
+        su = sa * float(omega(u, params.m))
+        least = g.row_exponent(np.array([k1]), (np.array([u]), np.array([1.0])))
+        d = structure._tail_exponent(j, others[1:], packets, -k0 - su, -k1 - u, k0, k1,
+                                     (others[0], np.array([[su, u]])))
+    assert least.shape == (1,)
+    assert least[0] <= d * (1 + 1e-12) + 1e-12
+
+
+# the jittered packets4 of the benchmark's seed 9
+_SEED9_PACKETS4 = (
+    ([-1.2880594449572822, 0.8118479745270428], 0.2457363441817511),
+    ([-1.2826893934902868, -0.80330074080165], 0.25555068165840356),
+    ([1.284955575029407, 0.8069143881473141], 0.25830760240981016),
+    ([1.2878606895260496, -0.8115325967738523], 0.25836475258097524))
+
+
+@pytest.mark.parametrize("case", ["packets4", "trio", "seed9", "derivative", "fam_quad"])
+def test_tail_cut_leg_terms_match_uncut(case, trio, packets4, ev, fam_quad, monkeypatch):
+    packets, weight = list(packets4), None
+    if case == "trio":
+        packets = list(trio)
+    elif case == "seed9":
+        packets = [WavePacket(center=np.array(c), width=w) for c, w in _SEED9_PACKETS4]
+    elif case == "derivative":
+        packets = [p.derivative(axis) for p, axis in zip(packets4, (0, 1, 1, 0))]
+    elif case == "fam_quad":
+        weight = fam_quad.eval
+
+    def terms():
+        return np.array([leg_term(j, packets, ev, sign, weight=weight)
+                         for j in range(len(packets)) for sign in (0, 1, -1)])
+
+    got = terms()
+    # an infinite reach keeps every point and every k1 row
+    monkeypatch.setattr(structure, "TAIL_WIDTHS", math.inf)
+    want = terms()
+    assert np.count_nonzero(want) > 0
+    tail = math.exp(-kinematics.TAIL_WIDTHS ** 2 / 2)
+    assert np.max(np.abs(got - want)) <= tail * np.max(np.abs(want))
+
+
+def _dense_reduced_integrand(j, packets, ev, weight=None, cut=True):
     """g_j solved and evaluated at every point, without the root_possible
-    mask, in exactly the expressions of the unmasked implementation."""
+    mask, in exactly the expressions of the unmasked implementation; with
+    cut, zero wherever the joint tail bound exceeds TAIL_WIDTHS^2."""
     n = len(packets)
     m = ev.params.m
     others = [l for l in range(n) if l != j]
+    reach = kinematics.TAIL_WIDTHS ** 2 if cut else np.inf
 
     def sign(l):
         return -1 if l < j else 1
@@ -393,6 +473,8 @@ def _dense_reduced_integrand(j, packets, ev, weight=None):
             ks[..., j, 1] = k1[..., None]
             vals = vals * weight(ks)
         dens = 4.0 * wa * wb * np.abs(jac)
+        inside = structure._tail_exponent(j, (a, b), packets, -k0, -k1, k0, k1) <= reach
+        valid = valid & inside[..., None]
         out = np.where(valid, vals / np.where(valid, dens, 1.0), 0.0)
         return out.sum(axis=-1)
 
@@ -420,6 +502,9 @@ def _dense_reduced_integrand(j, packets, ev, weight=None):
             ks[..., j, 1] = k1e[..., None]
             vals = vals * weight(ks)
         dens = (2.0 * wu)[..., None] * 4.0 * wb * wc * np.abs(jac)
+        inside = structure._tail_exponent(j, (b, c), packets, E, P, k0e, k1e,
+                                          (free, np.stack([sa * wu, un], axis=-1))) <= reach
+        valid = valid & inside[..., None]
         out = np.where(valid, vals / np.where(valid, dens, 1.0), 0.0)
         return (out.sum(axis=-1) * uw).sum(axis=-1)
 
@@ -442,9 +527,12 @@ def test_masked_integrand_equals_dense(order, extras, trio, packets4, ev, fam_qu
         weight = _every_leg_weight if order == 3 else fam_quad.eval
     # grids on both sides of numpy's 256 KiB in-place threshold, and 0-d points
     sizes = [(129, 65), (7, 5)] if order == 3 else [(37, 23), (3, 2)]
+    dropped = peak = 0.0
+    kept = 0
     for j in range(order):
         g = reduced_integrand(j, packets, ev, weight=weight)
         dense = _dense_reduced_integrand(j, packets, ev, weight=weight)
+        uncut = _dense_reduced_integrand(j, packets, ev, weight=weight, cut=False)
         lo0, hi0 = packets[j].support_interval(0)
         lo1, hi1 = packets[j].support_interval(1)
         grids = [None]
@@ -453,16 +541,26 @@ def test_masked_integrand_equals_dense(order, extras, trio, packets4, ev, fam_qu
         for n0, n1 in sizes:
             k0 = np.linspace(lo0 - 1.0, hi0 + 1.0, n0)[:, None]
             k1 = np.linspace(lo1, hi1, n1)[None, :]
+            # the cut bounds the product with f_j, by which every caller multiplies g
+            fj = packets[j](np.stack(np.broadcast_arrays(k0, k1), axis=-1))
             for ugrid in grids:
                 got, want = g(k0, k1, ugrid), dense(k0, k1, ugrid)
                 assert got.shape == want.shape == (n0, n1)
                 assert np.array_equal(got, want)
+                kept += np.count_nonzero(want)
+                full = uncut(k0, k1, ugrid)
+                dropped = max(dropped, np.max(np.abs((full - want) * fj)))
+                peak = max(peak, np.max(np.abs(full * fj)))
         for ugrid in grids:
             for a, b in ((k0[1, 0], k1[0, 1]), (k0[2, 0], k1[0, 0])):
                 got = g(np.array(a), np.array(b), ugrid)
                 assert np.shape(got) == ()
                 assert got == dense(np.array(a), np.array(b), ugrid)
-        assert np.count_nonzero(dense(k0, k1, grids[0])) > 0
+        assert np.count_nonzero(uncut(k0, k1, grids[0])) > 0
+    # the cut keeps values and drops only what lies past the joint tail,
+    # below exp(-72) of the peak
+    assert kept > 0
+    assert 0.0 < dropped <= math.exp(-kinematics.TAIL_WIDTHS ** 2 / 2) * peak
 
 
 def _fold_oracle(numer, pole, span, quad, t_hint=0.0, intervals=None, singular=()):
@@ -623,13 +721,19 @@ def test_numer_evaluated_once_per_k1(finite_time, packets4, params, monkeypatch)
         kw = dict(pv_multiplier=lambda k: chi_t("in", k, [3.0, 30.0], params), t_hint=30.0,
                   window_fn=lambda w: _chi_windows(w, params.eps_phi))
     val = leg_term(1, list(packets4), ev, **kw)
-    assert calls == [1] * 6
+    g = reduced_integrand(1, list(packets4), ev)
+    k1n, _ = gauss_legendre(*packets4[1].support_interval(1), 6)
+    ugrid = leg_term_u_grid(packets4[g.free_leg], ev.quad)
+    kept = np.count_nonzero(g.row_exponent(k1n, ugrid) <= kinematics.TAIL_WIDTHS ** 2)
+    assert kept >= 1
+    assert calls == [1] * kept
     assert np.all(val != 0)
 
 
 def test_t_scaled_panels_reuse_one_rule(trio, params, monkeypatch):
     # t_hint = 1000 needs ~40 times the nodes of t_hint = 10, built from copies
-    # of the same Gauss rules: the threshold panels' sine rule and fold_nodes
+    # of the same Gauss rules: the threshold panels' sine rule and fold_nodes,
+    # counted on the k1 nodes the joint tail bound keeps
     ev = StructureEvaluator(params, quad=QuadratureSettings(outer_nodes=4))
     built, sizes = [], []
     leggauss = np.polynomial.legendre.leggauss
@@ -640,14 +744,16 @@ def test_t_scaled_panels_reuse_one_rule(trio, params, monkeypatch):
         return leggauss(n)
 
     def spy(numer, *args, **kwargs):
-        return fold(lambda k0: sizes.append(len(k0)) or numer(k0), *args, **kwargs)
+        return fold(lambda k0: sizes[-1].append(len(k0)) or numer(k0), *args, **kwargs)
 
     monkeypatch.setattr(np.polynomial.legendre, "leggauss", record)
     monkeypatch.setattr(structure, "pv_fold", spy)
     for t in (10.0, 1000.0):
         kinematics.gauss_rule.cache_clear()
         built.append(set())
+        sizes.append([])
         leg_term(0, list(trio), ev, t_hint=t)
     kinematics.gauss_rule.cache_clear()
     assert built[0] == built[1] == {4, 24, int(1.6 * 24)}
-    assert sum(sizes[4:]) > 30 * sum(sizes[:4])
+    assert 1 <= len(sizes[0]) == len(sizes[1])
+    assert sum(sizes[1]) > 30 * sum(sizes[0])
