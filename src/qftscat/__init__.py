@@ -6,21 +6,6 @@ wave-operator limits, Gram/metric analysis and invariant polynomial fitting.
 
 __version__ = "0.1.0"
 
-from .kinematics import (
-    CutoffSpec,
-    ModelParams,
-    ShellPoint,
-    WavePacket,
-    minkowski_dot,
-    omega,
-)
+from .kinematics import ModelParams, WavePacket, omega
 
-__all__ = [
-    "ModelParams",
-    "CutoffSpec",
-    "ShellPoint",
-    "WavePacket",
-    "minkowski_dot",
-    "omega",
-    "__version__",
-]
+__all__ = ["ModelParams", "WavePacket", "omega", "__version__"]

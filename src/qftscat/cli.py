@@ -300,7 +300,7 @@ def cmd_gram(cfg, c, outdir) -> int:
         "eta_check": eta_check,
         "min_eigenvalue": min_eig,
         "hermiticity_deviation": gram.hermiticity_deviation,
-        "hssc_constant": hssc.constant,
+        "hssc_constant": hssc,
         "psd_pass": bool(psd_ok),
     }))
     return 0 if psd_ok else 2

@@ -50,33 +50,35 @@ class PhaseSpaceSample:
         return self.points.shape[0] == 0
 
 
-def recheck_constraints(points, n, r, e_max, m, tol: float = 1e-10) -> np.ndarray:
-    """Independent validation of every sampled configuration: on-shell,
-    conserving, sign pattern, outgoing energy cap. Returns a boolean mask."""
+def recheck_constraints(points, n, r, e_max, m) -> np.ndarray:
+    """Independent validation of every sampled configuration: on-shell and
+    conserving to 1e-10 relative, sign pattern, outgoing energy cap. Returns
+    a boolean mask."""
     ks = np.asarray(points, dtype=float)
     sq = ks[..., 0] ** 2 - ks[..., 1] ** 2
-    on_shell = np.all(np.abs(sq - m * m) < tol * (1.0 + np.abs(sq)), axis=-1)
+    on_shell = np.all(np.abs(sq - m * m) < 1e-10 * (1.0 + np.abs(sq)), axis=-1)
     total = ks.sum(axis=1)
     scale = 1.0 + np.abs(ks).max(axis=(1, 2))
-    conserving = np.all(np.abs(total) < tol * scale[:, None], axis=-1)
+    conserving = np.all(np.abs(total) < 1e-10 * scale[:, None], axis=-1)
     signs_in = np.all(ks[:, :r, 0] < 0, axis=-1)
     signs_out = np.all(ks[:, r:, 0] > 0, axis=-1)
     cap = ks[:, r:, 0].sum(axis=-1) <= e_max * (1.0 + 1e-12)
     return on_shell & conserving & signs_in & signs_out & cap
 
 
-def sample_Qn(n: int, r: int, cfg: FitConfig, params, count: int | None = None,
-              max_draws: int = 2_000_000) -> PhaseSpaceSample:
+def sample_Qn(n: int, r: int, cfg: FitConfig, params) -> PhaseSpaceSample:
     """Rejection sampling of the bounded-energy on-shell region.
 
     Draws n-2 spatial momenta uniformly, solves the final two legs from
     energy-momentum conservation (random branch), and accepts when the
-    sign pattern and the outgoing-energy cap hold. Deterministic per seed.
+    sign pattern and the outgoing-energy cap hold, until cfg's train plus
+    validate count is accepted or 2,000,000 draws are made. Deterministic
+    per seed.
     """
     if not (n >= 3 and 1 <= r <= n - 1):
         raise ValueError("need n >= 3 and 1 <= r <= n-1")
     m = params.m
-    target = count if count is not None else cfg.train_count + cfg.validate_count
+    target = cfg.train_count + cfg.validate_count
     if n > cfg.e_max / m:
         return PhaseSpaceSample(n, r, np.zeros((0, n, 2)), cfg.e_max, 0.0,
                                 {"reason": "empty: n exceeds e_max/m"})
@@ -88,7 +90,7 @@ def sample_Qn(n: int, r: int, cfg: FitConfig, params, count: int | None = None,
     accepted = []
     drawn = 0
     batch = 8192
-    while sum(a.shape[0] for a in accepted) < target and drawn < max_draws:
+    while sum(a.shape[0] for a in accepted) < target and drawn < 2_000_000:
         ps = rng.uniform(-pmax, pmax, size=(batch, n - 2))
         branch = rng.integers(0, 2, size=batch)
         drawn += batch

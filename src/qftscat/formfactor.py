@@ -26,35 +26,15 @@ def _check_label(a: str) -> str:
     return a
 
 
-@dataclass(frozen=True)
-class PropagatorAtom:
-    """One additive piece of the leg propagator: coefficient times the
-    forward (sign +1) or backward (sign -1) shell measure, or times the
-    principal-value kernel (sign 0)."""
-
-    coefficient: complex
-    sign: int = 0
-
-    def __post_init__(self):
-        if self.sign not in (1, 0, -1):
-            raise ValueError("atom sign must be +1, 0 or -1")
-        if self.coefficient == 0:
-            raise ValueError("atom coefficient must be nonzero")
-
-
 def delta_hat_atoms(a: str):
-    """Atom decomposition of the leg-label propagator."""
+    """Atom decomposition of the leg-label propagator: (coefficient, sign)
+    pairs, each the coefficient times the forward (sign +1) or backward
+    (sign -1) shell measure, or times the principal-value kernel (sign 0)."""
     _check_label(a)
     if a == LOC:
-        return [PropagatorAtom(1.0)]
+        return [(1.0, 0)]
     s = -1.0 if a == IN else 1.0
-    return [PropagatorAtom(s * 1j * np.pi, sign=1), PropagatorAtom(-s * 1j * np.pi, sign=-1)]
-
-
-def _discrete_two_point(packets, ev) -> complex:
-    """Backward-shell two-point pairing without the continuum."""
-    ev0 = StructureEvaluator(ev.params, SpectralDensity.zero(ev.params), ev.quad)
-    return eval_Ghat_2(packets, ev0)
+    return [(s * 1j * np.pi, 1), (-s * 1j * np.pi, -1)]
 
 
 def eval_FG_n(labels, packets, ev: StructureEvaluator, weight=None) -> complex:
@@ -69,11 +49,13 @@ def eval_FG_n(labels, packets, ev: StructureEvaluator, weight=None) -> complex:
     if n == 2:
         if labels == [LOC, LOC]:
             return eval_Ghat_2(packets, ev)
-        return _discrete_two_point(packets, ev)
+        # the backward-shell pairing without the continuum
+        ev0 = StructureEvaluator(ev.params, SpectralDensity.zero(ev.params), ev.quad)
+        return eval_Ghat_2(packets, ev0)
     total = 0.0 + 0.0j
     for j in range(n):
-        for atom in delta_hat_atoms(labels[j]):
-            total += atom.coefficient * leg_term(j, packets, ev, atom.sign, weight=weight)
+        for coefficient, sign in delta_hat_atoms(labels[j]):
+            total += coefficient * leg_term(j, packets, ev, sign, weight=weight)
     return total
 
 
@@ -119,26 +101,6 @@ class AmplitudeRequest:
 
     def sign(self, l: int) -> int:
         return -1 if l < self.r else 1
-
-
-def smatrix_density(r: int, momenta, ev: StructureEvaluator,
-                    fam: TransferFamily | None = None,
-                    cons_tol: float = 1e-8) -> complex:
-    """Density of the truncated S-matrix component relative to the product
-    of shell measures and the conservation delta: 2 pi i M_n."""
-    ks = np.asarray(momenta, dtype=float)
-    n = ks.shape[0]
-    if not 1 <= r <= n - 1:
-        raise ValueError("invalid leg split")
-    for l in range(n):
-        if (l < r and ks[l, 0] >= 0) or (l >= r and ks[l, 0] <= 0):
-            raise ValueError(f"leg {l} violates the energy sign pattern")
-    total = ks.sum(axis=0)
-    scale = np.abs(ks).max()
-    if np.max(np.abs(total)) > cons_tol * max(scale, 1.0):
-        raise ValueError("momentum conservation violated")
-    mval = 1.0 if fam is None else complex(fam.eval(ks))
-    return 2j * np.pi * mval
 
 
 def smatrix_amplitude(req: AmplitudeRequest, ev: StructureEvaluator,

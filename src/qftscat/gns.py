@@ -33,15 +33,8 @@ class BorchersVector:
                 self.components[int(n)] = cleaned
 
     @classmethod
-    def unit(cls) -> "BorchersVector":
-        return cls(f0=1.0)
-
-    @classmethod
-    def one_particle(cls, packet, coeff=1.0) -> "BorchersVector":
-        return cls(components={1: [(coeff, (packet,))]})
-
-    def max_order(self) -> int:
-        return max(self.components, default=0)
+    def one_particle(cls, packet) -> "BorchersVector":
+        return cls(components={1: [(1.0, (packet,))]})
 
     def scaled(self, c) -> "BorchersVector":
         return BorchersVector(
@@ -158,13 +151,14 @@ class MetricDecomposition:
     basis: np.ndarray
 
 
-def metric_decomposition(gram: GramMatrix, null_threshold: float = 1e-10) -> MetricDecomposition:
+def metric_decomposition(gram: GramMatrix) -> MetricDecomposition:
     """Spectral metric operator: eta = U sign(Lambda) U^* with eta^2 = I
-    (null directions assigned +1), inertia from thresholded eigenvalue signs."""
+    (null directions assigned +1), inertia from the eigenvalue signs, with
+    |lambda| <= 1e-10 max |lambda| counted as null."""
     H = gram.matrix
     lam, U = np.linalg.eigh(H)
     scale = float(np.max(np.abs(lam))) if lam.size else 0.0
-    thr = null_threshold * scale
+    thr = 1e-10 * scale
     n_plus = int(np.sum(lam > thr))
     n_minus = int(np.sum(lam < -thr))
     n_zero = int(lam.size - n_plus - n_minus)
@@ -172,14 +166,6 @@ def metric_decomposition(gram: GramMatrix, null_threshold: float = 1e-10) -> Met
     eta = (U * signs) @ U.conj().T
     return MetricDecomposition(eta=eta, inertia=(n_plus, n_minus, n_zero),
                                eigenvalues=lam, basis=U)
-
-
-@dataclass
-class HsscEstimate:
-    K: int
-    L: int
-    constant: float
-    sample_size: int
 
 
 def vector_schwartz_norm(f: BorchersVector, K: int, L: int) -> float:
@@ -195,26 +181,25 @@ def vector_schwartz_norm(f: BorchersVector, K: int, L: int) -> float:
     return total
 
 
-def hssc_estimate(gram: GramMatrix, family, K: int, L: int) -> HsscEstimate:
-    """Empirical continuity constant max |H_ij| / (|f_i| |f_j|) at (K, L) of
-    the family's Gram."""
+def hssc_estimate(gram: GramMatrix, family, K: int, L: int) -> float:
+    """Empirical continuity constant of the family's Gram, as a float:
+    max |H_ij| / (|f_i| |f_j|) with the Schwartz seminorms at (K, L)."""
     norms = np.array([vector_schwartz_norm(f, K, L) for f in family])
     if np.any(norms == 0):
         raise ValueError("zero Schwartz norm in the family")
     ratios = np.abs(gram.matrix) / np.outer(norms, norms)
-    return HsscEstimate(K=K, L=L, constant=float(np.max(ratios)),
-                        sample_size=len(family))
+    return float(np.max(ratios))
 
 
-def inout_positivity_check(ev: StructureEvaluator, family, label: str,
-                           fam=None, tol: float = 1e-8):
+def inout_positivity_check(ev: StructureEvaluator, family, label: str, fam=None):
     """Gram of a uniformly in- or out-labeled family must be positive
-    semidefinite; returns (min eigenvalue, Gram, pass flag)."""
+    semidefinite, down to -1e-8 of its largest |eigenvalue|; returns
+    (min eigenvalue, Gram, pass flag)."""
     if label not in (IN, OUT):
         raise ValueError("label must be 'in' or 'out'")
     connected = structure_pairing(ev, label, fam)
     gram = gram_matrix(full_pairing(connected), family, w0=1.0)
     lam = np.linalg.eigvalsh(gram.matrix)
     scale = float(np.max(np.abs(lam))) if lam.size else 0.0
-    ok = bool(lam.min() >= -tol * max(scale, 1e-300))
+    ok = bool(lam.min() >= -1e-8 * max(scale, 1e-300))
     return float(lam.min()), gram, ok

@@ -68,54 +68,6 @@ def omega(spatial, mass: float):
     return np.sqrt(np.sum(spatial**2, axis=-1) + mass**2)
 
 
-@dataclass(frozen=True)
-class ShellPoint:
-    """Point on the forward (sign=+1) or backward (sign=-1) mass shell."""
-
-    spatial: tuple
-    mass: float
-    sign: int = 1
-
-    def __post_init__(self):
-        if self.mass < 0:
-            raise ValueError("mass must be nonnegative")
-        if self.sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
-        object.__setattr__(self, "spatial", tuple(float(s) for s in self.spatial))
-
-    @property
-    def energy(self) -> float:
-        return self.sign * float(omega(np.array(self.spatial), self.mass))
-
-    def four_vector(self) -> np.ndarray:
-        return np.array([self.energy, *self.spatial])
-
-
-def boost_matrix(d: int, rapidity: float, axis: int = 1) -> np.ndarray:
-    """Lorentz boost along a spatial axis (1..d-1)."""
-    if not 1 <= axis < d:
-        raise ValueError("boost axis out of range")
-    L = np.eye(d)
-    ch, sh = math.cosh(rapidity), math.sinh(rapidity)
-    L[0, 0] = ch
-    L[0, axis] = sh
-    L[axis, 0] = sh
-    L[axis, axis] = ch
-    return L
-
-
-def time_reflection(d: int) -> np.ndarray:
-    T = np.eye(d)
-    T[0, 0] = -1.0
-    return T
-
-
-def space_reflection(d: int, axis: int = 1) -> np.ndarray:
-    P = np.eye(d)
-    P[axis, axis] = -1.0
-    return P
-
-
 def invariant_map(points) -> np.ndarray:
     """Ordered vector of pairwise Minkowski products (k1^2, k1.k2, k2^2, ...).
 
@@ -225,11 +177,6 @@ class WavePacket:
             val = np.multiply(val, np.exp(-1j * minkowski_dot(self.phase, k)))
         return val
 
-    def translated(self, a) -> "WavePacket":
-        a = np.asarray(a, dtype=float)
-        new = a if self.phase is None else self.phase + a
-        return WavePacket(self.center, self.width, self.poly, new)
-
     def involute(self) -> "WavePacket":
         """Momentum-space involution leg factor: k -> conj(f(-k))."""
         return WavePacket(
@@ -239,16 +186,13 @@ class WavePacket:
             self.phase,  # conj(exp(-i a.(-k))) = exp(-i a.k)
         )
 
-    def support_interval(self, axis: int, widths: float = TAIL_WIDTHS):
+    def support_interval(self, axis: int):
         c = self.center[axis]
-        return (c - widths * self.width, c + widths * self.width)
+        return (c - TAIL_WIDTHS * self.width, c + TAIL_WIDTHS * self.width)
 
     def derivative(self, axis: int) -> "WavePacket":
-        """d/dk_axis of the packet, again in the Gaussian x poly family.
-
-        Only valid for phase-free packets or with the phase folded into a
-        complex poly term; phases contribute -i a_axis_cov * f.
-        """
+        """d/dk_axis of the packet, again in the Gaussian x poly family; a
+        phase exp(-i a.k) contributes -i a_axis_cov * f to the polynomial."""
         dpoly = self.poly.diff(axis)
         # Gaussian factor derivative: -(k_axis - c_axis)/w^2
         lin = Poly.variable(self.dim, axis, -1.0 / self.width**2) + Poly.constant(
@@ -262,39 +206,6 @@ class WavePacket:
         return WavePacket(self.center, self.width, new, self.phase)
 
 
-class PacketProduct:
-    """Tensor product of one-particle packets, evaluated at (..., n, d) arrays."""
-
-    def __init__(self, packets, coeff=1.0):
-        self.packets = tuple(packets)
-        self.coeff = complex(coeff)
-        if not self.packets:
-            raise ValueError("empty packet product")
-        d = self.packets[0].dim
-        if any(p.dim != d for p in self.packets):
-            raise ValueError("mixed packet dimensions")
-
-    @property
-    def n(self) -> int:
-        return len(self.packets)
-
-    @property
-    def dim(self) -> int:
-        return self.packets[0].dim
-
-    def __call__(self, ks):
-        ks = np.asarray(ks, dtype=float)
-        out = np.full(ks.shape[:-2], self.coeff, dtype=complex)
-        for l, p in enumerate(self.packets):
-            out = out * p(ks[..., l, :])
-        return out
-
-    def involute(self) -> "PacketProduct":
-        return PacketProduct(
-            [p.involute() for p in reversed(self.packets)], np.conj(self.coeff)
-        )
-
-
 def _multi_indices(d: int, max_order: int):
     """All multi-indices beta in N_0^d with |beta| <= max_order."""
     if d == 0:
@@ -305,14 +216,9 @@ def _multi_indices(d: int, max_order: int):
             yield (first,) + rest
 
 
-def schwartz_norm_1leg(
-    packet: WavePacket,
-    K: int,
-    L: int,
-    grid_points: int = 241,
-    boundary_tol: float = 1e-3,
-) -> float:
-    """sup over k, |beta|<=K of (1+|k|^2)^{L/2} |D^beta f(k)| on a grid.
+def schwartz_norm_1leg(packet: WavePacket, K: int, L: int) -> float:
+    """sup over k, |beta|<=K of (1+|k|^2)^{L/2} |D^beta f(k)| on a 241-point grid
+    per axis; the sup on the grid's edge must stay below 1e-3 of it.
 
     D^beta f = P_beta G exp(-i a.k) with a real phase a, so the weighted
     modulus is E |P_beta| with one envelope E = (1+|k|^2)^{L/2} G for all beta."""
@@ -322,7 +228,7 @@ def schwartz_norm_1leg(
     reach = max(abs(packet.center).max() if d else 0.0, 0.0) + TAIL_WIDTHS * packet.width
     # weight grows polynomially, Gaussian wins; extend for large L
     reach += packet.width * math.sqrt(max(L, 1))
-    axes = [np.linspace(-reach, reach, grid_points)] * d
+    axes = [np.linspace(-reach, reach, 241)] * d
 
     def envelope(grid):
         cols = [x.reshape((-1,) + (1,) * (d - 1 - i)) for i, x in enumerate(grid)]
@@ -345,7 +251,7 @@ def schwartz_norm_1leg(
         local = float(vals.max())
         # zoom around the grid argmax so the sup is not limited by the mesh pitch
         center = [x[i] for x, i in zip(axes, np.unravel_index(np.argmax(vals), vals.shape))]
-        h = 2.0 * reach / (grid_points - 1)
+        h = 2.0 * reach / 240
         for _ in range(6):
             zoom_axes = [np.linspace(c - 2 * h, c + 2 * h, 17) for c in center]
             zv = envelope(zoom_axes) * np.abs(g.poly.on_grid(zoom_axes))
@@ -355,26 +261,11 @@ def schwartz_norm_1leg(
             h /= 4.0
         best = max(best, local)
         boundary_max = max(boundary_max, float(vals[edge].max()))
-    if best > 0 and boundary_max > boundary_tol * best:
+    if best > 0 and boundary_max > 1e-3 * best:
         raise NumericalError(
             f"schwartz_norm grid too small: boundary {boundary_max:.3e} vs max {best:.3e}"
         )
     return best
-
-
-def schwartz_norm(packets, K: int, L: int, grid_points: int = 241) -> float:
-    """Schwartz norm of a tensor product of packets (factorizes over legs)."""
-    if isinstance(packets, WavePacket):
-        packets = [packets]
-    if isinstance(packets, PacketProduct):
-        coeff = abs(packets.coeff)
-        packets = packets.packets
-    else:
-        coeff = 1.0
-    out = coeff
-    for p in packets:
-        out *= schwartz_norm_1leg(p, K, L, grid_points=grid_points)
-    return out
 
 
 @functools.lru_cache

@@ -39,17 +39,6 @@ def chi_t(label: str, k, t, params: ModelParams):
     return 0.0 + chi * np.exp(1j * sdir * (k[..., 0] - sigma * w) * t)
 
 
-@dataclass(frozen=True)
-class MultiTimeSchedule:
-    """Per-leg times; rank permutation says which leg's time grows fastest."""
-
-    times: tuple
-
-    @classmethod
-    def from_base(cls, t: float, ranks) -> "MultiTimeSchedule":
-        return cls(times=tuple(t * 2.0**r for r in ranks))
-
-
 def _chi_windows(w_sh, eps):
     """k^0 windows of the chi_t support at shell energy w_sh (eps < m^2 <= w^2):
     +/-[sqrt(w^2-eps), sqrt(w^2+eps)], broken where the cutoff's plateau ends."""
@@ -147,21 +136,22 @@ def _fit_rate(t, err):
 
 def convergence_study(labels, packets, ev: StructureEvaluator, t_grid,
                       fam=None, orderings=None, target=None,
-                      window_points: int = 4, omega_ref: float | None = None) -> ConvergenceReport:
+                      window_points: int = 4) -> ConvergenceReport:
     """Finite-time pairings along a time grid, window-averaged over one
-    oscillation period, for several growth orderings of the per-leg times."""
+    oscillation period pi / omega at the packets' mean shell energy omega,
+    for several growth orderings of the per-leg times: ordering ranks r run
+    leg j to time t 2^r_j."""
     n = len(packets)
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or not t_grid.size or not np.all(np.isfinite(t_grid)):
         raise ValueError("t_grid must be a non-empty list of finite times")
     if orderings is None:
         orderings = [tuple(range(n)), tuple(reversed(range(n)))]
-    if omega_ref is None:
-        omega_ref = float(np.mean([omega(p.center[1:], ev.params.m) for p in packets]))
+    omega_ref = float(np.mean([omega(p.center[1:], ev.params.m) for p in packets]))
     period = 2.0 * math.pi / (2.0 * omega_ref)
     offsets = [0.0, *np.linspace(0, period, window_points + 1)[1:-1]]
     # per-leg times of one pairing per (ordering, time, window offset)
-    schedules = [MultiTimeSchedule.from_base(t + w, ranks).times
+    schedules = [tuple((t + w) * 2.0**r for r in ranks)
                  for ranks in orderings for t in t_grid for w in offsets]
     vals = _pairings(labels, packets, schedules, ev, fam=fam)
     return _report(t_grid, vals.reshape(len(orderings), len(t_grid), len(offsets)),
@@ -190,19 +180,19 @@ def _report(t_grid, vals, orderings, target) -> ConvergenceReport:
     )
 
 
-def _quad_osc(g, t, kind, upper, **kw):
-    """int_0^upper g(s) * cos/sin(s t) ds for complex-valued g."""
+def _quad_osc(g, t, kind):
+    """int_0^40 g(s) * cos/sin(s t) ds for complex-valued g."""
     from scipy import integrate  # here, not at module level: scipy's import costs ~0.8 s
-    re, _ = integrate.quad(lambda s: float(np.real(g(s))), 0, upper,
-                           weight=kind, wvar=t, limit=400, **kw)
-    im, _ = integrate.quad(lambda s: float(np.imag(g(s))), 0, upper,
-                           weight=kind, wvar=t, limit=400, **kw)
+    re, _ = integrate.quad(lambda s: float(np.real(g(s))), 0, 40.0,
+                           weight=kind, wvar=t, limit=400)
+    im, _ = integrate.quad(lambda s: float(np.imag(g(s))), 0, 40.0,
+                           weight=kind, wvar=t, limit=400)
     return re + 1j * im
 
 
-def pv_oscillatory_integral(f, t: float, upper: float = 40.0) -> complex:
-    """PV int e^{i xi t} f(xi)/xi d xi via the symmetric fold; the 1/s piece
-    of the even part is integrated in closed form against sin(st)."""
+def pv_oscillatory_integral(f, t: float) -> complex:
+    """PV int e^{i xi t} f(xi)/xi d xi over |xi| <= 40 via the symmetric fold;
+    the 1/s piece of the even part is integrated in closed form against sin(st)."""
     f0 = complex(f(0.0))
 
     def odd_part(s):
@@ -213,8 +203,8 @@ def pv_oscillatory_integral(f, t: float, upper: float = 40.0) -> complex:
             return 0.0
         return (f(s) + f(-s) - 2.0 * f0 * math.exp(-0.5 * s * s)) / s
 
-    val = _quad_osc(odd_part, t, "cos", upper)
-    val += 1j * _quad_osc(even_rest, t, "sin", upper)
+    val = _quad_osc(odd_part, t, "cos")
+    val += 1j * _quad_osc(even_rest, t, "sin")
     # int_0^inf sin(st) e^{-s^2/2}/s ds = (pi/2) erf(t/sqrt(2))
     val += 1j * 2.0 * f0 * 0.5 * math.pi * math.erf(t / math.sqrt(2.0))
     return val
@@ -228,8 +218,9 @@ def pv_limit_demo(f, t_grid) -> ConvergenceReport:
     return _report(t_grid, vals[None, :, None], [(0,)], target)
 
 
-def sokhotsky_check(f, eps: float, upper: float = 40.0):
-    """Compare PV int f/xi - i pi f(0) with int f(xi)/(xi + i eps) d xi.
+def sokhotsky_check(f, eps: float):
+    """Compare PV int f/xi - i pi f(0) with int f(xi)/(xi + i eps) d xi, both
+    over |xi| <= 40.
 
     Returns (lhs, rhs, abs difference). The boundary-value side smears f
     over a scale eps, so the difference carries an O(eps) floor.
@@ -240,8 +231,8 @@ def sokhotsky_check(f, eps: float, upper: float = 40.0):
     def odd_part(s):
         return (f(s) - f(-s)) / s if s != 0 else 0.0
 
-    pv, _ = integrate.quad(lambda s: float(np.real(odd_part(s))), 0, upper, limit=400)
-    pv_i, _ = integrate.quad(lambda s: float(np.imag(odd_part(s))), 0, upper, limit=400)
+    pv, _ = integrate.quad(lambda s: float(np.real(odd_part(s))), 0, 40.0, limit=400)
+    pv_i, _ = integrate.quad(lambda s: float(np.imag(odd_part(s))), 0, 40.0, limit=400)
     lhs = (pv + 1j * pv_i) - 1j * math.pi * f0
 
     # real part of 1/(xi + i eps) is xi/(xi^2 + eps^2), an odd kernel:
@@ -257,10 +248,10 @@ def sokhotsky_check(f, eps: float, upper: float = 40.0):
         gref = 2.0 * f0 * math.exp(-0.5 * s * s)
         return (f(s) + f(-s) - gref) * eps / (s * s + eps * eps)
 
-    re1, _ = integrate.quad(lambda s: float(np.real(re_part(s))), 0, upper, limit=400)
-    re2, _ = integrate.quad(lambda s: float(np.imag(re_part(s))), 0, upper, limit=400)
-    im1, _ = integrate.quad(lambda s: float(np.real(lor_rest(s))), 0, upper, limit=400)
-    im2, _ = integrate.quad(lambda s: float(np.imag(lor_rest(s))), 0, upper, limit=400)
+    re1, _ = integrate.quad(lambda s: float(np.real(re_part(s))), 0, 40.0, limit=400)
+    re2, _ = integrate.quad(lambda s: float(np.imag(re_part(s))), 0, 40.0, limit=400)
+    im1, _ = integrate.quad(lambda s: float(np.real(lor_rest(s))), 0, 40.0, limit=400)
+    im2, _ = integrate.quad(lambda s: float(np.imag(lor_rest(s))), 0, 40.0, limit=400)
     x = eps / math.sqrt(2.0)
     gauss_lor = math.pi * math.exp(x * x) * math.erfc(x)  # pi erfcx(x)
     rhs = (re1 + 1j * re2) - 1j * (im1 + 1j * im2 + f0 * gauss_lor)
@@ -299,27 +290,28 @@ def riemann_lebesgue_decay(rho: SpectralDensity, packets, t_grid,
     return _report(t_grid, vals[None, :, None], [(0,)], 0.0 + 0.0j)
 
 
-def l1_fourier_bound(packet, xi_nodes: int = 400, t_points: int = 40001):
+def l1_fourier_bound(packet):
     """Check the L1 bound on the Fourier transform:
     int |Ff|(t) dt <= pi (2 pi)^{-1/2} int |(1 - d^2/dxi^2) f| dxi.
 
-    packet is a one-dimensional wave packet with analytic derivatives.
-    Returns (lhs, rhs, passed).
+    packet is a one-dimensional wave packet with analytic derivatives. The
+    transform takes 400 Gauss-Legendre nodes on the packet's support and is
+    sampled at 40001 times. Returns (lhs, rhs, passed).
     """
     from scipy import integrate  # here, not at module level: scipy's import costs ~0.8 s
     if packet.dim != 1:
         raise ValueError("one-dimensional packet required")
     lo, hi = packet.support_interval(0)
-    xs, ws = gauss_legendre(lo, hi, xi_nodes)
+    xs, ws = gauss_legendre(lo, hi, 400)
     fx = packet(xs[:, None])
     width = packet.width
     T = 15.0 / width + 2.0 * abs(packet.center[0])
-    ts = np.linspace(-T, T, t_points)
-    # F(t) = (2 pi)^{-1/2} sum_x w f(x) e^{-i x t}, in blocks t = t0 + tau of xi_nodes
+    ts = np.linspace(-T, T, 40001)
+    # F(t) = (2 pi)^{-1/2} sum_x w f(x) e^{-i x t}, in blocks t = t0 + tau of 400
     # times: e^{-i x t0} per block times one e^{-i x tau} matrix shared by all blocks
-    tau = ts[:xi_nodes] - ts[0]
-    starts = np.exp(-1j * np.outer(ts[::xi_nodes], xs)) * (ws * fx)
-    F = (starts @ np.exp(-1j * np.outer(xs, tau))).ravel()[:t_points] / math.sqrt(2.0 * math.pi)
+    tau = ts[:400] - ts[0]
+    starts = np.exp(-1j * np.outer(ts[::400], xs)) * (ws * fx)
+    F = (starts @ np.exp(-1j * np.outer(xs, tau))).ravel()[:40001] / math.sqrt(2.0 * math.pi)
     lhs = float(integrate.simpson(np.abs(F), x=ts))
     f2 = packet.derivative(0).derivative(0)
     dense = np.linspace(lo, hi, 200001)

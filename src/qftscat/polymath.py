@@ -29,10 +29,6 @@ class Poly:
         return cls(nvars, {tuple([0] * nvars): c})
 
     @classmethod
-    def monomial(cls, nvars: int, exps, c=1.0) -> "Poly":
-        return cls(nvars, {tuple(exps): c})
-
-    @classmethod
     def variable(cls, nvars: int, i: int, c=1.0) -> "Poly":
         exps = [0] * nvars
         exps[i] = 1
@@ -103,11 +99,6 @@ class Poly:
             self.nvars,
             {e: c * (-1) ** (sum(e) % 2) for e, c in self.terms.items()},
         )
-
-    def total_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(e) for e in self.terms)
 
     def is_real(self, tol: float = 0.0) -> bool:
         return all(abs(np.imag(c)) <= tol for c in self.terms.values())

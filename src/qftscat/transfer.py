@@ -7,7 +7,6 @@ on coordinate indices.
 from __future__ import annotations
 
 import itertools
-import json
 import numbers
 
 import numpy as np
@@ -89,13 +88,6 @@ class TransferPolynomial:
             terms.append((t.get("degrees", {}), c))
         return cls.from_terms(int(d["n"]), terms)
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, s: str) -> "TransferPolynomial":
-        return cls.from_json_dict(json.loads(s))
-
 
 def _term_arrays(p: TransferPolynomial) -> tuple:
     """(exponents (terms x coordinates), coefficients) of p, in term order."""
@@ -167,17 +159,14 @@ class TransferFamily:
         ks = np.asarray(momenta, dtype=float)
         return self.member(ks.shape[-2])(ks)
 
-    @classmethod
-    def identity(cls, l_max: int = 2) -> "TransferFamily":
-        return cls({2: TransferPolynomial.constant(2, 1.0)}, l_max)
 
-
-def validate_condition41(fam: TransferFamily, rng=None, samples: int = 32) -> dict:
-    """Check symmetry, reality, M_2 = 1, polynomial form, per-argument degree bound.
+def validate_condition41(fam: TransferFamily) -> dict:
+    """Check symmetry, reality, M_2 = 1, polynomial form, per-argument degree bound;
+    the symmetry also at 32 seeded random configurations per order up to 5.
 
     Returns {"passed": bool, "violations": [...]}, each violation with a witness.
     """
-    rng = rng or np.random.default_rng(0)
+    rng = np.random.default_rng(0)
     violations = []
     m2 = fam.member(2)
     if not (m2.poly.is_constant() and abs(m2.poly.constant_value() - 1.0) < 1e-15):
@@ -206,7 +195,7 @@ def validate_condition41(fam: TransferFamily, rng=None, samples: int = 32) -> di
             )
         # randomized evaluation check of the symmetry (guards the coefficient action)
         if ok and n <= 5:
-            ks = rng.normal(size=(samples, n, 2))
+            ks = rng.normal(size=(32, n, 2))
             perms = list(itertools.permutations(range(n)))
             vals = p(ks[:, perms, :])  # (samples, n!); perms[0] is the identity
             bound = 1e-9 * max(1.0, np.max(np.abs(vals[:, 0])))
@@ -227,11 +216,10 @@ def require_valid(fam: TransferFamily) -> TransferFamily:
     return fam
 
 
-def hermiticity_identity_check(p: TransferPolynomial, rng=None, samples: int = 100,
-                               d: int = 2, tol: float = 1e-12) -> bool:
-    """conj(M(-k_n,...,-k_1)) == M(k_1,...,k_n) at random real momenta."""
-    rng = rng or np.random.default_rng(1)
-    ks = rng.normal(size=(samples, p.n, d))
+def hermiticity_identity_check(p: TransferPolynomial) -> bool:
+    """conj(M(-k_n,...,-k_1)) == M(k_1,...,k_n) to 1e-12 relative at 100 seeded
+    random real momenta in d = 2."""
+    ks = np.random.default_rng(1).normal(size=(100, p.n, 2))
     lhs = np.conj(p(-ks[:, ::-1, :]))
     rhs = p(ks)
-    return bool(np.max(np.abs(lhs - rhs)) <= tol * max(1.0, np.max(np.abs(rhs))))
+    return bool(np.max(np.abs(lhs - rhs)) <= 1e-12 * max(1.0, np.max(np.abs(rhs))))

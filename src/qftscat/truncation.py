@@ -193,11 +193,6 @@ def truncate_bilinear(s: BilinearKernel) -> BilinearKernel:
     return _bilinear_view(truncate(_on_tagged_points(s)))
 
 
-def untruncate_bilinear(st: BilinearKernel) -> BilinearKernel:
-    """S(1..n; n+1..n+m) = sum over partitions of (1..n+m) of prod S^T(block splits)."""
-    return _bilinear_view(untruncate(_on_tagged_points(st)))
-
-
 def bilinear_from_functional(w: KernelFunctional) -> BilinearKernel:
     """Concatenation embedding: S(left; right) = W(left + right)."""
     return _bilinear(w.max_order, lambda left, right: w.eval(tuple(left) + tuple(right)), w.w0)

@@ -9,10 +9,9 @@ from qftscat.formfactor import (
     eval_F_n,
     eval_FG_n,
     smatrix_amplitude,
-    smatrix_density,
 )
 from qftscat.gns import structure_pairing
-from qftscat.kinematics import ShellPoint, WavePacket, gauss_legendre, omega
+from qftscat.kinematics import gauss_legendre, omega
 from qftscat.structure import (
     QuadratureSettings,
     SpectralDensity,
@@ -30,12 +29,9 @@ AMP4_ORACLE = 0.017911981248022433j
 
 
 def test_atom_decomposition():
-    (pv,) = delta_hat_atoms("loc")
-    assert pv.sign == 0 and pv.coefficient == 1.0
-    a_in = delta_hat_atoms("in")
-    assert [(a.sign, a.coefficient) for a in a_in] == [(1, -1j * np.pi), (-1, 1j * np.pi)]
-    a_out = delta_hat_atoms("out")
-    assert [(a.sign, a.coefficient) for a in a_out] == [(1, 1j * np.pi), (-1, -1j * np.pi)]
+    assert delta_hat_atoms("loc") == [(1.0, 0)]
+    assert delta_hat_atoms("in") == [(-1j * np.pi, 1), (1j * np.pi, -1)]
+    assert delta_hat_atoms("out") == [(1j * np.pi, 1), (-1j * np.pi, -1)]
     with pytest.raises(ValueError):
         delta_hat_atoms("bad")
 
@@ -162,22 +158,6 @@ def test_amplitude_request_validation(packets4):
         AmplitudeRequest(2, (pin1, pin2), ())
     with pytest.raises(ValueError):
         AmplitudeRequest(1, (pin1, pin2), (pout1,))
-
-
-def test_smatrix_density(fam_quad):
-    k = 0.6
-    w = float(omega(k, 1.0))
-    ks = [p.four_vector() for p in (ShellPoint((k,), 1.0, -1), ShellPoint((-k,), 1.0, -1),
-                                    ShellPoint((k,), 1.0, 1), ShellPoint((-k,), 1.0, 1))]
-    val = smatrix_density(2, ks, None)
-    assert val == 2j * np.pi
-    vm = smatrix_density(2, ks, None, fam=fam_quad)
-    assert abs(vm - 2j * np.pi * complex(fam_quad.eval(np.array(ks)))) < 1e-12 * abs(vm)
-    with pytest.raises(ValueError):
-        smatrix_density(2, [ks[2], ks[1], ks[0], ks[3]], None)  # sign pattern
-    bad = [np.array([-w, k]), np.array([-w, -k]), np.array([w, k]), np.array([w, 0.5])]
-    with pytest.raises(ValueError):
-        smatrix_density(2, bad, None)  # conservation
 
 
 def test_eval_F_n_requires_valid_family(packets4, ev):

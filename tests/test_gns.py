@@ -38,10 +38,10 @@ def _synthetic_pairing(packets):
 
 def test_vector_construction_and_arithmetic():
     f = _one(0.4)
-    g = f.scaled(2.0 - 1.0j) + BorchersVector.unit()
+    g = f.scaled(2.0 - 1.0j) + BorchersVector(f0=1.0)
     assert g.f0 == 1.0
     assert g.components[1][0][0] == 2.0 - 1.0j
-    assert g.max_order() == 1
+    assert list(g.components) == [1]
     with pytest.raises(ValueError):
         BorchersVector(components={2: [(1.0, (f.components[1][0][1][0],))]})
 
@@ -55,7 +55,7 @@ def test_product_grading():
 
 
 def test_involution_is_antimultiplicative_and_involutive():
-    f = _one(0.7).scaled(1.0 + 2.0j) + BorchersVector.unit().scaled(0.5j)
+    f = _one(0.7).scaled(1.0 + 2.0j) + BorchersVector(f0=1.0).scaled(0.5j)
     g = _one(-0.2)
     lhs = borchers_involution(borchers_product(f, g))
     rhs = borchers_product(borchers_involution(g), borchers_involution(f))
@@ -64,7 +64,7 @@ def test_involution_is_antimultiplicative_and_involutive():
     twice = borchers_involution(borchers_involution(f))
     assert abs(evaluate_vector(_synthetic_pairing, twice, w0=1.0)
                - evaluate_vector(_synthetic_pairing, f, w0=1.0)) < 1e-14
-    u = borchers_involution(BorchersVector.unit())
+    u = borchers_involution(BorchersVector(f0=1.0))
     assert u.f0 == 1.0 and not u.components
 
 
@@ -145,7 +145,7 @@ def test_two_particle_norm_factorizes(ev):
     # part of the full functional makes the 2-particle norm the product of
     # the 1-particle norms
     f1, f2 = _one(-1.5, width=0.15), _one(0.2, width=0.15)
-    fam = [BorchersVector.unit(), f1, f2, borchers_product(f1, f2)]
+    fam = [BorchersVector(f0=1.0), f1, f2, borchers_product(f1, f2)]
     min_eig, gram, ok = inout_positivity_check(ev, fam, "in")
     assert ok and min_eig > 0
     assert gram.hermiticity_deviation < 1e-12
@@ -161,7 +161,7 @@ def test_vector_schwartz_norm():
     assert abs(vector_schwartz_norm(f, 0, 0) - 1.0) < 1e-9
     two = borchers_product(f, f).scaled(3.0)
     assert abs(vector_schwartz_norm(two, 0, 0) - 3.0) < 1e-8
-    assert vector_schwartz_norm(BorchersVector.unit(), 2, 2) == 1.0
+    assert vector_schwartz_norm(BorchersVector(f0=1.0), 2, 2) == 1.0
 
 
 def test_hssc_estimate_scale_invariant(ev):
@@ -170,8 +170,8 @@ def test_hssc_estimate_scale_invariant(ev):
     pairing = structure_pairing(ev)
     h1 = hssc_estimate(gram_matrix(pairing, fam), fam, 2, 2)
     h2 = hssc_estimate(gram_matrix(pairing, scaled), scaled, 2, 2)
-    assert abs(h1.constant - h2.constant) < 1e-10 * h1.constant
-    assert h1.K == 2 and h1.sample_size == 2
+    assert isinstance(h1, float)
+    assert abs(h1 - h2) < 1e-10 * h1
 
 
 def test_structure_pairing_validates_its_family_once(ev, fam_quad, monkeypatch):

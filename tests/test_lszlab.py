@@ -10,7 +10,6 @@ from qftscat.formfactor import eval_FG_n
 from qftscat.kinematics import WavePacket, gauss_legendre, omega
 from qftscat.lszlab import (
     ENVELOPE_FLOOR,
-    MultiTimeSchedule,
     _chi_windows,
     _decade_envelope_nonincreasing,
     _leg_terms,
@@ -28,6 +27,12 @@ from qftscat.structure import QuadratureSettings, SpectralDensity, StructureEval
 
 def _gauss(x):
     return np.exp(-0.5 * np.asarray(x) ** 2)
+
+
+def _translated(p, a):
+    """The phase-free packet p translated by a: p times exp(-i a.k)."""
+    assert p.phase is None
+    return WavePacket(p.center, p.width, p.poly, phase=a)
 
 
 def test_chi_t_is_one_on_shells(params):
@@ -66,7 +71,7 @@ def test_leg_term_time_rows_match_single_time(packets4, ev):
     # On trio every finite-time leg term is exactly zero: chi_t keeps k_j^2
     # within eps of m^2, where the order-3 phase space is empty. The 2 -> 2
     # set has nonzero terms; the phase makes the static numerator complex.
-    packets = [packets4[0].translated([0.3, 0.2]), *packets4[1:]]
+    packets = [_translated(packets4[0], [0.3, 0.2]), *packets4[1:]]
     single = _leg_terms(1, "in", [5.0], packets, ev)
     rows = _leg_terms(1, "in", [5.0] * 300, packets, ev)
     assert abs(single[0]) > 0
@@ -79,7 +84,7 @@ def test_order3_leg_terms_equal_their_quadrature(trio, trio_scatter, params, wei
     ev = StructureEvaluator(params, quad=QuadratureSettings(outer_nodes=8))
     rng = np.random.default_rng(5)
     sets = [list(trio), list(trio_scatter)]
-    sets += [[p.translated(rng.uniform(-0.2, 0.2, 2)) for p in trio] for _ in range(3)]
+    sets += [[_translated(p, rng.uniform(-0.2, 0.2, 2)) for p in trio] for _ in range(3)]
     weight = None
     if weighted:
         def weight(ks):
@@ -118,8 +123,6 @@ def test_decade_envelope_floor():
 def test_time_multiplier_and_schedule(params):
     k = np.array([float(omega(0.4, params.m)), 0.4])
     assert abs(chi_t("in", k, 3.0, params) - 1.0) < 1e-14
-    sched = MultiTimeSchedule.from_base(10.0, (0, 2, 1))
-    assert sched.times == (10.0, 40.0, 20.0)
 
 
 def _two_point_with_chi_t(labels, times, packets, ev):
@@ -154,7 +157,7 @@ def test_finite_time_two_point_is_static(pair, ev, ev_rho):
     # finite-time two-point pairing is the static form factor at every time
     rng = np.random.default_rng(11)
     pairs = [list(pair)]
-    pairs += [[p.translated(rng.uniform(-0.5, 0.5, 2)) for p in pair] for _ in range(2)]
+    pairs += [[_translated(p, rng.uniform(-0.5, 0.5, 2)) for p in pair] for _ in range(2)]
     pairs += [[WavePacket(p.center + rng.uniform(-0.2, 0.2, 2), p.width * rng.uniform(0.8, 1.2),
                           phase=rng.uniform(-1.0, 1.0, 2)) for p in pair] for _ in range(2)]
     times = (0.0, 1.0, 25.0, 1e3, 1e5)
@@ -205,7 +208,7 @@ def test_convergence_study_values_are_schedule_pairings(packets4, ev, fam_quad, 
     report = convergence_study(labels, list(packets4), ev, [1.0, 10.0], fam=fam,
                                orderings=[ranks], window_points=1)
     for i, t in enumerate(report.t_grid):
-        times = MultiTimeSchedule.from_base(t, ranks).times
+        times = tuple(t * 2.0**r for r in ranks)
         assert report.values[ranks][i] == finite_time_pairing(labels, list(packets4), times,
                                                                ev, fam=fam)
 
@@ -217,7 +220,7 @@ def test_convergence_study_small_times_on_the_largest_grid(packets4, ev):
     report = convergence_study(labels, list(packets4), ev, [1.0, 100.0],
                                orderings=[ranks], window_points=1)
     direct = [finite_time_pairing(labels, list(packets4),
-                                  MultiTimeSchedule.from_base(t, ranks).times, ev)
+                                  tuple(t * 2.0**r for r in ranks), ev)
               for t in report.t_grid]
     assert report.values[ranks][1] == direct[1]
     assert abs(report.values[ranks][0] - direct[0]) <= 5e-4 * abs(direct[0])

@@ -1,0 +1,76 @@
+"""The library carries no code that only the tests call.
+
+Every top-level function and class of `src/qftscat/`, and every method of
+such a class, must be named (as a Python name token) somewhere in `src/` or
+`perfbench/` outside its own definition. Dunder methods are reached by the
+language, not by name, and are left out.
+"""
+import ast
+import io
+import tokenize
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "qftscat"
+SCANNED = [ROOT / "src", ROOT / "perfbench"]
+
+# entry points that only the tests call, each with its reason
+ALLOWED = {
+    "hermiticity_identity_check": "acceptance criterion 8",
+    "sokhotsky_check": "acceptance criterion 4",
+    "riemann_lebesgue_decay": "acceptance criterion 5",
+    "l1_fourier_bound": "acceptance criterion 6",
+    "apply_leg_multiplier": "acceptance criterion 2",
+    "truncate_bilinear": "acceptance criterion 2",
+    "bilinear_from_functional": "acceptance criterion 2",
+    "BorchersVector.scaled": "the vector algebra's scalar action, with __add__",
+}
+
+
+def _definitions(tree):
+    """(qualified name, bare name, first line, last line) of every top-level
+    function and class and every method of a top-level class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node.name, node.lineno, node.end_lineno
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield (f"{node.name}.{item.name}", item.name,
+                           item.lineno, item.end_lineno)
+
+
+def _name_lines(path):
+    """{name: [line numbers]} of every name token in a Python file."""
+    out = {}
+    with open(path, "rb") as fh:
+        source = fh.read()
+    for tok in tokenize.tokenize(io.BytesIO(source).readline):
+        if tok.type == tokenize.NAME:
+            out.setdefault(tok.string, []).append(tok.start[0])
+    return out
+
+
+def unreferenced():
+    files = sorted({p for d in SCANNED for p in d.rglob("*.py")})
+    names = {p: _name_lines(p) for p in files}
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for qualname, name, first, last in _definitions(tree):
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            used = any(line < first or line > last if p == path else True
+                       for p in files for line in names[p].get(name, ()))
+            if not used:
+                found.append(qualname)
+    return found
+
+
+def test_no_library_code_only_the_tests_call():
+    assert sorted(set(unreferenced()) - set(ALLOWED)) == []
+
+
+def test_allowlist_names_only_unreferenced_definitions():
+    # a name that gains a library caller leaves the allowlist
+    assert sorted(set(ALLOWED) - set(unreferenced())) == []

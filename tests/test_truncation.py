@@ -3,14 +3,12 @@ import numpy as np
 import pytest
 
 from qftscat.truncation import (
-    BilinearKernel,
     KernelFunctional,
     apply_leg_multiplier,
     bilinear_from_functional,
     truncate,
     truncate_bilinear,
     untruncate,
-    untruncate_bilinear,
 )
 
 
@@ -144,22 +142,6 @@ def test_bilinear_embedding_compatibility():
                 assert abs(a - b) <= 1e-12 * max(abs(b), 1e-30)
 
 
-def test_bilinear_round_trip():
-    w = _random_functional(4, seed=7)
-    s = bilinear_from_functional(w)
-    s.s00 = 0.0  # scalar part excluded from the round trip
-    back = untruncate_bilinear(truncate_bilinear(s))
-    rng = np.random.default_rng(8)
-    for r in range(0, 5):
-        for q in range(0, 5 - r):
-            if r + q == 0:
-                continue
-            left = tuple(rng.normal(size=r))
-            right = tuple(rng.normal(size=q))
-            a, b = s.eval(left, right), back.eval(left, right)
-            assert abs(a - b) <= 1e-12 * max(abs(a), 1e-30)
-
-
 def test_functional_errors():
     w = _random_functional(3, seed=9)
     with pytest.raises(ValueError):
@@ -167,8 +149,5 @@ def test_functional_errors():
     bad = KernelFunctional(3, {}, w0=1.0)
     with pytest.raises(ValueError):
         untruncate(bad)
-    sbad = BilinearKernel(3, {}, s00=1.0)
-    with pytest.raises(ValueError):
-        untruncate_bilinear(sbad)
     assert w.eval(()) == 0.0
     assert KernelFunctional(2, {}).eval((0.5,)) == 0.0
