@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kinematics import NumericalError, _multi_indices, invariant_map, invariant_names
+from .kinematics import NumericalError, invariant_map, invariant_names, multi_indices
 from .polymath import Poly
 from .structure import two_body_solutions
 from .transfer import TransferFamily, TransferPolynomial, require_valid, symmetrize_realify
@@ -41,7 +41,6 @@ class PhaseSpaceSample:
     n: int
     r: int
     points: np.ndarray  # (N, n, 2)
-    e_max: float
     acceptance_rate: float
     diagnostics: dict = field(default_factory=dict)
 
@@ -50,7 +49,7 @@ class PhaseSpaceSample:
         return self.points.shape[0] == 0
 
 
-def recheck_constraints(points, n, r, e_max, m) -> np.ndarray:
+def recheck_constraints(points, r, e_max, m) -> np.ndarray:
     """Independent validation of every sampled configuration: on-shell and
     conserving to 1e-10 relative, sign pattern, outgoing energy cap. Returns
     a boolean mask."""
@@ -80,7 +79,7 @@ def sample_Qn(n: int, r: int, cfg: FitConfig, params) -> PhaseSpaceSample:
     m = params.m
     target = cfg.train_count + cfg.validate_count
     if n > cfg.e_max / m:
-        return PhaseSpaceSample(n, r, np.zeros((0, n, 2)), cfg.e_max, 0.0,
+        return PhaseSpaceSample(n, r, np.zeros((0, n, 2)), 0.0,
                                 {"reason": "empty: n exceeds e_max/m"})
     rng = np.random.default_rng(cfg.seed)
     pmax = math.sqrt(max(cfg.e_max**2 - m * m, 0.0))
@@ -122,10 +121,10 @@ def sample_Qn(n: int, r: int, cfg: FitConfig, params) -> PhaseSpaceSample:
         if rate < 1e-6:
             points = points[:0]
     if points.shape[0]:
-        mask = recheck_constraints(points, n, r, cfg.e_max, m)
+        mask = recheck_constraints(points, r, cfg.e_max, m)
         if not mask.all():
             raise NumericalError("sampled point failed independent constraint recheck")
-    return PhaseSpaceSample(n, r, points, cfg.e_max, rate, diagnostics)
+    return PhaseSpaceSample(n, r, points, rate, diagnostics)
 
 
 @dataclass
@@ -137,7 +136,6 @@ class FitReport:
     degree_used: int
     train_count: int
     validate_count: int
-    epsilon: float
     passed: bool
     symmetric_input: bool = True  # whether R passed the permutation probe
     history: list = field(default_factory=list)
@@ -261,7 +259,7 @@ def fit_polynomial(R, sample: PhaseSpaceSample, cfg: FitConfig) -> FitReport:
     history = []
     best = None
     for deg in range(cfg.max_degree + 1):
-        exps_list = list(_multi_indices(len(vary_idx), deg))
+        exps_list = list(multi_indices(len(vary_idx), deg))
         if deg and 2 * len(exps_list) > cfg.train_count:
             history.append({"degree": deg, "basis_size": len(exps_list),
                             "stopped": "more basis columns than half the training points"})
@@ -287,7 +285,7 @@ def fit_polynomial(R, sample: PhaseSpaceSample, cfg: FitConfig) -> FitReport:
         polynomial=sym, raw_polynomial=raw, achieved_sup_error=sup_err,
         symmetrized_sup_error=sym_err, degree_used=deg,
         train_count=cfg.train_count, validate_count=cfg.validate_count,
-        epsilon=cfg.epsilon, passed=sup_err < cfg.epsilon,
+        passed=sup_err < cfg.epsilon,
         symmetric_input=symmetric_input, history=history,
         coordinates=[invariant_names(n)[i] for i in vary_idx],
     )

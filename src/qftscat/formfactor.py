@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kinematics import gauss_legendre
+from .kinematics import gauss_panels
 from .structure import SpectralDensity, StructureEvaluator, eval_Ghat_2, leg_term, two_body_solutions
 from .transfer import TransferFamily, require_valid
 
@@ -121,7 +121,7 @@ def smatrix_amplitude(req: AmplitudeRequest, ev: StructureEvaluator,
     axes_nodes, axes_wts = [], []
     for l in free:
         lo, hi = packets[l].support_interval(1)
-        xn, xw = gauss_legendre(lo, hi, ev.quad.outer_nodes)
+        xn, xw = gauss_panels([lo, hi], ev.quad.outer_nodes)
         axes_nodes.append(xn)
         axes_wts.append(xw)
     grids = np.meshgrid(*axes_nodes, indexing="ij") if free else []

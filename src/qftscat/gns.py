@@ -147,8 +147,6 @@ def gram_matrix(pairing, family, w0: complex = 0.0) -> GramMatrix:
 class MetricDecomposition:
     eta: np.ndarray
     inertia: tuple  # (n_plus, n_minus, n_zero)
-    eigenvalues: np.ndarray
-    basis: np.ndarray
 
 
 def metric_decomposition(gram: GramMatrix) -> MetricDecomposition:
@@ -164,8 +162,7 @@ def metric_decomposition(gram: GramMatrix) -> MetricDecomposition:
     n_zero = int(lam.size - n_plus - n_minus)
     signs = np.where(lam < -thr, -1.0, 1.0)
     eta = (U * signs) @ U.conj().T
-    return MetricDecomposition(eta=eta, inertia=(n_plus, n_minus, n_zero),
-                               eigenvalues=lam, basis=U)
+    return MetricDecomposition(eta=eta, inertia=(n_plus, n_minus, n_zero))
 
 
 def vector_schwartz_norm(f: BorchersVector, K: int, L: int) -> float:

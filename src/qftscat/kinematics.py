@@ -95,33 +95,20 @@ def invariant_names(n: int) -> list:
     return [f"q{i + 1}{j + 1}" for j in range(n) for i in range(j + 1)]
 
 
-@dataclass(frozen=True)
-class CutoffSpec:
+def phi(x, eps: float):
     """Smooth plateau bump: phi=1 on [-eps/2, eps/2], supp phi in (-eps, eps)."""
-
-    eps: float
-
-    def __post_init__(self):
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
-
-    def phi(self, x):
-        x = np.abs(np.asarray(x, dtype=float))
-        half = 0.5 * self.eps
-        s = (x - half) / half
-        out = np.where(s <= 0, 1.0, 0.0)
-        # C^infty step e(s)=exp(-1/s): on 0 < s < 1 the bridge
-        # e(1-s)/(e(s)+e(1-s)) falls 1 -> 0, and e(s)+e(1-s) > 0 there
-        band = (s > 0) & (s < 1)
-        sb = s[band]
-        ea = np.exp(-1.0 / sb)
-        eb = np.exp(-1.0 / (1.0 - sb))
-        out[band] = eb / (ea + eb)
-        return out
-
-    @classmethod
-    def for_params(cls, params: ModelParams) -> "CutoffSpec":
-        return cls(eps=params.eps_phi)
+    x = np.abs(np.asarray(x, dtype=float))
+    half = 0.5 * eps
+    s = (x - half) / half
+    out = np.where(s <= 0, 1.0, 0.0)
+    # C^infty step e(s)=exp(-1/s): on 0 < s < 1 the bridge
+    # e(1-s)/(e(s)+e(1-s)) falls 1 -> 0, and e(s)+e(1-s) > 0 there
+    band = (s > 0) & (s < 1)
+    sb = s[band]
+    ea = np.exp(-1.0 / sb)
+    eb = np.exp(-1.0 / (1.0 - sb))
+    out[band] = eb / (ea + eb)
+    return out
 
 
 def chi_plus_minus(k, sign, params: ModelParams):
@@ -129,7 +116,7 @@ def chi_plus_minus(k, sign, params: ModelParams):
     sign may be an array broadcasting against k's leading axes."""
     k = np.asarray(k, dtype=float)
     step = (sign * k[..., 0] > 0).astype(float)
-    return step * CutoffSpec.for_params(params).phi(minkowski_sq(k) - params.m**2)
+    return step * phi(minkowski_sq(k) - params.m**2, params.eps_phi)
 
 
 @dataclass(frozen=True)
@@ -206,13 +193,13 @@ class WavePacket:
         return WavePacket(self.center, self.width, new, self.phase)
 
 
-def _multi_indices(d: int, max_order: int):
+def multi_indices(d: int, max_order: int):
     """All multi-indices beta in N_0^d with |beta| <= max_order."""
     if d == 0:
         yield ()
         return
     for first in range(max_order + 1):
-        for rest in _multi_indices(d - 1, max_order - first):
+        for rest in multi_indices(d - 1, max_order - first):
             yield (first,) + rest
 
 
@@ -242,7 +229,7 @@ def schwartz_norm_1leg(packet: WavePacket, K: int, L: int) -> float:
 
     best = 0.0
     boundary_max = 0.0
-    for beta in _multi_indices(d, K):
+    for beta in multi_indices(d, K):
         g = packet
         for axis, order in enumerate(beta):
             for _ in range(order):
@@ -277,8 +264,19 @@ def gauss_rule(nodes: int):
     return x, w
 
 
-def gauss_legendre(a: float, b: float, nodes: int):
-    """Gauss-Legendre nodes/weights on [a, b], as fresh arrays."""
+def gauss_panels(edges, nodes: int, sine: bool = False):
+    """Composite Gauss-Legendre rule of the given nodes on every panel between
+    consecutive edges, as fresh arrays; with sine, a sine substitution per panel.
+
+    The substitution's derivative vanishes at panel ends, which integrates
+    inverse-square-root endpoint singularities (two-body thresholds) exactly
+    in the transformed variable.
+    """
     x, w = gauss_rule(nodes)
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return mid + half * x, half * w
+    edges = np.asarray(edges, dtype=float)
+    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
+    half = 0.5 * np.diff(edges)[:, None]
+    if not sine:
+        return (mid + half * x).ravel(), (half * w).ravel()
+    us = mid + half * np.sin(0.5 * np.pi * x)
+    return us.ravel(), (w * half * 0.5 * np.pi * np.cos(0.5 * np.pi * x)).ravel()

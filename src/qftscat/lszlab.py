@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .formfactor import IN, LOC, OUT, eval_FG_n
-from .kinematics import ModelParams, chi_plus_minus, gauss_legendre, omega
-from .structure import SpectralDensity, StructureEvaluator, _panel_grid, leg_term, shell_table
+from .kinematics import ModelParams, chi_plus_minus, gauss_panels, omega
+from .structure import SpectralDensity, StructureEvaluator, leg_term, rho_continuum
 
 
 def chi_t(label: str, k, t, params: ModelParams):
@@ -180,14 +180,19 @@ def _report(t_grid, vals, orderings, target) -> ConvergenceReport:
     )
 
 
-def _quad_osc(g, t, kind):
-    """int_0^40 g(s) * cos/sin(s t) ds for complex-valued g."""
+def _quad_0_40(g, **kw) -> complex:
+    """int_0^40 g(s) ds for complex-valued g by scipy's quad (limit 400), its
+    real and imaginary parts apart; kw (weight=, wvar=) pass through to quad."""
     from scipy import integrate  # here, not at module level: scipy's import costs ~0.8 s
-    re, _ = integrate.quad(lambda s: float(np.real(g(s))), 0, 40.0,
-                           weight=kind, wvar=t, limit=400)
-    im, _ = integrate.quad(lambda s: float(np.imag(g(s))), 0, 40.0,
-                           weight=kind, wvar=t, limit=400)
+    re, _ = integrate.quad(lambda s: float(np.real(g(s))), 0, 40.0, limit=400, **kw)
+    im, _ = integrate.quad(lambda s: float(np.imag(g(s))), 0, 40.0, limit=400, **kw)
     return re + 1j * im
+
+
+def _odd_fold(f):
+    """s -> (f(s) - f(-s)) / s (0 at s = 0): PV int f(xi)/xi over |xi| <= 40
+    folded onto [0, 40]."""
+    return lambda s: (f(s) - f(-s)) / s if s != 0 else 0.0
 
 
 def pv_oscillatory_integral(f, t: float) -> complex:
@@ -195,16 +200,13 @@ def pv_oscillatory_integral(f, t: float) -> complex:
     the 1/s piece of the even part is integrated in closed form against sin(st)."""
     f0 = complex(f(0.0))
 
-    def odd_part(s):
-        return (f(s) - f(-s)) / s if s != 0 else 0.0
-
     def even_rest(s):
         if s == 0:
             return 0.0
         return (f(s) + f(-s) - 2.0 * f0 * math.exp(-0.5 * s * s)) / s
 
-    val = _quad_osc(odd_part, t, "cos")
-    val += 1j * _quad_osc(even_rest, t, "sin")
+    val = _quad_0_40(_odd_fold(f), weight="cos", wvar=t)
+    val += 1j * _quad_0_40(even_rest, weight="sin", wvar=t)
     # int_0^inf sin(st) e^{-s^2/2}/s ds = (pi/2) erf(t/sqrt(2))
     val += 1j * 2.0 * f0 * 0.5 * math.pi * math.erf(t / math.sqrt(2.0))
     return val
@@ -225,15 +227,8 @@ def sokhotsky_check(f, eps: float):
     Returns (lhs, rhs, abs difference). The boundary-value side smears f
     over a scale eps, so the difference carries an O(eps) floor.
     """
-    from scipy import integrate  # here, not at module level: scipy's import costs ~0.8 s
     f0 = complex(f(0.0))
-
-    def odd_part(s):
-        return (f(s) - f(-s)) / s if s != 0 else 0.0
-
-    pv, _ = integrate.quad(lambda s: float(np.real(odd_part(s))), 0, 40.0, limit=400)
-    pv_i, _ = integrate.quad(lambda s: float(np.imag(odd_part(s))), 0, 40.0, limit=400)
-    lhs = (pv + 1j * pv_i) - 1j * math.pi * f0
+    lhs = _quad_0_40(_odd_fold(f)) - 1j * math.pi * f0
 
     # real part of 1/(xi + i eps) is xi/(xi^2 + eps^2), an odd kernel:
     # folding keeps the odd part of f
@@ -248,13 +243,9 @@ def sokhotsky_check(f, eps: float):
         gref = 2.0 * f0 * math.exp(-0.5 * s * s)
         return (f(s) + f(-s) - gref) * eps / (s * s + eps * eps)
 
-    re1, _ = integrate.quad(lambda s: float(np.real(re_part(s))), 0, 40.0, limit=400)
-    re2, _ = integrate.quad(lambda s: float(np.imag(re_part(s))), 0, 40.0, limit=400)
-    im1, _ = integrate.quad(lambda s: float(np.real(lor_rest(s))), 0, 40.0, limit=400)
-    im2, _ = integrate.quad(lambda s: float(np.imag(lor_rest(s))), 0, 40.0, limit=400)
     x = eps / math.sqrt(2.0)
     gauss_lor = math.pi * math.exp(x * x) * math.erfc(x)  # pi erfcx(x)
-    rhs = (re1 + 1j * re2) - 1j * (im1 + 1j * im2 + f0 * gauss_lor)
+    rhs = _quad_0_40(re_part) - 1j * (_quad_0_40(lor_rest) + f0 * gauss_lor)
     return lhs, rhs, abs(lhs - rhs)
 
 
@@ -268,25 +259,7 @@ def riemann_lebesgue_decay(rho: SpectralDensity, packets, t_grid,
     then decays by cancellation. At t=0 this is the static continuum term.
     """
     t_grid = np.asarray(t_grid, dtype=float)
-    if rho.trivial:
-        return _report(t_grid, np.zeros((1, len(t_grid), 1), dtype=complex), [(0,)], 0.0 + 0.0j)
-    m = ev.params.m
-    mu_lo = rho.support_low
-    mu_hi = mu_lo + ev.quad.mu_span * m
-    vals = np.zeros(len(t_grid), dtype=complex)
-    for i, t in enumerate(t_grid):
-        # the mass integral oscillates ~ t (mu_hi - mu_lo) / (2 pi) times;
-        # scale the node count with t (composite panels)
-        n_mu = int(max(
-            ev.quad.mu_nodes,
-            math.ceil(ev.quad.nodes_per_period * abs(t) * (mu_hi - mu_lo) / (2 * math.pi)),
-        ))
-        panels = max(1, n_mu // ev.quad.mu_nodes)
-        mun, muw = _panel_grid(np.linspace(mu_lo, mu_hi, panels + 1), ev.quad.mu_nodes, sine=False)
-        # row 0 is the m shell, the rest the continuum masses
-        w, table = shell_table(packets, ev, [m, *mun])
-        phase = np.exp(-1j * (w[0] - w[1:]) * t)
-        vals[i] = np.sum(muw[:, None] * rho(mun)[:, None] * table[1:] * phase)
+    vals = np.array([rho_continuum(packets, ev, rho, t) for t in t_grid], dtype=complex)
     return _report(t_grid, vals[None, :, None], [(0,)], 0.0 + 0.0j)
 
 
@@ -302,7 +275,7 @@ def l1_fourier_bound(packet):
     if packet.dim != 1:
         raise ValueError("one-dimensional packet required")
     lo, hi = packet.support_interval(0)
-    xs, ws = gauss_legendre(lo, hi, 400)
+    xs, ws = gauss_panels([lo, hi], 400)
     fx = packet(xs[:, None])
     width = packet.width
     T = 15.0 / width + 2.0 * abs(packet.center[0])

@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .kinematics import TAIL_WIDTHS, ModelParams, gauss_legendre, gauss_rule, omega
+from .kinematics import TAIL_WIDTHS, ModelParams, gauss_panels, omega
 
 
 @dataclass(frozen=True)
@@ -242,25 +242,7 @@ def leg_term_u_grid(packet, quad: QuadratureSettings):
     can fall inside the support; the grid does not resolve them.
     """
     lo, hi = packet.support_interval(1)
-    return _panel_grid([lo, 0.5 * (lo + hi), hi], quad.inner_nodes)
-
-
-def _panel_grid(edges, nodes, sine=True):
-    """Composite Gauss-Legendre rule of the given nodes on every panel between
-    consecutive edges, with a sine substitution unless sine is False.
-
-    The substitution's derivative vanishes at panel ends, which integrates
-    inverse-square-root endpoint singularities (two-body thresholds) exactly
-    in the transformed variable.
-    """
-    x, w = gauss_rule(nodes)
-    edges = np.asarray(edges, dtype=float)
-    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
-    half = 0.5 * np.diff(edges)[:, None]
-    if not sine:
-        return (mid + half * x).ravel(), (half * w).ravel()
-    us = mid + half * np.sin(0.5 * np.pi * x)
-    return us.ravel(), (w * half * 0.5 * np.pi * np.cos(0.5 * np.pi * x)).ravel()
+    return gauss_panels([lo, 0.5 * (lo + hi), hi], quad.inner_nodes, sine=True)
 
 
 def reduced_integrand(j: int, packets, ev: StructureEvaluator, weight=None):
@@ -325,6 +307,14 @@ def reduced_integrand(j: int, packets, ev: StructureEvaluator, weight=None):
 PANEL_WIDTHS = 8.0
 
 
+def oscillation_edges(lo, hi, t, nodes, quad: QuadratureSettings, max_panel=math.inf):
+    """Edges of the equal sub-panels of [lo, hi] for an integrand oscillating
+    like e^{i k t}: enough panels of the nodes-point rule for nodes_per_period
+    * |t| * (hi - lo) / 2 pi nodes, and panels no longer than max_panel."""
+    n = quad.nodes_per_period * abs(t) * (hi - lo) / (2 * math.pi)
+    return np.linspace(lo, hi, max(1, math.ceil(n / nodes), math.ceil((hi - lo) / max_panel)) + 1)
+
+
 def pv_fold(numer, poles, windows, quad: QuadratureSettings, t_hint: float = 0.0,
             singular=(), max_panel: float = math.inf):
     """PV integrals of numer(k0)/(k0 - p) over the windows (sorted break
@@ -333,10 +323,9 @@ def pv_fold(numer, poles, windows, quad: QuadratureSettings, t_hint: float = 0.0
     Panels break at the poles, at p +/- max_panel / 2 (unless within
     max_panel / 8 of a singular point) and at the singular points, where
     numer has an integrable inverse-square-root singularity (two-body
-    thresholds; touching panels get the sine substitution). A panel of
-    length L is split into equal sub-panels of the one fold_nodes rule, at
-    least L / max_panel of them and enough for
-    nodes_per_period * t_hint * L / 2 pi nodes. numer is evaluated once, on
+    thresholds; touching panels get the sine substitution). Each panel is
+    split into the equal sub-panels oscillation_edges sizes for t_hint and
+    max_panel, each of the one fold_nodes rule. numer is evaluated once, on
     all nodes and the poles. The window [a, b] holding p (or the nearest)
     gives the sum of (numer(k0) - numer(p)) / (k0 - p) plus
     numer(p) ln|(b - p)/(a - p)|; other windows are summed plainly. A leading
@@ -351,13 +340,11 @@ def pv_fold(numer, poles, windows, quad: QuadratureSettings, t_hint: float = 0.0
         a, b = edges[0], edges[-1]
         breaks = sorted({a, b, *(c for c in (*edges, *poles, *graded, *sing) if a < c < b)})
         for lo, hi in zip(breaks[:-1], breaks[1:]):
-            n = quad.nodes_per_period * abs(t_hint) * (hi - lo) / (2 * math.pi)
-            sub = np.linspace(lo, hi, max(1, math.ceil(n / quad.fold_nodes),
-                                          math.ceil((hi - lo) / max_panel)) + 1)
+            sub = oscillation_edges(lo, hi, t_hint, quad.fold_nodes, quad, max_panel)
             if lo in sing or hi in sing:
-                xs, ws = _panel_grid(sub, int(1.6 * quad.fold_nodes))
+                xs, ws = gauss_panels(sub, int(1.6 * quad.fold_nodes), sine=True)
             else:
-                xs, ws = _panel_grid(sub, quad.fold_nodes, sine=False)
+                xs, ws = gauss_panels(sub, quad.fold_nodes)
             panels.append((xs, ws, np.full(len(xs), i)))
     if not panels:
         return np.zeros(len(poles), dtype=complex)
@@ -406,7 +393,7 @@ def leg_term(j: int, packets, ev: StructureEvaluator, sign: int = 0, weight=None
     g = reduced_integrand(j, packets, ev, weight=weight)
     ugrid = leg_term_u_grid(packets[g.free_leg], ev.quad) if n == 4 else None
     lo1, hi1 = pk.support_interval(1)
-    k1n, k1w = gauss_legendre(lo1, hi1, ev.quad.outer_nodes)
+    k1n, k1w = gauss_panels([lo1, hi1], ev.quad.outer_nodes)
     m = ev.params.m
     if sign:
         w = np.sqrt(k1n * k1n + m * m)
@@ -459,20 +446,32 @@ def shell_table(packets, ev: StructureEvaluator, masses):
     p1, p2 = packets
     lo1, hi1 = p1.support_interval(1)
     lo2, hi2 = p2.support_interval(1)
-    kn, kw = gauss_legendre(min(lo1, -hi2), max(hi1, -lo2), ev.quad.space_nodes)
+    kn, kw = gauss_panels([min(lo1, -hi2), max(hi1, -lo2)], ev.quad.space_nodes)
     masses = np.asarray(masses, dtype=float)[:, None]
     w = np.sqrt(kn * kn + masses * masses)
     ka = np.stack([-w, np.broadcast_to(kn, w.shape)], axis=-1)
     return w, kw * (p1(ka) * p2(-ka)) / (2.0 * w)
 
 
+def rho_continuum(packets, ev: StructureEvaluator, rho: SpectralDensity, t: float) -> complex:
+    """The two-point pairing's rho continuum at time t: the mass integral of
+    rho(mu) times the mu-shell term and the phase e^{-i(omega_m - omega_mu) t}
+    of the backward-shell in-type multiplier (its cutoff factor dropped), over
+    [support_low, support_low + mu_span m] on mu_nodes-point panels sized by
+    oscillation_edges. t = 0 is the static continuum; 0 for a trivial rho."""
+    if rho.trivial:
+        return 0.0 + 0.0j
+    m = ev.params.m
+    mu_lo = rho.support_low
+    edges = oscillation_edges(mu_lo, mu_lo + ev.quad.mu_span * m, t, ev.quad.mu_nodes, ev.quad)
+    mun, muw = gauss_panels(edges, ev.quad.mu_nodes)
+    # row 0 is the m shell, the rest the continuum masses
+    w, table = shell_table(packets, ev, [m, *mun])
+    phase = np.exp(-1j * (w[0] - w[1:]) * t)
+    return complex(np.sum(muw[:, None] * rho(mun)[:, None] * table[1:] * phase))
+
+
 def eval_Ghat_2(packets, ev: StructureEvaluator) -> complex:
     """Two-point pairing: backward m-shell term plus the rho continuum."""
-    m, rho = ev.params.m, ev.rho
-    if rho.trivial:
-        return complex(shell_table(packets, ev, [m])[1].sum(axis=1)[0])
-    mun, muw = gauss_legendre(rho.support_low, rho.support_low + ev.quad.mu_span * m,
-                              ev.quad.mu_nodes)
-    terms = shell_table(packets, ev, [m, *mun])[1].sum(axis=1)
-    cont = sum(wmu * rho(mu) * term for mu, wmu, term in zip(mun, muw, terms[1:]))
-    return complex(terms[0] + cont)
+    shell = complex(shell_table(packets, ev, [ev.params.m])[1].sum(axis=1)[0])
+    return shell if ev.rho.trivial else shell + rho_continuum(packets, ev, ev.rho, 0.0)

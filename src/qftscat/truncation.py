@@ -142,57 +142,27 @@ def apply_leg_multiplier(w: KernelFunctional, a) -> KernelFunctional:
 
 
 class BilinearKernel:
-    """Family S_{r,q} of (r+q)-point kernels, r+q <= max_order.
+    """Family S_{r,q} of (r+q)-point kernels, r+q <= max_order, as a view over
+    a functional of (side, point) pairs, side 0 left and 1 right, whose every
+    point tuple lists the left legs first."""
 
-    components[(r, q)] is a callable taking (left points, right points).
-    """
-
-    def __init__(self, max_order: int = DEFAULT_MAX_ORDER, components=None, s00=0.0):
-        self.max_order = int(max_order)
-        self.components = dict(components or {})
-        self.s00 = complex(s00)
+    def __init__(self, tagged: KernelFunctional):
+        self.tagged = tagged
 
     def eval(self, left, right) -> complex:
-        left, right = tuple(left), tuple(right)
-        r, q = len(left), len(right)
-        if r == 0 and q == 0:
-            return self.s00
-        if r + q > self.max_order:
-            raise ValueError("order exceeds max_order")
-        k = self.components.get((r, q))
-        return complex(k(left, right)) if k is not None else 0.0j
-
-
-def _bilinear(max_order: int, component, s00) -> BilinearKernel:
-    """One component callable for every (r, q) with 1 <= r + q <= max_order."""
-    comps = {(r, q): component
-             for r in range(max_order + 1) for q in range(max_order + 1 - r) if r + q >= 1}
-    return BilinearKernel(max_order, comps, s00=s00)
-
-
-def _on_tagged_points(s: BilinearKernel) -> KernelFunctional:
-    """s as a functional of (side, point) pairs, side 0 left and 1 right; every
-    sub-tuple of tagged left + right points keeps the left legs first."""
-
-    def kernel(tagged):
-        return s.eval([p for side, p in tagged if side == 0],
-                      [p for side, p in tagged if side == 1])
-
-    return KernelFunctional(s.max_order, dict.fromkeys(range(1, s.max_order + 1), kernel),
-                            w0=s.s00)
-
-
-def _bilinear_view(w: KernelFunctional) -> BilinearKernel:
-    """Inverse of _on_tagged_points."""
-    return _bilinear(w.max_order, lambda left, right: w.eval(
-        tuple((0, p) for p in left) + tuple((1, p) for p in right)), w.w0)
+        return self.tagged.eval(tuple((0, p) for p in left) + tuple((1, p) for p in right))
 
 
 def truncate_bilinear(s: BilinearKernel) -> BilinearKernel:
     """S^T by the truncation core applied to (side, point)-tagged points."""
-    return _bilinear_view(truncate(_on_tagged_points(s)))
+    return BilinearKernel(truncate(s.tagged))
 
 
 def bilinear_from_functional(w: KernelFunctional) -> BilinearKernel:
     """Concatenation embedding: S(left; right) = W(left + right)."""
-    return _bilinear(w.max_order, lambda left, right: w.eval(tuple(left) + tuple(right)), w.w0)
+
+    def kernel(tagged):
+        return w.eval(tuple(p for _, p in tagged))
+
+    return BilinearKernel(KernelFunctional(
+        w.max_order, dict.fromkeys(range(1, w.max_order + 1), kernel), w0=w.w0))

@@ -227,6 +227,10 @@ def test_gram_in_sector(tmp_path):
 def test_exit_1_on_config_errors(tmp_path, capsys, monkeypatch):
     code, _ = _run(tmp_path, "amplitude", {"model": {"d": 3}})
     assert code == 1
+    # every command computes in d = 2 only; a complete fit config is rejected too
+    code, _ = _run(tmp_path, "fit", {"model": {"d": 3}, "fit": {
+        "n": 4, "r": 2, "e_max": 4.0, "reference": "constant"}})
+    assert code == 1
     code, _ = _run(tmp_path, "amplitude", {"model": {"d": 2}})  # missing block
     assert code == 1
     code, _ = _run(tmp_path, "converge", {"rho": {"kind": "nope"}})

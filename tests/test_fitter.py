@@ -15,7 +15,7 @@ from qftscat.fitter import (
     reference_registry,
     sample_Qn,
 )
-from qftscat.kinematics import _multi_indices, invariant_map, invariant_names
+from qftscat.kinematics import invariant_map, invariant_names, multi_indices
 from qftscat.polymath import Poly
 from qftscat.transfer import (
     TransferPolynomial,
@@ -55,7 +55,7 @@ def test_sample_constraints_and_determinism(params, sample4):
     cfg, s = sample4
     assert not s.empty and s.points.shape == (1900, 4, 2)
     assert 0 < s.acceptance_rate <= 1
-    mask = recheck_constraints(s.points, 4, 2, cfg.e_max, params.m)
+    mask = recheck_constraints(s.points, 2, cfg.e_max, params.m)
     assert mask.all()
     # sign pattern and energy cap explicitly
     assert np.all(s.points[:, :2, 0] < 0)
@@ -70,8 +70,8 @@ def test_recheck_catches_corruption(params, sample4):
     bad = s.points[:4].copy()
     bad[0, 0, 0] *= -1.0  # wrong sign
     bad[1, 1, 1] += 0.1  # breaks conservation and the shell
-    assert not recheck_constraints(bad, 4, 2, cfg.e_max, params.m)[:2].any()
-    assert recheck_constraints(bad, 4, 2, cfg.e_max, params.m)[2:].all()
+    assert not recheck_constraints(bad, 2, cfg.e_max, params.m)[:2].any()
+    assert recheck_constraints(bad, 2, cfg.e_max, params.m)[2:].all()
 
 
 def test_planted_degree2_exact_recovery(sample4):
@@ -197,7 +197,7 @@ def test_assembly_matches_oracle_on_random_centres(n):
     rng = np.random.default_rng(40 + n)
     vary_idx = [j * (j + 1) // 2 + i for j in range(n) for i in range(j)]  # the q_ij, i < j
     for degree in range(6):
-        exps_list = list(_multi_indices(len(vary_idx), degree))
+        exps_list = list(multi_indices(len(vary_idx), degree))
         coeffs = rng.normal(size=len(exps_list))
         centers = rng.normal(scale=2.0, size=len(vary_idx))
         scales = rng.uniform(0.3, 3.0, size=len(vary_idx))
@@ -219,7 +219,7 @@ def _spread_test_predictions(R, sample, cfg, degree):
             if spread[i] > 1e-9 * (1.0 + np.abs(q_tr[:, i]).max())]
     centers = q_tr[:, vary].mean(axis=0)
     scales = np.abs(q_tr[:, vary] - centers).max(axis=0)
-    exps_list = list(_multi_indices(len(vary), degree))
+    exps_list = list(multi_indices(len(vary), degree))
     A = fitter._basis_matrix((q_tr[:, vary] - centers) / scales, exps_list)
     col_scale = np.abs(A).max(axis=0)
     coeffs = np.linalg.lstsq(A / col_scale, R(pts_tr), rcond=None)[0] / col_scale
@@ -240,7 +240,7 @@ def test_rank_test_fit_matches_spread_test_oracle(params, seed):
         pred = _spread_test_predictions(R, s, cfg, h["degree"])
         oracle_err = np.max(np.abs(pred - R(pts_va)))
         assert abs(h["sup_error"] - oracle_err) <= 1e-9 * oracle_err
-        assert h["rank"] <= h["basis_size"] == len(list(_multi_indices(2, h["degree"])))
+        assert h["rank"] <= h["basis_size"] == len(list(multi_indices(2, h["degree"])))
     raw = np.real(report.raw_polynomial(pts_va))
     assert np.max(np.abs(raw - pred)) <= 1e-8
 

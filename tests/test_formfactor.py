@@ -11,12 +11,11 @@ from qftscat.formfactor import (
     smatrix_amplitude,
 )
 from qftscat.gns import structure_pairing
-from qftscat.kinematics import gauss_legendre, omega
+from qftscat.kinematics import gauss_panels, omega
 from qftscat.structure import (
     QuadratureSettings,
     SpectralDensity,
     StructureEvaluator,
-    _panel_grid,
     eval_Ghat_2,
     eval_Ghat_n,
     leg_term,
@@ -60,8 +59,9 @@ def test_all_loc_reduces_to_structure_kernel(pair, trio, packets4, params, ev, f
 
 
 def test_formfactor_binds_no_quadrature_helper():
-    # leg terms, free-leg grids and panel rules all live in structure
-    for name in ("reduced_integrand", "leg_term_u_grid", "_panel_grid"):
+    # Gauss rules live in kinematics (formfactor maps its free legs with
+    # gauss_panels); leg terms, the PV fold and the free-leg grid stay in structure
+    for name in ("reduced_integrand", "leg_term_u_grid", "pv_fold", "gauss_rule"):
         assert not hasattr(formfactor, name)
 
 
@@ -174,8 +174,8 @@ def _onshell_leg_term_per_node(j, sign, packets, ev, weight=None):
     pk = packets[j]
     g = reduced_integrand(j, packets, ev, weight=weight)
     lo, hi = packets[g.free_leg].support_interval(1)
-    ugrid = _panel_grid([lo, 0.5 * (lo + hi), hi], ev.quad.inner_nodes)
-    k1n, k1w = gauss_legendre(*pk.support_interval(1), ev.quad.outer_nodes)
+    ugrid = gauss_panels([lo, 0.5 * (lo + hi), hi], ev.quad.inner_nodes, sine=True)
+    k1n, k1w = gauss_panels(pk.support_interval(1), ev.quad.outer_nodes)
     total = 0.0 + 0.0j
     for k1, wk in zip(k1n, k1w):
         w = float(omega(k1, ev.params.m))

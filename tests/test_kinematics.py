@@ -5,20 +5,20 @@ import numpy as np
 import pytest
 
 from qftscat.kinematics import (
-    CutoffSpec,
     ModelParams,
     NumericalError,
     WavePacket,
     chi_plus_minus,
-    gauss_legendre,
+    gauss_panels,
     gauss_rule,
     invariant_index,
     invariant_map,
     invariant_names,
     minkowski_dot,
     minkowski_sq,
+    multi_indices,
     omega,
-    _multi_indices,
+    phi,
     schwartz_norm_1leg,
 )
 from qftscat.polymath import Poly
@@ -86,9 +86,8 @@ def test_invariant_map_ordering_and_boost_invariance():
 
 
 def test_cutoff_plateau():
-    c = CutoffSpec(eps=0.5)
     x = np.linspace(-1.0, 1.0, 2001)
-    v = c.phi(x)
+    v = phi(x, 0.5)
     assert np.all((v >= 0) & (v <= 1))
     assert np.all(v[np.abs(x) <= 0.25] == 1.0)
     assert np.all(v[np.abs(x) >= 0.5] == 0.0)
@@ -98,8 +97,9 @@ def test_cutoff_plateau():
     assert np.all(np.diff(bridge) <= 0)
     mid = v[(x > 0.3) & (x < 0.45)]
     assert np.all(np.diff(mid) < 0)
+    # the width is checked once, where the model is built
     with pytest.raises(ValueError):
-        CutoffSpec(eps=0.0)
+        ModelParams(eps_phi=0.0)
 
 
 def test_chi_plus_minus_support():
@@ -192,7 +192,7 @@ def _mesh_norm_1leg(packet, K, L, grid_points=241):
     axes = [np.linspace(-reach, reach, grid_points)] * d
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
     best = 0.0
-    for beta in _multi_indices(d, K):
+    for beta in multi_indices(d, K):
         g = packet
         for axis, order in enumerate(beta):
             for _ in range(order):
@@ -257,7 +257,7 @@ def test_schwartz_norm_grid_check_raises():
 
 
 def test_gauss_legendre_exactness():
-    x, w = gauss_legendre(-1.5, 2.0, 8)
+    x, w = gauss_panels([-1.5, 2.0], 8)
     # degree 15 polynomials integrate exactly
     val = float(np.sum(w * x**15))
     exact = (2.0**16 - (-1.5) ** 16) / 16.0
@@ -275,8 +275,8 @@ def test_gauss_rule_cached_read_only():
     with pytest.raises(ValueError):
         w[0] = 0.0
     # the mapped rule is a fresh, writable pair on every call
-    a, b = gauss_legendre(-1.0, 1.0, 11), gauss_legendre(-1.0, 1.0, 11)
+    a, b = gauss_panels([-1.0, 1.0], 11), gauss_panels([-1.0, 1.0], 11)
     assert a[0] is not b[0] and a[1] is not b[1]
     assert a[0] is not x and a[1] is not w
     a[0][0] = 5.0
-    assert gauss_legendre(-1.0, 1.0, 11)[0][0] == ref_x[0]
+    assert gauss_panels([-1.0, 1.0], 11)[0][0] == ref_x[0]

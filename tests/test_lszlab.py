@@ -7,7 +7,7 @@ import pytest
 from scipy import integrate, special
 
 from qftscat.formfactor import eval_FG_n
-from qftscat.kinematics import WavePacket, gauss_legendre, omega
+from qftscat.kinematics import WavePacket, gauss_panels, omega
 from qftscat.lszlab import (
     ENVELOPE_FLOOR,
     _chi_windows,
@@ -132,7 +132,7 @@ def _two_point_with_chi_t(labels, times, packets, ev):
     p1, p2 = packets
     lo1, hi1 = p1.support_interval(1)
     lo2, hi2 = p2.support_interval(1)
-    kn, kw = gauss_legendre(min(lo1, -hi2), max(hi1, -lo2), ev.quad.space_nodes)
+    kn, kw = gauss_panels([min(lo1, -hi2), max(hi1, -lo2)], ev.quad.space_nodes)
     m = ev.params.m
 
     def shell_term(mass):
@@ -147,7 +147,7 @@ def _two_point_with_chi_t(labels, times, packets, ev):
     total = shell_term(m)
     if not ev.rho.trivial:
         mu_lo = ev.rho.support_low
-        mun, muw = gauss_legendre(mu_lo, mu_lo + ev.quad.mu_span * m, ev.quad.mu_nodes)
+        mun, muw = gauss_panels([mu_lo, mu_lo + ev.quad.mu_span * m], ev.quad.mu_nodes)
         total = total + sum(wmu * ev.rho(mu) * shell_term(mu) for mu, wmu in zip(mun, muw))
     return complex(total)
 
@@ -301,7 +301,7 @@ def test_l1_fourier_bound_polynomial_packet():
 def _dense_l1_lhs(packet, xi_nodes=400, t_points=40001):
     """The lhs from one (t, x) exponential matrix, as before the blocked form."""
     lo, hi = packet.support_interval(0)
-    xs, ws = gauss_legendre(lo, hi, xi_nodes)
+    xs, ws = gauss_panels([lo, hi], xi_nodes)
     T = 15.0 / packet.width + 2.0 * abs(packet.center[0])
     ts = np.linspace(-T, T, t_points)
     F = (np.exp(-1j * np.outer(ts, xs)) @ (ws * packet(xs[:, None]))) / math.sqrt(2.0 * math.pi)

@@ -9,13 +9,12 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from qftscat import kinematics, structure
-from qftscat.kinematics import ModelParams, WavePacket, gauss_legendre, omega
+from qftscat.kinematics import ModelParams, WavePacket, gauss_panels, omega
 from qftscat.lszlab import _chi_windows, chi_t, finite_time_pairing
 from qftscat.structure import (
     QuadratureSettings,
     SpectralDensity,
     StructureEvaluator,
-    _panel_grid,
     _threshold_k0,
     eval_Ghat_2,
     eval_Ghat_n,
@@ -181,7 +180,7 @@ def _u_grid(packet, quad, panels=4):
     """Equal sine-substituted panels over a packet's spatial support: the
     free-leg grid the order-4 oracle constant below was checked on."""
     lo, hi = packet.support_interval(1)
-    return _panel_grid(np.linspace(lo, hi, panels + 1), quad.inner_nodes)
+    return gauss_panels(np.linspace(lo, hi, panels + 1), quad.inner_nodes, sine=True)
 
 
 def test_reduced_integrand_order4_oracle(packets4, ev):
@@ -276,7 +275,7 @@ def test_leg_term_u_grid_splits_at_exact_midpoint(ev):
     lo, hi = pk.support_interval(1)
     assert np.linspace(lo, hi, 3)[1] != 0.5 * (lo + hi)
     got = leg_term_u_grid(pk, ev.quad)
-    want = _panel_grid([lo, 0.5 * (lo + hi), hi], ev.quad.inner_nodes)
+    want = gauss_panels([lo, 0.5 * (lo + hi), hi], ev.quad.inner_nodes, sine=True)
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
@@ -299,13 +298,13 @@ def _panel_grid_loop(edges, nodes, sine=True):
 def test_panel_grid_integrates_gaussian(sine, ev):
     pk = WavePacket(center=np.array([0.2, -0.4]), width=0.5)
     lo, hi = pk.support_interval(1)
-    un, uw = _panel_grid(np.linspace(lo, hi, 5), ev.quad.inner_nodes, sine=sine)
+    un, uw = gauss_panels(np.linspace(lo, hi, 5), ev.quad.inner_nodes, sine=sine)
     val = float(np.sum(uw * np.exp(-0.5 * ((un + 0.4) / 0.5) ** 2)))
     exact = 0.5 * np.sqrt(2 * np.pi)
     assert abs(val - exact) < 1e-10
     # the vectorized rule equals the per-panel loop bitwise
     for edges in ([lo, 0.5 * (lo + hi), hi], np.linspace(lo, hi, 7)):
-        got, want = _panel_grid(edges, 19, sine=sine), _panel_grid_loop(edges, 19, sine=sine)
+        got, want = gauss_panels(edges, 19, sine=sine), _panel_grid_loop(edges, 19, sine=sine)
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
@@ -588,9 +587,9 @@ def _fold_oracle(numer, pole, span, quad, t_hint=0.0, intervals=None, singular=(
                         np.ceil(quad.nodes_per_period * abs(t_hint) * (bnd - a) / (2 * np.pi))))
         touches = any(abs(a - s) < 1e-12 or abs(bnd - s) < 1e-12 for s in sing)
         if touches:
-            xs, ws = _panel_grid([a, bnd], int(1.6 * nodes))
+            xs, ws = gauss_panels([a, bnd], int(1.6 * nodes), sine=True)
         else:
-            xs, ws = gauss_legendre(a, bnd, nodes)
+            xs, ws = gauss_panels([a, bnd], nodes)
         svals.append(xs)
         swts.append(ws)
     s = np.concatenate(svals)
@@ -625,7 +624,7 @@ def _leg_term_oracle(j, packets, ev, pv_multiplier=None, t_hint=0.0, interval_fn
     pk = packets[j]
     g = reduced_integrand(j, packets, ev)
     lo1, hi1 = pk.support_interval(1)
-    k1n, k1w = gauss_legendre(lo1, hi1, ev.quad.outer_nodes)
+    k1n, k1w = gauss_panels([lo1, hi1], ev.quad.outer_nodes)
     lo0, hi0 = pk.support_interval(0)
     m = ev.params.m
     ugrid = leg_term_u_grid(packets[g.free_leg], ev.quad) if n == 4 else None
@@ -722,7 +721,7 @@ def test_numer_evaluated_once_per_k1(finite_time, packets4, params, monkeypatch)
                   window_fn=lambda w: _chi_windows(w, params.eps_phi))
     val = leg_term(1, list(packets4), ev, **kw)
     g = reduced_integrand(1, list(packets4), ev)
-    k1n, _ = gauss_legendre(*packets4[1].support_interval(1), 6)
+    k1n, _ = gauss_panels(packets4[1].support_interval(1), 6)
     ugrid = leg_term_u_grid(packets4[g.free_leg], ev.quad)
     kept = np.count_nonzero(g.row_exponent(k1n, ugrid) <= kinematics.TAIL_WIDTHS ** 2)
     assert kept >= 1

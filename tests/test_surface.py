@@ -1,4 +1,5 @@
-"""The library carries no code that only the tests call.
+"""The library carries no code that only the tests call, and its modules
+keep their private names and the Gauss rule source to themselves.
 
 Every top-level function and class of `src/qftscat/`, and every method of
 such a class, must be named (as a Python name token) somewhere in `src/` or
@@ -74,3 +75,26 @@ def test_no_library_code_only_the_tests_call():
 def test_allowlist_names_only_unreferenced_definitions():
     # a name that gains a library caller leaves the allowlist
     assert sorted(set(ALLOWED) - set(unreferenced())) == []
+
+
+def private_imports():
+    """'module <- owner.name' for every underscore name (dunders aside) that
+    one module of the package imports from another."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").split(".")[0] == PACKAGE.name):
+                found += [f"{path.stem} <- {node.module}.{alias.name}" for alias in node.names
+                          if alias.name.startswith("_") and not alias.name.endswith("__")]
+    return sorted(found)
+
+
+def test_no_private_names_across_modules():
+    assert private_imports() == []
+
+
+def test_only_kinematics_builds_gauss_rules():
+    # every Gauss-Legendre rule comes from kinematics.gauss_rule
+    users = sorted(p.stem for p in PACKAGE.glob("*.py") if "leggauss" in _name_lines(p))
+    assert users == ["kinematics"]
