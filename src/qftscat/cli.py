@@ -33,7 +33,7 @@ from .gns import (
 from .kinematics import ModelParams, WavePacket
 from .lszlab import convergence_study, pv_limit_demo
 from .polymath import Poly
-from .structure import QuadratureSettings, SpectralDensity, StructureEvaluator
+from .structure import QuadratureSettings, SpectralDensity, StructureEvaluator, shell_signs
 from .transfer import TransferFamily, TransferPolynomial, require_valid
 from .truncation import DEFAULT_MAX_ORDER, KernelFunctional, bell_number, truncate, untruncate
 
@@ -101,7 +101,7 @@ def check(value, field: F, ctx: str):
         return value
     try:
         return field.build(value)
-    except (ValueError, NotImplementedError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"{ctx}: {exc}") from exc
 
 
@@ -150,10 +150,10 @@ def _times(grid) -> np.ndarray:
 
 
 # Field tables, one per config block. Bounds keep every count and scale where
-# a run finishes with finite numbers; the library checks the rest (positive
-# masses and widths, 0 < m0 <= m, 0 < eps_phi < m^2, positive epsilon). d is
-# exactly 2: every command computes in 1+1 dimensions.
-MODEL = {"d": F(int, 2, 2, 2), "m": F(float, 1.0, 0, 1e3), "m0": F(float, None, 0, 1e3),
+# a run finishes with finite numbers; the library checks the rest (d = 2,
+# positive masses and widths, 0 < m0 <= m, 0 < eps_phi < m^2, positive
+# epsilon, 1 <= fit.r <= fit.n - 1).
+MODEL = {"d": F(int, 2), "m": F(float, 1.0, 0, 1e3), "m0": F(float, None, 0, 1e3),
          "eps_phi": F(float, None, 0, 1e6)}
 RHO = {"kind": F(str, "zero", choices=("zero", "default")), "c": F(float, 0.1, 0, 1e3)}
 QUADRATURE = {f.name: F(int, f.default, 1, 1000) if f.type == "int"
@@ -425,14 +425,13 @@ def load(command: str, cfg, seed=None) -> dict:
                 raise ConfigError("converge.labels and each ordering need one entry per packet")
         if command == "fit":
             n, reference = block["n"], block["reference"]
-            if block["r"] >= n:
-                raise ConfigError("fit.r must be below fit.n")
+            shell_signs(n, block["r"])
             if isinstance(reference, TransferPolynomial) and reference.n != n:
                 raise ConfigError("fit.reference.n must equal fit.n")
             c["fit_config"] = FitConfig(
                 e_max=block["e_max"], epsilon=block["epsilon"], max_degree=block["max_degree"],
                 train_count=block["train"], validate_count=block["validate"], seed=block["seed"])
-    except (ValueError, NotImplementedError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"{command}: {exc}") from exc
     return c
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .kinematics import NumericalError, invariant_map, invariant_names, multi_indices
 from .polymath import Poly
-from .structure import two_body_solutions
+from .structure import complete_configurations, shell_signs
 from .transfer import TransferFamily, TransferPolynomial, require_valid, symmetrize_realify
 
 
@@ -74,8 +74,7 @@ def sample_Qn(n: int, r: int, cfg: FitConfig, params) -> PhaseSpaceSample:
     validate count is accepted or 2,000,000 draws are made. Deterministic
     per seed.
     """
-    if not (n >= 3 and 1 <= r <= n - 1):
-        raise ValueError("need n >= 3 and 1 <= r <= n-1")
+    signs = shell_signs(n, r)
     m = params.m
     target = cfg.train_count + cfg.validate_count
     if n > cfg.e_max / m:
@@ -83,30 +82,17 @@ def sample_Qn(n: int, r: int, cfg: FitConfig, params) -> PhaseSpaceSample:
                                 {"reason": "empty: n exceeds e_max/m"})
     rng = np.random.default_rng(cfg.seed)
     pmax = math.sqrt(max(cfg.e_max**2 - m * m, 0.0))
-    la, lb = n - 2, n - 1
-    sa = -1 if la < r else 1
-    sb = -1 if lb < r else 1
     accepted = []
     drawn = 0
     batch = 8192
+    rows = np.arange(batch)
     while sum(a.shape[0] for a in accepted) < target and drawn < 2_000_000:
         ps = rng.uniform(-pmax, pmax, size=(batch, n - 2))
         branch = rng.integers(0, 2, size=batch)
         drawn += batch
-        ws = np.sqrt(ps * ps + m * m)
-        signs = np.array([-1.0 if l < r else 1.0 for l in range(n - 2)])
-        E = -(signs * ws).sum(axis=-1)
-        P = -ps.sum(axis=-1)
-        pa, pb, wa, wb, jac, valid = two_body_solutions(E, P, sa, sb, m)
-        rows = np.arange(batch)
+        ks, _, valid = complete_configurations(ps, signs, m)
         ok = valid[rows, branch]
-        ks = np.zeros((batch, n, 2))
-        ks[:, : n - 2, 0] = signs * ws
-        ks[:, : n - 2, 1] = ps
-        ks[:, la, 0] = sa * wa[rows, branch]
-        ks[:, la, 1] = pa[rows, branch]
-        ks[:, lb, 0] = sb * wb[rows, branch]
-        ks[:, lb, 1] = pb[rows, branch]
+        ks = ks[rows, branch]
         cap = ks[:, r:, 0].sum(axis=-1) <= cfg.e_max
         keep = ok & cap
         if keep.any():

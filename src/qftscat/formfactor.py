@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kinematics import gauss_panels
-from .structure import SpectralDensity, StructureEvaluator, eval_Ghat_2, leg_term, two_body_solutions
+from .structure import (SpectralDensity, StructureEvaluator, complete_configurations, eval_Ghat_2,
+                        leg_term, shell_signs)
 from .transfer import TransferFamily, require_valid
 
 IN, LOC, OUT = "in", "loc", "out"
@@ -79,17 +80,11 @@ class AmplitudeRequest:
     def __post_init__(self):
         object.__setattr__(self, "in_packets", tuple(self.in_packets))
         object.__setattr__(self, "out_packets", tuple(self.out_packets))
-        n = self.n
-        if not (n >= 3 and 1 <= self.r <= n - 1):
-            raise ValueError("need n >= 3 and 1 <= r <= n-1")
+        signs = shell_signs(self.n, self.r)
         if len(self.in_packets) != self.r:
             raise ValueError("in_packets count must equal r")
-        for p in self.in_packets:
-            if p.center[0] >= 0:
-                raise ValueError("incoming packet centers must have negative energy")
-        for p in self.out_packets:
-            if p.center[0] <= 0:
-                raise ValueError("outgoing packet centers must have positive energy")
+        if any(s * p.center[0] <= 0 for s, p in zip(signs, self.packets)):
+            raise ValueError("packet centers need negative energy incoming, positive outgoing")
 
     @property
     def n(self) -> int:
@@ -98,9 +93,6 @@ class AmplitudeRequest:
     @property
     def packets(self) -> tuple:
         return self.in_packets + self.out_packets
-
-    def sign(self, l: int) -> int:
-        return -1 if l < self.r else 1
 
 
 def smatrix_amplitude(req: AmplitudeRequest, ev: StructureEvaluator,
@@ -113,50 +105,19 @@ def smatrix_amplitude(req: AmplitudeRequest, ev: StructureEvaluator,
     """
     packets = req.packets
     n = req.n
-    m = ev.params.m
-    free = list(range(n - 2))
-    la, lb = n - 2, n - 1
-    sa, sb = req.sign(la), req.sign(lb)
-
-    axes_nodes, axes_wts = [], []
-    for l in free:
-        lo, hi = packets[l].support_interval(1)
-        xn, xw = gauss_panels([lo, hi], ev.quad.outer_nodes)
-        axes_nodes.append(xn)
-        axes_wts.append(xw)
-    grids = np.meshgrid(*axes_nodes, indexing="ij") if free else []
-    wgrids = np.meshgrid(*axes_wts, indexing="ij") if free else []
-
-    shape = grids[0].shape if free else ()
-    E = np.zeros(shape)
-    P = np.zeros(shape)
-    weight = np.ones(shape)
-    vals = np.ones(shape, dtype=complex)
-    kfree = []
-    for i, l in enumerate(free):
-        p = grids[i]
-        w = np.sqrt(p * p + m * m)
-        s = req.sign(l)
-        E -= s * w
-        P -= p
-        weight = weight * wgrids[i]
-        kl = np.stack([s * w, p], axis=-1)
-        kfree.append(kl)
-        vals = vals * packets[l](kl) / (2.0 * w)
-
-    pa, pb, wa, wb, jac, valid = two_body_solutions(E, P, sa, sb, m)
-    ka = np.stack([sa * wa, pa], axis=-1)
-    kb = np.stack([sb * wb, pb], axis=-1)
-    fvals = vals[..., None] * packets[la](ka) * packets[lb](kb)
+    nodes, wts = zip(*(gauss_panels(packets[l].support_interval(1), ev.quad.outer_nodes)
+                       for l in range(n - 2)))
+    p = np.stack(np.meshgrid(*nodes, indexing="ij"), axis=-1)
+    weight = np.prod(np.meshgrid(*wts, indexing="ij"), axis=0)
+    ks, dens, valid = complete_configurations(p, shell_signs(n, req.r), ev.params.m)
+    vals = np.ones(weight.shape, dtype=complex)
+    for l in range(n - 2):
+        kl = ks[..., 0, l, :]
+        vals = vals * packets[l](kl) / (2.0 * np.abs(kl[..., 0]))
+    fvals = vals[..., None] * packets[n - 2](ks[..., n - 2, :]) * packets[n - 1](ks[..., n - 1, :])
     if fam is not None:
         require_valid(fam)
-        ks = np.zeros(ka.shape[:-1] + (n, 2))
-        for i, l in enumerate(free):
-            ks[..., l, :] = kfree[i][..., None, :]
-        ks[..., la, :] = ka
-        ks[..., lb, :] = kb
         fvals = fvals * fam.member(n)(ks)
-    dens = 4.0 * wa * wb * np.abs(jac)
     contrib = np.where(valid, fvals / np.where(valid, dens, 1.0), 0.0).sum(axis=-1)
     total = np.sum(weight * contrib)
     return complex(2j * np.pi * total)

@@ -23,7 +23,7 @@ class NumericalError(RuntimeError):
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Model constants: dimension d, mass m, mass gap m0, cutoff width eps_phi."""
+    """Model constants: dimension d (2 only), mass m, mass gap m0, cutoff width eps_phi."""
 
     d: int = 2
     m: float = 1.0
@@ -31,8 +31,8 @@ class ModelParams:
     eps_phi: float | None = None
 
     def __post_init__(self):
-        if self.d < 2:
-            raise ValueError("spacetime dimension must be >= 2")
+        if self.d != 2:
+            raise ValueError("only d = 2 (1+1 dimensions) is implemented")
         if self.m <= 0:
             raise ValueError("mass must be positive")
         if self.m0 is None:

@@ -90,8 +90,6 @@ class StructureEvaluator:
         self.params = params
         self.rho = rho if rho is not None else SpectralDensity.zero(params)
         self.quad = quad or QuadratureSettings()
-        if params.d != 2:
-            raise NotImplementedError("phase-space quadrature implemented for d=2")
         m = params.m
         if self.rho.support_low <= m:
             raise ValueError("continuum onset must lie above the mass m")
@@ -156,6 +154,35 @@ def two_body_solutions(E, P, sa, sb, mass):
 
 def _leg_sign(l: int, j: int) -> int:
     return -1 if l < j else 1
+
+
+def shell_signs(n: int, r: int) -> np.ndarray:
+    """Shell signs of an r -> n-r configuration: -1 (backward) for the r
+    incoming legs, +1 (forward) for the n-r outgoing ones."""
+    if not (n >= 3 and 1 <= r <= n - 1):
+        raise ValueError("need n >= 3 and 1 <= r <= n-1")
+    return np.array([_leg_sign(l, r) for l in range(n)])
+
+
+def complete_configurations(p, signs, mass):
+    """On-shell, momentum-conserving configurations with the shell signs of
+    shell_signs: the first n-2 legs at spatial momenta p (..., n-2), the last
+    two solved from conservation per root of two_body_solutions.
+
+    Returns ks (..., 2, n, 2) with the root axis before the legs, dens = 4 wa
+    wb |jac| (the solved legs' 2 omega shell densities times the constraint
+    Jacobian) and valid (..., 2).
+    """
+    p = np.asarray(p, dtype=float)
+    sa, sb = signs[-2:]
+    k0 = signs[:-2] * np.sqrt(p * p + mass * mass)
+    pa, pb, wa, wb, jac, valid = two_body_solutions(
+        -k0.sum(axis=-1), -p.sum(axis=-1), sa, sb, mass)
+    ks = np.empty(valid.shape + (len(signs), 2))
+    ks[..., :-2, :] = np.stack([k0, p], axis=-1)[..., None, :, :]
+    ks[..., -2, :] = np.stack([sa * wa, pa], axis=-1)
+    ks[..., -1, :] = np.stack([sb * wb, pb], axis=-1)
+    return ks, 4.0 * wa * wb * np.abs(jac), valid
 
 
 def root_possible(E, P, sa, sb, mass):
@@ -464,11 +491,15 @@ def rho_continuum(packets, ev: StructureEvaluator, rho: SpectralDensity, t: floa
     m = ev.params.m
     mu_lo = rho.support_low
     edges = oscillation_edges(mu_lo, mu_lo + ev.quad.mu_span * m, t, ev.quad.mu_nodes, ev.quad)
-    mun, muw = gauss_panels(edges, ev.quad.mu_nodes)
-    # row 0 is the m shell, the rest the continuum masses
-    w, table = shell_table(packets, ev, [m, *mun])
-    phase = np.exp(-1j * (w[0] - w[1:]) * t)
-    return complex(np.sum(muw[:, None] * rho(mun)[:, None] * table[1:] * phase))
+    w_m = shell_table(packets, ev, [m])[0]
+    total = 0.0 + 0.0j
+    # one panel's table at a time: the panel count grows with t
+    for panel in zip(edges[:-1], edges[1:]):
+        mun, muw = gauss_panels(panel, ev.quad.mu_nodes)
+        w, table = shell_table(packets, ev, mun)
+        phase = np.exp(-1j * (w_m - w) * t)
+        total += np.sum(muw[:, None] * rho(mun)[:, None] * table * phase)
+    return complex(total)
 
 
 def eval_Ghat_2(packets, ev: StructureEvaluator) -> complex:

@@ -145,6 +145,9 @@ def test_sampler_argument_validation(params):
         sample_Qn(2, 1, cfg, params)
     with pytest.raises(ValueError):
         sample_Qn(4, 4, cfg, params)
+    with pytest.raises(ValueError):
+        # (n, r) is checked before the empty-region shortcut (e_max < n m)
+        sample_Qn(4, 4, FitConfig(e_max=3.0), params)
 
 
 def _oracle_assemble_polynomial(n, coeffs, exps_list, vary_idx, centers, scales):

@@ -38,6 +38,8 @@ def test_model_params_validation():
     with pytest.raises(ValueError):
         ModelParams(d=1)
     with pytest.raises(ValueError):
+        ModelParams(d=3)  # only 1+1 dimensions are implemented
+    with pytest.raises(ValueError):
         ModelParams(m=-1.0)
     with pytest.raises(ValueError):
         ModelParams(m0=2.0)

@@ -1,5 +1,6 @@
 """Phase-space reduction, PV quadrature and structure-kernel pairings."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,27 +10,29 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from qftscat import kinematics, structure
-from qftscat.kinematics import ModelParams, WavePacket, gauss_panels, omega
+from qftscat.fitter import recheck_constraints
+from qftscat.kinematics import WavePacket, gauss_panels, omega
 from qftscat.lszlab import _chi_windows, chi_t, finite_time_pairing
 from qftscat.structure import (
     QuadratureSettings,
     SpectralDensity,
     StructureEvaluator,
     _threshold_k0,
+    complete_configurations,
     eval_Ghat_2,
     eval_Ghat_n,
     leg_term,
     leg_term_u_grid,
     pv_fold,
     reduced_integrand,
+    rho_continuum,
     root_possible,
+    shell_signs,
     two_body_solutions,
 )
 
 
 def test_evaluator_validation(params):
-    with pytest.raises(NotImplementedError):
-        StructureEvaluator(ModelParams(d=3))
     with pytest.raises(ValueError):
         StructureEvaluator(params, SpectralDensity(support_low=0.9, density=lambda mu: mu))
     with pytest.raises(ValueError):
@@ -76,6 +79,29 @@ def test_two_body_mixed_sign_single_root():
 def test_two_body_below_threshold_empty():
     _, _, _, _, _, valid = two_body_solutions(1.5, 0.0, 1, 1, 1.0)  # E < 2m
     assert not valid.any()
+
+
+def test_shell_signs():
+    assert shell_signs(5, 2).tolist() == [-1, -1, 1, 1, 1]
+    for n, r in ((2, 1), (4, 0), (4, 4)):
+        with pytest.raises(ValueError):
+            shell_signs(n, r)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_complete_configurations_pass_the_independent_recheck(n, params):
+    # recheck_constraints never goes through the closure: every valid root is
+    # on shell, conserving and of the r -> n-r sign pattern, and roots exist
+    # exactly when the process is kinematically open (r, n - r >= 2 in d = 2)
+    p = np.random.default_rng(n).uniform(-3.0, 3.0, size=(2000, n - 2))
+    for r in range(1, n):
+        ks, dens, valid = complete_configurations(p, shell_signs(n, r), params.m)
+        assert ks.shape == (2000, 2, n, 2) and dens.shape == valid.shape == (2000, 2)
+        assert valid.any() == (2 <= r <= n - 2), r
+        pts = ks[valid]
+        e_max = np.abs(pts[..., 0]).sum(axis=-1).max(initial=0.0)
+        assert recheck_constraints(pts, r, e_max, params.m).all(), r
+        assert np.all(np.isfinite(dens[valid]) & (dens[valid] > 0)), r
 
 
 def test_pv_fold_analytic():
@@ -324,6 +350,20 @@ def test_ghat2_vs_quadrature_oracle(pair, ev, ev_rho):
                                 1.5, 21.5, -5, 5, epsabs=1e-12)
     assert abs(v_rho - (orc0 + orc1)) < 1e-9 * abs(orc0 + orc1)
     assert abs(v_rho.imag) < 1e-14
+
+
+def test_rho_continuum_memory_does_not_grow_with_t(ev_rho):
+    # criterion 5's packets at t = 1e3 span 796 mass panels; a table of all
+    # of them at once holds over 400 MiB
+    a = WavePacket(center=np.array([-1.6, 0.4]), width=0.4)
+    b = WavePacket(center=np.array([1.6, -0.4]), width=0.4)
+    tracemalloc.start()
+    try:
+        rho_continuum([a, b], ev_rho, ev_rho.rho, 1e3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20, peak
 
 
 def test_ghat3_value_and_leg_multiplier_consistency(trio, ev):

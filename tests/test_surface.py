@@ -1,5 +1,6 @@
 """The library carries no code that only the tests call, and its modules
-keep their private names and the Gauss rule source to themselves.
+keep their private names, the Gauss rule source and the two-body solve to
+themselves.
 
 Every top-level function and class of `src/qftscat/`, and every method of
 such a class, must be named (as a Python name token) somewhere in `src/` or
@@ -98,3 +99,9 @@ def test_only_kinematics_builds_gauss_rules():
     # every Gauss-Legendre rule comes from kinematics.gauss_rule
     users = sorted(p.stem for p in PACKAGE.glob("*.py") if "leggauss" in _name_lines(p))
     assert users == ["kinematics"]
+
+
+def test_only_structure_solves_two_body_kinematics():
+    # every r -> n-r configuration is closed by structure.complete_configurations
+    users = sorted(p.stem for p in PACKAGE.glob("*.py") if "two_body_solutions" in _name_lines(p))
+    assert users == ["structure"]
