@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .formfactor import IN, LOC, OUT, eval_FG_n
+from .formfactor import IN, LABELS, LOC, OUT, eval_FG_n
 from .kinematics import ModelParams, chi_plus_minus, gauss_panels, omega
 from .structure import SpectralDensity, StructureEvaluator, leg_term, rho_continuum
 
@@ -67,6 +67,10 @@ def _pairings(labels, packets, schedules, ev, fam=None) -> np.ndarray:
     """Finite-time pairings, one per schedule (one time per leg). Each leg
     term is computed once over the union of that leg's times; each schedule
     then sums its legs in index order."""
+    if any(a not in LABELS for a in labels):
+        raise ValueError(f"leg labels must be among {LABELS}, got {labels!r}")
+    if any(len(x) != len(packets) for x in [labels, *schedules]):
+        raise ValueError("labels and every schedule need one entry per packet")
     if len(packets) == 2:
         # both legs sit on shells: on the m shell k^0 - sigma*omega is 0.0 and
         # phi(~1e-16) is 1, so in/out chi_t is exactly 1; on the continuum
@@ -87,9 +91,6 @@ def finite_time_pairing(labels, packets, times, ev: StructureEvaluator, fam=None
     each leg's test function is multiplied by chi_t of its label. On-shell
     legs see multiplier 1 exactly; only the off-shell leg of each term
     depends on its time."""
-    n = len(packets)
-    if len(labels) != n or len(times) != n:
-        raise ValueError("labels, packets and times must align")
     return complex(_pairings(labels, packets, [times], ev, fam=fam)[0])
 
 
@@ -147,6 +148,8 @@ def convergence_study(labels, packets, ev: StructureEvaluator, t_grid,
         raise ValueError("t_grid must be a non-empty list of finite times")
     if orderings is None:
         orderings = [tuple(range(n)), tuple(reversed(range(n)))]
+    if not orderings:
+        raise ValueError("orderings must hold at least one ordering")
     omega_ref = float(np.mean([omega(p.center[1:], ev.params.m) for p in packets]))
     period = 2.0 * math.pi / (2.0 * omega_ref)
     offsets = [0.0, *np.linspace(0, period, window_points + 1)[1:-1]]

@@ -108,47 +108,32 @@ def two_body_solutions(E, P, sa, sb, mass):
 
     Returns (pa, pb, wa, wb, jac, valid), each with a trailing root axis of
     length 2. jac is the derivative of the energy constraint in p_a.
+
+    The domain is root_possible; there the closed form p_a = P/2 +/- r is exact.
+    A same-sign pair keeps both roots (one when r ~ 0), an opposite-sign pair
+    one: sb*(omega(P - p_a) - omega(p_a)) = E has the sign of -sb*P*(p_a - P/2).
     """
     E = np.asarray(E, dtype=float)
     P = np.asarray(P, dtype=float)
     E, P = np.broadcast_arrays(E, P)
     m2 = mass * mass
-    Q = E * E - P * P
-    disc = Q * (Q - 4.0 * m2)
-    ok = (disc >= 0) & (np.abs(Q) > 1e-14 * (1.0 + E * E + P * P))
+    Q = (E - P) * (E + P)
+    ok = root_possible(E, P, sa, sb, mass)
     safeQ = np.where(ok, Q, 1.0)
-    r = np.where(ok, 0.5 * np.abs(E) * np.sqrt(np.where(ok, disc, 0.0)) / np.abs(safeQ), 0.0)
+    r = np.where(ok, 0.5 * np.abs(E) * np.sqrt(np.where(ok, Q * (Q - 4.0 * m2), 0.0))
+                 / np.abs(safeQ), 0.0)
     pa = np.stack([0.5 * P + r, 0.5 * P - r], axis=-1)
     scale = 1.0 + np.abs(E) + np.abs(P)
-    # the second root duplicates the first when r ~ 0
-    root_ok = np.stack([ok, ok & (r > 1e-12 * scale)], axis=-1)
-
-    Eb = E[..., None]
-    Pb = P[..., None]
-    # the quadratic also produces roots of the other sign pattern; reject
-    # them before polishing or Newton drags them onto the genuine root
-    pb = Pb - pa
+    if sa == sb:
+        root_ok = np.stack([ok, ok & (r > 1e-12 * scale)], axis=-1)
+    else:
+        root_ok = np.stack([ok & (sb * E * P < 0), ok & (sb * E * P >= 0)], axis=-1)
+    pb = P[..., None] - pa
     wa = np.sqrt(pa * pa + m2)
     wb = np.sqrt(pb * pb + m2)
-    res = sa * wa + sb * wb - Eb
-    root_ok = root_ok & (np.abs(res) < 1e-6 * scale[..., None])
-    for _ in range(2):
-        pb = Pb - pa
-        wa = np.sqrt(pa * pa + m2)
-        wb = np.sqrt(pb * pb + m2)
-        res = sa * wa + sb * wb - Eb
-        jac = sa * pa / wa - sb * pb / wb
-        safe = np.abs(jac) > 1e-10
-        pa = np.where(root_ok & safe, pa - res / np.where(safe, jac, 1.0), pa)
-    pb = Pb - pa
-    wa = np.sqrt(pa * pa + m2)
-    wb = np.sqrt(pb * pb + m2)
-    res = sa * wa + sb * wb - Eb
+    res = sa * wa + sb * wb - E[..., None]
     jac = sa * pa / wa - sb * pb / wb
-    coincide = np.abs(pa[..., 0] - pa[..., 1]) < 1e-12 * scale
-    dedupe = np.stack([np.ones_like(coincide), ~coincide], axis=-1)
-    valid = (root_ok & dedupe
-             & (np.abs(res) < 1e-9 * scale[..., None]) & (np.abs(jac) > 1e-10))
+    valid = root_ok & (np.abs(res) < 1e-9 * scale[..., None]) & (np.abs(jac) > 1e-10)
     return pa, pb, wa, wb, jac, valid
 
 
@@ -186,13 +171,14 @@ def complete_configurations(p, signs, mass):
 
 
 def root_possible(E, P, sa, sb, mass):
-    """Points (E, P) where sa*omega(p_a) + sb*omega(P - p_a) = E can have a
-    root: a same-sign pair needs sa*E > 0 and Q >= 4 m^2, an opposite-sign
-    pair Q <= 0, with Q = E^2 - P^2 computed as in two_body_solutions."""
-    Q = E * E - P * P
+    """two_body_solutions' domain, where sa*omega(p_a) + sb*omega(P - p_a) = E
+    has a root: with Q = E^2 - P^2 > 1e-14 (1 + E^2 + P^2) in size, a same-sign
+    pair needs sa*E > 0 and Q >= 4 m^2, an opposite-sign pair Q <= 0."""
+    Q = (E - P) * (E + P)
+    floor = np.abs(Q) > 1e-14 * (1.0 + E * E + P * P)
     if sa == sb:
-        return (sa * E > 0) & (Q >= 4.0 * (mass * mass))
-    return Q <= 0
+        return (sa * E > 0) & (Q >= 4.0 * (mass * mass)) & floor
+    return (Q <= 0) & floor
 
 
 def _tail_exponent(j, pair, packets, E, P, k0, k1, free=None):
@@ -227,21 +213,12 @@ def _solved_pair_terms(j, pair, packets, ev, weight, E, P, k0, k1, free=None):
         np.ravel(E)[idx], np.ravel(P)[idx], sb, sc, m)
     kb = np.stack([sb * wb, pb], axis=-1)
     kc = np.stack([sc * wc, pc], axis=-1)
-    # numpy evaluates `x * f(...)` in place as `f(...) * x` once the fresh
-    # array f(...) holds 256 KiB, and its complex product (fused multiply-add)
-    # is not bitwise commutative. Each product below takes the order it had
-    # on the full grid (shape x 2 roots, complex), so masking changes no bit.
-    swap = math.prod(shape) * 2 * 16 >= 256 * 1024
-
-    def times(vals, factor):
-        return np.multiply(factor, vals) if swap else np.multiply(vals, factor)
-
     vals = packets[b](kb)
     lead = 4.0
     if free is not None:
         fleg, kf, two_w = free
         iu = (idx % len(kf))[:, None]
-        vals = times(packets[fleg](kf)[iu], vals)
+        vals = np.multiply(packets[fleg](kf)[iu], vals)
         lead = two_w[iu] * 4.0
     vals = np.multiply(vals, packets[c](kc))
     if weight is not None:
@@ -252,7 +229,7 @@ def _solved_pair_terms(j, pair, packets, ev, weight, E, P, k0, k1, free=None):
             ks[..., fleg, :] = kf[iu]
         ks[..., j, 0] = np.broadcast_to(k0, shape).ravel()[idx][:, None]
         ks[..., j, 1] = np.broadcast_to(k1, shape).ravel()[idx][:, None]
-        vals = times(vals, weight(ks))
+        vals = np.multiply(vals, weight(ks))
     dens = lead * wb * wc * np.abs(jac)
     out = np.zeros((math.prod(shape), 2), dtype=vals.dtype)
     out[idx] = np.where(valid, vals / np.where(valid, dens, 1.0), 0.0)

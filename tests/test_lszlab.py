@@ -185,6 +185,19 @@ def test_finite_time_argument_validation(pair, ev):
         finite_time_pairing(["in", "out"], list(pair), [1.0], ev)
 
 
+def test_finite_time_paths_reject_misaligned_input(trio_scatter, packets4, ev):
+    trio = list(trio_scatter)
+    with pytest.raises(ValueError, match="labels"):
+        finite_time_pairing(["bogus", "in", "out"], trio, (1.0, 1.0, 1.0), ev)
+    bad = [(["in", "in", "out", "out"], trio, None),
+           (["in", "in", "out"], trio, [(0, 0, 0, 3)]),
+           (["in", "in", "out"], list(packets4), None),
+           (["in", "in", "out"], trio, [])]
+    for labels, packets, orderings in bad:
+        with pytest.raises(ValueError):
+            convergence_study(labels, packets, ev, [1.0], orderings=orderings)
+
+
 def test_convergence_study_exact_case(pair, ev):
     # the two-point pairing is exactly time independent: zero error, flat
     # envelope, ordering-independent limit

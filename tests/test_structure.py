@@ -1,4 +1,5 @@
 """Phase-space reduction, PV quadrature and structure-kernel pairings."""
+import decimal
 import math
 import tracemalloc
 
@@ -79,6 +80,48 @@ def test_two_body_mixed_sign_single_root():
 def test_two_body_below_threshold_empty():
     _, _, _, _, _, valid = two_body_solutions(1.5, 0.0, 1, 1, 1.0)  # E < 2m
     assert not valid.any()
+
+
+def _two_body_draws(sa, sb, rng, n=500):
+    """(E, P) with |P| from 1e-6 to 1e2: same-sign pairs from Q = 4 m^2 (1 +
+    1e-13) to 400 m^2, opposite-sign pairs near light-like, E = P (1 -/+ delta)
+    with delta in [1e-13, 1e-2], and anywhere in |E| < |P|."""
+    P = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-6, 2, n)
+    if sa == sb:
+        return sa * np.sqrt(P * P + 4.0 * (1.0 + 10.0 ** rng.uniform(-13, 2, n))), P
+    delta = 10.0 ** rng.uniform(-13, -2, n) * np.where(np.arange(n) < n // 2, -1.0, 1.0)
+    return np.concatenate([P * (1.0 + delta), P * rng.uniform(-1, 1, n)]), np.concatenate([P, P])
+
+
+@pytest.mark.parametrize("sa,sb", [(1, 1), (-1, -1), (1, -1), (-1, 1)])
+def test_two_body_roots_meet_a_40_digit_residual(sa, sb):
+    E, P = _two_body_draws(sa, sb, np.random.default_rng(19 + 2 * sa + sb))
+    pa, _, _, _, _, valid = two_body_solutions(E, P, sa, sb, 1.0)
+    assert valid.any()
+    D = decimal.Decimal
+    with decimal.localcontext(prec=40):
+        for i, r in zip(*np.nonzero(valid)):
+            p, Pi = D(float(pa[i, r])), D(float(P[i]))
+            res = sa * (p * p + 1).sqrt() + sb * ((Pi - p) ** 2 + 1).sqrt() - D(float(E[i]))
+            assert abs(float(res)) <= 1e-15 * (1.0 + abs(E[i]) + abs(P[i]))
+
+
+@pytest.mark.parametrize("E,P,sa,sb", [
+    (1e-7, 1e-5, 1, -1),
+    (9.122452963335497e-09, 5.556256411409777e-05, 1, -1),
+    (3.9863209793652904e-13, -1.9965510780650675e-05, -1, 1),
+])
+def test_two_body_opposite_sign_counts_its_root_once(E, P, sa, sb):
+    # an opposite-sign pair has one root, also as its total momentum nears (0, 0)
+    assert int(two_body_solutions(E, P, sa, sb, 1.0)[-1].sum()) == 1
+
+
+@pytest.mark.parametrize("s", [1, -1])
+def test_two_body_same_sign_clear_of_threshold_has_two_roots(s):
+    rng = np.random.default_rng(5)
+    P = rng.uniform(-10.0, 10.0, 200)
+    E = s * np.sqrt(P * P + 4.0 * rng.uniform(1.01, 100.0, 200))
+    assert two_body_solutions(E, P, s, s, 1.0)[-1].all()
 
 
 def test_shell_signs():
