@@ -266,7 +266,8 @@ def gauss_rule(nodes: int):
 
 def gauss_panels(edges, nodes: int, sine: bool = False):
     """Composite Gauss-Legendre rule of the given nodes on every panel between
-    consecutive edges, as fresh arrays; with sine, a sine substitution per panel.
+    consecutive edges, or on each (lo, hi) row of an (S, 2) edges array, as
+    fresh arrays; with sine, a sine substitution per panel.
 
     The substitution's derivative vanishes at panel ends, which integrates
     inverse-square-root endpoint singularities (two-body thresholds) exactly
@@ -274,8 +275,9 @@ def gauss_panels(edges, nodes: int, sine: bool = False):
     """
     x, w = gauss_rule(nodes)
     edges = np.asarray(edges, dtype=float)
-    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
-    half = 0.5 * np.diff(edges)[:, None]
+    lo, hi = (edges[:-1], edges[1:]) if edges.ndim == 1 else edges.T
+    mid = 0.5 * (lo + hi)[:, None]
+    half = 0.5 * (hi - lo)[:, None]
     if not sine:
         return (mid + half * x).ravel(), (half * w).ravel()
     us = mid + half * np.sin(0.5 * np.pi * x)

@@ -113,12 +113,14 @@ def two_body_solutions(E, P, sa, sb, mass):
     A same-sign pair keeps both roots (one when r ~ 0), an opposite-sign pair
     one: sb*(omega(P - p_a) - omega(p_a)) = E has the sign of -sb*P*(p_a - P/2).
     """
-    E = np.asarray(E, dtype=float)
-    P = np.asarray(P, dtype=float)
-    E, P = np.broadcast_arrays(E, P)
+    E, P = np.broadcast_arrays(np.asarray(E, dtype=float), np.asarray(P, dtype=float))
+    return _pair_roots(E, P, sa, sb, mass, root_possible(E, P, sa, sb, mass))
+
+
+def _pair_roots(E, P, sa, sb, mass, ok):
+    """two_body_solutions on float arrays E, P of one shape and its domain ok."""
     m2 = mass * mass
     Q = (E - P) * (E + P)
-    ok = root_possible(E, P, sa, sb, mass)
     safeQ = np.where(ok, Q, 1.0)
     r = np.where(ok, 0.5 * np.abs(E) * np.sqrt(np.where(ok, Q * (Q - 4.0 * m2), 0.0))
                  / np.abs(safeQ), 0.0)
@@ -195,8 +197,8 @@ def _tail_exponent(j, pair, packets, E, P, k0, k1, free=None):
 
 
 def _solved_pair_terms(j, pair, packets, ev, weight, E, P, k0, k1, free=None):
-    """Per-root terms of the on-shell pair solved at total (E, P), with a
-    trailing root axis; zero wherever no root exists.
+    """Terms of the on-shell pair solved at total (E, P), summed over its
+    roots; zero wherever no root exists.
 
     Only points where root_possible holds inside the packets' joint tail
     (_tail_exponent) are solved and evaluated.
@@ -209,8 +211,8 @@ def _solved_pair_terms(j, pair, packets, ev, weight, E, P, k0, k1, free=None):
     shape = np.shape(E)
     inside = _tail_exponent(j, pair, packets, E, P, k0, k1, free) <= TAIL_WIDTHS ** 2
     idx = np.flatnonzero(root_possible(E, P, sb, sc, m) & inside)
-    pb, pc, wb, wc, jac, valid = two_body_solutions(
-        np.ravel(E)[idx], np.ravel(P)[idx], sb, sc, m)
+    pb, pc, wb, wc, jac, valid = _pair_roots(
+        np.ravel(E)[idx], np.ravel(P)[idx], sb, sc, m, np.ones(len(idx), dtype=bool))
     kb = np.stack([sb * wb, pb], axis=-1)
     kc = np.stack([sc * wc, pc], axis=-1)
     vals = packets[b](kb)
@@ -231,9 +233,10 @@ def _solved_pair_terms(j, pair, packets, ev, weight, E, P, k0, k1, free=None):
         ks[..., j, 1] = np.broadcast_to(k1, shape).ravel()[idx][:, None]
         vals = np.multiply(vals, weight(ks))
     dens = lead * wb * wc * np.abs(jac)
-    out = np.zeros((math.prod(shape), 2), dtype=vals.dtype)
-    out[idx] = np.where(valid, vals / np.where(valid, dens, 1.0), 0.0)
-    return out.reshape(shape + (2,))
+    terms = np.where(valid, vals / np.where(valid, dens, 1.0), 0.0)
+    out = np.zeros(math.prod(shape), dtype=vals.dtype)
+    out[idx] = terms[:, 0] + terms[:, 1]
+    return out.reshape(shape)
 
 
 def leg_term_u_grid(packet, quad: QuadratureSettings):
@@ -269,13 +272,12 @@ def reduced_integrand(j: int, packets, ev: StructureEvaluator, weight=None):
 
     def g3(k0, k1, ugrid=None):
         k0, k1 = np.broadcast_arrays(np.asarray(k0, dtype=float), np.asarray(k1, dtype=float))
-        return _solved_pair_terms(j, (b, c), packets, ev, weight,
-                                  -k0, -k1, k0, k1).sum(axis=-1)
+        return _solved_pair_terms(j, (b, c), packets, ev, weight, -k0, -k1, k0, k1)
 
     def g4(k0, k1, ugrid):
         k0, k1 = np.broadcast_arrays(np.asarray(k0, dtype=float), np.asarray(k1, dtype=float))
         un, uw = ugrid
-        # broadcast: leading axes from (k0, k1), then u, then the root axis
+        # broadcast: leading axes from (k0, k1), then u
         k0e = k0[..., None]
         k1e = k1[..., None]
         wu = np.sqrt(un * un + m * m)
@@ -283,7 +285,7 @@ def reduced_integrand(j: int, packets, ev: StructureEvaluator, weight=None):
         out = _solved_pair_terms(j, (b, c), packets, ev, weight,
                                  -k0e - sa * wu, -k1e - un, k0e, k1e,
                                  free=(free, kfree, 2.0 * wu))
-        return (out.sum(axis=-1) * uw).sum(axis=-1)
+        return (out * uw).sum(axis=-1)
 
     def row_exponent(k1, ugrid=None):
         """Least _tail_exponent over all k0 at each k1 and free-leg node: D is
@@ -309,61 +311,90 @@ def reduced_integrand(j: int, packets, ev: StructureEvaluator, weight=None):
 # break half that far from each pole, near which the order-4 numerator can
 # fall by orders of magnitude and 1/(k0 - p) weighs errors most.
 PANEL_WIDTHS = 8.0
+# Numerator points (k0 nodes times free-leg nodes) per numer call of a PV leg
+# term: larger blocks of k1 rows raise peak memory and save no time.
+FOLD_BLOCK_POINTS = 4800
 
 
 def oscillation_edges(lo, hi, t, nodes, quad: QuadratureSettings, max_panel=math.inf):
-    """Edges of the equal sub-panels of [lo, hi] for an integrand oscillating
-    like e^{i k t}: enough panels of the nodes-point rule for nodes_per_period
-    * |t| * (hi - lo) / 2 pi nodes, and panels no longer than max_panel."""
+    """Equal sub-panels of the panels [lo, hi] (arrays) for an integrand
+    oscillating like e^{i k t}: enough panels of the nodes-point rule for
+    nodes_per_period * |t| * (hi - lo) / 2 pi nodes, and panels no longer than
+    max_panel. Returns their (lo, hi) rows, on the edges np.linspace(lo, hi,
+    count + 1) lays, and the panel each comes from."""
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     n = quad.nodes_per_period * abs(t) * (hi - lo) / (2 * math.pi)
-    return np.linspace(lo, hi, max(1, math.ceil(n / nodes), math.ceil((hi - lo) / max_panel)) + 1)
+    count = np.ceil(np.max([np.ones_like(n), n / nodes, (hi - lo) / max_panel], axis=0)).astype(int)
+    panel = np.repeat(np.arange(len(count)), count)
+    k = np.arange(len(panel)) - (np.cumsum(count) - count)[panel]
+    lo, hi, count = lo[panel], hi[panel], count[panel]
+    return np.stack([np.where(i < count, i * ((hi - lo) / count) + lo, hi) for i in (k, k + 1)],
+                    axis=-1), panel
 
 
-def pv_fold(numer, poles, windows, quad: QuadratureSettings, t_hint: float = 0.0,
-            singular=(), max_panel: float = math.inf):
-    """PV integrals of numer(k0)/(k0 - p) over the windows (sorted break
-    points [a, ..., b] each), one per pole p, from one table of numer.
+def pv_fold(numer, rows, quad: QuadratureSettings, t_hint: float = 0.0,
+            max_panel: float = math.inf, max_block: float = math.inf):
+    """PV integrals over k0 of numer(k0, k1)/(k0 - p), one per row (k1, poles,
+    windows, singular) and pole p, over the windows (sorted break points
+    [a, ..., b] each).
 
-    Panels break at the poles, at p +/- max_panel / 2 (unless within
-    max_panel / 8 of a singular point) and at the singular points, where
-    numer has an integrable inverse-square-root singularity (two-body
-    thresholds; touching panels get the sine substitution). Each panel is
-    split into the equal sub-panels oscillation_edges sizes for t_hint and
-    max_panel, each of the one fold_nodes rule. numer is evaluated once, on
-    all nodes and the poles. The window [a, b] holding p (or the nearest)
-    gives the sum of (numer(k0) - numer(p)) / (k0 - p) plus
-    numer(p) ln|(b - p)/(a - p)|; other windows are summed plainly. A leading
-    row axis of numer (one row per time) is kept; the last axis is the pole.
+    A row's panels break at its poles, at p +/- max_panel / 2 (unless within
+    max_panel / 8 of a singular point) and at its singular points, where numer
+    has an integrable inverse-square-root singularity (two-body thresholds;
+    touching panels get the sine substitution); oscillation_edges splits each
+    into equal sub-panels of the one fold_nodes rule, all laid out in one pass.
+    numer maps (N, 2) points (k0, k1) to (..., N) values, once per block of
+    consecutive rows' nodes and poles of at most max_block points (or one row).
+    The window [a, b] holding p (or the nearest) gives the sum of (numer(k0) -
+    numer(p)) / (k0 - p) plus numer(p) ln|(b - p)/(a - p)|; other windows are
+    summed plainly. Per row the result has numer's leading axes, then the pole.
     """
-    windows = [e for e in windows if e[-1] > e[0]]
-    sing = set(singular)
-    graded = [c for p in poles for c in (p - max_panel / 2, p + max_panel / 2)
-              if all(abs(c - s) > max_panel / 8 for s in sing)]
-    panels = []
-    for i, edges in enumerate(windows):
-        a, b = edges[0], edges[-1]
-        breaks = sorted({a, b, *(c for c in (*edges, *poles, *graded, *sing) if a < c < b)})
-        for lo, hi in zip(breaks[:-1], breaks[1:]):
-            sub = oscillation_edges(lo, hi, t_hint, quad.fold_nodes, quad, max_panel)
-            if lo in sing or hi in sing:
-                xs, ws = gauss_panels(sub, int(1.6 * quad.fold_nodes), sine=True)
-            else:
-                xs, ws = gauss_panels(sub, quad.fold_nodes)
-            panels.append((xs, ws, np.full(len(xs), i)))
+    rules = {False: quad.fold_nodes, True: int(1.6 * quad.fold_nodes)}  # by sine
+    spans, panels = [], []  # per row its windows' ends; (row, window, lo, hi, sine)
+    for r, (_, poles, windows, singular) in enumerate(rows):
+        windows = [e for e in windows if e[-1] > e[0]]
+        spans.append(np.array([(e[0], e[-1]) for e in windows]).T)
+        sing = set(singular)
+        graded = [c for p in poles for c in (p - max_panel / 2, p + max_panel / 2)
+                  if all(abs(c - s) > max_panel / 8 for s in sing)]
+        for i, edges in enumerate(windows):
+            a, b = edges[0], edges[-1]
+            breaks = sorted({a, b, *(c for c in (*edges, *poles, *graded, *sing) if a < c < b)})
+            panels += [(r, i, lo, hi, lo in sing or hi in sing)
+                       for lo, hi in zip(breaks[:-1], breaks[1:])]
+    out = [np.zeros(len(poles), dtype=complex) for _, poles, _, _ in rows]
     if not panels:
-        return np.zeros(len(poles), dtype=complex)
-    k0, w, owner = map(np.concatenate, zip(*panels))
-    vals = numer(np.concatenate([k0, poles]))
-    table, at_poles = vals[..., :len(k0)], vals[..., len(k0):]
-    starts, ends = np.array([(e[0], e[-1]) for e in windows]).T
-    out = []
-    for i, p in enumerate(poles):
-        near = int(np.argmin(np.maximum(starts - p, p - ends)))
-        fp = at_poles[..., i]
-        diff = table - fp[..., None] * (owner == near)
-        out.append(np.sum(w * diff / (k0 - p), axis=-1)
-                   + fp * math.log(abs((ends[near] - p) / (starts[near] - p))))
-    return np.stack(out, axis=-1)
+        return out
+    row, owner, lo, hi, sine = map(np.array, zip(*panels))
+    ends, panel = oscillation_edges(lo, hi, t_hint, quad.fold_nodes, quad, max_panel)
+    size = np.where(sine[panel], rules[True], rules[False])
+    at = np.cumsum(size) - size  # first node of each sub-panel
+    k0, w = np.empty((2, size.sum()))
+    for s, nodes in rules.items():
+        if (pick := sine[panel] == s).any():
+            put = (at[pick, None] + np.arange(nodes)).ravel()
+            k0[put], w[put] = gauss_panels(ends[pick], nodes, sine=s)
+    owner = np.repeat(owner[panel], size)
+    bounds = np.append(at, len(k0))[np.searchsorted(row[panel], np.arange(len(rows) + 1))]
+    blocks = []  # (row, its numer points) of consecutive rows
+    for r in np.flatnonzero(np.diff(bounds)):
+        n = bounds[r + 1] - bounds[r] + len(rows[r][1])
+        if not blocks or sum(c for _, c in blocks[-1]) + n > max_block:
+            blocks.append([])
+        blocks[-1].append((r, n))
+    for block in blocks:
+        rs, ns = zip(*block)
+        vals = numer(np.stack([
+            np.concatenate([x for r in rs for x in (k0[bounds[r]:bounds[r + 1]], rows[r][1])]),
+            np.repeat([rows[r][0] for r in rs], ns)], axis=-1))
+        for r, n, end in zip(rs, ns, np.cumsum(ns)):
+            a, b, (starts, stops), p = bounds[r], bounds[r + 1], spans[r], np.array(rows[r][1])
+            table, fp = vals[..., end - n:end - len(p)], vals[..., end - len(p):end]
+            near = np.argmin(np.maximum(starts - p[:, None], p[:, None] - stops), axis=-1)
+            diff = table[..., None, :] - fp[..., None] * (owner[a:b] == near[:, None])
+            logs = [math.log(abs((stops[i] - x) / (starts[i] - x))) for i, x in zip(near, p)]
+            out[r] = np.sum(w[a:b] * diff / (k0[a:b] - p[:, None]), axis=-1) + fp * np.array(logs)
+    return out
 
 
 def _threshold_k0(j: int, n: int, k1: float, m: float):
@@ -384,10 +415,11 @@ def leg_term(j: int, packets, ev: StructureEvaluator, sign: int = 0, weight=None
     legs are reduced by g_j, and k1 runs over the packet's outer Gauss rule.
 
     sign +/-1 pins k_j to that shell, k0 = sign * omega(k1), with measure
-    1/(2 omega). sign 0 is the principal-value atom: per k1 node, pv_fold
-    tabulates the numerator g_j * f_j once over the packet's k0 support, or
-    over the windows window_fn(omega) returns (such as the support of
-    pv_multiplier), and takes both poles +/-omega from that table:
+    1/(2 omega). sign 0 is the principal-value atom: one pv_fold call
+    tabulates the numerator g_j * f_j over every live k1 row, in blocks of at
+    most FOLD_BLOCK_POINTS points, on the packet's k0 support or on the
+    windows window_fn(omega) returns (such as the support of pv_multiplier),
+    and takes both poles +/-omega of a row from its table:
     sum_sigma sigma / (2 omega (k0 - sigma omega)) = 1/(k0^2 - omega^2).
     pv_multiplier may return one row per time, shape (T, N) for N k0 points;
     the term is then T values, on a grid sized by t_hint (the largest time).
@@ -406,25 +438,24 @@ def leg_term(j: int, packets, ev: StructureEvaluator, sign: int = 0, weight=None
         kj = np.stack([k0, k1n], axis=-1)
         return complex(np.sum(k1w * vals * pk(kj) / (2.0 * w)))
     lo0, hi0 = pk.support_interval(0)
-    total = 0.0 + 0.0j
     live = g.row_exponent(k1n, ugrid) <= TAIL_WIDTHS ** 2  # other rows have g f_j = 0
-    for k1, wk in zip(k1n[live], k1w[live]):
+    rows = []
+    for k1 in k1n[live]:
         w_sh = float(omega(k1, m))
-
-        def numer(k0, _k1=k1):
-            kj = np.stack([k0, np.full_like(k0, _k1)], axis=-1)
-            v = g(k0, np.full_like(k0, _k1), ugrid) * pk(kj)
-            if pv_multiplier is not None:
-                # a fixed operand order: numpy may evaluate `v * x` as
-                # `x * v` in place, and complex products do not commute bitwise
-                v = np.multiply(v, pv_multiplier(kj))
-            return v
-
         windows = [[lo0, hi0]] if window_fn is None else window_fn(w_sh)
-        vals = pv_fold(numer, (w_sh, -w_sh),
-                       [[max(e[0], lo0), *e[1:-1], min(e[-1], hi0)] for e in windows],
-                       ev.quad, t_hint=t_hint, singular=_threshold_k0(j, n, k1, m),
-                       max_panel=PANEL_WIDTHS * pk.width)
+        rows.append((k1, (w_sh, -w_sh), [[max(e[0], lo0), *e[1:-1], min(e[-1], hi0)]
+                                         for e in windows], _threshold_k0(j, n, k1, m)))
+
+    def numer(kj):
+        # a fixed operand order: numpy may evaluate `v * x` as `x * v` in
+        # place, and complex products do not commute bitwise
+        v = np.multiply(g(kj[:, 0], kj[:, 1], ugrid), pk(kj))
+        return v if pv_multiplier is None else np.multiply(v, pv_multiplier(kj))
+
+    folds = pv_fold(numer, rows, ev.quad, t_hint=t_hint, max_panel=PANEL_WIDTHS * pk.width,
+                    max_block=FOLD_BLOCK_POINTS // (1 if ugrid is None else len(ugrid[0])))
+    total = 0.0 + 0.0j
+    for (_, (w_sh, _), _, _), wk, vals in zip(rows, k1w[live], folds):
         total += wk * (vals[..., 0] - vals[..., 1]) / (2.0 * w_sh)
     return total
 
@@ -467,11 +498,12 @@ def rho_continuum(packets, ev: StructureEvaluator, rho: SpectralDensity, t: floa
         return 0.0 + 0.0j
     m = ev.params.m
     mu_lo = rho.support_low
-    edges = oscillation_edges(mu_lo, mu_lo + ev.quad.mu_span * m, t, ev.quad.mu_nodes, ev.quad)
+    edges, _ = oscillation_edges([mu_lo], [mu_lo + ev.quad.mu_span * m], t, ev.quad.mu_nodes,
+                                 ev.quad)
     w_m = shell_table(packets, ev, [m])[0]
     total = 0.0 + 0.0j
     # one panel's table at a time: the panel count grows with t
-    for panel in zip(edges[:-1], edges[1:]):
+    for panel in edges:
         mun, muw = gauss_panels(panel, ev.quad.mu_nodes)
         w, table = shell_table(packets, ev, mun)
         phase = np.exp(-1j * (w_m - w) * t)

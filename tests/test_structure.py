@@ -147,15 +147,20 @@ def test_complete_configurations_pass_the_independent_recheck(n, params):
         assert np.all(np.isfinite(dens[valid]) & (dens[valid] > 0)), r
 
 
+def _fold_one(f, poles, windows, quad, **kwargs):
+    """pv_fold of one row, k1 = 0, whose numerator f reads k0 alone."""
+    return pv_fold(lambda k: f(k[:, 0]), [(0.0, poles, windows, ())], quad, **kwargs)[0]
+
+
 def test_pv_fold_analytic():
     quad = QuadratureSettings()
     win = [[-1.7, 2.3]]
-    assert abs(pv_fold(lambda x: np.ones_like(x), (0.3,), win, quad)[0]) < 1e-14
-    assert abs(pv_fold(lambda x: x, (0.3,), win, quad)[0] - 4.0) < 1e-12
-    assert abs(pv_fold(lambda x: np.exp(-0.5 * x**2), (0.0,), [[-8.0, 8.0]], quad)[0]) < 1e-14
-    assert np.array_equal(pv_fold(lambda x: x, (0.3, -0.3), [], quad), [0.0, 0.0])
+    assert abs(_fold_one(lambda x: np.ones_like(x), (0.3,), win, quad)[0]) < 1e-14
+    assert abs(_fold_one(lambda x: x, (0.3,), win, quad)[0] - 4.0) < 1e-12
+    assert abs(_fold_one(lambda x: np.exp(-0.5 * x**2), (0.0,), [[-8.0, 8.0]], quad)[0]) < 1e-14
+    assert np.array_equal(_fold_one(lambda x: x, (0.3, -0.3), [], quad), [0.0, 0.0])
     # both poles from one table; a pole outside the window needs no break
-    both = pv_fold(lambda x: np.ones_like(x), (0.3, 5.0), win, quad)
+    both = _fold_one(lambda x: np.ones_like(x), (0.3, 5.0), win, quad)
     assert abs(both[0]) < 1e-14
     assert abs(both[1] - np.log(2.7 / 6.7)) < 1e-14
 
@@ -169,7 +174,7 @@ def test_pv_fold_vs_cauchy_weight_oracle():
 
     # poles inside the window, within 1e-3 of its edges, and outside it
     for pole in (0.4, b - 5e-4, a + 1e-4, b + 0.1, -4.0):
-        val = pv_fold(numer, (pole,), [[a, 0.5, b]], quad)[0]
+        val = _fold_one(numer, (pole,), [[a, 0.5, b]], quad)[0]
         if a < pole < b:
             oracle, _ = integrate.quad(lambda x: float(numer(x)), a, b,
                                        weight="cauchy", wvar=pole, limit=400)
@@ -187,7 +192,7 @@ def test_pv_fold_two_windows_vs_cauchy_weight_oracle():
         return np.exp(-0.5 * (np.asarray(x) - 1.1) ** 2) * (1.0 + 0.3j * np.asarray(x))
 
     wins = [[-3.0, -1.0], [0.2, 0.9, 2.5]]
-    vals = pv_fold(numer, (0.7, -1.5), wins, quad)
+    vals = _fold_one(numer, (0.7, -1.5), wins, quad)
     for p, val in zip((0.7, -1.5), vals):
         oracle = 0.0
         for part in (np.real, np.imag):
@@ -213,11 +218,11 @@ def test_pv_fold_sums_rows_along_last_axis():
         return vals if row is None else vals[row]
 
     poles, wins = (0.4, -0.4), [[-2.6, 3.4]]
-    rows = pv_fold(numer, poles, wins, quad, t_hint=7.0)
+    rows = _fold_one(numer, poles, wins, quad, t_hint=7.0)
     assert rows.shape == (3, 2)
     for i in range(3):
-        assert np.array_equal(rows[i], pv_fold(lambda x: numer(x, i), poles, wins, quad,
-                                               t_hint=7.0))
+        assert np.array_equal(rows[i], _fold_one(lambda x: numer(x, i), poles, wins, quad,
+                                                 t_hint=7.0))
 
 
 def test_reduced_integrand_order3_oracle(trio, ev):
@@ -783,17 +788,115 @@ def test_graded_break_keeps_clear_of_threshold(params):
     assert abs(leg_term(0, packets, StructureEvaluator(params)) - want) < 1e-13 * abs(want)
 
 
+def _pv_fold_one_row(numer, poles, windows, quad, t_hint=0.0, singular=(), max_panel=math.inf):
+    """The PV fold of one k1 row from its own table, numer(k0) evaluated once
+    per row, kept as the bitwise reference of the batched pv_fold."""
+    windows = [e for e in windows if e[-1] > e[0]]
+    sing = set(singular)
+    graded = [c for p in poles for c in (p - max_panel / 2, p + max_panel / 2)
+              if all(abs(c - s) > max_panel / 8 for s in sing)]
+    panels = []
+    for i, edges in enumerate(windows):
+        a, b = edges[0], edges[-1]
+        breaks = sorted({a, b, *(c for c in (*edges, *poles, *graded, *sing) if a < c < b)})
+        for lo, hi in zip(breaks[:-1], breaks[1:]):
+            n = quad.nodes_per_period * abs(t_hint) * (hi - lo) / (2 * math.pi)
+            sub = np.linspace(lo, hi, max(1, math.ceil(n / quad.fold_nodes),
+                                          math.ceil((hi - lo) / max_panel)) + 1)
+            if lo in sing or hi in sing:
+                xs, ws = gauss_panels(sub, int(1.6 * quad.fold_nodes), sine=True)
+            else:
+                xs, ws = gauss_panels(sub, quad.fold_nodes)
+            panels.append((xs, ws, np.full(len(xs), i)))
+    if not panels:
+        return np.zeros(len(poles), dtype=complex)
+    k0, w, owner = map(np.concatenate, zip(*panels))
+    vals = numer(np.concatenate([k0, poles]))
+    table, at_poles = vals[..., :len(k0)], vals[..., len(k0):]
+    starts, ends = np.array([(e[0], e[-1]) for e in windows]).T
+    out = []
+    for i, p in enumerate(poles):
+        near = int(np.argmin(np.maximum(starts - p, p - ends)))
+        fp = at_poles[..., i]
+        diff = table - fp[..., None] * (owner == near)
+        out.append(np.sum(w * diff / (k0 - p), axis=-1)
+                   + fp * math.log(abs((ends[near] - p) / (starts[near] - p))))
+    return np.stack(out, axis=-1)
+
+
+def _pv_leg_term_per_row(j, packets, ev, pv_multiplier=None, t_hint=0.0, window_fn=None):
+    """The PV leg term as one fold per live k1 row, kept as the bitwise
+    reference of leg_term's single batched fold."""
+    n = len(packets)
+    pk = packets[j]
+    g = reduced_integrand(j, packets, ev)
+    ugrid = leg_term_u_grid(packets[g.free_leg], ev.quad) if n == 4 else None
+    k1n, k1w = gauss_panels(pk.support_interval(1), ev.quad.outer_nodes)
+    m = ev.params.m
+    lo0, hi0 = pk.support_interval(0)
+    total = 0.0 + 0.0j
+    live = g.row_exponent(k1n, ugrid) <= kinematics.TAIL_WIDTHS ** 2
+    for k1, wk in zip(k1n[live], k1w[live]):
+        w_sh = float(omega(k1, m))
+
+        def numer(k0, _k1=k1):
+            kj = np.stack([k0, np.full_like(k0, _k1)], axis=-1)
+            v = g(k0, np.full_like(k0, _k1), ugrid) * pk(kj)
+            if pv_multiplier is not None:
+                v = np.multiply(v, pv_multiplier(kj))
+            return v
+
+        windows = [[lo0, hi0]] if window_fn is None else window_fn(w_sh)
+        vals = _pv_fold_one_row(numer, (w_sh, -w_sh),
+                                [[max(e[0], lo0), *e[1:-1], min(e[-1], hi0)] for e in windows],
+                                ev.quad, t_hint=t_hint, singular=_threshold_k0(j, n, k1, m),
+                                max_panel=structure.PANEL_WIDTHS * pk.width)
+        total += wk * (vals[..., 0] - vals[..., 1]) / (2.0 * w_sh)
+    return total
+
+
+@pytest.mark.parametrize("block_points", [None, 1, 10**7])
+def test_batched_leg_term_bitwise_equals_per_row_folds(block_points, packets4, trio, params, ev,
+                                                       monkeypatch):
+    # one fold over every row, in blocks of rows, keeps each row's panels,
+    # numerator values and sums: the result is the per-row loop's, bit for
+    # bit. block_points = 1 puts every row in a block of its own, 10**7 all
+    # rows in one, past the sizes where numpy reorders operands in place
+    if block_points is not None:
+        monkeypatch.setattr(structure, "FOLD_BLOCK_POINTS", block_points)
+    eps = params.eps_phi
+    lo0, hi0 = packets4[1].support_interval(0)
+    w_mid = float(omega(packets4[1].center[1], params.m))
+    cases = [(list(packets4), j, {}) for j in range(1, 4)] + [
+        (list(packets4), 1, dict(pv_multiplier=lambda k: chi_t("in", k, [3.0, 30.0], params),
+                                 t_hint=30.0, window_fn=lambda w: _chi_windows(w, eps))),
+        # rows past w_mid see windows outside the packet's support: empty rows
+        (list(packets4), 1, dict(window_fn=lambda w: [[lo0, hi0]] if w < w_mid
+                                 else [[hi0 + 1.0, hi0 + 2.0]])),
+        (list(trio), 0, {}),  # threshold panels take the sine rule
+        (list(trio), 0, dict(t_hint=40.0)),
+    ]
+    for packets, j, kw in cases:
+        got = np.asarray(leg_term(j, packets, ev, **kw), dtype=complex)
+        want = np.asarray(_pv_leg_term_per_row(j, packets, ev, **kw), dtype=complex)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), (j, kw)
+        assert np.any(got != 0), (j, kw)
+
+
 @pytest.mark.parametrize("finite_time", [False, True])
 def test_numer_evaluated_once_per_k1(finite_time, packets4, params, monkeypatch):
+    # one pv_fold call per PV leg term; every kept k1 row's nodes reach numer
+    # in exactly one call, and a call holds more than FOLD_BLOCK_POINTS points
+    # (k0 nodes times free-leg nodes) only when it holds one row
     ev = StructureEvaluator(params, quad=QuadratureSettings(outer_nodes=6))
-    calls = []
+    folds, calls = [], []
 
     def spy(numer, *args, **kwargs):
-        calls.append(0)
+        folds.append(0)
 
-        def counted(k0):
-            calls[-1] += 1
-            return numer(k0)
+        def counted(kj):
+            calls.append(np.array(kj))
+            return numer(kj)
         return fold(counted, *args, **kwargs)
 
     fold = structure.pv_fold
@@ -802,22 +905,31 @@ def test_numer_evaluated_once_per_k1(finite_time, packets4, params, monkeypatch)
     if finite_time:
         kw = dict(pv_multiplier=lambda k: chi_t("in", k, [3.0, 30.0], params), t_hint=30.0,
                   window_fn=lambda w: _chi_windows(w, params.eps_phi))
-    val = leg_term(1, list(packets4), ev, **kw)
     g = reduced_integrand(1, list(packets4), ev)
     k1n, _ = gauss_panels(packets4[1].support_interval(1), 6)
     ugrid = leg_term_u_grid(packets4[g.free_leg], ev.quad)
-    kept = np.count_nonzero(g.row_exponent(k1n, ugrid) <= kinematics.TAIL_WIDTHS ** 2)
-    assert kept >= 1
-    assert calls == [1] * kept
-    assert np.all(val != 0)
+    kept = k1n[g.row_exponent(k1n, ugrid) <= kinematics.TAIL_WIDTHS ** 2]
+    assert len(kept) >= 2
+    # the default cap gives every order-4 row a call; a wider one joins rows
+    for cap in (structure.FOLD_BLOCK_POINTS, 2000 * len(ugrid[0])):
+        monkeypatch.setattr(structure, "FOLD_BLOCK_POINTS", cap)
+        folds.clear()
+        calls.clear()
+        val = leg_term(1, list(packets4), ev, **kw)
+        assert folds == [0]
+        rows = [np.unique(kj[:, 1]) for kj in calls]
+        assert np.array_equal(np.sort(np.concatenate(rows)), np.sort(kept))
+        assert all(len(r) == 1 or len(kj) * len(ugrid[0]) <= cap for kj, r in zip(calls, rows))
+        assert np.all(val != 0)
+    assert len(calls) < len(kept)
 
 
 def test_t_scaled_panels_reuse_one_rule(trio, params, monkeypatch):
     # t_hint = 1000 needs ~40 times the nodes of t_hint = 10, built from copies
     # of the same Gauss rules: the threshold panels' sine rule and fold_nodes,
-    # counted on the k1 nodes the joint tail bound keeps
+    # over the same k1 nodes the joint tail bound keeps
     ev = StructureEvaluator(params, quad=QuadratureSettings(outer_nodes=4))
-    built, sizes = [], []
+    built, sizes, rows = [], [], []
     leggauss = np.polynomial.legendre.leggauss
     fold = structure.pv_fold
 
@@ -826,7 +938,11 @@ def test_t_scaled_panels_reuse_one_rule(trio, params, monkeypatch):
         return leggauss(n)
 
     def spy(numer, *args, **kwargs):
-        return fold(lambda k0: sizes[-1].append(len(k0)) or numer(k0), *args, **kwargs)
+        def counted(kj):
+            sizes[-1].append(len(kj))
+            rows[-1].update(kj[:, 1])
+            return numer(kj)
+        return fold(counted, *args, **kwargs)
 
     monkeypatch.setattr(np.polynomial.legendre, "leggauss", record)
     monkeypatch.setattr(structure, "pv_fold", spy)
@@ -834,8 +950,9 @@ def test_t_scaled_panels_reuse_one_rule(trio, params, monkeypatch):
         kinematics.gauss_rule.cache_clear()
         built.append(set())
         sizes.append([])
+        rows.append(set())
         leg_term(0, list(trio), ev, t_hint=t)
     kinematics.gauss_rule.cache_clear()
     assert built[0] == built[1] == {4, 24, int(1.6 * 24)}
-    assert 1 <= len(sizes[0]) == len(sizes[1])
+    assert 1 <= len(rows[0]) == len(rows[1])
     assert sum(sizes[1]) > 30 * sum(sizes[0])

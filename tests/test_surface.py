@@ -2,10 +2,12 @@
 keep their private names, the Gauss rule source and the two-body solve to
 themselves.
 
-Every top-level function and class of `src/qftscat/`, and every method of
-such a class, must be named (as a Python name token) somewhere in `src/` or
-`perfbench/` outside its own definition. Dunder methods are reached by the
-language, not by name, and are left out.
+Every top-level function and class of `src/qftscat/` must be named (as a
+Python name token), and every method of such a class read as an attribute
+(`.name`) or called (`name(...)`), somewhere in `src/` or `perfbench/` outside
+its own definition: a bare name shared with a parameter or a local is no use
+of a method. Dunder methods are reached by the language, not by name, and are
+left out.
 """
 import ast
 import io
@@ -42,13 +44,19 @@ def _definitions(tree):
                            item.lineno, item.end_lineno)
 
 
-def _name_lines(path):
-    """{name: [line numbers]} of every name token in a Python file."""
-    out = {}
+def _name_lines(path, accessed=False):
+    """{name: [line numbers]} of every name token in a Python file; with
+    accessed, of those read as an attribute (`.name`) or called (`name(`,
+    not in a def or class statement)."""
     with open(path, "rb") as fh:
         source = fh.read()
-    for tok in tokenize.tokenize(io.BytesIO(source).readline):
-        if tok.type == tokenize.NAME:
+    skip = (tokenize.NL, tokenize.NEWLINE, tokenize.COMMENT, tokenize.INDENT, tokenize.DEDENT)
+    toks = [t for t in tokenize.tokenize(io.BytesIO(source).readline) if t.type not in skip]
+    out = {}
+    # every name token sits between the ENCODING and ENDMARKER tokens
+    for prev, tok, nxt in zip(toks, toks[1:], toks[2:]):
+        if tok.type == tokenize.NAME and (not accessed or prev.string == "." or (
+                nxt.string == "(" and prev.string not in ("def", "class"))):
             out.setdefault(tok.string, []).append(tok.start[0])
     return out
 
@@ -56,14 +64,16 @@ def _name_lines(path):
 def unreferenced():
     files = sorted({p for d in SCANNED for p in d.rglob("*.py")})
     names = {p: _name_lines(p) for p in files}
+    accesses = {p: _name_lines(p, accessed=True) for p in files}
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text())
         for qualname, name, first, last in _definitions(tree):
             if name.startswith("__") and name.endswith("__"):
                 continue
+            uses = accesses if "." in qualname else names
             used = any(line < first or line > last if p == path else True
-                       for p in files for line in names[p].get(name, ()))
+                       for p in files for line in uses[p].get(name, ()))
             if not used:
                 found.append(qualname)
     return found
