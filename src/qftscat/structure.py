@@ -311,9 +311,6 @@ def reduced_integrand(j: int, packets, ev: StructureEvaluator, weight=None):
 # break half that far from each pole, near which the order-4 numerator can
 # fall by orders of magnitude and 1/(k0 - p) weighs errors most.
 PANEL_WIDTHS = 8.0
-# Numerator points (k0 nodes times free-leg nodes) per numer call of a PV leg
-# term: larger blocks of k1 rows raise peak memory and save no time.
-FOLD_BLOCK_POINTS = 4800
 
 
 def oscillation_edges(lo, hi, t, nodes, quad: QuadratureSettings, max_panel=math.inf):
@@ -333,7 +330,7 @@ def oscillation_edges(lo, hi, t, nodes, quad: QuadratureSettings, max_panel=math
 
 
 def pv_fold(numer, rows, quad: QuadratureSettings, t_hint: float = 0.0,
-            max_panel: float = math.inf, max_block: float = math.inf):
+            max_panel: float = math.inf):
     """PV integrals over k0 of numer(k0, k1)/(k0 - p), one per row (k1, poles,
     windows, singular) and pole p, over the windows (sorted break points
     [a, ..., b] each).
@@ -343,8 +340,8 @@ def pv_fold(numer, rows, quad: QuadratureSettings, t_hint: float = 0.0,
     has an integrable inverse-square-root singularity (two-body thresholds;
     touching panels get the sine substitution); oscillation_edges splits each
     into equal sub-panels of the one fold_nodes rule, all laid out in one pass.
-    numer maps (N, 2) points (k0, k1) to (..., N) values, once per block of
-    consecutive rows' nodes and poles of at most max_block points (or one row).
+    numer maps (N, 2) points (k0, k1) to (..., N) values, once per row, on its
+    nodes and poles.
     The window [a, b] holding p (or the nearest) gives the sum of (numer(k0) -
     numer(p)) / (k0 - p) plus numer(p) ln|(b - p)/(a - p)|; other windows are
     summed plainly. Per row the result has numer's leading axes, then the pole.
@@ -376,24 +373,15 @@ def pv_fold(numer, rows, quad: QuadratureSettings, t_hint: float = 0.0,
             k0[put], w[put] = gauss_panels(ends[pick], nodes, sine=s)
     owner = np.repeat(owner[panel], size)
     bounds = np.append(at, len(k0))[np.searchsorted(row[panel], np.arange(len(rows) + 1))]
-    blocks = []  # (row, its numer points) of consecutive rows
     for r in np.flatnonzero(np.diff(bounds)):
-        n = bounds[r + 1] - bounds[r] + len(rows[r][1])
-        if not blocks or sum(c for _, c in blocks[-1]) + n > max_block:
-            blocks.append([])
-        blocks[-1].append((r, n))
-    for block in blocks:
-        rs, ns = zip(*block)
-        vals = numer(np.stack([
-            np.concatenate([x for r in rs for x in (k0[bounds[r]:bounds[r + 1]], rows[r][1])]),
-            np.repeat([rows[r][0] for r in rs], ns)], axis=-1))
-        for r, n, end in zip(rs, ns, np.cumsum(ns)):
-            a, b, (starts, stops), p = bounds[r], bounds[r + 1], spans[r], np.array(rows[r][1])
-            table, fp = vals[..., end - n:end - len(p)], vals[..., end - len(p):end]
-            near = np.argmin(np.maximum(starts - p[:, None], p[:, None] - stops), axis=-1)
-            diff = table[..., None, :] - fp[..., None] * (owner[a:b] == near[:, None])
-            logs = [math.log(abs((stops[i] - x) / (starts[i] - x))) for i, x in zip(near, p)]
-            out[r] = np.sum(w[a:b] * diff / (k0[a:b] - p[:, None]), axis=-1) + fp * np.array(logs)
+        (k1, p, _, _), (a, b), (starts, stops) = rows[r], bounds[r:r + 2], spans[r]
+        p = np.array(p)
+        vals = numer(np.stack([np.append(k0[a:b], p), np.full(b - a + len(p), k1)], axis=-1))
+        table, fp = vals[..., :b - a], vals[..., b - a:]
+        near = np.argmin(np.maximum(starts - p[:, None], p[:, None] - stops), axis=-1)
+        diff = table[..., None, :] - fp[..., None] * (owner[a:b] == near[:, None])
+        logs = [math.log(abs((stops[i] - x) / (starts[i] - x))) for i, x in zip(near, p)]
+        out[r] = np.sum(w[a:b] * diff / (k0[a:b] - p[:, None]), axis=-1) + fp * np.array(logs)
     return out
 
 
@@ -416,10 +404,9 @@ def leg_term(j: int, packets, ev: StructureEvaluator, sign: int = 0, weight=None
 
     sign +/-1 pins k_j to that shell, k0 = sign * omega(k1), with measure
     1/(2 omega). sign 0 is the principal-value atom: one pv_fold call
-    tabulates the numerator g_j * f_j over every live k1 row, in blocks of at
-    most FOLD_BLOCK_POINTS points, on the packet's k0 support or on the
-    windows window_fn(omega) returns (such as the support of pv_multiplier),
-    and takes both poles +/-omega of a row from its table:
+    tabulates the numerator g_j * f_j once per live k1 row, on the packet's k0
+    support or on the windows window_fn(omega) returns (such as the support
+    of pv_multiplier), and takes both poles +/-omega of a row from its table:
     sum_sigma sigma / (2 omega (k0 - sigma omega)) = 1/(k0^2 - omega^2).
     pv_multiplier may return one row per time, shape (T, N) for N k0 points;
     the term is then T values, on a grid sized by t_hint (the largest time).
@@ -452,8 +439,7 @@ def leg_term(j: int, packets, ev: StructureEvaluator, sign: int = 0, weight=None
         v = np.multiply(g(kj[:, 0], kj[:, 1], ugrid), pk(kj))
         return v if pv_multiplier is None else np.multiply(v, pv_multiplier(kj))
 
-    folds = pv_fold(numer, rows, ev.quad, t_hint=t_hint, max_panel=PANEL_WIDTHS * pk.width,
-                    max_block=FOLD_BLOCK_POINTS // (1 if ugrid is None else len(ugrid[0])))
+    folds = pv_fold(numer, rows, ev.quad, t_hint=t_hint, max_panel=PANEL_WIDTHS * pk.width)
     total = 0.0 + 0.0j
     for (_, (w_sh, _), _, _), wk, vals in zip(rows, k1w[live], folds):
         total += wk * (vals[..., 0] - vals[..., 1]) / (2.0 * w_sh)

@@ -855,15 +855,38 @@ def _pv_leg_term_per_row(j, packets, ev, pv_multiplier=None, t_hint=0.0, window_
     return total
 
 
-@pytest.mark.parametrize("block_points", [None, 1, 10**7])
-def test_batched_leg_term_bitwise_equals_per_row_folds(block_points, packets4, trio, params, ev,
-                                                       monkeypatch):
-    # one fold over every row, in blocks of rows, keeps each row's panels,
-    # numerator values and sums: the result is the per-row loop's, bit for
-    # bit. block_points = 1 puts every row in a block of its own, 10**7 all
-    # rows in one, past the sizes where numpy reorders operands in place
-    if block_points is not None:
-        monkeypatch.setattr(structure, "FOLD_BLOCK_POINTS", block_points)
+def _per_root_pair_terms(j, pair, packets, ev, weight, E, P, k0, k1, free=None):
+    """Per-root terms of the on-shell pair, with a trailing root axis, solved
+    by two_body_solutions itself: the reference that g3 and g4 sum over roots."""
+    b, c = pair
+    sb, sc = structure._leg_sign(b, j), structure._leg_sign(c, j)
+    m = ev.params.m
+    shape = np.shape(E)
+    inside = structure._tail_exponent(j, pair, packets, E, P, k0, k1, free)
+    idx = np.flatnonzero(root_possible(E, P, sb, sc, m) & (inside <= kinematics.TAIL_WIDTHS ** 2))
+    pb, pc, wb, wc, jac, valid = two_body_solutions(np.ravel(E)[idx], np.ravel(P)[idx], sb, sc, m)
+    kb = np.stack([sb * wb, pb], axis=-1)
+    kc = np.stack([sc * wc, pc], axis=-1)
+    vals = packets[b](kb)
+    lead = 4.0
+    if free is not None:
+        fleg, kf, two_w = free
+        iu = (idx % len(kf))[:, None]
+        vals = np.multiply(packets[fleg](kf)[iu], vals)
+        lead = two_w[iu] * 4.0
+    vals = np.multiply(vals, packets[c](kc))
+    assert weight is None
+    dens = lead * wb * wc * np.abs(jac)
+    out = np.zeros((math.prod(shape), 2), dtype=vals.dtype)
+    out[idx] = np.where(valid, vals / np.where(valid, dens, 1.0), 0.0)
+    return out.reshape(shape + (2,))
+
+
+def test_batched_leg_term_bitwise_equals_per_row_folds(packets4, trio, params, ev, monkeypatch):
+    # one layout of every row's panels, one numer call per row on its own
+    # nodes and poles, and the two roots summed where solved keep each row's
+    # numerator values and sums: the result is that of a fold per row over
+    # per-root terms summed along a root axis, bit for bit
     eps = params.eps_phi
     lo0, hi0 = packets4[1].support_interval(0)
     w_mid = float(omega(packets4[1].center[1], params.m))
@@ -878,16 +901,18 @@ def test_batched_leg_term_bitwise_equals_per_row_folds(block_points, packets4, t
     ]
     for packets, j, kw in cases:
         got = np.asarray(leg_term(j, packets, ev, **kw), dtype=complex)
-        want = np.asarray(_pv_leg_term_per_row(j, packets, ev, **kw), dtype=complex)
+        with monkeypatch.context() as mp:
+            mp.setattr(structure, "_solved_pair_terms",
+                       lambda *a, **k: _per_root_pair_terms(*a, **k).sum(axis=-1))
+            want = np.asarray(_pv_leg_term_per_row(j, packets, ev, **kw), dtype=complex)
         assert got.shape == want.shape and got.tobytes() == want.tobytes(), (j, kw)
         assert np.any(got != 0), (j, kw)
 
 
 @pytest.mark.parametrize("finite_time", [False, True])
 def test_numer_evaluated_once_per_k1(finite_time, packets4, params, monkeypatch):
-    # one pv_fold call per PV leg term; every kept k1 row's nodes reach numer
-    # in exactly one call, and a call holds more than FOLD_BLOCK_POINTS points
-    # (k0 nodes times free-leg nodes) only when it holds one row
+    # one pv_fold call per PV leg term, which calls numer once per kept k1
+    # row, on that row's points alone
     ev = StructureEvaluator(params, quad=QuadratureSettings(outer_nodes=6))
     folds, calls = [], []
 
@@ -905,31 +930,25 @@ def test_numer_evaluated_once_per_k1(finite_time, packets4, params, monkeypatch)
     if finite_time:
         kw = dict(pv_multiplier=lambda k: chi_t("in", k, [3.0, 30.0], params), t_hint=30.0,
                   window_fn=lambda w: _chi_windows(w, params.eps_phi))
+    val = leg_term(1, list(packets4), ev, **kw)
     g = reduced_integrand(1, list(packets4), ev)
     k1n, _ = gauss_panels(packets4[1].support_interval(1), 6)
     ugrid = leg_term_u_grid(packets4[g.free_leg], ev.quad)
     kept = k1n[g.row_exponent(k1n, ugrid) <= kinematics.TAIL_WIDTHS ** 2]
     assert len(kept) >= 2
-    # the default cap gives every order-4 row a call; a wider one joins rows
-    for cap in (structure.FOLD_BLOCK_POINTS, 2000 * len(ugrid[0])):
-        monkeypatch.setattr(structure, "FOLD_BLOCK_POINTS", cap)
-        folds.clear()
-        calls.clear()
-        val = leg_term(1, list(packets4), ev, **kw)
-        assert folds == [0]
-        rows = [np.unique(kj[:, 1]) for kj in calls]
-        assert np.array_equal(np.sort(np.concatenate(rows)), np.sort(kept))
-        assert all(len(r) == 1 or len(kj) * len(ugrid[0]) <= cap for kj, r in zip(calls, rows))
-        assert np.all(val != 0)
-    assert len(calls) < len(kept)
+    assert folds == [0]
+    rows = [np.unique(kj[:, 1]) for kj in calls]
+    assert all(len(r) == 1 for r in rows)
+    assert np.array_equal(np.concatenate(rows), kept)
+    assert np.all(val != 0)
 
 
 def test_t_scaled_panels_reuse_one_rule(trio, params, monkeypatch):
     # t_hint = 1000 needs ~40 times the nodes of t_hint = 10, built from copies
     # of the same Gauss rules: the threshold panels' sine rule and fold_nodes,
-    # over the same k1 nodes the joint tail bound keeps
+    # counted on the k1 nodes the joint tail bound keeps
     ev = StructureEvaluator(params, quad=QuadratureSettings(outer_nodes=4))
-    built, sizes, rows = [], [], []
+    built, sizes = [], []
     leggauss = np.polynomial.legendre.leggauss
     fold = structure.pv_fold
 
@@ -938,11 +957,7 @@ def test_t_scaled_panels_reuse_one_rule(trio, params, monkeypatch):
         return leggauss(n)
 
     def spy(numer, *args, **kwargs):
-        def counted(kj):
-            sizes[-1].append(len(kj))
-            rows[-1].update(kj[:, 1])
-            return numer(kj)
-        return fold(counted, *args, **kwargs)
+        return fold(lambda kj: sizes[-1].append(len(kj)) or numer(kj), *args, **kwargs)
 
     monkeypatch.setattr(np.polynomial.legendre, "leggauss", record)
     monkeypatch.setattr(structure, "pv_fold", spy)
@@ -950,9 +965,8 @@ def test_t_scaled_panels_reuse_one_rule(trio, params, monkeypatch):
         kinematics.gauss_rule.cache_clear()
         built.append(set())
         sizes.append([])
-        rows.append(set())
         leg_term(0, list(trio), ev, t_hint=t)
     kinematics.gauss_rule.cache_clear()
     assert built[0] == built[1] == {4, 24, int(1.6 * 24)}
-    assert 1 <= len(rows[0]) == len(rows[1])
+    assert 1 <= len(sizes[0]) == len(sizes[1])
     assert sum(sizes[1]) > 30 * sum(sizes[0])
