@@ -15,7 +15,8 @@ import numpy as np
 
 from .formfactor import IN, LABELS, LOC, OUT, eval_FG_n
 from .kinematics import ModelParams, chi_plus_minus, gauss_panels, omega
-from .structure import SpectralDensity, StructureEvaluator, leg_term, rho_continuum
+from .structure import (SpectralDensity, StructureEvaluator, leg_term, rho_continuum,
+                        shell_balance_possible)
 
 
 def chi_t(label: str, k, t, params: ModelParams):
@@ -51,10 +52,7 @@ def _leg_terms(j, label, times, packets, ev, weight=None) -> np.ndarray:
     built once, sized by the largest time, and every time is applied to the
     static numerator as a chi_t row."""
     kw = {}
-    if label != LOC and len(packets) == 3:
-        # exactly zero: chi_t confines k_j^2 to (m^2 - eps, m^2 + eps), which
-        # 0 < eps < m^2 keeps inside (0, 4 m^2), while the on-shell pair needs
-        # k_j^2 >= 4 m^2 or k_j^2 <= 0 (root_possible)
+    if label != LOC and not any(shell_balance_possible(len(packets), j, s) for s in (-1, 1)):
         return np.zeros(len(times), dtype=complex)
     if label != LOC:
         eps = ev.params.eps_phi

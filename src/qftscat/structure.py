@@ -143,6 +143,24 @@ def _leg_sign(l: int, j: int) -> int:
     return -1 if l < j else 1
 
 
+def shell_balance_possible(n: int, j: int, sigma: int) -> bool:
+    """Whether leg term j of order n >= 3 can be nonzero with k_j on its sigma
+    shell (sigma = +/-1) or inside chi_t's window there (k_j^2 within eps of
+    m^2, 0 < eps < m^2, energy sign sigma). False means it is exactly zero.
+
+    The j legs before j are backward, the n - 1 - j after it forward, and
+    the n momenta sum to zero. So the backward legs' total is minus the
+    forward legs' total: both groups are nonempty (one sign's energies
+    cannot cancel) and their totals have one invariant mass M. By the
+    reverse triangle inequality, M is at least the sum of the group's
+    masses: m per shell leg and mu in (sqrt(m^2 - eps), sqrt(m^2 + eps)) for
+    k_j. A lone leg has M = m or mu < sqrt(2) m, while the other group (at
+    least two legs) has M >= m + mu > m, or 2 m > mu. So each sign holds at
+    least two legs.
+    """
+    return j + (sigma < 0) >= 2 and n - 1 - j + (sigma > 0) >= 2
+
+
 def shell_signs(n: int, r: int) -> np.ndarray:
     """Shell signs of an r -> n-r configuration: -1 (backward) for the r
     incoming legs, +1 (forward) for the n-r outgoing ones."""
@@ -403,7 +421,8 @@ def leg_term(j: int, packets, ev: StructureEvaluator, sign: int = 0, weight=None
     legs are reduced by g_j, and k1 runs over the packet's outer Gauss rule.
 
     sign +/-1 pins k_j to that shell, k0 = sign * omega(k1), with measure
-    1/(2 omega). sign 0 is the principal-value atom: one pv_fold call
+    1/(2 omega); where shell_balance_possible rules the shell out, the atom
+    is 0 and nothing is built. sign 0 is the principal-value atom: one pv_fold call
     tabulates the numerator g_j * f_j once per live k1 row, on the packet's k0
     support or on the windows window_fn(omega) returns (such as the support
     of pv_multiplier), and takes both poles +/-omega of a row from its table:
@@ -412,6 +431,8 @@ def leg_term(j: int, packets, ev: StructureEvaluator, sign: int = 0, weight=None
     the term is then T values, on a grid sized by t_hint (the largest time).
     """
     n = len(packets)
+    if sign and not shell_balance_possible(n, j, sign):
+        return 0j
     pk = packets[j]
     g = reduced_integrand(j, packets, ev, weight=weight)
     ugrid = leg_term_u_grid(packets[g.free_leg], ev.quad) if n == 4 else None
