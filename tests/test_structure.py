@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from qftscat import kinematics, structure
+from qftscat import kinematics, lszlab, structure
 from qftscat.fitter import recheck_constraints
 from qftscat.kinematics import WavePacket, gauss_panels, omega
 from qftscat.lszlab import _chi_windows, chi_t, finite_time_pairing
@@ -28,6 +28,7 @@ from qftscat.structure import (
     reduced_integrand,
     rho_continuum,
     root_possible,
+    shell_balance_possible,
     shell_signs,
     two_body_solutions,
 )
@@ -145,6 +146,81 @@ def test_complete_configurations_pass_the_independent_recheck(n, params):
         e_max = np.abs(pts[..., 0]).sum(axis=-1).max(initial=0.0)
         assert recheck_constraints(pts, r, e_max, params.m).all(), r
         assert np.all(np.isfinite(dens[valid]) & (dens[valid] > 0)), r
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_shell_balance_rule_matches_sign_count_and_kinematics(n, params):
+    # leg term j with k_j on its sigma shell: legs before j backward, after j
+    # forward. The rule must agree with counting two legs of each sign and
+    # with a search for on-shell configurations that sum to zero
+    p = np.random.default_rng(n).uniform(-3.0, 3.0, size=(2000, n - 2))
+    for j in range(n):
+        for sigma in (-1, 1):
+            signs = [-1] * j + [sigma] + [1] * (n - 1 - j)
+            counted = signs.count(-1) >= 2 and signs.count(1) >= 2
+            found = complete_configurations(p, np.array(signs), params.m)[2].any()
+            assert shell_balance_possible(n, j, sigma) == counted == found, (j, sigma)
+    allowed = [(j, s) for j in range(n) for s in (-1, 1) if shell_balance_possible(n, j, s)]
+    assert allowed == {3: [], 4: [(1, -1), (2, 1)]}.get(n, allowed)
+
+
+def _near_shell_packets(signs, momenta, offsets, widths, shifts, m):
+    """Packets centred within offsets of the shells of the given energy
+    signs, at the given spatial momenta, translated by shifts (pairs)."""
+    return [WavePacket(center=np.array([s * float(omega(k, m)) + d, k]), width=w,
+                       phase=np.array(shifts[2 * l:2 * l + 2]))
+            for l, (s, k, d, w) in enumerate(zip(signs, momenta, offsets, widths))]
+
+
+def _quadrature_atoms(j, packets, ev, sigma, label):
+    """Leg j's sigma shell atom and its chi_t term on the sigma window alone
+    (times 1 and 7), by quadrature whatever shell_balance_possible says. The
+    mask zeroes the numerator at the other pole, which the fold would
+    otherwise subtract on this window, so the term is this window's integral."""
+    params = ev.params
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (structure, lszlab):
+            mp.setattr(module, "shell_balance_possible", lambda n, j, sigma: True)
+        shell = leg_term(j, packets, ev, sigma)
+        window = leg_term(j, packets, ev, t_hint=7.0,
+                          pv_multiplier=lambda k: chi_t(label, k, [1.0, 7.0], params) * (
+                              sigma * k[..., 0] > 0),
+                          window_fn=lambda w: [_chi_windows(len(packets), j, w, params.eps_phi)[
+                              (sigma + 1) // 2]])
+    return shell, window
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(momenta=st.lists(st.floats(-1.2, 1.2), min_size=4, max_size=4),
+       offsets=st.lists(st.floats(-0.2, 0.2), min_size=4, max_size=4),
+       widths=st.lists(st.floats(0.2, 0.4), min_size=4, max_size=4),
+       shifts=st.lists(st.floats(-3.0, 3.0), min_size=8, max_size=8),
+       label=st.sampled_from(["in", "out"]))
+def test_forbidden_shell_atoms_and_windows_are_exact_zeros(momenta, offsets, widths, shifts,
+                                                          label, params):
+    # with no tail cut, only the kinematics can make these zero: for every
+    # (j, sigma) the rule forbids at n = 3 and 4, on packets near the shells
+    # of that term's own sign layout, the quadrature gives exactly 0
+    ev = StructureEvaluator(params, quad=QuadratureSettings(outer_nodes=8, inner_nodes=12))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(structure, "TAIL_WIDTHS", math.inf)
+        for n in (3, 4):
+            for j, sigma in ((j, s) for j in range(n) for s in (-1, 1)):
+                if shell_balance_possible(n, j, sigma):
+                    continue
+                signs = [-1] * j + [sigma] + [1] * (n - 1 - j)
+                packets = _near_shell_packets(signs, momenta, offsets, widths, shifts, params.m)
+                shell, window = _quadrature_atoms(j, packets, ev, sigma, label)
+                assert shell == 0 and np.all(window == 0), (n, j, sigma)
+                assert leg_term(j, packets, ev, sigma) == 0
+
+
+def test_allowed_shell_atoms_and_windows_are_nonzero(packets4, params):
+    ev = StructureEvaluator(params, quad=QuadratureSettings(outer_nodes=8))
+    for j, sigma in ((1, -1), (2, 1)):
+        shell, window = _quadrature_atoms(j, list(packets4), ev, sigma, "out")
+        assert shell != 0 and np.all(window != 0)
+        assert leg_term(j, list(packets4), ev, sigma) == shell
 
 
 def _fold_one(f, poles, windows, quad, **kwargs):
@@ -892,7 +968,8 @@ def test_batched_leg_term_bitwise_equals_per_row_folds(packets4, trio, params, e
     w_mid = float(omega(packets4[1].center[1], params.m))
     cases = [(list(packets4), j, {}) for j in range(1, 4)] + [
         (list(packets4), 1, dict(pv_multiplier=lambda k: chi_t("in", k, [3.0, 30.0], params),
-                                 t_hint=30.0, window_fn=lambda w: _chi_windows(w, eps))),
+                                 # both shell windows: leg 2 of order 5 can balance on either
+                                 t_hint=30.0, window_fn=lambda w: _chi_windows(5, 2, w, eps))),
         # rows past w_mid see windows outside the packet's support: empty rows
         (list(packets4), 1, dict(window_fn=lambda w: [[lo0, hi0]] if w < w_mid
                                  else [[hi0 + 1.0, hi0 + 2.0]])),
@@ -929,7 +1006,7 @@ def test_numer_evaluated_once_per_k1(finite_time, packets4, params, monkeypatch)
     kw = {}
     if finite_time:
         kw = dict(pv_multiplier=lambda k: chi_t("in", k, [3.0, 30.0], params), t_hint=30.0,
-                  window_fn=lambda w: _chi_windows(w, params.eps_phi))
+                  window_fn=lambda w: _chi_windows(4, 1, w, params.eps_phi))
     val = leg_term(1, list(packets4), ev, **kw)
     g = reduced_integrand(1, list(packets4), ev)
     k1n, _ = gauss_panels(packets4[1].support_interval(1), 6)
