@@ -42,9 +42,8 @@ def chi_t(label: str, k, t, params: ModelParams):
 
 def _chi_windows(n, j, w_sh, eps):
     """k^0 windows of the chi_t support at shell energy w_sh (eps < m^2 <= w^2):
-    sigma [sqrt(w^2-eps), sqrt(w^2+eps)], broken where the cutoff's plateau
-    ends, for each sigma = -1, +1 where leg term j of order n can balance
-    (shell_balance_possible); the integrand is exactly 0 in the others."""
+    sigma [sqrt(w^2-eps), sqrt(w^2+eps)], broken where the cutoff's plateau ends,
+    for each sigma where leg term j of order n can balance (shell_balance_possible)."""
     edges = [math.sqrt(w_sh * w_sh + c * eps) for c in (-1.0, -0.5, 0.5, 1.0)]
     return [[s * e for e in edges[::s]] for s in (-1, 1) if shell_balance_possible(n, j, s)]
 
@@ -54,9 +53,9 @@ def _leg_terms(j, label, times, packets, ev, weight=None) -> np.ndarray:
     built once, sized by the largest time, and every time is applied to the
     static numerator as a chi_t row."""
     kw, n, eps = {}, len(packets), ev.params.eps_phi
-    if label != LOC and not _chi_windows(n, j, ev.params.m, eps):
-        return np.zeros(len(times), dtype=complex)
     if label != LOC:
+        if not _chi_windows(n, j, ev.params.m, eps):
+            return np.zeros(len(times), dtype=complex)
         kw = dict(pv_multiplier=lambda k: chi_t(label, k, times, ev.params),
                   t_hint=max(times), window_fn=lambda w_sh: _chi_windows(n, j, w_sh, eps))
     return np.broadcast_to(leg_term(j, packets, ev, weight=weight, **kw), (len(times),))

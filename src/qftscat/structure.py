@@ -144,20 +144,13 @@ def _leg_sign(l: int, j: int) -> int:
 
 
 def shell_balance_possible(n: int, j: int, sigma: int) -> bool:
-    """Whether leg term j of order n >= 3 can be nonzero with k_j on its sigma
-    shell (sigma = +/-1) or inside chi_t's window there (k_j^2 within eps of
-    m^2, 0 < eps < m^2, energy sign sigma). False means it is exactly zero.
-
-    The j legs before j are backward, the n - 1 - j after it forward, and
-    the n momenta sum to zero. So the backward legs' total is minus the
-    forward legs' total: both groups are nonempty (one sign's energies
-    cannot cancel) and their totals have one invariant mass M. By the
-    reverse triangle inequality, M is at least the sum of the group's
-    masses: m per shell leg and mu in (sqrt(m^2 - eps), sqrt(m^2 + eps)) for
-    k_j. A lone leg has M = m or mu < sqrt(2) m, while the other group (at
-    least two legs) has M >= m + mu > m, or 2 m > mu. So each sign holds at
-    least two legs.
-    """
+    """False if leg term j of order n is exactly 0 with k_j on its sigma shell
+    or in chi_t's window there (k_j^2 within eps < m^2 of m^2, sign sigma).
+    Proof: the j backward legs before j balance the n - 1 - j forward legs
+    after it, so each group (k_j in its sigma one) is nonempty and both have
+    one invariant mass M, at least the sum of their legs' masses (reverse
+    triangle inequality). One leg gives M = m, or M < sqrt(2) m for k_j; two
+    or more give M > m, or M >= 2 m without k_j. So each group holds two."""
     return j + (sigma < 0) >= 2 and n - 1 - j + (sigma > 0) >= 2
 
 
@@ -421,9 +414,8 @@ def leg_term(j: int, packets, ev: StructureEvaluator, sign: int = 0, weight=None
     legs are reduced by g_j, and k1 runs over the packet's outer Gauss rule.
 
     sign +/-1 pins k_j to that shell, k0 = sign * omega(k1), with measure
-    1/(2 omega); where shell_balance_possible rules the shell out, the atom
-    is 0 and nothing is built. sign 0 is the principal-value atom: one pv_fold call
-    tabulates the numerator g_j * f_j once per live k1 row, on the packet's k0
+    1/(2 omega); 0 with nothing built where shell_balance_possible fails.
+    sign 0 is the principal-value atom: one pv_fold call tabulates the numerator g_j * f_j once per live k1 row, on the packet's k0
     support or on the windows window_fn(omega) returns (such as the support
     of pv_multiplier), and takes both poles +/-omega of a row from its table:
     sum_sigma sigma / (2 omega (k0 - sigma omega)) = 1/(k0^2 - omega^2).
@@ -436,8 +428,7 @@ def leg_term(j: int, packets, ev: StructureEvaluator, sign: int = 0, weight=None
     pk = packets[j]
     g = reduced_integrand(j, packets, ev, weight=weight)
     ugrid = leg_term_u_grid(packets[g.free_leg], ev.quad) if n == 4 else None
-    lo1, hi1 = pk.support_interval(1)
-    k1n, k1w = gauss_panels([lo1, hi1], ev.quad.outer_nodes)
+    k1n, k1w = gauss_panels(pk.support_interval(1), ev.quad.outer_nodes)
     m = ev.params.m
     if sign:
         w = np.sqrt(k1n * k1n + m * m)

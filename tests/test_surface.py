@@ -6,7 +6,10 @@ Every top-level function and class of `src/qftscat/` must be named (as a
 Python name token), and every method of such a class read as an attribute
 (`.name`) or called (`name(...)`), somewhere in `src/` or `perfbench/` outside
 its own definition: a bare name shared with a parameter or a local is no use
-of a method. Dunder methods are reached by the language, not by name, and are
+of a method. An attribute read counts only for the receiver's class and the
+classes it inherits from or passes to, where the syntax names that class:
+`self` and `cls` in its methods, the class itself, or a parameter annotated
+with it. Dunder methods are reached by the language, not by name, and are
 left out.
 """
 import ast
@@ -44,36 +47,82 @@ def _definitions(tree):
                            item.lineno, item.end_lineno)
 
 
-def _name_lines(path, accessed=False):
-    """{name: [line numbers]} of every name token in a Python file; with
-    accessed, of those read as an attribute (`.name`) or called (`name(`,
-    not in a def or class statement)."""
+def _name_lines(path):
+    """{name: [line numbers]} of every name token in a Python file."""
     with open(path, "rb") as fh:
         source = fh.read()
-    skip = (tokenize.NL, tokenize.NEWLINE, tokenize.COMMENT, tokenize.INDENT, tokenize.DEDENT)
-    toks = [t for t in tokenize.tokenize(io.BytesIO(source).readline) if t.type not in skip]
     out = {}
-    # every name token sits between the ENCODING and ENDMARKER tokens
-    for prev, tok, nxt in zip(toks, toks[1:], toks[2:]):
-        if tok.type == tokenize.NAME and (not accessed or prev.string == "." or (
-                nxt.string == "(" and prev.string not in ("def", "class"))):
+    for tok in tokenize.tokenize(io.BytesIO(source).readline):
+        if tok.type == tokenize.NAME:
             out.setdefault(tok.string, []).append(tok.start[0])
     return out
 
 
+def _package_classes():
+    """{class: set of its package bases, itself included, transitively} for
+    every top-level class of the package."""
+    nodes = {node.name: node for path in PACKAGE.glob("*.py")
+             for node in ast.parse(path.read_text()).body if isinstance(node, ast.ClassDef)}
+
+    def lineage(name):
+        return {name}.union(*(lineage(b.id) for b in nodes[name].bases
+                              if isinstance(b, ast.Name) and b.id in nodes))
+
+    return {name: lineage(name) for name in nodes}
+
+
+def _method_uses(path, classes):
+    """{name: [(class or None, line)]} of every attribute read (`.name`) and
+    bare call (`name(...)`, class None) in a Python file. The class is the
+    receiver's where the syntax names it (see the module docstring), else None."""
+    uses = {}
+
+    def named(expr):
+        label = expr.id if isinstance(expr, ast.Name) else getattr(expr, "value", None)
+        return label if label in classes else None
+
+    def visit(node, owner, annotated):
+        if isinstance(node, ast.ClassDef):
+            owner = node.name if node.name in classes else None
+        if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            params = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+            annotated = {**annotated, **{a.arg: a.annotation and named(a.annotation)
+                                         for a in params}}
+        if isinstance(node, ast.Attribute):
+            receiver = node.value.id if isinstance(node.value, ast.Name) else None
+            cls = owner if receiver in ("self", "cls") else (
+                receiver if receiver in classes else annotated.get(receiver))
+            uses.setdefault(node.attr, []).append((cls, node.lineno))
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            uses.setdefault(node.func.id, []).append((None, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner, annotated)
+
+    visit(ast.parse(path.read_text()), None, {})
+    return uses
+
+
 def unreferenced():
     files = sorted({p for d in SCANNED for p in d.rglob("*.py")})
+    classes = _package_classes()
     names = {p: _name_lines(p) for p in files}
-    accesses = {p: _name_lines(p, accessed=True) for p in files}
+    methods = {p: _method_uses(p, classes) for p in files}
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text())
         for qualname, name, first, last in _definitions(tree):
             if name.startswith("__") and name.endswith("__"):
                 continue
-            uses = accesses if "." in qualname else names
+            if "." in qualname:
+                owner = qualname.split(".")[0]
+                # a read through a subclass or a base may reach this method
+                lines = {p: [line for cls, line in methods[p].get(name, ())
+                             if cls is None or owner in classes[cls] or cls in classes[owner]]
+                         for p in files}
+            else:
+                lines = {p: names[p].get(name, ()) for p in files}
             used = any(line < first or line > last if p == path else True
-                       for p in files for line in uses[p].get(name, ()))
+                       for p in files for line in lines[p])
             if not used:
                 found.append(qualname)
     return found
@@ -86,6 +135,21 @@ def test_no_library_code_only_the_tests_call():
 def test_allowlist_names_only_unreferenced_definitions():
     # a name that gains a library caller leaves the allowlist
     assert sorted(set(ALLOWED) - set(unreferenced())) == []
+
+
+def test_attribute_reads_resolve_their_receiver(tmp_path):
+    # a method named like another class's attribute is not hidden by reads
+    # whose receiver is known to be that other class
+    path = tmp_path / "m.py"
+    path.write_text("class A:\n"
+                    "    def f(self):\n"
+                    "        return self.size + A.n\n"
+                    "\n"
+                    "def g(a: 'A', b):\n"
+                    "    return a.size, b.size, size()\n")
+    uses = _method_uses(path, {"A": {"A"}})
+    assert sorted(uses["size"], key=str) == [("A", 3), ("A", 6), (None, 6), (None, 6)]
+    assert uses["n"] == [("A", 3)]
 
 
 def private_imports():
