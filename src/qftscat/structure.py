@@ -144,13 +144,12 @@ def _leg_sign(l: int, j: int) -> int:
 
 
 def shell_balance_possible(n: int, j: int, sigma: int) -> bool:
-    """False if leg term j of order n is exactly 0 with k_j on its sigma shell
-    or in chi_t's window there (k_j^2 within eps < m^2 of m^2, sign sigma).
-    Proof: the j backward legs before j balance the n - 1 - j forward legs
-    after it, so each group (k_j in its sigma one) is nonempty and both have
-    one invariant mass M, at least the sum of their legs' masses (reverse
-    triangle inequality). One leg gives M = m, or M < sqrt(2) m for k_j; two
-    or more give M > m, or M >= 2 m without k_j. So each group holds two."""
+    """False if leg term j of order n is 0 with k_j on its sigma shell or in
+    chi_t's window there (0 < eps < m^2). Proof: the j backward legs before j
+    balance the n - 1 - j forward ones after it, so both groups (k_j in its
+    sigma one) are nonempty with one invariant mass M, at least their legs'
+    summed masses (reverse triangle inequality). One leg gives M = m, or
+    M < sqrt(2) m if it is k_j; more give M > m, or M >= 2 m without k_j."""
     return j + (sigma < 0) >= 2 and n - 1 - j + (sigma > 0) >= 2
 
 
@@ -414,10 +413,11 @@ def leg_term(j: int, packets, ev: StructureEvaluator, sign: int = 0, weight=None
     legs are reduced by g_j, and k1 runs over the packet's outer Gauss rule.
 
     sign +/-1 pins k_j to that shell, k0 = sign * omega(k1), with measure
-    1/(2 omega); 0 with nothing built where shell_balance_possible fails.
-    sign 0 is the principal-value atom: one pv_fold call tabulates the numerator g_j * f_j once per live k1 row, on the packet's k0
-    support or on the windows window_fn(omega) returns (such as the support
-    of pv_multiplier), and takes both poles +/-omega of a row from its table:
+    1/(2 omega); it is 0, with nothing built, where shell_balance_possible
+    fails. sign 0 is the principal-value atom: one pv_fold call tabulates
+    the numerator g_j * f_j once per live k1 row, on the packet's k0 support
+    or on the windows window_fn(omega) returns (such as the support of
+    pv_multiplier), and takes both poles +/-omega of a row from its table:
     sum_sigma sigma / (2 omega (k0 - sigma omega)) = 1/(k0^2 - omega^2).
     pv_multiplier may return one row per time, shape (T, N) for N k0 points;
     the term is then T values, on a grid sized by t_hint (the largest time).

@@ -1,5 +1,6 @@
 """Phase-space reduction, PV quadrature and structure-kernel pairings."""
 import decimal
+import itertools
 import math
 import tracemalloc
 
@@ -161,7 +162,8 @@ def test_shell_balance_rule_matches_sign_count_and_kinematics(n, params):
             found = complete_configurations(p, np.array(signs), params.m)[2].any()
             assert shell_balance_possible(n, j, sigma) == counted == found, (j, sigma)
     allowed = [(j, s) for j in range(n) for s in (-1, 1) if shell_balance_possible(n, j, s)]
-    assert allowed == {3: [], 4: [(1, -1), (2, 1)]}.get(n, allowed)
+    expected = {3: [], 4: [(1, -1), (2, 1)]}
+    assert n not in expected or allowed == expected[n]
 
 
 def _near_shell_packets(signs, momenta, offsets, widths, shifts, m):
@@ -205,7 +207,7 @@ def test_forbidden_shell_atoms_and_windows_are_exact_zeros(momenta, offsets, wid
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(structure, "TAIL_WIDTHS", math.inf)
         for n in (3, 4):
-            for j, sigma in ((j, s) for j in range(n) for s in (-1, 1)):
+            for j, sigma in itertools.product(range(n), (-1, 1)):
                 if shell_balance_possible(n, j, sigma):
                     continue
                 signs = [-1] * j + [sigma] + [1] * (n - 1 - j)
