@@ -55,7 +55,7 @@ class SpectralDensity:
 
 @dataclass(frozen=True)
 class QuadratureSettings:
-    outer_nodes: int = 40  # k^1 integral over the PV leg's packet support
+    outer_nodes: int = 40  # order-4 k^1 rule; per panel of each order-3 on-shell leg
     inner_nodes: int = 24  # per-panel nodes of the order-4 free-leg integral
     fold_nodes: int = 24  # per-interval nodes of the PV fold
     nodes_per_period: float = 12.0  # fold refinement for oscillatory numerators
@@ -193,27 +193,26 @@ def root_possible(E, P, sa, sb, mass):
     return (Q <= 0) & floor
 
 
-def _tail_exponent(j, pair, packets, E, P, k0, k1, free=None):
+def _tail_exponent(j, pair, packets, E, P, k0, k1, free):
     """Lower bound D on sum_l |k_l - c_l|^2 / w_l^2 at k_j = (k0, k1), the free
-    leg (free = (leg, momenta, ...) or None) and any split of the pair's total
-    k_b + k_c = (E, P), whose share is at least |(E, P) - c_b - c_c|^2 / (w_b^2 +
+    leg (free = (leg, momenta, ...)) and any split of the pair's total k_b +
+    k_c = (E, P), whose share is at least |(E, P) - c_b - c_c|^2 / (w_b^2 +
     w_c^2); the packets' Gaussian product is at most exp(-D / 2) there."""
-    pb, pc = (packets[l] for l in pair)
+    pb, pc, pf = (packets[l] for l in (*pair, free[0]))
     terms = [(k0, k1, packets[j].center, packets[j].width ** 2),
-             (E, P, pb.center + pc.center, pb.width ** 2 + pc.width ** 2)]
-    if free is not None:
-        terms.append((*free[1].T, packets[free[0]].center, packets[free[0]].width ** 2))
+             (E, P, pb.center + pc.center, pb.width ** 2 + pc.width ** 2),
+             (*free[1].T, pf.center, pf.width ** 2)]
     return sum(((x - cen[0]) ** 2 + (y - cen[1]) ** 2) / w2 for x, y, cen, w2 in terms)
 
 
-def _solved_pair_terms(j, pair, packets, ev, weight, E, P, k0, k1, free=None):
+def _solved_pair_terms(j, pair, packets, ev, weight, E, P, k0, k1, free):
     """Terms of the on-shell pair solved at total (E, P), summed over its
     roots; zero wherever no root exists.
 
     Only points where root_possible holds inside the packets' joint tail
     (_tail_exponent) are solved and evaluated.
-    free is None (order 3) or (leg, momenta, 2 omega) of the free leg on the
-    u-grid, which is the last axis of E and P.
+    free is (leg, momenta, 2 omega) of the free leg on the u-grid, which is
+    the last axis of E and P.
     """
     b, c = pair
     sb, sc = _leg_sign(b, j), _leg_sign(c, j)
@@ -225,24 +224,19 @@ def _solved_pair_terms(j, pair, packets, ev, weight, E, P, k0, k1, free=None):
         np.ravel(E)[idx], np.ravel(P)[idx], sb, sc, m, np.ones(len(idx), dtype=bool))
     kb = np.stack([sb * wb, pb], axis=-1)
     kc = np.stack([sc * wc, pc], axis=-1)
-    vals = packets[b](kb)
-    lead = 4.0
-    if free is not None:
-        fleg, kf, two_w = free
-        iu = (idx % len(kf))[:, None]
-        vals = np.multiply(packets[fleg](kf)[iu], vals)
-        lead = two_w[iu] * 4.0
+    fleg, kf, two_w = free
+    iu = (idx % len(kf))[:, None]
+    vals = np.multiply(packets[fleg](kf)[iu], packets[b](kb))
     vals = np.multiply(vals, packets[c](kc))
     if weight is not None:
         ks = np.zeros(kb.shape[:-1] + (len(packets), 2))
         ks[..., b, :] = kb
         ks[..., c, :] = kc
-        if free is not None:
-            ks[..., fleg, :] = kf[iu]
+        ks[..., fleg, :] = kf[iu]
         ks[..., j, 0] = np.broadcast_to(k0, shape).ravel()[idx][:, None]
         ks[..., j, 1] = np.broadcast_to(k1, shape).ravel()[idx][:, None]
         vals = np.multiply(vals, weight(ks))
-    dens = lead * wb * wc * np.abs(jac)
+    dens = two_w[iu] * 4.0 * wb * wc * np.abs(jac)
     terms = np.where(valid, vals / np.where(valid, dens, 1.0), 0.0)
     out = np.zeros(math.prod(shape), dtype=vals.dtype)
     out[idx] = terms[:, 0] + terms[:, 1]
@@ -263,28 +257,22 @@ def leg_term_u_grid(packet, quad: QuadratureSettings):
 
 
 def reduced_integrand(j: int, packets, ev: StructureEvaluator, weight=None):
-    """The leg-j reduction g_j: integrate the packet product over the shells
-    of legs l != j with total momentum conservation solved exactly.
+    """The order-4 leg-j reduction g_j: integrate the packet product over the
+    shells of legs l != j with total momentum conservation solved exactly.
 
     j is 0-based. Returns a callable g(k0, k1, ugrid) vectorized over
-    broadcastable arrays; for n=4 ugrid is the free leg's (nodes, weights)
-    grid, for n=3 it is ignored. No kinematic solution means g = 0, and so
-    does a packet product (f_j's included) past its joint tail.
+    broadcastable arrays, ugrid being the free leg's (nodes, weights) grid.
+    No kinematic solution means g = 0, and so does a packet product (f_j's
+    included) past its joint tail.
     """
     n = len(packets)
-    if n not in (3, 4):
-        raise NotImplementedError("phase-space reduction implemented for n = 3, 4")
-    others = [l for l in range(n) if l != j]
-    b, c = others[-2:]  # the on-shell pair solved in closed form
-    free = others[0]  # order 4: the leg integrated over the u-grid
+    if n != 4:
+        raise NotImplementedError("phase-space reduction implemented for n = 4")
+    free, b, c = [l for l in range(n) if l != j]  # free leg on the u-grid, solved pair
     sa = _leg_sign(free, j)
     m = ev.params.m
 
-    def g3(k0, k1, ugrid=None):
-        k0, k1 = np.broadcast_arrays(np.asarray(k0, dtype=float), np.asarray(k1, dtype=float))
-        return _solved_pair_terms(j, (b, c), packets, ev, weight, -k0, -k1, k0, k1)
-
-    def g4(k0, k1, ugrid):
+    def g(k0, k1, ugrid):
         k0, k1 = np.broadcast_arrays(np.asarray(k0, dtype=float), np.asarray(k1, dtype=float))
         un, uw = ugrid
         # broadcast: leading axes from (k0, k1), then u
@@ -297,21 +285,18 @@ def reduced_integrand(j: int, packets, ev: StructureEvaluator, weight=None):
                                  free=(free, kfree, 2.0 * wu))
         return (out * uw).sum(axis=-1)
 
-    def row_exponent(k1, ugrid=None):
+    def row_exponent(k1, ugrid):
         """Least _tail_exponent over all k0 at each k1 and free-leg node: D is
         a convex quadratic in k0, smallest at k0 = kmin."""
-        k1, s, u, kf = np.asarray(k1, dtype=float)[:, None], 0.0, 0.0, None
-        if ugrid is not None:
-            u = ugrid[0]
-            s = sa * np.sqrt(u * u + m * m)
-            kf = (free, np.stack([s, u], axis=-1))
+        k1, u = np.asarray(k1, dtype=float)[:, None], ugrid[0]
+        s = sa * np.sqrt(u * u + m * m)
         pj, pb, pc = packets[j], packets[b], packets[c]
         wj2, W2 = pj.width ** 2, pb.width ** 2 + pc.width ** 2
         kmin = (pj.center[0] * W2 - (s + pb.center[0] + pc.center[0]) * wj2) / (wj2 + W2)
-        return _tail_exponent(j, (b, c), packets, -kmin - s, -k1 - u, kmin, k1, kf).min(axis=-1)
+        return _tail_exponent(j, (b, c), packets, -kmin - s, -k1 - u, kmin, k1,
+                              (free, np.stack([s, u], axis=-1))).min(axis=-1)
 
-    g4.free_leg = free
-    g = g3 if n == 3 else g4
+    g.free_leg = free
     g.row_exponent = row_exponent
     return g
 
@@ -342,49 +327,36 @@ def oscillation_edges(lo, hi, t, nodes, quad: QuadratureSettings, max_panel=math
 def pv_fold(numer, rows, quad: QuadratureSettings, t_hint: float = 0.0,
             max_panel: float = math.inf):
     """PV integrals over k0 of numer(k0, k1)/(k0 - p), one per row (k1, poles,
-    windows, singular) and pole p, over the windows (sorted break points
-    [a, ..., b] each).
+    windows) and pole p, over the windows (sorted break points [a, ..., b]
+    each).
 
-    A row's panels break at its poles, at p +/- max_panel / 2 (unless within
-    max_panel / 8 of a singular point) and at its singular points, where numer
-    has an integrable inverse-square-root singularity (two-body thresholds;
-    touching panels get the sine substitution); oscillation_edges splits each
-    into equal sub-panels of the one fold_nodes rule, all laid out in one pass.
-    numer maps (N, 2) points (k0, k1) to (..., N) values, once per row, on its
-    nodes and poles.
+    A row's panels break at its poles and at p +/- max_panel / 2;
+    oscillation_edges splits each into equal sub-panels of the one fold_nodes
+    rule, all laid out in one pass. numer maps (N, 2) points (k0, k1) to
+    (..., N) values, once per row, on its nodes and poles.
     The window [a, b] holding p (or the nearest) gives the sum of (numer(k0) -
     numer(p)) / (k0 - p) plus numer(p) ln|(b - p)/(a - p)|; other windows are
     summed plainly. Per row the result has numer's leading axes, then the pole.
     """
-    rules = {False: quad.fold_nodes, True: int(1.6 * quad.fold_nodes)}  # by sine
-    spans, panels = [], []  # per row its windows' ends; (row, window, lo, hi, sine)
-    for r, (_, poles, windows, singular) in enumerate(rows):
+    spans, panels = [], []  # per row its windows' ends; (row, window, lo, hi)
+    for r, (_, poles, windows) in enumerate(rows):
         windows = [e for e in windows if e[-1] > e[0]]
         spans.append(np.array([(e[0], e[-1]) for e in windows]).T)
-        sing = set(singular)
-        graded = [c for p in poles for c in (p - max_panel / 2, p + max_panel / 2)
-                  if all(abs(c - s) > max_panel / 8 for s in sing)]
+        graded = [c for p in poles for c in (p - max_panel / 2, p + max_panel / 2)]
         for i, edges in enumerate(windows):
             a, b = edges[0], edges[-1]
-            breaks = sorted({a, b, *(c for c in (*edges, *poles, *graded, *sing) if a < c < b)})
-            panels += [(r, i, lo, hi, lo in sing or hi in sing)
-                       for lo, hi in zip(breaks[:-1], breaks[1:])]
-    out = [np.zeros(len(poles), dtype=complex) for _, poles, _, _ in rows]
+            breaks = sorted({a, b, *(c for c in (*edges, *poles, *graded) if a < c < b)})
+            panels += [(r, i, lo, hi) for lo, hi in zip(breaks[:-1], breaks[1:])]
+    out = [np.zeros(len(poles), dtype=complex) for _, poles, _ in rows]
     if not panels:
         return out
-    row, owner, lo, hi, sine = map(np.array, zip(*panels))
+    row, owner, lo, hi = map(np.array, zip(*panels))
     ends, panel = oscillation_edges(lo, hi, t_hint, quad.fold_nodes, quad, max_panel)
-    size = np.where(sine[panel], rules[True], rules[False])
-    at = np.cumsum(size) - size  # first node of each sub-panel
-    k0, w = np.empty((2, size.sum()))
-    for s, nodes in rules.items():
-        if (pick := sine[panel] == s).any():
-            put = (at[pick, None] + np.arange(nodes)).ravel()
-            k0[put], w[put] = gauss_panels(ends[pick], nodes, sine=s)
-    owner = np.repeat(owner[panel], size)
-    bounds = np.append(at, len(k0))[np.searchsorted(row[panel], np.arange(len(rows) + 1))]
+    k0, w = gauss_panels(ends, quad.fold_nodes)
+    owner = np.repeat(owner[panel], quad.fold_nodes)
+    bounds = quad.fold_nodes * np.searchsorted(row[panel], np.arange(len(rows) + 1))
     for r in np.flatnonzero(np.diff(bounds)):
-        (k1, p, _, _), (a, b), (starts, stops) = rows[r], bounds[r:r + 2], spans[r]
+        (k1, p, _), (a, b), (starts, stops) = rows[r], bounds[r:r + 2], spans[r]
         p = np.array(p)
         vals = numer(np.stack([np.append(k0[a:b], p), np.full(b - a + len(p), k1)], axis=-1))
         table, fp = vals[..., :b - a], vals[..., b - a:]
@@ -395,16 +367,35 @@ def pv_fold(numer, rows, quad: QuadratureSettings, t_hint: float = 0.0,
     return out
 
 
-def _threshold_k0(j: int, n: int, k1: float, m: float):
-    """Off-shell-leg energies where the reduced integrand hits a two-body
-    threshold (vanishing constraint Jacobian), order 3 only: a same-sign
-    on-shell pair forces k_j^2 = 4 m^2 with a definite energy sign."""
-    if n != 3:
-        return []
-    signs = [_leg_sign(l, j) for l in range(n) if l != j]
-    if signs[0] != signs[1]:
-        return []
-    return [-signs[0] * math.sqrt(4.0 * m * m + k1 * k1)]
+def _order3_pv_term(j: int, packets, ev: StructureEvaluator, weight) -> complex:
+    """The order-3 PV leg term as a regular sum over the on-shell pair's
+    spatial momenta (p_b, p_c): with k_l = (s_l omega(p_l), p_l) and k_j =
+    -(k_b + k_c) it is the sum of f_b f_c f_j [w(ks)] / (4 omega_b omega_c
+    (k_j^2 - m^2)). A same-sign pair has k_j^2 >= 4 m^2, an opposite-sign one
+    k_j^2 <= 0, so |k_j^2 - m^2| >= m^2: no pole and no two-body threshold.
+    Each leg takes outer_nodes per panel on two panels split at its packet
+    centre; the sum runs one p_b node at a time, so memory grows with the
+    node count, not its square."""
+    m = ev.params.m
+    legs = []
+    for l in (l for l in range(3) if l != j):
+        lo, hi = packets[l].support_interval(1)
+        p, w = gauss_panels([lo, packets[l].center[1], hi], ev.quad.outer_nodes)
+        wl = np.sqrt(p * p + m * m)
+        k = np.stack([_leg_sign(l, j) * wl, p], axis=-1)
+        legs.append((l, k, w * packets[l](k) / (2.0 * wl)))
+    (b, kb, fb), (c, kc, fc) = legs
+    ks = np.zeros((len(kc), 3, 2))
+    ks[:, c] = kc
+    total = 0.0 + 0.0j
+    for kb_i, fb_i in zip(kb, fb):
+        kj = -(kb_i + kc)
+        vals = fb_i * fc * packets[j](kj) / (kj[:, 0] ** 2 - kj[:, 1] ** 2 - m * m)
+        if weight is not None:
+            ks[:, b], ks[:, j] = kb_i, kj
+            vals = vals * weight(ks)
+        total += np.sum(vals)
+    return complex(total)
 
 
 def leg_term(j: int, packets, ev: StructureEvaluator, sign: int = 0, weight=None,
@@ -421,13 +412,19 @@ def leg_term(j: int, packets, ev: StructureEvaluator, sign: int = 0, weight=None
     sum_sigma sigma / (2 omega (k0 - sigma omega)) = 1/(k0^2 - omega^2).
     pv_multiplier may return one row per time, shape (T, N) for N k0 points;
     the term is then T values, on a grid sized by t_hint (the largest time).
+    Order 3 has only its static PV term, the regular sum _order3_pv_term:
+    its shell atoms and chi_t windows never balance.
     """
     n = len(packets)
     if sign and not shell_balance_possible(n, j, sign):
         return 0j
+    if n == 3:
+        if sign or pv_multiplier is not None or window_fn is not None:
+            raise ValueError("order 3 takes no shell atom, pv_multiplier or window_fn")
+        return _order3_pv_term(j, packets, ev, weight)
     pk = packets[j]
     g = reduced_integrand(j, packets, ev, weight=weight)
-    ugrid = leg_term_u_grid(packets[g.free_leg], ev.quad) if n == 4 else None
+    ugrid = leg_term_u_grid(packets[g.free_leg], ev.quad)
     k1n, k1w = gauss_panels(pk.support_interval(1), ev.quad.outer_nodes)
     m = ev.params.m
     if sign:
@@ -443,7 +440,7 @@ def leg_term(j: int, packets, ev: StructureEvaluator, sign: int = 0, weight=None
         w_sh = float(omega(k1, m))
         windows = [[lo0, hi0]] if window_fn is None else window_fn(w_sh)
         rows.append((k1, (w_sh, -w_sh), [[max(e[0], lo0), *e[1:-1], min(e[-1], hi0)]
-                                         for e in windows], _threshold_k0(j, n, k1, m)))
+                                         for e in windows]))
 
     def numer(kj):
         # a fixed operand order: numpy may evaluate `v * x` as `x * v` in
@@ -453,7 +450,7 @@ def leg_term(j: int, packets, ev: StructureEvaluator, sign: int = 0, weight=None
 
     folds = pv_fold(numer, rows, ev.quad, t_hint=t_hint, max_panel=PANEL_WIDTHS * pk.width)
     total = 0.0 + 0.0j
-    for (_, (w_sh, _), _, _), wk, vals in zip(rows, k1w[live], folds):
+    for (_, (w_sh, _), _), wk, vals in zip(rows, k1w[live], folds):
         total += wk * (vals[..., 0] - vals[..., 1]) / (2.0 * w_sh)
     return total
 

@@ -103,6 +103,15 @@ def test_leg_terms_equal_their_quadrature(trio, trio_scatter, packets4, params, 
             assert np.all(_leg_terms(j, "loc", times, packets, ev, weight=weight) == static)
             for label in ("in", "out"):
                 got = _leg_terms(j, label, times, packets, ev, weight=weight)
+                if n == 3:
+                    # no window balances; order 3's kinematic zeros are checked
+                    # on the k-space path in test_structure, as leg_term
+                    # refuses an order-3 multiplier
+                    assert got.shape == (2,) and np.all(got == 0)
+                    with pytest.raises(ValueError, match="order 3"):
+                        leg_term(j, packets, ev, pv_multiplier=lambda k: chi_t(
+                            label, k, times, ev.params), window_fn=lambda w: [[-w, w]])
+                    continue
                 with pytest.MonkeyPatch.context() as mp:
                     mp.setattr(lszlab, "shell_balance_possible", lambda n, j, sigma: True)
                     want = leg_term(

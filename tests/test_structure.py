@@ -13,13 +13,12 @@ from scipy import integrate
 
 from qftscat import kinematics, lszlab, structure
 from qftscat.fitter import recheck_constraints
-from qftscat.kinematics import WavePacket, gauss_panels, omega
+from qftscat.kinematics import ModelParams, WavePacket, gauss_panels, minkowski_sq, omega
 from qftscat.lszlab import _chi_windows, chi_t, finite_time_pairing
 from qftscat.structure import (
     QuadratureSettings,
     SpectralDensity,
     StructureEvaluator,
-    _threshold_k0,
     complete_configurations,
     eval_Ghat_2,
     eval_Ghat_n,
@@ -174,6 +173,28 @@ def _near_shell_packets(signs, momenta, offsets, widths, shifts, m):
             for l, (s, k, d, w) in enumerate(zip(signs, momenta, offsets, widths))]
 
 
+def _order3_k_space_atoms(j, packets, ev, sigma, label):
+    """_quadrature_atoms at order 3, whose leg_term takes neither atom: the
+    same sums over the kept k-space g3 (no tail cut), with k_j on its sigma
+    shell and, through pv_fold, on chi_t's sigma window alone."""
+    params, pk = ev.params, packets[j]
+    g = _dense_reduced_integrand(j, packets, ev, cut=False)
+    k1n, k1w = gauss_panels(pk.support_interval(1), ev.quad.outer_nodes)
+    w = np.sqrt(k1n * k1n + params.m ** 2)
+    shell = np.sum(k1w * g(sigma * w, k1n) * pk(np.stack([sigma * w, k1n], axis=-1)) / (2 * w))
+
+    def numer(k):
+        mult = chi_t(label, k, [1.0, 7.0], params) * (sigma * k[..., 0] > 0)
+        return g(k[:, 0], k[:, 1]) * pk(k) * mult
+
+    # leg 2 of order 5 can balance on either shell: both windows, take sigma's
+    rows = [(k1, (wk, -wk), [_chi_windows(5, 2, wk, params.eps_phi)[(sigma + 1) // 2]])
+            for k1, wk in zip(k1n, w)]
+    folds = pv_fold(numer, rows, ev.quad, t_hint=7.0)
+    window = sum(c * (f[..., 0] - f[..., 1]) / (2 * wk) for c, wk, f in zip(k1w, w, folds))
+    return shell, window
+
+
 def _quadrature_atoms(j, packets, ev, sigma, label):
     """Leg j's sigma shell atom and its chi_t term on the sigma window alone
     (times 1 and 7), by quadrature whatever shell_balance_possible says. The
@@ -202,7 +223,8 @@ def test_forbidden_shell_atoms_and_windows_are_exact_zeros(momenta, offsets, wid
                                                           label, params):
     # with no tail cut, only the kinematics can make these zero: for every
     # (j, sigma) the rule forbids at n = 3 and 4, on packets near the shells
-    # of that term's own sign layout, the quadrature gives exactly 0
+    # of that term's own sign layout, the quadrature gives exactly 0 (at
+    # n = 3 over the kept k-space g3, as leg_term takes no order-3 atom)
     ev = StructureEvaluator(params, quad=QuadratureSettings(outer_nodes=8, inner_nodes=12))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(structure, "TAIL_WIDTHS", math.inf)
@@ -212,7 +234,8 @@ def test_forbidden_shell_atoms_and_windows_are_exact_zeros(momenta, offsets, wid
                     continue
                 signs = [-1] * j + [sigma] + [1] * (n - 1 - j)
                 packets = _near_shell_packets(signs, momenta, offsets, widths, shifts, params.m)
-                shell, window = _quadrature_atoms(j, packets, ev, sigma, label)
+                atoms = _quadrature_atoms if n == 4 else _order3_k_space_atoms
+                shell, window = atoms(j, packets, ev, sigma, label)
                 assert shell == 0 and np.all(window == 0), (n, j, sigma)
                 assert leg_term(j, packets, ev, sigma) == 0
 
@@ -227,7 +250,7 @@ def test_allowed_shell_atoms_and_windows_are_nonzero(packets4, params):
 
 def _fold_one(f, poles, windows, quad, **kwargs):
     """pv_fold of one row, k1 = 0, whose numerator f reads k0 alone."""
-    return pv_fold(lambda k: f(k[:, 0]), [(0.0, poles, windows, ())], quad, **kwargs)[0]
+    return pv_fold(lambda k: f(k[:, 0]), [(0.0, poles, windows)], quad, **kwargs)[0]
 
 
 def test_pv_fold_analytic():
@@ -304,7 +327,8 @@ def test_pv_fold_sums_rows_along_last_axis():
 
 
 def test_reduced_integrand_order3_oracle(trio, ev):
-    g = reduced_integrand(0, list(trio), ev)
+    # the order-3 g3 of the kept k-space oracle path, against brentq roots
+    g = _dense_reduced_integrand(0, list(trio), ev, cut=False)
     k0v, k1v = -2.35, -0.25
     val = complex(g(np.array(k0v), np.array(k1v)))
     r0, r1, r2 = trio
@@ -345,9 +369,10 @@ def test_reduced_integrand_order4_oracle(packets4, ev):
 
 
 def test_reduced_integrand_no_solution_is_zero(packets4, ev):
-    g = reduced_integrand(0, list(packets4[:3]), ev)
-    # energy far below every threshold
-    assert g(np.array(0.01), np.array(0.0)) == 0.0
+    g = reduced_integrand(0, list(packets4), ev)
+    # legs 2 and 3 forward need a positive pair energy, but -0.01 - omega(u) < 0
+    ugrid = leg_term_u_grid(packets4[g.free_leg], ev.quad)
+    assert g(np.array(0.01), np.array(0.0), ugrid) == 0.0
 
 
 def _threshold_scan(j, packets, m, k0_ref, k1_ref, scan):
@@ -493,8 +518,10 @@ def test_rho_continuum_memory_does_not_grow_with_t(ev_rho):
 
 
 def test_ghat3_value_and_leg_multiplier_consistency(trio, ev):
+    # the k-space fold order 3 once took read 0.01069128338057303, 1.1e-5 off
     val = eval_Ghat_n(list(trio), ev)
-    assert abs(val - 0.01069128338057303) < 1e-10
+    ref = _onshell_reference(list(trio))
+    assert abs(val - ref) < 1e-10 * abs(ref)
 
 
 def test_ghat_n_rejects_low_order(pair, ev):
@@ -544,10 +571,11 @@ _width = st.floats(0.1, 1.5)
        cb=st.tuples(_coord, _coord), cc=st.tuples(_coord, _coord), wb=_width, wc=_width,
        E=st.floats(-6.0, 6.0), P=st.floats(-6.0, 6.0))
 def test_tail_exponent_bounds_every_two_body_root(sb, sc, mass, cb, cc, wb, wc, E, P):
-    # with k_j on its packet's center only the pair's closed-form share is left
-    packets = [WavePacket(center=np.zeros(2), width=1.0),
-               WavePacket(center=np.array(cb), width=wb), WavePacket(center=np.array(cc), width=wc)]
-    bound = structure._tail_exponent(0, (1, 2), packets, E, P, 0.0, 0.0)
+    # with k_j and the free leg on their packets' centres only the pair's
+    # closed-form share is left
+    packets = [WavePacket(center=np.zeros(2), width=1.0), WavePacket(center=np.array(cb), width=wb),
+               WavePacket(center=np.array(cc), width=wc), WavePacket(center=np.ones(2), width=0.5)]
+    bound = structure._tail_exponent(0, (1, 2), packets, E, P, 0.0, 0.0, (3, np.ones((1, 2))))
     pb, pc, wbs, wcs, _, valid = two_body_solutions(E, P, sb, sc, mass)
     for r in np.flatnonzero(valid):
         kb, kc = np.array([sb * wbs[r], pb[r]]), np.array([sc * wcs[r], pc[r]])
@@ -556,24 +584,19 @@ def test_tail_exponent_bounds_every_two_body_root(sb, sc, mass, cb, cc, wb, wc, 
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(order=st.sampled_from([3, 4]), j=st.integers(0, 3),
+@given(j=st.integers(0, 3),
        centers=st.lists(st.tuples(_coord, _coord), min_size=4, max_size=4),
        widths=st.lists(_width, min_size=4, max_size=4),
        k0=st.floats(-8.0, 8.0), k1=st.floats(-4.0, 4.0), u=st.floats(-4.0, 4.0))
-def test_row_exponent_is_least_over_k0(order, j, centers, widths, k0, k1, u, params):
-    packets = [WavePacket(center=np.array(c), width=w) for c, w in zip(centers, widths)][:order]
-    j %= order
-    others = [l for l in range(order) if l != j]
+def test_row_exponent_is_least_over_k0(j, centers, widths, k0, k1, u, params):
+    packets = [WavePacket(center=np.array(c), width=w) for c, w in zip(centers, widths)]
+    others = [l for l in range(4) if l != j]
     g = reduced_integrand(j, packets, StructureEvaluator(params))
-    if order == 3:
-        least = g.row_exponent(np.array([k1]))
-        d = structure._tail_exponent(j, others, packets, -k0, -k1, k0, k1)
-    else:
-        sa = -1 if others[0] < j else 1
-        su = sa * float(omega(u, params.m))
-        least = g.row_exponent(np.array([k1]), (np.array([u]), np.array([1.0])))
-        d = structure._tail_exponent(j, others[1:], packets, -k0 - su, -k1 - u, k0, k1,
-                                     (others[0], np.array([[su, u]])))
+    sa = -1 if others[0] < j else 1
+    su = sa * float(omega(u, params.m))
+    least = g.row_exponent(np.array([k1]), (np.array([u]), np.array([1.0])))
+    d = structure._tail_exponent(j, others[1:], packets, -k0 - su, -k1 - u, k0, k1,
+                                 (others[0], np.array([[su, u]])))
     assert least.shape == (1,)
     assert least[0] <= d * (1 + 1e-12) + 1e-12
 
@@ -614,7 +637,9 @@ def test_tail_cut_leg_terms_match_uncut(case, trio, packets4, ev, fam_quad, monk
 def _dense_reduced_integrand(j, packets, ev, weight=None, cut=True):
     """g_j solved and evaluated at every point, without the root_possible
     mask, in exactly the expressions of the unmasked implementation; with
-    cut, zero wherever the joint tail bound exceeds TAIL_WIDTHS^2."""
+    cut (order 4 only), zero wherever the joint tail bound exceeds
+    TAIL_WIDTHS^2. Order 3's g3 is the integrand of the k-space path the
+    library took before its on-shell sum, kept as an independent oracle."""
     n = len(packets)
     m = ev.params.m
     others = [l for l in range(n) if l != j]
@@ -637,9 +662,8 @@ def _dense_reduced_integrand(j, packets, ev, weight=None, cut=True):
             ks[..., j, 0] = k0[..., None]
             ks[..., j, 1] = k1[..., None]
             vals = vals * weight(ks)
+        assert not cut
         dens = 4.0 * wa * wb * np.abs(jac)
-        inside = structure._tail_exponent(j, (a, b), packets, -k0, -k1, k0, k1) <= reach
-        valid = valid & inside[..., None]
         out = np.where(valid, vals / np.where(valid, dens, 1.0), 0.0)
         return out.sum(axis=-1)
 
@@ -686,12 +710,20 @@ def _every_leg_weight(ks):
 @pytest.mark.parametrize("order", [3, 4])
 @pytest.mark.parametrize("extras", ["plain", "weight"])
 def test_masked_integrand_equals_dense(order, extras, trio, packets4, ev, fam_quad):
-    packets = list(trio if order == 3 else packets4)
-    weight = None
-    if extras == "weight":
-        weight = _every_leg_weight if order == 3 else fam_quad.eval
+    if order == 3:
+        # order 3 has no masked integrand: its on-shell sum must equal the
+        # dense k-space g3 folded at refined settings, leg by leg, to 1e-9 of
+        # the pairing; the weight reads every leg, so each must sit in its
+        # slot. Leg 2's term is about 1e-22 of the pairing, so legs 0 and 1
+        weight = _every_leg_weight if extras == "weight" else None
+        got = [leg_term(j, list(trio), ev, weight=weight) for j in (0, 1)]
+        want = [_leg_term_oracle(j, list(trio), _FINE, weight=weight) for j in (0, 1)]
+        assert np.max(np.abs(np.subtract(got, want))) < 1e-9 * abs(sum(want))
+        return
+    packets = list(packets4)
+    weight = fam_quad.eval if extras == "weight" else None
     # grids on both sides of numpy's 256 KiB in-place threshold, and 0-d points
-    sizes = [(129, 65), (7, 5)] if order == 3 else [(37, 23), (3, 2)]
+    sizes = [(37, 23), (3, 2)]
     dropped = peak = 0.0
     kept = 0
     for j in range(order):
@@ -700,9 +732,7 @@ def test_masked_integrand_equals_dense(order, extras, trio, packets4, ev, fam_qu
         uncut = _dense_reduced_integrand(j, packets, ev, weight=weight, cut=False)
         lo0, hi0 = packets[j].support_interval(0)
         lo1, hi1 = packets[j].support_interval(1)
-        grids = [None]
-        if order == 4:
-            grids = [_u_grid(packets[g.free_leg], ev.quad, panels) for panels in (4, 3)]
+        grids = [_u_grid(packets[g.free_leg], ev.quad, panels) for panels in (4, 3)]
         for n0, n1 in sizes:
             k0 = np.linspace(lo0 - 1.0, hi0 + 1.0, n0)[:, None]
             k1 = np.linspace(lo1, hi1, n1)[None, :]
@@ -784,11 +814,28 @@ def _chi_intervals_oracle(sigma, w_sh, lo0, hi0, eps):
     return merged or None
 
 
-def _leg_term_oracle(j, packets, ev, pv_multiplier=None, t_hint=0.0, interval_fn=None):
-    """The leg term as one symmetric fold per (k1, sigma), kept as an oracle."""
+def _threshold_k0(j: int, n: int, k1: float, m: float):
+    """Off-shell-leg energies where the reduced integrand hits a two-body
+    threshold (vanishing constraint Jacobian), order 3 only: a same-sign
+    on-shell pair forces k_j^2 = 4 m^2 with a definite energy sign."""
+    if n != 3:
+        return []
+    signs = [-1 if l < j else 1 for l in range(n) if l != j]
+    if signs[0] != signs[1]:
+        return []
+    return [-signs[0] * math.sqrt(4.0 * m * m + k1 * k1)]
+
+
+def _leg_term_oracle(j, packets, ev, pv_multiplier=None, t_hint=0.0, interval_fn=None,
+                     weight=None):
+    """The leg term as one symmetric fold per (k1, sigma), kept as an oracle;
+    order 3 folds the k-space g3 with sine panels at its two-body threshold."""
     n = len(packets)
     pk = packets[j]
-    g = reduced_integrand(j, packets, ev)
+    if n == 3:
+        g = _dense_reduced_integrand(j, packets, ev, weight=weight, cut=False)
+    else:
+        g = reduced_integrand(j, packets, ev, weight=weight)
     lo1, hi1 = pk.support_interval(1)
     k1n, k1w = gauss_panels([lo1, hi1], ev.quad.outer_nodes)
     lo0, hi0 = pk.support_interval(0)
@@ -814,10 +861,106 @@ def _leg_term_oracle(j, packets, ev, pv_multiplier=None, t_hint=0.0, interval_fn
     return total
 
 
+# settings at which the order-3 k-space oracle reaches 1e-9
+_FINE = StructureEvaluator(ModelParams(), quad=QuadratureSettings(
+    outer_nodes=160, inner_nodes=96, fold_nodes=96))
+
+
 def test_ghat3_matches_symmetric_fold_oracle(trio, ev):
-    want = sum(_leg_term_oracle(j, list(trio), ev) for j in range(3))
+    want = sum(_leg_term_oracle(j, list(trio), _FINE) for j in range(3))
     got = eval_Ghat_n(list(trio), ev)
     assert abs(got - want) < 1e-9 * abs(want)
+
+
+def _onshell_reference(packets, nodes=400, m=1.0):
+    """An order-3 pairing summed over the on-shell pair's spatial momenta on
+    2-panel Gauss-Legendre rules of the given nodes per panel, in blocks of
+    50 p_b rows, with the shell densities on the weights."""
+    total = 0.0 + 0.0j
+    for j in range(3):
+        axes = []
+        for l in (l for l in range(3) if l != j):
+            lo, hi = packets[l].support_interval(1)
+            p, w = gauss_panels([lo, packets[l].center[1], hi], nodes)
+            k = np.stack([(-1 if l < j else 1) * np.sqrt(p * p + m * m), p], axis=-1)
+            axes.append((k, w * packets[l](k) / (2 * np.abs(k[:, 0]))))
+        (kb, fb), (kc, fc) = axes
+        for s in range(0, len(kb), 50):
+            kj = -(kb[s:s + 50, None] + kc[None])
+            vals = packets[j](kj) / (minkowski_sq(kj) - m * m)
+            total += np.sum(fb[s:s + 50, None] * fc[None] * vals)
+    return total
+
+
+def _benchmark_trio(seed, m=1.0):
+    """The pairings benchmark's order-3 packets at a seed: after the 2 -> 2
+    set's eight draws, momenta 0.8 and -0.5 jittered by up to 2% and the
+    widths 0.35, 0.3, 0.3 by up to 4%, the off-shell leg at their sum."""
+    u = np.random.default_rng(seed).uniform(-1.0, 1.0, 13)[8:] if seed else np.zeros(5)
+    ka, kb = 0.8 * (1 + 0.02 * u[0]), -0.5 * (1 + 0.02 * u[1])
+    wa, wb = float(omega(ka, m)), float(omega(kb, m))
+    centers = ([-(wa + wb), -(ka + kb)], [wa, ka], [wb, kb])
+    return [WavePacket(center=np.array(c), width=w * (1 + 0.04 * x))
+            for c, w, x in zip(centers, (0.35, 0.3, 0.3), u[2:])]
+
+
+@pytest.mark.parametrize("case", ["seeds", "translated", "derivative"])
+def test_ghat3_matches_onshell_reference(case, ev):
+    # 40 nodes per panel against 400: the on-shell sum is regular, so the
+    # rule converges fast; seeds 0-31, or seed 0 translated or differentiated
+    trios = [_benchmark_trio(seed) for seed in range(32)]
+    if case == "translated":
+        trios = [[WavePacket(p.center, p.width, p.poly, np.array(a, dtype=float))
+                  for p, a in zip(trios[0], ((3.0, 3.6), (-2.0, 3.0), (0.0, 0.0)))]]
+    elif case == "derivative":
+        trios = [[p.derivative(axis) for p, axis in zip(trios[0], (0, 1, 1))]]
+    for packets in trios:
+        ref = _onshell_reference(packets)
+        assert abs(eval_Ghat_n(packets, ev) - ref) <= 1e-10 * abs(ref)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(sb=st.sampled_from([1, -1]), sc=st.sampled_from([1, -1]), mass=st.floats(0.1, 10.0),
+       pb=st.floats(-50.0, 50.0), pc=st.floats(-50.0, 50.0))
+def test_order3_off_shell_leg_keeps_clear_of_its_pole(sb, sc, mass, pb, pc):
+    # k_j = -(k_b + k_c) of two on-shell legs: k_j^2 >= 4 m^2 for a same-sign
+    # pair, k_j^2 <= 0 for an opposite-sign one, so |k_j^2 - m^2| >= m^2
+    kb = np.array([sb * np.sqrt(pb * pb + mass * mass), pb])
+    kc = np.array([sc * np.sqrt(pc * pc + mass * mass), pc])
+    q = float(minkowski_sq(-(kb + kc)))
+    m2 = mass * mass
+    scale = 1e-12 * (1.0 + np.sum(kb * kb) + np.sum(kc * kc))
+    assert (q >= 4 * m2 - scale) if sb == sc else (q <= scale)
+    assert abs(q - m2) >= m2 - scale
+
+
+def test_order3_memory_grows_with_nodes_not_their_square(trio, params):
+    # at 400 nodes per panel the (p_b, p_c) grid holds 640,000 points: the
+    # whole tensor at once takes over 100 MiB, one p_b row at a time well
+    # under 4 MiB
+    ev = StructureEvaluator(params, quad=QuadratureSettings(outer_nodes=400))
+    tracemalloc.start()
+    try:
+        leg_term(0, list(trio), ev)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, peak
+
+
+def test_order3_rejects_what_it_cannot_take(trio, ev, monkeypatch):
+    # no order-3 shell atom or chi_t window can balance: leg_term has no
+    # order-3 multiplier path and refuses one rather than ignore it
+    packets = list(trio)
+    with pytest.raises(ValueError, match="order 3"):
+        leg_term(0, packets, ev, pv_multiplier=lambda k: chi_t("in", k, 1.0, ev.params))
+    with pytest.raises(ValueError, match="order 3"):
+        leg_term(0, packets, ev, window_fn=lambda w: [[-w, w]])
+    monkeypatch.setattr(structure, "shell_balance_possible", lambda n, j, sigma: True)
+    with pytest.raises(ValueError, match="order 3"):
+        leg_term(0, packets, ev, 1)
+    with pytest.raises(NotImplementedError, match="n = 4"):
+        reduced_integrand(0, packets, ev)
 
 
 def test_order4_leg_terms_match_symmetric_fold_oracle(packets4, ev):
@@ -850,9 +993,9 @@ def test_order4_leg_term_resolved_near_the_poles(ev):
 
 
 def test_graded_break_keeps_clear_of_threshold(params):
-    # k1 node where the break half a panel below the pole -omega falls 5e-5
-    # beyond the order-3 threshold: a plain panel ending there would meet
-    # the inverse-square-root singularity just past its end
+    # packets where the k-space fold's break half a panel below the pole
+    # -omega fell 5e-5 beyond the order-3 two-body threshold: the on-shell
+    # sum meets neither, and agrees with the reference to 1e-10
     w0 = 0.2
     a = (3.0 - (4 * w0) ** 2) / (8 * w0)  # sqrt(3 + a^2) = a + 4 w0, a = omega
     x, _ = kinematics.gauss_rule(40)
@@ -861,30 +1004,24 @@ def test_graded_break_keeps_clear_of_threshold(params):
     packets = [WavePacket(center=np.array([-(w1 + w2), c1]), width=w0),
                WavePacket(center=np.array([w1, 0.8]), width=0.3),
                WavePacket(center=np.array([w2, -0.5]), width=0.3)]
-    fine = StructureEvaluator(params, quad=QuadratureSettings(fold_nodes=192))
-    want = leg_term(0, packets, fine)
-    assert abs(leg_term(0, packets, StructureEvaluator(params)) - want) < 1e-13 * abs(want)
+    want = _onshell_reference(packets)
+    assert abs(eval_Ghat_n(packets, StructureEvaluator(params)) - want) < 1e-10 * abs(want)
 
 
-def _pv_fold_one_row(numer, poles, windows, quad, t_hint=0.0, singular=(), max_panel=math.inf):
+def _pv_fold_one_row(numer, poles, windows, quad, t_hint=0.0, max_panel=math.inf):
     """The PV fold of one k1 row from its own table, numer(k0) evaluated once
     per row, kept as the bitwise reference of the batched pv_fold."""
     windows = [e for e in windows if e[-1] > e[0]]
-    sing = set(singular)
-    graded = [c for p in poles for c in (p - max_panel / 2, p + max_panel / 2)
-              if all(abs(c - s) > max_panel / 8 for s in sing)]
+    graded = [c for p in poles for c in (p - max_panel / 2, p + max_panel / 2)]
     panels = []
     for i, edges in enumerate(windows):
         a, b = edges[0], edges[-1]
-        breaks = sorted({a, b, *(c for c in (*edges, *poles, *graded, *sing) if a < c < b)})
+        breaks = sorted({a, b, *(c for c in (*edges, *poles, *graded) if a < c < b)})
         for lo, hi in zip(breaks[:-1], breaks[1:]):
             n = quad.nodes_per_period * abs(t_hint) * (hi - lo) / (2 * math.pi)
             sub = np.linspace(lo, hi, max(1, math.ceil(n / quad.fold_nodes),
                                           math.ceil((hi - lo) / max_panel)) + 1)
-            if lo in sing or hi in sing:
-                xs, ws = gauss_panels(sub, int(1.6 * quad.fold_nodes), sine=True)
-            else:
-                xs, ws = gauss_panels(sub, quad.fold_nodes)
+            xs, ws = gauss_panels(sub, quad.fold_nodes)
             panels.append((xs, ws, np.full(len(xs), i)))
     if not panels:
         return np.zeros(len(poles), dtype=complex)
@@ -905,10 +1042,9 @@ def _pv_fold_one_row(numer, poles, windows, quad, t_hint=0.0, singular=(), max_p
 def _pv_leg_term_per_row(j, packets, ev, pv_multiplier=None, t_hint=0.0, window_fn=None):
     """The PV leg term as one fold per live k1 row, kept as the bitwise
     reference of leg_term's single batched fold."""
-    n = len(packets)
     pk = packets[j]
     g = reduced_integrand(j, packets, ev)
-    ugrid = leg_term_u_grid(packets[g.free_leg], ev.quad) if n == 4 else None
+    ugrid = leg_term_u_grid(packets[g.free_leg], ev.quad)
     k1n, k1w = gauss_panels(pk.support_interval(1), ev.quad.outer_nodes)
     m = ev.params.m
     lo0, hi0 = pk.support_interval(0)
@@ -927,15 +1063,14 @@ def _pv_leg_term_per_row(j, packets, ev, pv_multiplier=None, t_hint=0.0, window_
         windows = [[lo0, hi0]] if window_fn is None else window_fn(w_sh)
         vals = _pv_fold_one_row(numer, (w_sh, -w_sh),
                                 [[max(e[0], lo0), *e[1:-1], min(e[-1], hi0)] for e in windows],
-                                ev.quad, t_hint=t_hint, singular=_threshold_k0(j, n, k1, m),
-                                max_panel=structure.PANEL_WIDTHS * pk.width)
+                                ev.quad, t_hint=t_hint, max_panel=structure.PANEL_WIDTHS * pk.width)
         total += wk * (vals[..., 0] - vals[..., 1]) / (2.0 * w_sh)
     return total
 
 
-def _per_root_pair_terms(j, pair, packets, ev, weight, E, P, k0, k1, free=None):
+def _per_root_pair_terms(j, pair, packets, ev, weight, E, P, k0, k1, free):
     """Per-root terms of the on-shell pair, with a trailing root axis, solved
-    by two_body_solutions itself: the reference that g3 and g4 sum over roots."""
+    by two_body_solutions itself: the reference that g_j sums over roots."""
     b, c = pair
     sb, sc = structure._leg_sign(b, j), structure._leg_sign(c, j)
     m = ev.params.m
@@ -945,22 +1080,18 @@ def _per_root_pair_terms(j, pair, packets, ev, weight, E, P, k0, k1, free=None):
     pb, pc, wb, wc, jac, valid = two_body_solutions(np.ravel(E)[idx], np.ravel(P)[idx], sb, sc, m)
     kb = np.stack([sb * wb, pb], axis=-1)
     kc = np.stack([sc * wc, pc], axis=-1)
-    vals = packets[b](kb)
-    lead = 4.0
-    if free is not None:
-        fleg, kf, two_w = free
-        iu = (idx % len(kf))[:, None]
-        vals = np.multiply(packets[fleg](kf)[iu], vals)
-        lead = two_w[iu] * 4.0
+    fleg, kf, two_w = free
+    iu = (idx % len(kf))[:, None]
+    vals = np.multiply(packets[fleg](kf)[iu], packets[b](kb))
     vals = np.multiply(vals, packets[c](kc))
     assert weight is None
-    dens = lead * wb * wc * np.abs(jac)
+    dens = two_w[iu] * 4.0 * wb * wc * np.abs(jac)
     out = np.zeros((math.prod(shape), 2), dtype=vals.dtype)
     out[idx] = np.where(valid, vals / np.where(valid, dens, 1.0), 0.0)
     return out.reshape(shape + (2,))
 
 
-def test_batched_leg_term_bitwise_equals_per_row_folds(packets4, trio, params, ev, monkeypatch):
+def test_batched_leg_term_bitwise_equals_per_row_folds(packets4, params, ev, monkeypatch):
     # one layout of every row's panels, one numer call per row on its own
     # nodes and poles, and the two roots summed where solved keep each row's
     # numerator values and sums: the result is that of a fold per row over
@@ -975,8 +1106,7 @@ def test_batched_leg_term_bitwise_equals_per_row_folds(packets4, trio, params, e
         # rows past w_mid see windows outside the packet's support: empty rows
         (list(packets4), 1, dict(window_fn=lambda w: [[lo0, hi0]] if w < w_mid
                                  else [[hi0 + 1.0, hi0 + 2.0]])),
-        (list(trio), 0, {}),  # threshold panels take the sine rule
-        (list(trio), 0, dict(t_hint=40.0)),
+        (list(packets4), 2, dict(t_hint=40.0)),
     ]
     for packets, j, kw in cases:
         got = np.asarray(leg_term(j, packets, ev, **kw), dtype=complex)
@@ -1022,10 +1152,10 @@ def test_numer_evaluated_once_per_k1(finite_time, packets4, params, monkeypatch)
     assert np.all(val != 0)
 
 
-def test_t_scaled_panels_reuse_one_rule(trio, params, monkeypatch):
-    # t_hint = 1000 needs ~40 times the nodes of t_hint = 10, built from copies
-    # of the same Gauss rules: the threshold panels' sine rule and fold_nodes,
-    # counted on the k1 nodes the joint tail bound keeps
+def test_t_scaled_panels_reuse_one_rule(packets4, params, monkeypatch):
+    # t_hint = 1000 needs many times the nodes of t_hint = 10, built from
+    # copies of the same Gauss rules (the k1 rule, and inner_nodes =
+    # fold_nodes), counted on the k1 nodes the joint tail bound keeps
     ev = StructureEvaluator(params, quad=QuadratureSettings(outer_nodes=4))
     built, sizes = [], []
     leggauss = np.polynomial.legendre.leggauss
@@ -1044,8 +1174,8 @@ def test_t_scaled_panels_reuse_one_rule(trio, params, monkeypatch):
         kinematics.gauss_rule.cache_clear()
         built.append(set())
         sizes.append([])
-        leg_term(0, list(trio), ev, t_hint=t)
+        leg_term(1, list(packets4), ev, t_hint=t)
     kinematics.gauss_rule.cache_clear()
-    assert built[0] == built[1] == {4, 24, int(1.6 * 24)}
+    assert built[0] == built[1] == {4, 24}
     assert 1 <= len(sizes[0]) == len(sizes[1])
     assert sum(sizes[1]) > 30 * sum(sizes[0])
