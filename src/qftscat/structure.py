@@ -419,8 +419,8 @@ def leg_term(j: int, packets, ev: StructureEvaluator, sign: int = 0, weight=None
     if sign and not shell_balance_possible(n, j, sign):
         return 0j
     if n == 3:
-        if sign or pv_multiplier is not None or window_fn is not None:
-            raise ValueError("order 3 takes no shell atom, pv_multiplier or window_fn")
+        if pv_multiplier is not None or window_fn is not None:
+            raise ValueError("order 3 takes no pv_multiplier or window_fn")
         return _order3_pv_term(j, packets, ev, weight)
     pk = packets[j]
     g = reduced_integrand(j, packets, ev, weight=weight)

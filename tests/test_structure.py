@@ -649,6 +649,7 @@ def _dense_reduced_integrand(j, packets, ev, weight=None, cut=True):
         return -1 if l < j else 1
 
     def g3(k0, k1, ugrid=None):
+        assert not cut
         a, b = others
         k0, k1 = np.broadcast_arrays(np.asarray(k0, dtype=float), np.asarray(k1, dtype=float))
         pa, pb, wa, wb, jac, valid = two_body_solutions(-k0, -k1, sign(a), sign(b), m)
@@ -662,7 +663,6 @@ def _dense_reduced_integrand(j, packets, ev, weight=None, cut=True):
             ks[..., j, 0] = k0[..., None]
             ks[..., j, 1] = k1[..., None]
             vals = vals * weight(ks)
-        assert not cut
         dens = 4.0 * wa * wb * np.abs(jac)
         out = np.where(valid, vals / np.where(valid, dens, 1.0), 0.0)
         return out.sum(axis=-1)
@@ -714,7 +714,7 @@ def test_masked_integrand_equals_dense(order, extras, trio, packets4, ev, fam_qu
         # order 3 has no masked integrand: its on-shell sum must equal the
         # dense k-space g3 folded at refined settings, leg by leg, to 1e-9 of
         # the pairing; the weight reads every leg, so each must sit in its
-        # slot. Leg 2's term is about 1e-22 of the pairing, so legs 0 and 1
+        # slot. Leg 2's term is about 1e-22 in size, so legs 0 and 1
         weight = _every_leg_weight if extras == "weight" else None
         got = [leg_term(j, list(trio), ev, weight=weight) for j in (0, 1)]
         want = [_leg_term_oracle(j, list(trio), _FINE, weight=weight) for j in (0, 1)]
@@ -948,17 +948,14 @@ def test_order3_memory_grows_with_nodes_not_their_square(trio, params):
     assert peak < 4 * 2**20, peak
 
 
-def test_order3_rejects_what_it_cannot_take(trio, ev, monkeypatch):
-    # no order-3 shell atom or chi_t window can balance: leg_term has no
-    # order-3 multiplier path and refuses one rather than ignore it
+def test_order3_rejects_what_it_cannot_take(trio, ev):
+    # no order-3 chi_t window can balance: leg_term has no order-3
+    # multiplier path and refuses one rather than ignore it
     packets = list(trio)
     with pytest.raises(ValueError, match="order 3"):
         leg_term(0, packets, ev, pv_multiplier=lambda k: chi_t("in", k, 1.0, ev.params))
     with pytest.raises(ValueError, match="order 3"):
         leg_term(0, packets, ev, window_fn=lambda w: [[-w, w]])
-    monkeypatch.setattr(structure, "shell_balance_possible", lambda n, j, sigma: True)
-    with pytest.raises(ValueError, match="order 3"):
-        leg_term(0, packets, ev, 1)
     with pytest.raises(NotImplementedError, match="n = 4"):
         reduced_integrand(0, packets, ev)
 
