@@ -269,7 +269,7 @@ def reduced_integrand(j: int, packets, ev: StructureEvaluator, weight=None):
     if n != 4:
         raise NotImplementedError("phase-space reduction implemented for n = 4")
     free, b, c = [l for l in range(n) if l != j]  # free leg on the u-grid, solved pair
-    sa = _leg_sign(free, j)
+    sa, sb, sc = (_leg_sign(l, j) for l in (free, b, c))
     m = ev.params.m
 
     def g(k0, k1, ugrid):
@@ -285,19 +285,27 @@ def reduced_integrand(j: int, packets, ev: StructureEvaluator, weight=None):
                                  free=(free, kfree, 2.0 * wu))
         return (out * uw).sum(axis=-1)
 
-    def row_exponent(k1, ugrid):
-        """Least _tail_exponent over all k0 at each k1 and free-leg node: D is
-        a convex quadratic in k0, smallest at k0 = kmin."""
+    def live_interval(k1, ugrid):
+        """(lo, hi) per k1, lo > hi for a dead row: the hull over free-leg nodes u
+        of the k0 where g f_j can be nonzero. Per u (s = sa omega(u), P = -k1 - u)
+        the joint tail bound holds on an interval about kmin and root_possible on
+        a half-line (same-sign pair) or on the interval -s +/- |P| (opposite)."""
         k1, u = np.asarray(k1, dtype=float)[:, None], ugrid[0]
-        s = sa * np.sqrt(u * u + m * m)
+        s, P = sa * np.sqrt(u * u + m * m), -k1 - u
         pj, pb, pc = packets[j], packets[b], packets[c]
         wj2, W2 = pj.width ** 2, pb.width ** 2 + pc.width ** 2
         kmin = (pj.center[0] * W2 - (s + pb.center[0] + pc.center[0]) * wj2) / (wj2 + W2)
-        return _tail_exponent(j, (b, c), packets, -kmin - s, -k1 - u, kmin, k1,
-                              (free, np.stack([s, u], axis=-1))).min(axis=-1)
+        h2 = (TAIL_WIDTHS ** 2 - _tail_exponent(j, (b, c), packets, -kmin - s, P, kmin, k1, (
+            free, np.stack([s, u], axis=-1)))) * (wj2 * W2 / (wj2 + W2))
+        h = np.sign(h2) * np.sqrt(np.abs(h2))  # h < 0, no interval, where kmin is past the tail
+        r = np.sqrt(P * P + 4.0 * m * m) if sb == sc else np.abs(P)
+        ends = ((-np.inf, -s - r), (-s + r, np.inf))[sb < 0] if sb == sc else (-s - r, -s + r)
+        lo, hi = np.maximum(kmin - h, ends[0]), np.minimum(kmin + h, ends[1])
+        live = lo <= hi
+        return np.where(live, lo, np.inf).min(axis=-1), np.where(live, hi, -np.inf).max(axis=-1)
 
     g.free_leg = free
-    g.row_exponent = row_exponent
+    g.live_interval = live_interval
     return g
 
 
@@ -335,8 +343,9 @@ def pv_fold(numer, rows, quad: QuadratureSettings, t_hint: float = 0.0,
     rule, all laid out in one pass. numer maps (N, 2) points (k0, k1) to
     (..., N) values, once per row, on its nodes and poles.
     The window [a, b] holding p (or the nearest) gives the sum of (numer(k0) -
-    numer(p)) / (k0 - p) plus numer(p) ln|(b - p)/(a - p)|; other windows are
-    summed plainly. Per row the result has numer's leading axes, then the pole.
+    numer(p)) / (k0 - p) plus numer(p) ln|(b - p)/(a - p)|, none where numer(p)
+    is 0; other windows are summed plainly. Per row the result has numer's
+    leading axes, then the pole.
     """
     spans, panels = [], []  # per row its windows' ends; (row, window, lo, hi)
     for r, (_, poles, windows) in enumerate(rows):
@@ -362,7 +371,8 @@ def pv_fold(numer, rows, quad: QuadratureSettings, t_hint: float = 0.0,
         table, fp = vals[..., :b - a], vals[..., b - a:]
         near = np.argmin(np.maximum(starts - p[:, None], p[:, None] - stops), axis=-1)
         diff = table[..., None, :] - fp[..., None] * (owner[a:b] == near[:, None])
-        logs = [math.log(abs((stops[i] - x) / (starts[i] - x))) for i, x in zip(near, p)]
+        logs = [math.log(abs((stops[i] - x) / (starts[i] - x))) if np.any(fp[..., k]) else 0.0
+                for k, (i, x) in enumerate(zip(near, p))]
         out[r] = np.sum(w[a:b] * diff / (k0[a:b] - p[:, None]), axis=-1) + fp * np.array(logs)
     return out
 
@@ -406,9 +416,10 @@ def leg_term(j: int, packets, ev: StructureEvaluator, sign: int = 0, weight=None
     sign +/-1 pins k_j to that shell, k0 = sign * omega(k1), with measure
     1/(2 omega); it is 0, with nothing built, where shell_balance_possible
     fails. sign 0 is the principal-value atom: one pv_fold call tabulates
-    the numerator g_j * f_j once per live k1 row, on the packet's k0 support
-    or on the windows window_fn(omega) returns (such as the support of
-    pv_multiplier), and takes both poles +/-omega of a row from its table:
+    g_j * f_j once per k1 row on the packet's k0 support or the windows
+    window_fn(omega) returns (such as pv_multiplier's support), each clipped
+    to the row's live interval (g_j * f_j = 0 outside; a row left with no
+    window folds nothing), and takes both poles +/-omega of a row from its table:
     sum_sigma sigma / (2 omega (k0 - sigma omega)) = 1/(k0^2 - omega^2).
     pv_multiplier may return one row per time, shape (T, N) for N k0 points;
     the term is then T values, on a grid sized by t_hint (the largest time).
@@ -434,12 +445,11 @@ def leg_term(j: int, packets, ev: StructureEvaluator, sign: int = 0, weight=None
         kj = np.stack([k0, k1n], axis=-1)
         return complex(np.sum(k1w * vals * pk(kj) / (2.0 * w)))
     lo0, hi0 = pk.support_interval(0)
-    live = g.row_exponent(k1n, ugrid) <= TAIL_WIDTHS ** 2  # other rows have g f_j = 0
     rows = []
-    for k1 in k1n[live]:
+    for k1, lo, hi in zip(k1n, *g.live_interval(k1n, ugrid)):
         w_sh = float(omega(k1, m))
         windows = [[lo0, hi0]] if window_fn is None else window_fn(w_sh)
-        rows.append((k1, (w_sh, -w_sh), [[max(e[0], lo0), *e[1:-1], min(e[-1], hi0)]
+        rows.append((k1, (w_sh, -w_sh), [[max(e[0], lo, lo0), *e[1:-1], min(e[-1], hi, hi0)]
                                          for e in windows]))
 
     def numer(kj):
@@ -450,7 +460,7 @@ def leg_term(j: int, packets, ev: StructureEvaluator, sign: int = 0, weight=None
 
     folds = pv_fold(numer, rows, ev.quad, t_hint=t_hint, max_panel=PANEL_WIDTHS * pk.width)
     total = 0.0 + 0.0j
-    for (_, (w_sh, _), _), wk, vals in zip(rows, k1w[live], folds):
+    for (_, (w_sh, _), _), wk, vals in zip(rows, k1w, folds):
         total += wk * (vals[..., 0] - vals[..., 1]) / (2.0 * w_sh)
     return total
 
