@@ -297,11 +297,11 @@ def reduced_integrand(j: int, packets, ev: StructureEvaluator, weight=None):
         kmin = (pj.center[0] * W2 - (s + pb.center[0] + pc.center[0]) * wj2) / (wj2 + W2)
         h2 = (TAIL_WIDTHS ** 2 - _tail_exponent(j, (b, c), packets, -kmin - s, P, kmin, k1, (
             free, np.stack([s, u], axis=-1)))) * (wj2 * W2 / (wj2 + W2))
-        h = np.sign(h2) * np.sqrt(np.abs(h2))  # h < 0, no interval, where kmin is past the tail
+        h = np.sqrt(np.maximum(h2, 0.0))
         r = np.sqrt(P * P + 4.0 * m * m) if sb == sc else np.abs(P)
         ends = ((-np.inf, -s - r), (-s + r, np.inf))[sb < 0] if sb == sc else (-s - r, -s + r)
         lo, hi = np.maximum(kmin - h, ends[0]), np.minimum(kmin + h, ends[1])
-        live = lo <= hi
+        live = (h2 >= 0) & (lo <= hi)
         return np.where(live, lo, np.inf).min(axis=-1), np.where(live, hi, -np.inf).max(axis=-1)
 
     g.free_leg = free
