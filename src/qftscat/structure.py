@@ -343,9 +343,8 @@ def pv_fold(numer, rows, quad: QuadratureSettings, t_hint: float = 0.0,
     rule, all laid out in one pass. numer maps (N, 2) points (k0, k1) to
     (..., N) values, once per row, on its nodes and poles.
     The window [a, b] holding p (or the nearest) gives the sum of (numer(k0) -
-    numer(p)) / (k0 - p) plus numer(p) ln|(b - p)/(a - p)|, none where numer(p)
-    is 0; other windows are summed plainly. Per row the result has numer's
-    leading axes, then the pole.
+    numer(p)) / (k0 - p) plus numer(p) ln|(b - p)/(a - p)| if numer(p) != 0;
+    other windows are summed plainly. Per row: numer's leading axes, then pole.
     """
     spans, panels = [], []  # per row its windows' ends; (row, window, lo, hi)
     for r, (_, poles, windows) in enumerate(rows):
@@ -371,8 +370,8 @@ def pv_fold(numer, rows, quad: QuadratureSettings, t_hint: float = 0.0,
         table, fp = vals[..., :b - a], vals[..., b - a:]
         near = np.argmin(np.maximum(starts - p[:, None], p[:, None] - stops), axis=-1)
         diff = table[..., None, :] - fp[..., None] * (owner[a:b] == near[:, None])
-        logs = [math.log(abs((stops[i] - x) / (starts[i] - x))) if np.any(fp[..., k]) else 0.0
-                for k, (i, x) in enumerate(zip(near, p))]
+        logs = [math.log(abs((stops[i] - x) / (starts[i] - x))) if nz else 0.0 for i, x, nz in
+                zip(near, p, np.any(fp.reshape(-1, len(p)), axis=0))]
         out[r] = np.sum(w[a:b] * diff / (k0[a:b] - p[:, None]), axis=-1) + fp * np.array(logs)
     return out
 
@@ -416,10 +415,9 @@ def leg_term(j: int, packets, ev: StructureEvaluator, sign: int = 0, weight=None
     sign +/-1 pins k_j to that shell, k0 = sign * omega(k1), with measure
     1/(2 omega); it is 0, with nothing built, where shell_balance_possible
     fails. sign 0 is the principal-value atom: one pv_fold call tabulates
-    g_j * f_j once per k1 row on the packet's k0 support or the windows
-    window_fn(omega) returns (such as pv_multiplier's support), each clipped
-    to the row's live interval (g_j * f_j = 0 outside; a row left with no
-    window folds nothing), and takes both poles +/-omega of a row from its table:
+    g_j * f_j once per live k1 row on the packet's k0 support or the windows
+    window_fn(omega) returns (such as pv_multiplier's support), each clipped to
+    the row's live interval, and takes both poles +/-omega of a row from its table:
     sum_sigma sigma / (2 omega (k0 - sigma omega)) = 1/(k0^2 - omega^2).
     pv_multiplier may return one row per time, shape (T, N) for N k0 points;
     the term is then T values, on a grid sized by t_hint (the largest time).
@@ -445,12 +443,14 @@ def leg_term(j: int, packets, ev: StructureEvaluator, sign: int = 0, weight=None
         kj = np.stack([k0, k1n], axis=-1)
         return complex(np.sum(k1w * vals * pk(kj) / (2.0 * w)))
     lo0, hi0 = pk.support_interval(0)
-    rows = []
-    for k1, lo, hi in zip(k1n, *g.live_interval(k1n, ugrid)):
+    rows, weights = [], []
+    for k1, wk, lo, hi in zip(k1n, k1w, *g.live_interval(k1n, ugrid)):
         w_sh = float(omega(k1, m))
-        windows = [[lo0, hi0]] if window_fn is None else window_fn(w_sh)
-        rows.append((k1, (w_sh, -w_sh), [[max(e[0], lo, lo0), *e[1:-1], min(e[-1], hi, hi0)]
-                                         for e in windows]))
+        windows = [[max(e[0], lo, lo0), *e[1:-1], min(e[-1], hi, hi0)]  # g f_j = 0 outside
+                   for e in ([[lo0, hi0]] if window_fn is None else window_fn(w_sh))]
+        if any(e[-1] > e[0] for e in windows):
+            rows.append((k1, (w_sh, -w_sh), windows))
+            weights.append(wk)
 
     def numer(kj):
         # a fixed operand order: numpy may evaluate `v * x` as `x * v` in
@@ -460,7 +460,7 @@ def leg_term(j: int, packets, ev: StructureEvaluator, sign: int = 0, weight=None
 
     folds = pv_fold(numer, rows, ev.quad, t_hint=t_hint, max_panel=PANEL_WIDTHS * pk.width)
     total = 0.0 + 0.0j
-    for (_, (w_sh, _), _), wk, vals in zip(rows, k1w, folds):
+    for (_, (w_sh, _), _), wk, vals in zip(rows, weights, folds):
         total += wk * (vals[..., 0] - vals[..., 1]) / (2.0 * w_sh)
     return total
 
