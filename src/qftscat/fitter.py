@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kinematics import NumericalError, invariant_map, invariant_names, multi_indices
-from .polymath import Poly
+from .polymath import Poly, monomial, powers
 from .structure import complete_configurations, shell_signs
 from .transfer import TransferFamily, TransferPolynomial, require_valid, symmetrize_realify
 
@@ -152,12 +152,9 @@ def _affine_coordinates(q) -> list:
 
 def _basis_matrix(qs, exps_list):
     A = np.empty((qs.shape[0], len(exps_list)))
+    pw = powers(qs, exps_list)
     for c, exps in enumerate(exps_list):
-        col = np.ones(qs.shape[0])
-        for i, e in enumerate(exps):
-            if e:
-                col = col * qs[:, i] ** e
-        A[:, c] = col
+        A[:, c] = monomial(pw, exps, np.ones(qs.shape[0]))
     return A
 
 

@@ -208,7 +208,9 @@ def schwartz_norm_1leg(packet: WavePacket, K: int, L: int) -> float:
     per axis; the sup on the grid's edge must stay below 1e-3 of it.
 
     D^beta f = P_beta G exp(-i a.k) with a real phase a, so the weighted
-    modulus is E |P_beta| with one envelope E = (1+|k|^2)^{L/2} G for all beta."""
+    modulus is E |P_beta| with one envelope E = (1+|k|^2)^{L/2} G for all beta.
+    Each D^beta is one derivative of a lower one; after each beta's grid scan,
+    six zoom levels refine every beta's argmax at once."""
     if K < 0 or L < 0:
         raise ValueError("K, L must be nonnegative")
     d = packet.dim
@@ -218,7 +220,9 @@ def schwartz_norm_1leg(packet: WavePacket, K: int, L: int) -> float:
     axes = [np.linspace(-reach, reach, 241)] * d
 
     def envelope(grid):
-        cols = [x.reshape((-1,) + (1,) * (d - 1 - i)) for i, x in enumerate(grid)]
+        # one (..., n) array per axis; the leading axes are kept in front
+        lead = grid[0].shape[:-1]
+        cols = [x.reshape(lead + (1,) * i + (-1,) + (1,) * (d - 1 - i)) for i, x in enumerate(grid)]
         k2 = functools.reduce(np.add, (x**2 for x in cols))
         r2 = functools.reduce(np.add, ((x - c) ** 2 for x, c in zip(cols, packet.center)))
         return (1.0 + k2) ** (L / 2.0) * np.exp(-r2 / (2 * packet.width**2))
@@ -227,27 +231,31 @@ def schwartz_norm_1leg(packet: WavePacket, K: int, L: int) -> float:
     edge = np.ones(env.shape, dtype=bool)
     edge[(slice(1, -1),) * d] = False
 
-    best = 0.0
+    derivs, local, center = {}, [], []
     boundary_max = 0.0
     for beta in multi_indices(d, K):
-        g = packet
-        for axis, order in enumerate(beta):
-            for _ in range(order):
-                g = g.derivative(axis)
+        # D^beta = d/dk_axis D^(beta - e_axis) on its last nonzero axis: the
+        # derivatives run in the order axis 0 first, as from f each time
+        axis = max((i for i, b in enumerate(beta) if b), default=-1)
+        g = derivs[beta] = packet if axis < 0 else \
+            derivs[beta[:axis] + (beta[axis] - 1,) + beta[axis + 1:]].derivative(axis)
         vals = env * np.abs(g.poly.on_grid(axes))
-        local = float(vals.max())
-        # zoom around the grid argmax so the sup is not limited by the mesh pitch
-        center = [x[i] for x, i in zip(axes, np.unravel_index(np.argmax(vals), vals.shape))]
-        h = 2.0 * reach / 240
-        for _ in range(6):
-            zoom_axes = [np.linspace(c - 2 * h, c + 2 * h, 17) for c in center]
-            zv = envelope(zoom_axes) * np.abs(g.poly.on_grid(zoom_axes))
-            zi = np.unravel_index(np.argmax(zv), zv.shape)
-            center = [x[i] for x, i in zip(zoom_axes, zi)]
-            local = max(local, float(zv.max()))
-            h /= 4.0
-        best = max(best, local)
+        local.append(float(vals.max()))
+        center.append([x[i] for x, i in zip(axes, np.unravel_index(np.argmax(vals), vals.shape))])
         boundary_max = max(boundary_max, float(vals[edge].max()))
+    # zoom around each grid argmax so the sup is not limited by the mesh pitch
+    polys = [g.poly for g in derivs.values()]
+    local, center = np.array(local), np.array(center)
+    h = 2.0 * reach / 240
+    for _ in range(6):
+        zoom = np.linspace(center - 2 * h, center + 2 * h, 17, axis=-1)  # (beta, axis, 17)
+        zaxes = list(zoom.swapaxes(0, 1))
+        zv = (envelope(zaxes) * np.abs(Poly.on_grids(polys, zaxes))).reshape(len(polys), -1)
+        at = np.unravel_index(np.argmax(zv, axis=1), (17,) * d)
+        center = np.stack([x[np.arange(len(polys)), i] for x, i in zip(zaxes, at)], axis=-1)
+        local = np.maximum(local, zv.max(axis=1))
+        h /= 4.0
+    best = float(local.max())
     if best > 0 and boundary_max > 1e-3 * best:
         raise NumericalError(
             f"schwartz_norm grid too small: boundary {boundary_max:.3e} vs max {best:.3e}"

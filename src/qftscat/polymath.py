@@ -5,7 +5,20 @@ Gaussian x polynomial) and as the backing store of transfer polynomials.
 """
 from __future__ import annotations
 
+import functools
+
 import numpy as np
+
+
+def powers(x, exps_list) -> dict:
+    """x[..., i] ** e for each distinct (i, e), e > 0, of the exponent tuples."""
+    need = {(i, e) for exps in exps_list for i, e in enumerate(exps) if e}
+    return {(i, e): x[..., i] ** e for i, e in need}
+
+
+def monomial(pw, exps, start):
+    """start * x_i^e * ... over the nonzero exponents in variable order, from powers' table."""
+    return functools.reduce(np.multiply, (pw[i, e] for i, e in enumerate(exps) if e), start)
 
 
 class Poly:
@@ -35,28 +48,44 @@ class Poly:
         return cls(nvars, {tuple(exps): c})
 
     def __call__(self, x):
-        """Evaluate at x with shape (..., nvars)."""
+        """Evaluate at x with shape (..., nvars), each power x_i^e taken once."""
         x = np.asarray(x)
         out = np.zeros(x.shape[:-1], dtype=complex)
+        pw = powers(x, self.terms)
         for exps, c in self.terms.items():
-            term = np.full(x.shape[:-1], c, dtype=complex)
-            for i, e in enumerate(exps):
-                if e:
-                    term = term * x[..., i] ** e
-            out += term
+            out += monomial(pw, exps, np.full(x.shape[:-1], c, dtype=complex))
         return out
 
     def on_grid(self, axes):
-        """Values on the tensor grid of the 1-D arrays axes, shape (len(axes[0]), ...):
-        the coefficient array contracted with one power table per axis."""
+        """Values on the tensor grid of the 1-D arrays axes, shape (len(axes[0]), ...)."""
         if len(axes) != self.nvars:
             raise ValueError("need one axis per variable")
-        exps = np.array(list(self.terms) or [(0,) * self.nvars], dtype=int)
-        out = np.zeros(tuple(exps.max(axis=0) + 1), dtype=complex)
-        for e, c in self.terms.items():
-            out[e] = c
-        for x, top in zip(axes, out.shape):
-            out = np.tensordot(out, np.asarray(x)[:, None] ** np.arange(top), axes=([0], [1]))
+        return Poly.on_grids([self], [np.asarray(x)[None] for x in axes])[0]
+
+    @staticmethod
+    def on_grids(polys, axes):
+        """Values of each polys[b] on the tensor grid of row b of the (B, n_i) arrays axes,
+        shape (B, n_0, ...): the zero-padded coefficient arrays contracted with one power
+        table per axis by a batched matmul, whose gemm sums over the power index in order,
+        so the padding adds exact zeros and each row is that of its polynomial alone."""
+        exps = [e for p in polys for e in p.terms] or [(0,) * len(axes)]
+        coef = np.zeros((len(polys), *np.max(exps, axis=0) + 1), dtype=complex)
+        for b, p in enumerate(polys):
+            for e, c in p.terms.items():
+                coef[(b, *e)] = c
+        out = coef
+        for x in axes:
+            lhs, top = np.moveaxis(out, 1, -1), out.shape[1]
+            table = (x[..., None] ** np.arange(top)).transpose(0, 2, 1)
+            out = (lhs.reshape(len(polys), -1, top) @ table).reshape(lhs.shape[:-1] + (-1,))
+        for b, p in enumerate(polys):
+            # one row in the first contraction: its matrix-vector product sums in another
+            # order, bitwise numpy's dot of the power table and the coefficients
+            if any(e[0] for e in p.terms) and not any(any(e[1:]) for e in p.terms):
+                top = 1 + max(e[0] for e in p.terms)
+                zeros = (0,) * (len(axes) - 1)
+                row = (axes[0][b][:, None] ** np.arange(top)) @ coef[(b, slice(top)) + zeros]
+                out[b] = row.reshape((-1,) + (1,) * len(zeros))
         return out
 
     def __add__(self, other: "Poly") -> "Poly":

@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .kinematics import TAIL_WIDTHS, ModelParams, gauss_panels, omega
+from .kinematics import TAIL_WIDTHS, ModelParams, NumericalError, gauss_panels, omega
 
 
 @dataclass(frozen=True)
@@ -332,6 +332,14 @@ def oscillation_edges(lo, hi, t, nodes, quad: QuadratureSettings, max_panel=math
                     axis=-1), panel
 
 
+def _pv_log(a, b, p):
+    """ln|(b - p)/(a - p)|, the PV integral of 1/(k0 - p) over [a, b]; infinite with p on an end."""
+    if p in (a, b):
+        raise NumericalError(f"pv_fold: pole {p} on an end of the window [{a}, {b}] "
+                             "where the numerator is nonzero")
+    return math.log(abs((b - p) / (a - p)))
+
+
 def pv_fold(numer, rows, quad: QuadratureSettings, t_hint: float = 0.0,
             max_panel: float = math.inf):
     """PV integrals over k0 of numer(k0, k1)/(k0 - p), one per row (k1, poles,
@@ -370,7 +378,7 @@ def pv_fold(numer, rows, quad: QuadratureSettings, t_hint: float = 0.0,
         table, fp = vals[..., :b - a], vals[..., b - a:]
         near = np.argmin(np.maximum(starts - p[:, None], p[:, None] - stops), axis=-1)
         diff = table[..., None, :] - fp[..., None] * (owner[a:b] == near[:, None])
-        logs = [math.log(abs((stops[i] - x) / (starts[i] - x))) if nz else 0.0 for i, x, nz in
+        logs = [_pv_log(starts[i], stops[i], x) if nz else 0.0 for i, x, nz in
                 zip(near, p, np.any(fp.reshape(-1, len(p)), axis=0))]
         out[r] = np.sum(w[a:b] * diff / (k0[a:b] - p[:, None]), axis=-1) + fp * np.array(logs)
     return out
