@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kinematics import NumericalError, invariant_map, invariant_names, multi_indices
-from .polymath import Poly, monomial, powers
+from .polymath import Poly, monomials
 from .structure import complete_configurations, shell_signs
 from .transfer import TransferFamily, TransferPolynomial, require_valid, symmetrize_realify
 
@@ -152,9 +152,8 @@ def _affine_coordinates(q) -> list:
 
 def _basis_matrix(qs, exps_list):
     A = np.empty((qs.shape[0], len(exps_list)))
-    pw = powers(qs, exps_list)
-    for c, exps in enumerate(exps_list):
-        A[:, c] = monomial(pw, exps, np.ones(qs.shape[0]))
+    for c, col in enumerate(monomials(qs, exps_list, itertools.repeat(np.ones(qs.shape[0])))):
+        A[:, c] = col
     return A
 
 

@@ -220,9 +220,9 @@ def schwartz_norm_1leg(packet: WavePacket, K: int, L: int) -> float:
     axes = [np.linspace(-reach, reach, 241)] * d
 
     def envelope(grid):
-        # one (..., n) array per axis; the leading axes are kept in front
-        lead = grid[0].shape[:-1]
-        cols = [x.reshape(lead + (1,) * i + (-1,) + (1,) * (d - 1 - i)) for i, x in enumerate(grid)]
+        # one (..., n) array per axis, its leading (batch) axes kept in front
+        cols = [x.reshape(x.shape[:-1] + (1,) * i + (-1,) + (1,) * (d - 1 - i))
+                for i, x in enumerate(grid)]
         k2 = functools.reduce(np.add, (x**2 for x in cols))
         r2 = functools.reduce(np.add, ((x - c) ** 2 for x, c in zip(cols, packet.center)))
         return (1.0 + k2) ** (L / 2.0) * np.exp(-r2 / (2 * packet.width**2))

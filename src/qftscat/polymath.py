@@ -5,20 +5,20 @@ Gaussian x polynomial) and as the backing store of transfer polynomials.
 """
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 
-def powers(x, exps_list) -> dict:
-    """x[..., i] ** e for each distinct (i, e), e > 0, of the exponent tuples."""
-    need = {(i, e) for exps in exps_list for i, e in enumerate(exps) if e}
-    return {(i, e): x[..., i] ** e for i, e in need}
-
-
-def monomial(pw, exps, start):
-    """start * x_i^e * ... over the nonzero exponents in variable order, from powers' table."""
-    return functools.reduce(np.multiply, (pw[i, e] for i, e in enumerate(exps) if e), start)
+def monomials(x, exps_list, starts):
+    """starts[t] * x_i^e * ... for each exponent tuple t, in variable order, each
+    power x_i^e taken once per call and reused by every term that has it."""
+    pw = {}
+    for exps, term in zip(exps_list, starts):
+        for i, e in enumerate(exps):
+            if e:
+                if (i, e) not in pw:
+                    pw[i, e] = x[..., i] ** e
+                term = term * pw[i, e]
+        yield term
 
 
 class Poly:
@@ -51,9 +51,9 @@ class Poly:
         """Evaluate at x with shape (..., nvars), each power x_i^e taken once."""
         x = np.asarray(x)
         out = np.zeros(x.shape[:-1], dtype=complex)
-        pw = powers(x, self.terms)
-        for exps, c in self.terms.items():
-            out += monomial(pw, exps, np.full(x.shape[:-1], c, dtype=complex))
+        starts = (np.full(x.shape[:-1], c, dtype=complex) for c in self.terms.values())
+        for term in monomials(x, self.terms, starts):
+            out += term
         return out
 
     def on_grid(self, axes):

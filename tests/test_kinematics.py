@@ -1,4 +1,5 @@
 """Geometry, cutoffs, packets and Schwartz norms."""
+import functools
 import math
 
 import numpy as np
@@ -251,11 +252,135 @@ def test_poly_on_grid_matches_pointwise_call(d):
         p.on_grid(axes[:-1] + [axes[0], axes[0]])
 
 
+def _tensordot_on_grid(poly, axes):
+    """Poly.on_grid as it was before it became one row of Poly.on_grids: the
+    coefficient array contracted with one power table per axis by tensordot."""
+    exps = np.array(list(poly.terms) or [(0,) * poly.nvars], dtype=int)
+    out = np.zeros(tuple(exps.max(axis=0) + 1), dtype=complex)
+    for e, c in poly.terms.items():
+        out[e] = c
+    for x, top in zip(axes, out.shape):
+        out = np.tensordot(out, np.asarray(x)[:, None] ** np.arange(top), axes=([0], [1]))
+    return out
+
+
+def _per_beta_norm_1leg(packet, K, L):
+    """schwartz_norm_1leg as it was before the zoom was batched, kept as its
+    bitwise reference: every beta rebuilds D^beta from f, axis 0 first, and
+    zooms on its own."""
+    d = packet.dim
+    reach = max(abs(packet.center).max() if d else 0.0, 0.0) + 12.0 * packet.width
+    reach += packet.width * math.sqrt(max(L, 1))
+    axes = [np.linspace(-reach, reach, 241)] * d
+
+    def envelope(grid):
+        cols = [x.reshape((-1,) + (1,) * (d - 1 - i)) for i, x in enumerate(grid)]
+        k2 = functools.reduce(np.add, (x**2 for x in cols))
+        r2 = functools.reduce(np.add, ((x - c) ** 2 for x, c in zip(cols, packet.center)))
+        return (1.0 + k2) ** (L / 2.0) * np.exp(-r2 / (2 * packet.width**2))
+
+    env = envelope(axes)
+    edge = np.ones(env.shape, dtype=bool)
+    edge[(slice(1, -1),) * d] = False
+    best = 0.0
+    boundary_max = 0.0
+    for beta in multi_indices(d, K):
+        g = packet
+        for axis, order in enumerate(beta):
+            for _ in range(order):
+                g = g.derivative(axis)
+        vals = env * np.abs(_tensordot_on_grid(g.poly, axes))
+        local = float(vals.max())
+        center = [x[i] for x, i in zip(axes, np.unravel_index(np.argmax(vals), vals.shape))]
+        h = 2.0 * reach / 240
+        for _ in range(6):
+            zoom_axes = [np.linspace(c - 2 * h, c + 2 * h, 17) for c in center]
+            zv = envelope(zoom_axes) * np.abs(_tensordot_on_grid(g.poly, zoom_axes))
+            zi = np.unravel_index(np.argmax(zv), zv.shape)
+            center = [x[i] for x, i in zip(zoom_axes, zi)]
+            local = max(local, float(zv.max()))
+            h /= 4.0
+        best = max(best, local)
+        boundary_max = max(boundary_max, float(vals[edge].max()))
+    if best > 0 and boundary_max > 1e-3 * best:
+        raise NumericalError(
+            f"schwartz_norm grid too small: boundary {boundary_max:.3e} vs max {best:.3e}"
+        )
+    return best
+
+
+def _bitwise_packets(d, rng):
+    """A Gaussian, its derivative, a random polynomial with a phase, and a
+    translated (phased) derivative of a polynomial packet."""
+    center = rng.normal(scale=0.8, size=d)
+    plain = WavePacket(center=center, width=float(rng.uniform(0.3, 0.6)))
+    poly = _random_packet(rng, d, phase=False)
+    return {"gaussian": plain, "derivative": plain.derivative(d - 1),
+            "phased": _random_packet(rng, d, phase=True),
+            "translated": WavePacket(poly.center, poly.width, poly.poly,
+                                     phase=rng.normal(scale=3.0, size=d)).derivative(0)}
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("kind", ["gaussian", "derivative", "phased", "translated"])
+def test_schwartz_norm_bitwise_equals_per_beta_loop(d, kind):
+    pk = _bitwise_packets(d, np.random.default_rng(100 * d))[kind]
+    for K in range(4):
+        for L in range(4):
+            assert schwartz_norm_1leg(pk, K, L) == _per_beta_norm_1leg(pk, K, L), (K, L)
+
+
+def test_schwartz_norm_bitwise_in_three_dimensions():
+    # one case: each 241^3 grid scan holds a few 220 MB arrays
+    pk = _bitwise_packets(3, np.random.default_rng(300))["translated"]
+    assert schwartz_norm_1leg(pk, 1, 1) == _per_beta_norm_1leg(pk, 1, 1)
+
+
+@pytest.mark.parametrize("d, K", [(1, 3), (2, 3)])
+def test_schwartz_norm_takes_one_derivative_per_beta(d, K, monkeypatch):
+    calls = []
+    derivative = WavePacket.derivative
+
+    def counted(self, axis):
+        calls.append(axis)
+        return derivative(self, axis)
+
+    monkeypatch.setattr(WavePacket, "derivative", counted)
+    schwartz_norm_1leg(WavePacket(center=np.full(d, 0.4), width=0.5), K, 2)
+    assert len(calls) == len(list(multi_indices(d, K))) - 1
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_on_grids_rows_bitwise_equal_tensordot_on_grid(d):
+    """Padded batches mixing polynomials of the first variable alone (a
+    matrix-vector product in tensordot), constants, the zero polynomial and
+    full ones; on_grid is the batch of one."""
+    rng = np.random.default_rng(40 + d)
+    polys = [Poly(d), Poly.constant(d, 2 - 1j)]
+    for nterms in (2, 3, 5, 7):
+        polys.append(Poly(d, {(int(e),) + (0,) * (d - 1): complex(*rng.normal(size=2))
+                              for e in rng.integers(0, 6, size=nterms)}))
+        polys.append(Poly(d, {tuple(int(e) for e in rng.integers(0, 5, size=d)):
+                              complex(*rng.normal(size=2)) for _ in range(nterms)}))
+    for n in (17, 241 if d < 3 else 31):
+        axes = [rng.normal(size=(len(polys), 1)) + rng.uniform(0.1, 3, size=(len(polys), 1))
+                * np.linspace(-1, 1, n) for _ in range(d)]
+        batch = Poly.on_grids(polys, axes)
+        for b, p in enumerate(polys):
+            rows = [x[b] for x in axes]
+            assert np.array_equal(batch[b], _tensordot_on_grid(p, rows))
+            assert np.array_equal(p.on_grid(rows), _tensordot_on_grid(p, rows))
+
+
 def test_schwartz_norm_grid_check_raises():
     # x^120 peaks at |x| = sqrt(120) * 0.3, past the grid's 12 widths
     pk = WavePacket(center=np.array([0.0]), width=0.3, poly=Poly(1, {(120,): 1.0}))
-    with pytest.raises(NumericalError, match="grid too small"):
+    with pytest.raises(NumericalError) as new:
         schwartz_norm_1leg(pk, 2, 2)
+    with pytest.raises(NumericalError) as old:
+        _per_beta_norm_1leg(pk, 2, 2)
+    assert str(new.value) == str(old.value)
+    assert str(new.value).startswith("schwartz_norm grid too small: boundary ")
 
 
 def test_gauss_legendre_exactness():

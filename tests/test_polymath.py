@@ -63,3 +63,64 @@ def test_equality():
     p = Poly(2, {(2, 0): 1.5}) + Poly.constant(2, 1.0)
     q = Poly.constant(2, 1.0) + Poly(2, {(2, 0): 1.5})
     assert p == q
+
+
+def _term_by_term(p, x):
+    """Poly.__call__ as it was before powers were shared: every term takes its
+    own powers, full(c) * x_i^e * ... in variable order, then out += term."""
+    x = np.asarray(x)
+    out = np.zeros(x.shape[:-1], dtype=complex)
+    for exps, c in p.terms.items():
+        term = np.full(x.shape[:-1], c, dtype=complex)
+        for i, e in enumerate(exps):
+            if e:
+                term = term * x[..., i] ** e
+        out += term
+    return out
+
+
+def _repeated_powers_poly():
+    """Ten variables, 40 terms drawing exponents from {0, 1, 2, 3}, so most
+    powers x_i^e appear in several terms."""
+    rng = np.random.default_rng(24)
+    terms = {tuple(int(e) for e in rng.integers(0, 4, size=10) * (rng.random(10) < 0.4)):
+             complex(*rng.normal(size=2)) for _ in range(40)}
+    return Poly(10, terms)
+
+
+@pytest.mark.parametrize("which", ["repeated", "sparse_M4", "constant", "empty"])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_call_bitwise_equals_term_by_term(which, kind, fam_quad):
+    p = {"repeated": _repeated_powers_poly(), "sparse_M4": fam_quad.member(4).poly,
+         "constant": Poly.constant(10, 0.5 - 2j), "empty": Poly(10)}[which]
+    rng = np.random.default_rng(5)
+    x = rng.normal(scale=1.5, size=(7, 33, 10))
+    if kind == "complex":
+        x = x + 1j * rng.normal(size=x.shape)
+    assert np.array_equal(p(x), _term_by_term(p, x))
+    assert np.array_equal(p(x[0, 0]), _term_by_term(p, x[0, 0]))
+
+
+def test_sparse_M4_shares_its_powers(fam_quad):
+    p = fam_quad.member(4).poly
+    assert len(p.terms) == 6 and all(sorted(e) == [0] * 9 + [2] for e in p.terms)
+    p2 = _repeated_powers_poly()
+    needed = {(i, e) for exps in p2.terms for i, e in enumerate(exps) if e}
+    assert len(needed) < sum(1 for exps in p2.terms for e in exps if e)
+
+
+def test_basis_matrix_bitwise_equals_per_column():
+    from qftscat.fitter import _basis_matrix
+
+    rng = np.random.default_rng(6)
+    qs = rng.normal(size=(50, 4))
+    exps_list = [tuple(int(e) for e in row) for row in rng.integers(0, 4, size=(30, 4))]
+    exps_list = [(0, 0, 0, 0)] + exps_list
+    reference = np.empty((50, len(exps_list)))
+    for c, exps in enumerate(exps_list):
+        col = np.ones(50)
+        for i, e in enumerate(exps):
+            if e:
+                col = col * qs[:, i] ** e
+        reference[:, c] = col
+    assert np.array_equal(_basis_matrix(qs, exps_list), reference)

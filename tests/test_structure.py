@@ -278,6 +278,15 @@ def test_pv_fold_zero_numerator_at_a_window_end_adds_no_log():
     assert np.max(np.abs(vals - [-2.0, 2.0])) < 1e-13
 
 
+@pytest.mark.parametrize("pole", [1.0, 3.0])
+def test_pv_fold_pole_on_a_window_end_with_nonzero_numerator_is_a_numerical_error(pole):
+    # the PV integral diverges there; at the parent the start end returned
+    # inf with a RuntimeWarning and the stop end raised math's ValueError
+    with pytest.raises(kinematics.NumericalError, match=rf"pole {pole} on an end of the "
+                       r"window \[1\.0, 3\.0\] where the numerator is nonzero"):
+        pv_fold(lambda kj: 1 + 0 * kj[:, 0], [(0.0, (pole,), [[1.0, 3.0]])], QuadratureSettings())
+
+
 def test_pv_fold_vs_cauchy_weight_oracle():
     quad = QuadratureSettings()
     a, b = -2.6, 3.4
