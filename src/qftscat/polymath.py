@@ -5,19 +5,24 @@ Gaussian x polynomial) and as the backing store of transfer polynomials.
 """
 from __future__ import annotations
 
+import collections
+
 import numpy as np
 
 
 def monomials(x, exps_list, starts):
-    """starts[t] * x_i^e * ... for each exponent tuple t, in variable order, each
-    power x_i^e taken once per call and reused by every term that has it."""
+    """starts[t] * x_i^e * ... for each exponent tuple t, in variable order; each
+    power x_i^e is taken once per call and kept until the last term that has it."""
+    left = collections.Counter((i, e) for exps in exps_list for i, e in enumerate(exps) if e)
     pw = {}
     for exps, term in zip(exps_list, starts):
         for i, e in enumerate(exps):
             if e:
-                if (i, e) not in pw:
-                    pw[i, e] = x[..., i] ** e
-                term = term * pw[i, e]
+                left[i, e] -= 1
+                p = pw.pop((i, e)) if (i, e) in pw else x[..., i] ** e
+                if left[i, e]:
+                    pw[i, e] = p
+                term = term * p
         yield term
 
 
