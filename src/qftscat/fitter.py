@@ -152,7 +152,7 @@ def _affine_coordinates(q) -> list:
 
 def _basis_matrix(qs, exps_list):
     A = np.empty((qs.shape[0], len(exps_list)))
-    for c, col in enumerate(monomials(qs, exps_list, itertools.repeat(np.ones(qs.shape[0])))):
+    for c, col in enumerate(monomials(qs, [(exps, 1.0) for exps in exps_list], float)):
         A[:, c] = col
     return A
 

@@ -5,17 +5,20 @@ Gaussian x polynomial) and as the backing store of transfer polynomials.
 """
 from __future__ import annotations
 
-import collections
-
 import numpy as np
 
 
-def monomials(x, exps_list, starts):
-    """starts[t] * x_i^e * ... for each exponent tuple t, in variable order; each
-    power x_i^e is taken once per call and kept until the last term that has it."""
-    left = collections.Counter((i, e) for exps in exps_list for i, e in enumerate(exps) if e)
+def monomials(x, terms, dtype):
+    """full(c) * x_i^e * ... for each (exponent tuple, c) of the re-iterable terms, in
+    variable order; each power x_i^e is taken once and kept until its last term."""
+    left = {}
+    for exps, _ in terms:
+        for i, e in enumerate(exps):
+            if e:
+                left[i, e] = left.get((i, e), 0) + 1
     pw = {}
-    for exps, term in zip(exps_list, starts):
+    for exps, c in terms:
+        term = np.full(x.shape[:-1], c, dtype=dtype)
         for i, e in enumerate(exps):
             if e:
                 left[i, e] -= 1
@@ -56,8 +59,7 @@ class Poly:
         """Evaluate at x with shape (..., nvars), each power x_i^e taken once."""
         x = np.asarray(x)
         out = np.zeros(x.shape[:-1], dtype=complex)
-        starts = (np.full(x.shape[:-1], c, dtype=complex) for c in self.terms.values())
-        for term in monomials(x, self.terms, starts):
+        for term in monomials(x, self.terms.items(), complex):
             out += term
         return out
 
