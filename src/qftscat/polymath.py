@@ -86,8 +86,8 @@ class Poly:
             table = (x[..., None] ** np.arange(top)).transpose(0, 2, 1)
             out = (lhs.reshape(len(polys), -1, top) @ table).reshape(lhs.shape[:-1] + (-1,))
         for b, p in enumerate(polys):
-            # one row in the first contraction: its matrix-vector product sums in another
-            # order, bitwise numpy's dot of the power table and the coefficients
+            # a polynomial in the first variable alone has one row in the first contraction,
+            # where numpy's dot takes a matrix-vector product that sums in another order
             if any(e[0] for e in p.terms) and not any(any(e[1:]) for e in p.terms):
                 top = 1 + max(e[0] for e in p.terms)
                 zeros = (0,) * (len(axes) - 1)
