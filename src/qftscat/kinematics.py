@@ -51,7 +51,9 @@ def minkowski_dot(x, y):
     y = np.asarray(y)
     if x.shape[-1] != y.shape[-1]:
         raise ValueError("dimension mismatch")
-    return x[..., 0] * y[..., 0] - np.sum(x[..., 1:] * y[..., 1:], axis=-1)
+    spatial = [x[..., i] * y[..., i] for i in range(1, x.shape[-1])]  # np.sum's order, d < 8
+    time = x[..., 0] * y[..., 0]
+    return time - functools.reduce(np.add, spatial) if spatial else time
 
 
 def minkowski_sq(x):
@@ -154,9 +156,10 @@ class WavePacket:
 
     def __call__(self, k):
         k = np.asarray(k, dtype=float)
-        sq = (k - self.center) ** 2
-        # added in order, as np.sum(sq, axis=-1) does for d < 8, minus its per-row cost
-        r2 = functools.reduce(np.add, (sq[..., i] for i in range(self.dim)))
+        if k.shape[-1:] != (self.dim,):
+            raise ValueError(f"points of shape {k.shape} for a packet of dimension {self.dim}")
+        # one square per axis, added in order as np.sum over the last axis does for d < 8
+        r2 = functools.reduce(np.add, ((k[..., i] - c) ** 2 for i, c in enumerate(self.center)))
         gauss = np.exp(-r2 / (2 * self.width**2))
         val = self.poly(k) * gauss
         if self.phase is not None:

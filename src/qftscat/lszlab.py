@@ -30,7 +30,7 @@ def chi_t(label: str, k, t, params: ModelParams):
     if label not in (IN, OUT):
         raise ValueError(f"unknown leg label {label!r}")
     t = t.reshape(t.shape + (1,) * (k.ndim - 1))
-    w = omega(k[..., 1:], params.m)
+    w = np.sqrt(k[..., 1] ** 2 + params.m**2)  # omega(k_vec) in d = 2
     sdir = -1.0 if label == IN else 1.0
     # the sign of k^0 picks the one shell window that can hold k, so each
     # point needs one phase; adding to +0 keeps the signed zeros of the sum

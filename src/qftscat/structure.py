@@ -114,28 +114,37 @@ def two_body_solutions(E, P, sa, sb, mass):
     one: sb*(omega(P - p_a) - omega(p_a)) = E has the sign of -sb*P*(p_a - P/2).
     """
     E, P = np.broadcast_arrays(np.asarray(E, dtype=float), np.asarray(P, dtype=float))
-    return _pair_roots(E, P, sa, sb, mass, root_possible(E, P, sa, sb, mass))
+    ok = root_possible(E, P, sa, sb, mass)
+    with np.errstate(divide="ignore", invalid="ignore"):  # r is nan off the domain
+        r, signs = _roots(E, P, sa, sb, mass)
+    r = np.where(ok, r, 0.0)
+    pa, pb, wa, wb, jac, valid = _pair_roots(E, P, r, np.array([1.0, -1.0]), sa, sb, mass)
+    return pa, pb, wa, wb, jac, valid & ok[..., None] & (signs == [1.0, -1.0])
 
 
-def _pair_roots(E, P, sa, sb, mass, ok):
-    """two_body_solutions on float arrays E, P of one shape and its domain ok."""
-    m2 = mass * mass
+def _roots(E, P, sa, sb, mass):
+    """The offset r and the signs of the roots P/2 + sign r on root_possible
+    points: both of a same-sign pair, the one of an opposite-sign pair."""
     Q = (E - P) * (E + P)
-    safeQ = np.where(ok, Q, 1.0)
-    r = np.where(ok, 0.5 * np.abs(E) * np.sqrt(np.where(ok, Q * (Q - 4.0 * m2), 0.0))
-                 / np.abs(safeQ), 0.0)
-    pa = np.stack([0.5 * P + r, 0.5 * P - r], axis=-1)
+    r = 0.5 * np.abs(E) * np.sqrt(Q * (Q - 4.0 * (mass * mass))) / np.abs(Q)
+    return r, np.array([1.0, -1.0]) if sa == sb else np.where(sb * E * P < 0, 1.0, -1.0)[..., None]
+
+
+def _pair_roots(E, P, r, signs, sa, sb, mass):
+    """two_body_solutions' roots P/2 + sign r, one per sign along a trailing
+    axis; a same-sign pair's signs are (1, -1), its minus root counting where
+    r > 1e-12 (1 + |E| + |P|) only."""
+    m2 = mass * mass
+    pa = np.stack([0.5 * P + signs[..., i] * r for i in range(signs.shape[-1])], axis=-1)
     scale = 1.0 + np.abs(E) + np.abs(P)
-    if sa == sb:
-        root_ok = np.stack([ok, ok & (r > 1e-12 * scale)], axis=-1)
-    else:
-        root_ok = np.stack([ok & (sb * E * P < 0), ok & (sb * E * P >= 0)], axis=-1)
     pb = P[..., None] - pa
     wa = np.sqrt(pa * pa + m2)
     wb = np.sqrt(pb * pb + m2)
     res = sa * wa + sb * wb - E[..., None]
     jac = sa * pa / wa - sb * pb / wb
-    valid = root_ok & (np.abs(res) < 1e-9 * scale[..., None]) & (np.abs(jac) > 1e-10)
+    valid = (np.abs(res) < 1e-9 * scale[..., None]) & (np.abs(jac) > 1e-10)
+    if sa == sb:
+        valid[..., 1] &= r > 1e-12 * scale
     return pa, pb, wa, wb, jac, valid
 
 
@@ -210,9 +219,9 @@ def _solved_pair_terms(j, pair, packets, ev, weight, E, P, k0, k1, free):
     roots; zero wherever no root exists.
 
     Only points where root_possible holds inside the packets' joint tail
-    (_tail_exponent) are solved and evaluated.
-    free is (leg, momenta, 2 omega) of the free leg on the u-grid, which is
-    the last axis of E and P.
+    (_tail_exponent) are solved and evaluated, at an opposite-sign pair's one
+    root. free is (leg, momenta, packet values, 2 omega) of the free leg on
+    the u-grid, which is the last axis of E and P.
     """
     b, c = pair
     sb, sc = _leg_sign(b, j), _leg_sign(c, j)
@@ -220,13 +229,13 @@ def _solved_pair_terms(j, pair, packets, ev, weight, E, P, k0, k1, free):
     shape = np.shape(E)
     inside = _tail_exponent(j, pair, packets, E, P, k0, k1, free) <= TAIL_WIDTHS ** 2
     idx = np.flatnonzero(root_possible(E, P, sb, sc, m) & inside)
-    pb, pc, wb, wc, jac, valid = _pair_roots(
-        np.ravel(E)[idx], np.ravel(P)[idx], sb, sc, m, np.ones(len(idx), dtype=bool))
+    E, P = np.ravel(E)[idx], np.ravel(P)[idx]
+    pb, pc, wb, wc, jac, valid = _pair_roots(E, P, *_roots(E, P, sb, sc, m), sb, sc, m)
     kb = np.stack([sb * wb, pb], axis=-1)
     kc = np.stack([sc * wc, pc], axis=-1)
-    fleg, kf, two_w = free
+    fleg, kf, ff, two_w = free
     iu = (idx % len(kf))[:, None]
-    vals = np.multiply(packets[fleg](kf)[iu], packets[b](kb))
+    vals = np.multiply(ff[iu], packets[b](kb))
     vals = np.multiply(vals, packets[c](kc))
     if weight is not None:
         ks = np.zeros(kb.shape[:-1] + (len(packets), 2))
@@ -239,7 +248,7 @@ def _solved_pair_terms(j, pair, packets, ev, weight, E, P, k0, k1, free):
     dens = two_w[iu] * 4.0 * wb * wc * np.abs(jac)
     terms = np.where(valid, vals / np.where(valid, dens, 1.0), 0.0)
     out = np.zeros(math.prod(shape), dtype=vals.dtype)
-    out[idx] = terms[:, 0] + terms[:, 1]
+    out[idx] = terms.sum(axis=-1)
     return out.reshape(shape)
 
 
@@ -271,18 +280,21 @@ def reduced_integrand(j: int, packets, ev: StructureEvaluator, weight=None):
     free, b, c = [l for l in range(n) if l != j]  # free leg on the u-grid, solved pair
     sa, sb, sc = (_leg_sign(l, j) for l in (free, b, c))
     m = ev.params.m
+    table = [None, None, None]  # the u nodes last seen, omega and the free leg on them
 
     def g(k0, k1, ugrid):
         k0, k1 = np.broadcast_arrays(np.asarray(k0, dtype=float), np.asarray(k1, dtype=float))
         un, uw = ugrid
+        if table[0] is not un:  # once per leg term: leg_term passes every row one u-grid
+            wu = np.sqrt(un * un + m * m)
+            kfree = np.stack([sa * wu, un], axis=-1)
+            table[:] = un, wu, (free, kfree, packets[free](kfree), 2.0 * wu)
+        _, wu, ftable = table
         # broadcast: leading axes from (k0, k1), then u
         k0e = k0[..., None]
         k1e = k1[..., None]
-        wu = np.sqrt(un * un + m * m)
-        kfree = np.stack([sa * wu, un], axis=-1)
         out = _solved_pair_terms(j, (b, c), packets, ev, weight,
-                                 -k0e - sa * wu, -k1e - un, k0e, k1e,
-                                 free=(free, kfree, 2.0 * wu))
+                                 -k0e - sa * wu, -k1e - un, k0e, k1e, free=ftable)
         return (out * uw).sum(axis=-1)
 
     def live_interval(k1, ugrid):

@@ -166,6 +166,59 @@ def test_phased_packet_independent_of_batch_size():
     assert np.array_equal(whole, chunked)
 
 
+def _minkowski_dot_oracle(x, y):
+    """minkowski_dot as one broadcast product and a sum over the spatial axes,
+    kept as the bitwise reference of its per-axis form."""
+    x, y = np.asarray(x), np.asarray(y)
+    return x[..., 0] * y[..., 0] - np.sum(x[..., 1:] * y[..., 1:], axis=-1)
+
+
+def _packet_oracle(pk, k):
+    """WavePacket.__call__ squaring k - center broadcast over the momentum
+    axis, kept as the bitwise reference of its per-axis form."""
+    k = np.asarray(k, dtype=float)
+    sq = (k - pk.center) ** 2
+    r2 = functools.reduce(np.add, (sq[..., i] for i in range(pk.dim)))
+    val = pk.poly(k) * np.exp(-r2 / (2 * pk.width**2))
+    if pk.phase is not None:
+        val = np.multiply(val, np.exp(-1j * _minkowski_dot_oracle(pk.phase, k)))
+    return val
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("kind", ["gaussian", "poly", "phased", "poly_phased"])
+def test_packet_and_minkowski_dot_bitwise_equal_broadcast_oracles(d, kind):
+    # 100 points stay below numpy's 256 KiB temporary-elision threshold,
+    # 40,000 complex values pass it
+    poly = Poly.variable(d, d - 1, 1.0 + 0.5j) + Poly.constant(d, -0.3) \
+        if "poly" in kind else None
+    phase = np.linspace(0.3, -0.2, d) if "phased" in kind else None
+    pk = WavePacket(center=np.linspace(-1.2, 0.4, d), width=0.3, poly=poly, phase=phase)
+    rng = np.random.default_rng(11 + d)
+    for n in (100, 40000):
+        k = pk.center + 0.5 * rng.normal(size=(n, d))
+        got, want = pk(k), _packet_oracle(pk, k)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        y = rng.normal(size=(n, d)) + 1j * rng.normal(size=(n, d))
+        for x in (k, y):
+            got, want = minkowski_dot(x, k[::-1]), _minkowski_dot_oracle(x, k[::-1])
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert minkowski_sq(k).tobytes() == _minkowski_dot_oracle(k, k).tobytes()
+
+
+def test_packet_rejects_points_of_the_wrong_width():
+    # a one-column point once broadcast to (1.3, 1.3) on a 2-D packet, and a
+    # third column would be dropped
+    pk = WavePacket(center=np.array([1.0, 0.5]), width=0.5)
+    for k in (np.array([[1.3]]), np.array([[1.3, 0.5, 0.2]]), np.array(1.3)):
+        with pytest.raises(ValueError, match="dimension 2"):
+            pk(k)
+    line = WavePacket(center=np.array([1.0]), width=0.5)
+    with pytest.raises(ValueError, match="dimension 1"):
+        line(np.array([[1.3, 0.5]]))
+    assert line(np.array([[1.3]])).shape == (1,)
+
+
 def test_schwartz_norm_gaussian():
     g = WavePacket(center=np.array([0.0]), width=1.0)
     assert abs(schwartz_norm_1leg(g, 0, 0) - 1.0) < 1e-12

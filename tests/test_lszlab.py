@@ -8,7 +8,7 @@ from scipy import integrate, special
 
 from qftscat import lszlab
 from qftscat.formfactor import eval_FG_n
-from qftscat.kinematics import WavePacket, gauss_panels, omega
+from qftscat.kinematics import WavePacket, gauss_panels, omega, phi
 from qftscat.lszlab import (
     ENVELOPE_FLOOR,
     _chi_windows,
@@ -55,6 +55,32 @@ def test_chi_t_vanishes_off_window(params):
     k = np.array([3.0, 0.0])  # k^2 - m^2 = 8, far outside the cutoff window
     assert chi_t("in", k, 2.0, params) == 0.0
     assert abs(chi_t("out", k, 2.0, params)) == 0.0
+
+
+def _chi_t_oracle(label, k, t, params):
+    """In/out chi_t with omega and k.k summed over the broadcast spatial axis,
+    kept as the bitwise reference of its component form."""
+    t, k = np.asarray(t, dtype=float), np.asarray(k, dtype=float)
+    t = t.reshape(t.shape + (1,) * (k.ndim - 1))
+    w = np.sqrt(np.sum(k[..., 1:] ** 2, axis=-1) + params.m**2)
+    sigma = np.where(k[..., 0] > 0, 1.0, -1.0)
+    k2 = k[..., 0] * k[..., 0] - np.sum(k[..., 1:] * k[..., 1:], axis=-1)
+    chi = (sigma * k[..., 0] > 0).astype(float) * phi(k2 - params.m**2, params.eps_phi)
+    return 0.0 + chi * np.exp(1j * (-1.0 if label == "in" else 1.0) * (k[..., 0] - sigma * w) * t)
+
+
+def test_chi_t_bitwise_equals_broadcast_oracle(params):
+    # points near both shells, one time (100 points) and three times on
+    # 12,000 points: below and past numpy's 256 KiB temporary-elision threshold
+    rng = np.random.default_rng(4)
+    for n, t in ((100, 31.6), (12000, [1.0, 17.3, 100.0])):
+        k1 = rng.uniform(-2.0, 2.0, n)
+        k0 = rng.choice([-1.0, 1.0], n) * np.sqrt(k1 * k1 + 1.0 + rng.uniform(-0.6, 0.6, n))
+        k = np.stack([k0, k1], axis=-1)
+        for label in ("in", "out"):
+            got, want = chi_t(label, k, t, params), _chi_t_oracle(label, k, t, params)
+            assert np.count_nonzero(got) > n // 4
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_chi_t_time_rows(params):

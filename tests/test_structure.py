@@ -583,6 +583,68 @@ def test_root_possible_covers_every_valid_root(sa, sb, mass, E, P, near, offset)
         assert root_possible(E, P, sa, sb, mass)
 
 
+def _two_body_oracle(E, P, sa, sb, mass):
+    """two_body_solutions with the closed form masked off its domain, both
+    roots solved everywhere: the bitwise reference of its public outputs."""
+    E, P = np.broadcast_arrays(np.asarray(E, dtype=float), np.asarray(P, dtype=float))
+    ok = root_possible(E, P, sa, sb, mass)
+    m2 = mass * mass
+    Q = (E - P) * (E + P)
+    r = np.where(ok, 0.5 * np.abs(E) * np.sqrt(np.where(ok, Q * (Q - 4.0 * m2), 0.0))
+                 / np.abs(np.where(ok, Q, 1.0)), 0.0)
+    pa = np.stack([0.5 * P + r, 0.5 * P - r], axis=-1)
+    scale = 1.0 + np.abs(E) + np.abs(P)
+    if sa == sb:
+        root_ok = np.stack([ok, ok & (r > 1e-12 * scale)], axis=-1)
+    else:
+        root_ok = np.stack([ok & (sb * E * P < 0), ok & (sb * E * P >= 0)], axis=-1)
+    pb = P[..., None] - pa
+    wa = np.sqrt(pa * pa + m2)
+    wb = np.sqrt(pb * pb + m2)
+    res = sa * wa + sb * wb - E[..., None]
+    jac = sa * pa / wa - sb * pb / wb
+    valid = root_ok & (np.abs(res) < 1e-9 * scale[..., None]) & (np.abs(jac) > 1e-10)
+    return pa, pb, wa, wb, jac, valid
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@example(sa=1, sb=-1, mass=1.0, E=0.0, P=1.5, near=None, offset=0.0)  # E P = 0
+@example(sa=-1, sb=1, mass=1.0, E=-0.0, P=-2.0, near=None, offset=0.0)  # E P = -0
+@example(sa=1, sb=1, mass=1.0, E=2.0, P=0.0, near=None, offset=0.0)  # r = 0: one root
+@example(sa=1, sb=1, mass=1.0, E=math.nextafter(2.0, 3.0), P=0.0, near=None, offset=0.0)
+@example(sa=-1, sb=-1, mass=0.5, E=-1.25, P=0.75, near=None, offset=0.0)  # Q = 4 m^2
+@given(
+    sa=st.sampled_from([1, -1]),
+    sb=st.sampled_from([1, -1]),
+    mass=st.floats(0.1, 10.0),
+    E=st.floats(-1e3, 1e3),
+    P=st.floats(-1e3, 1e3),
+    near=st.sampled_from([None, 0.0, 4.0]),
+    offset=st.floats(-1e-12, 1e-12),
+)
+def test_fold_roots_bitwise_equal_two_body_solutions(sa, sb, mass, E, P, near, offset):
+    # two_body_solutions keeps its outputs bit for bit everywhere; on its
+    # domain the fold's core at the roots it solves (both of a same-sign
+    # pair, the sign-picked one of an opposite-sign pair) gives the same bits
+    # and the same validity as two_body_solutions' roots, and an opposite-sign
+    # pair has no valid root elsewhere
+    if near is not None:
+        E = np.copysign(np.sqrt(max(P * P + near * mass * mass + offset, 0.0)), E)
+    E, P = np.array([E], dtype=float), np.array([P], dtype=float)
+    full = two_body_solutions(E, P, sa, sb, mass)
+    for got, want in zip(full, _two_body_oracle(E, P, sa, sb, mass)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    if not root_possible(E, P, sa, sb, mass)[0]:
+        return
+    r, signs = structure._roots(E, P, sa, sb, mass)
+    cols = [0, 1] if sa == sb else [0 if signs[0, 0] > 0 else 1]
+    if sa != sb:
+        assert not full[-1][0, 1 - cols[0]]
+    fold = structure._pair_roots(E, P, r, signs, sa, sb, mass)
+    for got, want in zip(fold, full):
+        assert got.tobytes() == want[:, cols].tobytes()
+
+
 _coord = st.floats(-3.0, 3.0)
 _width = st.floats(0.1, 1.5)
 
@@ -1247,7 +1309,7 @@ def _per_root_pair_terms(j, pair, packets, ev, weight, E, P, k0, k1, free):
     pb, pc, wb, wc, jac, valid = two_body_solutions(np.ravel(E)[idx], np.ravel(P)[idx], sb, sc, m)
     kb = np.stack([sb * wb, pb], axis=-1)
     kc = np.stack([sc * wc, pc], axis=-1)
-    fleg, kf, two_w = free
+    fleg, kf, _, two_w = free  # the helper evaluates the free leg itself
     iu = (idx % len(kf))[:, None]
     vals = np.multiply(packets[fleg](kf)[iu], packets[b](kb))
     vals = np.multiply(vals, packets[c](kc))
@@ -1283,6 +1345,31 @@ def test_batched_leg_term_bitwise_equals_per_row_folds(packets4, params, ev, mon
             want = np.asarray(_pv_leg_term_per_row(j, packets, ev, **kw), dtype=complex)
         assert got.shape == want.shape and got.tobytes() == want.tobytes(), (j, kw)
         assert np.any(got != 0), (j, kw)
+
+
+def test_opposite_sign_leg_term_evaluates_one_root_and_one_free_table(packets4, ev, monkeypatch):
+    # leg 2 of packets4 solves the opposite-sign pair of legs 1 and 3: each of
+    # them is evaluated at one root per solved point, and the free leg 0 once
+    # per leg term, on its u-grid
+    packets = list(packets4)
+    assert structure._leg_sign(1, 2) != structure._leg_sign(3, 2)
+    points, solved = {l: [] for l in range(4)}, []
+    call, core = WavePacket.__call__, structure._pair_roots
+
+    def packet_spy(self, k):
+        points[next(l for l, p in enumerate(packets) if p is self)].append(np.size(k) // 2)
+        return call(self, k)
+
+    def core_spy(E, *args, **kwargs):
+        solved.append(np.size(E))
+        return core(E, *args, **kwargs)
+
+    monkeypatch.setattr(WavePacket, "__call__", packet_spy)
+    monkeypatch.setattr(structure, "_pair_roots", core_spy)
+    assert leg_term(2, packets, ev) != 0
+    assert sum(solved) > 0
+    assert sum(points[1]) == sum(points[3]) == sum(solved)
+    assert points[0] == [len(leg_term_u_grid(packets[0], ev.quad)[0])]
 
 
 @pytest.mark.parametrize("finite_time", [False, True])
