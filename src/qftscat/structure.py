@@ -219,9 +219,9 @@ def _solved_pair_terms(j, pair, packets, ev, weight, E, P, k0, k1, free):
     roots; zero wherever no root exists.
 
     Only points where root_possible holds inside the packets' joint tail
-    (_tail_exponent) are solved and evaluated, at an opposite-sign pair's one
-    root. free is (leg, momenta, packet values, 2 omega) of the free leg on
-    the u-grid, which is the last axis of E and P.
+    (_tail_exponent) are solved, at the roots _roots gives (one for an
+    opposite-sign pair). free is (leg, momenta, packet values, 2 omega) of
+    the free leg on the u-grid, which is the last axis of E and P.
     """
     b, c = pair
     sb, sc = _leg_sign(b, j), _leg_sign(c, j)
