@@ -1,10 +1,12 @@
-"""Propagator atoms, form-factor pairings and truncated S-matrix amplitudes.
+"""Form-factor pairings and truncated S-matrix amplitudes.
 
-Per leg label the off-shell propagator splits into on-shell delta atoms and
-a principal-value atom; the label 'loc' keeps the PV kernel, 'in'/'out'
-replace it by -/+ i pi times the shell-measure difference. Fully on-shell
-amplitudes carry the density 2 pi i M_n on conservation-constrained phase
-space.
+A leg label's shell sign s is -1 (in), 0 (loc) or +1 (out). A loc leg keeps
+the principal-value kernel. An in/out leg j has two shell atoms: s_j i pi on
+configuration b = j and -s_j i pi on b = j + 1, where configuration b puts
+legs 0..b-1 on the backward shell and the rest on the forward one. So each
+configuration b is integrated once, with coefficient i pi (s_b - s_{b-1}).
+Fully on-shell amplitudes carry the density 2 pi i M_n on
+conservation-constrained phase space.
 """
 from __future__ import annotations
 
@@ -18,7 +20,8 @@ from .structure import (SpectralDensity, StructureEvaluator, complete_configurat
 from .transfer import TransferFamily, require_valid
 
 IN, LOC, OUT = "in", "loc", "out"
-LABELS = (IN, LOC, OUT)
+SHELL_SIGN = {IN: -1.0, LOC: 0.0, OUT: 1.0}  # the shell sign s of each leg label
+LABELS = tuple(SHELL_SIGN)
 
 
 def _check_label(a: str) -> str:
@@ -27,20 +30,10 @@ def _check_label(a: str) -> str:
     return a
 
 
-def delta_hat_atoms(a: str):
-    """Atom decomposition of the leg-label propagator: (coefficient, sign)
-    pairs, each the coefficient times the forward (sign +1) or backward
-    (sign -1) shell measure, or times the principal-value kernel (sign 0)."""
-    _check_label(a)
-    if a == LOC:
-        return [(1.0, 0)]
-    s = -1.0 if a == IN else 1.0
-    return [(s * 1j * np.pi, 1), (-s * 1j * np.pi, -1)]
-
-
 def eval_FG_n(labels, packets, ev: StructureEvaluator, weight=None) -> complex:
-    """Form-factor pairing: like the structure pairing, but the PV leg's
-    kernel is replaced per its label by the atom decomposition."""
+    """Form-factor pairing: the PV leg term of each loc leg, plus each sign
+    configuration b whose coefficient i pi (s_b - s_{b-1}) is nonzero (s is 0
+    past either end), computed once as leg_term(b, ..., +1)."""
     labels = [_check_label(a) for a in labels]
     n = len(packets)
     if len(labels) != n:
@@ -54,9 +47,13 @@ def eval_FG_n(labels, packets, ev: StructureEvaluator, weight=None) -> complex:
         ev0 = StructureEvaluator(ev.params, SpectralDensity.zero(ev.params), ev.quad)
         return eval_Ghat_2(packets, ev0)
     total = 0.0 + 0.0j
-    for j in range(n):
-        for coefficient, sign in delta_hat_atoms(labels[j]):
-            total += coefficient * leg_term(j, packets, ev, sign, weight=weight)
+    for j, a in enumerate(labels):
+        if a == LOC:
+            total += leg_term(j, packets, ev, 0, weight=weight)
+    s = [0.0, *(SHELL_SIGN[a] for a in labels), 0.0]
+    for b in range(n + 1):
+        if s[b + 1] != s[b]:
+            total += 1j * np.pi * (s[b + 1] - s[b]) * leg_term(b, packets, ev, 1, weight=weight)
     return total
 
 

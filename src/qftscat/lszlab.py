@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .formfactor import IN, LABELS, LOC, OUT, eval_FG_n
+from .formfactor import IN, LABELS, LOC, OUT, SHELL_SIGN, eval_FG_n
 from .kinematics import ModelParams, chi_plus_minus, gauss_panels, omega
 from .structure import (SpectralDensity, StructureEvaluator, leg_term, rho_continuum,
                         shell_balance_possible)
@@ -31,13 +31,12 @@ def chi_t(label: str, k, t, params: ModelParams):
         raise ValueError(f"unknown leg label {label!r}")
     t = t.reshape(t.shape + (1,) * (k.ndim - 1))
     w = np.sqrt(k[..., 1] ** 2 + params.m**2)  # omega(k_vec) in d = 2
-    sdir = -1.0 if label == IN else 1.0
     # the sign of k^0 picks the one shell window that can hold k, so each
     # point needs one phase; adding to +0 keeps the signed zeros of the sum
     # over both shells
     sigma = np.where(k[..., 0] > 0, 1.0, -1.0)
     chi = chi_plus_minus(k, sigma, params)
-    return 0.0 + chi * np.exp(1j * sdir * (k[..., 0] - sigma * w) * t)
+    return 0.0 + chi * np.exp(1j * SHELL_SIGN[label] * (k[..., 0] - sigma * w) * t)
 
 
 def _chi_windows(n, j, w_sh, eps):

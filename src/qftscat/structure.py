@@ -433,9 +433,10 @@ def leg_term(j: int, packets, ev: StructureEvaluator, sign: int = 0, weight=None
     legs are reduced by g_j, and k1 runs over the packet's outer Gauss rule.
 
     sign +/-1 pins k_j to that shell, k0 = sign * omega(k1), with measure
-    1/(2 omega); it is 0, with nothing built, where shell_balance_possible
-    fails. sign 0 is the principal-value atom: one pv_fold call tabulates
-    g_j * f_j once per live k1 row on the packet's k0 support or the windows
+    1/(2 omega); (j, -1) is the sign configuration of (j + 1, +1). It is 0,
+    with nothing built, where shell_balance_possible fails (as for j = n,
+    every leg backward). sign 0 is the principal-value atom: one pv_fold call
+    tabulates g_j * f_j once per live k1 row on the packet's k0 support or the windows
     window_fn(omega) returns (such as pv_multiplier's support), each clipped to
     the row's live interval, and takes both poles +/-omega of a row from its table:
     sum_sigma sigma / (2 omega (k0 - sigma omega)) = 1/(k0^2 - omega^2).

@@ -1,17 +1,20 @@
 """Propagator atoms, mixed-label form factors and S-matrix amplitudes."""
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qftscat import formfactor
+from qftscat import formfactor, structure
 from qftscat.formfactor import (
     AmplitudeRequest,
-    delta_hat_atoms,
     eval_F_n,
     eval_FG_n,
     smatrix_amplitude,
 )
 from qftscat.gns import structure_pairing
-from qftscat.kinematics import gauss_panels, omega
+from qftscat.kinematics import WavePacket, gauss_panels, omega
 from qftscat.structure import (
     QuadratureSettings,
     SpectralDensity,
@@ -27,12 +30,65 @@ from qftscat.transfer import TransferFamily, TransferPolynomial
 AMP4_ORACLE = 0.017911981248022433j
 
 
+# each label's propagator atoms as (coefficient, sign) pairs: the
+# coefficient times the forward (sign +1) or backward (sign -1) shell
+# measure, or times the principal-value kernel (sign 0)
+ATOMS = {"loc": [(1.0, 0)],
+         "in": [(-1j * np.pi, 1), (1j * np.pi, -1)],
+         "out": [(1j * np.pi, 1), (-1j * np.pi, -1)]}
+
+
+def _per_atom_FG_n(labels, packets, ev, weight=None):
+    """Oracle of eval_FG_n at order >= 3: every (leg, atom) term on its own,
+    so each shell configuration's integral is computed once per atom that
+    reaches it, in that atom's leg variables."""
+    return sum(coefficient * leg_term(j, packets, ev, sign, weight=weight)
+               for j, a in enumerate(labels) for coefficient, sign in ATOMS[a])
+
+
 def test_atom_decomposition():
-    assert delta_hat_atoms("loc") == [(1.0, 0)]
-    assert delta_hat_atoms("in") == [(-1j * np.pi, 1), (1j * np.pi, -1)]
-    assert delta_hat_atoms("out") == [(1j * np.pi, 1), (-1j * np.pi, -1)]
-    with pytest.raises(ValueError):
-        delta_hat_atoms("bad")
+    assert ATOMS["loc"] == [(1.0, 0)]
+    assert ATOMS["in"] == [(-1j * np.pi, 1), (1j * np.pi, -1)]
+    assert ATOMS["out"] == [(1j * np.pi, 1), (-1j * np.pi, -1)]
+    # leg j's atom (j, +1) is configuration b = j, its atom (j, -1) is b = j + 1
+    # (legs 0..b-1 backward); summed per b the atoms give eval_FG_n's
+    # coefficient i pi (s_b - s_{b-1}), with s the label's shell sign
+    for labels in itertools.product(formfactor.LABELS, repeat=4):
+        summed = np.zeros(6, dtype=complex)
+        for j, a in enumerate(labels):
+            for coefficient, sign in ATOMS[a]:
+                if sign:
+                    summed[j + (sign < 0)] += coefficient
+        s = [0.0] + [formfactor.SHELL_SIGN[a] for a in labels] + [0.0]
+        assert np.array_equal(summed[:5], [1j * np.pi * (s[b + 1] - s[b]) for b in range(5)])
+
+
+def test_configuration_sum_matches_per_atom_oracle(packets4, ev, fam_quad):
+    # (in, in, out, out) reaches configuration b = 2 through the atoms (1, -1)
+    # and (2, +1): the oracle's two copies differ by 2.0e-8 relative
+    labels = ["in", "in", "out", "out"]
+    for got, weight in ((eval_FG_n(labels, list(packets4), ev), None),
+                        (eval_F_n(labels, list(packets4), ev, fam_quad), fam_quad.eval)):
+        want = _per_atom_FG_n(labels, list(packets4), ev, weight)
+        assert got != want and abs(got - want) <= 1e-6 * abs(want)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(momenta=st.lists(st.floats(-1.2, 1.2), min_size=4, max_size=4),
+       offsets=st.lists(st.floats(-0.2, 0.2), min_size=4, max_size=4),
+       widths=st.lists(st.floats(0.2, 0.4), min_size=4, max_size=4),
+       weighted=st.booleans())
+def test_uniform_labels_order4_are_exact_zeros(momenta, offsets, widths, weighted, params,
+                                               fam_quad):
+    # 2 -> 2 packets near their shells: every configuration's coefficient
+    # cancels between the two atoms that reach it, except b = 0 and b = 4,
+    # which cannot balance; the term is 0j however the quadrature resolves T
+    ev = StructureEvaluator(params, quad=QuadratureSettings(outer_nodes=8, inner_nodes=12))
+    packets = [WavePacket(center=np.array([s * float(omega(k, params.m)) + d, k]), width=w)
+               for s, k, d, w in zip((-1, -1, 1, 1), momenta, offsets, widths)]
+    weight = fam_quad.eval if weighted else None
+    for label in ("in", "out"):
+        assert eval_FG_n([label] * 4, packets, ev, weight=weight) == 0j
 
 
 def test_all_loc_reduces_to_structure_kernel(pair, trio, packets4, params, ev, fam_quad):
@@ -56,6 +112,34 @@ def test_all_loc_reduces_to_structure_kernel(pair, trio, packets4, params, ev, f
                 else:
                     want = eval_F_n(labels, list(packets), coarse, fam)
                 assert pairing(packets) == want
+
+
+@pytest.mark.parametrize("labels, built", [(("in", "in", "out", "out"), 1),
+                                           (("in",) * 4, 0), (("out",) * 4, 0),
+                                           (("loc", "in", "out", "loc"), 3)],
+                         ids=lambda v: "-".join(v) if isinstance(v, tuple) else str(v))
+def test_each_configuration_is_computed_once(labels, built, packets4, params):
+    # spy on the leg terms eval_FG_n requests and on the reduced integrands
+    # they build: one per loc leg and one per balanced configuration
+    ev = StructureEvaluator(params, quad=QuadratureSettings(outer_nodes=8, inner_nodes=12))
+    requested, builds = [], []
+
+    def spy_leg_term(j, packets, ev, sign=0, **kw):
+        requested.append((j, sign))
+        return leg_term(j, packets, ev, sign, **kw)
+
+    def spy_reduced_integrand(j, packets, ev, **kw):
+        builds.append(j)
+        return reduced_integrand(j, packets, ev, **kw)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(formfactor, "leg_term", spy_leg_term)
+        mp.setattr(structure, "reduced_integrand", spy_reduced_integrand)
+        eval_FG_n(list(labels), list(packets4), ev)
+    configurations = [b for b, sign in requested if sign]
+    assert len(builds) == built
+    assert len(set(configurations)) == len(configurations)
+    assert all(sign in (0, 1) for _, sign in requested)
 
 
 def test_formfactor_binds_no_quadrature_helper():

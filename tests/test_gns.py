@@ -140,6 +140,28 @@ def test_out_sector_matches_in_sector(ev):
         inout_positivity_check(ev, fam, "loc")
 
 
+# the three two-particle out-sector vectors of the sectors_fit benchmark at
+# seed 82: forward-shell packet pairs of one width
+SEED82_PAIRS = (
+    ((1.2877476610196072, 0.811353214365648), (1.2750008460539854, -0.7909659647787501)),
+    ((1.1223614052996542, 0.5096029082591804), (1.1172175804199953, -0.49817177960971337)),
+    ((1.355987355521972, 0.915806588934296), (1.0430836713230507, -0.29668762256079007)),
+)
+SEED82_WIDTH = 0.31194333005724634
+
+
+def test_two_particle_out_gram_is_hermitian_and_psd(ev):
+    # the all-out order-4 term is exactly 0, so the Gram is its disconnected
+    # two-point part; when the term was the difference of two quadratures of
+    # one shell integral, this Gram read deviation 0.96 and eigenvalue -0.0085
+    vectors = [BorchersVector(components={2: [(1.0, tuple(
+        WavePacket(center=np.array(c), width=SEED82_WIDTH) for c in pair))]})
+        for pair in SEED82_PAIRS]
+    min_eig, gram, ok = inout_positivity_check(ev, vectors, "out")
+    assert ok and min_eig > 0
+    assert gram.hermiticity_deviation < 1e-8
+
+
 def test_two_particle_norm_factorizes(ev):
     # velocity-separated packets keep the quadrature clean; the disconnected
     # part of the full functional makes the 2-particle norm the product of
