@@ -275,6 +275,46 @@ def gauss_rule(nodes: int):
     return x, w
 
 
+@functools.lru_cache
+def hermite_rule(nodes: int):
+    """Gauss-Hermite nodes x with |x| <= TAIL_WIDTHS / sqrt(2) and their
+    weights times e^{x^2}, built once and shared read-only.
+
+    The nodes are the eigenvalues of the Jacobi matrix (G. H. Golub and J. H.
+    Welsch, Math. Comp. 23 (1969)), polished by one Newton step. The weight
+    1 / (n psi_{n-1}(x)^2) comes from the normalised Hermite functions psi_k,
+    which stay finite at every node kept, where e^{-x^2} alone would not.
+    """
+    k = np.sqrt(np.arange(1, nodes) / 2.0)
+    x = np.linalg.eigvalsh(np.diag(k, -1))
+    x = 0.5 * (x - x[::-1])  # exactly symmetric, so the kept set is too
+    x = x[np.abs(x) <= TAIL_WIDTHS / math.sqrt(2.0)]
+
+    def psi(x):
+        # psi_{n-1}, psi_n: psi_{k+1} = sqrt(2/(k+1)) x psi_k - sqrt(k/(k+1)) psi_{k-1}
+        prev, cur = np.zeros_like(x), np.exp(-0.5 * x * x) / math.pi ** 0.25
+        for i in range(nodes):
+            prev, cur = cur, math.sqrt(2.0 / (i + 1)) * x * cur - math.sqrt(i / (i + 1)) * prev
+        return prev, cur
+
+    prev, cur = psi(x)
+    x = x - cur / (math.sqrt(2.0 * nodes) * prev - x * cur)
+    w = 1.0 / (nodes * psi(x)[0] ** 2)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
+def packet_rule(packet: WavePacket, nodes: int):
+    """Gauss-Hermite rule over a packet's spatial axis, at its own centre c
+    and width w: nodes c + sqrt(2) w x, weights sqrt(2) w w_i e^{x^2}, as
+    fresh arrays; exact for the packet's Gaussian times a polynomial of
+    degree below 2 nodes, up to the tail past TAIL_WIDTHS."""
+    x, w = hermite_rule(nodes)
+    scale = math.sqrt(2.0) * packet.width
+    return packet.center[1] + scale * x, scale * w
+
+
 def gauss_panels(edges, nodes: int, sine: bool = False):
     """Composite Gauss-Legendre rule of the given nodes on every panel between
     consecutive edges, or on each (lo, hi) row of an (S, 2) edges array, as

@@ -4,19 +4,23 @@ The order-n kernel carries, for each leg position j, the off-shell factor
 1/(k_j^2 - m^2) (principal value) with legs before j on the backward mass
 shell and legs after j on the forward shell, times total momentum
 conservation. Pairing against packet products reduces, in d=2, to
-closed-form two-body kinematics (the conservation constraints solved
-exactly) plus low-dimensional Gauss-Legendre quadrature; the principal
-value subtracts the numerator at each pole from one shared k0 table.
+closed-form kinematics plus low-dimensional Gauss quadrature. A static PV
+term is summed over the other legs' on-shell momenta, its poles (if any)
+in closed form in one leg's; shell atoms and multiplied PV terms are
+folded in k-space, the principal value subtracting the numerator at each
+pole from one shared k0 table.
 """
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .kinematics import TAIL_WIDTHS, ModelParams, NumericalError, gauss_panels, omega
+from .kinematics import (TAIL_WIDTHS, ModelParams, NumericalError, gauss_panels, omega,
+                         packet_rule)
 
 
 @dataclass(frozen=True)
@@ -55,9 +59,13 @@ class SpectralDensity:
 
 @dataclass(frozen=True)
 class QuadratureSettings:
-    outer_nodes: int = 40  # order-4 k^1 rule; per panel of each order-3 on-shell leg
-    inner_nodes: int = 24  # per-panel nodes of the order-4 free-leg integral
-    fold_nodes: int = 24  # per-interval nodes of the PV fold
+    # static PV terms: outer_nodes per panel of each order-3 leg (two panels),
+    # inner_nodes Gauss-Hermite nodes per order-4 outer leg, fold_nodes per
+    # panel of the lone leg (three panels); in the k-space fold: the k^1 rule,
+    # per panel of the free-leg grid and per interval of the PV fold
+    outer_nodes: int = 40
+    inner_nodes: int = 24
+    fold_nodes: int = 24
     nodes_per_period: float = 12.0  # fold refinement for oscillatory numerators
     space_nodes: int = 96  # two-point spatial integral
     mu_nodes: int = 48  # continuum mass integral
@@ -345,11 +353,18 @@ def oscillation_edges(lo, hi, t, nodes, quad: QuadratureSettings, max_panel=math
 
 
 def _pv_log(a, b, p):
-    """ln|(b - p)/(a - p)|, the PV integral of 1/(k0 - p) over [a, b]; infinite with p on an end."""
-    if p in (a, b):
-        raise NumericalError(f"pv_fold: pole {p} on an end of the window [{a}, {b}] "
-                             "where the numerator is nonzero")
-    return math.log(abs((b - p) / (a - p)))
+    """ln|(b - p)/(a - p)|, the PV integral of 1/(x - p) over [a, b], for a
+    float pole or elementwise over arrays; infinite with p on an end."""
+    if isinstance(p, float):
+        if p in (a, b):
+            raise NumericalError(f"pv_fold: pole {p} on an end of the window [{a}, {b}] "
+                                 "where the numerator is nonzero")
+        return math.log(abs((b - p) / (a - p)))
+    on_end = (p == a) | (p == b)
+    if on_end.any():
+        a, b, p = (x[on_end][0] for x in np.broadcast_arrays(a, b, p))
+        raise NumericalError(f"pole {p} on an end of the interval [{a}, {b}]")
+    return np.log(np.abs((b - p) / (a - p)))
 
 
 def pv_fold(numer, rows, quad: QuadratureSettings, t_hint: float = 0.0,
@@ -396,62 +411,197 @@ def pv_fold(numer, rows, quad: QuadratureSettings, t_hint: float = 0.0,
     return out
 
 
-def _order3_pv_term(j: int, packets, ev: StructureEvaluator, weight) -> complex:
-    """The order-3 PV leg term as a regular sum over the on-shell pair's
-    spatial momenta (p_b, p_c): with k_l = (s_l omega(p_l), p_l) and k_j =
-    -(k_b + k_c) it is the sum of f_b f_c f_j [w(ks)] / (4 omega_b omega_c
-    (k_j^2 - m^2)). A same-sign pair has k_j^2 >= 4 m^2, an opposite-sign one
-    k_j^2 <= 0, so |k_j^2 - m^2| >= m^2: no pole and no two-body threshold.
-    Each leg takes outer_nodes per panel on two panels split at its packet
-    centre; the sum runs one p_b node at a time, so memory grows with the
-    node count, not its square."""
+def _shell_leg(packet, sign, rule, m):
+    """Leg momenta k = (sign omega(p), p) on a rule (p, w) over the leg's
+    spatial momentum, and the weighted shell factors w f(k) / (2 omega)."""
+    p, w = rule
+    wl = np.sqrt(p * p + m * m)
+    k = np.stack([sign * wl, p], axis=-1)
+    return k, w * packet(k) / (2.0 * wl)
+
+
+def _onshell_sum(j: int, packets, ev: StructureEvaluator, weight, rules) -> complex:
+    """A PV leg term with no pole, as a regular sum over the other legs'
+    spatial momenta on their rules (one per leg, in index order): with k_l =
+    (s_l omega(p_l), p_l) and k_j = -sum k_l, the sum of prod f_l / (2 omega_l)
+    f_j [w(ks)] / (k_j^2 - m^2). At order 3 a same-sign pair has k_j^2 >= 4 m^2
+    and an opposite-sign one k_j^2 <= 0; at order 4, legs j = 0 and 3 see three
+    same-sign legs, k_j^2 >= 9 m^2. The sum runs one node of the first leg at
+    a time, so memory grows with the other legs' grid alone."""
     m = ev.params.m
-    legs = []
-    for l in (l for l in range(3) if l != j):
-        lo, hi = packets[l].support_interval(1)
-        p, w = gauss_panels([lo, packets[l].center[1], hi], ev.quad.outer_nodes)
-        wl = np.sqrt(p * p + m * m)
-        k = np.stack([_leg_sign(l, j) * wl, p], axis=-1)
-        legs.append((l, k, w * packets[l](k) / (2.0 * wl)))
-    (b, kb, fb), (c, kc, fc) = legs
-    ks = np.zeros((len(kc), 3, 2))
-    ks[:, c] = kc
+    legs = [l for l in range(len(packets)) if l != j]
+    (a, ka, fa), *rest = [(l, *_shell_leg(packets[l], _leg_sign(l, j), rule, m))
+                          for l, rule in zip(legs, rules)]
+    idx = [i.ravel() for i in np.meshgrid(*[np.arange(len(k)) for _, k, _ in rest], indexing="ij")]
+    kr = [k[i] for (_, k, _), i in zip(rest, idx)]
+    K = functools.reduce(np.add, kr)
+    F = functools.reduce(np.multiply, [f[i] for (_, _, f), i in zip(rest, idx)])
+    ks = np.zeros((len(K), len(packets), 2))
+    for (l, _, _), k in zip(rest, kr):
+        ks[:, l] = k
     total = 0.0 + 0.0j
-    for kb_i, fb_i in zip(kb, fb):
-        kj = -(kb_i + kc)
-        vals = fb_i * fc * packets[j](kj) / (kj[:, 0] ** 2 - kj[:, 1] ** 2 - m * m)
+    for ka_i, fa_i in zip(ka, fa):
+        kj = -(ka_i + K)
+        vals = fa_i * F * packets[j](kj) / (kj[:, 0] ** 2 - kj[:, 1] ** 2 - m * m)
         if weight is not None:
-            ks[:, b], ks[:, j] = kb_i, kj
+            ks[:, a], ks[:, j] = ka_i, kj
             vals = vals * weight(ks)
         total += np.sum(vals)
     return complex(total)
 
 
+def _lone_leg(j: int):
+    """The lone leg c of order-4 leg term j = 1 or 2, whose shell sign differs
+    from the other two legs', and that same-sign pair: leg 0 backward against
+    legs 2, 3 forward, or leg 3 forward against legs 0, 1 backward."""
+    return (0, [2, 3]) if j == 1 else (3, [0, 1])
+
+
+def _lone_leg_pv(j: int, packets, ev: StructureEvaluator, weight, kf, kb):
+    """PV integrals over the lone leg's spatial momentum p_c of F / h, one per
+    row of the pair's momenta kf, kb (R, 2): F = f_c f_j [w(ks)] / (2 omega_c)
+    and h = k_j^2 - m^2 = K^2 + 2 K.k_c, with K = kf + kb and k_j = -(K + k_c).
+
+    K^2 >= 4 m^2, and h = -4 K^2 (p - r+)(p - r-) / D with D > 0 (see below)
+    has the roots r+/- = -K1/2 +/- |K0| sqrt(1 - 4 m^2/K^2) / 2, so F / h =
+    phi / ((p - r+)(p - r-)). Subtracting the line through phi(r+/-) leaves a
+    regular integrand; the line's part is two _pv_log terms. Roots within 1e-6
+    packet widths of each other are taken jointly in their limit: the finite
+    part, with the tangent at -K1/2 by a central difference. p_c runs on three
+    Gauss-Legendre panels broken at the roots over the interval where the four
+    packets' joint tail bound (the pair's exponents at kf, kb and the spatial
+    parts of f_c f_j) stays within TAIL_WIDTHS^2; rows with no such p_c are 0.
+    """
+    c, (f, b) = _lone_leg(j)
+    pc, pj = packets[c], packets[j]
+    K = kf + kb
+    wc2, wj2 = pc.width ** 2, pj.width ** 2
+    cj = -K[:, 1] - pj.center[1]  # f_j's spatial centre in p_c
+    spent = sum(np.sum((k - packets[l].center) ** 2, axis=-1) / packets[l].width ** 2
+                for l, k in ((f, kf), (b, kb)))
+    reach2 = (TAIL_WIDTHS ** 2 - spent - (pc.center[1] - cj) ** 2 / (wc2 + wj2)) * (
+        wc2 * wj2 / (wc2 + wj2))
+    out = np.zeros(len(K), dtype=complex)
+    live = reach2 > 0
+    if not live.all():
+        kf, kb, K, cj, reach2 = (x[live] for x in (kf, kb, K, cj, reach2))
+    if not len(K):
+        return out
+    mid = (pc.center[1] * wj2 + cj * wc2) / (wc2 + wj2)
+    lo, hi = mid - np.sqrt(reach2), mid + np.sqrt(reach2)
+    m2 = ev.params.m ** 2
+    pf, pb = kf[:, 1], kb[:, 1]
+    # K^2 - 4 m^2 of two same-sign shell momenta, without cancellation
+    excess = 2.0 * m2 * (pf - pb) ** 2 / (np.abs(kf[:, 0] * kb[:, 0]) + pf * pb + m2)
+    K2 = 4.0 * m2 + excess
+    K0, K1 = np.abs(K[:, 0]), K[:, 1]
+    r0 = -0.5 * K1
+    half = 0.5 * K0 * np.sqrt(excess / K2)
+    close = 1e-6 * pc.width
+    merged = half <= close
+    split = np.where(merged, 0.0, half)
+    roots = r0[:, None] + np.stack([split, -split], axis=-1)
+    # three panels split at the roots inside [lo, hi]; merged roots leave an
+    # empty first panel at lo, so that no node falls on the double root
+    cuts = np.clip(roots[:, ::-1], lo[:, None], hi[:, None])
+    cuts[:, 0] = np.where(merged, lo, cuts[:, 0])
+    edges = np.concatenate([lo[:, None], cuts, hi[:, None]], axis=1)
+    p, w = (a.reshape(len(K), -1) for a in gauss_panels(
+        np.stack([edges[:, :-1], edges[:, 1:]], axis=-1).reshape(-1, 2), ev.quad.fold_nodes))
+    step = np.where(merged, close, half)
+    at = r0[:, None] + np.stack([step, -step, np.zeros_like(step)], axis=-1)  # line points
+    P = np.concatenate([p, at], axis=1)
+    om = np.sqrt(P * P + m2)
+    kc = np.stack([_leg_sign(c, j) * om, P], axis=-1)
+    kj = -(K[:, None] + kc)
+    phi = packets[c](kc) * packets[j](kj)
+    if weight is not None:
+        ks = np.empty(kc.shape[:-1] + (4, 2))
+        ks[..., f, :], ks[..., b, :] = kf[:, None], kb[:, None]
+        ks[..., c, :], ks[..., j, :] = kc, kj
+        phi = phi * weight(ks)
+    # D = K^2 - 2 K1 p + 2 |K0| omega_c > K^2 - 2 (|K0| - |K1|)|p| > 0 cancels
+    # the conjugate branch of h = K^2 - 2 K1 p - 2 |K0| omega_c: phi = -F D / (4 K^2)
+    phi = phi * (((2.0 * K1)[:, None] * P - K2[:, None] - (2.0 * K0)[:, None] * om)
+                 / ((8.0 * K2)[:, None] * om))
+    slope = (phi[:, -3] - phi[:, -2]) / (2.0 * step)
+    level = np.where(merged, phi[:, -1], 0.5 * (phi[:, -3] + phi[:, -2]))
+    t = p - r0[:, None]
+    w = w / ((t - split[:, None]) * (t + split[:, None]))
+    regular = np.sum((phi[:, :-3] - (level[:, None] + slope[:, None] * t)) * w, axis=-1)
+    logs = _pv_log(lo[:, None], hi[:, None], roots)
+    # PV int dp / ((p - r+)(p - r-)): the logs' difference over r+ - r-, or at
+    # merged roots the finite part of int dp / (p - r0)^2
+    t_lo, t_hi = (np.where(merged, e - r0, 1.0) for e in (lo, hi))
+    pole = np.where(merged, 1.0 / t_lo - 1.0 / t_hi,
+                    (logs[:, 0] - logs[:, 1]) / (2.0 * np.where(merged, 1.0, split)))
+    out[live] = regular + level * pole + slope * 0.5 * (logs[:, 0] + logs[:, 1])
+    return out
+
+
+# Points (p_c nodes and roots) of one lone-leg block: as many of the pair's
+# first leg's nodes per _lone_leg_pv call as fit, and at least one
+LONE_LEG_POINTS = 4096
+
+
+def _lone_leg_term(j: int, packets, ev: StructureEvaluator, weight) -> complex:
+    """Order-4 PV leg term j = 1 or 2: the same-sign pair's spatial momenta on
+    Gauss-Hermite rules of inner_nodes at their packets, and the PV integral
+    over the lone leg's (_lone_leg_pv), for a block of the pair's first leg's
+    nodes at a time, so memory grows with the node count, not its square."""
+    _, pair = _lone_leg(j)
+    m = ev.params.m
+    (kf, ff), (kb, fb) = (_shell_leg(packets[l], _leg_sign(l, j),
+                                     packet_rule(packets[l], ev.quad.inner_nodes), m) for l in pair)
+    per = max(1, LONE_LEG_POINTS // (len(kb) * (3 * ev.quad.fold_nodes + 3)))
+    total = 0.0 + 0.0j
+    for s in range(0, len(kf), per):
+        block = slice(s, s + per)
+        inner = _lone_leg_pv(j, packets, ev, weight, np.repeat(kf[block], len(kb), axis=0),
+                             np.tile(kb, (len(ff[block]), 1)))
+        total += np.sum(np.outer(ff[block], fb).ravel() * inner)
+    return complex(total)
+
+
 def leg_term(j: int, packets, ev: StructureEvaluator, sign: int = 0, weight=None,
              pv_multiplier=None, t_hint: float = 0.0, window_fn=None):
-    """One leg term of a pairing: leg j carries one propagator atom, the other
-    legs are reduced by g_j, and k1 runs over the packet's outer Gauss rule.
+    """One leg term of a pairing: leg j carries one propagator atom.
 
-    sign +/-1 pins k_j to that shell, k0 = sign * omega(k1), with measure
-    1/(2 omega); (j, -1) is the sign configuration of (j + 1, +1). It is 0,
-    with nothing built, where shell_balance_possible fails (as for j = n,
-    every leg backward). sign 0 is the principal-value atom: one pv_fold call
-    tabulates g_j * f_j once per live k1 row on the packet's k0 support or the windows
-    window_fn(omega) returns (such as pv_multiplier's support), each clipped to
-    the row's live interval, and takes both poles +/-omega of a row from its table:
-    sum_sigma sigma / (2 omega (k0 - sigma omega)) = 1/(k0^2 - omega^2).
-    pv_multiplier may return one row per time, shape (T, N) for N k0 points;
-    the term is then T values, on a grid sized by t_hint (the largest time).
-    Order 3 has only its static PV term, the regular sum _order3_pv_term:
-    its shell atoms and chi_t windows never balance.
+    The static PV atom (sign 0, no pv_multiplier or window_fn) of order 3 or
+    4 is summed over the other legs' on-shell spatial momenta: _onshell_sum
+    where there is no pole (order 3 on two Gauss-Legendre panels of
+    outer_nodes per leg, order 4 j = 0 and 3 on Gauss-Hermite rules of
+    inner_nodes), _lone_leg_term for order 4 j = 1 and 2.
+
+    Every other atom is folded in k-space, the other legs reduced by g_j and
+    k1 on the packet's outer Gauss rule. sign +/-1 pins k_j to that shell,
+    k0 = sign * omega(k1), with measure 1/(2 omega); (j, -1) is the sign
+    configuration of (j + 1, +1). It is 0, with nothing built, where
+    shell_balance_possible fails. sign 0 under a pv_multiplier or window_fn
+    takes one pv_fold call: g_j * f_j is tabulated once per live k1 row on
+    the packet's k0 support or the windows window_fn(omega) returns, each
+    clipped to the row's live interval, and both poles +/-omega of a row
+    come from its table: sum_sigma sigma / (2 omega (k0 - sigma omega)) =
+    1/(k0^2 - omega^2). pv_multiplier may return one row per time, shape
+    (T, N) for N k0 points; the term is then T values, on a grid sized by
+    t_hint (the largest time). Order 3 has only its static PV term: its
+    shell atoms and chi_t windows never balance.
     """
     n = len(packets)
     if sign and not shell_balance_possible(n, j, sign):
         return 0j
+    static = not sign and pv_multiplier is None and window_fn is None
     if n == 3:
-        if pv_multiplier is not None or window_fn is not None:
+        if not static:
             raise ValueError("order 3 takes no pv_multiplier or window_fn")
-        return _order3_pv_term(j, packets, ev, weight)
+        rules = [gauss_panels([lo, packets[l].center[1], hi], ev.quad.outer_nodes)
+                 for l in range(3) if l != j for lo, hi in [packets[l].support_interval(1)]]
+        return _onshell_sum(j, packets, ev, weight, rules)
+    if n == 4 and static:
+        if j in (1, 2):
+            return _lone_leg_term(j, packets, ev, weight)
+        return _onshell_sum(j, packets, ev, weight, [packet_rule(packets[l], ev.quad.inner_nodes)
+                                                     for l in range(4) if l != j])
     pk = packets[j]
     g = reduced_integrand(j, packets, ev, weight=weight)
     ugrid = leg_term_u_grid(packets[g.free_leg], ev.quad)

@@ -119,8 +119,9 @@ def test_all_loc_reduces_to_structure_kernel(pair, trio, packets4, params, ev, f
                                            (("loc", "in", "out", "loc"), 3)],
                          ids=lambda v: "-".join(v) if isinstance(v, tuple) else str(v))
 def test_each_configuration_is_computed_once(labels, built, packets4, params):
-    # spy on the leg terms eval_FG_n requests and on the reduced integrands
-    # they build: one per loc leg and one per balanced configuration
+    # spy on the leg terms eval_FG_n requests and on the work they start: a
+    # reduced integrand per balanced configuration, a static on-shell sum
+    # (_onshell_sum at legs 0 and 3, _lone_leg_term at 1 and 2) per loc leg
     ev = StructureEvaluator(params, quad=QuadratureSettings(outer_nodes=8, inner_nodes=12))
     requested, builds = [], []
 
@@ -128,13 +129,17 @@ def test_each_configuration_is_computed_once(labels, built, packets4, params):
         requested.append((j, sign))
         return leg_term(j, packets, ev, sign, **kw)
 
-    def spy_reduced_integrand(j, packets, ev, **kw):
-        builds.append(j)
-        return reduced_integrand(j, packets, ev, **kw)
+    def spy(name):
+        def counted(j, *args, **kw):
+            builds.append(j)
+            return original(j, *args, **kw)
+        original = getattr(structure, name)
+        return counted
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(formfactor, "leg_term", spy_leg_term)
-        mp.setattr(structure, "reduced_integrand", spy_reduced_integrand)
+        for name in ("reduced_integrand", "_onshell_sum", "_lone_leg_term"):
+            mp.setattr(structure, name, spy(name))
         eval_FG_n(list(labels), list(packets4), ev)
     configurations = [b for b, sign in requested if sign]
     assert len(builds) == built

@@ -10,8 +10,10 @@ from qftscat.kinematics import (
     NumericalError,
     WavePacket,
     chi_plus_minus,
+    TAIL_WIDTHS,
     gauss_panels,
     gauss_rule,
+    hermite_rule,
     invariant_index,
     invariant_map,
     invariant_names,
@@ -19,6 +21,7 @@ from qftscat.kinematics import (
     minkowski_sq,
     multi_indices,
     omega,
+    packet_rule,
     phi,
     schwartz_norm_1leg,
 )
@@ -460,3 +463,35 @@ def test_gauss_rule_cached_read_only():
     assert a[0] is not x and a[1] is not w
     a[0][0] = 5.0
     assert gauss_panels([-1.0, 1.0], 11)[0][0] == ref_x[0]
+
+
+@pytest.mark.parametrize("nodes", [1, 24, 2000])
+def test_hermite_rule_finite_at_every_node_count(nodes):
+    # numpy's hermgauss gives NaN weights from 380 nodes on; refined() doubles
+    # the largest inner_nodes the CLI accepts to 2000
+    x, w = hermite_rule(nodes)
+    assert hermite_rule(nodes)[0] is x and not x.flags.writeable and not w.flags.writeable
+    assert np.all(np.isfinite(w) & (w > 0)) and np.all(np.diff(x) > 0)
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+    assert np.max(np.abs(x)) <= TAIL_WIDTHS / math.sqrt(2.0)
+    # int e^{-x^2} x^{2k} dx = Gamma(k + 1/2), exact up to degree 2 nodes - 1;
+    # at 2000 nodes the dropped tail nodes carry less than e^{-72}
+    for k in range(min(nodes, 8)):
+        got = np.sum(w * np.exp(-x * x) * x ** (2 * k))
+        assert abs(got - math.gamma(k + 0.5)) < 1e-13 * math.gamma(k + 0.5), k
+    if nodes == 24:
+        X, W = np.polynomial.hermite.hermgauss(nodes)
+        assert np.max(np.abs(x - X)) < 1e-14
+        assert np.max(np.abs(w - W * np.exp(X * X)) / w) < 1e-13
+    if nodes == 2000:
+        assert len(x) < nodes
+
+
+def test_packet_rule_integrates_the_packet_axis():
+    pk = WavePacket(center=np.array([1.3, -0.4]), width=0.35)
+    p, w = packet_rule(pk, 6)
+    # int p^2 e^{-(p - c)^2 / 2 w^2} dp = sqrt(2 pi) w (c^2 + w^2)
+    got = np.sum(w * p ** 2 * np.exp(-0.5 * ((p + 0.4) / 0.35) ** 2))
+    want = math.sqrt(2 * math.pi) * 0.35 * (0.4 ** 2 + 0.35 ** 2)
+    assert abs(got - want) < 1e-14 * want
+    assert packet_rule(pk, 6)[0] is not p

@@ -3,6 +3,7 @@ import decimal
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -724,16 +725,26 @@ def _tail_case_packets(case, trio, packets4):
     return list(packets4)
 
 
+def _unit_multiplier(k):
+    """pv_multiplier 1: the static PV atom through the k-space fold, which
+    leg_term takes for every PV atom under a multiplier."""
+    return np.ones(k.shape[:-1])
+
+
 @pytest.mark.parametrize("case", ["packets4", "trio", "seed9", "derivative", "fam_quad"])
 def test_tail_cut_leg_terms_match_uncut(case, trio, packets4, params, ev, fam_quad, monkeypatch):
+    # the k-space fold's tail cut; order 3 has no fold, its static term is the
+    # on-shell sum
     packets = _tail_case_packets(case, trio, packets4)
     weight = fam_quad.eval if case == "fam_quad" else None
     n = len(packets)
+    fold = {"pv_multiplier": _unit_multiplier} if n == 4 else {}
     tail = math.exp(-kinematics.TAIL_WIDTHS ** 2 / 2)
     fine = StructureEvaluator(params, quad=QuadratureSettings(fold_nodes=96))
 
     def state(ev):
-        terms = {(j, sign): leg_term(j, packets, ev, sign, weight=weight)
+        terms = {(j, sign): leg_term(j, packets, ev, sign, weight=weight,
+                                     **({} if sign else fold))
                  for j in range(n) for sign in (0, 1, -1)}
         if n == 3:
             return terms, []
@@ -751,7 +762,7 @@ def test_tail_cut_leg_terms_match_uncut(case, trio, packets4, params, ev, fam_qu
     # an infinite reach keeps every point, every k1 row and the whole window
     monkeypatch.setattr(structure, "TAIL_WIDTHS", math.inf)
     want, want_numer = state(ev)
-    want_pv = {j: leg_term(j, packets, fine, weight=weight) for j in range(n)}
+    want_pv = {j: leg_term(j, packets, fine, weight=weight, **fold) for j in range(n)}
     assert np.count_nonzero(list(want.values())) > 0
     # the cut drops at most exp(-72) of the numerators' peak over all legs;
     # a derivative leg's factor (k - c)/w^2 can be up to about TAIL_WIDTHS
@@ -1103,7 +1114,7 @@ def test_order3_rejects_what_it_cannot_take(trio, ev):
 def test_order4_leg_terms_match_symmetric_fold_oracle(packets4, ev):
     packets = list(packets4)
     want = sum(_leg_term_oracle(j, packets, ev) for j in range(4))
-    got = eval_Ghat_n(packets, ev)
+    got = sum(leg_term(j, packets, ev, pv_multiplier=_unit_multiplier) for j in range(4))
     assert abs(got - want) < 2e-5 * abs(want)
     labels, t = ("in", "in", "out", "out"), 31.6
     eps = ev.params.eps_phi
@@ -1152,7 +1163,7 @@ def test_clipped_leg_terms_match_unclipped_fold(case, trio, packets4, params, ev
     # 6e-4) and moved 1.3e-3: within 2e-3 there. chi_t windows are wholly
     # live or wholly dead, so finite-time terms are bitwise unchanged
     packets = _tail_case_packets(case, trio, packets4)
-    got = np.array([leg_term(j, packets, ev) for j in range(4)])
+    got = np.array([leg_term(j, packets, ev, pv_multiplier=_unit_multiplier) for j in range(4)])
     want = np.array([_unclipped_leg_term(j, packets, ev) for j in range(4)])
     tol = 2e-3 if case == "derivative" else 2e-5
     assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
@@ -1206,7 +1217,8 @@ def test_order4_leg_term_resolved_near_the_poles(ev):
         ([1.284955575029407, 0.8069143881473141], 0.25830760240981016),
         ([1.2878606895260496, -0.8115325967738523], 0.25836475258097524))]
     want = _leg_term_oracle(1, packets, ev)
-    assert abs(leg_term(1, packets, ev) - want) < 2e-5 * abs(eval_Ghat_n(packets, ev))
+    got = leg_term(1, packets, ev, pv_multiplier=_unit_multiplier)
+    assert abs(got - want) < 2e-5 * abs(eval_Ghat_n(packets, ev))
 
 
 def test_graded_break_keeps_clear_of_threshold(params):
@@ -1328,14 +1340,15 @@ def test_batched_leg_term_bitwise_equals_per_row_folds(packets4, params, ev, mon
     eps = params.eps_phi
     lo0, hi0 = packets4[1].support_interval(0)
     w_mid = float(omega(packets4[1].center[1], params.m))
-    cases = [(list(packets4), j, {}) for j in range(1, 4)] + [
+    unit = dict(pv_multiplier=_unit_multiplier)
+    cases = [(list(packets4), j, unit) for j in range(1, 4)] + [
         (list(packets4), 1, dict(pv_multiplier=lambda k: chi_t("in", k, [3.0, 30.0], params),
                                  # both shell windows: leg 2 of order 5 can balance on either
                                  t_hint=30.0, window_fn=lambda w: _chi_windows(5, 2, w, eps))),
         # rows past w_mid see windows outside the packet's support: empty rows
         (list(packets4), 1, dict(window_fn=lambda w: [[lo0, hi0]] if w < w_mid
                                  else [[hi0 + 1.0, hi0 + 2.0]])),
-        (list(packets4), 2, dict(t_hint=40.0)),
+        (list(packets4), 2, dict(unit, t_hint=40.0)),
     ]
     for packets, j, kw in cases:
         got = np.asarray(leg_term(j, packets, ev, **kw), dtype=complex)
@@ -1366,7 +1379,7 @@ def test_opposite_sign_leg_term_evaluates_one_root_and_one_free_table(packets4, 
 
     monkeypatch.setattr(WavePacket, "__call__", packet_spy)
     monkeypatch.setattr(structure, "_pair_roots", core_spy)
-    assert leg_term(2, packets, ev) != 0
+    assert leg_term(2, packets, ev, pv_multiplier=_unit_multiplier) != 0
     assert sum(solved) > 0
     assert sum(points[1]) == sum(points[3]) == sum(solved)
     assert points[0] == [len(leg_term_u_grid(packets[0], ev.quad)[0])]
@@ -1389,7 +1402,7 @@ def test_numer_evaluated_once_per_k1(finite_time, packets4, params, monkeypatch)
 
     fold = structure.pv_fold
     monkeypatch.setattr(structure, "pv_fold", spy)
-    kw = {}
+    kw = dict(pv_multiplier=_unit_multiplier)
     if finite_time:
         kw = dict(pv_multiplier=lambda k: chi_t("in", k, [3.0, 30.0], params), t_hint=30.0,
                   window_fn=lambda w: _chi_windows(4, 1, w, params.eps_phi))
@@ -1425,8 +1438,150 @@ def test_t_scaled_panels_reuse_one_rule(packets4, params, monkeypatch):
         kinematics.gauss_rule.cache_clear()
         built.append(set())
         sizes.append([])
-        leg_term(1, list(packets4), ev, t_hint=t)
+        leg_term(1, list(packets4), ev, t_hint=t, pv_multiplier=_unit_multiplier)
     kinematics.gauss_rule.cache_clear()
     assert built[0] == built[1] == {4, 24}
     assert 1 <= len(sizes[0]) == len(sizes[1])
     assert sum(sizes[1]) > 30 * sum(sizes[0])
+
+
+def _benchmark_packets4(seed, m=1.0):
+    """The pairings benchmark's 2 -> 2 packets at a seed: momenta 0.8 and
+    widths 0.25 jittered by up to 2% and 4%, centres kept on their shells."""
+    u = np.random.default_rng(seed).uniform(-1.0, 1.0, 8) if seed else np.zeros(8)
+    out = []
+    for i, (se, sk) in enumerate(((-1, 1), (-1, -1), (1, 1), (1, -1))):
+        k = sk * 0.8 * (1 + 0.02 * u[2 * i])
+        out.append(WavePacket(center=np.array([se * float(omega(k, m)), k]),
+                              width=0.25 * (1 + 0.04 * u[2 * i + 1])))
+    return out
+
+
+def _shell_packets(legs, width, m=1.0):
+    """Packets of one width centred on the (sign, momentum) shell points legs."""
+    return [WavePacket(center=np.array([s * float(omega(k, m)), k]), width=width)
+            for s, k in legs]
+
+
+def test_benchmark_packets4_reproduce_the_seed9_literals(packets4):
+    assert all(np.array_equal(p.center, q.center) and p.width == q.width
+               for p, q in zip(_benchmark_packets4(0), packets4))
+    for p, (c, w) in zip(_benchmark_packets4(9), _SEED9_PACKETS4):
+        assert np.array_equal(p.center, c) and p.width == w
+
+
+@pytest.mark.parametrize("case", ["seeds", "derivative", "translated"])
+def test_static_order4_terms_converge_in_their_rules(case, packets4, ev):
+    # the static order-4 PV terms at the defaults against a 2x refined run, of
+    # the largest leg term: 5.7e-6 at pairings seeds 0-31 (seeds 0, 9 and 20
+    # here; the k-space fold is 1e-4 to 3e-3 off), 1.4e-4 on packets4
+    # differentiated along (0, 1, 1, 0) and 1.6e-5 with legs 0 and 1
+    # translated by (3, 3.6) and (-2, 3) (the fold: 7% and 1.6%)
+    cases = {"seeds": [_benchmark_packets4(seed) for seed in (0, 9, 20)],
+             "derivative": [[p.derivative(axis) for p, axis in zip(packets4, (0, 1, 1, 0))]],
+             "translated": [[WavePacket(p.center, p.width, p.poly, np.array(a, dtype=float))
+                             for p, a in zip(packets4, ((3.0, 3.6), (-2.0, 3.0), (0, 0), (0, 0)))]]}
+    for packets in cases[case]:
+        got = np.array([leg_term(j, packets, ev) for j in range(4)])
+        want = np.array([leg_term(j, packets, ev.refined()) for j in range(4)])
+        tol = 1e-5 if case == "seeds" else 5e-4
+        assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
+
+
+def _mirrored(packets):
+    """g_l(k) = f_{n-1-l}(-k): the packets reversed and reflected."""
+    return [WavePacket(-p.center, p.width, p.poly.negate_vars(),
+                       None if p.phase is None else -p.phase) for p in packets[::-1]]
+
+
+@pytest.mark.parametrize("case", ["seed9", "derivative"])
+def test_static_order4_terms_obey_the_mirror_identity(case, trio, packets4, ev):
+    # leg term j of f_l equals leg term n-1-j of g_l(k) = f_{n-1-l}(-k), an
+    # exact identity; the k-space fold misses it by 3.8e-4 on packets4
+    packets = _tail_case_packets(case, trio, packets4)
+    got = np.array([leg_term(j, packets, ev) for j in range(4)])
+    mirror = np.array([leg_term(3 - j, _mirrored(packets), ev) for j in range(4)])
+    assert np.max(np.abs(got - mirror)) <= 1e-9 * np.max(np.abs(got))
+
+
+@pytest.mark.parametrize("fold_nodes, tol", [(24, 5e-6), (48, 1e-11)])
+@pytest.mark.parametrize("case", ["packets4", "derivative"])
+def test_lone_leg_integral_matches_cauchy_weight_quad(case, fold_nodes, tol, trio, packets4,
+                                                      params):
+    # the PV integral over the lone leg at sampled outer nodes, among them a
+    # mirrored pair (K1 = 0), against scipy's Cauchy-weight quadrature of
+    # f_c f_j / (2 omega_c (k_j^2 - m^2)) over packet c's support, split
+    # between the roots of k_j^2 = m^2 that brentq finds. Rows at the default
+    # fold_nodes are off by up to 2.0e-6 (derivative packets), at 48 by 1.3e-13
+    ev = StructureEvaluator(params, quad=QuadratureSettings(fold_nodes=fold_nodes))
+    packets = _tail_case_packets(case, trio, packets4)
+    m = params.m
+    for j, rows in ((1, [(8, 15), (10, 13), (7, 16)]), (2, [(11, 14), (9, 16), (11, 12)])):
+        c, (f, b) = structure._lone_leg(j)
+        kf, kb = (np.stack([structure._leg_sign(l, j) * omega(p[:, None], m), p], axis=-1)
+                  for l in (f, b) for p in [kinematics.packet_rule(packets[l], 24)[0]])
+        assert any(kf[i, 1] + kb[k, 1] == 0 for i, k in rows)
+        got = structure._lone_leg_pv(j, packets, ev, None, kf[[i for i, _ in rows]],
+                                     kb[[k for _, k in rows]])
+        for (i, k), value in zip(rows, got):
+            K = kf[i] + kb[k]
+
+            def kc(p):
+                return np.array([structure._leg_sign(c, j) * math.sqrt(p * p + m * m), p])
+
+            def h(p):
+                return float(minkowski_sq(-(K + kc(p)))) - m * m
+
+            def numer(p, r, part):
+                q = kc(p)
+                F = packets[c](q) * packets[j](-(K + q)) / (2.0 * math.sqrt(p * p + m * m))
+                return float(part(F * (p - r) / h(p)))
+
+            lo, hi = packets[c].support_interval(1)
+            r0 = -0.5 * K[1]  # between the roots, where h > 0
+            want = 0.0
+            for a, z in ((lo, r0), (r0, hi)):
+                r = so.brentq(h, a, z, xtol=1e-15)
+                for part, unit in ((np.real, 1.0), (np.imag, 1j)):
+                    want += unit * integrate.quad(numer, a, z, args=(r, part), weight="cauchy",
+                                                  wvar=r, limit=200, epsabs=1e-15,
+                                                  epsrel=1e-12)[0]
+            assert abs(value - want) <= tol * abs(want), (j, i, k)
+
+
+def test_static_order4_terms_agree_with_the_refined_fold(packets4, ev, fam_quad):
+    # the static terms at the defaults against the k-space fold (reached with
+    # a unit pv_multiplier) at refined settings: within 5.5e-6 of the largest
+    # leg term, the fold's own error there (4.5e-6 against the fold refined
+    # twice) plus the new path's at the defaults (3.8e-6)
+    for packets, weight in [(_benchmark_packets4(s), None) for s in (0, 9, 20)] + [
+            (list(packets4), fam_quad.eval)]:
+        got = np.array([leg_term(j, packets, ev, weight=weight) for j in range(4)])
+        fold = np.array([leg_term(j, packets, ev.refined(), weight=weight,
+                                  pv_multiplier=_unit_multiplier) for j in range(4)])
+        assert np.max(np.abs(got - fold)) <= 1e-5 * np.max(np.abs(fold))
+
+
+# 2 -> 2 packets where legs 2 and 3 are the same packet: leg term 1's pair
+# takes the same nodes twice, so its roots merge on the grid diagonal, and
+# leg term 2's k-space fold does not converge (2.59, 0.244 and 0.0076 at 1x,
+# 2x and 4x resolution)
+_MERGING = ((-1, 0.3), (-1, -0.3), (1, 0.0), (1, 0.0))
+
+
+def test_merged_roots_take_their_finite_part(params, ev):
+    packets = _shell_packets(_MERGING, 0.3)
+    rule = kinematics.packet_rule(packets[2], ev.quad.inner_nodes)[0]
+    assert np.array_equal(rule, kinematics.packet_rule(packets[3], ev.quad.inner_nodes)[0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = leg_term(1, packets, ev)
+        want = leg_term(1, packets, ev.refined())
+    assert np.isfinite(got) and got != 0
+    assert abs(got - want) <= 1e-6 * abs(want)
+
+
+@pytest.mark.parametrize("nodes", [24, 48])
+def test_static_order4_term_where_the_fold_does_not_converge(nodes, params):
+    ev = StructureEvaluator(params, quad=QuadratureSettings(inner_nodes=nodes, fold_nodes=nodes))
+    assert abs(leg_term(2, _shell_packets(_MERGING, 0.3), ev) - 0.14099014) < 1e-8
