@@ -7,8 +7,8 @@ conservation. Pairing against packet products reduces, in d=2, to
 closed-form kinematics plus low-dimensional Gauss quadrature. A static PV
 term is summed over the other legs' on-shell momenta, its poles (if any)
 in closed form in one leg's; shell atoms and multiplied PV terms are
-folded in k-space, the principal value subtracting the numerator at each
-pole from one shared k0 table.
+folded in k-space, one k0 window and the one pole on its side of k0 = 0
+per row, the principal value subtracting the numerator at that pole.
 """
 from __future__ import annotations
 
@@ -353,15 +353,10 @@ def oscillation_edges(lo, hi, t, nodes, quad: QuadratureSettings, max_panel=math
 
 
 def _pv_log(a, b, p):
-    """ln|(b - p)/(a - p)|, the PV integral of 1/(x - p) over [a, b], for a
-    float pole or elementwise over arrays; infinite with p on an end."""
-    if isinstance(p, float):
-        if p in (a, b):
-            raise NumericalError(f"pv_fold: pole {p} on an end of the window [{a}, {b}] "
-                                 "where the numerator is nonzero")
-        return math.log(abs((b - p) / (a - p)))
+    """ln|(b - p)/(a - p)|, the PV integral of 1/(x - p) over [a, b],
+    elementwise over arrays; a pole on an end is a NumericalError."""
     on_end = (p == a) | (p == b)
-    if on_end.any():
+    if np.any(on_end):
         a, b, p = (x[on_end][0] for x in np.broadcast_arrays(a, b, p))
         raise NumericalError(f"pole {p} on an end of the interval [{a}, {b}]")
     return np.log(np.abs((b - p) / (a - p)))
@@ -369,45 +364,36 @@ def _pv_log(a, b, p):
 
 def pv_fold(numer, rows, quad: QuadratureSettings, t_hint: float = 0.0,
             max_panel: float = math.inf):
-    """PV integrals over k0 of numer(k0, k1)/(k0 - p), one per row (k1, poles,
-    windows) and pole p, over the windows (sorted break points [a, ..., b]
-    each).
+    """PV integrals over k0 of numer(k0, k1)/(k0 - p), one per row (k1, p,
+    edges): one pole p and one window, its sorted break points [a, ..., b].
 
-    A row's panels break at its poles and at p +/- max_panel / 2;
-    oscillation_edges splits each into equal sub-panels of the one fold_nodes
-    rule, all laid out in one pass. numer maps (N, 2) points (k0, k1) to
-    (..., N) values, once per row, on its nodes and poles.
-    The window [a, b] holding p (or the nearest) gives the sum of (numer(k0) -
-    numer(p)) / (k0 - p) plus numer(p) ln|(b - p)/(a - p)| if numer(p) != 0;
-    other windows are summed plainly. Per row: numer's leading axes, then pole.
+    A row's panels break at its edges and at p and p +/- max_panel / 2 inside
+    [a, b]; oscillation_edges splits each into equal sub-panels of the one
+    fold_nodes rule, all laid out in one pass. numer maps (N, 2) points (k0,
+    k1) to (..., N) values, once per row, on its nodes and pole. A row's value
+    has numer's leading axes: the sum of (numer(k0) - numer(p)) / (k0 - p),
+    plus numer(p) ln|(b - p)/(a - p)| where numer(p) != 0; 0 if b <= a.
     """
-    spans, panels = [], []  # per row its windows' ends; (row, window, lo, hi)
-    for r, (_, poles, windows) in enumerate(rows):
-        windows = [e for e in windows if e[-1] > e[0]]
-        spans.append(np.array([(e[0], e[-1]) for e in windows]).T)
-        graded = [c for p in poles for c in (p - max_panel / 2, p + max_panel / 2)]
-        for i, edges in enumerate(windows):
-            a, b = edges[0], edges[-1]
-            breaks = sorted({a, b, *(c for c in (*edges, *poles, *graded) if a < c < b)})
-            panels += [(r, i, lo, hi) for lo, hi in zip(breaks[:-1], breaks[1:])]
-    out = [np.zeros(len(poles), dtype=complex) for _, poles, _ in rows]
+    panels = []  # (row, lo, hi)
+    for r, (_, p, edges) in enumerate(rows):
+        a, b = edges[0], edges[-1]
+        cuts = (*edges, p, p - max_panel / 2, p + max_panel / 2)
+        breaks = sorted({a, b, *(c for c in cuts if a < c < b)}) if a < b else []
+        panels += [(r, lo, hi) for lo, hi in zip(breaks[:-1], breaks[1:])]
+    out = [0j] * len(rows)
     if not panels:
         return out
-    row, owner, lo, hi = map(np.array, zip(*panels))
+    row, lo, hi = map(np.array, zip(*panels))
     ends, panel = oscillation_edges(lo, hi, t_hint, quad.fold_nodes, quad, max_panel)
     k0, w = gauss_panels(ends, quad.fold_nodes)
-    owner = np.repeat(owner[panel], quad.fold_nodes)
     bounds = quad.fold_nodes * np.searchsorted(row[panel], np.arange(len(rows) + 1))
     for r in np.flatnonzero(np.diff(bounds)):
-        (k1, p, _), (a, b), (starts, stops) = rows[r], bounds[r:r + 2], spans[r]
-        p = np.array(p)
-        vals = numer(np.stack([np.append(k0[a:b], p), np.full(b - a + len(p), k1)], axis=-1))
-        table, fp = vals[..., :b - a], vals[..., b - a:]
-        near = np.argmin(np.maximum(starts - p[:, None], p[:, None] - stops), axis=-1)
-        diff = table[..., None, :] - fp[..., None] * (owner[a:b] == near[:, None])
-        logs = [_pv_log(starts[i], stops[i], x) if nz else 0.0 for i, x, nz in
-                zip(near, p, np.any(fp.reshape(-1, len(p)), axis=0))]
-        out[r] = np.sum(w[a:b] * diff / (k0[a:b] - p[:, None]), axis=-1) + fp * np.array(logs)
+        (k1, p, edges), (a, b) = rows[r], bounds[r:r + 2]
+        vals = numer(np.stack([np.append(k0[a:b], p), np.full(b - a + 1, k1)], axis=-1))
+        fp = vals[..., -1]
+        log = _pv_log(edges[0], edges[-1], p) if np.any(fp) else 0.0
+        diff = vals[..., :-1] - fp[..., None]
+        out[r] = np.sum(w[a:b] * diff / (k0[a:b] - p), axis=-1) + fp * log
     return out
 
 
@@ -578,11 +564,12 @@ def leg_term(j: int, packets, ev: StructureEvaluator, sign: int = 0, weight=None
     k0 = sign * omega(k1), with measure 1/(2 omega); (j, -1) is the sign
     configuration of (j + 1, +1). It is 0, with nothing built, where
     shell_balance_possible fails. sign 0 under a pv_multiplier or window_fn
-    takes one pv_fold call: g_j * f_j is tabulated once per live k1 row on
-    the packet's k0 support or the windows window_fn(omega) returns, each
-    clipped to the row's live interval, and both poles +/-omega of a row
-    come from its table: sum_sigma sigma / (2 omega (k0 - sigma omega)) =
-    1/(k0^2 - omega^2). pv_multiplier may return one row per time, shape
+    takes one pv_fold call with one row per k1 node and window: the
+    windows window_fn(omega) returns, each on one side sigma of k0 = 0, or
+    the packet's k0 support split at 0, clipped to the row's live interval.
+    A row's pole is sigma omega, and its numerator g_j f_j / (k0 + sigma
+    omega), regular on that side: 1/(k0^2 - omega^2) = 1/((k0 - sigma omega)
+    (k0 + sigma omega)). pv_multiplier may return one row per time, shape
     (T, N) for N k0 points; the term is then T values, on a grid sized by
     t_hint (the largest time). Order 3 has only its static PV term: its
     shell atoms and chi_t windows never balance.
@@ -617,23 +604,22 @@ def leg_term(j: int, packets, ev: StructureEvaluator, sign: int = 0, weight=None
     rows, weights = [], []
     for k1, wk, lo, hi in zip(k1n, k1w, *g.live_interval(k1n, ugrid)):
         w_sh = float(omega(k1, m))
-        windows = [[max(e[0], lo, lo0), *e[1:-1], min(e[-1], hi, hi0)]  # g f_j = 0 outside
-                   for e in ([[lo0, hi0]] if window_fn is None else window_fn(w_sh))]
-        if any(e[-1] > e[0] for e in windows):
-            rows.append((k1, (w_sh, -w_sh), windows))
+        for e in [[lo0, 0.0], [0.0, hi0]] if window_fn is None else window_fn(w_sh):
+            # g f_j = 0 outside the support and the live interval
+            rows.append((k1, w_sh if e[-1] > 0 else -w_sh,
+                         [max(e[0], lo, lo0), *e[1:-1], min(e[-1], hi, hi0)]))
             weights.append(wk)
 
     def numer(kj):
         # a fixed operand order: numpy may evaluate `v * x` as `x * v` in
-        # place, and complex products do not commute bitwise
+        # place, and complex products do not commute bitwise. The other pole's
+        # 1/(k0 + sigma omega) is regular on the row's side sigma = sign(k0)
         v = np.multiply(g(kj[:, 0], kj[:, 1], ugrid), pk(kj))
+        v = np.divide(v, kj[:, 0] + np.copysign(omega(kj[:, 1:], m), kj[:, 0]))
         return v if pv_multiplier is None else np.multiply(v, pv_multiplier(kj))
 
     folds = pv_fold(numer, rows, ev.quad, t_hint=t_hint, max_panel=PANEL_WIDTHS * pk.width)
-    total = 0.0 + 0.0j
-    for (_, (w_sh, _), _), wk, vals in zip(rows, weights, folds):
-        total += wk * (vals[..., 0] - vals[..., 1]) / (2.0 * w_sh)
-    return total
+    return sum((wk * fold for wk, fold in zip(weights, folds)), 0j)
 
 
 def eval_Ghat_n(packets, ev: StructureEvaluator, weight=None) -> complex:

@@ -177,7 +177,9 @@ def _near_shell_packets(signs, momenta, offsets, widths, shifts, m):
 def _order3_k_space_atoms(j, packets, ev, sigma, label):
     """_quadrature_atoms at order 3, whose leg_term takes neither atom: the
     same sums over the kept k-space g3 (no tail cut), with k_j on its sigma
-    shell and, through pv_fold, on chi_t's sigma window alone."""
+    shell and, through pv_fold, on chi_t's sigma window alone, one row (k1,
+    pole sigma omega, window) per k1 node with the other pole's regular
+    factor 1/(k0 + sigma omega) in the numerator."""
     params, pk = ev.params, packets[j]
     g = _dense_reduced_integrand(j, packets, ev, cut=False)
     k1n, k1w = gauss_panels(pk.support_interval(1), ev.quad.outer_nodes)
@@ -185,30 +187,29 @@ def _order3_k_space_atoms(j, packets, ev, sigma, label):
     shell = np.sum(k1w * g(sigma * w, k1n) * pk(np.stack([sigma * w, k1n], axis=-1)) / (2 * w))
 
     def numer(k):
-        mult = chi_t(label, k, [1.0, 7.0], params) * (sigma * k[..., 0] > 0)
-        return g(k[:, 0], k[:, 1]) * pk(k) * mult
+        far = k[:, 0] + sigma * np.sqrt(k[:, 1] ** 2 + params.m ** 2)
+        return g(k[:, 0], k[:, 1]) * pk(k) * chi_t(label, k, [1.0, 7.0], params) / far
 
     # leg 2 of order 5 can balance on either shell: both windows, take sigma's
-    rows = [(k1, (wk, -wk), [_chi_windows(5, 2, wk, params.eps_phi)[(sigma + 1) // 2]])
+    rows = [(k1, sigma * wk, _chi_windows(5, 2, wk, params.eps_phi)[(sigma + 1) // 2])
             for k1, wk in zip(k1n, w)]
     folds = pv_fold(numer, rows, ev.quad, t_hint=7.0)
-    window = sum(c * (f[..., 0] - f[..., 1]) / (2 * wk) for c, wk, f in zip(k1w, w, folds))
+    window = sum(c * f for c, f in zip(k1w, folds))
     return shell, window
 
 
 def _quadrature_atoms(j, packets, ev, sigma, label):
     """Leg j's sigma shell atom and its chi_t term on the sigma window alone
     (times 1 and 7), by quadrature whatever shell_balance_possible says. The
-    mask zeroes the numerator at the other pole, which the fold would
-    otherwise subtract on this window, so the term is this window's integral."""
+    fold's row on that window holds its pole sigma omega only, so the term
+    is this window's integral."""
     params = ev.params
     with pytest.MonkeyPatch.context() as mp:
         for module in (structure, lszlab):
             mp.setattr(module, "shell_balance_possible", lambda n, j, sigma: True)
         shell = leg_term(j, packets, ev, sigma)
         window = leg_term(j, packets, ev, t_hint=7.0,
-                          pv_multiplier=lambda k: chi_t(label, k, [1.0, 7.0], params) * (
-                              sigma * k[..., 0] > 0),
+                          pv_multiplier=lambda k: chi_t(label, k, [1.0, 7.0], params),
                           window_fn=lambda w: [_chi_windows(len(packets), j, w, params.eps_phi)[
                               (sigma + 1) // 2]])
     return shell, window
@@ -249,43 +250,42 @@ def test_allowed_shell_atoms_and_windows_are_nonzero(packets4, params):
         assert leg_term(j, list(packets4), ev, sigma) == shell
 
 
-def _fold_one(f, poles, windows, quad, **kwargs):
+def _fold_one(f, pole, window, quad, **kwargs):
     """pv_fold of one row, k1 = 0, whose numerator f reads k0 alone."""
-    return pv_fold(lambda k: f(k[:, 0]), [(0.0, poles, windows)], quad, **kwargs)[0]
+    return pv_fold(lambda k: f(k[:, 0]), [(0.0, pole, window)], quad, **kwargs)[0]
 
 
 def test_pv_fold_analytic():
     quad = QuadratureSettings()
-    win = [[-1.7, 2.3]]
-    assert abs(_fold_one(lambda x: np.ones_like(x), (0.3,), win, quad)[0]) < 1e-14
-    assert abs(_fold_one(lambda x: x, (0.3,), win, quad)[0] - 4.0) < 1e-12
-    assert abs(_fold_one(lambda x: np.exp(-0.5 * x**2), (0.0,), [[-8.0, 8.0]], quad)[0]) < 1e-14
-    assert np.array_equal(_fold_one(lambda x: x, (0.3, -0.3), [], quad), [0.0, 0.0])
-    # both poles from one table; a pole outside the window needs no break
-    both = _fold_one(lambda x: np.ones_like(x), (0.3, 5.0), win, quad)
-    assert abs(both[0]) < 1e-14
-    assert abs(both[1] - np.log(2.7 / 6.7)) < 1e-14
+    win = [-1.7, 2.3]
+    assert abs(_fold_one(lambda x: np.ones_like(x), 0.3, win, quad)) < 1e-14
+    assert abs(_fold_one(lambda x: x, 0.3, win, quad) - 4.0) < 1e-12
+    assert abs(_fold_one(lambda x: np.exp(-0.5 * x**2), 0.0, [-8.0, 8.0], quad)) < 1e-14
+    # an empty window gives 0 without a numer call
+    assert pv_fold(None, [(0.0, 0.3, [1.0, 1.0]), (0.0, -0.3, [1.0, 0.5])], quad) == [0j, 0j]
+    # a pole outside its window needs no break
+    assert abs(_fold_one(lambda x: np.ones_like(x), 5.0, win, quad) - np.log(2.7 / 6.7)) < 1e-14
 
 
 def test_pv_fold_zero_numerator_at_a_window_end_adds_no_log():
     # a pole on a window end where the numerator is 0, as at the end of a
     # clipped live interval, adds no ln 0 term: 0 * inf would be NaN
     quad = QuadratureSettings()
-    zero = pv_fold(lambda kj: 0 * kj[:, 0], [(0.0, (1.0, -1.0), [[1.0, 3.0]])], quad)[0]
+    zero = pv_fold(lambda kj: 0 * kj[:, 0], [(0.0, p, [1.0, 3.0]) for p in (1.0, -1.0)], quad)
     assert np.array_equal(zero, [0.0, 0.0])
     # int_1^3 (x - 1)(x - 3) / (x - p) dx at p = 1 and p = 3, exact for Gauss
-    vals = _fold_one(lambda x: (x - 1.0) * (x - 3.0), (1.0, 3.0), [[1.0, 3.0]], quad)
+    vals = [_fold_one(lambda x: (x - 1.0) * (x - 3.0), p, [1.0, 3.0], quad) for p in (1.0, 3.0)]
     assert np.all(np.isfinite(vals))
-    assert np.max(np.abs(vals - [-2.0, 2.0])) < 1e-13
+    assert np.max(np.abs(np.subtract(vals, [-2.0, 2.0]))) < 1e-13
 
 
 @pytest.mark.parametrize("pole", [1.0, 3.0])
 def test_pv_fold_pole_on_a_window_end_with_nonzero_numerator_is_a_numerical_error(pole):
     # the PV integral diverges there; at the parent the start end returned
     # inf with a RuntimeWarning and the stop end raised math's ValueError
-    with pytest.raises(kinematics.NumericalError, match=rf"pole {pole} on an end of the "
-                       r"window \[1\.0, 3\.0\] where the numerator is nonzero"):
-        pv_fold(lambda kj: 1 + 0 * kj[:, 0], [(0.0, (pole,), [[1.0, 3.0]])], QuadratureSettings())
+    with pytest.raises(kinematics.NumericalError,
+                       match=rf"pole {pole} on an end of the interval \[1\.0, 3\.0\]"):
+        pv_fold(lambda kj: 1 + 0 * kj[:, 0], [(0.0, pole, [1.0, 3.0])], QuadratureSettings())
 
 
 def test_pv_fold_vs_cauchy_weight_oracle():
@@ -297,7 +297,7 @@ def test_pv_fold_vs_cauchy_weight_oracle():
 
     # poles inside the window, within 1e-3 of its edges, and outside it
     for pole in (0.4, b - 5e-4, a + 1e-4, b + 0.1, -4.0):
-        val = _fold_one(numer, (pole,), [[a, 0.5, b]], quad)[0]
+        val = _fold_one(numer, pole, [a, 0.5, b], quad)
         if a < pole < b:
             oracle, _ = integrate.quad(lambda x: float(numer(x)), a, b,
                                        weight="cauchy", wvar=pole, limit=400)
@@ -308,15 +308,16 @@ def test_pv_fold_vs_cauchy_weight_oracle():
 
 
 def test_pv_fold_two_windows_vs_cauchy_weight_oracle():
-    # the pole's own window is subtracted, the other one summed plainly
+    # one row per window: the pole's own window is subtracted, and a row
+    # whose window does not hold the pole is its plain integral
     quad = QuadratureSettings()
 
     def numer(x):
         return np.exp(-0.5 * (np.asarray(x) - 1.1) ** 2) * (1.0 + 0.3j * np.asarray(x))
 
     wins = [[-3.0, -1.0], [0.2, 0.9, 2.5]]
-    vals = _fold_one(numer, (0.7, -1.5), wins, quad)
-    for p, val in zip((0.7, -1.5), vals):
+    for p in (0.7, -1.5):
+        val = sum(pv_fold(lambda k: numer(k[:, 0]), [(0.0, p, e) for e in wins], quad))
         oracle = 0.0
         for part in (np.real, np.imag):
             for edges in wins:
@@ -340,12 +341,13 @@ def test_pv_fold_sums_rows_along_last_axis():
         vals = np.exp(-0.5 * (x - 1.1) ** 2) * np.exp(1j * scales[:, None] * x)
         return vals if row is None else vals[row]
 
-    poles, wins = (0.4, -0.4), [[-2.6, 3.4]]
-    rows = _fold_one(numer, poles, wins, quad, t_hint=7.0)
-    assert rows.shape == (3, 2)
-    for i in range(3):
-        assert np.array_equal(rows[i], _fold_one(lambda x: numer(x, i), poles, wins, quad,
-                                                 t_hint=7.0))
+    poles, win = (0.4, -0.4), [-2.6, 3.4]
+    folds = pv_fold(lambda k: numer(k[:, 0]), [(0.0, p, win) for p in poles], quad, t_hint=7.0)
+    for p, fold in zip(poles, folds):
+        assert fold.shape == (3,)
+        for i in range(3):
+            assert np.array_equal(fold[i], _fold_one(lambda x: numer(x, i), p, win, quad,
+                                                     t_hint=7.0))
 
 
 def test_reduced_integrand_order3_oracle(trio, ev):
@@ -1127,30 +1129,32 @@ def test_order4_leg_terms_match_symmetric_fold_oracle(packets4, ev):
 
 
 def _unclipped_leg_term(j, packets, ev, pv_multiplier=None, t_hint=0.0, window_fn=None):
-    """The PV leg term as leg_term folded it before live intervals: every k1
-    row, each over its whole window (the packet's k0 support, or window_fn's
-    clipped to it), kept as an oracle."""
+    """The PV leg term as leg_term folded it before live intervals: a row
+    per k1 node and window, each over its whole window (the packet's k0
+    support split at 0, or window_fn's clipped to it), kept as an oracle."""
     pk = packets[j]
     g = reduced_integrand(j, packets, ev)
     ugrid = leg_term_u_grid(packets[g.free_leg], ev.quad)
     k1n, k1w = gauss_panels(pk.support_interval(1), ev.quad.outer_nodes)
     lo0, hi0 = pk.support_interval(0)
-    rows = []
-    for k1 in k1n:
+    rows, weights = [], []
+    for k1, wk in zip(k1n, k1w):
         w_sh = float(omega(k1, ev.params.m))
-        windows = [[lo0, hi0]] if window_fn is None else window_fn(w_sh)
-        rows.append((k1, (w_sh, -w_sh), [[max(e[0], lo0), *e[1:-1], min(e[-1], hi0)]
-                                         for e in windows]))
+        for e in [[lo0, 0.0], [0.0, hi0]] if window_fn is None else window_fn(w_sh):
+            rows.append((k1, w_sh if e[-1] > 0 else -w_sh,
+                         [max(e[0], lo0), *e[1:-1], min(e[-1], hi0)]))
+            weights.append(wk)
 
     def numer(kj):
         v = np.multiply(g(kj[:, 0], kj[:, 1], ugrid), pk(kj))
+        v = np.divide(v, kj[:, 0] + np.copysign(omega(kj[:, 1:], ev.params.m), kj[:, 0]))
         return v if pv_multiplier is None else np.multiply(v, pv_multiplier(kj))
 
     folds = pv_fold(numer, rows, ev.quad, t_hint=t_hint,
                     max_panel=structure.PANEL_WIDTHS * pk.width)
     total = 0.0 + 0.0j
-    for (_, (w_sh, _), _), wk, vals in zip(rows, k1w, folds):
-        total += wk * (vals[..., 0] - vals[..., 1]) / (2.0 * w_sh)
+    for wk, vals in zip(weights, folds):
+        total += wk * vals
     return total
 
 
@@ -1237,41 +1241,31 @@ def test_graded_break_keeps_clear_of_threshold(params):
     assert abs(eval_Ghat_n(packets, StructureEvaluator(params)) - want) < 1e-10 * abs(want)
 
 
-def _pv_fold_one_row(numer, poles, windows, quad, t_hint=0.0, max_panel=math.inf):
-    """The PV fold of one k1 row from its own table, numer(k0) evaluated once
-    per row, kept as the bitwise reference of the batched pv_fold."""
-    windows = [e for e in windows if e[-1] > e[0]]
-    graded = [c for p in poles for c in (p - max_panel / 2, p + max_panel / 2)]
+def _pv_fold_one_row(numer, pole, edges, quad, t_hint=0.0, max_panel=math.inf):
+    """The PV fold of one row (one pole, one window) from its own table,
+    numer(k0) evaluated once per row, kept as the bitwise reference of the
+    batched pv_fold."""
+    a, b = edges[0], edges[-1]
+    cuts = (*edges, pole, pole - max_panel / 2, pole + max_panel / 2)
+    breaks = sorted({a, b, *(c for c in cuts if a < c < b)})
     panels = []
-    for i, edges in enumerate(windows):
-        a, b = edges[0], edges[-1]
-        breaks = sorted({a, b, *(c for c in (*edges, *poles, *graded) if a < c < b)})
-        for lo, hi in zip(breaks[:-1], breaks[1:]):
-            n = quad.nodes_per_period * abs(t_hint) * (hi - lo) / (2 * math.pi)
-            sub = np.linspace(lo, hi, max(1, math.ceil(n / quad.fold_nodes),
-                                          math.ceil((hi - lo) / max_panel)) + 1)
-            xs, ws = gauss_panels(sub, quad.fold_nodes)
-            panels.append((xs, ws, np.full(len(xs), i)))
-    if not panels:
-        return np.zeros(len(poles), dtype=complex)
-    k0, w, owner = map(np.concatenate, zip(*panels))
-    vals = numer(np.concatenate([k0, poles]))
-    table, at_poles = vals[..., :len(k0)], vals[..., len(k0):]
-    starts, ends = np.array([(e[0], e[-1]) for e in windows]).T
-    out = []
-    for i, p in enumerate(poles):
-        near = int(np.argmin(np.maximum(starts - p, p - ends)))
-        fp = at_poles[..., i]
-        diff = table - fp[..., None] * (owner == near)
-        out.append(np.sum(w * diff / (k0 - p), axis=-1)
-                   + fp * math.log(abs((ends[near] - p) / (starts[near] - p))))
-    return np.stack(out, axis=-1)
+    for lo, hi in zip(breaks[:-1], breaks[1:]):
+        n = quad.nodes_per_period * abs(t_hint) * (hi - lo) / (2 * math.pi)
+        sub = np.linspace(lo, hi, max(1, math.ceil(n / quad.fold_nodes),
+                                      math.ceil((hi - lo) / max_panel)) + 1)
+        panels.append(gauss_panels(sub, quad.fold_nodes))
+    k0, w = map(np.concatenate, zip(*panels))
+    vals = numer(np.append(k0, pole))
+    table, fp = vals[..., :-1], vals[..., -1]
+    log = np.log(np.abs((b - pole) / (a - pole))) if np.any(fp) else 0.0
+    return np.sum(w * (table - fp[..., None]) / (k0 - pole), axis=-1) + fp * log
 
 
 def _live_rows(j, packets, ev, window_fn=None):
-    """(k1, weight, omega, windows) of each k1 row leg_term folds: its windows
-    (the packet's k0 support, or window_fn's) clipped to the support and to
-    the row's live interval, the row kept if one window is left."""
+    """(k1, weight, pole, window) of each row leg_term folds: per k1 node,
+    each window (the packet's k0 support split at 0, or window_fn's) clipped
+    to the support and to the row's live interval and kept if not empty,
+    with the pole on its side of k0 = 0."""
     pk = packets[j]
     g = reduced_integrand(j, packets, ev)
     ugrid = leg_term_u_grid(packets[g.free_leg], ev.quad)
@@ -1280,32 +1274,32 @@ def _live_rows(j, packets, ev, window_fn=None):
     rows = []
     for k1, wk, lo, hi in zip(k1n, k1w, *g.live_interval(k1n, ugrid)):
         w_sh = float(omega(k1, ev.params.m))
-        windows = [[lo0, hi0]] if window_fn is None else window_fn(w_sh)
-        windows = [[max(e[0], lo, lo0), *e[1:-1], min(e[-1], hi, hi0)] for e in windows]
-        if any(e[-1] > e[0] for e in windows):
-            rows.append((k1, wk, w_sh, windows))
+        for e in [[lo0, 0.0], [0.0, hi0]] if window_fn is None else window_fn(w_sh):
+            e = [max(e[0], lo, lo0), *e[1:-1], min(e[-1], hi, hi0)]
+            if e[-1] > e[0]:
+                rows.append((k1, wk, math.copysign(w_sh, e[0] + e[-1]), e))
     return rows
 
 
 def _pv_leg_term_per_row(j, packets, ev, pv_multiplier=None, t_hint=0.0, window_fn=None):
-    """The PV leg term as one fold per live k1 row, kept as the bitwise
-    reference of leg_term's single batched fold."""
+    """The PV leg term as one fold per live row, kept as the bitwise
+    reference of leg_term's single batched fold; the other pole enters as
+    1/(k0 + pole) with the row's own pole."""
     pk = packets[j]
     g = reduced_integrand(j, packets, ev)
     ugrid = leg_term_u_grid(packets[g.free_leg], ev.quad)
     total = 0.0 + 0.0j
-    for k1, wk, w_sh, windows in _live_rows(j, packets, ev, window_fn):
+    for k1, wk, pole, edges in _live_rows(j, packets, ev, window_fn):
 
-        def numer(k0, _k1=k1):
+        def numer(k0, _k1=k1, _pole=pole):
             kj = np.stack([k0, np.full_like(k0, _k1)], axis=-1)
-            v = g(k0, np.full_like(k0, _k1), ugrid) * pk(kj)
+            v = np.divide(g(k0, np.full_like(k0, _k1), ugrid) * pk(kj), k0 + _pole)
             if pv_multiplier is not None:
                 v = np.multiply(v, pv_multiplier(kj))
             return v
 
-        vals = _pv_fold_one_row(numer, (w_sh, -w_sh), windows, ev.quad, t_hint=t_hint,
-                                max_panel=structure.PANEL_WIDTHS * pk.width)
-        total += wk * (vals[..., 0] - vals[..., 1]) / (2.0 * w_sh)
+        total += wk * _pv_fold_one_row(numer, pole, edges, ev.quad, t_hint=t_hint,
+                                       max_panel=structure.PANEL_WIDTHS * pk.width)
     return total
 
 
@@ -1332,6 +1326,94 @@ def _per_root_pair_terms(j, pair, packets, ev, weight, E, P, k0, k1, free):
     return out.reshape(shape + (2,))
 
 
+def _two_pole_pv_fold(numer, rows, quad, t_hint=0.0, max_panel=math.inf):
+    """The fold before one pole per row, kept as an oracle: per row (k1,
+    poles, windows) and pole p, the window holding p (or the nearest)
+    subtracts numer(p) and adds its logarithm, other windows sum plainly."""
+    spans, panels = [], []  # per row its windows' ends; (row, window, lo, hi)
+    for r, (_, poles, windows) in enumerate(rows):
+        windows = [e for e in windows if e[-1] > e[0]]
+        spans.append(np.array([(e[0], e[-1]) for e in windows]).T)
+        graded = [c for p in poles for c in (p - max_panel / 2, p + max_panel / 2)]
+        for i, edges in enumerate(windows):
+            a, b = edges[0], edges[-1]
+            breaks = sorted({a, b, *(c for c in (*edges, *poles, *graded) if a < c < b)})
+            panels += [(r, i, lo, hi) for lo, hi in zip(breaks[:-1], breaks[1:])]
+    out = [np.zeros(len(poles), dtype=complex) for _, poles, _ in rows]
+    if not panels:
+        return out
+    row, owner, lo, hi = map(np.array, zip(*panels))
+    ends, panel = structure.oscillation_edges(lo, hi, t_hint, quad.fold_nodes, quad, max_panel)
+    k0, w = gauss_panels(ends, quad.fold_nodes)
+    owner = np.repeat(owner[panel], quad.fold_nodes)
+    bounds = quad.fold_nodes * np.searchsorted(row[panel], np.arange(len(rows) + 1))
+    for r in np.flatnonzero(np.diff(bounds)):
+        (k1, p, _), (a, b), (starts, stops) = rows[r], bounds[r:r + 2], spans[r]
+        p = np.array(p)
+        vals = numer(np.stack([np.append(k0[a:b], p), np.full(b - a + len(p), k1)], axis=-1))
+        table, fp = vals[..., :b - a], vals[..., b - a:]
+        near = np.argmin(np.maximum(starts - p[:, None], p[:, None] - stops), axis=-1)
+        diff = table[..., None, :] - fp[..., None] * (owner[a:b] == near[:, None])
+        logs = [math.log(abs((stops[i] - x) / (starts[i] - x))) if nz else 0.0 for i, x, nz in
+                zip(near, p, np.any(fp.reshape(-1, len(p)), axis=0))]
+        out[r] = np.sum(w[a:b] * diff / (k0[a:b] - p[:, None]), axis=-1) + fp * np.array(logs)
+    return out
+
+
+def _two_pole_leg_term(j, packets, ev, weight=None, pv_multiplier=None, t_hint=0.0,
+                       window_fn=None):
+    """leg_term's fold before one pole per row, kept as an oracle: a row per
+    live k1 node with both poles +/-omega and all its windows (the packet's
+    whole k0 support by default), 1/(k0^2 - omega^2) as the poles' sum
+    sigma / (2 omega (k0 - sigma omega))."""
+    pk = packets[j]
+    g = reduced_integrand(j, packets, ev, weight=weight)
+    ugrid = leg_term_u_grid(packets[g.free_leg], ev.quad)
+    k1n, k1w = gauss_panels(pk.support_interval(1), ev.quad.outer_nodes)
+    lo0, hi0 = pk.support_interval(0)
+    rows, weights = [], []
+    for k1, wk, lo, hi in zip(k1n, k1w, *g.live_interval(k1n, ugrid)):
+        w_sh = float(omega(k1, ev.params.m))
+        windows = [[max(e[0], lo, lo0), *e[1:-1], min(e[-1], hi, hi0)]
+                   for e in ([[lo0, hi0]] if window_fn is None else window_fn(w_sh))]
+        if any(e[-1] > e[0] for e in windows):
+            rows.append((k1, (w_sh, -w_sh), windows))
+            weights.append(wk)
+
+    def numer(kj):
+        v = np.multiply(g(kj[:, 0], kj[:, 1], ugrid), pk(kj))
+        return v if pv_multiplier is None else np.multiply(v, pv_multiplier(kj))
+
+    folds = _two_pole_pv_fold(numer, rows, ev.quad, t_hint=t_hint,
+                              max_panel=structure.PANEL_WIDTHS * pk.width)
+    total = 0.0 + 0.0j
+    for (_, (w_sh, _), _), wk, vals in zip(rows, weights, folds):
+        total += wk * (vals[..., 0] - vals[..., 1]) / (2.0 * w_sh)
+    return total
+
+
+@pytest.mark.parametrize("case", ["packets4", "seed9", "derivative"])
+def test_one_pole_rows_match_the_two_pole_fold(case, trio, packets4, params, ev, fam_lin):
+    # chi_t terms keep their panels (the far pole lies outside the one-sided
+    # window), so only the far pole's arithmetic moves: 1.8e-15 relative
+    # measured, within 1e-12. The static window split at 0 moves the static
+    # fold by quadrature error: 1.2e-8 (packets4) and 3.9e-7 (derivative) of
+    # the largest term, within 1e-6
+    packets = _tail_case_packets(case, trio, packets4)
+    times = [1.0, 3.2, 100.0, 201.0]
+    for weight in (None, fam_lin.eval):
+        for j, label in itertools.product((1, 2), ("in", "out")):
+            kw = dict(pv_multiplier=lambda k: chi_t(label, k, times, params), t_hint=max(times),
+                      window_fn=lambda w: _chi_windows(4, j, w, params.eps_phi))
+            got = leg_term(j, packets, ev, weight=weight, **kw)
+            want = _two_pole_leg_term(j, packets, ev, weight=weight, **kw)
+            assert np.all(want != 0) and np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+        got = [leg_term(j, packets, ev, weight=weight, pv_multiplier=_unit_multiplier)
+               for j in range(4)]
+        want = [_two_pole_leg_term(j, packets, ev, weight=weight) for j in range(4)]
+        assert np.max(np.abs(np.subtract(got, want))) <= 1e-6 * np.max(np.abs(want))
+
+
 def test_batched_leg_term_bitwise_equals_per_row_folds(packets4, params, ev, monkeypatch):
     # one layout of every row's panels, one numer call per row on its own
     # nodes and poles, and the two roots summed where solved keep each row's
@@ -1346,7 +1428,7 @@ def test_batched_leg_term_bitwise_equals_per_row_folds(packets4, params, ev, mon
                                  # both shell windows: leg 2 of order 5 can balance on either
                                  t_hint=30.0, window_fn=lambda w: _chi_windows(5, 2, w, eps))),
         # rows past w_mid see windows outside the packet's support: empty rows
-        (list(packets4), 1, dict(window_fn=lambda w: [[lo0, hi0]] if w < w_mid
+        (list(packets4), 1, dict(window_fn=lambda w: [[lo0, 0.0], [0.0, hi0]] if w < w_mid
                                  else [[hi0 + 1.0, hi0 + 2.0]])),
         (list(packets4), 2, dict(unit, t_hint=40.0)),
     ]
@@ -1387,8 +1469,10 @@ def test_opposite_sign_leg_term_evaluates_one_root_and_one_free_table(packets4, 
 
 @pytest.mark.parametrize("finite_time", [False, True])
 def test_numer_evaluated_once_per_k1(finite_time, packets4, params, monkeypatch):
-    # one pv_fold call per PV leg term, which calls numer once per kept k1
-    # row, on that row's points alone
+    # one pv_fold call per PV leg term, which calls numer once per kept row,
+    # on that row's points alone: a row per k1 and window, at most one
+    # window on each side of k0 = 0 (the static one split at 0, chi_t's
+    # leg-1 window on the backward side alone)
     ev = StructureEvaluator(params, quad=QuadratureSettings(outer_nodes=6))
     folds, calls = [], []
 
@@ -1409,6 +1493,7 @@ def test_numer_evaluated_once_per_k1(finite_time, packets4, params, monkeypatch)
     val = leg_term(1, list(packets4), ev, **kw)
     kept = [row[0] for row in _live_rows(1, list(packets4), ev, kw.get("window_fn"))]
     assert len(kept) >= 2
+    assert np.unique(kept, return_counts=True)[1].max() == (1 if finite_time else 2)
     assert folds == [0]
     rows = [np.unique(kj[:, 1]) for kj in calls]
     assert all(len(r) == 1 for r in rows)
