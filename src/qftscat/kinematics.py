@@ -315,21 +315,13 @@ def packet_rule(packet: WavePacket, nodes: int):
     return packet.center[1] + scale * x, scale * w
 
 
-def gauss_panels(edges, nodes: int, sine: bool = False):
+def gauss_panels(edges, nodes: int):
     """Composite Gauss-Legendre rule of the given nodes on every panel between
     consecutive edges, or on each (lo, hi) row of an (S, 2) edges array, as
-    fresh arrays; with sine, a sine substitution per panel.
-
-    The substitution's derivative vanishes at panel ends, which integrates
-    inverse-square-root endpoint singularities (two-body thresholds) exactly
-    in the transformed variable.
-    """
+    fresh arrays."""
     x, w = gauss_rule(nodes)
     edges = np.asarray(edges, dtype=float)
     lo, hi = (edges[:-1], edges[1:]) if edges.ndim == 1 else edges.T
     mid = 0.5 * (lo + hi)[:, None]
     half = 0.5 * (hi - lo)[:, None]
-    if not sine:
-        return (mid + half * x).ravel(), (half * w).ravel()
-    us = mid + half * np.sin(0.5 * np.pi * x)
-    return us.ravel(), (w * half * 0.5 * np.pi * np.cos(0.5 * np.pi * x)).ravel()
+    return (mid + half * x).ravel(), (half * w).ravel()

@@ -59,10 +59,11 @@ class SpectralDensity:
 
 @dataclass(frozen=True)
 class QuadratureSettings:
-    # static PV terms: outer_nodes per panel of each order-3 leg (two panels),
-    # inner_nodes Gauss-Hermite nodes per order-4 outer leg, fold_nodes per
-    # panel of the lone leg (three panels); in the k-space fold: the k^1 rule,
-    # per panel of the free-leg grid and per interval of the PV fold
+    # outer_nodes per panel of each order-3 leg (two panels) and per
+    # quadrature leg of smatrix_amplitude; inner_nodes Gauss-Hermite nodes per
+    # order-4 packet axis (the static terms' outer legs, the k-space fold's k^1
+    # and free leg); fold_nodes per panel of the lone leg (three panels) and
+    # per interval of the PV fold
     outer_nodes: int = 40
     inner_nodes: int = 24
     fold_nodes: int = 24
@@ -229,7 +230,7 @@ def _solved_pair_terms(j, pair, packets, ev, weight, E, P, k0, k1, free):
     Only points where root_possible holds inside the packets' joint tail
     (_tail_exponent) are solved, at the roots _roots gives (one for an
     opposite-sign pair). free is (leg, momenta, packet values, 2 omega) of
-    the free leg on the u-grid, which is the last axis of E and P.
+    the free leg on its u rule, which is the last axis of E and P.
     """
     b, c = pair
     sb, sc = _leg_sign(b, j), _leg_sign(c, j)
@@ -260,40 +261,28 @@ def _solved_pair_terms(j, pair, packets, ev, weight, E, P, k0, k1, free):
     return out.reshape(shape)
 
 
-def leg_term_u_grid(packet, quad: QuadratureSettings):
-    """Free-leg grid of the order-4 leg terms, shared by all their (k1, sigma)
-    nodes: two sine-substituted panels split at the support's exact midpoint.
-
-    At the on-shell point k0 = sigma*omega(k1), Q = (k_j + s_a k_u)^2 sums two
-    on-shell vectors, so Q >= 4 m^2 or Q <= 0 and touches a threshold only at
-    u = +/-k1, needing no break. Off the shell (inside a PV fold) thresholds
-    can fall inside the support; the grid does not resolve them.
-    """
-    lo, hi = packet.support_interval(1)
-    return gauss_panels([lo, 0.5 * (lo + hi), hi], quad.inner_nodes, sine=True)
-
-
 def reduced_integrand(j: int, packets, ev: StructureEvaluator, weight=None):
     """The order-4 leg-j reduction g_j: integrate the packet product over the
     shells of legs l != j with total momentum conservation solved exactly.
 
     j is 0-based. Returns a callable g(k0, k1, ugrid) vectorized over
-    broadcastable arrays, ugrid being the free leg's (nodes, weights) grid.
-    No kinematic solution means g = 0, and so does a packet product (f_j's
-    included) past its joint tail.
+    broadcastable arrays, ugrid being a (nodes, weights) rule over the free
+    leg g.free_leg's spatial momentum (leg_term's is the free leg's
+    packet_rule). No kinematic solution means g = 0, and so does a packet
+    product (f_j's included) past its joint tail.
     """
     n = len(packets)
     if n != 4:
         raise NotImplementedError("phase-space reduction implemented for n = 4")
-    free, b, c = [l for l in range(n) if l != j]  # free leg on the u-grid, solved pair
-    sa, sb, sc = (_leg_sign(l, j) for l in (free, b, c))
+    free, b, c = [l for l in range(n) if l != j]  # free leg on the u rule, solved pair
+    sa = _leg_sign(free, j)
     m = ev.params.m
     table = [None, None, None]  # the u nodes last seen, omega and the free leg on them
 
     def g(k0, k1, ugrid):
         k0, k1 = np.broadcast_arrays(np.asarray(k0, dtype=float), np.asarray(k1, dtype=float))
         un, uw = ugrid
-        if table[0] is not un:  # once per leg term: leg_term passes every row one u-grid
+        if table[0] is not un:  # once per leg term: leg_term passes every row one u rule
             wu = np.sqrt(un * un + m * m)
             kfree = np.stack([sa * wu, un], axis=-1)
             table[:] = un, wu, (free, kfree, packets[free](kfree), 2.0 * wu)
@@ -305,27 +294,7 @@ def reduced_integrand(j: int, packets, ev: StructureEvaluator, weight=None):
                                  -k0e - sa * wu, -k1e - un, k0e, k1e, free=ftable)
         return (out * uw).sum(axis=-1)
 
-    def live_interval(k1, ugrid):
-        """(lo, hi) per k1, lo > hi for a dead row: the hull over free-leg nodes u
-        of the k0 where g f_j can be nonzero. Per u (s = sa omega(u), P = -k1 - u)
-        the joint tail bound holds on an interval about kmin and root_possible on
-        a half-line (same-sign pair) or on the interval -s +/- |P| (opposite)."""
-        k1, u = np.asarray(k1, dtype=float)[:, None], ugrid[0]
-        s, P = sa * np.sqrt(u * u + m * m), -k1 - u
-        pj, pb, pc = packets[j], packets[b], packets[c]
-        wj2, W2 = pj.width ** 2, pb.width ** 2 + pc.width ** 2
-        kmin = (pj.center[0] * W2 - (s + pb.center[0] + pc.center[0]) * wj2) / (wj2 + W2)
-        h2 = (TAIL_WIDTHS ** 2 - _tail_exponent(j, (b, c), packets, -kmin - s, P, kmin, k1, (
-            free, np.stack([s, u], axis=-1)))) * (wj2 * W2 / (wj2 + W2))
-        h = np.sqrt(np.maximum(h2, 0.0))
-        r = np.sqrt(P * P + 4.0 * m * m) if sb == sc else np.abs(P)
-        ends = ((-np.inf, -s - r), (-s + r, np.inf))[sb < 0] if sb == sc else (-s - r, -s + r)
-        lo, hi = np.maximum(kmin - h, ends[0]), np.minimum(kmin + h, ends[1])
-        live = (h2 >= 0) & (lo <= hi)
-        return np.where(live, lo, np.inf).min(axis=-1), np.where(live, hi, -np.inf).max(axis=-1)
-
     g.free_leg = free
-    g.live_interval = live_interval
     return g
 
 
@@ -559,16 +528,17 @@ def leg_term(j: int, packets, ev: StructureEvaluator, sign: int = 0, weight=None
     outer_nodes per leg, order 4 j = 0 and 3 on Gauss-Hermite rules of
     inner_nodes), _lone_leg_term for order 4 j = 1 and 2.
 
-    Every other atom is folded in k-space, the other legs reduced by g_j and
-    k1 on the packet's outer Gauss rule. sign +/-1 pins k_j to that shell,
+    Every other atom is folded in k-space, the other legs reduced by g_j:
+    k1 and g_j's free leg each on their packet's Gauss-Hermite rule of
+    inner_nodes (packet_rule). sign +/-1 pins k_j to that shell,
     k0 = sign * omega(k1), with measure 1/(2 omega); (j, -1) is the sign
     configuration of (j + 1, +1). It is 0, with nothing built, where
     shell_balance_possible fails. sign 0 under a pv_multiplier or window_fn
     takes one pv_fold call with one row per k1 node and window: the
     windows window_fn(omega) returns, each on one side sigma of k0 = 0, or
-    the packet's k0 support split at 0, clipped to the row's live interval.
-    A row's pole is sigma omega, and its numerator g_j f_j / (k0 + sigma
-    omega), regular on that side: 1/(k0^2 - omega^2) = 1/((k0 - sigma omega)
+    the packet's k0 support split at 0, clipped to that support. A row's
+    pole is sigma omega, and its numerator g_j f_j / (k0 + sigma omega),
+    regular on that side: 1/(k0^2 - omega^2) = 1/((k0 - sigma omega)
     (k0 + sigma omega)). pv_multiplier may return one row per time, shape
     (T, N) for N k0 points; the term is then T values, on a grid sized by
     t_hint (the largest time). Order 3 has only its static PV term: its
@@ -591,8 +561,8 @@ def leg_term(j: int, packets, ev: StructureEvaluator, sign: int = 0, weight=None
                                                      for l in range(4) if l != j])
     pk = packets[j]
     g = reduced_integrand(j, packets, ev, weight=weight)
-    ugrid = leg_term_u_grid(packets[g.free_leg], ev.quad)
-    k1n, k1w = gauss_panels(pk.support_interval(1), ev.quad.outer_nodes)
+    ugrid = packet_rule(packets[g.free_leg], ev.quad.inner_nodes)
+    k1n, k1w = packet_rule(pk, ev.quad.inner_nodes)
     m = ev.params.m
     if sign:
         w = np.sqrt(k1n * k1n + m * m)
@@ -602,12 +572,12 @@ def leg_term(j: int, packets, ev: StructureEvaluator, sign: int = 0, weight=None
         return complex(np.sum(k1w * vals * pk(kj) / (2.0 * w)))
     lo0, hi0 = pk.support_interval(0)
     rows, weights = [], []
-    for k1, wk, lo, hi in zip(k1n, k1w, *g.live_interval(k1n, ugrid)):
+    for k1, wk in zip(k1n, k1w):
         w_sh = float(omega(k1, m))
         for e in [[lo0, 0.0], [0.0, hi0]] if window_fn is None else window_fn(w_sh):
-            # g f_j = 0 outside the support and the live interval
+            # g f_j = 0 outside the support
             rows.append((k1, w_sh if e[-1] > 0 else -w_sh,
-                         [max(e[0], lo, lo0), *e[1:-1], min(e[-1], hi, hi0)]))
+                         [max(e[0], lo0), *e[1:-1], min(e[-1], hi0)]))
             weights.append(wk)
 
     def numer(kj):

@@ -14,7 +14,7 @@ from qftscat.formfactor import (
     smatrix_amplitude,
 )
 from qftscat.gns import structure_pairing
-from qftscat.kinematics import WavePacket, gauss_panels, omega
+from qftscat.kinematics import WavePacket, omega, packet_rule
 from qftscat.structure import (
     QuadratureSettings,
     SpectralDensity,
@@ -149,8 +149,8 @@ def test_each_configuration_is_computed_once(labels, built, packets4, params):
 
 def test_formfactor_binds_no_quadrature_helper():
     # Gauss rules live in kinematics (formfactor maps its free legs with
-    # gauss_panels); leg terms, the PV fold and the free-leg grid stay in structure
-    for name in ("reduced_integrand", "leg_term_u_grid", "pv_fold", "gauss_rule"):
+    # gauss_panels); leg terms and the PV fold stay in structure
+    for name in ("reduced_integrand", "pv_fold", "gauss_rule"):
         assert not hasattr(formfactor, name)
 
 
@@ -258,13 +258,12 @@ def test_eval_F_n_requires_valid_family(packets4, ev):
 
 
 def _onshell_leg_term_per_node(j, sign, packets, ev, weight=None):
-    """The order-4 on-shell leg term one outer node at a time, on the
-    two-panel free-leg grid split at the exact midpoint of its support."""
+    """The order-4 on-shell leg term one k1 node at a time, k1 and the free
+    leg on their packets' Gauss-Hermite rules."""
     pk = packets[j]
     g = reduced_integrand(j, packets, ev, weight=weight)
-    lo, hi = packets[g.free_leg].support_interval(1)
-    ugrid = gauss_panels([lo, 0.5 * (lo + hi), hi], ev.quad.inner_nodes, sine=True)
-    k1n, k1w = gauss_panels(pk.support_interval(1), ev.quad.outer_nodes)
+    ugrid = packet_rule(packets[g.free_leg], ev.quad.inner_nodes)
+    k1n, k1w = packet_rule(pk, ev.quad.inner_nodes)
     total = 0.0 + 0.0j
     for k1, wk in zip(k1n, k1w):
         w = float(omega(k1, ev.params.m))

@@ -14,7 +14,8 @@ from scipy import integrate
 
 from qftscat import kinematics, lszlab, structure
 from qftscat.fitter import recheck_constraints
-from qftscat.kinematics import ModelParams, WavePacket, gauss_panels, minkowski_sq, omega
+from qftscat.kinematics import (ModelParams, WavePacket, gauss_panels, minkowski_sq, omega,
+                                packet_rule)
 from qftscat.lszlab import _chi_windows, chi_t, finite_time_pairing
 from qftscat.structure import (
     QuadratureSettings,
@@ -24,7 +25,6 @@ from qftscat.structure import (
     eval_Ghat_2,
     eval_Ghat_n,
     leg_term,
-    leg_term_u_grid,
     pv_fold,
     reduced_integrand,
     rho_continuum,
@@ -377,16 +377,18 @@ def test_reduced_integrand_order3_oracle(trio, ev):
 
 
 def _u_grid(packet, quad, panels=4):
-    """Equal sine-substituted panels over a packet's spatial support: the
-    free-leg grid the order-4 oracle constant below was checked on."""
+    """Equal sine-substituted panels over a packet's spatial support."""
     lo, hi = packet.support_interval(1)
-    return gauss_panels(np.linspace(lo, hi, panels + 1), quad.inner_nodes, sine=True)
+    return _panel_grid_loop(np.linspace(lo, hi, panels + 1), quad.inner_nodes)
 
 
 def test_reduced_integrand_order4_oracle(packets4, ev):
+    # on the free leg's packet rule, the one leg_term passes g: 4.0e-8 off
+    # (two sine panels of 24 nodes each: 7.9e-6)
     g = reduced_integrand(2, list(packets4), ev)
     k0v, k1v = 1.30, 0.75
-    val = complex(g(np.array(k0v), np.array(k1v), _u_grid(packets4[g.free_leg], ev.quad)))
+    val = complex(g(np.array(k0v), np.array(k1v),
+                    packet_rule(packets4[g.free_leg], ev.quad.inner_nodes)))
     # brute-force oracle computed once by adaptive quadrature over the free
     # leg with root solving inside (legs 0, 1 backward, leg 3 forward)
     assert abs(val - 0.018591935616353153) < 3e-7 * 0.0186
@@ -395,7 +397,7 @@ def test_reduced_integrand_order4_oracle(packets4, ev):
 def test_reduced_integrand_no_solution_is_zero(packets4, ev):
     g = reduced_integrand(0, list(packets4), ev)
     # legs 2 and 3 forward need a positive pair energy, but -0.01 - omega(u) < 0
-    ugrid = leg_term_u_grid(packets4[g.free_leg], ev.quad)
+    ugrid = packet_rule(packets4[g.free_leg], ev.quad.inner_nodes)
     assert g(np.array(0.01), np.array(0.0), ugrid) == 0.0
 
 
@@ -470,18 +472,12 @@ def test_threshold_scan_finds_off_shell_thresholds(packets4, ev):
         assert abs(Q * (Q - 4 * m * m)) < 1e-8
 
 
-def test_leg_term_u_grid_splits_at_exact_midpoint(ev):
-    # np.linspace's midpoint differs from 0.5 * (lo + hi) in the last bit here
-    pk = WavePacket(center=np.array([0.0, 1.3]), width=0.25)
-    lo, hi = pk.support_interval(1)
-    assert np.linspace(lo, hi, 3)[1] != 0.5 * (lo + hi)
-    got = leg_term_u_grid(pk, ev.quad)
-    want = gauss_panels([lo, 0.5 * (lo + hi), hi], ev.quad.inner_nodes, sine=True)
-    assert all(np.array_equal(a, b) for a, b in zip(got, want))
-
-
 def _panel_grid_loop(edges, nodes, sine=True):
-    """The composite panel rule built one panel at a time, kept as the reference."""
+    """The composite panel rule built one panel at a time: plain, the
+    reference of gauss_panels, or with sine a sine substitution per panel.
+    The substitution's derivative vanishes at panel ends, which integrates
+    inverse-square-root endpoint singularities (two-body thresholds) exactly
+    in the transformed variable; the references below run on it."""
     x, w = kinematics.gauss_rule(nodes)
     us, ws = [], []
     for a, b in zip(edges[:-1], edges[1:]):
@@ -495,17 +491,17 @@ def _panel_grid_loop(edges, nodes, sine=True):
     return np.concatenate(us), np.concatenate(ws)
 
 
-@pytest.mark.parametrize("sine", [True, False], ids=["sine", "plain"])
+@pytest.mark.parametrize("sine", [False], ids=["plain"])
 def test_panel_grid_integrates_gaussian(sine, ev):
     pk = WavePacket(center=np.array([0.2, -0.4]), width=0.5)
     lo, hi = pk.support_interval(1)
-    un, uw = gauss_panels(np.linspace(lo, hi, 5), ev.quad.inner_nodes, sine=sine)
+    un, uw = gauss_panels(np.linspace(lo, hi, 5), ev.quad.inner_nodes)
     val = float(np.sum(uw * np.exp(-0.5 * ((un + 0.4) / 0.5) ** 2)))
     exact = 0.5 * np.sqrt(2 * np.pi)
     assert abs(val - exact) < 1e-10
     # the vectorized rule equals the per-panel loop bitwise
     for edges in ([lo, 0.5 * (lo + hi), hi], np.linspace(lo, hi, 7)):
-        got, want = gauss_panels(edges, 19, sine=sine), _panel_grid_loop(edges, 19, sine=sine)
+        got, want = gauss_panels(edges, 19), _panel_grid_loop(edges, 19, sine=sine)
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
@@ -669,44 +665,6 @@ def test_tail_exponent_bounds_every_two_body_root(sb, sc, mass, cb, cc, wb, wc, 
         assert d >= bound * (1 - 1e-9) - 1e-9
 
 
-def _live_point(j, packets, k0, k1, u, m):
-    """Whether root_possible and the joint tail bound both hold at (k0, k1)
-    and free-leg momentum u: the per-point mask of g_j's solve."""
-    free, b, c = [l for l in range(4) if l != j]
-    su = structure._leg_sign(free, j) * float(omega(u, m))
-    E, P = -k0 - su, -k1 - u
-    d = structure._tail_exponent(j, (b, c), packets, E, P, k0, k1, (free, np.array([[su, u]])))
-    sb, sc = structure._leg_sign(b, j), structure._leg_sign(c, j)
-    return bool(root_possible(E, P, sb, sc, m) and d <= kinematics.TAIL_WIDTHS ** 2)
-
-
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(j=st.integers(0, 3),
-       centers=st.lists(st.tuples(_coord, _coord), min_size=4, max_size=4),
-       widths=st.lists(_width, min_size=4, max_size=4),
-       k0=st.floats(-8.0, 8.0), k1=st.floats(-4.0, 4.0), u=st.floats(-4.0, 4.0),
-       edge=st.sampled_from([None, 0, 1]), offset=st.floats(1e-6, 1.0))
-def test_live_interval_holds_every_live_point(j, centers, widths, k0, k1, u, edge, offset,
-                                              params):
-    # at one free-leg node the live set is one interval: it holds every k0
-    # where the per-point mask holds, the mask holds just inside both its
-    # ends, and fails just outside them
-    packets = [WavePacket(center=np.array(c), width=w) for c, w in zip(centers, widths)]
-    g = reduced_integrand(j, packets, StructureEvaluator(params))
-    lo, hi = g.live_interval(np.array([k1]), (np.array([u]), np.array([1.0])))
-    assert lo.shape == hi.shape == (1,) and not np.isnan([lo[0], hi[0]]).any()
-    lo, hi = float(lo[0]), float(hi[0])
-    if edge is not None and lo <= hi:
-        k0 = hi + offset if edge else lo - offset
-        assert not _live_point(j, packets, k0, k1, u, params.m)
-    if _live_point(j, packets, k0, k1, u, params.m):
-        assert lo <= k0 <= hi
-    if hi - lo > 1e-6:
-        inner = 1e-7 * (hi - lo)
-        for x in (lo + inner, 0.5 * (lo + hi), hi - inner):
-            assert _live_point(j, packets, x, k1, u, params.m), x
-
-
 # the jittered packets4 of the benchmark's seed 9
 _SEED9_PACKETS4 = (
     ([-1.2880594449572822, 0.8118479745270428], 0.2457363441817511),
@@ -742,7 +700,6 @@ def test_tail_cut_leg_terms_match_uncut(case, trio, packets4, params, ev, fam_qu
     n = len(packets)
     fold = {"pv_multiplier": _unit_multiplier} if n == 4 else {}
     tail = math.exp(-kinematics.TAIL_WIDTHS ** 2 / 2)
-    fine = StructureEvaluator(params, quad=QuadratureSettings(fold_nodes=96))
 
     def state(ev):
         terms = {(j, sign): leg_term(j, packets, ev, sign, weight=weight,
@@ -757,14 +714,13 @@ def test_tail_cut_leg_terms_match_uncut(case, trio, packets4, params, ev, fam_qu
             (lo0, hi0), (lo1, hi1) = (packets[j].support_interval(a) for a in (0, 1))
             k0, k1 = np.meshgrid(np.linspace(lo0, hi0, 61), np.linspace(lo1, hi1, 17))
             fj = packets[j](np.stack([k0, k1], axis=-1))
-            numers.append(g(k0, k1, leg_term_u_grid(packets[g.free_leg], ev.quad)) * fj)
+            numers.append(g(k0, k1, packet_rule(packets[g.free_leg], ev.quad.inner_nodes)) * fj)
         return terms, numers
 
     got, got_numer = state(ev)
-    # an infinite reach keeps every point, every k1 row and the whole window
+    # an infinite reach keeps every point
     monkeypatch.setattr(structure, "TAIL_WIDTHS", math.inf)
     want, want_numer = state(ev)
-    want_pv = {j: leg_term(j, packets, fine, weight=weight, **fold) for j in range(n)}
     assert np.count_nonzero(list(want.values())) > 0
     # the cut drops at most exp(-72) of the numerators' peak over all legs;
     # a derivative leg's factor (k - c)/w^2 can be up to about TAIL_WIDTHS
@@ -776,15 +732,10 @@ def test_tail_cut_leg_terms_match_uncut(case, trio, packets4, params, ev, fam_qu
     for a, b in zip(got_numer, want_numer):
         assert np.max(np.abs(a - b)) <= tail * peak
     scale = max(abs(v) for v in want.values())
-    # shell atoms fold nothing: cut and uncut agree to the tail
-    assert all(abs(got[k] - want[k]) <= tail * scale for k in got if k[1])
-    # PV atoms: the uncut fold spans other k0 windows, so both sides agree only
-    # to quadrature error; against the uncut fold at 4x fold_nodes, 5e-5 of
-    # the largest term (1.6e-5, 2.3e-5 and 7.5e-6 measured on packets4, seed 9
-    # and fam_quad). The derivative packets' leg 1 converges erratically in
-    # fold_nodes (96 to 1536 nodes spread 6e-4), measured 2.4e-4: 1e-3 there
-    tol = 1e-3 if case == "derivative" else 5e-5
-    assert all(abs(got[(j, 0)] - want_pv[j]) <= tol * scale for j in range(n)), case
+    # the cut moves no rule, row or window: every atom, shell or PV, agrees
+    # with the uncut one to the tail (PV atoms 7e-33 of the largest term
+    # measured, on the derivative packets)
+    assert all(abs(got[k] - want[k]) <= tail * scale for k in got), case
 
 
 def _dense_reduced_integrand(j, packets, ev, weight=None, cut=True):
@@ -936,7 +887,7 @@ def _fold_oracle(numer, pole, span, quad, t_hint=0.0, intervals=None, singular=(
                         np.ceil(quad.nodes_per_period * abs(t_hint) * (bnd - a) / (2 * np.pi))))
         touches = any(abs(a - s) < 1e-12 or abs(bnd - s) < 1e-12 for s in sing)
         if touches:
-            xs, ws = gauss_panels([a, bnd], int(1.6 * nodes), sine=True)
+            xs, ws = _panel_grid_loop([a, bnd], int(1.6 * nodes))
         else:
             xs, ws = gauss_panels([a, bnd], nodes)
         svals.append(xs)
@@ -981,19 +932,22 @@ def _threshold_k0(j: int, n: int, k1: float, m: float):
 
 def _leg_term_oracle(j, packets, ev, pv_multiplier=None, t_hint=0.0, interval_fn=None,
                      weight=None):
-    """The leg term as one symmetric fold per (k1, sigma), kept as an oracle;
-    order 3 folds the k-space g3 with sine panels at its two-body threshold."""
+    """The leg term as one symmetric fold per (k1, sigma), kept as an oracle:
+    order 4 on leg_term's rules (k1 and the free leg on their packet rules),
+    order 3 the k-space g3 with k1 on outer_nodes Gauss-Legendre nodes and
+    sine panels at its two-body threshold."""
     n = len(packets)
     pk = packets[j]
     if n == 3:
         g = _dense_reduced_integrand(j, packets, ev, weight=weight, cut=False)
+        k1n, k1w = gauss_panels(pk.support_interval(1), ev.quad.outer_nodes)
+        ugrid = None
     else:
         g = reduced_integrand(j, packets, ev, weight=weight)
-    lo1, hi1 = pk.support_interval(1)
-    k1n, k1w = gauss_panels([lo1, hi1], ev.quad.outer_nodes)
+        k1n, k1w = packet_rule(pk, ev.quad.inner_nodes)
+        ugrid = packet_rule(packets[g.free_leg], ev.quad.inner_nodes)
     lo0, hi0 = pk.support_interval(0)
     m = ev.params.m
-    ugrid = leg_term_u_grid(packets[g.free_leg], ev.quad) if n == 4 else None
     total = 0.0 + 0.0j
     for k1, wk in zip(k1n, k1w):
         w_sh = float(omega(k1, m))
@@ -1128,18 +1082,27 @@ def test_order4_leg_terms_match_symmetric_fold_oracle(packets4, ev):
     assert abs(got - want) < 2e-5 * abs(want)
 
 
-def _unclipped_leg_term(j, packets, ev, pv_multiplier=None, t_hint=0.0, window_fn=None):
-    """The PV leg term as leg_term folded it before live intervals: a row
-    per k1 node and window, each over its whole window (the packet's k0
-    support split at 0, or window_fn's clipped to it), kept as an oracle."""
+def _legendre_leg_term(j, packets, ev, sign=0, weight=None, pv_multiplier=None, t_hint=0.0,
+                       window_fn=None):
+    """A k-space leg term on the rules leg_term folded on before its packet
+    rules, kept as the accuracy reference: k1 on outer_nodes Gauss-Legendre
+    nodes over the packet's support, the free leg on two sine panels of
+    inner_nodes, and per k1 node the shell atom (sign +/-1) or a row per
+    window (the packet's k0 support split at 0, or window_fn's clipped to
+    it), each over its whole window."""
     pk = packets[j]
-    g = reduced_integrand(j, packets, ev)
-    ugrid = leg_term_u_grid(packets[g.free_leg], ev.quad)
+    m = ev.params.m
+    g = reduced_integrand(j, packets, ev, weight=weight)
+    ugrid = _u_grid(packets[g.free_leg], ev.quad, panels=2)
     k1n, k1w = gauss_panels(pk.support_interval(1), ev.quad.outer_nodes)
+    if sign:
+        w = np.sqrt(k1n * k1n + m * m)
+        kj = np.stack([sign * w, k1n], axis=-1)
+        return complex(np.sum(k1w * g(sign * w, k1n, ugrid) * pk(kj) / (2.0 * w)))
     lo0, hi0 = pk.support_interval(0)
     rows, weights = [], []
     for k1, wk in zip(k1n, k1w):
-        w_sh = float(omega(k1, ev.params.m))
+        w_sh = float(omega(k1, m))
         for e in [[lo0, 0.0], [0.0, hi0]] if window_fn is None else window_fn(w_sh):
             rows.append((k1, w_sh if e[-1] > 0 else -w_sh,
                          [max(e[0], lo0), *e[1:-1], min(e[-1], hi0)]))
@@ -1147,74 +1110,19 @@ def _unclipped_leg_term(j, packets, ev, pv_multiplier=None, t_hint=0.0, window_f
 
     def numer(kj):
         v = np.multiply(g(kj[:, 0], kj[:, 1], ugrid), pk(kj))
-        v = np.divide(v, kj[:, 0] + np.copysign(omega(kj[:, 1:], ev.params.m), kj[:, 0]))
+        v = np.divide(v, kj[:, 0] + np.copysign(omega(kj[:, 1:], m), kj[:, 0]))
         return v if pv_multiplier is None else np.multiply(v, pv_multiplier(kj))
 
     folds = pv_fold(numer, rows, ev.quad, t_hint=t_hint,
                     max_panel=structure.PANEL_WIDTHS * pk.width)
-    total = 0.0 + 0.0j
-    for wk, vals in zip(weights, folds):
-        total += wk * vals
-    return total
-
-
-@pytest.mark.parametrize("case", ["packets4", "seed9", "derivative"])
-def test_clipped_leg_terms_match_unclipped_fold(case, trio, packets4, params, ev):
-    # folding each row over its live interval only moves the PV leg terms by
-    # quadrature error: packets4 9.7e-6 and seed 9 1.8e-5 of the largest leg
-    # term, within 2e-5. The derivative packets' leg 1 converges erratically
-    # in fold_nodes (fold-refined references from 96 to 1536 nodes spread
-    # 6e-4) and moved 1.3e-3: within 2e-3 there. chi_t windows are wholly
-    # live or wholly dead, so finite-time terms are bitwise unchanged
-    packets = _tail_case_packets(case, trio, packets4)
-    got = np.array([leg_term(j, packets, ev, pv_multiplier=_unit_multiplier) for j in range(4)])
-    want = np.array([_unclipped_leg_term(j, packets, ev) for j in range(4)])
-    tol = 2e-3 if case == "derivative" else 2e-5
-    assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
-    labels, t = ("in", "in", "out", "out"), [31.6, 3.0]
-    for j in (1, 2):
-        kw = dict(pv_multiplier=lambda k, a=labels[j]: chi_t(a, k, t, params), t_hint=31.6,
-                  window_fn=lambda w, j=j: _chi_windows(4, j, w, params.eps_phi))
-        got = leg_term(j, packets, ev, **kw)
-        assert np.any(got != 0) and np.array_equal(got, _unclipped_leg_term(j, packets, ev, **kw))
-
-
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(momenta=st.lists(st.floats(-1.2, 1.2), min_size=4, max_size=4),
-       offsets=st.lists(st.floats(-0.3, 0.3), min_size=4, max_size=4),
-       widths=st.lists(st.floats(0.15, 0.5), min_size=4, max_size=4),
-       shifts=st.lists(st.floats(-3.0, 3.0), min_size=8, max_size=8))
-def test_numerator_is_zero_outside_the_live_interval(momenta, offsets, widths, shifts, params):
-    # 2 -> 2 packets near their shells: on every k1 row, g_j f_j is exactly 0
-    # at each k0 outside the row's live interval, on the static window, on
-    # every chi_t window and past them
-    ev = StructureEvaluator(params, quad=QuadratureSettings(outer_nodes=8, inner_nodes=12))
-    packets = _near_shell_packets((-1, -1, 1, 1), momenta, offsets, widths, shifts, params.m)
-    live = 0
-    for j in range(4):
-        pk = packets[j]
-        g = reduced_integrand(j, packets, ev)
-        ugrid = leg_term_u_grid(packets[g.free_leg], ev.quad)
-        k1n, _ = gauss_panels(pk.support_interval(1), ev.quad.outer_nodes)
-        lo0, hi0 = pk.support_interval(0)
-        for k1, lo, hi in zip(k1n, *g.live_interval(k1n, ugrid)):
-            w_sh = float(omega(k1, params.m))
-            windows = [[lo0, hi0], *_chi_windows(4, j, w_sh, params.eps_phi)]
-            k0 = np.concatenate([np.linspace(lo0 - 1.0, hi0 + 1.0, 101)] + [
-                gauss_panels(e, 8)[0] for e in windows])
-            kj = np.stack([k0, np.full_like(k0, k1)], axis=-1)
-            vals = g(k0, kj[:, 1], ugrid) * pk(kj)
-            outside = (k0 < lo) | (k0 > hi)
-            assert not np.any(vals[outside]), (j, k1)
-            live += np.count_nonzero(vals)
-    assert live > 0
+    return sum((wk * fold for wk, fold in zip(weights, folds)), 0j)
 
 
 def test_order4_leg_term_resolved_near_the_poles(ev):
     # jittered 2 -> 2 packets whose leg-1 numerator falls from 2e-3 to 1e-7
     # within 0.45 of the pole -omega(k1), with kinks where free-leg nodes
-    # cross two-body thresholds: without the breaks half a panel from each
-    # pole the table misses the oracle by 1.3e-3
+    # cross two-body thresholds: the table misses the oracle by 2.1e-6 of the
+    # pairing, and by 7.1e-6 without the breaks half a panel from each pole
     packets = [WavePacket(center=np.array(c), width=w) for c, w in (
         ([-1.2880594449572822, 0.8118479745270428], 0.2457363441817511),
         ([-1.2826893934902868, -0.80330074080165], 0.25555068165840356),
@@ -1222,7 +1130,7 @@ def test_order4_leg_term_resolved_near_the_poles(ev):
         ([1.2878606895260496, -0.8115325967738523], 0.25836475258097524))]
     want = _leg_term_oracle(1, packets, ev)
     got = leg_term(1, packets, ev, pv_multiplier=_unit_multiplier)
-    assert abs(got - want) < 2e-5 * abs(eval_Ghat_n(packets, ev))
+    assert abs(got - want) < 4.5e-6 * abs(eval_Ghat_n(packets, ev))
 
 
 def test_graded_break_keeps_clear_of_threshold(params):
@@ -1261,35 +1169,33 @@ def _pv_fold_one_row(numer, pole, edges, quad, t_hint=0.0, max_panel=math.inf):
     return np.sum(w * (table - fp[..., None]) / (k0 - pole), axis=-1) + fp * log
 
 
-def _live_rows(j, packets, ev, window_fn=None):
-    """(k1, weight, pole, window) of each row leg_term folds: per k1 node,
-    each window (the packet's k0 support split at 0, or window_fn's) clipped
-    to the support and to the row's live interval and kept if not empty,
-    with the pole on its side of k0 = 0."""
+def _kept_rows(j, packets, ev, window_fn=None):
+    """(k1, weight, pole, window) of each row leg_term folds: per node of the
+    packet's k1 rule, each window (the packet's k0 support split at 0, or
+    window_fn's) clipped to the support and kept if not empty, with the pole
+    on its side of k0 = 0."""
     pk = packets[j]
-    g = reduced_integrand(j, packets, ev)
-    ugrid = leg_term_u_grid(packets[g.free_leg], ev.quad)
-    k1n, k1w = gauss_panels(pk.support_interval(1), ev.quad.outer_nodes)
+    k1n, k1w = packet_rule(pk, ev.quad.inner_nodes)
     lo0, hi0 = pk.support_interval(0)
     rows = []
-    for k1, wk, lo, hi in zip(k1n, k1w, *g.live_interval(k1n, ugrid)):
+    for k1, wk in zip(k1n, k1w):
         w_sh = float(omega(k1, ev.params.m))
         for e in [[lo0, 0.0], [0.0, hi0]] if window_fn is None else window_fn(w_sh):
-            e = [max(e[0], lo, lo0), *e[1:-1], min(e[-1], hi, hi0)]
+            e = [max(e[0], lo0), *e[1:-1], min(e[-1], hi0)]
             if e[-1] > e[0]:
                 rows.append((k1, wk, math.copysign(w_sh, e[0] + e[-1]), e))
     return rows
 
 
 def _pv_leg_term_per_row(j, packets, ev, pv_multiplier=None, t_hint=0.0, window_fn=None):
-    """The PV leg term as one fold per live row, kept as the bitwise
+    """The PV leg term as one fold per kept row, kept as the bitwise
     reference of leg_term's single batched fold; the other pole enters as
     1/(k0 + pole) with the row's own pole."""
     pk = packets[j]
     g = reduced_integrand(j, packets, ev)
-    ugrid = leg_term_u_grid(packets[g.free_leg], ev.quad)
+    ugrid = packet_rule(packets[g.free_leg], ev.quad.inner_nodes)
     total = 0.0 + 0.0j
-    for k1, wk, pole, edges in _live_rows(j, packets, ev, window_fn):
+    for k1, wk, pole, edges in _kept_rows(j, packets, ev, window_fn):
 
         def numer(k0, _k1=k1, _pole=pole):
             kj = np.stack([k0, np.full_like(k0, _k1)], axis=-1)
@@ -1363,18 +1269,18 @@ def _two_pole_pv_fold(numer, rows, quad, t_hint=0.0, max_panel=math.inf):
 def _two_pole_leg_term(j, packets, ev, weight=None, pv_multiplier=None, t_hint=0.0,
                        window_fn=None):
     """leg_term's fold before one pole per row, kept as an oracle: a row per
-    live k1 node with both poles +/-omega and all its windows (the packet's
-    whole k0 support by default), 1/(k0^2 - omega^2) as the poles' sum
-    sigma / (2 omega (k0 - sigma omega))."""
+    k1 node with both poles +/-omega and all its windows (the packet's whole
+    k0 support by default), 1/(k0^2 - omega^2) as the poles' sum sigma / (2
+    omega (k0 - sigma omega)); k1 and the free leg on leg_term's rules."""
     pk = packets[j]
     g = reduced_integrand(j, packets, ev, weight=weight)
-    ugrid = leg_term_u_grid(packets[g.free_leg], ev.quad)
-    k1n, k1w = gauss_panels(pk.support_interval(1), ev.quad.outer_nodes)
+    ugrid = packet_rule(packets[g.free_leg], ev.quad.inner_nodes)
+    k1n, k1w = packet_rule(pk, ev.quad.inner_nodes)
     lo0, hi0 = pk.support_interval(0)
     rows, weights = [], []
-    for k1, wk, lo, hi in zip(k1n, k1w, *g.live_interval(k1n, ugrid)):
+    for k1, wk in zip(k1n, k1w):
         w_sh = float(omega(k1, ev.params.m))
-        windows = [[max(e[0], lo, lo0), *e[1:-1], min(e[-1], hi, hi0)]
+        windows = [[max(e[0], lo0), *e[1:-1], min(e[-1], hi0)]
                    for e in ([[lo0, hi0]] if window_fn is None else window_fn(w_sh))]
         if any(e[-1] > e[0] for e in windows):
             rows.append((k1, (w_sh, -w_sh), windows))
@@ -1395,10 +1301,10 @@ def _two_pole_leg_term(j, packets, ev, weight=None, pv_multiplier=None, t_hint=0
 @pytest.mark.parametrize("case", ["packets4", "seed9", "derivative"])
 def test_one_pole_rows_match_the_two_pole_fold(case, trio, packets4, params, ev, fam_lin):
     # chi_t terms keep their panels (the far pole lies outside the one-sided
-    # window), so only the far pole's arithmetic moves: 1.8e-15 relative
+    # window), so only the far pole's arithmetic moves: 3.6e-15 relative
     # measured, within 1e-12. The static window split at 0 moves the static
-    # fold by quadrature error: 1.2e-8 (packets4) and 3.9e-7 (derivative) of
-    # the largest term, within 1e-6
+    # fold by quadrature error: 4.3e-9 (packets4), 1.9e-7 (seed 9) and 5.1e-7
+    # (derivative) of the largest term, within 1e-6
     packets = _tail_case_packets(case, trio, packets4)
     times = [1.0, 3.2, 100.0, 201.0]
     for weight in (None, fam_lin.eval):
@@ -1445,7 +1351,7 @@ def test_batched_leg_term_bitwise_equals_per_row_folds(packets4, params, ev, mon
 def test_opposite_sign_leg_term_evaluates_one_root_and_one_free_table(packets4, ev, monkeypatch):
     # leg 2 of packets4 solves the opposite-sign pair of legs 1 and 3: each of
     # them is evaluated at one root per solved point, and the free leg 0 once
-    # per leg term, on its u-grid
+    # per leg term, on its packet rule
     packets = list(packets4)
     assert structure._leg_sign(1, 2) != structure._leg_sign(3, 2)
     points, solved = {l: [] for l in range(4)}, []
@@ -1464,7 +1370,7 @@ def test_opposite_sign_leg_term_evaluates_one_root_and_one_free_table(packets4, 
     assert leg_term(2, packets, ev, pv_multiplier=_unit_multiplier) != 0
     assert sum(solved) > 0
     assert sum(points[1]) == sum(points[3]) == sum(solved)
-    assert points[0] == [len(leg_term_u_grid(packets[0], ev.quad)[0])]
+    assert points[0] == [len(packet_rule(packets[0], ev.quad.inner_nodes)[0])]
 
 
 @pytest.mark.parametrize("finite_time", [False, True])
@@ -1473,7 +1379,7 @@ def test_numer_evaluated_once_per_k1(finite_time, packets4, params, monkeypatch)
     # on that row's points alone: a row per k1 and window, at most one
     # window on each side of k0 = 0 (the static one split at 0, chi_t's
     # leg-1 window on the backward side alone)
-    ev = StructureEvaluator(params, quad=QuadratureSettings(outer_nodes=6))
+    ev = StructureEvaluator(params, quad=QuadratureSettings(inner_nodes=6))
     folds, calls = [], []
 
     def spy(numer, *args, **kwargs):
@@ -1491,7 +1397,7 @@ def test_numer_evaluated_once_per_k1(finite_time, packets4, params, monkeypatch)
         kw = dict(pv_multiplier=lambda k: chi_t("in", k, [3.0, 30.0], params), t_hint=30.0,
                   window_fn=lambda w: _chi_windows(4, 1, w, params.eps_phi))
     val = leg_term(1, list(packets4), ev, **kw)
-    kept = [row[0] for row in _live_rows(1, list(packets4), ev, kw.get("window_fn"))]
+    kept = [row[0] for row in _kept_rows(1, list(packets4), ev, kw.get("window_fn"))]
     assert len(kept) >= 2
     assert np.unique(kept, return_counts=True)[1].max() == (1 if finite_time else 2)
     assert folds == [0]
@@ -1503,21 +1409,24 @@ def test_numer_evaluated_once_per_k1(finite_time, packets4, params, monkeypatch)
 
 def test_t_scaled_panels_reuse_one_rule(packets4, params, monkeypatch):
     # t_hint = 1000 needs many times the nodes of t_hint = 10, built from
-    # copies of the same Gauss rules (the k1 rule, and inner_nodes =
-    # fold_nodes), counted on the k1 nodes the joint tail bound keeps
-    ev = StructureEvaluator(params, quad=QuadratureSettings(outer_nodes=4))
+    # copies of the same rules: the fold_nodes Gauss-Legendre rule, and the
+    # inner_nodes Gauss-Hermite rule of k1 and the free leg
+    ev = StructureEvaluator(params, quad=QuadratureSettings(inner_nodes=4))
     built, sizes = [], []
-    leggauss = np.polynomial.legendre.leggauss
+    leggauss, hermite = np.polynomial.legendre.leggauss, kinematics.hermite_rule
     fold = structure.pv_fold
 
-    def record(n):
-        built[-1].add(n)
-        return leggauss(n)
+    def record(kind, rule):
+        def build(n):
+            built[-1].add((kind, n))
+            return rule(n)
+        return build
 
     def spy(numer, *args, **kwargs):
         return fold(lambda kj: sizes[-1].append(len(kj)) or numer(kj), *args, **kwargs)
 
-    monkeypatch.setattr(np.polynomial.legendre, "leggauss", record)
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", record("legendre", leggauss))
+    monkeypatch.setattr(kinematics, "hermite_rule", record("hermite", hermite))
     monkeypatch.setattr(structure, "pv_fold", spy)
     for t in (10.0, 1000.0):
         kinematics.gauss_rule.cache_clear()
@@ -1525,7 +1434,7 @@ def test_t_scaled_panels_reuse_one_rule(packets4, params, monkeypatch):
         sizes.append([])
         leg_term(1, list(packets4), ev, t_hint=t, pv_multiplier=_unit_multiplier)
     kinematics.gauss_rule.cache_clear()
-    assert built[0] == built[1] == {4, 24}
+    assert built[0] == built[1] == {("legendre", 24), ("hermite", 4)}
     assert 1 <= len(sizes[0]) == len(sizes[1])
     assert sum(sizes[1]) > 30 * sum(sizes[0])
 
@@ -1559,9 +1468,9 @@ def test_benchmark_packets4_reproduce_the_seed9_literals(packets4):
 def test_static_order4_terms_converge_in_their_rules(case, packets4, ev):
     # the static order-4 PV terms at the defaults against a 2x refined run, of
     # the largest leg term: 5.7e-6 at pairings seeds 0-31 (seeds 0, 9 and 20
-    # here; the k-space fold is 1e-4 to 3e-3 off), 1.4e-4 on packets4
+    # here; the k-space fold is 7.1e-6 to 1.9e-5 off), 1.4e-4 on packets4
     # differentiated along (0, 1, 1, 0) and 1.6e-5 with legs 0 and 1
-    # translated by (3, 3.6) and (-2, 3) (the fold: 7% and 1.6%)
+    # translated by (3, 3.6) and (-2, 3) (the fold: 6.4e-4 and 1.6e-5)
     cases = {"seeds": [_benchmark_packets4(seed) for seed in (0, 9, 20)],
              "derivative": [[p.derivative(axis) for p, axis in zip(packets4, (0, 1, 1, 0))]],
              "translated": [[WavePacket(p.center, p.width, p.poly, np.array(a, dtype=float))
@@ -1582,7 +1491,8 @@ def _mirrored(packets):
 @pytest.mark.parametrize("case", ["seed9", "derivative"])
 def test_static_order4_terms_obey_the_mirror_identity(case, trio, packets4, ev):
     # leg term j of f_l equals leg term n-1-j of g_l(k) = f_{n-1-l}(-k), an
-    # exact identity; the k-space fold misses it by 3.8e-4 on packets4
+    # exact identity; the k-space fold misses it by 9.5e-6 (seed 9) and 7.0e-4
+    # (derivative)
     packets = _tail_case_packets(case, trio, packets4)
     got = np.array([leg_term(j, packets, ev) for j in range(4)])
     mirror = np.array([leg_term(3 - j, _mirrored(packets), ev) for j in range(4)])
@@ -1635,16 +1545,71 @@ def test_lone_leg_integral_matches_cauchy_weight_quad(case, fold_nodes, tol, tri
 
 
 def test_static_order4_terms_agree_with_the_refined_fold(packets4, ev, fam_quad):
-    # the static terms at the defaults against the k-space fold (reached with
-    # a unit pv_multiplier) at refined settings: within 5.5e-6 of the largest
-    # leg term, the fold's own error there (4.5e-6 against the fold refined
-    # twice) plus the new path's at the defaults (3.8e-6)
+    # the static terms at the defaults against the Legendre k-space fold at
+    # refined settings: within 9.3e-6 of the largest leg term, the fold's own
+    # error there (6.9e-6 against the fold refined twice) plus the static
+    # terms' at the defaults (5.4e-6 against the fold refined twice)
     for packets, weight in [(_benchmark_packets4(s), None) for s in (0, 9, 20)] + [
             (list(packets4), fam_quad.eval)]:
         got = np.array([leg_term(j, packets, ev, weight=weight) for j in range(4)])
-        fold = np.array([leg_term(j, packets, ev.refined(), weight=weight,
-                                  pv_multiplier=_unit_multiplier) for j in range(4)])
+        fold = np.array([_legendre_leg_term(j, packets, ev.refined(), weight=weight)
+                         for j in range(4)])
         assert np.max(np.abs(got - fold)) <= 1e-5 * np.max(np.abs(fold))
+
+
+# The k-space fold at the defaults, k1 and the free leg on their packet
+# rules, against the Legendre fold (_legendre_leg_term) at 160 k1 nodes and
+# 96 nodes per free-leg and fold panel, on pairings seeds 0, 9 and 20,
+# packets4 differentiated along (0, 1, 1, 0), legs 0 and 1 of packets4
+# translated by (3, 3.6) and (-2, 3), and packets4 under fam_quad. The
+# Legendre fold at the defaults is 4.8e-4 to 7.5e-3 off on every case
+_KSPACE_CASES = ["seed0", "seed9", "seed20", "derivative", "translated", "fam_quad"]
+_LEGENDRE_REFERENCE = QuadratureSettings(outer_nodes=160, inner_nodes=96, fold_nodes=96)
+
+
+def _kspace_case(case, packets4, fam_quad):
+    """The packets and weight of a _KSPACE_CASES case."""
+    weight = fam_quad.eval if case == "fam_quad" else None
+    if case == "derivative":
+        return [p.derivative(a) for p, a in zip(packets4, (0, 1, 1, 0))], weight
+    if case == "translated":
+        return [WavePacket(p.center, p.width, p.poly, np.array(a, dtype=float))
+                for p, a in zip(packets4, ((3.0, 3.6), (-2.0, 3.0), (0, 0), (0, 0)))], weight
+    if case.startswith("seed"):
+        return _benchmark_packets4(int(case[4:])), weight
+    return list(packets4), weight
+
+
+@pytest.mark.parametrize("case", _KSPACE_CASES)
+def test_kspace_shell_atom_matches_the_refined_legendre_fold(case, packets4, params, ev,
+                                                             fam_quad):
+    # the shell atom (-, -, +, +), relative: 3.2e-8, 3.3e-8, 1.0e-7, 7.6e-7,
+    # 4.3e-6 and 1.5e-7 measured; bounds at least twice that
+    tol = {"derivative": 2e-6, "translated": 1e-5, "fam_quad": 4e-7}.get(case, 2.5e-7)
+    packets, weight = _kspace_case(case, packets4, fam_quad)
+    reference = StructureEvaluator(params, quad=_LEGENDRE_REFERENCE)
+    got = leg_term(2, packets, ev, 1, weight=weight)
+    want = _legendre_leg_term(2, packets, reference, 1, weight=weight)
+    assert abs(got - want) <= tol * abs(want)
+
+
+@pytest.mark.parametrize("case", _KSPACE_CASES)
+def test_kspace_chi_t_terms_match_the_refined_legendre_fold(case, packets4, params, ev,
+                                                            fam_quad):
+    # the chi_t terms of legs 1 and 2 at t = 1, 31.6 and 201, of the largest:
+    # 4.2e-6, 5.5e-6, 5.2e-6, 1.5e-5, 4.9e-6 and 4.5e-6 measured; bounds at
+    # least twice that
+    tol = {"derivative": 3e-5, "translated": 1e-5, "fam_quad": 1e-5}.get(case, 1.2e-5)
+    packets, weight = _kspace_case(case, packets4, fam_quad)
+    reference = StructureEvaluator(params, quad=_LEGENDRE_REFERENCE)
+    times, labels = [1.0, 31.6, 201.0], ("in", "in", "out", "out")
+    got, want = [], []
+    for j in (1, 2):
+        kw = dict(weight=weight, pv_multiplier=lambda k, a=labels[j]: chi_t(a, k, times, params),
+                  t_hint=max(times), window_fn=lambda w, j=j: _chi_windows(4, j, w, params.eps_phi))
+        got.append(leg_term(j, packets, ev, **kw))
+        want.append(_legendre_leg_term(j, packets, reference, **kw))
+    assert np.max(np.abs(np.subtract(got, want))) <= tol * np.max(np.abs(want))
 
 
 # 2 -> 2 packets where legs 2 and 3 are the same packet: leg term 1's pair
