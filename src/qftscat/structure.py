@@ -375,14 +375,21 @@ def _shell_leg(packet, sign, rule, m):
     return k, w * packet(k) / (2.0 * wl)
 
 
+# Points of one block of a static leg term's sum: as many of its first
+# leg's nodes per block as fit against the rest of its grid (the other
+# legs' nodes, or the lone leg's nodes and roots), and at least one
+BLOCK_POINTS = 4096
+
+
 def _onshell_sum(j: int, packets, ev: StructureEvaluator, weight, rules) -> complex:
     """A PV leg term with no pole, as a regular sum over the other legs'
     spatial momenta on their rules (one per leg, in index order): with k_l =
     (s_l omega(p_l), p_l) and k_j = -sum k_l, the sum of prod f_l / (2 omega_l)
     f_j [w(ks)] / (k_j^2 - m^2). At order 3 a same-sign pair has k_j^2 >= 4 m^2
     and an opposite-sign one k_j^2 <= 0; at order 4, legs j = 0 and 3 see three
-    same-sign legs, k_j^2 >= 9 m^2. The sum runs one node of the first leg at
-    a time, so memory grows with the other legs' grid alone."""
+    same-sign legs, k_j^2 >= 9 m^2. The sum runs a block of the first leg's
+    nodes at a time against the other legs' whole grid, so memory grows with
+    that grid alone; each node's row is summed alone, the rows in node order."""
     m = ev.params.m
     legs = [l for l in range(len(packets)) if l != j]
     (a, ka, fa), *rest = [(l, *_shell_leg(packets[l], _leg_sign(l, j), rule, m))
@@ -394,14 +401,18 @@ def _onshell_sum(j: int, packets, ev: StructureEvaluator, weight, rules) -> comp
     ks = np.zeros((len(K), len(packets), 2))
     for (l, _, _), k in zip(rest, kr):
         ks[:, l] = k
+    per = max(1, BLOCK_POINTS // len(K))
     total = 0.0 + 0.0j
-    for ka_i, fa_i in zip(ka, fa):
-        kj = -(ka_i + K)
-        vals = fa_i * F * packets[j](kj) / (kj[:, 0] ** 2 - kj[:, 1] ** 2 - m * m)
+    for s in range(0, len(ka), per):
+        block = slice(s, s + per)
+        kj = -(ka[block, None] + K)
+        vals = fa[block, None] * F * packets[j](kj) / (kj[..., 0] ** 2 - kj[..., 1] ** 2 - m * m)
         if weight is not None:
-            ks[:, a], ks[:, j] = ka_i, kj
-            vals = vals * weight(ks)
-        total += np.sum(vals)
+            kb = np.repeat(ks[None], len(kj), axis=0)
+            kb[:, :, a], kb[:, :, j] = ka[block, None], kj
+            vals = vals * weight(kb)
+        for row in np.sum(vals, axis=-1):
+            total += row
     return complex(total)
 
 
@@ -494,21 +505,16 @@ def _lone_leg_pv(j: int, packets, ev: StructureEvaluator, weight, kf, kb):
     return out
 
 
-# Points (p_c nodes and roots) of one lone-leg block: as many of the pair's
-# first leg's nodes per _lone_leg_pv call as fit, and at least one
-LONE_LEG_POINTS = 4096
-
-
 def _lone_leg_term(j: int, packets, ev: StructureEvaluator, weight) -> complex:
     """Order-4 PV leg term j = 1 or 2: the same-sign pair's spatial momenta on
     Gauss-Hermite rules of inner_nodes at their packets, and the PV integral
     over the lone leg's (_lone_leg_pv), for a block of the pair's first leg's
-    nodes at a time, so memory grows with the node count, not its square."""
+    nodes at a time (BLOCK_POINTS): memory grows with the node count alone."""
     _, pair = _lone_leg(j)
     m = ev.params.m
     (kf, ff), (kb, fb) = (_shell_leg(packets[l], _leg_sign(l, j),
                                      packet_rule(packets[l], ev.quad.inner_nodes), m) for l in pair)
-    per = max(1, LONE_LEG_POINTS // (len(kb) * (3 * ev.quad.fold_nodes + 3)))
+    per = max(1, BLOCK_POINTS // (len(kb) * (3 * ev.quad.fold_nodes + 3)))
     total = 0.0 + 0.0j
     for s in range(0, len(kf), per):
         block = slice(s, s + per)

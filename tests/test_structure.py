@@ -1,5 +1,6 @@
 """Phase-space reduction, PV quadrature and structure-kernel pairings."""
 import decimal
+import functools
 import itertools
 import math
 import tracemalloc
@@ -1043,8 +1044,8 @@ def test_order3_off_shell_leg_keeps_clear_of_its_pole(sb, sc, mass, pb, pc):
 
 def test_order3_memory_grows_with_nodes_not_their_square(trio, params):
     # at 400 nodes per panel the (p_b, p_c) grid holds 640,000 points: the
-    # whole tensor at once takes over 100 MiB, one p_b row at a time well
-    # under 4 MiB
+    # whole tensor at once takes over 100 MiB, a block of p_b rows against
+    # the 800 p_c nodes (5 rows, 4,000 points) well under 4 MiB
     ev = StructureEvaluator(params, quad=QuadratureSettings(outer_nodes=400))
     tracemalloc.start()
     try:
@@ -1053,6 +1054,127 @@ def test_order3_memory_grows_with_nodes_not_their_square(trio, params):
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20, peak
+
+
+def test_order4_memory_grows_with_the_rest_grid_not_the_whole(packets4, params, fam_quad):
+    # at 150 inner nodes the packet rules keep 90 nodes per leg: the grid of
+    # leg term j = 0 holds 729,000 points, and its weighted ks alone over
+    # 44 MiB at once; one leg 1 node (a block of one) against the 8,100-point
+    # grid of legs 2 and 3 peaked at 3.2 MiB with the weight, 2.0 MiB without
+    ev = StructureEvaluator(params, quad=QuadratureSettings(inner_nodes=150))
+    assert len(packet_rule(packets4[1], 150)[0]) == 90
+    for weight in (None, fam_quad.eval):
+        tracemalloc.start()
+        try:
+            leg_term(0, list(packets4), ev, weight=weight)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, peak
+
+
+def _onshell_sum_per_node(j, packets, ev, weight, rules):
+    """structure._onshell_sum one node of the first leg at a time: the
+    bitwise reference of its blocked sum."""
+    m = ev.params.m
+    legs = [l for l in range(len(packets)) if l != j]
+    (a, ka, fa), *rest = [(l, *structure._shell_leg(packets[l], structure._leg_sign(l, j), rule, m))
+                          for l, rule in zip(legs, rules)]
+    idx = [i.ravel() for i in np.meshgrid(*[np.arange(len(k)) for _, k, _ in rest], indexing="ij")]
+    kr = [k[i] for (_, k, _), i in zip(rest, idx)]
+    K = functools.reduce(np.add, kr)
+    F = functools.reduce(np.multiply, [f[i] for (_, _, f), i in zip(rest, idx)])
+    ks = np.zeros((len(K), len(packets), 2))
+    for (l, _, _), k in zip(rest, kr):
+        ks[:, l] = k
+    total = 0.0 + 0.0j
+    for ka_i, fa_i in zip(ka, fa):
+        kj = -(ka_i + K)
+        vals = fa_i * F * packets[j](kj) / (kj[:, 0] ** 2 - kj[:, 1] ** 2 - m * m)
+        if weight is not None:
+            ks[:, a], ks[:, j] = ka_i, kj
+            vals = vals * weight(ks)
+        total += np.sum(vals)
+    return complex(total)
+
+
+def _onshell_cases(trio, packets4):
+    """(packets, j) of every on-shell sum: order 3 on the trio, order-4
+    j = 0 and 3 on packets4, differentiated along (0, 1, 1, 0) and with legs
+    0 and 1 translated by (3, 3.6) and (-2, 3)."""
+    four = [list(packets4), [p.derivative(a) for p, a in zip(packets4, (0, 1, 1, 0))],
+            [WavePacket(p.center, p.width, p.poly, np.array(a, dtype=float))
+             for p, a in zip(packets4, ((3.0, 3.6), (-2.0, 3.0), (0, 0), (0, 0)))]]
+    return [(list(trio), j) for j in range(3)] + [(p, j) for p in four for j in (0, 3)]
+
+
+def _rest_points(packets, j, ev):
+    """Points of the rest grid a block of the first leg's nodes meets: the
+    other on-shell legs' nodes, or a lone-leg term's pair partner's nodes
+    times the lone leg's p_c nodes and three line points."""
+    if len(packets) == 3:
+        return 2 * ev.quad.outer_nodes
+    if j in (1, 2):
+        partner = len(packet_rule(packets[structure._lone_leg(j)[1][1]], ev.quad.inner_nodes)[0])
+        return partner * (3 * ev.quad.fold_nodes + 3)
+    return math.prod([len(packet_rule(packets[l], ev.quad.inner_nodes)[0])
+                      for l in range(4) if l != j][1:])
+
+
+@pytest.mark.parametrize("budget", ["default", 1, "ragged"])
+def test_blocked_onshell_sum_bitwise_equals_per_node(budget, trio, packets4, ev, fam_quad,
+                                                      monkeypatch):
+    # a block of first-leg nodes keeps each node's elementwise arithmetic and
+    # row sum, and the rows are added in node order: the blocked term is the
+    # per-node one bit for bit, with weight called once per block
+    checked = 0
+    for packets, j in _onshell_cases(trio, packets4):
+        rest = _rest_points(packets, j, ev)
+        points = {"default": structure.BLOCK_POINTS, 1: 1, "ragged": 7 * rest}[budget]
+        per = max(1, points // rest)
+        for weight in (None, fam_quad.eval):
+            blocks = []
+
+            def spy(ks, weight=weight):
+                blocks.append(ks.shape[:2])
+                return weight(ks)
+
+            with monkeypatch.context() as mp:
+                mp.setattr(structure, "BLOCK_POINTS", points)
+                got = leg_term(j, packets, ev, weight=spy if weight else None)
+                mp.setattr(structure, "_onshell_sum", _onshell_sum_per_node)
+                want = leg_term(j, packets, ev, weight=weight)
+            assert np.complex128(got).tobytes() == np.complex128(want).tobytes(), (j, budget)
+            assert got != 0 or len(packets) == 4
+            if weight is not None:
+                sizes = [b for b, _ in blocks]
+                first = sum(sizes)
+                assert sizes == [per] * (first // per) + [first % per] * (first % per > 0)
+                assert {r for _, r in blocks} == {rest}
+                assert budget != "ragged" or first % per, (j, first, per)
+            checked += 1
+    assert checked == 18
+
+
+@pytest.mark.parametrize("budget", ["default", 1])
+def test_static_leg_terms_evaluate_packets_within_the_budget(budget, trio, packets4, ev,
+                                                             monkeypatch):
+    # memory grows with the rest grid alone: no packet call of a static leg
+    # term sees more than max(BLOCK_POINTS, rest-grid points) points
+    if budget == 1:
+        monkeypatch.setattr(structure, "BLOCK_POINTS", 1)
+    call, seen = WavePacket.__call__, []
+
+    def packet_spy(self, k):
+        seen.append(np.size(k) // 2)
+        return call(self, k)
+
+    monkeypatch.setattr(WavePacket, "__call__", packet_spy)
+    for packets, j in [(list(trio), 0), *((list(packets4), j) for j in range(4))]:
+        seen.clear()
+        assert leg_term(j, packets, ev) != 0 or j in (0, 3)
+        cap = max(structure.BLOCK_POINTS, _rest_points(packets, j, ev))
+        assert seen and max(seen) <= cap, (j, max(seen), cap)
 
 
 def test_order3_rejects_what_it_cannot_take(trio, ev):
