@@ -107,7 +107,7 @@ def smatrix_amplitude(req: AmplitudeRequest, ev: StructureEvaluator,
     p = np.stack(np.meshgrid(*nodes, indexing="ij"), axis=-1)
     weight = np.prod(np.meshgrid(*wts, indexing="ij"), axis=0)
     ks, dens, valid = complete_configurations(p, shell_signs(n, req.r), ev.params.m)
-    vals = np.ones(weight.shape, dtype=complex)
+    vals = 1.0
     for l in range(n - 2):
         kl = ks[..., 0, l, :]
         vals = vals * packets[l](kl) / (2.0 * np.abs(kl[..., 0]))

@@ -155,6 +155,7 @@ class WavePacket:
         return self.center.shape[0]
 
     def __call__(self, k):
+        """Values at momenta k (..., dim), float64 where the poly's are and no phase."""
         k = np.asarray(k, dtype=float)
         if k.shape[-1:] != (self.dim,):
             raise ValueError(f"points of shape {k.shape} for a packet of dimension {self.dim}")

@@ -5,6 +5,8 @@ Gaussian x polynomial) and as the backing store of transfer polynomials.
 """
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 
@@ -29,8 +31,15 @@ def monomials(x, terms, dtype):
         yield term
 
 
+def value_dtype(coefs, *points):
+    """float when every coefficient is a real number (a Python complex, even
+    1+0j, is not) and the points are real, else complex."""
+    real = all(isinstance(c, numbers.Real) for c in coefs)
+    return float if real and not any(np.iscomplexobj(x) for x in points) else complex
+
+
 class Poly:
-    """Polynomial in `nvars` variables, terms: exponent tuple -> complex coeff."""
+    """Polynomial in `nvars` variables, terms: exponent tuple -> real or complex coeff."""
 
     __slots__ = ("nvars", "terms")
 
@@ -56,10 +65,11 @@ class Poly:
         return cls(nvars, {tuple(exps): c})
 
     def __call__(self, x):
-        """Evaluate at x with shape (..., nvars), each power x_i^e taken once."""
+        """Evaluate at x (..., nvars), each power x_i^e taken once, as value_dtype."""
         x = np.asarray(x)
-        out = np.zeros(x.shape[:-1], dtype=complex)
-        for term in monomials(x, self.terms.items(), complex):
+        dtype = value_dtype(self.terms.values(), x)
+        out = np.zeros(x.shape[:-1], dtype=dtype)
+        for term in monomials(x, self.terms.items(), dtype):
             out += term
         return out
 
@@ -71,12 +81,13 @@ class Poly:
 
     @staticmethod
     def on_grids(polys, axes):
-        """Values of each polys[b] on the tensor grid of row b of the (B, n_i) arrays axes,
-        shape (B, n_0, ...): the zero-padded coefficient arrays contracted with one power
-        table per axis by a batched matmul, whose gemm sums over the power index in order,
-        so the padding adds exact zeros and each row is that of its polynomial alone."""
+        """Values of each polys[b] on the tensor grid of row b of the (B, n_i) arrays axes, shape
+        (B, n_0, ...), dtype by value_dtype: the zero-padded coefficient arrays contracted with one
+        power table per axis by a batched matmul, whose gemm sums over the power index in order, so
+        the padding adds exact zeros and each row is that of its polynomial alone."""
         exps = [e for p in polys for e in p.terms] or [(0,) * len(axes)]
-        coef = np.zeros((len(polys), *np.max(exps, axis=0) + 1), dtype=complex)
+        dtype = value_dtype([c for p in polys for c in p.terms.values()], *axes)
+        coef = np.zeros((len(polys), *np.max(exps, axis=0) + 1), dtype=dtype)
         for b, p in enumerate(polys):
             for e, c in p.terms.items():
                 coef[(b, *e)] = c

@@ -116,7 +116,8 @@ def two_body_solutions(E, P, sa, sb, mass):
     """Roots p_a of sa*omega(p_a) + sb*omega(P - p_a) = E, vectorized.
 
     Returns (pa, pb, wa, wb, jac, valid), each with a trailing root axis of
-    length 2. jac is the derivative of the energy constraint in p_a.
+    length 2 (_pair_roots' leading one, moved). jac is the derivative of the
+    energy constraint in p_a.
 
     The domain is root_possible; there the closed form p_a = P/2 +/- r is exact.
     A same-sign pair keeps both roots (one when r ~ 0), an opposite-sign pair
@@ -126,34 +127,38 @@ def two_body_solutions(E, P, sa, sb, mass):
     ok = root_possible(E, P, sa, sb, mass)
     with np.errstate(divide="ignore", invalid="ignore"):  # r is nan off the domain
         r, signs = _roots(E, P, sa, sb, mass)
-    r = np.where(ok, r, 0.0)
-    pa, pb, wa, wb, jac, valid = _pair_roots(E, P, r, np.array([1.0, -1.0]), sa, sb, mass)
-    return pa, pb, wa, wb, jac, valid & ok[..., None] & (signs == [1.0, -1.0])
+    both = np.array([1.0, -1.0]).reshape((2,) + (1,) * E.ndim)
+    *roots, valid = _pair_roots(E, P, np.where(ok, r, 0.0), both, sa, sb, mass)
+    return tuple(np.moveaxis(x, 0, -1) for x in (*roots, valid & ok & (signs == both)))
 
 
 def _roots(E, P, sa, sb, mass):
     """The offset r and the signs of the roots P/2 + sign r on root_possible
-    points: both of a same-sign pair, the one of an opposite-sign pair."""
+    points, along a leading root axis: both of a same-sign pair, the one of
+    an opposite-sign pair."""
     Q = (E - P) * (E + P)
     r = 0.5 * np.abs(E) * np.sqrt(Q * (Q - 4.0 * (mass * mass))) / np.abs(Q)
-    return r, np.array([1.0, -1.0]) if sa == sb else np.where(sb * E * P < 0, 1.0, -1.0)[..., None]
+    if sa != sb:
+        return r, np.where(sb * E * P < 0, 1.0, -1.0)[None]
+    return r, np.array([1.0, -1.0]).reshape((2,) + (1,) * E.ndim)
 
 
 def _pair_roots(E, P, r, signs, sa, sb, mass):
-    """two_body_solutions' roots P/2 + sign r, one per sign along a trailing
-    axis; a same-sign pair's signs are (1, -1), its minus root counting where
+    """two_body_solutions' roots P/2 + sign r on a leading root axis, signs
+    (R, ...) broadcast against E, P and r, so each root runs on contiguous
+    rows; a same-sign pair's signs are (1, -1), its minus root counting where
     r > 1e-12 (1 + |E| + |P|) only."""
     m2 = mass * mass
-    pa = np.stack([0.5 * P + signs[..., i] * r for i in range(signs.shape[-1])], axis=-1)
+    pa = 0.5 * P + signs * r
     scale = 1.0 + np.abs(E) + np.abs(P)
-    pb = P[..., None] - pa
+    pb = P - pa
     wa = np.sqrt(pa * pa + m2)
     wb = np.sqrt(pb * pb + m2)
-    res = sa * wa + sb * wb - E[..., None]
+    res = sa * wa + sb * wb - E
     jac = sa * pa / wa - sb * pb / wb
-    valid = (np.abs(res) < 1e-9 * scale[..., None]) & (np.abs(jac) > 1e-10)
+    valid = (np.abs(res) < 1e-9 * scale) & (np.abs(jac) > 1e-10)
     if sa == sb:
-        valid[..., 1] &= r > 1e-12 * scale
+        valid[1] &= r > 1e-12 * scale
     return pa, pb, wa, wb, jac, valid
 
 
@@ -223,14 +228,21 @@ def _tail_exponent(j, pair, packets, E, P, k0, k1, free):
     return sum(((x - cen[0]) ** 2 + (y - cen[1]) ** 2) / w2 for x, y, cen, w2 in terms)
 
 
+def _exponent(k, packet):
+    """|k - c|^2 / w^2 of a packet at momenta k (..., 2)."""
+    (c0, c1), w = packet.center, packet.width
+    return ((k[..., 0] - c0) ** 2 + (k[..., 1] - c1) ** 2) / w ** 2
+
+
 def _solved_pair_terms(j, pair, packets, ev, weight, E, P, k0, k1, free):
     """Terms of the on-shell pair solved at total (E, P), summed over its
     roots; zero wherever no root exists.
 
     Only points where root_possible holds inside the packets' joint tail
     (_tail_exponent) are solved, at the roots _roots gives (one for an
-    opposite-sign pair). free is (leg, momenta, packet values, 2 omega) of
-    the free leg on its u rule, which is the last axis of E and P.
+    opposite-sign pair), in (roots, points) tables summed over their rows;
+    float64 for real packets and weight. free is (leg, momenta, packet
+    values, 2 omega) of the free leg on its u rule, the last axis of E and P.
     """
     b, c = pair
     sb, sc = _leg_sign(b, j), _leg_sign(c, j)
@@ -243,7 +255,7 @@ def _solved_pair_terms(j, pair, packets, ev, weight, E, P, k0, k1, free):
     kb = np.stack([sb * wb, pb], axis=-1)
     kc = np.stack([sc * wc, pc], axis=-1)
     fleg, kf, ff, two_w = free
-    iu = (idx % len(kf))[:, None]
+    iu = idx % len(kf)
     vals = np.multiply(ff[iu], packets[b](kb))
     vals = np.multiply(vals, packets[c](kc))
     if weight is not None:
@@ -251,13 +263,13 @@ def _solved_pair_terms(j, pair, packets, ev, weight, E, P, k0, k1, free):
         ks[..., b, :] = kb
         ks[..., c, :] = kc
         ks[..., fleg, :] = kf[iu]
-        ks[..., j, 0] = np.broadcast_to(k0, shape).ravel()[idx][:, None]
-        ks[..., j, 1] = np.broadcast_to(k1, shape).ravel()[idx][:, None]
+        ks[..., j, 0] = np.broadcast_to(k0, shape).ravel()[idx]
+        ks[..., j, 1] = np.broadcast_to(k1, shape).ravel()[idx]
         vals = np.multiply(vals, weight(ks))
     dens = two_w[iu] * 4.0 * wb * wc * np.abs(jac)
     terms = np.where(valid, vals / np.where(valid, dens, 1.0), 0.0)
     out = np.zeros(math.prod(shape), dtype=vals.dtype)
-    out[idx] = terms.sum(axis=-1)
+    out[idx] = terms.sum(axis=0)
     return out.reshape(shape)
 
 
@@ -389,7 +401,9 @@ def _onshell_sum(j: int, packets, ev: StructureEvaluator, weight, rules) -> comp
     and an opposite-sign one k_j^2 <= 0; at order 4, legs j = 0 and 3 see three
     same-sign legs, k_j^2 >= 9 m^2. The sum runs a block of the first leg's
     nodes at a time against the other legs' whole grid, so memory grows with
-    that grid alone; each node's row is summed alone, the rows in node order."""
+    that grid alone; each node's row is summed alone, the rows in node order.
+    A block is skipped where the joint tail exponent sum_l |k_l - c_l|^2 / w_l^2
+    exceeds TAIL_WIDTHS^2 at all its points: the Gaussian product is below exp(-72)."""
     m = ev.params.m
     legs = [l for l in range(len(packets)) if l != j]
     (a, ka, fa), *rest = [(l, *_shell_leg(packets[l], _leg_sign(l, j), rule, m))
@@ -401,11 +415,15 @@ def _onshell_sum(j: int, packets, ev: StructureEvaluator, weight, rules) -> comp
     ks = np.zeros((len(K), len(packets), 2))
     for (l, _, _), k in zip(rest, kr):
         ks[:, l] = k
+    Da = _exponent(ka, packets[a])
+    Dr = functools.reduce(np.add, [_exponent(k[i], packets[l]) for (l, k, _), i in zip(rest, idx)])
     per = max(1, BLOCK_POINTS // len(K))
     total = 0.0 + 0.0j
     for s in range(0, len(ka), per):
         block = slice(s, s + per)
         kj = -(ka[block, None] + K)
+        if np.min(Da[block, None] + Dr + _exponent(kj, packets[j])) > TAIL_WIDTHS ** 2:
+            continue
         vals = fa[block, None] * F * packets[j](kj) / (kj[..., 0] ** 2 - kj[..., 1] ** 2 - m * m)
         if weight is not None:
             kb = np.repeat(ks[None], len(kj), axis=0)
@@ -443,16 +461,14 @@ def _lone_leg_pv(j: int, packets, ev: StructureEvaluator, weight, kf, kb):
     K = kf + kb
     wc2, wj2 = pc.width ** 2, pj.width ** 2
     cj = -K[:, 1] - pj.center[1]  # f_j's spatial centre in p_c
-    spent = sum(np.sum((k - packets[l].center) ** 2, axis=-1) / packets[l].width ** 2
-                for l, k in ((f, kf), (b, kb)))
+    spent = _exponent(kf, packets[f]) + _exponent(kb, packets[b])
     reach2 = (TAIL_WIDTHS ** 2 - spent - (pc.center[1] - cj) ** 2 / (wc2 + wj2)) * (
         wc2 * wj2 / (wc2 + wj2))
-    out = np.zeros(len(K), dtype=complex)
     live = reach2 > 0
     if not live.all():
         kf, kb, K, cj, reach2 = (x[live] for x in (kf, kb, K, cj, reach2))
     if not len(K):
-        return out
+        return np.zeros(len(live))
     mid = (pc.center[1] * wj2 + cj * wc2) / (wc2 + wj2)
     lo, hi = mid - np.sqrt(reach2), mid + np.sqrt(reach2)
     m2 = ev.params.m ** 2
@@ -501,6 +517,7 @@ def _lone_leg_pv(j: int, packets, ev: StructureEvaluator, weight, kf, kb):
     t_lo, t_hi = (np.where(merged, e - r0, 1.0) for e in (lo, hi))
     pole = np.where(merged, 1.0 / t_lo - 1.0 / t_hi,
                     (logs[:, 0] - logs[:, 1]) / (2.0 * np.where(merged, 1.0, split)))
+    out = np.zeros(len(live), dtype=phi.dtype)
     out[live] = regular + level * pole + slope * 0.5 * (logs[:, 0] + logs[:, 1])
     return out
 

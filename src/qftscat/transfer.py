@@ -50,7 +50,7 @@ class TransferPolynomial:
         return cls(n, Poly(ncoords, acc))
 
     def __call__(self, momenta):
-        """Evaluate at n four-vectors (array (..., n, d) or a list of vectors)."""
+        """Evaluate at n four-vectors (array (..., n, d) or a list), dtype as Poly's."""
         ks = np.asarray(momenta, dtype=float)
         if ks.shape[-2] != self.n:
             raise ValueError(f"expected {self.n} momenta, got {ks.shape[-2]}")

@@ -25,7 +25,7 @@ from qftscat.kinematics import (
     phi,
     schwartz_norm_1leg,
 )
-from qftscat.polymath import Poly
+from qftscat.polymath import Poly, value_dtype
 
 RNG = np.random.default_rng(7)
 
@@ -209,6 +209,19 @@ def test_packet_and_minkowski_dot_bitwise_equal_broadcast_oracles(d, kind):
         assert minkowski_sq(k).tobytes() == _minkowski_dot_oracle(k, k).tobytes()
 
 
+def test_packet_is_float64_exactly_without_phase_or_complex_coefficients():
+    # a real polynomial times the Gaussian: the complex path's real part bit
+    # for bit; a phase or a coefficient 1+0j gives complex values
+    k = 0.5 * np.random.default_rng(12).normal(size=(50, 2))
+    poly = Poly.variable(2, 1, 0.7) + Poly.constant(2, -0.3)
+    real = WavePacket(center=np.array([-1.2, 0.4]), width=0.3, poly=poly)
+    slow = WavePacket(real.center, real.width, poly * Poly.constant(2, 1 + 0j))
+    phased = WavePacket(real.center, real.width, poly, phase=np.array([0.3, -0.2]))
+    assert real(k).dtype == real.derivative(0)(k).dtype == np.float64
+    assert slow(k).dtype == phased(k).dtype == np.complex128
+    assert np.all(slow(k).imag == 0) and np.array_equal(real(k), slow(k).real)
+
+
 def test_packet_rejects_points_of_the_wrong_width():
     # a one-column point once broadcast to (1.3, 1.3) on a 2-D packet, and a
     # third column would be dropped
@@ -312,7 +325,7 @@ def _tensordot_on_grid(poly, axes):
     """Poly.on_grid as it was before it became one row of Poly.on_grids: the
     coefficient array contracted with one power table per axis by tensordot."""
     exps = np.array(list(poly.terms) or [(0,) * poly.nvars], dtype=int)
-    out = np.zeros(tuple(exps.max(axis=0) + 1), dtype=complex)
+    out = np.zeros(tuple(exps.max(axis=0) + 1), dtype=value_dtype(poly.terms.values(), *axes))
     for e, c in poly.terms.items():
         out[e] = c
     for x, top in zip(axes, out.shape):
@@ -406,26 +419,39 @@ def test_schwartz_norm_takes_one_derivative_per_beta(d, K, monkeypatch):
     assert len(calls) == len(list(multi_indices(d, K))) - 1
 
 
-@pytest.mark.parametrize("d", [1, 2, 3])
-def test_on_grids_rows_bitwise_equal_tensordot_on_grid(d):
+def _check_on_grids_rows(d, rng, const, coef):
     """Padded batches mixing polynomials of the first variable alone (a
-    matrix-vector product in tensordot), constants, the zero polynomial and
-    full ones; on_grid is the batch of one."""
-    rng = np.random.default_rng(40 + d)
-    polys = [Poly(d), Poly.constant(d, 2 - 1j)]
+    matrix-vector product in tensordot), the constant const, the zero
+    polynomial and full ones, their coefficients drawn by coef(); on_grid is
+    the batch of one."""
+    polys = [Poly(d), Poly.constant(d, const)]
     for nterms in (2, 3, 5, 7):
-        polys.append(Poly(d, {(int(e),) + (0,) * (d - 1): complex(*rng.normal(size=2))
+        polys.append(Poly(d, {(int(e),) + (0,) * (d - 1): coef()
                               for e in rng.integers(0, 6, size=nterms)}))
-        polys.append(Poly(d, {tuple(int(e) for e in rng.integers(0, 5, size=d)):
-                              complex(*rng.normal(size=2)) for _ in range(nterms)}))
+        polys.append(Poly(d, {tuple(int(e) for e in rng.integers(0, 5, size=d)): coef()
+                              for _ in range(nterms)}))
     for n in (17, 241 if d < 3 else 31):
         axes = [rng.normal(size=(len(polys), 1)) + rng.uniform(0.1, 3, size=(len(polys), 1))
                 * np.linspace(-1, 1, n) for _ in range(d)]
         batch = Poly.on_grids(polys, axes)
+        assert batch.dtype == np.result_type(coef())
         for b, p in enumerate(polys):
             rows = [x[b] for x in axes]
             assert np.array_equal(batch[b], _tensordot_on_grid(p, rows))
             assert np.array_equal(p.on_grid(rows), _tensordot_on_grid(p, rows))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_on_grids_rows_bitwise_equal_tensordot_on_grid(d):
+    rng = np.random.default_rng(40 + d)
+    _check_on_grids_rows(d, rng, 2 - 1j, lambda: complex(*rng.normal(size=2)))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_real_on_grids_rows_bitwise_equal_tensordot_on_grid(d):
+    # real coefficients and axes: float64 rows in the library and the oracle
+    rng = np.random.default_rng(50 + d)
+    _check_on_grids_rows(d, rng, 2.0, lambda: float(rng.normal()))
 
 
 def test_schwartz_norm_grid_check_raises():

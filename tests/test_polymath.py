@@ -125,3 +125,32 @@ def test_basis_matrix_bitwise_equals_per_column():
                 col = col * qs[:, i] ** e
         reference[:, c] = col
     assert np.array_equal(_basis_matrix(qs, exps_list), reference)
+
+
+def test_call_is_float64_exactly_for_real_coefficients_and_points():
+    # the real values are the complex path's real parts bit for bit: a
+    # product with a zero imaginary part rounds as the real product
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=(5, 7, 3))
+    real = Poly(3, {(1, 0, 2): 0.5, (0, 1, 0): -2, (0, 0, 0): np.float64(1.5)})
+    as_complex = Poly(3, {e: complex(c) for e, c in real.terms.items()})
+    assert real(x).dtype == np.float64 and Poly(3)(x).dtype == np.float64
+    for p, pts in [(as_complex, x), (real, x + 0j), (Poly.constant(3, 1 + 0j), x),
+                   (Poly.constant(3, np.complex128(2)), x)]:
+        assert p(pts).dtype == np.complex128
+    want = as_complex(x)
+    assert np.all(want.imag == 0) and np.array_equal(real(x), want.real)
+
+
+def test_on_grids_is_float64_exactly_for_real_coefficients_and_axes():
+    # a real gemm sums as the complex one's real part up to rounding: within
+    # 1e-15 of the largest value
+    rng = np.random.default_rng(9)
+    real = [Poly(2, {(2, 1): 0.7, (0, 3): -1.1}), Poly(2, {(1, 0): 2.0}), Poly.constant(2, 3)]
+    as_complex = [Poly(2, {e: complex(c) for e, c in p.terms.items()}) for p in real]
+    axes = [rng.normal(size=(3, 9)), rng.normal(size=(3, 5))]
+    got, want = Poly.on_grids(real, axes), Poly.on_grids(as_complex, axes)
+    assert got.dtype == np.float64 and want.dtype == np.complex128
+    assert Poly.on_grids(real, [axes[0], axes[1] + 0j]).dtype == np.complex128
+    assert np.all(want.imag == 0)
+    assert np.max(np.abs(got - want.real)) <= 1e-15 * np.max(np.abs(want))

@@ -13,11 +13,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from qftscat import kinematics, lszlab, structure
+from qftscat import formfactor, kinematics, lszlab, structure
 from qftscat.fitter import recheck_constraints
+from qftscat.formfactor import AmplitudeRequest, eval_F_n, smatrix_amplitude
 from qftscat.kinematics import (ModelParams, WavePacket, gauss_panels, minkowski_sq, omega,
                                 packet_rule)
 from qftscat.lszlab import _chi_windows, chi_t, finite_time_pairing
+from qftscat.polymath import Poly
 from qftscat.structure import (
     QuadratureSettings,
     SpectralDensity,
@@ -642,7 +644,8 @@ def test_fold_roots_bitwise_equal_two_body_solutions(sa, sb, mass, E, P, near, o
         assert not full[-1][0, 1 - cols[0]]
     fold = structure._pair_roots(E, P, r, signs, sa, sb, mass)
     for got, want in zip(fold, full):
-        assert got.tobytes() == want[:, cols].tobytes()
+        want = np.moveaxis(want, -1, 0)[cols]  # the core's root axis leads
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 _coord = st.floats(-3.0, 3.0)
@@ -1056,11 +1059,14 @@ def test_order3_memory_grows_with_nodes_not_their_square(trio, params):
     assert peak < 4 * 2**20, peak
 
 
-def test_order4_memory_grows_with_the_rest_grid_not_the_whole(packets4, params, fam_quad):
+def test_order4_memory_grows_with_the_rest_grid_not_the_whole(packets4, params, fam_quad,
+                                                             monkeypatch):
     # at 150 inner nodes the packet rules keep 90 nodes per leg: the grid of
     # leg term j = 0 holds 729,000 points, and its weighted ks alone over
     # 44 MiB at once; one leg 1 node (a block of one) against the 8,100-point
-    # grid of legs 2 and 3 peaked at 3.2 MiB with the weight, 2.0 MiB without
+    # grid of legs 2 and 3 peaked at 3.2 MiB with the weight, 2.0 MiB without.
+    # An infinite reach keeps every block: all lie past the joint tail here
+    monkeypatch.setattr(structure, "TAIL_WIDTHS", math.inf)
     ev = StructureEvaluator(params, quad=QuadratureSettings(inner_nodes=150))
     assert len(packet_rule(packets4[1], 150)[0]) == 90
     for weight in (None, fam_quad.eval):
@@ -1071,6 +1077,27 @@ def test_order4_memory_grows_with_the_rest_grid_not_the_whole(packets4, params, 
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20, peak
+
+
+@pytest.mark.parametrize("case", ["packets4", "derivative"])
+def test_dead_onshell_blocks_match_uncut(case, trio, packets4, ev, fam_quad, monkeypatch):
+    # _onshell_sum skips a block where the joint tail exponent exceeds
+    # TAIL_WIDTHS^2 at every point: on these packets every block of j = 0
+    # and 3. The uncut terms are within exp(-72) of the largest term (2.0e-3
+    # and 4.3e-3 of it measured on packets4, without and with the weight); a
+    # derivative leg's factor (k - c)/w^2 is larger at the cut than at the
+    # peak, as in test_tail_cut_leg_terms_match_uncut (1.5 and 5.0 of it)
+    packets = _tail_case_packets(case, trio, packets4)
+    bound = math.exp(-kinematics.TAIL_WIDTHS ** 2 / 2)
+    if case == "derivative":
+        bound *= kinematics.TAIL_WIDTHS ** 4
+    for weight in (None, fam_quad.eval):
+        got = [leg_term(j, packets, ev, weight=weight) for j in range(4)]
+        with monkeypatch.context() as mp:
+            mp.setattr(structure, "TAIL_WIDTHS", math.inf)
+            uncut = [leg_term(j, packets, ev, weight=weight) for j in (0, 3)]
+        assert got[0] == got[3] == 0
+        assert all(0 < abs(u) <= bound * max(map(abs, got)) for u in uncut)
 
 
 def _onshell_sum_per_node(j, packets, ev, weight, rules):
@@ -1126,7 +1153,10 @@ def test_blocked_onshell_sum_bitwise_equals_per_node(budget, trio, packets4, ev,
                                                       monkeypatch):
     # a block of first-leg nodes keeps each node's elementwise arithmetic and
     # row sum, and the rows are added in node order: the blocked term is the
-    # per-node one bit for bit, with weight called once per block
+    # per-node one bit for bit, with weight called once per block. An infinite
+    # reach keeps every block (packets4's order-4 grids lie past the joint
+    # tail; test_dead_onshell_blocks_match_uncut checks the skip)
+    monkeypatch.setattr(structure, "TAIL_WIDTHS", math.inf)
     checked = 0
     for packets, j in _onshell_cases(trio, packets4):
         rest = _rest_points(packets, j, ev)
@@ -1160,7 +1190,8 @@ def test_blocked_onshell_sum_bitwise_equals_per_node(budget, trio, packets4, ev,
 def test_static_leg_terms_evaluate_packets_within_the_budget(budget, trio, packets4, ev,
                                                              monkeypatch):
     # memory grows with the rest grid alone: no packet call of a static leg
-    # term sees more than max(BLOCK_POINTS, rest-grid points) points
+    # term sees more than max(BLOCK_POINTS, rest-grid points) points; an
+    # infinite reach keeps the blocks of the order-4 on-shell sums (j = 0, 3)
     if budget == 1:
         monkeypatch.setattr(structure, "BLOCK_POINTS", 1)
     call, seen = WavePacket.__call__, []
@@ -1172,7 +1203,10 @@ def test_static_leg_terms_evaluate_packets_within_the_budget(budget, trio, packe
     monkeypatch.setattr(WavePacket, "__call__", packet_spy)
     for packets, j in [(list(trio), 0), *((list(packets4), j) for j in range(4))]:
         seen.clear()
-        assert leg_term(j, packets, ev) != 0 or j in (0, 3)
+        with monkeypatch.context() as mp:
+            if j in (0, 3):
+                mp.setattr(structure, "TAIL_WIDTHS", math.inf)
+            assert leg_term(j, packets, ev) != 0 or j in (0, 3)
         cap = max(structure.BLOCK_POINTS, _rest_points(packets, j, ev))
         assert seen and max(seen) <= cap, (j, max(seen), cap)
 
@@ -1757,3 +1791,92 @@ def test_merged_roots_take_their_finite_part(params, ev):
 def test_static_order4_term_where_the_fold_does_not_converge(nodes, params):
     ev = StructureEvaluator(params, quad=QuadratureSettings(inner_nodes=nodes, fold_nodes=nodes))
     assert abs(leg_term(2, _shell_packets(_MERGING, 0.3), ev) - 0.14099014) < 1e-8
+
+
+# Real packets and weights take float64 arithmetic up to chi_t, a phase or a
+# complex weight; a coefficient 1+0j keeps the complex arithmetic instead
+_COMPLEX_PATH_CASES = ["seed0", "seed9", "seed20", "derivative", "translated"]
+
+
+def _complex_path(packets):
+    """The packets with their polynomials times Poly.constant(2, 1+0j): the
+    same values, every one computed on the complex path."""
+    return [WavePacket(p.center, p.width, p.poly * Poly.constant(2, 1 + 0j), p.phase)
+            for p in packets]
+
+
+def _order4_leg_terms(packets, ev):
+    """Every static PV term and shell atom of an order-4 pairing, and the
+    chi_t terms of legs 1 and 2 at t = 1, 31.6 and 201."""
+    params, times, labels = ev.params, [1.0, 31.6, 201.0], ("in", "in", "out", "out")
+    out = [leg_term(j, packets, ev, sign) for j in range(4) for sign in (0, 1)]
+    for j in (1, 2):
+        out += list(leg_term(j, packets, ev, t_hint=max(times),
+                             pv_multiplier=lambda k, a=labels[j]: chi_t(a, k, times, params),
+                             window_fn=lambda w, j=j: _chi_windows(4, j, w, params.eps_phi)))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("case", _COMPLEX_PATH_CASES)
+def test_real_path_matches_the_complex_path(case, packets4, ev, fam_quad):
+    # the complex path divides by a real as a complex division; within 1e-13
+    # of the largest value (4.4e-16 measured)
+    packets, _ = _kspace_case(case, packets4, fam_quad)
+    slow = _complex_path(packets)
+    assert all(isinstance(c, complex) for p in slow for c in p.poly.terms.values())
+    got, want = _order4_leg_terms(packets, ev), _order4_leg_terms(slow, ev)
+    assert np.count_nonzero(want) >= 6
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    labels = ("in", "in", "out", "out")
+    got, want = (eval_F_n(labels, p, ev, fam_quad) for p in (packets, slow))
+    assert got != 0 and abs(got - want) <= 1e-13 * abs(want)
+    for fam in (None, fam_quad):
+        got, want = (smatrix_amplitude(AmplitudeRequest(2, p[:2], p[2:]), ev, fam)
+                     for p in (packets, slow))
+        assert got != 0 and abs(got - want) <= 1e-13 * abs(want)
+
+
+class _SumSpy:
+    """numpy as a module under test sees it, recording the dtype of every
+    np.sum argument."""
+
+    def __init__(self):
+        self.dtypes = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def sum(self, a, *args, **kwargs):
+        self.dtypes.append(np.asarray(a).dtype)
+        return np.sum(a, *args, **kwargs)
+
+
+def test_plain_packets_stay_real_until_a_phase(trio, packets4, ev, monkeypatch):
+    # real packets and no weight: the pair terms of g_j, the static sums and
+    # the amplitude's summand are float64, so a stray dtype=complex, which
+    # costs convergence 15-20% of its time, fails here
+    solved, core = [], structure._solved_pair_terms
+
+    def pair_spy(*args, **kwargs):
+        out = core(*args, **kwargs)
+        solved.append(out.dtype)
+        return out
+
+    sums = _SumSpy()
+    monkeypatch.setattr(structure, "_solved_pair_terms", pair_spy)
+    monkeypatch.setattr(structure, "np", sums)
+    monkeypatch.setattr(formfactor, "np", sums)
+    packets = list(packets4)
+    for j in range(3):
+        leg_term(j, list(trio), ev)
+    for j in range(4):
+        with monkeypatch.context() as mp:
+            if j in (0, 3):  # an infinite reach keeps the on-shell sums' blocks
+                mp.setattr(structure, "TAIL_WIDTHS", math.inf)
+            leg_term(j, packets, ev)
+    static = len(sums.dtypes)
+    leg_term(2, packets, ev, 1)
+    leg_term(1, packets, ev, pv_multiplier=_unit_multiplier)
+    smatrix_amplitude(AmplitudeRequest(2, packets[:2], packets[2:]), ev)
+    assert static >= 3 + 2 * 4 and len(sums.dtypes) > static + 1 and len(solved) > 1
+    assert set(sums.dtypes) == set(solved) == {np.dtype(float)}

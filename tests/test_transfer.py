@@ -39,6 +39,16 @@ def test_constant_and_q12_evaluation():
     assert np.isclose(complex(p(np.stack([k1, k1, k1]))), 1.0)
 
 
+def test_evaluation_is_float64_exactly_for_real_coefficients(fam_quad):
+    # M_4's values are the complex path's real parts bit for bit
+    ks = np.random.default_rng(22).normal(size=(6, 5, 4, 2))
+    real = fam_quad.member(4)
+    slow = TransferPolynomial(4, real.poly * Poly.constant(10, 1 + 0j))
+    assert real(ks).dtype == fam_quad.eval(ks).dtype == np.float64
+    assert slow(ks).dtype == TransferPolynomial.constant(4, 1 + 0j)(ks).dtype == np.complex128
+    assert np.all(slow(ks).imag == 0) and np.array_equal(real(ks), slow(ks).real)
+
+
 def test_lorentz_invariance_is_structural():
     p = TransferPolynomial.from_terms(
         4, [({"q12": 2}, 0.3), ({"q13": 1, "q24": 1}, -0.7), ({"q11": 1}, 1.1)]
