@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kinematics import gauss_panels
+from .kinematics import packet_rule
 from .structure import (SpectralDensity, StructureEvaluator, complete_configurations, eval_Ghat_2,
                         leg_term, shell_signs)
 from .transfer import TransferFamily, require_valid
@@ -96,14 +96,14 @@ def smatrix_amplitude(req: AmplitudeRequest, ev: StructureEvaluator,
                       fam: TransferFamily | None = None) -> complex:
     """Packet-integrated truncated S-matrix component.
 
-    The first n-2 legs' spatial momenta are quadrature variables; the last
-    two legs are solved from energy-momentum conservation with the Jacobian
-    of the constraint, each leg carrying its 1/(2 omega) shell density.
+    The first n-2 legs' spatial momenta are quadrature variables, each on its
+    packet's Gauss-Hermite rule of inner_nodes (packet_rule); the last two
+    legs are solved from energy-momentum conservation with the Jacobian of
+    the constraint, each leg carrying its 1/(2 omega) shell density.
     """
     packets = req.packets
     n = req.n
-    nodes, wts = zip(*(gauss_panels(packets[l].support_interval(1), ev.quad.outer_nodes)
-                       for l in range(n - 2)))
+    nodes, wts = zip(*(packet_rule(packets[l], ev.quad.inner_nodes) for l in range(n - 2)))
     p = np.stack(np.meshgrid(*nodes, indexing="ij"), axis=-1)
     weight = np.prod(np.meshgrid(*wts, indexing="ij"), axis=0)
     ks, dens, valid = complete_configurations(p, shell_signs(n, req.r), ev.params.m)

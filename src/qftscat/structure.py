@@ -59,12 +59,11 @@ class SpectralDensity:
 
 @dataclass(frozen=True)
 class QuadratureSettings:
-    # outer_nodes per panel of each order-3 leg (two panels) and per
-    # quadrature leg of smatrix_amplitude; inner_nodes Gauss-Hermite nodes per
-    # order-4 packet axis (the static terms' outer legs, the k-space fold's k^1
-    # and free leg); fold_nodes per panel of the lone leg (three panels) and
-    # per interval of the PV fold
-    outer_nodes: int = 40
+    # inner_nodes Gauss-Hermite nodes per packet axis (packet_rule): each
+    # quadrature leg of smatrix_amplitude, each order-4 static term's on-shell
+    # legs and the k-space fold's k^1 and free leg, and thrice that per
+    # order-3 on-shell leg; fold_nodes per panel of the lone leg (three
+    # panels) and per interval of the PV fold
     inner_nodes: int = 24
     fold_nodes: int = 24
     nodes_per_period: float = 12.0  # fold refinement for oscillatory numerators
@@ -82,7 +81,6 @@ class QuadratureSettings:
     def doubled(self) -> "QuadratureSettings":
         return replace(
             self,
-            outer_nodes=2 * self.outer_nodes,
             inner_nodes=2 * self.inner_nodes,
             fold_nodes=2 * self.fold_nodes,
             nodes_per_period=2 * self.nodes_per_period,
@@ -393,9 +391,9 @@ def _shell_leg(packet, sign, rule, m):
 BLOCK_POINTS = 4096
 
 
-def _onshell_sum(j: int, packets, ev: StructureEvaluator, weight, rules) -> complex:
+def _onshell_sum(j: int, packets, ev: StructureEvaluator, weight, nodes: int) -> complex:
     """A PV leg term with no pole, as a regular sum over the other legs'
-    spatial momenta on their rules (one per leg, in index order): with k_l =
+    spatial momenta on their packet rules of the given nodes: with k_l =
     (s_l omega(p_l), p_l) and k_j = -sum k_l, the sum of prod f_l / (2 omega_l)
     f_j [w(ks)] / (k_j^2 - m^2). At order 3 a same-sign pair has k_j^2 >= 4 m^2
     and an opposite-sign one k_j^2 <= 0; at order 4, legs j = 0 and 3 see three
@@ -406,8 +404,8 @@ def _onshell_sum(j: int, packets, ev: StructureEvaluator, weight, rules) -> comp
     exceeds TAIL_WIDTHS^2 at all its points: the Gaussian product is below exp(-72)."""
     m = ev.params.m
     legs = [l for l in range(len(packets)) if l != j]
-    (a, ka, fa), *rest = [(l, *_shell_leg(packets[l], _leg_sign(l, j), rule, m))
-                          for l, rule in zip(legs, rules)]
+    (a, ka, fa), *rest = [(l, *_shell_leg(packets[l], _leg_sign(l, j),
+                                          packet_rule(packets[l], nodes), m)) for l in legs]
     idx = [i.ravel() for i in np.meshgrid(*[np.arange(len(k)) for _, k, _ in rest], indexing="ij")]
     kr = [k[i] for (_, k, _), i in zip(rest, idx)]
     K = functools.reduce(np.add, kr)
@@ -547,9 +545,9 @@ def leg_term(j: int, packets, ev: StructureEvaluator, sign: int = 0, weight=None
 
     The static PV atom (sign 0, no pv_multiplier or window_fn) of order 3 or
     4 is summed over the other legs' on-shell spatial momenta: _onshell_sum
-    where there is no pole (order 3 on two Gauss-Legendre panels of
-    outer_nodes per leg, order 4 j = 0 and 3 on Gauss-Hermite rules of
-    inner_nodes), _lone_leg_term for order 4 j = 1 and 2.
+    where there is no pole (order 3, and order 4 j = 0 and 3), each leg on
+    its packet's Gauss-Hermite rule (packet_rule) of inner_nodes, thrice
+    that at order 3; _lone_leg_term for order 4 j = 1 and 2.
 
     Every other atom is folded in k-space, the other legs reduced by g_j:
     k1 and g_j's free leg each on their packet's Gauss-Hermite rule of
@@ -571,17 +569,12 @@ def leg_term(j: int, packets, ev: StructureEvaluator, sign: int = 0, weight=None
     if sign and not shell_balance_possible(n, j, sign):
         return 0j
     static = not sign and pv_multiplier is None and window_fn is None
-    if n == 3:
-        if not static:
-            raise ValueError("order 3 takes no pv_multiplier or window_fn")
-        rules = [gauss_panels([lo, packets[l].center[1], hi], ev.quad.outer_nodes)
-                 for l in range(3) if l != j for lo, hi in [packets[l].support_interval(1)]]
-        return _onshell_sum(j, packets, ev, weight, rules)
-    if n == 4 and static:
-        if j in (1, 2):
-            return _lone_leg_term(j, packets, ev, weight)
-        return _onshell_sum(j, packets, ev, weight, [packet_rule(packets[l], ev.quad.inner_nodes)
-                                                     for l in range(4) if l != j])
+    if n == 3 and not static:
+        raise ValueError("order 3 takes no pv_multiplier or window_fn")
+    if static and n == 4 and j in (1, 2):
+        return _lone_leg_term(j, packets, ev, weight)
+    if static and n in (3, 4):
+        return _onshell_sum(j, packets, ev, weight, (3 if n == 3 else 1) * ev.quad.inner_nodes)
     pk = packets[j]
     g = reduced_integrand(j, packets, ev, weight=weight)
     ugrid = packet_rule(packets[g.free_leg], ev.quad.inner_nodes)

@@ -248,7 +248,7 @@ def test_exit_1_on_config_errors(tmp_path, capsys, monkeypatch):
                          "t_grid": [1.0]}}
     packs = [{"center": [float(np.sqrt(k * k + 1)), k], "width": 0.3} for k in (-0.3, 0.3)]
     cases = [("amplitude", {**amp, "quadrature": 5}),
-             ("amplitude", {**amp, "quadrature": ["outer_nodes"]}),
+             ("amplitude", {**amp, "quadrature": ["inner_nodes"]}),
              ("amplitude", {**amp, "model": 5}),
              ("amplitude", {**amp, "model": []}),
              ("amplitude", {**amp, "rho": 5}),
@@ -331,8 +331,10 @@ def test_packet_poly_terms_are_summed():
 
 
 def test_unknown_quadrature_field(tmp_path, capsys):
-    for block in ({"bogus": 3}, {"singular_scan": 512}, {"doubled": 3},
-                  {"outer_nodes": "40"}, {"outer_nodes": 12.5}, {"fold_nodes": -3},
+    # outer_nodes, the Gauss-Legendre rule the packet rules replaced, is an
+    # unknown field like any other
+    for block in ({"bogus": 3}, {"singular_scan": 512}, {"doubled": 3}, {"outer_nodes": 40},
+                  {"inner_nodes": "40"}, {"inner_nodes": 12.5}, {"fold_nodes": -3},
                   {"nodes_per_period": math.nan}):
         cfg = {"model": {"d": 2}, "quadrature": block,
                "amplitude": {"packets_in": EIN, "packets_out": EOUT}}
@@ -341,6 +343,8 @@ def test_unknown_quadrature_field(tmp_path, capsys):
         assert code == 1
         assert "config error" in err and "Traceback" not in err
         assert not (out / "amplitude_summary.json").exists()
+        if "outer_nodes" in block:
+            assert "unknown fields in quadrature: ['outer_nodes']" in err
 
 
 def test_bad_transfer_block(tmp_path):

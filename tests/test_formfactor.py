@@ -14,15 +14,16 @@ from qftscat.formfactor import (
     smatrix_amplitude,
 )
 from qftscat.gns import structure_pairing
-from qftscat.kinematics import WavePacket, omega, packet_rule
+from qftscat.kinematics import WavePacket, gauss_panels, omega, packet_rule
 from qftscat.structure import (
     QuadratureSettings,
-    SpectralDensity,
     StructureEvaluator,
+    complete_configurations,
     eval_Ghat_2,
     eval_Ghat_n,
     leg_term,
     reduced_integrand,
+    shell_signs,
 )
 from qftscat.transfer import TransferFamily, TransferPolynomial
 
@@ -83,7 +84,7 @@ def test_uniform_labels_order4_are_exact_zeros(momenta, offsets, widths, weighte
     # 2 -> 2 packets near their shells: every configuration's coefficient
     # cancels between the two atoms that reach it, except b = 0 and b = 4,
     # which cannot balance; the term is 0j however the quadrature resolves T
-    ev = StructureEvaluator(params, quad=QuadratureSettings(outer_nodes=8, inner_nodes=12))
+    ev = StructureEvaluator(params, quad=QuadratureSettings(inner_nodes=12))
     packets = [WavePacket(center=np.array([s * float(omega(k, params.m)) + d, k]), width=w)
                for s, k, d, w in zip((-1, -1, 1, 1), momenta, offsets, widths)]
     weight = fam_quad.eval if weighted else None
@@ -91,26 +92,23 @@ def test_uniform_labels_order4_are_exact_zeros(momenta, offsets, widths, weighte
         assert eval_FG_n([label] * 4, packets, ev, weight=weight) == 0j
 
 
-def test_all_loc_reduces_to_structure_kernel(pair, trio, packets4, params, ev, fam_quad):
+def test_all_loc_reduces_to_structure_kernel(pair, trio, packets4, ev, ev_rho, fam_quad):
     assert eval_FG_n(["loc"] * 3, list(trio), ev) == eval_Ghat_n(list(trio), ev)
-    # the Gram pairing equals, bitwise, the per-order routes it replaced; a
-    # coarse k1 rule, since values are compared for equality, not accuracy
-    coarse = StructureEvaluator(params, SpectralDensity.default_model(params),
-                                QuadratureSettings(outer_nodes=8))
+    # the Gram pairing equals, bitwise, the per-order routes it replaced
     for fam in (None, fam_quad):
         weight = None if fam is None else fam.eval
-        loc = structure_pairing(coarse, fam=fam)
-        assert loc(pair) == eval_Ghat_2(list(pair), coarse)
+        loc = structure_pairing(ev_rho, fam=fam)
+        assert loc(pair) == eval_Ghat_2(list(pair), ev_rho)
         for packets in (trio, packets4):
-            assert loc(packets) == eval_Ghat_n(list(packets), coarse, weight=weight)
+            assert loc(packets) == eval_Ghat_n(list(packets), ev_rho, weight=weight)
         for label in ("in", "out"):
-            pairing = structure_pairing(coarse, label, fam)
+            pairing = structure_pairing(ev_rho, label, fam)
             for packets in (pair, trio, packets4):
                 labels = [label] * len(packets)
                 if fam is None:
-                    want = eval_FG_n(labels, list(packets), coarse)
+                    want = eval_FG_n(labels, list(packets), ev_rho)
                 else:
-                    want = eval_F_n(labels, list(packets), coarse, fam)
+                    want = eval_F_n(labels, list(packets), ev_rho, fam)
                 assert pairing(packets) == want
 
 
@@ -122,7 +120,7 @@ def test_each_configuration_is_computed_once(labels, built, packets4, params):
     # spy on the leg terms eval_FG_n requests and on the work they start: a
     # reduced integrand per balanced configuration, a static on-shell sum
     # (_onshell_sum at legs 0 and 3, _lone_leg_term at 1 and 2) per loc leg
-    ev = StructureEvaluator(params, quad=QuadratureSettings(outer_nodes=8, inner_nodes=12))
+    ev = StructureEvaluator(params, quad=QuadratureSettings(inner_nodes=12))
     requested, builds = [], []
 
     def spy_leg_term(j, packets, ev, sign=0, **kw):
@@ -148,9 +146,9 @@ def test_each_configuration_is_computed_once(labels, built, packets4, params):
 
 
 def test_formfactor_binds_no_quadrature_helper():
-    # Gauss rules live in kinematics (formfactor maps its free legs with
-    # gauss_panels); leg terms and the PV fold stay in structure
-    for name in ("reduced_integrand", "pv_fold", "gauss_rule"):
+    # Gauss rules live in kinematics (formfactor's free legs take packet_rule,
+    # no Gauss-Legendre rule); leg terms and the PV fold stay in structure
+    for name in ("reduced_integrand", "pv_fold", "gauss_rule", "gauss_panels"):
         assert not hasattr(formfactor, name)
 
 
@@ -192,7 +190,8 @@ def test_amplitude_vs_independent_oracle(packets4, ev):
     pin1, pin2, pout1, pout2 = packets4
     req = AmplitudeRequest(r=2, in_packets=(pin1, pin2), out_packets=(pout1, pout2))
     val = smatrix_amplitude(req, ev)
-    assert abs(val - AMP4_ORACLE) < 2e-3 * abs(AMP4_ORACLE)
+    # 2.3e-8 at the defaults; the 40-node Legendre rule read 1.3e-3
+    assert abs(val - AMP4_ORACLE) < 1e-6 * abs(AMP4_ORACLE)
     refined = smatrix_amplitude(req, ev.refined(), None)
     assert abs(refined - AMP4_ORACLE) < 1e-6 * abs(AMP4_ORACLE)
     # purely imaginary for real packets and trivial weight
@@ -211,6 +210,48 @@ def test_amplitude_symmetric_under_in_packet_swap(packets4, ev):
 def test_formfactor_matches_amplitude(packets4, ev):
     F = eval_FG_n(["in", "in", "out", "out"], list(packets4), ev)
     assert abs(F - AMP4_ORACLE) < 5e-3 * abs(AMP4_ORACLE)
+
+
+def _legendre_amplitude(req, ev, fam, nodes):
+    """smatrix_amplitude on the rule it used before the packet rules, kept as
+    an oracle that shares no rule with either path of criterion 9: each free
+    leg on Gauss-Legendre nodes over its packet's support, a block of 64 of
+    the first leg's nodes at a time."""
+    packets, n = req.packets, req.n
+    (x0, w0), *rest = [gauss_panels(packets[l].support_interval(1), nodes) for l in range(n - 2)]
+    total = 0.0 + 0.0j
+    for s in range(0, nodes, 64):
+        axes = [x0[s:s + 64], *(x for x, _ in rest)]
+        weight = np.prod(np.meshgrid(w0[s:s + 64], *(w for _, w in rest), indexing="ij"), axis=0)
+        p = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+        ks, dens, valid = complete_configurations(p, shell_signs(n, req.r), ev.params.m)
+        vals = np.prod([packets[l](ks[..., l, :]) for l in range(n)], axis=0)
+        vals = vals / np.prod([2.0 * np.abs(ks[..., l, 0]) for l in range(n - 2)], axis=0)
+        if fam is not None:
+            vals = vals * fam.member(n)(ks)
+        total += np.sum(weight * np.where(valid, vals / np.where(valid, dens, 1.0), 0.0).sum(-1))
+    return complex(2j * np.pi * total)
+
+
+@pytest.mark.parametrize("case", ["packets4", "translated", "derivative"])
+def test_amplitude_matches_the_refined_legendre_rule(case, packets4, ev, fam_quad):
+    # under fam_quad, the free legs on their packet rules (24 nodes) against
+    # 1,280 Legendre nodes per leg, relative: 1.5e-7 on packets4, 2.4e-6 with
+    # legs 0 and 1 translated (32 nodes: 1.7e-8), 5.0e-6 differentiated;
+    # 40 Legendre nodes miss by 1.2e-3, 6.5e-3 and 1.8e-2. On the derivative
+    # packets the reference itself spreads by 2.7e-6 (1,000 against 1,280
+    # nodes): the solved pair's density is singular where its roots merge
+    packets = list(packets4)
+    if case == "translated":
+        packets[:2] = [WavePacket(p.center, p.width, p.poly, np.array(a, dtype=float))
+                       for p, a in zip(packets, ((0.0, 3.0), (1.0, -3.6)))]
+    elif case == "derivative":
+        packets = [p.derivative(a) for p, a in zip(packets, (0, 1, 1, 0))]
+    req = AmplitudeRequest(2, packets[:2], packets[2:])
+    want = _legendre_amplitude(req, ev, fam_quad, 1280)
+    tol = {"packets4": 1e-6, "translated": 5e-6, "derivative": 1e-5}[case]
+    assert abs(smatrix_amplitude(req, ev, fam_quad) - want) <= tol * abs(want)
+    assert abs(_legendre_amplitude(req, ev, fam_quad, 40) - want) > 1e-3 * abs(want)
 
 
 def test_weighted_two_path_agreement(packets4, ev, fam_quad):

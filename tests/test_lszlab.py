@@ -23,7 +23,7 @@ from qftscat.lszlab import (
     riemann_lebesgue_decay,
     sokhotsky_check,
 )
-from qftscat.structure import QuadratureSettings, SpectralDensity, StructureEvaluator, leg_term
+from qftscat.structure import SpectralDensity, leg_term
 
 
 def _gauss(x):
@@ -106,10 +106,9 @@ def test_leg_term_time_rows_match_single_time(packets4, ev):
 
 
 @pytest.mark.parametrize("weighted", [False, True])
-def test_leg_terms_equal_their_quadrature(trio, trio_scatter, packets4, params, weighted):
-    # a coarse k^1 rule: the terms are compared with the quadrature over both
-    # chi_t windows (shell_balance_possible forced true), not for accuracy
-    ev = StructureEvaluator(params, quad=QuadratureSettings(outer_nodes=8))
+def test_leg_terms_equal_their_quadrature(trio, trio_scatter, packets4, ev, weighted):
+    # the terms are compared with the quadrature over both chi_t windows
+    # (shell_balance_possible forced true), not for accuracy
     rng = np.random.default_rng(5)
     sets = [list(trio), list(trio_scatter), list(packets4)]
     sets += [[_translated(p, rng.uniform(-0.2, 0.2, 2)) for p in base]

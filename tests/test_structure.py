@@ -49,7 +49,7 @@ def test_evaluator_validation(params):
 def test_quadrature_doubling():
     q = QuadratureSettings()
     d = q.doubled()
-    assert d.outer_nodes == 2 * q.outer_nodes
+    assert d.inner_nodes == 2 * q.inner_nodes
     assert d.fold_nodes == 2 * q.fold_nodes
     assert d.mu_nodes == 2 * q.mu_nodes
 
@@ -177,15 +177,16 @@ def _near_shell_packets(signs, momenta, offsets, widths, shifts, m):
             for l, (s, k, d, w) in enumerate(zip(signs, momenta, offsets, widths))]
 
 
-def _order3_k_space_atoms(j, packets, ev, sigma, label):
+def _order3_k_space_atoms(j, packets, ev, sigma, label, k1_nodes=8):
     """_quadrature_atoms at order 3, whose leg_term takes neither atom: the
     same sums over the kept k-space g3 (no tail cut), with k_j on its sigma
     shell and, through pv_fold, on chi_t's sigma window alone, one row (k1,
     pole sigma omega, window) per k1 node with the other pole's regular
-    factor 1/(k0 + sigma omega) in the numerator."""
+    factor 1/(k0 + sigma omega) in the numerator; k1 on k1_nodes
+    Gauss-Legendre nodes over the packet's support."""
     params, pk = ev.params, packets[j]
     g = _dense_reduced_integrand(j, packets, ev, cut=False)
-    k1n, k1w = gauss_panels(pk.support_interval(1), ev.quad.outer_nodes)
+    k1n, k1w = gauss_panels(pk.support_interval(1), k1_nodes)
     w = np.sqrt(k1n * k1n + params.m ** 2)
     shell = np.sum(k1w * g(sigma * w, k1n) * pk(np.stack([sigma * w, k1n], axis=-1)) / (2 * w))
 
@@ -230,7 +231,7 @@ def test_forbidden_shell_atoms_and_windows_are_exact_zeros(momenta, offsets, wid
     # (j, sigma) the rule forbids at n = 3 and 4, on packets near the shells
     # of that term's own sign layout, the quadrature gives exactly 0 (at
     # n = 3 over the kept k-space g3, as leg_term takes no order-3 atom)
-    ev = StructureEvaluator(params, quad=QuadratureSettings(outer_nodes=8, inner_nodes=12))
+    ev = StructureEvaluator(params, quad=QuadratureSettings(inner_nodes=12))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(structure, "TAIL_WIDTHS", math.inf)
         for n in (3, 4):
@@ -245,8 +246,7 @@ def test_forbidden_shell_atoms_and_windows_are_exact_zeros(momenta, offsets, wid
                 assert leg_term(j, packets, ev, sigma) == 0
 
 
-def test_allowed_shell_atoms_and_windows_are_nonzero(packets4, params):
-    ev = StructureEvaluator(params, quad=QuadratureSettings(outer_nodes=8))
+def test_allowed_shell_atoms_and_windows_are_nonzero(packets4, ev):
     for j, sigma in ((1, -1), (2, 1)):
         shell, window = _quadrature_atoms(j, list(packets4), ev, sigma, "out")
         assert shell != 0 and np.all(window != 0)
@@ -935,16 +935,16 @@ def _threshold_k0(j: int, n: int, k1: float, m: float):
 
 
 def _leg_term_oracle(j, packets, ev, pv_multiplier=None, t_hint=0.0, interval_fn=None,
-                     weight=None):
+                     weight=None, k1_nodes=160):
     """The leg term as one symmetric fold per (k1, sigma), kept as an oracle:
     order 4 on leg_term's rules (k1 and the free leg on their packet rules),
-    order 3 the k-space g3 with k1 on outer_nodes Gauss-Legendre nodes and
+    order 3 the k-space g3 with k1 on k1_nodes Gauss-Legendre nodes and
     sine panels at its two-body threshold."""
     n = len(packets)
     pk = packets[j]
     if n == 3:
         g = _dense_reduced_integrand(j, packets, ev, weight=weight, cut=False)
-        k1n, k1w = gauss_panels(pk.support_interval(1), ev.quad.outer_nodes)
+        k1n, k1w = gauss_panels(pk.support_interval(1), k1_nodes)
         ugrid = None
     else:
         g = reduced_integrand(j, packets, ev, weight=weight)
@@ -972,9 +972,8 @@ def _leg_term_oracle(j, packets, ev, pv_multiplier=None, t_hint=0.0, interval_fn
     return total
 
 
-# settings at which the order-3 k-space oracle reaches 1e-9
-_FINE = StructureEvaluator(ModelParams(), quad=QuadratureSettings(
-    outer_nodes=160, inner_nodes=96, fold_nodes=96))
+# settings at which the order-3 k-space oracle reaches 1e-9 (with its 160 k1 nodes)
+_FINE = StructureEvaluator(ModelParams(), quad=QuadratureSettings(inner_nodes=96, fold_nodes=96))
 
 
 def test_ghat3_matches_symmetric_fold_oracle(trio, ev):
@@ -1017,8 +1016,9 @@ def _benchmark_trio(seed, m=1.0):
 
 @pytest.mark.parametrize("case", ["seeds", "translated", "derivative"])
 def test_ghat3_matches_onshell_reference(case, ev):
-    # 40 nodes per panel against 400: the on-shell sum is regular, so the
-    # rule converges fast; seeds 0-31, or seed 0 translated or differentiated
+    # 72 Gauss-Hermite nodes per leg against 400 Legendre nodes per panel:
+    # the on-shell sum is regular, so the rule converges fast (3.0e-13, 5.0e-13
+    # and 4.8e-14 at worst); seeds 0-31, or seed 0 translated or differentiated
     trios = [_benchmark_trio(seed) for seed in range(32)]
     if case == "translated":
         trios = [[WavePacket(p.center, p.width, p.poly, np.array(a, dtype=float))
@@ -1045,17 +1045,26 @@ def test_order3_off_shell_leg_keeps_clear_of_its_pole(sb, sc, mass, pb, pc):
     assert abs(q - m2) >= m2 - scale
 
 
-def test_order3_memory_grows_with_nodes_not_their_square(trio, params):
-    # at 400 nodes per panel the (p_b, p_c) grid holds 640,000 points: the
-    # whole tensor at once takes over 100 MiB, a block of p_b rows against
-    # the 800 p_c nodes (5 rows, 4,000 points) well under 4 MiB
-    ev = StructureEvaluator(params, quad=QuadratureSettings(outer_nodes=400))
-    tracemalloc.start()
+def test_order3_memory_grows_with_nodes_not_their_square(trio, params, monkeypatch):
+    # at 467 inner nodes each order-3 leg takes a 1,401-node packet rule;
+    # kept out to 36 packet widths, not 12, it holds 823 nodes, so the
+    # (p_b, p_c) grid has 677,329 points: the whole grid at once peaked at
+    # 36 MiB, a block of p_b rows against the 823 p_c nodes (4 rows, 3,292
+    # points) at 0.4 MiB. The rule is built before tracing: its
+    # dense eigenproblem is the rule builder's memory, not the sum's
+    monkeypatch.setattr(kinematics, "TAIL_WIDTHS", 36.0)
+    kinematics.hermite_rule.cache_clear()
     try:
-        leg_term(0, list(trio), ev)
-        peak = tracemalloc.get_traced_memory()[1]
+        ev = StructureEvaluator(params, quad=QuadratureSettings(inner_nodes=467))
+        assert len(packet_rule(trio[1], 3 * 467)[0]) == 823
+        tracemalloc.start()
+        try:
+            leg_term(0, list(trio), ev)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
     finally:
-        tracemalloc.stop()
+        kinematics.hermite_rule.cache_clear()
     assert peak < 4 * 2**20, peak
 
 
@@ -1100,13 +1109,14 @@ def test_dead_onshell_blocks_match_uncut(case, trio, packets4, ev, fam_quad, mon
         assert all(0 < abs(u) <= bound * max(map(abs, got)) for u in uncut)
 
 
-def _onshell_sum_per_node(j, packets, ev, weight, rules):
+def _onshell_sum_per_node(j, packets, ev, weight, nodes):
     """structure._onshell_sum one node of the first leg at a time: the
     bitwise reference of its blocked sum."""
     m = ev.params.m
     legs = [l for l in range(len(packets)) if l != j]
-    (a, ka, fa), *rest = [(l, *structure._shell_leg(packets[l], structure._leg_sign(l, j), rule, m))
-                          for l, rule in zip(legs, rules)]
+    (a, ka, fa), *rest = [(l, *structure._shell_leg(packets[l], structure._leg_sign(l, j),
+                                                    packet_rule(packets[l], nodes), m))
+                          for l in legs]
     idx = [i.ravel() for i in np.meshgrid(*[np.arange(len(k)) for _, k, _ in rest], indexing="ij")]
     kr = [k[i] for (_, k, _), i in zip(rest, idx)]
     K = functools.reduce(np.add, kr)
@@ -1139,13 +1149,12 @@ def _rest_points(packets, j, ev):
     """Points of the rest grid a block of the first leg's nodes meets: the
     other on-shell legs' nodes, or a lone-leg term's pair partner's nodes
     times the lone leg's p_c nodes and three line points."""
-    if len(packets) == 3:
-        return 2 * ev.quad.outer_nodes
-    if j in (1, 2):
+    n = len(packets)
+    if n == 4 and j in (1, 2):
         partner = len(packet_rule(packets[structure._lone_leg(j)[1][1]], ev.quad.inner_nodes)[0])
         return partner * (3 * ev.quad.fold_nodes + 3)
-    return math.prod([len(packet_rule(packets[l], ev.quad.inner_nodes)[0])
-                      for l in range(4) if l != j][1:])
+    nodes = (3 if n == 3 else 1) * ev.quad.inner_nodes
+    return math.prod([len(packet_rule(packets[l], nodes)[0]) for l in range(n) if l != j][1:])
 
 
 @pytest.mark.parametrize("budget", ["default", 1, "ragged"])
@@ -1238,10 +1247,10 @@ def test_order4_leg_terms_match_symmetric_fold_oracle(packets4, ev):
     assert abs(got - want) < 2e-5 * abs(want)
 
 
-def _legendre_leg_term(j, packets, ev, sign=0, weight=None, pv_multiplier=None, t_hint=0.0,
-                       window_fn=None):
+def _legendre_leg_term(j, packets, ev, k1_nodes, sign=0, weight=None, pv_multiplier=None,
+                       t_hint=0.0, window_fn=None):
     """A k-space leg term on the rules leg_term folded on before its packet
-    rules, kept as the accuracy reference: k1 on outer_nodes Gauss-Legendre
+    rules, kept as the accuracy reference: k1 on k1_nodes Gauss-Legendre
     nodes over the packet's support, the free leg on two sine panels of
     inner_nodes, and per k1 node the shell atom (sign +/-1) or a row per
     window (the packet's k0 support split at 0, or window_fn's clipped to
@@ -1250,7 +1259,7 @@ def _legendre_leg_term(j, packets, ev, sign=0, weight=None, pv_multiplier=None, 
     m = ev.params.m
     g = reduced_integrand(j, packets, ev, weight=weight)
     ugrid = _u_grid(packets[g.free_leg], ev.quad, panels=2)
-    k1n, k1w = gauss_panels(pk.support_interval(1), ev.quad.outer_nodes)
+    k1n, k1w = gauss_panels(pk.support_interval(1), k1_nodes)
     if sign:
         w = np.sqrt(k1n * k1n + m * m)
         kj = np.stack([sign * w, k1n], axis=-1)
@@ -1708,7 +1717,7 @@ def test_static_order4_terms_agree_with_the_refined_fold(packets4, ev, fam_quad)
     for packets, weight in [(_benchmark_packets4(s), None) for s in (0, 9, 20)] + [
             (list(packets4), fam_quad.eval)]:
         got = np.array([leg_term(j, packets, ev, weight=weight) for j in range(4)])
-        fold = np.array([_legendre_leg_term(j, packets, ev.refined(), weight=weight)
+        fold = np.array([_legendre_leg_term(j, packets, ev.refined(), 80, weight=weight)
                          for j in range(4)])
         assert np.max(np.abs(got - fold)) <= 1e-5 * np.max(np.abs(fold))
 
@@ -1720,7 +1729,7 @@ def test_static_order4_terms_agree_with_the_refined_fold(packets4, ev, fam_quad)
 # translated by (3, 3.6) and (-2, 3), and packets4 under fam_quad. The
 # Legendre fold at the defaults is 4.8e-4 to 7.5e-3 off on every case
 _KSPACE_CASES = ["seed0", "seed9", "seed20", "derivative", "translated", "fam_quad"]
-_LEGENDRE_REFERENCE = QuadratureSettings(outer_nodes=160, inner_nodes=96, fold_nodes=96)
+_LEGENDRE_REFERENCE = QuadratureSettings(inner_nodes=96, fold_nodes=96)
 
 
 def _kspace_case(case, packets4, fam_quad):
@@ -1745,7 +1754,7 @@ def test_kspace_shell_atom_matches_the_refined_legendre_fold(case, packets4, par
     packets, weight = _kspace_case(case, packets4, fam_quad)
     reference = StructureEvaluator(params, quad=_LEGENDRE_REFERENCE)
     got = leg_term(2, packets, ev, 1, weight=weight)
-    want = _legendre_leg_term(2, packets, reference, 1, weight=weight)
+    want = _legendre_leg_term(2, packets, reference, 160, 1, weight=weight)
     assert abs(got - want) <= tol * abs(want)
 
 
@@ -1764,7 +1773,7 @@ def test_kspace_chi_t_terms_match_the_refined_legendre_fold(case, packets4, para
         kw = dict(weight=weight, pv_multiplier=lambda k, a=labels[j]: chi_t(a, k, times, params),
                   t_hint=max(times), window_fn=lambda w, j=j: _chi_windows(4, j, w, params.eps_phi))
         got.append(leg_term(j, packets, ev, **kw))
-        want.append(_legendre_leg_term(j, packets, reference, **kw))
+        want.append(_legendre_leg_term(j, packets, reference, 160, **kw))
     assert np.max(np.abs(np.subtract(got, want))) <= tol * np.max(np.abs(want))
 
 
