@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,8 +52,14 @@ def minkowski_dot(x, y):
     y = np.asarray(y)
     if x.shape[-1] != y.shape[-1]:
         raise ValueError("dimension mismatch")
-    spatial = [x[..., i] * y[..., i] for i in range(1, x.shape[-1])]  # np.sum's order, d < 8
-    time = x[..., 0] * y[..., 0]
+    return _dot_components([x[..., i] for i in range(x.shape[-1])],
+                           [y[..., i] for i in range(y.shape[-1])])
+
+
+def _dot_components(x, y):
+    """minkowski_dot of two vectors given as sequences of their components."""
+    spatial = [a * b for a, b in zip(x[1:], y[1:])]  # np.sum's order, d < 8
+    time = x[0] * y[0]
     return time - functools.reduce(np.add, spatial) if spatial else time
 
 
@@ -121,6 +128,17 @@ def chi_plus_minus(k, sign, params: ModelParams):
     return step * phi(minkowski_sq(k) - params.m**2, params.eps_phi)
 
 
+def _finite_vector(name: str, x) -> np.ndarray:
+    """x as a float array, or a ValueError naming the field if it is not real and finite."""
+    try:
+        x = np.asarray(x, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be real") from None
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"{name} must be finite")
+    return x
+
+
 @dataclass(frozen=True)
 class WavePacket:
     """One-particle momentum-space packet poly(k) * exp(-|k-c|^2 / 2 w^2).
@@ -136,36 +154,51 @@ class WavePacket:
     phase: np.ndarray | None = None  # translation vector a; factor exp(-i a.k)
 
     def __post_init__(self):
-        object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
-        if not np.all(np.isfinite(self.center)):
-            raise ValueError("center must be finite")
-        if not (math.isfinite(self.width) and self.width > 0):
-            raise ValueError("width must be positive and finite")
+        object.__setattr__(self, "center", _finite_vector("center", self.center))
+        if self.center.ndim != 1 or not len(self.center):
+            raise ValueError(f"center must be a nonempty vector, got shape {self.center.shape}")
+        w = self.width
+        if isinstance(w, bool) or not isinstance(w, numbers.Real) or not (math.isfinite(w) and w > 0):
+            raise ValueError(f"width must be a positive finite real, got {w!r}")
         if self.poly is None:
             object.__setattr__(self, "poly", Poly.constant(self.dim, 1.0))
-        if self.poly.nvars != self.dim:
-            raise ValueError("poly nvars != packet dimension")
+        if not isinstance(self.poly, Poly) or self.poly.nvars != self.dim:
+            raise ValueError("poly must be a Poly in as many variables as the packet's dimension")
         if self.phase is not None:
-            object.__setattr__(self, "phase", np.asarray(self.phase, dtype=float))
-            if not np.all(np.isfinite(self.phase)):
-                raise ValueError("phase must be finite")
+            object.__setattr__(self, "phase", _finite_vector("phase", self.phase))
+            if self.phase.shape != (self.dim,):
+                raise ValueError(f"phase of shape {self.phase.shape} for a packet of dimension "
+                                 f"{self.dim}")
+        # evaluating the real constant 1 multiplies by 1.0, which is exact; a
+        # complex 1+0j still makes the values complex (polymath.value_dtype)
+        one = self.poly.terms.get((0,) * self.dim)
+        object.__setattr__(self, "_unit", len(self.poly.terms) == 1 and one == 1
+                           and isinstance(one, numbers.Real))
 
     @property
     def dim(self) -> int:
         return self.center.shape[0]
 
     def __call__(self, k):
-        """Values at momenta k (..., dim), float64 where the poly's are and no phase."""
-        k = np.asarray(k, dtype=float)
-        if k.shape[-1:] != (self.dim,):
-            raise ValueError(f"points of shape {k.shape} for a packet of dimension {self.dim}")
+        """Values at momenta k, an array (..., dim) or a tuple of dim component
+        arrays of one shape; float64 where the poly's are and no phase."""
+        if isinstance(k, tuple):
+            if len(k) != self.dim:
+                raise ValueError(f"{len(k)} components for a packet of dimension {self.dim}")
+            comps = [np.asarray(x, dtype=float) for x in k]
+        else:
+            k = np.asarray(k, dtype=float)
+            if k.shape[-1:] != (self.dim,):
+                raise ValueError(f"points of shape {k.shape} for a packet of dimension {self.dim}")
+            comps = [k[..., i] for i in range(self.dim)]
         # one square per axis, added in order as np.sum over the last axis does for d < 8
-        r2 = functools.reduce(np.add, ((k[..., i] - c) ** 2 for i, c in enumerate(self.center)))
-        gauss = np.exp(-r2 / (2 * self.width**2))
-        val = self.poly(k) * gauss
+        r2 = functools.reduce(np.add, ((x - c) ** 2 for x, c in zip(comps, self.center)))
+        val = np.exp(r2 / (-2 * self.width**2))  # bitwise -r2 / (2 w^2), in one pass
+        if not self._unit:
+            val = self.poly(np.stack(comps, axis=-1) if isinstance(k, tuple) else k) * val
         if self.phase is not None:
             # np.multiply keeps the operand order for every array size (see structure.leg_term)
-            val = np.multiply(val, np.exp(-1j * minkowski_dot(self.phase, k)))
+            val = np.multiply(val, np.exp(-1j * _dot_components(self.phase, comps)))
         return val
 
     def involute(self) -> "WavePacket":

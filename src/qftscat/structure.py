@@ -250,19 +250,20 @@ def _solved_pair_terms(j, pair, packets, ev, weight, E, P, k0, k1, free):
     idx = np.flatnonzero(root_possible(E, P, sb, sc, m) & inside)
     E, P = np.ravel(E)[idx], np.ravel(P)[idx]
     pb, pc, wb, wc, jac, valid = _pair_roots(E, P, *_roots(E, P, sb, sc, m), sb, sc, m)
-    kb = np.stack([sb * wb, pb], axis=-1)
-    kc = np.stack([sc * wc, pc], axis=-1)
+    legs = ((b, sb, wb, pb), (c, sc, wc, pc))
     fleg, kf, ff, two_w = free
     iu = idx % len(kf)
-    vals = np.multiply(ff[iu], packets[b](kb))
-    vals = np.multiply(vals, packets[c](kc))
-    if weight is not None:
-        ks = np.zeros(kb.shape[:-1] + (len(packets), 2))
-        ks[..., b, :] = kb
-        ks[..., c, :] = kc
+    if weight is not None:  # one momentum table, which the packets read views of
+        ks = np.zeros(pb.shape + (len(packets), 2))
+        for l, s, w, p in legs:
+            ks[..., l, 0], ks[..., l, 1] = s * w, p
         ks[..., fleg, :] = kf[iu]
         ks[..., j, 0] = np.broadcast_to(k0, shape).ravel()[idx]
         ks[..., j, 1] = np.broadcast_to(k1, shape).ravel()[idx]
+    vals = ff[iu]
+    for l, s, w, p in legs:  # each leg's energies live for its packet call alone
+        vals = np.multiply(vals, packets[l]((s * w, p) if weight is None else ks[..., l, :]))
+    if weight is not None:
         vals = np.multiply(vals, weight(ks))
     dens = two_w[iu] * 4.0 * wb * wc * np.abs(jac)
     terms = np.where(valid, vals / np.where(valid, dens, 1.0), 0.0)
@@ -492,13 +493,16 @@ def _lone_leg_pv(j: int, packets, ev: StructureEvaluator, weight, kf, kb):
     at = r0[:, None] + np.stack([step, -step, np.zeros_like(step)], axis=-1)  # line points
     P = np.concatenate([p, at], axis=1)
     om = np.sqrt(P * P + m2)
-    kc = np.stack([_leg_sign(c, j) * om, P], axis=-1)
-    kj = -(K[:, None] + kc)
+    kc = (_leg_sign(c, j) * om, P)
+    kj = tuple(-(K[:, i, None] + x) for i, x in enumerate(kc))
+    if weight is not None:  # one momentum table, which the packets read views of
+        ks = np.empty(P.shape + (4, 2))
+        ks[..., f, :], ks[..., b, :] = kf[:, None], kb[:, None]
+        ks[..., c, 0], ks[..., c, 1] = kc
+        ks[..., j, 0], ks[..., j, 1] = kj
+        kc, kj = ks[..., c, :], ks[..., j, :]
     phi = packets[c](kc) * packets[j](kj)
     if weight is not None:
-        ks = np.empty(kc.shape[:-1] + (4, 2))
-        ks[..., f, :], ks[..., b, :] = kf[:, None], kb[:, None]
-        ks[..., c, :], ks[..., j, :] = kc, kj
         phi = phi * weight(ks)
     # D = K^2 - 2 K1 p + 2 |K0| omega_c > K^2 - 2 (|K0| - |K1|)|p| > 0 cancels
     # the conjugate branch of h = K^2 - 2 K1 p - 2 |K0| omega_c: phi = -F D / (4 K^2)
@@ -584,8 +588,7 @@ def leg_term(j: int, packets, ev: StructureEvaluator, sign: int = 0, weight=None
         w = np.sqrt(k1n * k1n + m * m)
         k0 = sign * w
         vals = g(k0, k1n, ugrid)
-        kj = np.stack([k0, k1n], axis=-1)
-        return complex(np.sum(k1w * vals * pk(kj) / (2.0 * w)))
+        return complex(np.sum(k1w * vals * pk((k0, k1n)) / (2.0 * w)))
     lo0, hi0 = pk.support_interval(0)
     rows, weights = [], []
     for k1, wk in zip(k1n, k1w):
@@ -632,8 +635,8 @@ def shell_table(packets, ev: StructureEvaluator, masses):
     kn, kw = gauss_panels([min(lo1, -hi2), max(hi1, -lo2)], ev.quad.space_nodes)
     masses = np.asarray(masses, dtype=float)[:, None]
     w = np.sqrt(kn * kn + masses * masses)
-    ka = np.stack([-w, np.broadcast_to(kn, w.shape)], axis=-1)
-    return w, kw * (p1(ka) * p2(-ka)) / (2.0 * w)
+    ka, kb = (-w, np.broadcast_to(kn, w.shape)), (w, np.broadcast_to(-kn, w.shape))
+    return w, kw * (p1(ka) * p2(kb)) / (2.0 * w)
 
 
 def rho_continuum(packets, ev: StructureEvaluator, rho: SpectralDensity, t: float) -> complex:

@@ -157,6 +157,28 @@ def test_packet_rejects_non_finite_parameters():
             WavePacket(center=np.array([1.2, 0.4]), width=0.3, phase=np.array([0.0, bad]))
 
 
+@pytest.mark.parametrize("field, kw", [
+    pytest.param("width", dict(width=True), id="bool_width"),
+    pytest.param("width", dict(width=1 + 0j), id="complex_width"),
+    pytest.param("center", dict(center=[[0.5, 1.0]]), id="matrix_center"),
+    pytest.param("center", dict(center=[]), id="empty_center"),
+    pytest.param("center", dict(center=["a", "b"]), id="text_center"),
+    pytest.param("phase", dict(phase=[0.1, 0.2, 0.3]), id="long_phase"),
+    pytest.param("phase", dict(phase=1.0), id="scalar_phase"),
+    pytest.param("poly", dict(poly=2.0), id="number_poly"),
+])
+def test_packet_rejects_malformed_fields(field, kw):
+    # each field fails where the packet is built, with its name
+    with pytest.raises(ValueError, match=field):
+        WavePacket(**{"center": np.array([1.2, 0.4]), "width": 0.3, **kw})
+
+
+def test_packet_rejects_a_component_tuple_of_the_wrong_length():
+    pk = WavePacket(center=np.array([1.2, 0.4]), width=0.3)
+    with pytest.raises(ValueError, match="3 components for a packet of dimension 2"):
+        pk((pk.center,) * 3)
+
+
 def test_phased_packet_independent_of_batch_size():
     # a complex polynomial times the phase; 40,000 points pass numpy's
     # 256 KiB temporary-elision threshold, chunks of 1,000 do not
@@ -188,25 +210,46 @@ def _packet_oracle(pk, k):
     return val
 
 
+# explicit constant prefactors: the real 1 (float or int) skips Poly.__call__,
+# a complex 1+0j and any other constant take it
+CONSTANTS = {"one": 1.0, "int_one": 1, "complex_one": 1 + 0j, "two": 2.0}
+
+
 @pytest.mark.parametrize("d", [1, 2])
-@pytest.mark.parametrize("kind", ["gaussian", "poly", "phased", "poly_phased"])
-def test_packet_and_minkowski_dot_bitwise_equal_broadcast_oracles(d, kind):
+@pytest.mark.parametrize("kind", ["gaussian", "poly", "phased", "poly_phased", *CONSTANTS])
+def test_packet_and_minkowski_dot_bitwise_equal_broadcast_oracles(d, kind, monkeypatch):
     # 100 points stay below numpy's 256 KiB temporary-elision threshold,
-    # 40,000 complex values pass it
+    # 40,000 complex values pass it; the points come as one array and as a
+    # tuple of per-axis components
     poly = Poly.variable(d, d - 1, 1.0 + 0.5j) + Poly.constant(d, -0.3) \
         if "poly" in kind else None
+    if kind in CONSTANTS:
+        poly = Poly.constant(d, CONSTANTS[kind])
     phase = np.linspace(0.3, -0.2, d) if "phased" in kind else None
     pk = WavePacket(center=np.linspace(-1.2, 0.4, d), width=0.3, poly=poly, phase=phase)
+    calls, evaluate = [], Poly.__call__
+
+    def counted(p, x):
+        calls.append(len(x))
+        return evaluate(p, x)
+
     rng = np.random.default_rng(11 + d)
     for n in (100, 40000):
         k = pk.center + 0.5 * rng.normal(size=(n, d))
-        got, want = pk(k), _packet_oracle(pk, k)
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        want = _packet_oracle(pk, k)
+        monkeypatch.setattr(Poly, "__call__", counted)
+        got = [pk(k), pk(tuple(k[:, i] for i in range(d))),
+               pk(tuple(np.ascontiguousarray(k[:, i]) for i in range(d)))]
+        monkeypatch.setattr(Poly, "__call__", evaluate)
+        for g in got:
+            assert g.dtype == want.dtype and g.tobytes() == want.tobytes()
         y = rng.normal(size=(n, d)) + 1j * rng.normal(size=(n, d))
         for x in (k, y):
             got, want = minkowski_dot(x, k[::-1]), _minkowski_dot_oracle(x, k[::-1])
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
         assert minkowski_sq(k).tobytes() == _minkowski_dot_oracle(k, k).tobytes()
+    assert len(calls) == (0 if kind in ("gaussian", "phased", "one", "int_one") else 6)
+    assert (pk(k).dtype == np.complex128) == (kind not in ("gaussian", "one", "int_one", "two"))
 
 
 def test_packet_is_float64_exactly_without_phase_or_complex_coefficients():

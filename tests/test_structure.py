@@ -1572,6 +1572,33 @@ def test_numer_evaluated_once_per_k1(finite_time, packets4, params, monkeypatch)
     assert np.all(val != 0)
 
 
+def test_chi_t_fold_row_peak_memory(packets4, ev, monkeypatch):
+    # the convergence benchmark's 2 -> 2 study: 48 chi_t rows (legs 1 and 2,
+    # 24 k1 nodes each) at t up to 100 + pi / (2 omega); the largest traced
+    # peak of one row's numer call reads 453 KiB, and 600 KiB where the pair
+    # legs' momenta were stacked into tables and the unit prefactor evaluated
+    peaks, fold = [], structure.pv_fold
+
+    def spy(numer, *args, **kwargs):
+        def traced(kj):
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = numer(kj)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            return out
+        return fold(traced, *args, **kwargs)
+
+    monkeypatch.setattr(structure, "pv_fold", spy)
+    tracemalloc.start()
+    try:
+        lszlab.convergence_study(("in", "in", "out", "out"), list(packets4), ev, (1.0, 100.0),
+                                 orderings=[(0, 0, 0, 1)], window_points=2)
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) == 48
+    assert max(peaks) < 512 * 2**10, max(peaks)
+
+
 def test_t_scaled_panels_reuse_one_rule(packets4, params, monkeypatch):
     # t_hint = 1000 needs many times the nodes of t_hint = 10, built from
     # copies of the same rules: the fold_nodes Gauss-Legendre rule, and the
