@@ -151,10 +151,9 @@ def _times(grid) -> np.ndarray:
 
 # Field tables, one per config block. Bounds keep every count and scale where
 # a run finishes with finite numbers; the library checks the rest (d = 2,
-# positive masses and widths, 0 < m0 <= m, 0 < eps_phi < m^2, positive
-# epsilon, 1 <= fit.r <= fit.n - 1).
-MODEL = {"d": F(int, 2), "m": F(float, 1.0, 0, 1e3), "m0": F(float, None, 0, 1e3),
-         "eps_phi": F(float, None, 0, 1e6)}
+# positive masses and widths, 0 < eps_phi < m^2, positive epsilon,
+# 1 <= fit.r <= fit.n - 1).
+MODEL = {"d": F(int, 2), "m": F(float, 1.0, 0, 1e3), "eps_phi": F(float, None, 0, 1e6)}
 RHO = {"kind": F(str, "zero", choices=("zero", "default")), "c": F(float, 0.1, 0, 1e3)}
 QUADRATURE = {f.name: F(int, f.default, 1, 1000) if f.type == "int"
               else F(float, f.default, 0, 100) for f in dataclasses.fields(QuadratureSettings)}

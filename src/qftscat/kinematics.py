@@ -24,11 +24,10 @@ class NumericalError(RuntimeError):
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Model constants: dimension d (2 only), mass m, mass gap m0, cutoff width eps_phi."""
+    """Model constants: dimension d (2 only), mass m, cutoff width eps_phi."""
 
     d: int = 2
     m: float = 1.0
-    m0: float | None = None
     eps_phi: float | None = None
 
     def __post_init__(self):
@@ -36,10 +35,6 @@ class ModelParams:
             raise ValueError("only d = 2 (1+1 dimensions) is implemented")
         if self.m <= 0:
             raise ValueError("mass must be positive")
-        if self.m0 is None:
-            object.__setattr__(self, "m0", self.m)
-        if not 0 < self.m0 <= self.m:
-            raise ValueError("need 0 < m0 <= m")
         if self.eps_phi is None:
             object.__setattr__(self, "eps_phi", 0.5 * self.m**2)
         if not 0 < self.eps_phi < self.m**2:

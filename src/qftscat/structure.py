@@ -63,13 +63,12 @@ class QuadratureSettings:
     # quadrature leg of smatrix_amplitude, each order-4 static term's on-shell
     # legs and the k-space fold's k^1 and free leg, and thrice that per
     # order-3 on-shell leg; fold_nodes per panel of the lone leg (three
-    # panels) and per interval of the PV fold
+    # panels), per interval of the PV fold and per panel (three) of the
+    # two-point k rule
     inner_nodes: int = 24
     fold_nodes: int = 24
     nodes_per_period: float = 12.0  # fold refinement for oscillatory numerators
-    space_nodes: int = 96  # two-point spatial integral
     mu_nodes: int = 48  # continuum mass integral
-    mu_span: float = 20.0  # continuum window in units of m above onset
 
     def __post_init__(self):
         for f in fields(self):
@@ -84,7 +83,6 @@ class QuadratureSettings:
             inner_nodes=2 * self.inner_nodes,
             fold_nodes=2 * self.fold_nodes,
             nodes_per_period=2 * self.nodes_per_period,
-            space_nodes=2 * self.space_nodes,
             mu_nodes=2 * self.mu_nodes,
         )
 
@@ -625,14 +623,17 @@ def eval_Ghat_n(packets, ev: StructureEvaluator, weight=None) -> complex:
 
 
 def shell_table(packets, ev: StructureEvaluator, masses):
-    """Two-point shell integrand on the k rule over both packets' spatial
-    support: omega_mu(k) and kw p1(ka) p2(kb) / (2 omega_mu), one row per mass
-    mu, with ka = (-omega_mu, k) on the backward and kb = -ka on the forward
-    mu shell."""
+    """Two-point shell integrand on the k rule of the spatial Gaussian of
+    p1(k) p2(-k), centre c and width w: fold_nodes on each of three panels
+    over c +/- TAIL_WIDTHS w, PANEL_WIDTHS w wide. Returns omega_mu(k) and
+    kw p1(ka) p2(kb) / (2 omega_mu), one row per mass mu, with ka = (-omega_mu,
+    k) on the backward and kb = -ka on the forward mu shell."""
     p1, p2 = packets
-    lo1, hi1 = p1.support_interval(1)
-    lo2, hi2 = p2.support_interval(1)
-    kn, kw = gauss_panels([min(lo1, -hi2), max(hi1, -lo2)], ev.quad.space_nodes)
+    (c1, w1), (c2, w2) = ((p.center[1], p.width) for p in packets)
+    s = w1 * w1 + w2 * w2
+    c, wp = (c1 * w2 * w2 - c2 * w1 * w1) / s, w1 * w2 / math.sqrt(s)
+    edges = [c + wp * x for x in (-TAIL_WIDTHS, -TAIL_WIDTHS / 3, TAIL_WIDTHS / 3, TAIL_WIDTHS)]
+    kn, kw = gauss_panels(edges, ev.quad.fold_nodes)
     masses = np.asarray(masses, dtype=float)[:, None]
     w = np.sqrt(kn * kn + masses * masses)
     ka, kb = (-w, np.broadcast_to(kn, w.shape)), (w, np.broadcast_to(-kn, w.shape))
@@ -642,16 +643,17 @@ def shell_table(packets, ev: StructureEvaluator, masses):
 def rho_continuum(packets, ev: StructureEvaluator, rho: SpectralDensity, t: float) -> complex:
     """The two-point pairing's rho continuum at time t: the mass integral of
     rho(mu) times the mu-shell term and the phase e^{-i(omega_m - omega_mu) t}
-    of the backward-shell in-type multiplier (its cutoff factor dropped), over
-    [support_low, support_low + mu_span m] on mu_nodes-point panels sized by
-    oscillation_edges. t = 0 is the static continuum; 0 for a trivial rho."""
-    if rho.trivial:
-        return 0.0 + 0.0j
-    m = ev.params.m
+    of the backward-shell in-type multiplier (its cutoff factor dropped), on
+    mu_nodes-point panels sized by oscillation_edges. The window ends where
+    either packet's energy factor is below exp(-72), at |c^0| + TAIL_WIDTHS w
+    (omega_mu >= mu). t = 0 is the static continuum; 0 for a trivial rho or
+    an empty window."""
     mu_lo = rho.support_low
-    edges, _ = oscillation_edges([mu_lo], [mu_lo + ev.quad.mu_span * m], t, ev.quad.mu_nodes,
-                                 ev.quad)
-    w_m = shell_table(packets, ev, [m])[0]
+    mu_hi = min(abs(p.center[0]) + TAIL_WIDTHS * p.width for p in packets)
+    if rho.trivial or mu_hi <= mu_lo:
+        return 0.0 + 0.0j
+    edges, _ = oscillation_edges([mu_lo], [mu_hi], t, ev.quad.mu_nodes, ev.quad)
+    w_m = shell_table(packets, ev, [ev.params.m])[0]
     total = 0.0 + 0.0j
     # one panel's table at a time: the panel count grows with t
     for panel in edges:

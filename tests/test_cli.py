@@ -274,6 +274,8 @@ def test_exit_1_on_config_errors(tmp_path, capsys, monkeypatch):
              ("amplitude", {**amp, "model": {"d": 2.7}}),
              ("amplitude", {**amp, "model": {"m": True}}),
              ("amplitude", {**amp, "model": {"d": 2, "mass": 1.0}}),
+             ("amplitude", {**amp, "quadrature": {"space_nodes": 96}}),
+             ("amplitude", {**amp, "quadrature": {"mu_span": 20.0}}),
              ("fit", {"fit": {"n": 4, "r": 4, "e_max": 4.0}})]
     # packet fields of the wrong type, sign or length (d = 2 here)
     cases += [("amplitude", {"amplitude": {"packets_in": [{**EIN[0], **field}, EIN[1]],
@@ -308,6 +310,9 @@ def test_exit_1_on_config_errors(tmp_path, capsys, monkeypatch):
         assert code == 1, (command, cfg)
         assert "config error" in err and "Traceback" not in err
         assert not list(out.glob("*_summary.json"))
+    # m0, a mass gap no computation read, is an unknown model field
+    code, _ = _run(tmp_path, "amplitude", {**amp, "model": {"d": 2, "m0": 1.0}})
+    assert code == 1 and "unknown fields in model: ['m0']" in capsys.readouterr().err
     # a bad --seed, an output path that names a file, and an unknown log level
     fit = {"fit": {"n": 4, "r": 2, "e_max": 4.0, "train": 400, "validate": 100}}
     code, out = _run(tmp_path, "fit", fit, ["--seed", "-1"])
@@ -331,9 +336,12 @@ def test_packet_poly_terms_are_summed():
 
 
 def test_unknown_quadrature_field(tmp_path, capsys):
-    # outer_nodes, the Gauss-Legendre rule the packet rules replaced, is an
-    # unknown field like any other
+    # outer_nodes, the Gauss-Legendre rule the packet rules replaced, and
+    # space_nodes and mu_span, the two-point ranges the packets now set, are
+    # unknown fields like any other
+    retired = ("outer_nodes", "space_nodes", "mu_span")
     for block in ({"bogus": 3}, {"singular_scan": 512}, {"doubled": 3}, {"outer_nodes": 40},
+                  {"space_nodes": 96}, {"mu_span": 20.0},
                   {"inner_nodes": "40"}, {"inner_nodes": 12.5}, {"fold_nodes": -3},
                   {"nodes_per_period": math.nan}):
         cfg = {"model": {"d": 2}, "quadrature": block,
@@ -343,8 +351,8 @@ def test_unknown_quadrature_field(tmp_path, capsys):
         assert code == 1
         assert "config error" in err and "Traceback" not in err
         assert not (out / "amplitude_summary.json").exists()
-        if "outer_nodes" in block:
-            assert "unknown fields in quadrature: ['outer_nodes']" in err
+        for name in set(retired) & set(block):
+            assert f"unknown fields in quadrature: ['{name}']" in err
 
 
 def test_bad_transfer_block(tmp_path):

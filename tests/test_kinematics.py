@@ -38,15 +38,13 @@ def boost_matrix(rapidity):
 
 def test_model_params_validation():
     p = ModelParams()
-    assert p.d == 2 and p.m == 1.0 and p.m0 == 1.0 and p.eps_phi == 0.5
+    assert p.d == 2 and p.m == 1.0 and p.eps_phi == 0.5
     with pytest.raises(ValueError):
         ModelParams(d=1)
     with pytest.raises(ValueError):
         ModelParams(d=3)  # only 1+1 dimensions are implemented
     with pytest.raises(ValueError):
         ModelParams(m=-1.0)
-    with pytest.raises(ValueError):
-        ModelParams(m0=2.0)
     with pytest.raises(ValueError):
         ModelParams(eps_phi=1.5)
 

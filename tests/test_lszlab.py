@@ -174,11 +174,14 @@ def test_time_multiplier_and_schedule(params):
 def _two_point_with_chi_t(labels, times, packets, ev):
     """The two-point pairing with each leg's packet multiplied by chi_t of
     its label and time at its shell points: the backward m shell plus the
-    rho continuum, integrated as eval_Ghat_2 integrates them."""
+    rho continuum, integrated as eval_Ghat_2 integrates them: the k rule on
+    three panels over 12 widths either side of the spatial Gaussian of
+    p1(k) p2(-k), the mass rule on one panel up to the packets' energy reach."""
     p1, p2 = packets
-    lo1, hi1 = p1.support_interval(1)
-    lo2, hi2 = p2.support_interval(1)
-    kn, kw = gauss_panels([min(lo1, -hi2), max(hi1, -lo2)], ev.quad.space_nodes)
+    (c1, w1), (c2, w2) = ((p.center[1], p.width) for p in packets)
+    c = (c1 * w2 * w2 - c2 * w1 * w1) / (w1 * w1 + w2 * w2)
+    wp = w1 * w2 / math.sqrt(w1 * w1 + w2 * w2)
+    kn, kw = gauss_panels(c + wp * np.array([-12.0, -4.0, 4.0, 12.0]), ev.quad.fold_nodes)
     m = ev.params.m
 
     def shell_term(mass):
@@ -192,8 +195,8 @@ def _two_point_with_chi_t(labels, times, packets, ev):
 
     total = shell_term(m)
     if not ev.rho.trivial:
-        mu_lo = ev.rho.support_low
-        mun, muw = gauss_panels([mu_lo, mu_lo + ev.quad.mu_span * m], ev.quad.mu_nodes)
+        mu_hi = min(abs(p.center[0]) + 12.0 * p.width for p in packets)
+        mun, muw = gauss_panels([ev.rho.support_low, mu_hi], ev.quad.mu_nodes)
         total = total + sum(wmu * ev.rho(mu) * shell_term(mu) for mu, wmu in zip(mun, muw))
     return complex(total)
 

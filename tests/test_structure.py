@@ -1,4 +1,5 @@
 """Phase-space reduction, PV quadrature and structure-kernel pairings."""
+import dataclasses
 import decimal
 import functools
 import itertools
@@ -49,9 +50,9 @@ def test_evaluator_validation(params):
 def test_quadrature_doubling():
     q = QuadratureSettings()
     d = q.doubled()
-    assert d.inner_nodes == 2 * q.inner_nodes
-    assert d.fold_nodes == 2 * q.fold_nodes
-    assert d.mu_nodes == 2 * q.mu_nodes
+    assert [f.name for f in dataclasses.fields(q)] == [
+        "inner_nodes", "fold_nodes", "nodes_per_period", "mu_nodes"]
+    assert all(getattr(d, f.name) == 2 * getattr(q, f.name) for f in dataclasses.fields(q))
 
 
 def test_two_body_solutions_vs_brentq():
@@ -508,27 +509,56 @@ def test_panel_grid_integrates_gaussian(sine, ev):
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
-def test_ghat2_vs_quadrature_oracle(pair, ev, ev_rho):
-    a, b = pair
-    v_zero = eval_Ghat_2([a, b], ev)
-    v_rho = eval_Ghat_2([a, b], ev_rho)
+# packets of unequal widths: a k rule over the union of both spatial
+# supports left the m-shell term 4.8e-3 off
+UNEQUAL_PAIR = (WavePacket(center=np.array([-float(omega(0.2, 1.0)), 0.2]), width=0.1),
+                WavePacket(center=np.array([float(omega(-0.5, 1.0)), -0.5]), width=0.6))
 
+
+def _shell_density(a, b):
+    """k, mass -> the two-point mu-shell integrand at spatial momentum k, by
+    one packet call per point."""
     def shell(kk, mass):
         w = np.sqrt(kk * kk + mass * mass)
         return float(np.real(a(np.array([-w, kk])) * b(np.array([w, -kk])))) / (2 * w)
+    return shell
 
-    orc0, _ = integrate.quad(lambda kk: shell(kk, 1.0), -5, 5, limit=400, epsabs=1e-14)
-    assert abs(v_zero - orc0) < 1e-12 * abs(orc0)
+
+def test_ghat2_vs_quadrature_oracle(pair, ev, ev_rho):
     rho = ev_rho.rho
-    orc1, _ = integrate.dblquad(lambda kk, mu: float(rho(mu)) * shell(kk, mu),
-                                1.5, 21.5, -5, 5, epsabs=1e-12)
-    assert abs(v_rho - (orc0 + orc1)) < 1e-9 * abs(orc0 + orc1)
-    assert abs(v_rho.imag) < 1e-14
+    for a, b in (pair, UNEQUAL_PAIR):
+        v_zero = eval_Ghat_2([a, b], ev)
+        v_rho = eval_Ghat_2([a, b], ev_rho)
+        shell = _shell_density(a, b)
+        orc0, _ = integrate.quad(lambda kk: shell(kk, 1.0), -5, 5, limit=400, epsabs=1e-14)
+        assert abs(v_zero - orc0) < 1e-12 * abs(orc0)
+        orc1, _ = integrate.dblquad(lambda kk, mu: float(rho(mu)) * shell(kk, mu),
+                                    1.5, 21.5, -5, 5, epsabs=1e-12)
+        assert abs(v_rho - (orc0 + orc1)) < 1e-9 * abs(orc0 + orc1)
+        assert abs(v_rho.imag) < 1e-14
+
+
+def test_ghat2_continuum_vs_full_window_quadrature(pair, ev, ev_rho, params):
+    # the continuum alone, against dblquad over 20 m above the onset (the
+    # window ending at the packets' energy reach, 4.9, drops below exp(-72)
+    # of it); a 48-node rule over that whole window was 2.6e-7 off
+    a, b = pair
+    cont = eval_Ghat_2([a, b], ev_rho) - eval_Ghat_2([a, b], ev)
+    shell, rho = _shell_density(a, b), ev_rho.rho
+    orc, _ = integrate.dblquad(lambda kk, mu: float(rho(mu)) * shell(kk, mu),
+                               1.5, 21.5, -5, 5, epsabs=1e-16, epsrel=1e-12)
+    assert abs(cont - orc) < 1e-10 * abs(orc)
+    # an onset past the reach leaves an empty window: exactly 0, at every t
+    late = SpectralDensity(support_low=5.0, density=rho.density)
+    ev_late = StructureEvaluator(params, late)
+    assert all(rho_continuum([a, b], ev_late, late, t) == 0 for t in (0.0, 10.0))
+    assert eval_Ghat_2([a, b], ev_late) == eval_Ghat_2([a, b], ev)
 
 
 def test_rho_continuum_memory_does_not_grow_with_t(ev_rho):
-    # criterion 5's packets at t = 1e3 span 796 mass panels; a table of all
-    # of them at once holds over 400 MiB
+    # criterion 5's packets at t = 1e3 span 195 mass panels; a table of all
+    # of them at once peaks at 37 MiB (796 panels and over 400 MiB when the
+    # window spanned 20 m), one panel's at 0.3 MiB
     a = WavePacket(center=np.array([-1.6, 0.4]), width=0.4)
     b = WavePacket(center=np.array([1.6, -0.4]), width=0.4)
     tracemalloc.start()

@@ -10,7 +10,9 @@ of a method. An attribute read counts only for the receiver's class and the
 classes it inherits from or passes to, where the syntax names that class:
 `self` and `cls` in its methods, the class itself, or a parameter annotated
 with it. Dunder methods are reached by the language, not by name, and are
-left out.
+left out. Every field of a user-settable config dataclass must likewise be
+read as an attribute outside its own class: a setting nothing reads only
+looks like a knob.
 """
 import ast
 import io
@@ -31,7 +33,12 @@ ALLOWED = {
     "truncate_bilinear": "acceptance criterion 2",
     "bilinear_from_functional": "acceptance criterion 2",
     "BorchersVector.scaled": "the vector algebra's scalar action, with __add__",
+    "ModelParams.d": "configs state the dimension; only 2 is implemented, and the "
+                     "README and perfbench configs name it",
 }
+
+# the config dataclasses a user sets from the command line or the library
+CONFIGS = ("ModelParams", "QuadratureSettings", "FitConfig")
 
 
 def _definitions(tree):
@@ -102,11 +109,27 @@ def _method_uses(path, classes):
     return uses
 
 
+class _Scan:
+    """The scanned files' name tokens and attribute reads, and the package's classes."""
+
+    def __init__(self):
+        self.files = sorted({p for d in SCANNED for p in d.rglob("*.py")})
+        self.classes = _package_classes()
+        self.names = {p: _name_lines(p) for p in self.files}
+        self.methods = {p: _method_uses(p, self.classes) for p in self.files}
+
+    def read(self, owner, name, path, first, last):
+        """Whether attribute `name` of class owner (defined on lines first..last
+        of path) is read outside those lines; a read through a subclass or a
+        base may reach it."""
+        classes = self.classes
+        return any(cls is None or owner in classes[cls] or cls in classes[owner]
+                   for p in self.files for cls, line in self.methods[p].get(name, ())
+                   if p != path or not first <= line <= last)
+
+
 def unreferenced():
-    files = sorted({p for d in SCANNED for p in d.rglob("*.py")})
-    classes = _package_classes()
-    names = {p: _name_lines(p) for p in files}
-    methods = {p: _method_uses(p, classes) for p in files}
+    scan = _Scan()
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -114,27 +137,43 @@ def unreferenced():
             if name.startswith("__") and name.endswith("__"):
                 continue
             if "." in qualname:
-                owner = qualname.split(".")[0]
-                # a read through a subclass or a base may reach this method
-                lines = {p: [line for cls, line in methods[p].get(name, ())
-                             if cls is None or owner in classes[cls] or cls in classes[owner]]
-                         for p in files}
+                used = scan.read(qualname.split(".")[0], name, path, first, last)
             else:
-                lines = {p: names[p].get(name, ()) for p in files}
-            used = any(line < first or line > last if p == path else True
-                       for p in files for line in lines[p])
+                used = any(line < first or line > last if p == path else True
+                           for p in scan.files for line in scan.names[p].get(name, ()))
             if not used:
                 found.append(qualname)
     return found
+
+
+def config_fields():
+    """(path, class node, field name) of every field of the CONFIGS dataclasses."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef) and node.name in CONFIGS:
+                for item in node.body:
+                    if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                        yield path, node, item.target.id
+
+
+def unread_fields():
+    scan = _Scan()
+    return [f"{node.name}.{name}" for path, node, name in config_fields()
+            if not scan.read(node.name, name, path, node.lineno, node.end_lineno)]
 
 
 def test_no_library_code_only_the_tests_call():
     assert sorted(set(unreferenced()) - set(ALLOWED)) == []
 
 
+def test_every_config_field_is_read():
+    assert {node.name for _, node, _ in config_fields()} == set(CONFIGS)
+    assert sorted(set(unread_fields()) - set(ALLOWED)) == []
+
+
 def test_allowlist_names_only_unreferenced_definitions():
-    # a name that gains a library caller leaves the allowlist
-    assert sorted(set(ALLOWED) - set(unreferenced())) == []
+    # a name that gains a library caller or reader leaves the allowlist
+    assert sorted(set(ALLOWED) - set(unreferenced()) - set(unread_fields())) == []
 
 
 def test_attribute_reads_resolve_their_receiver(tmp_path):
