@@ -155,8 +155,7 @@ def _times(grid) -> np.ndarray:
 # 1 <= fit.r <= fit.n - 1).
 MODEL = {"d": F(int, 2), "m": F(float, 1.0, 0, 1e3), "eps_phi": F(float, None, 0, 1e6)}
 RHO = {"kind": F(str, "zero", choices=("zero", "default")), "c": F(float, 0.1, 0, 1e3)}
-QUADRATURE = {f.name: F(int, f.default, 1, 1000) if f.type == "int"
-              else F(float, f.default, 0, 100) for f in dataclasses.fields(QuadratureSettings)}
+QUADRATURE = {f.name: F(int, f.default, 1, 1000) for f in dataclasses.fields(QuadratureSettings)}
 DEGREE = F(int, lo=0, hi=1000)
 PACKET = F(dict, fields={
     "center": F(list, lo=2, hi=2, item=F(float, lo=-1e3, hi=1e3)),

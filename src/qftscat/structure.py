@@ -64,27 +64,19 @@ class QuadratureSettings:
     # legs and the k-space fold's k^1 and free leg, and thrice that per
     # order-3 on-shell leg; fold_nodes per panel of the lone leg (three
     # panels), per interval of the PV fold and per panel (three) of the
-    # two-point k rule
+    # two-point k rule, twice that per continuum mass panel, and half that
+    # per oscillation period (oscillation_edges)
     inner_nodes: int = 24
     fold_nodes: int = 24
-    nodes_per_period: float = 12.0  # fold refinement for oscillatory numerators
-    mu_nodes: int = 48  # continuum mass integral
 
     def __post_init__(self):
         for f in fields(self):
             v = getattr(self, f.name)
-            kind = numbers.Integral if f.type == "int" else numbers.Real
-            if isinstance(v, bool) or not isinstance(v, kind) or not math.isfinite(v) or v <= 0:
-                raise ValueError(f"{f.name} must be a finite {f.type} > 0, got {v!r}")
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v <= 0:
+                raise ValueError(f"{f.name} must be an int > 0, got {v!r}")
 
     def doubled(self) -> "QuadratureSettings":
-        return replace(
-            self,
-            inner_nodes=2 * self.inner_nodes,
-            fold_nodes=2 * self.fold_nodes,
-            nodes_per_period=2 * self.nodes_per_period,
-            mu_nodes=2 * self.mu_nodes,
-        )
+        return replace(self, inner_nodes=2 * self.inner_nodes, fold_nodes=2 * self.fold_nodes)
 
 
 class StructureEvaluator:
@@ -317,11 +309,12 @@ PANEL_WIDTHS = 8.0
 def oscillation_edges(lo, hi, t, nodes, quad: QuadratureSettings, max_panel=math.inf):
     """Equal sub-panels of the panels [lo, hi] (arrays) for an integrand
     oscillating like e^{i k t}: enough panels of the nodes-point rule for
-    nodes_per_period * |t| * (hi - lo) / 2 pi nodes, and panels no longer than
-    max_panel. Returns their (lo, hi) rows, on the edges np.linspace(lo, hi,
-    count + 1) lays, and the panel each comes from."""
+    fold_nodes / 2 nodes per period, fold_nodes / 2 * |t| * (hi - lo) / 2 pi
+    in all, and panels no longer than max_panel. Returns their (lo, hi) rows,
+    on the edges np.linspace(lo, hi, count + 1) lays, and the panel each
+    comes from."""
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-    n = quad.nodes_per_period * abs(t) * (hi - lo) / (2 * math.pi)
+    n = quad.fold_nodes / 2 * abs(t) * (hi - lo) / (2 * math.pi)
     count = np.ceil(np.max([np.ones_like(n), n / nodes, (hi - lo) / max_panel], axis=0)).astype(int)
     panel = np.repeat(np.arange(len(count)), count)
     k = np.arange(len(panel)) - (np.cumsum(count) - count)[panel]
@@ -347,10 +340,11 @@ def pv_fold(numer, rows, quad: QuadratureSettings, t_hint: float = 0.0,
 
     A row's panels break at its edges and at p and p +/- max_panel / 2 inside
     [a, b]; oscillation_edges splits each into equal sub-panels of the one
-    fold_nodes rule, all laid out in one pass. numer maps (N, 2) points (k0,
-    k1) to (..., N) values, once per row, on its nodes and pole. A row's value
-    has numer's leading axes: the sum of (numer(k0) - numer(p)) / (k0 - p),
-    plus numer(p) ln|(b - p)/(a - p)| where numer(p) != 0; 0 if b <= a.
+    fold_nodes rule, fold_nodes / 2 per period of e^{i k0 t_hint}, all laid
+    out in one pass. numer maps (N, 2) points (k0, k1) to (..., N) values,
+    once per row, on its nodes and pole. A row's value has numer's leading
+    axes: the sum of (numer(k0) - numer(p)) / (k0 - p), plus numer(p)
+    ln|(b - p)/(a - p)| where numer(p) != 0; 0 if b <= a.
     """
     panels = []  # (row, lo, hi)
     for r, (_, p, edges) in enumerate(rows):
@@ -556,21 +550,23 @@ def leg_term(j: int, packets, ev: StructureEvaluator, sign: int = 0, weight=None
     inner_nodes (packet_rule). sign +/-1 pins k_j to that shell,
     k0 = sign * omega(k1), with measure 1/(2 omega); (j, -1) is the sign
     configuration of (j + 1, +1). It is 0, with nothing built, where
-    shell_balance_possible fails. sign 0 under a pv_multiplier or window_fn
-    takes one pv_fold call with one row per k1 node and window: the
-    windows window_fn(omega) returns, each on one side sigma of k0 = 0, or
-    the packet's k0 support split at 0, clipped to that support. A row's
-    pole is sigma omega, and its numerator g_j f_j / (k0 + sigma omega),
-    regular on that side: 1/(k0^2 - omega^2) = 1/((k0 - sigma omega)
-    (k0 + sigma omega)). pv_multiplier may return one row per time, shape
-    (T, N) for N k0 points; the term is then T values, on a grid sized by
-    t_hint (the largest time). Order 3 has only its static PV term: its
-    shell atoms and chi_t windows never balance.
+    shell_balance_possible fails. sign 0 under a pv_multiplier, which comes
+    with its window_fn (one without the other is a ValueError), takes one
+    pv_fold call with one row per k1 node and window: the windows
+    window_fn(omega) returns, each on one side sigma of k0 = 0, clipped to
+    the packet's k0 support. A row's pole is sigma omega, and its numerator
+    g_j f_j / (k0 + sigma omega), regular on that side: 1/(k0^2 - omega^2) =
+    1/((k0 - sigma omega) (k0 + sigma omega)). pv_multiplier may return one
+    row per time, shape (T, N) for N k0 points; the term is then T values,
+    on a grid sized by t_hint (the largest time). Order 3 has only its
+    static PV term: its shell atoms and chi_t windows never balance.
     """
     n = len(packets)
+    if (pv_multiplier is None) != (window_fn is None):
+        raise ValueError("pass pv_multiplier and window_fn together, or neither")
     if sign and not shell_balance_possible(n, j, sign):
         return 0j
-    static = not sign and pv_multiplier is None and window_fn is None
+    static = not sign and pv_multiplier is None
     if n == 3 and not static:
         raise ValueError("order 3 takes no pv_multiplier or window_fn")
     if static and n == 4 and j in (1, 2):
@@ -591,7 +587,7 @@ def leg_term(j: int, packets, ev: StructureEvaluator, sign: int = 0, weight=None
     rows, weights = [], []
     for k1, wk in zip(k1n, k1w):
         w_sh = float(omega(k1, m))
-        for e in [[lo0, 0.0], [0.0, hi0]] if window_fn is None else window_fn(w_sh):
+        for e in window_fn(w_sh):
             # g f_j = 0 outside the support
             rows.append((k1, w_sh if e[-1] > 0 else -w_sh,
                          [max(e[0], lo0), *e[1:-1], min(e[-1], hi0)]))
@@ -603,7 +599,7 @@ def leg_term(j: int, packets, ev: StructureEvaluator, sign: int = 0, weight=None
         # 1/(k0 + sigma omega) is regular on the row's side sigma = sign(k0)
         v = np.multiply(g(kj[:, 0], kj[:, 1], ugrid), pk(kj))
         v = np.divide(v, kj[:, 0] + np.copysign(omega(kj[:, 1:], m), kj[:, 0]))
-        return v if pv_multiplier is None else np.multiply(v, pv_multiplier(kj))
+        return np.multiply(v, pv_multiplier(kj))
 
     folds = pv_fold(numer, rows, ev.quad, t_hint=t_hint, max_panel=PANEL_WIDTHS * pk.width)
     return sum((wk * fold for wk, fold in zip(weights, folds)), 0j)
@@ -644,20 +640,22 @@ def rho_continuum(packets, ev: StructureEvaluator, rho: SpectralDensity, t: floa
     """The two-point pairing's rho continuum at time t: the mass integral of
     rho(mu) times the mu-shell term and the phase e^{-i(omega_m - omega_mu) t}
     of the backward-shell in-type multiplier (its cutoff factor dropped), on
-    mu_nodes-point panels sized by oscillation_edges. The window ends where
-    either packet's energy factor is below exp(-72), at |c^0| + TAIL_WIDTHS w
-    (omega_mu >= mu). t = 0 is the static continuum; 0 for a trivial rho or
-    an empty window."""
+    panels of 2 fold_nodes points sized by oscillation_edges, fold_nodes / 2
+    per period of the phase (shell_table's k rule does not follow t). The
+    window ends where either packet's energy factor is below exp(-72), at
+    |c^0| + TAIL_WIDTHS w (omega_mu >= mu). t = 0 is the static continuum; 0
+    for a trivial rho or an empty window."""
     mu_lo = rho.support_low
     mu_hi = min(abs(p.center[0]) + TAIL_WIDTHS * p.width for p in packets)
     if rho.trivial or mu_hi <= mu_lo:
         return 0.0 + 0.0j
-    edges, _ = oscillation_edges([mu_lo], [mu_hi], t, ev.quad.mu_nodes, ev.quad)
+    nodes = 2 * ev.quad.fold_nodes
+    edges, _ = oscillation_edges([mu_lo], [mu_hi], t, nodes, ev.quad)
     w_m = shell_table(packets, ev, [ev.params.m])[0]
     total = 0.0 + 0.0j
     # one panel's table at a time: the panel count grows with t
     for panel in edges:
-        mun, muw = gauss_panels(panel, ev.quad.mu_nodes)
+        mun, muw = gauss_panels(panel, nodes)
         w, table = shell_table(packets, ev, mun)
         phase = np.exp(-1j * (w_m - w) * t)
         total += np.sum(muw[:, None] * rho(mun)[:, None] * table * phase)

@@ -336,14 +336,15 @@ def test_packet_poly_terms_are_summed():
 
 
 def test_unknown_quadrature_field(tmp_path, capsys):
-    # outer_nodes, the Gauss-Legendre rule the packet rules replaced, and
-    # space_nodes and mu_span, the two-point ranges the packets now set, are
-    # unknown fields like any other
-    retired = ("outer_nodes", "space_nodes", "mu_span")
+    # outer_nodes, the Gauss-Legendre rule the packet rules replaced,
+    # space_nodes and mu_span, the two-point ranges the packets now set, and
+    # nodes_per_period and mu_nodes, which fold_nodes now sets, are unknown
+    # fields like any other
+    retired = ("outer_nodes", "space_nodes", "mu_span", "nodes_per_period", "mu_nodes")
     for block in ({"bogus": 3}, {"singular_scan": 512}, {"doubled": 3}, {"outer_nodes": 40},
-                  {"space_nodes": 96}, {"mu_span": 20.0},
-                  {"inner_nodes": "40"}, {"inner_nodes": 12.5}, {"fold_nodes": -3},
-                  {"nodes_per_period": math.nan}):
+                  {"space_nodes": 96}, {"mu_span": 20.0}, {"nodes_per_period": 12.0},
+                  {"mu_nodes": 48}, {"inner_nodes": "40"}, {"inner_nodes": 12.5},
+                  {"fold_nodes": -3}, {"fold_nodes": math.nan}):
         cfg = {"model": {"d": 2}, "quadrature": block,
                "amplitude": {"packets_in": EIN, "packets_out": EOUT}}
         code, out = _run(tmp_path, "amplitude", cfg)

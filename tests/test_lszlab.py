@@ -196,7 +196,7 @@ def _two_point_with_chi_t(labels, times, packets, ev):
     total = shell_term(m)
     if not ev.rho.trivial:
         mu_hi = min(abs(p.center[0]) + 12.0 * p.width for p in packets)
-        mun, muw = gauss_panels([ev.rho.support_low, mu_hi], ev.quad.mu_nodes)
+        mun, muw = gauss_panels([ev.rho.support_low, mu_hi], 2 * ev.quad.fold_nodes)
         total = total + sum(wmu * ev.rho(mu) * shell_term(mu) for mu, wmu in zip(mun, muw))
     return complex(total)
 
