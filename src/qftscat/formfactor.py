@@ -6,7 +6,8 @@ configuration b = j and -s_j i pi on b = j + 1, where configuration b puts
 legs 0..b-1 on the backward shell and the rest on the forward one. So each
 configuration b is integrated once, with coefficient i pi (s_b - s_{b-1}).
 Fully on-shell amplitudes carry the density 2 pi i M_n on
-conservation-constrained phase space.
+conservation-constrained phase space. Both integrate configurations with
+structure.shell_integral, on different leg orders.
 """
 from __future__ import annotations
 
@@ -14,9 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kinematics import packet_rule
-from .structure import (SpectralDensity, StructureEvaluator, complete_configurations, eval_Ghat_2,
-                        leg_term, shell_signs)
+from .structure import (SpectralDensity, StructureEvaluator, eval_Ghat_2, leg_term,
+                        shell_balance_possible, shell_integral, shell_signs)
 from .transfer import TransferFamily, require_valid
 
 IN, LOC, OUT = "in", "loc", "out"
@@ -32,8 +32,11 @@ def _check_label(a: str) -> str:
 
 def eval_FG_n(labels, packets, ev: StructureEvaluator, weight=None) -> complex:
     """Form-factor pairing: the PV leg term of each loc leg, plus each sign
-    configuration b whose coefficient i pi (s_b - s_{b-1}) is nonzero (s is 0
-    past either end), computed once as leg_term(b, ..., +1)."""
+    configuration b (shell_signs(n, b)) whose coefficient i pi (s_b - s_{b-1})
+    is nonzero (s is 0 past either end) and which can balance
+    (shell_balance_possible), computed once by shell_integral in the k-space
+    fold's leg order: legs b and the first other leg on packet rules, the
+    other two solved. Such a configuration above order 4 is refused."""
     labels = [_check_label(a) for a in labels]
     n = len(packets)
     if len(labels) != n:
@@ -49,11 +52,15 @@ def eval_FG_n(labels, packets, ev: StructureEvaluator, weight=None) -> complex:
     total = 0.0 + 0.0j
     for j, a in enumerate(labels):
         if a == LOC:
-            total += leg_term(j, packets, ev, 0, weight=weight)
+            total += leg_term(j, packets, ev, weight=weight)
     s = [0.0, *(SHELL_SIGN[a] for a in labels), 0.0]
     for b in range(n + 1):
-        if s[b + 1] != s[b]:
-            total += 1j * np.pi * (s[b + 1] - s[b]) * leg_term(b, packets, ev, 1, weight=weight)
+        if s[b + 1] != s[b] and shell_balance_possible(n, b, 1):
+            if n != 4:
+                raise NotImplementedError("shell configurations implemented for n = 4")
+            order = (b, *(l for l in range(n) if l != b))
+            total += 1j * np.pi * (s[b + 1] - s[b]) * shell_integral(
+                packets, shell_signs(n, b), ev, weight, order=order)
     return total
 
 
@@ -94,27 +101,15 @@ class AmplitudeRequest:
 
 def smatrix_amplitude(req: AmplitudeRequest, ev: StructureEvaluator,
                       fam: TransferFamily | None = None) -> complex:
-    """Packet-integrated truncated S-matrix component.
-
-    The first n-2 legs' spatial momenta are quadrature variables, each on its
-    packet's Gauss-Hermite rule of inner_nodes (packet_rule); the last two
-    legs are solved from energy-momentum conservation with the Jacobian of
-    the constraint, each leg carrying its 1/(2 omega) shell density.
+    """Packet-integrated truncated S-matrix component: 2 pi i times the
+    configuration integral of the packet product (shell_integral), weighted
+    by M_n if a family is given. The first n-2 legs' spatial momenta run on
+    their packets' Gauss-Hermite rules of inner_nodes (packet_rule); the last
+    two legs are solved from energy-momentum conservation with the Jacobian
+    of the constraint, each leg carrying its 1/(2 omega) shell density.
     """
-    packets = req.packets
-    n = req.n
-    nodes, wts = zip(*(packet_rule(packets[l], ev.quad.inner_nodes) for l in range(n - 2)))
-    p = np.stack(np.meshgrid(*nodes, indexing="ij"), axis=-1)
-    weight = np.prod(np.meshgrid(*wts, indexing="ij"), axis=0)
-    ks, dens, valid = complete_configurations(p, shell_signs(n, req.r), ev.params.m)
-    vals = 1.0
-    for l in range(n - 2):
-        kl = ks[..., 0, l, :]
-        vals = vals * packets[l](kl) / (2.0 * np.abs(kl[..., 0]))
-    fvals = vals[..., None] * packets[n - 2](ks[..., n - 2, :]) * packets[n - 1](ks[..., n - 1, :])
+    weight = None
     if fam is not None:
         require_valid(fam)
-        fvals = fvals * fam.member(n)(ks)
-    contrib = np.where(valid, fvals / np.where(valid, dens, 1.0), 0.0).sum(axis=-1)
-    total = np.sum(weight * contrib)
-    return complex(2j * np.pi * total)
+        weight = fam.member(req.n)
+    return complex(2j * np.pi * shell_integral(req.packets, shell_signs(req.n, req.r), ev, weight))

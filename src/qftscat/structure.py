@@ -6,9 +6,10 @@ shell and legs after j on the forward shell, times total momentum
 conservation. Pairing against packet products reduces, in d=2, to
 closed-form kinematics plus low-dimensional Gauss quadrature. A static PV
 term is summed over the other legs' on-shell momenta, its poles (if any)
-in closed form in one leg's; shell atoms and multiplied PV terms are
-folded in k-space, one k0 window and the one pole on its side of k0 = 0
-per row, the principal value subtracting the numerator at that pole.
+in closed form in one leg's; multiplied PV terms are folded in k-space,
+one k0 window and the one pole on its side of k0 = 0 per row, the
+principal value subtracting the numerator at that pole. Shell atoms and
+amplitudes are on-shell configuration integrals (shell_integral).
 """
 from __future__ import annotations
 
@@ -60,7 +61,7 @@ class SpectralDensity:
 @dataclass(frozen=True)
 class QuadratureSettings:
     # inner_nodes Gauss-Hermite nodes per packet axis (packet_rule): each
-    # quadrature leg of smatrix_amplitude, each order-4 static term's on-shell
+    # ruled leg of shell_integral, each order-4 static term's on-shell
     # legs and the k-space fold's k^1 and free leg, and thrice that per
     # order-3 on-shell leg; fold_nodes per panel of the lone leg (three
     # panels), per interval of the PV fold and per panel (three) of the
@@ -204,62 +205,74 @@ def root_possible(E, P, sa, sb, mass):
     return (Q <= 0) & floor
 
 
-def _tail_exponent(j, pair, packets, E, P, k0, k1, free):
-    """Lower bound D on sum_l |k_l - c_l|^2 / w_l^2 at k_j = (k0, k1), the free
-    leg (free = (leg, momenta, ...)) and any split of the pair's total k_b +
-    k_c = (E, P), whose share is at least |(E, P) - c_b - c_c|^2 / (w_b^2 +
-    w_c^2); the packets' Gaussian product is at most exp(-D / 2) there."""
-    pb, pc, pf = (packets[l] for l in (*pair, free[0]))
-    terms = [(k0, k1, packets[j].center, packets[j].width ** 2),
-             (E, P, pb.center + pc.center, pb.width ** 2 + pc.width ** 2),
-             (*free[1].T, pf.center, pf.width ** 2)]
-    return sum(((x - cen[0]) ** 2 + (y - cen[1]) ** 2) / w2 for x, y, cen, w2 in terms)
-
-
 def _exponent(k, packet):
     """|k - c|^2 / w^2 of a packet at momenta k (..., 2)."""
     (c0, c1), w = packet.center, packet.width
     return ((k[..., 0] - c0) ** 2 + (k[..., 1] - c1) ** 2) / w ** 2
 
 
-def _solved_pair_terms(j, pair, packets, ev, weight, E, P, k0, k1, free):
-    """Terms of the on-shell pair solved at total (E, P), summed over its
-    roots; zero wherever no root exists.
+def _solved_pair_terms(pair, signs, packets, m, weight, lead, trail):
+    """Terms f_b f_c [w(ks)] / (4 omega_b omega_c |jac|), times the other
+    legs' factors, of the on-shell pair (b, c) on the shells signs = (s_b,
+    s_c), summed over its roots: an (A, U) table, 0 where no root exists.
+    lead and trail are the other legs along its rows and columns, each (legs,
+    momenta (X, len(legs), 2), factor (X,) or None for 1, tail exponent
+    (X,)); the pair's total (E, P) balances theirs.
 
-    Only points where root_possible holds inside the packets' joint tail
-    (_tail_exponent) are solved, at the roots _roots gives (one for an
-    opposite-sign pair), in (roots, points) tables summed over their rows;
-    float64 for real packets and weight. free is (leg, momenta, packet
-    values, 2 omega) of the free leg on its u rule, the last axis of E and P.
+    Only points where root_possible holds inside the packets' joint tail are
+    solved: the others' exponents plus the pair's least at any split, |(E, P)
+    - c_b - c_c|^2 / (w_b^2 + w_c^2), within TAIL_WIDTHS^2. They are solved
+    at the roots _roots gives (one for an opposite-sign pair), in (roots,
+    points) tables summed over their rows; float64 for real packets and weight.
     """
-    b, c = pair
-    sb, sc = _leg_sign(b, j), _leg_sign(c, j)
-    m = ev.params.m
-    shape = np.shape(E)
-    inside = _tail_exponent(j, pair, packets, E, P, k0, k1, free) <= TAIL_WIDTHS ** 2
+    (llegs, lk, lf, ld), (tlegs, tk, tf, td) = lead, trail
+    (b, c), (sb, sc), U = pair, signs, len(td)
+    E, P = (-lk[:, :, i].sum(axis=1)[:, None] - tk[:, :, i].sum(axis=1) for i in (0, 1))
+    cen, w2 = packets[b].center + packets[c].center, packets[b].width ** 2 + packets[c].width ** 2
+    inside = ld[:, None] + ((E - cen[0]) ** 2 + (P - cen[1]) ** 2) / w2 + td <= TAIL_WIDTHS ** 2
     idx = np.flatnonzero(root_possible(E, P, sb, sc, m) & inside)
-    E, P = np.ravel(E)[idx], np.ravel(P)[idx]
+    iu = idx % U  # and idx // U for lead tables, built only where read
+    E, P = E.ravel()[idx], P.ravel()[idx]
     pb, pc, wb, wc, jac, valid = _pair_roots(E, P, *_roots(E, P, sb, sc, m), sb, sc, m)
     legs = ((b, sb, wb, pb), (c, sc, wc, pc))
-    fleg, kf, ff, two_w = free
-    iu = idx % len(kf)
     if weight is not None:  # one momentum table, which the packets read views of
         ks = np.zeros(pb.shape + (len(packets), 2))
         for l, s, w, p in legs:
             ks[..., l, 0], ks[..., l, 1] = s * w, p
-        ks[..., fleg, :] = kf[iu]
-        ks[..., j, 0] = np.broadcast_to(k0, shape).ravel()[idx]
-        ks[..., j, 1] = np.broadcast_to(k1, shape).ravel()[idx]
-    vals = ff[iu]
+        ks[..., list(llegs), :], ks[..., list(tlegs), :] = lk[idx // U], tk[iu]
+    vals = tf[iu] if lf is None else lf[idx // U] * tf[iu]
     for l, s, w, p in legs:  # each leg's energies live for its packet call alone
         vals = np.multiply(vals, packets[l]((s * w, p) if weight is None else ks[..., l, :]))
     if weight is not None:
         vals = np.multiply(vals, weight(ks))
-    dens = two_w[iu] * 4.0 * wb * wc * np.abs(jac)
+    dens = 4.0 * wb * wc * np.abs(jac)
     terms = np.where(valid, vals / np.where(valid, dens, 1.0), 0.0)
-    out = np.zeros(math.prod(shape), dtype=vals.dtype)
+    out = np.zeros(len(ld) * U, dtype=vals.dtype)
     out[idx] = terms.sum(axis=0)
-    return out.reshape(shape)
+    return out.reshape(len(ld), U)
+
+
+def shell_integral(packets, signs, ev: StructureEvaluator, weight=None, order=None) -> complex:
+    """The packet product [times weight(ks)] integrated over the mass shells of
+    signs, leg l at k_l = (signs[l] omega(p_l), p_l) with measure dp_l / (2
+    omega_l), under total momentum conservation: an on-shell configuration
+    integral. The legs order[:-2] (order defaults to index order) run on
+    their packets' Gauss-Hermite rules of inner_nodes (packet_rule); the last
+    two legs of order are solved (_solved_pair_terms)."""
+    m = ev.params.m
+    *ruled, b, c = range(len(packets)) if order is None else order
+    *lead, (t, kt, ft) = [(l, *_shell_leg(packets[l], signs[l],
+                                          packet_rule(packets[l], ev.quad.inner_nodes), m))
+                          for l in ruled]
+    sizes = [len(k) for _, k, _ in lead]  # the lead legs' product grid, flat
+    A = math.prod(sizes)
+    lk, lf, ld = np.zeros((A, len(lead), 2)), np.ones(A), np.zeros(A)
+    for i, ((l, k, f), at) in enumerate(zip(lead, np.indices(sizes).reshape(len(lead), A))):
+        lk[:, i], lf, ld = k[at], lf * f[at], ld + _exponent(k[at], packets[l])
+    out = _solved_pair_terms((b, c), (signs[b], signs[c]), packets, m, weight,
+                             ([l for l, _, _ in lead], lk, lf, ld),
+                             ([t], kt[:, None], ft, _exponent(kt, packets[t])))
+    return complex(np.sum(out))
 
 
 def reduced_integrand(j: int, packets, ev: StructureEvaluator, weight=None):
@@ -278,22 +291,20 @@ def reduced_integrand(j: int, packets, ev: StructureEvaluator, weight=None):
     free, b, c = [l for l in range(n) if l != j]  # free leg on the u rule, solved pair
     sa = _leg_sign(free, j)
     m = ev.params.m
-    table = [None, None, None]  # the u nodes last seen, omega and the free leg on them
+    table = [None, None]  # the u nodes last seen, and the free leg on them
 
     def g(k0, k1, ugrid):
         k0, k1 = np.broadcast_arrays(np.asarray(k0, dtype=float), np.asarray(k1, dtype=float))
         un, uw = ugrid
         if table[0] is not un:  # once per leg term: leg_term passes every row one u rule
             wu = np.sqrt(un * un + m * m)
-            kfree = np.stack([sa * wu, un], axis=-1)
-            table[:] = un, wu, (free, kfree, packets[free](kfree), 2.0 * wu)
-        _, wu, ftable = table
-        # broadcast: leading axes from (k0, k1), then u
-        k0e = k0[..., None]
-        k1e = k1[..., None]
-        out = _solved_pair_terms(j, (b, c), packets, ev, weight,
-                                 -k0e - sa * wu, -k1e - un, k0e, k1e, free=ftable)
-        return (out * uw).sum(axis=-1)
+            kf = np.stack([sa * wu, un], axis=-1)
+            table[:] = un, ([free], kf[:, None], packets[free](kf) / (2.0 * wu),
+                            _exponent(kf, packets[free]))
+        kj = np.stack([k0, k1], axis=-1).reshape(-1, 2)
+        out = _solved_pair_terms((b, c), (_leg_sign(b, j), _leg_sign(c, j)), packets, m, weight,
+                                 ([j], kj[:, None], None, _exponent(kj, packets[j])), table[1])
+        return (out * uw).sum(axis=-1).reshape(k0.shape)
 
     g.free_leg = free
     return g
@@ -535,38 +546,33 @@ def _lone_leg_term(j: int, packets, ev: StructureEvaluator, weight) -> complex:
     return complex(total)
 
 
-def leg_term(j: int, packets, ev: StructureEvaluator, sign: int = 0, weight=None,
-             pv_multiplier=None, t_hint: float = 0.0, window_fn=None):
-    """One leg term of a pairing: leg j carries one propagator atom.
+def leg_term(j: int, packets, ev: StructureEvaluator, *, weight=None, pv_multiplier=None,
+             t_hint: float = 0.0, window_fn=None):
+    """One principal-value leg term of a pairing: leg j carries the PV atom.
 
-    The static PV atom (sign 0, no pv_multiplier or window_fn) of order 3 or
-    4 is summed over the other legs' on-shell spatial momenta: _onshell_sum
-    where there is no pole (order 3, and order 4 j = 0 and 3), each leg on
-    its packet's Gauss-Hermite rule (packet_rule) of inner_nodes, thrice
-    that at order 3; _lone_leg_term for order 4 j = 1 and 2.
+    The static term (no pv_multiplier) of order 3 or 4 is summed over the
+    other legs' on-shell spatial momenta: _onshell_sum where there is no
+    pole (order 3, and order 4 j = 0 and 3), each leg on its packet's
+    Gauss-Hermite rule (packet_rule) of inner_nodes, thrice that at order 3;
+    _lone_leg_term for order 4 j = 1 and 2.
 
-    Every other atom is folded in k-space, the other legs reduced by g_j:
-    k1 and g_j's free leg each on their packet's Gauss-Hermite rule of
-    inner_nodes (packet_rule). sign +/-1 pins k_j to that shell,
-    k0 = sign * omega(k1), with measure 1/(2 omega); (j, -1) is the sign
-    configuration of (j + 1, +1). It is 0, with nothing built, where
-    shell_balance_possible fails. sign 0 under a pv_multiplier, which comes
-    with its window_fn (one without the other is a ValueError), takes one
-    pv_fold call with one row per k1 node and window: the windows
-    window_fn(omega) returns, each on one side sigma of k0 = 0, clipped to
-    the packet's k0 support. A row's pole is sigma omega, and its numerator
-    g_j f_j / (k0 + sigma omega), regular on that side: 1/(k0^2 - omega^2) =
-    1/((k0 - sigma omega) (k0 + sigma omega)). pv_multiplier may return one
-    row per time, shape (T, N) for N k0 points; the term is then T values,
-    on a grid sized by t_hint (the largest time). Order 3 has only its
-    static PV term: its shell atoms and chi_t windows never balance.
+    A term under a pv_multiplier, which comes with its window_fn (one without
+    the other is a ValueError), is folded in k-space, the other legs reduced
+    by g_j: k1 and g_j's free leg each on their packet's Gauss-Hermite rule of
+    inner_nodes (packet_rule). It takes one pv_fold call with one row per k1
+    node and window: the windows window_fn(omega) returns, each on one side
+    sigma of k0 = 0, clipped to the packet's k0 support. A row's pole is
+    sigma omega, and its numerator g_j f_j / (k0 + sigma omega), regular on
+    that side: 1/(k0^2 - omega^2) = 1/((k0 - sigma omega) (k0 + sigma
+    omega)). pv_multiplier may return one row per time, shape (T, N) for N
+    k0 points; the term is then T values, on a grid sized by t_hint (the
+    largest time). Order 3 has only its static term: its chi_t windows never
+    balance. Shell atoms are configuration integrals (shell_integral).
     """
     n = len(packets)
     if (pv_multiplier is None) != (window_fn is None):
         raise ValueError("pass pv_multiplier and window_fn together, or neither")
-    if sign and not shell_balance_possible(n, j, sign):
-        return 0j
-    static = not sign and pv_multiplier is None
+    static = pv_multiplier is None
     if n == 3 and not static:
         raise ValueError("order 3 takes no pv_multiplier or window_fn")
     if static and n == 4 and j in (1, 2):
@@ -578,11 +584,6 @@ def leg_term(j: int, packets, ev: StructureEvaluator, sign: int = 0, weight=None
     ugrid = packet_rule(packets[g.free_leg], ev.quad.inner_nodes)
     k1n, k1w = packet_rule(pk, ev.quad.inner_nodes)
     m = ev.params.m
-    if sign:
-        w = np.sqrt(k1n * k1n + m * m)
-        k0 = sign * w
-        vals = g(k0, k1n, ugrid)
-        return complex(np.sum(k1w * vals * pk((k0, k1n)) / (2.0 * w)))
     lo0, hi0 = pk.support_interval(0)
     rows, weights = [], []
     for k1, wk in zip(k1n, k1w):

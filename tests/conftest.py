@@ -1,9 +1,10 @@
-"""Shared fixtures: model constants, evaluators and reference packet sets."""
+"""Shared fixtures: model constants, evaluators, reference packet sets and
+the shell atom of one leg."""
 import numpy as np
 import pytest
 
 from qftscat.kinematics import ModelParams, WavePacket, omega
-from qftscat.structure import SpectralDensity, StructureEvaluator
+from qftscat.structure import SpectralDensity, StructureEvaluator, shell_integral
 from qftscat.transfer import TransferFamily, TransferPolynomial
 
 
@@ -20,6 +21,22 @@ def ev(params):
 @pytest.fixture(scope="session")
 def ev_rho(params):
     return StructureEvaluator(params, SpectralDensity.default_model(params))
+
+
+@pytest.fixture(scope="session")
+def shell_atom():
+    """Leg j's sigma shell atom(j, sigma, packets, ev, weight=None): legs
+    before j backward, leg j on its sigma shell and the legs after it forward,
+    integrated by shell_integral in the k-space fold's leg variables (leg j
+    and the other legs but the last two on packet rules, those two solved),
+    as eval_FG_n integrates its configurations. (j, -1) is the configuration of
+    (j + 1, +1) in other variables."""
+    def atom(j, sigma, packets, ev, weight=None):
+        n = len(packets)
+        signs = [-1] * j + [sigma] + [1] * (n - 1 - j)
+        return shell_integral(packets, signs, ev, weight,
+                              order=(j, *(l for l in range(n) if l != j)))
+    return atom
 
 
 @pytest.fixture(scope="session")

@@ -39,11 +39,12 @@ ATOMS = {"loc": [(1.0, 0)],
          "out": [(1j * np.pi, 1), (-1j * np.pi, -1)]}
 
 
-def _per_atom_FG_n(labels, packets, ev, weight=None):
+def _per_atom_FG_n(labels, packets, ev, shell_atom, weight=None):
     """Oracle of eval_FG_n at order >= 3: every (leg, atom) term on its own,
     so each shell configuration's integral is computed once per atom that
     reaches it, in that atom's leg variables."""
-    return sum(coefficient * leg_term(j, packets, ev, sign, weight=weight)
+    return sum(coefficient * (shell_atom(j, sign, packets, ev, weight) if sign else
+                              leg_term(j, packets, ev, weight=weight))
                for j, a in enumerate(labels) for coefficient, sign in ATOMS[a])
 
 
@@ -64,13 +65,13 @@ def test_atom_decomposition():
         assert np.array_equal(summed[:5], [1j * np.pi * (s[b + 1] - s[b]) for b in range(5)])
 
 
-def test_configuration_sum_matches_per_atom_oracle(packets4, ev, fam_quad):
+def test_configuration_sum_matches_per_atom_oracle(packets4, ev, fam_quad, shell_atom):
     # (in, in, out, out) reaches configuration b = 2 through the atoms (1, -1)
     # and (2, +1): the oracle's two copies differ by 2.0e-8 relative
     labels = ["in", "in", "out", "out"]
     for got, weight in ((eval_FG_n(labels, list(packets4), ev), None),
                         (eval_F_n(labels, list(packets4), ev, fam_quad), fam_quad.eval)):
-        want = _per_atom_FG_n(labels, list(packets4), ev, weight)
+        want = _per_atom_FG_n(labels, list(packets4), ev, shell_atom, weight)
         assert got != want and abs(got - want) <= 1e-6 * abs(want)
 
 
@@ -116,33 +117,31 @@ def test_all_loc_reduces_to_structure_kernel(pair, trio, packets4, ev, ev_rho, f
                                            (("in",) * 4, 0), (("out",) * 4, 0),
                                            (("loc", "in", "out", "loc"), 3)],
                          ids=lambda v: "-".join(v) if isinstance(v, tuple) else str(v))
-def test_each_configuration_is_computed_once(labels, built, packets4, params):
-    # spy on the leg terms eval_FG_n requests and on the work they start: a
-    # reduced integrand per balanced configuration, a static on-shell sum
-    # (_onshell_sum at legs 0 and 3, _lone_leg_term at 1 and 2) per loc leg
+def test_each_configuration_is_computed_once(labels, built, packets4, params, fam_quad):
+    # spy on the work eval_FG_n starts: one shell_integral per balanced
+    # configuration, a static on-shell sum (_onshell_sum at legs 0 and 3,
+    # _lone_leg_term at 1 and 2) per loc leg, and nothing of the k-space fold
     ev = StructureEvaluator(params, quad=QuadratureSettings(inner_nodes=12))
-    requested, builds = [], []
+    builds, folded = [], []
 
-    def spy_leg_term(j, packets, ev, sign=0, **kw):
-        requested.append((j, sign))
-        return leg_term(j, packets, ev, sign, **kw)
-
-    def spy(name):
-        def counted(j, *args, **kw):
-            builds.append(j)
-            return original(j, *args, **kw)
-        original = getattr(structure, name)
+    def spy(module, name, log):
+        def counted(*args, **kw):
+            log.append(name)
+            return original(*args, **kw)
+        original = getattr(module, name)
         return counted
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(formfactor, "leg_term", spy_leg_term)
-        for name in ("reduced_integrand", "_onshell_sum", "_lone_leg_term"):
-            mp.setattr(structure, name, spy(name))
+        mp.setattr(formfactor, "shell_integral", spy(formfactor, "shell_integral", builds))
+        for name in ("_onshell_sum", "_lone_leg_term"):
+            mp.setattr(structure, name, spy(structure, name, builds))
+        for name in ("reduced_integrand", "pv_fold"):
+            mp.setattr(structure, name, spy(structure, name, folded))
         eval_FG_n(list(labels), list(packets4), ev)
-    configurations = [b for b, sign in requested if sign]
-    assert len(builds) == built
-    assert len(set(configurations)) == len(configurations)
-    assert all(sign in (0, 1) for _, sign in requested)
+        eval_F_n(list(labels), list(packets4), ev, fam_quad)
+    assert len(builds) == 2 * built
+    assert builds.count("shell_integral") == 2 * ("in" in labels and "out" in labels)
+    assert folded == []
 
 
 def test_formfactor_binds_no_quadrature_helper():
@@ -173,6 +172,15 @@ def test_label_and_arity_validation(pair, ev):
         eval_FG_n(["loc"], list(pair), ev)
     with pytest.raises(ValueError):
         eval_FG_n(["loc"], [pair[0]], ev)
+
+
+def test_order5_shell_configurations_are_refused(packets4, ev):
+    # configuration b = 2 of (in, in, out, out, out) balances, and order 5
+    # has no validated leg order for it; uniform labels compute nothing
+    packets = [*packets4, packets4[3]]
+    with pytest.raises(NotImplementedError, match="n = 4"):
+        eval_FG_n(["in", "in", "out", "out", "out"], packets, ev)
+    assert eval_FG_n(["in"] * 5, packets, ev) == 0j
 
 
 def test_order3_scattering_formfactor_vanishes(trio_scatter, ev):
@@ -315,12 +323,14 @@ def _onshell_leg_term_per_node(j, sign, packets, ev, weight=None):
 
 
 @pytest.mark.parametrize("extras", ["plain", "weight"])
-def test_batched_onshell_leg_term_equals_per_node(extras, packets4, ev, fam_quad):
+def test_batched_onshell_leg_term_equals_per_node(extras, packets4, ev, fam_quad, shell_atom):
+    # the shell atoms as configuration integrals against the fold's g_j, one
+    # k1 node at a time, in the same leg variables
     weight = fam_quad.eval if extras == "weight" else None
     nonzero = 0
     for j in range(4):
         for sign in (1, -1):
-            got = leg_term(j, list(packets4), ev, sign, weight=weight)
+            got = shell_atom(j, sign, list(packets4), ev, weight)
             want = _onshell_leg_term_per_node(j, sign, list(packets4), ev, weight)
             assert abs(got - want) <= 1e-14 * abs(want)
             nonzero += want != 0

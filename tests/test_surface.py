@@ -215,6 +215,7 @@ def test_only_kinematics_builds_gauss_rules():
 
 
 def test_only_structure_solves_two_body_kinematics():
-    # every r -> n-r configuration is closed by structure.complete_configurations
+    # every on-shell pair is solved in structure: by shell_integral and g_j's
+    # shared core, and by complete_configurations for the fit sampler
     users = sorted(p.stem for p in PACKAGE.glob("*.py") if "two_body_solutions" in _name_lines(p))
     assert users == ["structure"]
