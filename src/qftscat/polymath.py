@@ -1,4 +1,4 @@
-"""Small multivariate polynomial helper (dict of exponent tuples -> coefficient).
+"""Small immutable multivariate polynomial helper (exponent tuples -> coefficient).
 
 Used for wave-packet polynomial prefactors (analytic derivatives of
 Gaussian x polynomial) and as the backing store of transfer polynomials.
@@ -6,6 +6,7 @@ Gaussian x polynomial) and as the backing store of transfer polynomials.
 from __future__ import annotations
 
 import numbers
+from types import MappingProxyType
 
 import numpy as np
 
@@ -39,20 +40,26 @@ def value_dtype(coefs, *points):
 
 
 class Poly:
-    """Polynomial in `nvars` variables, terms: exponent tuple -> real or complex coeff."""
+    """Immutable polynomial in `nvars` variables; `terms` is a read-only mapping
+    exponent tuple -> real or complex coeff."""
 
     __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars: int, terms: dict | None = None):
-        self.nvars = int(nvars)
-        self.terms = {}
+        nvars = int(nvars)
+        acc = {}
         if terms:
             for exps, c in terms.items():
                 exps = tuple(int(e) for e in exps)
-                if len(exps) != self.nvars:
+                if len(exps) != nvars:
                     raise ValueError("exponent tuple length != nvars")
                 if c != 0:
-                    self.terms[exps] = self.terms.get(exps, 0) + c
+                    acc[exps] = acc.get(exps, 0) + c
+        object.__setattr__(self, "nvars", nvars)
+        object.__setattr__(self, "terms", MappingProxyType(acc))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Poly is immutable: cannot assign {name!r}")
 
     @classmethod
     def constant(cls, nvars: int, c=1.0) -> "Poly":
@@ -166,4 +173,4 @@ class Poly:
         )
 
     def __repr__(self) -> str:
-        return f"Poly(nvars={self.nvars}, terms={self.terms})"
+        return f"Poly(nvars={self.nvars}, terms={dict(self.terms)})"

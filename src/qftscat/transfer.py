@@ -8,6 +8,9 @@ from __future__ import annotations
 
 import itertools
 import numbers
+from collections.abc import Mapping
+from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -15,15 +18,21 @@ from .kinematics import invariant_index, invariant_map, invariant_names
 from .polymath import Poly
 
 
+@dataclass(frozen=True, eq=False)
 class TransferPolynomial:
-    """Polynomial in the n(n+1)/2 invariant coordinates of an n-point configuration."""
+    """Immutable polynomial in the n(n+1)/2 invariant coordinates of an n-point configuration."""
 
-    def __init__(self, n: int, poly: Poly):
-        self.n = int(n)
-        self.ncoords = self.n * (self.n + 1) // 2
-        if poly.nvars != self.ncoords:
+    n: int
+    poly: Poly
+
+    def __post_init__(self):
+        object.__setattr__(self, "n", int(self.n))
+        if self.poly.nvars != self.ncoords:
             raise ValueError("poly nvars != n(n+1)/2")
-        self.poly = poly
+
+    @property
+    def ncoords(self) -> int:
+        return self.n * (self.n + 1) // 2
 
     @classmethod
     def constant(cls, n: int, c: float = 1.0) -> "TransferPolynomial":
@@ -143,12 +152,19 @@ def is_permutation_symmetric(p: TransferPolynomial, tol: float = 0.0) -> tuple:
     return True, None
 
 
+@dataclass(frozen=True, eq=False)
 class TransferFamily:
-    """Validated family {M_n}; orders without an explicit member default to 1."""
+    """Immutable family {M_n} with per-argument degree bound l_max; orders without
+    an explicit member default to 1. Construction does not check condition 4.1:
+    require_valid does, on a family's first use, and keeps the report here."""
 
-    def __init__(self, members: dict, l_max: int):
-        self.members = dict(members)
-        self.l_max = int(l_max)
+    members: Mapping[int, TransferPolynomial]
+    l_max: int
+    _report: dict | None = field(default=None, init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "members", MappingProxyType(dict(self.members)))
+        object.__setattr__(self, "l_max", int(self.l_max))
 
     def member(self, n: int) -> TransferPolynomial:
         if n in self.members:
@@ -209,10 +225,12 @@ def validate_condition41(fam: TransferFamily) -> dict:
 
 
 def require_valid(fam: TransferFamily) -> TransferFamily:
-    """fam itself if it passes condition 4.1, else a ValueError listing the violations."""
-    report = validate_condition41(fam)
-    if not report["passed"]:
-        raise ValueError(f"invalid transfer family: {report['violations']}")
+    """fam itself if it passes condition 4.1, else a ValueError listing the violations.
+    The family is immutable, so its report is computed on the first call and kept on it."""
+    if fam._report is None:
+        object.__setattr__(fam, "_report", validate_condition41(fam))
+    if not fam._report["passed"]:
+        raise ValueError(f"invalid transfer family: {fam._report['violations']}")
     return fam
 
 

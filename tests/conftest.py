@@ -1,8 +1,9 @@
-"""Shared fixtures: model constants, evaluators, reference packet sets and
-the shell atom of one leg."""
+"""Shared fixtures: model constants, evaluators, reference packet sets,
+the shell atom of one leg and a spy on transfer-family validation."""
 import numpy as np
 import pytest
 
+from qftscat import transfer
 from qftscat.kinematics import ModelParams, WavePacket, omega
 from qftscat.structure import SpectralDensity, StructureEvaluator, shell_integral
 from qftscat.transfer import TransferFamily, TransferPolynomial
@@ -90,6 +91,16 @@ def _sym_M4(degree: int) -> TransferPolynomial:
 def fam_quad():
     """M_4 = (1/6) sum_{i<j} (q_ij)^2, the symmetric degree-2 weight."""
     return TransferFamily({2: TransferPolynomial.constant(2, 1.0), 4: _sym_M4(2)}, l_max=2)
+
+
+@pytest.fixture
+def validations(monkeypatch):
+    """The families transfer.validate_condition41 runs on, in call order."""
+    calls = []
+    validate = transfer.validate_condition41
+    monkeypatch.setattr(transfer, "validate_condition41",
+                        lambda fam: calls.append(fam) or validate(fam))
+    return calls
 
 
 @pytest.fixture(scope="session")

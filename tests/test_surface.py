@@ -219,3 +219,30 @@ def test_only_structure_solves_two_body_kinematics():
     # shared core, and by complete_configurations for the fit sampler
     users = sorted(p.stem for p in PACKAGE.glob("*.py") if "two_body_solutions" in _name_lines(p))
     assert users == ["structure"]
+
+
+def callers(name):
+    """'module.function' of every function of the package that calls `name`,
+    as `name(...)` or `x.name(...)`; a call outside any function counts as 'module'."""
+    found = set()
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            where = f"{where}.{node.name}"
+        if isinstance(node, ast.Call):
+            func = node.func
+            if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == name:
+                found.add(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem)
+    return sorted(found)
+
+
+def test_only_require_valid_checks_condition41():
+    # one place validates a transfer family, and it keeps the report on the family
+    users = sorted(p.stem for p in PACKAGE.glob("*.py") if "validate_condition41" in _name_lines(p))
+    assert users == ["transfer"]
+    assert callers("validate_condition41") == ["transfer.require_valid"]

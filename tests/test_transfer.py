@@ -2,10 +2,15 @@
 import itertools
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from qftscat.cli import _family, main
+from qftscat.fitter import build_family
+from qftscat.formfactor import AmplitudeRequest, eval_F_n, smatrix_amplitude
+from qftscat.gns import structure_pairing
 from qftscat.kinematics import invariant_index, invariant_names, minkowski_dot
 from qftscat.polymath import Poly
 from qftscat.transfer import (
@@ -381,3 +386,107 @@ def test_validate_condition41_matches_term_by_term_oracle(index):
     assert got == _oracle_validate_condition41(fam)
     if fam.l_max == 16:
         assert [v["detail"] for v in got["violations"]] == ["evaluation asymmetry"]
+
+
+def test_pairings_study_validates_its_family_once(ev, packets4, fam_quad, validations):
+    # a fresh family equal to fam_quad: the session fixture may carry its report already
+    fam = TransferFamily(fam_quad.members, fam_quad.l_max)
+    req = AmplitudeRequest(2, packets4[:2], packets4[2:])
+    eval_F_n(("in", "in", "out", "out"), list(packets4), ev, fam)
+    smatrix_amplitude(req, ev, fam)
+    smatrix_amplitude(req, ev.refined(), fam)
+    assert validations == [fam]
+
+
+E08 = float(np.sqrt(0.8**2 + 1.0))
+M4_LINEAR = {"n": 4, "terms": [{"degrees": {f"q{i}{j}": 1}, "coeff": 1.0 / 6.0}
+                               for j in range(1, 5) for i in range(1, j)]}
+ASYMMETRIC = {"n": 4, "terms": [{"degrees": {"q12": 1}, "coeff": 1.0}]}
+TWO_POINT = [{"center": [-1.3, 0.4], "width": 0.3}, {"center": [1.3, -0.4], "width": 0.3}]
+CLI_CONFIGS = {
+    "amplitude": {"amplitude": {
+        "packets_in": [{"center": [-E08, 0.8], "width": 0.25},
+                       {"center": [-E08, -0.8], "width": 0.25}],
+        "packets_out": [{"center": [E08, 0.8], "width": 0.25},
+                        {"center": [E08, -0.8], "width": 0.25}],
+        "transfer": M4_LINEAR}},
+    "converge": {"converge": {"labels": ["in", "out"], "packets": TWO_POINT,
+                              "t_grid": [1.0, 10.0], "orderings": [[0, 1]],
+                              "transfer": M4_LINEAR}},
+    "gram": {"gram": {"label": "in", "transfer": M4_LINEAR, "packets": [
+        {"center": [float(np.sqrt(k * k + 1)), k], "width": 0.3} for k in (-0.3, 0.3)]}},
+    "fit": {"fit": {"n": 4, "r": 2, "e_max": 4.0, "epsilon": 1e-3,
+                    "train": 400, "validate": 100, "seed": 3, "reference": "exp_q12"}},
+}
+
+
+def _main(tmp_path, command, cfg):
+    path = tmp_path / f"{command}.json"
+    path.write_text(json.dumps({"model": {"d": 2, "m": 1.0}, **cfg}))
+    return main([command, "--config", str(path), "--out", str(tmp_path / command)])
+
+
+@pytest.mark.parametrize("command", sorted(CLI_CONFIGS))
+def test_cli_command_validates_its_family_once(tmp_path, command, validations):
+    assert _main(tmp_path, command, CLI_CONFIGS[command]) == 0
+    assert len(validations) == 1
+
+
+def test_invalid_family_raises_at_every_call_site_on_every_use(ev, packets4, validations):
+    req = AmplitudeRequest(2, packets4[:2], packets4[2:])
+    sites = {
+        "eval_F_n": lambda fam: eval_F_n(("in", "in", "out", "out"), list(packets4), ev, fam),
+        "smatrix_amplitude": lambda fam: smatrix_amplitude(req, ev, fam),
+        "structure_pairing": lambda fam: structure_pairing(ev, "in", fam),
+    }
+    bad = {}
+    for site, call in sites.items():
+        bad[site] = TransferFamily(
+            {2: TransferPolynomial.constant(2, 1.0),
+             4: TransferPolynomial.from_json_dict(ASYMMETRIC)}, l_max=2)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="invalid transfer family"):
+                call(bad[site])
+    # the failing report is kept: one validation per family, not per use
+    assert validations == list(bad.values())
+    # cli._family and build_family build a new family on every call
+    fit = SimpleNamespace(passed=True, polynomial=TransferPolynomial.from_json_dict(ASYMMETRIC))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="invalid transfer family"):
+            _family({**ASYMMETRIC, "l_max": None})
+        with pytest.raises(ValueError, match="invalid transfer family"):
+            build_family({4: fit}, l_max=2)
+
+
+def test_invalid_transfer_block_is_a_config_error_on_every_run(tmp_path, capsys):
+    cfg = {"amplitude": {**CLI_CONFIGS["amplitude"]["amplitude"], "transfer": ASYMMETRIC}}
+    for _ in range(2):
+        assert _main(tmp_path, "amplitude", cfg) == 1
+        err = capsys.readouterr().err
+        assert "config error: amplitude.transfer: invalid transfer family" in err
+
+
+def test_families_and_polynomials_are_immutable(fam_quad):
+    fam = TransferFamily(fam_quad.members, fam_quad.l_max)
+    m4 = fam.member(4)
+    key = next(iter(m4.poly.terms))
+    assignments = [
+        lambda: fam.members.__setitem__(4, TransferPolynomial.constant(4, 1.0)),
+        lambda: setattr(fam, "members", {}),
+        lambda: setattr(fam, "l_max", 3),
+        lambda: setattr(m4, "poly", Poly.constant(10, 1.0)),
+        lambda: setattr(m4, "n", 3),
+        lambda: setattr(m4, "ncoords", 6),
+        lambda: m4.poly.terms.__setitem__(key, 2.0),
+        lambda: setattr(m4.poly, "terms", {}),
+        lambda: setattr(m4.poly, "nvars", 3),
+    ]
+    for assign in assignments:
+        with pytest.raises((AttributeError, TypeError)):
+            assign()
+    assert fam.members[4] is m4 and fam.l_max == 2 and m4.n == 4 and m4.poly.nvars == 10
+    # the family copies its members: the caller's dict stays the caller's
+    members = {2: TransferPolynomial.constant(2, 1.0)}
+    fam = TransferFamily(members, 2)
+    members[3] = TransferPolynomial.from_json_dict({**ASYMMETRIC, "n": 3})
+    assert list(fam.members) == [2]
