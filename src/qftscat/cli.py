@@ -356,7 +356,7 @@ def cmd_pvdemo(cfg, c, outdir) -> int:
     def f(x):
         return np.exp(-0.5 * (x / width) ** 2)
 
-    report = pv_limit_demo(f, c["pvdemo"]["t_grid"])
+    report = pv_limit_demo(f, c["pvdemo"]["t_grid"], width)
     key = list(report.values)[0]
     rows = [(float(t), report.values[key][i].real, report.values[key][i].imag,
              float(report.abs_err[key][i])) for i, t in enumerate(report.t_grid)]

@@ -4,7 +4,8 @@ The leg multiplier chi_t equals 1 on the mass shells for every label and
 time, so only the off-shell leg of each pairing term feels t. Convergence
 of the finite-time pairings to the on-shell form factor is verified
 empirically, together with the underlying one-dimensional principal-value
-limits and the oscillatory-decay and L1-Fourier bounds they rest on.
+limits, one structure.pv_fold row each, and the oscillatory-decay and
+L1-Fourier bounds they rest on.
 """
 from __future__ import annotations
 
@@ -14,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .formfactor import IN, LABELS, LOC, OUT, SHELL_SIGN, eval_FG_n
-from .kinematics import ModelParams, chi_plus_minus, gauss_panels, omega
-from .structure import (SpectralDensity, StructureEvaluator, leg_term, rho_continuum,
-                        shell_balance_possible)
+from .kinematics import TAIL_WIDTHS, ModelParams, chi_plus_minus, gauss_panels, omega
+from .structure import (PANEL_WIDTHS, QuadratureSettings, SpectralDensity, StructureEvaluator,
+                        leg_term, pv_fold, rho_continuum, shell_balance_possible)
 
 
 def chi_t(label: str, k, t, params: ModelParams):
@@ -104,8 +105,8 @@ class ConvergenceReport:
     ordering_spread: float
 
 
-# quad's default tolerance: errors below sqrt(eps) of the reference are not
-# resolved, so the envelope of a study converged to round-off is flat there
+# Errors below sqrt(eps) of the reference count as converged, in the envelope
+# and the rate fit: round-off there wanders without a trend in t
 ENVELOPE_FLOOR = math.sqrt(np.finfo(float).eps)
 
 
@@ -121,8 +122,8 @@ def _decade_envelope_nonincreasing(t, err, floor=0.0):
     return all(b <= a * 1.0000001 for a, b in zip(maxes[:-1], maxes[1:]))
 
 
-def _fit_rate(t, err):
-    sel = (err > 0) & (t > 0)
+def _fit_rate(t, err, floor):
+    sel = (err > floor) & (t > 0)
     if sel.sum() < 2:
         return (0.0, 0.0)
     x = np.log(t[sel])
@@ -169,23 +170,23 @@ def _report(t_grid, vals, orderings, target) -> ConvergenceReport:
     ref = target if target is not None else extrapolated[first]
     abs_err = {r: np.abs(window_avg[r] - ref) for r in values}
     fit = slice(None) if target is not None else slice(-1)
+    floor = ENVELOPE_FLOOR * abs(ref)
     lims = list(extrapolated.values())
     return ConvergenceReport(
         t_grid=t_grid, values=values, window_averaged=window_avg,
         abs_err=abs_err, extrapolated=extrapolated,
-        fitted_rate=_fit_rate(t_grid[fit], abs_err[first][fit]), target=target,
-        envelope_nonincreasing=_decade_envelope_nonincreasing(
-            t_grid, abs_err[first], ENVELOPE_FLOOR * abs(ref)),
+        fitted_rate=_fit_rate(t_grid[fit], abs_err[first][fit], floor), target=target,
+        envelope_nonincreasing=_decade_envelope_nonincreasing(t_grid, abs_err[first], floor),
         ordering_spread=max(abs(a - b) for a in lims for b in lims),
     )
 
 
-def _quad_0_40(g, **kw) -> complex:
+def _quad_0_40(g) -> complex:
     """int_0^40 g(s) ds for complex-valued g by scipy's quad (limit 400), its
-    real and imaginary parts apart; kw (weight=, wvar=) pass through to quad."""
+    real and imaginary parts apart."""
     from scipy import integrate  # here, not at module level: importing it takes 0.4-0.5 s
-    re, _ = integrate.quad(lambda s: float(np.real(g(s))), 0, 40.0, limit=400, **kw)
-    im, _ = integrate.quad(lambda s: float(np.imag(g(s))), 0, 40.0, limit=400, **kw)
+    re, _ = integrate.quad(lambda s: float(np.real(g(s))), 0, 40.0, limit=400)
+    im, _ = integrate.quad(lambda s: float(np.imag(g(s))), 0, 40.0, limit=400)
     return re + 1j * im
 
 
@@ -195,28 +196,27 @@ def _odd_fold(f):
     return lambda s: (f(s) - f(-s)) / s if s != 0 else 0.0
 
 
-def pv_oscillatory_integral(f, t: float) -> complex:
-    """PV int e^{i xi t} f(xi)/xi d xi over |xi| <= 40 via the symmetric fold;
-    the 1/s piece of the even part is integrated in closed form against sin(st)."""
-    f0 = complex(f(0.0))
+def pv_oscillatory_integral(f, t: float, width: float = 1.0) -> complex:
+    """PV int e^{i xi t} f(xi)/xi d xi over |xi| <= min(40, TAIL_WIDTHS width),
+    width being the scale of f: one pv_fold row with its pole at 0, on panels
+    at most PANEL_WIDTHS width wide and at the default fold_nodes / 2 nodes per
+    period of e^{i xi t}, so its cost grows with t width."""
+    edge = min(40.0, TAIL_WIDTHS * width)
 
-    def even_rest(s):
-        if s == 0:
-            return 0.0
-        return (f(s) + f(-s) - 2.0 * f0 * math.exp(-0.5 * s * s)) / s
+    def numer(k):
+        xi = k[:, 0]
+        return np.exp(1j * t * xi) * f(xi)
 
-    val = _quad_0_40(_odd_fold(f), weight="cos", wvar=t)
-    val += 1j * _quad_0_40(even_rest, weight="sin", wvar=t)
-    # int_0^inf sin(st) e^{-s^2/2}/s ds = (pi/2) erf(t/sqrt(2))
-    val += 1j * 2.0 * f0 * 0.5 * math.pi * math.erf(t / math.sqrt(2.0))
-    return val
+    return complex(pv_fold(numer, [(0.0, 0.0, [-edge, edge])], QuadratureSettings(),
+                           t_hint=t, max_panel=PANEL_WIDTHS * width)[0])
 
 
-def pv_limit_demo(f, t_grid) -> ConvergenceReport:
-    """Convergence of PV int e^{i xi t} f(xi)/xi d xi to i pi f(0)."""
+def pv_limit_demo(f, t_grid, width: float = 1.0) -> ConvergenceReport:
+    """Convergence of PV int e^{i xi t} f(xi)/xi d xi to i pi f(0), f of
+    scale width (pv_oscillatory_integral)."""
     t_grid = np.asarray(t_grid, dtype=float)
     target = 1j * math.pi * complex(f(0.0))
-    vals = np.array([pv_oscillatory_integral(f, t) for t in t_grid])
+    vals = np.array([pv_oscillatory_integral(f, t, width) for t in t_grid])
     return _report(t_grid, vals[None, :, None], [(0,)], target)
 
 

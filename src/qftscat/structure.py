@@ -9,11 +9,11 @@ term is summed over the other legs' on-shell momenta, its poles (if any)
 in closed form in one leg's; multiplied PV terms are folded in k-space,
 one k0 window and the one pole on its side of k0 = 0 per row, the
 principal value subtracting the numerator at that pole. Shell atoms and
-amplitudes are on-shell configuration integrals (shell_integral).
+amplitudes are on-shell configuration integrals (shell_integral). One core
+solves every on-shell pair (_pair_roots); ruled legs form one grid (_ruled_legs).
 """
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 from dataclasses import dataclass, fields, replace
@@ -101,30 +101,11 @@ class StructureEvaluator:
         return StructureEvaluator(self.params, self.rho, self.quad.doubled())
 
 
-def two_body_solutions(E, P, sa, sb, mass):
-    """Roots p_a of sa*omega(p_a) + sb*omega(P - p_a) = E, vectorized.
-
-    Returns (pa, pb, wa, wb, jac, valid), each with a trailing root axis of
-    length 2 (_pair_roots' leading one, moved). jac is the derivative of the
-    energy constraint in p_a.
-
-    The domain is root_possible; there the closed form p_a = P/2 +/- r is exact.
-    A same-sign pair keeps both roots (one when r ~ 0), an opposite-sign pair
-    one: sb*(omega(P - p_a) - omega(p_a)) = E has the sign of -sb*P*(p_a - P/2).
-    """
-    E, P = np.broadcast_arrays(np.asarray(E, dtype=float), np.asarray(P, dtype=float))
-    ok = root_possible(E, P, sa, sb, mass)
-    with np.errstate(divide="ignore", invalid="ignore"):  # r is nan off the domain
-        r, signs = _roots(E, P, sa, sb, mass)
-    both = np.array([1.0, -1.0]).reshape((2,) + (1,) * E.ndim)
-    *roots, valid = _pair_roots(E, P, np.where(ok, r, 0.0), both, sa, sb, mass)
-    return tuple(np.moveaxis(x, 0, -1) for x in (*roots, valid & ok & (signs == both)))
-
-
 def _roots(E, P, sa, sb, mass):
-    """The offset r and the signs of the roots P/2 + sign r on root_possible
-    points, along a leading root axis: both of a same-sign pair, the one of
-    an opposite-sign pair."""
+    """The offset r and the signs of the roots p_a = P/2 + sign r of
+    sa*omega(p_a) + sb*omega(P - p_a) = E, exact on root_possible points, on a
+    leading root axis: both of a same-sign pair, the one of an opposite-sign
+    pair, as E = sb*(omega(P - p_a) - omega(p_a)) has the sign of -sb*P*(p_a - P/2)."""
     Q = (E - P) * (E + P)
     r = 0.5 * np.abs(E) * np.sqrt(Q * (Q - 4.0 * (mass * mass))) / np.abs(Q)
     if sa != sb:
@@ -133,10 +114,10 @@ def _roots(E, P, sa, sb, mass):
 
 
 def _pair_roots(E, P, r, signs, sa, sb, mass):
-    """two_body_solutions' roots P/2 + sign r on a leading root axis, signs
-    (R, ...) broadcast against E, P and r, so each root runs on contiguous
-    rows; a same-sign pair's signs are (1, -1), its minus root counting where
-    r > 1e-12 (1 + |E| + |P|) only."""
+    """(pa, pb, wa, wb, jac = d energy / d p_a, valid) at _roots' roots P/2 +
+    sign r on a leading root axis, signs (R, ...) broadcast against E, P and r,
+    so each root runs on contiguous rows; a same-sign pair's signs are (1, -1),
+    its minus root counting where r > 1e-12 (1 + |E| + |P|) only."""
     m2 = mass * mass
     pa = 0.5 * P + signs * r
     scale = 1.0 + np.abs(E) + np.abs(P)
@@ -176,7 +157,7 @@ def shell_signs(n: int, r: int) -> np.ndarray:
 def complete_configurations(p, signs, mass):
     """On-shell, momentum-conserving configurations with the shell signs of
     shell_signs: the first n-2 legs at spatial momenta p (..., n-2), the last
-    two solved from conservation per root of two_body_solutions.
+    two solved from conservation at both roots (_pair_roots), if valid.
 
     Returns ks (..., 2, n, 2) with the root axis before the legs, dens = 4 wa
     wb |jac| (the solved legs' 2 omega shell densities times the constraint
@@ -185,8 +166,14 @@ def complete_configurations(p, signs, mass):
     p = np.asarray(p, dtype=float)
     sa, sb = signs[-2:]
     k0 = signs[:-2] * np.sqrt(p * p + mass * mass)
-    pa, pb, wa, wb, jac, valid = two_body_solutions(
-        -k0.sum(axis=-1), -p.sum(axis=-1), sa, sb, mass)
+    E, P = -k0.sum(axis=-1), -p.sum(axis=-1)
+    ok = root_possible(E, P, sa, sb, mass)
+    with np.errstate(divide="ignore", invalid="ignore"):  # r is nan off the domain
+        r, sign = _roots(E, P, sa, sb, mass)
+    both = np.array([1.0, -1.0]).reshape((2,) + (1,) * E.ndim)
+    *pair, valid = _pair_roots(E, P, np.where(ok, r, 0.0), both, sa, sb, mass)
+    pa, pb, wa, wb, jac, valid = (np.moveaxis(x, 0, -1)
+                                  for x in (*pair, valid & ok & (sign == both)))
     ks = np.empty(valid.shape + (len(signs), 2))
     ks[..., :-2, :] = np.stack([k0, p], axis=-1)[..., None, :, :]
     ks[..., -2, :] = np.stack([sa * wa, pa], axis=-1)
@@ -195,8 +182,8 @@ def complete_configurations(p, signs, mass):
 
 
 def root_possible(E, P, sa, sb, mass):
-    """two_body_solutions' domain, where sa*omega(p_a) + sb*omega(P - p_a) = E
-    has a root: with Q = E^2 - P^2 > 1e-14 (1 + E^2 + P^2) in size, a same-sign
+    """The domain of _roots, where sa*omega(p_a) + sb*omega(P - p_a) = E has a
+    root: with Q = E^2 - P^2 > 1e-14 (1 + E^2 + P^2) in size, a same-sign
     pair needs sa*E > 0 and Q >= 4 m^2, an opposite-sign pair Q <= 0."""
     Q = (E - P) * (E + P)
     floor = np.abs(Q) > 1e-14 * (1.0 + E * E + P * P)
@@ -259,19 +246,12 @@ def shell_integral(packets, signs, ev: StructureEvaluator, weight=None, order=No
     integral. The legs order[:-2] (order defaults to index order) run on
     their packets' Gauss-Hermite rules of inner_nodes (packet_rule); the last
     two legs of order are solved (_solved_pair_terms)."""
-    m = ev.params.m
-    *ruled, b, c = range(len(packets)) if order is None else order
-    *lead, (t, kt, ft) = [(l, *_shell_leg(packets[l], signs[l],
-                                          packet_rule(packets[l], ev.quad.inner_nodes), m))
-                          for l in ruled]
-    sizes = [len(k) for _, k, _ in lead]  # the lead legs' product grid, flat
-    A = math.prod(sizes)
-    lk, lf, ld = np.zeros((A, len(lead), 2)), np.ones(A), np.zeros(A)
-    for i, ((l, k, f), at) in enumerate(zip(lead, np.indices(sizes).reshape(len(lead), A))):
-        lk[:, i], lf, ld = k[at], lf * f[at], ld + _exponent(k[at], packets[l])
-    out = _solved_pair_terms((b, c), (signs[b], signs[c]), packets, m, weight,
-                             ([l for l, _, _ in lead], lk, lf, ld),
-                             ([t], kt[:, None], ft, _exponent(kt, packets[t])))
+    m, nodes = ev.params.m, ev.quad.inner_nodes
+    *lead, t, b, c = range(len(packets)) if order is None else order
+    out = _solved_pair_terms(
+        (b, c), (signs[b], signs[c]), packets, m, weight,
+        (lead, *_ruled_legs(lead, [signs[l] for l in lead], packets, nodes, m)),
+        ([t], *_ruled_legs([t], [signs[t]], packets, nodes, m)))
     return complex(np.sum(out))
 
 
@@ -380,13 +360,23 @@ def pv_fold(numer, rows, quad: QuadratureSettings, t_hint: float = 0.0,
     return out
 
 
-def _shell_leg(packet, sign, rule, m):
-    """Leg momenta k = (sign omega(p), p) on a rule (p, w) over the leg's
-    spatial momentum, and the weighted shell factors w f(k) / (2 omega)."""
-    p, w = rule
-    wl = np.sqrt(p * p + m * m)
-    k = np.stack([sign * wl, p], axis=-1)
-    return k, w * packet(k) / (2.0 * wl)
+def _ruled_legs(legs, signs, packets, nodes, m):
+    """The legs at k_l = (s_l omega(p_l), p_l), s_l their signs, with p_l on
+    their packet rules of the given nodes (packet_rule), over the rules' flat
+    product grid, the first leg slowest: momenta (A, len(legs), 2), the
+    product of the weighted shell factors w_l f_l(k_l) / (2 omega_l) and the
+    summed tail exponents (_exponent), each (A,); A = 1 for no legs."""
+    rules = [packet_rule(packets[l], nodes) for l in legs]
+    sizes = [len(p) for p, _ in rules]
+    A = math.prod(sizes)
+    grid = np.indices(sizes).reshape(len(legs), A)
+    ks, fs, ds = np.zeros((A, len(legs), 2)), np.ones(A), np.zeros(A)
+    for i, (l, s, (p, w), at) in enumerate(zip(legs, signs, rules, grid)):
+        wl = np.sqrt(p * p + m * m)
+        k = np.stack([s * wl, p], axis=-1)
+        f = w * packets[l](k) / (2.0 * wl)
+        ks[:, i], fs, ds = k[at], fs * f[at], ds + _exponent(k[at], packets[l])
+    return ks, fs, ds
 
 
 # Points of one block of a static leg term's sum: as many of its first
@@ -407,29 +397,21 @@ def _onshell_sum(j: int, packets, ev: StructureEvaluator, weight, nodes: int) ->
     A block is skipped where the joint tail exponent sum_l |k_l - c_l|^2 / w_l^2
     exceeds TAIL_WIDTHS^2 at all its points: the Gaussian product is below exp(-72)."""
     m = ev.params.m
-    legs = [l for l in range(len(packets)) if l != j]
-    (a, ka, fa), *rest = [(l, *_shell_leg(packets[l], _leg_sign(l, j),
-                                          packet_rule(packets[l], nodes), m)) for l in legs]
-    idx = [i.ravel() for i in np.meshgrid(*[np.arange(len(k)) for _, k, _ in rest], indexing="ij")]
-    kr = [k[i] for (_, k, _), i in zip(rest, idx)]
-    K = functools.reduce(np.add, kr)
-    F = functools.reduce(np.multiply, [f[i] for (_, _, f), i in zip(rest, idx)])
-    ks = np.zeros((len(K), len(packets), 2))
-    for (l, _, _), k in zip(rest, kr):
-        ks[:, l] = k
-    Da = _exponent(ka, packets[a])
-    Dr = functools.reduce(np.add, [_exponent(k[i], packets[l]) for (l, k, _), i in zip(rest, idx)])
+    a, *rest = [l for l in range(len(packets)) if l != j]
+    (ka, fa, Da), (kr, F, Dr) = (_ruled_legs(legs, [_leg_sign(l, j) for l in legs], packets,
+                                             nodes, m) for legs in ([a], rest))
+    K = kr.sum(axis=1)
     per = max(1, BLOCK_POINTS // len(K))
     total = 0.0 + 0.0j
     for s in range(0, len(ka), per):
         block = slice(s, s + per)
-        kj = -(ka[block, None] + K)
+        kj = -(ka[block] + K)
         if np.min(Da[block, None] + Dr + _exponent(kj, packets[j])) > TAIL_WIDTHS ** 2:
             continue
         vals = fa[block, None] * F * packets[j](kj) / (kj[..., 0] ** 2 - kj[..., 1] ** 2 - m * m)
         if weight is not None:
-            kb = np.repeat(ks[None], len(kj), axis=0)
-            kb[:, :, a], kb[:, :, j] = ka[block, None], kj
+            kb = np.zeros(kj.shape[:-1] + (len(packets), 2))
+            kb[:, :, rest], kb[:, :, a], kb[:, :, j] = kr, ka[block], kj
             vals = vals * weight(kb)
         for row in np.sum(vals, axis=-1):
             total += row
@@ -533,16 +515,14 @@ def _lone_leg_term(j: int, packets, ev: StructureEvaluator, weight) -> complex:
     over the lone leg's (_lone_leg_pv), for a block of the pair's first leg's
     nodes at a time (BLOCK_POINTS): memory grows with the node count alone."""
     _, pair = _lone_leg(j)
-    m = ev.params.m
-    (kf, ff), (kb, fb) = (_shell_leg(packets[l], _leg_sign(l, j),
-                                     packet_rule(packets[l], ev.quad.inner_nodes), m) for l in pair)
-    per = max(1, BLOCK_POINTS // (len(kb) * (3 * ev.quad.fold_nodes + 3)))
+    ks, F, _ = _ruled_legs(pair, [_leg_sign(l, j) for l in pair], packets, ev.quad.inner_nodes,
+                           ev.params.m)
+    nb = math.isqrt(len(F))  # the pair's rules have one size, packet_rule's at inner_nodes
+    rows = nb * max(1, BLOCK_POINTS // (nb * (3 * ev.quad.fold_nodes + 3)))
     total = 0.0 + 0.0j
-    for s in range(0, len(kf), per):
-        block = slice(s, s + per)
-        inner = _lone_leg_pv(j, packets, ev, weight, np.repeat(kf[block], len(kb), axis=0),
-                             np.tile(kb, (len(ff[block]), 1)))
-        total += np.sum(np.outer(ff[block], fb).ravel() * inner)
+    for s in range(0, len(F), rows):
+        block = slice(s, s + rows)
+        total += np.sum(F[block] * _lone_leg_pv(j, packets, ev, weight, ks[block, 0], ks[block, 1]))
     return complex(total)
 
 

@@ -68,15 +68,17 @@ import importlib, json, pkgutil, sys
 import qftscat, qftscat.cli
 for mod in pkgutil.iter_modules(qftscat.__path__):
     importlib.import_module("qftscat." + mod.name)
-loaded = sorted(k for k in sys.modules if k == "scipy" or k.startswith("scipy."))
+def scipy_modules():
+    return sorted(k for k in sys.modules if k == "scipy" or k.startswith("scipy."))
+loaded = scipy_modules()
 code = qftscat.cli.main(["pvdemo", "--config", sys.argv[1], "--out", sys.argv[2]])
-print(json.dumps({"loaded": loaded, "pvdemo": code}))
+print(json.dumps({"loaded": loaded, "pvdemo": code, "after_pvdemo": scipy_modules()}))
 """
 
 
 def test_importing_the_package_loads_no_scipy(tmp_path):
-    # scipy's import is most of a CLI command's start-up; only the adaptive
-    # quadrature of pvdemo and the criterion 4 and 6 helpers import it, at call time
+    # scipy's import is most of a CLI command's start-up; only the criterion 4
+    # and 6 helpers import it, at call time, and pvdemo runs without it
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
@@ -85,18 +87,26 @@ def test_importing_the_package_loads_no_scipy(tmp_path):
                           timeout=300)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert result == {"loaded": [], "pvdemo": 0}
+    assert result == {"loaded": [], "pvdemo": 0, "after_pvdemo": []}
     assert _load(tmp_path / "out", "pvdemo_summary.json")["passed"]
 
 
 @pytest.mark.parametrize("width", [0.1, 2.0])
 def test_pvdemo_converged_to_round_off_passes(tmp_path, width):
-    # the error settles at round-off, where the decade maxima wander (up to
-    # 5e-11 of the limit for width 2.0) below quad's resolution
+    # the error settles at round-off (2e-15 of the limit), where the decade
+    # maxima wander below ENVELOPE_FLOOR
     code, out = _run(tmp_path, "pvdemo", {"pvdemo": {"width": width}})
     assert code == 0
     summary = _load(out, "pvdemo_summary.json")
-    assert summary["passed"] and summary["final_rel_err"] < 1e-12
+    assert summary["passed"] and summary["final_rel_err"] < 1e-14
+
+
+def test_pvdemo_rate_leaves_round_off_out(tmp_path):
+    # the default errors reach round-off from t = 10 on; the rate is fitted to
+    # the ones above ENVELOPE_FLOOR alone, as round-off has no trend in t
+    code, out = _run(tmp_path, "pvdemo", {})
+    assert code == 0
+    assert abs(_load(out, "pvdemo_summary.json")["rate_alpha"] - 9.3479577) < 1e-6
 
 
 def test_amplitude_empty_phase_space(tmp_path):

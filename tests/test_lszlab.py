@@ -295,11 +295,16 @@ def test_convergence_study_rejects_bad_time_grid(pair, ev):
 
 
 def test_pv_oscillatory_integral_analytic():
-    # PV int e^{ixt} e^{-x^2/2}/x dx = i pi erf(t/sqrt(2))
-    for t in (0.5, 2.0, 8.0):
-        val = pv_oscillatory_integral(_gauss, t)
-        exact = 1j * math.pi * special.erf(t / math.sqrt(2.0))
-        assert abs(val - exact) < 1e-9
+    # PV int e^{ixt} e^{-x^2/(2 w^2)}/x dx = i pi erf(t w/sqrt(2)), to round-off
+    # up to t = 1e4, where the fold lays 12 nodes per period
+    for width in (0.1, 1.0, 2.0):
+        def f(x, w=width):
+            return np.exp(-0.5 * (np.asarray(x) / w) ** 2)
+
+        for t in (0.5, 2.0, 8.0, 100.0, 1e3, 1e4):
+            val = pv_oscillatory_integral(f, t, width)
+            exact = 1j * math.pi * special.erf(t * width / math.sqrt(2.0))
+            assert abs(val - exact) < 1e-13 * math.pi, (width, t)
 
 
 def test_pv_limit_demo_converges():

@@ -35,7 +35,6 @@ from qftscat.structure import (
     root_possible,
     shell_balance_possible,
     shell_signs,
-    two_body_solutions,
 )
 
 
@@ -58,10 +57,24 @@ def test_quadrature_doubling():
     assert (d.fold_nodes / 2, 2 * d.fold_nodes) == (24.0, 96)
 
 
+def _both_roots(E, P, sa, sb, mass):
+    """Roots p_a of sa*omega(p_a) + sb*omega(P - p_a) = E from the pair-solve
+    core: _pair_roots at P/2 +/- r on root_possible's domain, a root _roots
+    does not give (an opposite-sign pair's other one) invalid. Returns (pa,
+    pb, wa, wb, jac, valid), each with a trailing root axis of length 2."""
+    E, P = np.broadcast_arrays(np.asarray(E, dtype=float), np.asarray(P, dtype=float))
+    ok = root_possible(E, P, sa, sb, mass)
+    with np.errstate(divide="ignore", invalid="ignore"):  # r is nan off the domain
+        r, signs = structure._roots(E, P, sa, sb, mass)
+    both = np.array([1.0, -1.0]).reshape((2,) + (1,) * E.ndim)
+    *pair, valid = structure._pair_roots(E, P, np.where(ok, r, 0.0), both, sa, sb, mass)
+    return tuple(np.moveaxis(x, 0, -1) for x in (*pair, valid & ok & (signs == both)))
+
+
 def test_two_body_solutions_vs_brentq():
     m = 1.0
     E, P = 3.1, 0.4
-    pa, pb, wa, wb, jac, valid = two_body_solutions(E, P, 1, 1, m)
+    pa, pb, wa, wb, jac, valid = _both_roots(E, P, 1, 1, m)
     assert valid.shape == (2,) and valid.all()
 
     def constraint(p):
@@ -79,7 +92,7 @@ def test_two_body_solutions_vs_brentq():
 
 def test_two_body_mixed_sign_single_root():
     # sa=-1, sb=+1: exactly one genuine root for spacelike total momentum
-    pa, pb, wa, wb, jac, valid = two_body_solutions(0.5, 2.0, -1, 1, 1.0)
+    pa, pb, wa, wb, jac, valid = _both_roots(0.5, 2.0, -1, 1, 1.0)
     assert int(valid.sum()) == 1
     i = int(np.argmax(valid))
     res = -wa[i] + wb[i] - 0.5
@@ -87,7 +100,7 @@ def test_two_body_mixed_sign_single_root():
 
 
 def test_two_body_below_threshold_empty():
-    _, _, _, _, _, valid = two_body_solutions(1.5, 0.0, 1, 1, 1.0)  # E < 2m
+    _, _, _, _, _, valid = _both_roots(1.5, 0.0, 1, 1, 1.0)  # E < 2m
     assert not valid.any()
 
 
@@ -105,7 +118,7 @@ def _two_body_draws(sa, sb, rng, n=500):
 @pytest.mark.parametrize("sa,sb", [(1, 1), (-1, -1), (1, -1), (-1, 1)])
 def test_two_body_roots_meet_a_40_digit_residual(sa, sb):
     E, P = _two_body_draws(sa, sb, np.random.default_rng(19 + 2 * sa + sb))
-    pa, _, _, _, _, valid = two_body_solutions(E, P, sa, sb, 1.0)
+    pa, _, _, _, _, valid = _both_roots(E, P, sa, sb, 1.0)
     assert valid.any()
     D = decimal.Decimal
     with decimal.localcontext(prec=40):
@@ -122,7 +135,7 @@ def test_two_body_roots_meet_a_40_digit_residual(sa, sb):
 ])
 def test_two_body_opposite_sign_counts_its_root_once(E, P, sa, sb):
     # an opposite-sign pair has one root, also as its total momentum nears (0, 0)
-    assert int(two_body_solutions(E, P, sa, sb, 1.0)[-1].sum()) == 1
+    assert int(_both_roots(E, P, sa, sb, 1.0)[-1].sum()) == 1
 
 
 @pytest.mark.parametrize("s", [1, -1])
@@ -130,7 +143,7 @@ def test_two_body_same_sign_clear_of_threshold_has_two_roots(s):
     rng = np.random.default_rng(5)
     P = rng.uniform(-10.0, 10.0, 200)
     E = s * np.sqrt(P * P + 4.0 * rng.uniform(1.01, 100.0, 200))
-    assert two_body_solutions(E, P, s, s, 1.0)[-1].all()
+    assert _both_roots(E, P, s, s, 1.0)[-1].all()
 
 
 def test_shell_signs():
@@ -685,14 +698,14 @@ def test_root_possible_covers_every_valid_root(sa, sb, mass, E, P, near, offset)
         # move E onto Q = E^2 - P^2 = near * m^2, then off it by at most 1e-9
         E = np.copysign(np.sqrt(max(P * P + near * mass * mass + offset, 0.0)), E)
     E, P = np.float64(E), np.float64(P)
-    valid = two_body_solutions(E, P, sa, sb, mass)[-1]
+    valid = _both_roots(E, P, sa, sb, mass)[-1]
     if valid.any():
         assert root_possible(E, P, sa, sb, mass)
 
 
 def _two_body_oracle(E, P, sa, sb, mass):
-    """two_body_solutions with the closed form masked off its domain, both
-    roots solved everywhere: the bitwise reference of its public outputs."""
+    """_both_roots with the closed form masked off its domain, both roots
+    solved everywhere: the bitwise reference of its outputs."""
     E, P = np.broadcast_arrays(np.asarray(E, dtype=float), np.asarray(P, dtype=float))
     ok = root_possible(E, P, sa, sb, mass)
     m2 = mass * mass
@@ -730,15 +743,15 @@ def _two_body_oracle(E, P, sa, sb, mass):
     offset=st.floats(-1e-12, 1e-12),
 )
 def test_fold_roots_bitwise_equal_two_body_solutions(sa, sb, mass, E, P, near, offset):
-    # two_body_solutions keeps its outputs bit for bit everywhere; on its
-    # domain the fold's core at the roots it solves (both of a same-sign
-    # pair, the sign-picked one of an opposite-sign pair) gives the same bits
-    # and the same validity as two_body_solutions' roots, and an opposite-sign
-    # pair has no valid root elsewhere
+    # the pair-solve core at both roots keeps the oracle's outputs bit for
+    # bit everywhere; on its domain the core at the roots _roots gives (both
+    # of a same-sign pair, the sign-picked one of an opposite-sign pair) has
+    # the same bits and the same validity as at both roots, and an
+    # opposite-sign pair has no valid root elsewhere
     if near is not None:
         E = np.copysign(np.sqrt(max(P * P + near * mass * mass + offset, 0.0)), E)
     E, P = np.array([E], dtype=float), np.array([P], dtype=float)
-    full = two_body_solutions(E, P, sa, sb, mass)
+    full = _both_roots(E, P, sa, sb, mass)
     for got, want in zip(full, _two_body_oracle(E, P, sa, sb, mass)):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     if not root_possible(E, P, sa, sb, mass)[0]:
@@ -768,7 +781,7 @@ def test_tail_exponent_bounds_every_two_body_root(sb, sc, mass, cb, cc, wb, wc, 
     # TAIL_WIDTHS^2 reaches the least of those
     packets = [WavePacket(center=np.zeros(2), width=1.0), WavePacket(center=np.array(cb), width=wb),
                WavePacket(center=np.array(cc), width=wc), WavePacket(center=np.ones(2), width=0.5)]
-    pb, pc, wbs, wcs, _, valid = two_body_solutions(E, P, sb, sc, mass)
+    pb, pc, wbs, wcs, _, valid = _both_roots(E, P, sb, sc, mass)
     if not valid.any():
         return
     d = min(np.sum((np.array([sb * wbs[r], pb[r]]) - cb) ** 2) / wb**2
@@ -886,7 +899,7 @@ def _dense_reduced_integrand(j, packets, ev, weight=None, cut=True):
         assert not cut
         a, b = others
         k0, k1 = np.broadcast_arrays(np.asarray(k0, dtype=float), np.asarray(k1, dtype=float))
-        pa, pb, wa, wb, jac, valid = two_body_solutions(-k0, -k1, sign(a), sign(b), m)
+        pa, pb, wa, wb, jac, valid = _both_roots(-k0, -k1, sign(a), sign(b), m)
         ka = np.stack([sign(a) * wa, pa], axis=-1)
         kb = np.stack([sign(b) * wb, pb], axis=-1)
         vals = packets[a](ka) * packets[b](kb)
@@ -911,7 +924,7 @@ def _dense_reduced_integrand(j, packets, ev, weight=None, cut=True):
         wu = np.sqrt(un * un + m * m)
         E = -k0e - sa * wu
         P = -k1e - un
-        pb, pc, wb, wc, jac, valid = two_body_solutions(E, P, sb, sc, m)
+        pb, pc, wb, wc, jac, valid = _both_roots(E, P, sb, sc, m)
         kfree = np.broadcast_to(np.stack([sa * wu, un], axis=-1), E.shape + (2,))[..., None, :]
         kb = np.stack([sb * wb, pb], axis=-1)
         kc = np.stack([sc * wc, pc], axis=-1)
@@ -1242,13 +1255,21 @@ def test_dead_onshell_blocks_match_uncut(case, trio, packets4, ev, fam_quad, mon
         assert all(0 < abs(u) <= bound * max(map(abs, got)) for u in uncut)
 
 
+def _shell_leg(packet, sign, nodes, m):
+    """Leg momenta k = (sign omega(p), p) on the packet's rule (p, w) of the
+    given nodes, and the weighted shell factors w f(k) / (2 omega)."""
+    p, w = packet_rule(packet, nodes)
+    wl = np.sqrt(p * p + m * m)
+    k = np.stack([sign * wl, p], axis=-1)
+    return k, w * packet(k) / (2.0 * wl)
+
+
 def _onshell_sum_per_node(j, packets, ev, weight, nodes):
     """structure._onshell_sum one node of the first leg at a time: the
     bitwise reference of its blocked sum."""
     m = ev.params.m
     legs = [l for l in range(len(packets)) if l != j]
-    (a, ka, fa), *rest = [(l, *structure._shell_leg(packets[l], structure._leg_sign(l, j),
-                                                    packet_rule(packets[l], nodes), m))
+    (a, ka, fa), *rest = [(l, *_shell_leg(packets[l], structure._leg_sign(l, j), nodes, m))
                           for l in legs]
     idx = [i.ravel() for i in np.meshgrid(*[np.arange(len(k)) for _, k, _ in rest], indexing="ij")]
     kr = [k[i] for (_, k, _), i in zip(rest, idx)]
@@ -1516,7 +1537,7 @@ def _pv_leg_term_per_row(j, packets, ev, pv_multiplier, window_fn, t_hint=0.0):
 
 def _per_root_pair_terms(pair, signs, packets, m, weight, lead, trail):
     """Per-root terms of the on-shell pair, with a trailing root axis, solved
-    by two_body_solutions itself: the reference that the pair-solve core
+    at both roots (_both_roots): the reference that the pair-solve core
     sums over roots, for g_j's calls (one lead leg k_j without a factor, the
     free leg's factor evaluated here) without a weight."""
     (b, c), (sb, sc) = pair, signs
@@ -1527,7 +1548,7 @@ def _per_root_pair_terms(pair, signs, packets, m, weight, lead, trail):
     cen, w2 = packets[b].center + packets[c].center, packets[b].width ** 2 + packets[c].width ** 2
     inside = ld[:, None] + ((E - cen[0]) ** 2 + (P - cen[1]) ** 2) / w2 + td
     idx = np.flatnonzero(root_possible(E, P, sb, sc, m) & (inside <= kinematics.TAIL_WIDTHS ** 2))
-    pb, pc, wb, wc, jac, valid = two_body_solutions(np.ravel(E)[idx], np.ravel(P)[idx], sb, sc, m)
+    pb, pc, wb, wc, jac, valid = _both_roots(np.ravel(E)[idx], np.ravel(P)[idx], sb, sc, m)
     kb = np.stack([sb * wb, pb], axis=-1)
     kc = np.stack([sc * wc, pc], axis=-1)
     kf = tk[:, 0]

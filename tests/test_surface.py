@@ -215,10 +215,16 @@ def test_only_kinematics_builds_gauss_rules():
 
 
 def test_only_structure_solves_two_body_kinematics():
-    # every on-shell pair is solved in structure: by shell_integral and g_j's
-    # shared core, and by complete_configurations for the fit sampler
-    users = sorted(p.stem for p in PACKAGE.glob("*.py") if "two_body_solutions" in _name_lines(p))
-    assert users == ["structure"]
+    # every on-shell pair is solved by one core: for shell_integral and g_j
+    # in _solved_pair_terms, and for the fit sampler in complete_configurations
+    assert callers("_pair_roots") == ["structure._solved_pair_terms",
+                                      "structure.complete_configurations"]
+
+
+def test_one_grid_rules_every_on_shell_leg_product():
+    # the product grid of legs on their packet rules is built in one place
+    assert callers("_ruled_legs") == ["structure._lone_leg_term", "structure._onshell_sum",
+                                      "structure.shell_integral"]
 
 
 def callers(name):
